@@ -12,7 +12,7 @@ from pathlib import Path
 
 from lindyn.dynamics import ClosureConfig, classify_stabilized
 from lindyn.fixtures import all_fixtures
-from lindyn.invariants import invariant_family, invariant_tree, membership
+from lindyn.invariants import invariant_tree, membership
 from lindyn.numeric import NumericContext
 from lindyn.report import analysis_report, dumps_report, membership_dict, verdict_dict
 
@@ -32,8 +32,8 @@ def main() -> None:
     rows = []
     for f in all_fixtures():
         t0 = time.time()
-        fam = invariant_family(f.group, ctx)
         tree = invariant_tree(f.group, ctx)
+        fam = tree.family
         sections = []
         for name, point in f.points.items():
             verdict, K = classify_stabilized(

@@ -13,7 +13,7 @@ from collections import Counter
 from fractions import Fraction
 
 from lindyn.groups import GeneratorSet
-from lindyn.invariants import invariant_family, invariant_tree
+from lindyn.invariants import invariant_tree
 from lindyn.linalg import Matrix
 from lindyn.numeric import NumericContext
 
@@ -57,8 +57,8 @@ def main() -> None:
     for i in range(args.families):
         n = rng.randint(2, args.max_dim)
         G = random_family(rng, n)
-        fam = invariant_family(G, ctx)
         tree = invariant_tree(G, ctx)
+        fam = tree.family
         counts[(n, fam.count)] += 1
         for s in fam.subspaces:
             codims[n - s.dim] += 1

@@ -79,8 +79,8 @@ def cmd_analyze(args) -> int:
     ctx, cfg = _contexts(args)
     G.validate(ctx)
     residual = G.commutator_residual(ctx)
-    family = invariant_family(G, ctx)
     tree = invariant_tree(G, ctx)
+    family = tree.family
     point_sections = []
     for name, coords in points.items():
         vec = as_vector(coords)

@@ -9,7 +9,7 @@ length at most n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .numeric import (
     NumSubspace,
     max_abs,
     ninverse,
+    nrange,
     nsolve_cols,
     to_numeric,
     vec_to_numeric,
@@ -322,6 +323,11 @@ def _exact_invariance_residual(G: GeneratorSet, sub: Subspace) -> float:
     return 0.0
 
 
+def _numeric_tolerance(ctx: NumericContext) -> float:
+    """Bound on a numeric residual divided by the size of its operands."""
+    return 1e3 * ctx.eps
+
+
 def _numeric_invariance_residual(G: GeneratorSet, sub: NumSubspace, ctx: NumericContext) -> float:
     worst = 0.0
     if sub.dim == 0:
@@ -332,7 +338,7 @@ def _numeric_invariance_residual(G: GeneratorSet, sub: NumSubspace, ctx: Numeric
         _, resid = nsolve_cols(sub.basis, target, ctx)
         scale = max(1.0, max_abs(gn)) * max(1.0, max_abs(sub.basis))
         worst = max(worst, resid / scale)
-    if worst > 1e3 * ctx.eps:
+    if worst > _numeric_tolerance(ctx):
         raise InvarianceViolation(
             f"numeric invariant subspace residual {worst:.3g} exceeds tolerance"
         )
@@ -375,21 +381,31 @@ def membership(family: InvariantFamily, x, ctx: NumericContext | None = None) ->
 
 @dataclass
 class InvariantTreeNode:
+    """A tree node as reached along one edge.
+
+    ``case`` belongs to the edge from the parent; ``children`` is shared by
+    every node for the same subspace of K^n.  ``height`` is fixed when the
+    node is built, so depth queries do not walk every chain.
+    """
+
     dimension: int
     case: str | None
     family_size: int
     children: list["InvariantTreeNode"]
+    height: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.height = 1 + max(c.height for c in self.children) if self.children else 0
 
     def max_depth(self) -> int:
-        if not self.children:
-            return 0
-        return 1 + max(c.max_depth() for c in self.children)
+        return self.height
 
 
 @dataclass
 class InvariantTree:
     root: InvariantTreeNode
     depth: int
+    family: InvariantFamily | None = None   # the root's family; None when n = 0
 
 
 def invariant_tree(G: GeneratorSet, ctx: NumericContext | None = None,
@@ -397,29 +413,91 @@ def invariant_tree(G: GeneratorSet, ctx: NumericContext | None = None,
     """Recursive invariant families down to dimension zero.
 
     Depth counts edges on the longest chain K^n ⊃ H ⊃ ... ⊃ {0}; the
-    recursion drops dimension at every step so depth never exceeds n.
+    recursion drops dimension at every step so depth never exceeds n.  Chains
+    through the same subspace of K^n share its children, so each distinct
+    subspace is restricted to and has its family computed once.  Raises
+    InvarianceViolation when some chain is longer than ``max_depth``.
     """
     ctx = ctx or NumericContext()
-    limit = max_depth if max_depth is not None else G.dimension
-    root = _tree_node(G, ctx, limit, None)
-    return InvariantTree(root, root.max_depth())
-
-
-def _tree_node(G: GeneratorSet, ctx: NumericContext, budget: int, case: str | None) -> InvariantTreeNode:
     n = G.dimension
+    limit = max_depth if max_depth is not None else n
     if n == 0:
-        return InvariantTreeNode(0, case, 0, [])
-    if budget <= 0:
+        return InvariantTree(InvariantTreeNode(0, None, 0, []), 0)
+    if limit <= 0:
         raise InvarianceViolation("invariant tree exceeded its depth budget")
-    fam = invariant_family(G, ctx)
-    children = []
-    for sub in fam.subspaces:
-        if sub.dim == 0:
-            children.append(InvariantTreeNode(0, sub.case, 0, []))
-            continue
-        restricted = _restrict_group(G, sub, ctx)
-        children.append(_tree_node(restricted, ctx, budget - 1, sub.case))
-    return InvariantTreeNode(n, case, fam.count, children)
+    family = invariant_family(G, ctx)
+    builder = _TreeBuilder(ctx)
+    children = builder.children(G, Matrix.identity(n), family, limit)
+    root = InvariantTreeNode(n, None, family.count, children)
+    return InvariantTree(root, root.height, family)
+
+
+class _TreeBuilder:
+    """Tree nodes memoized by their subspace of K^n.
+
+    A node's ``case`` belongs to the edge from its parent (one subspace can be
+    a hyperplane of one parent and of codimension 2 in another), so the memo
+    keeps ``family_size`` and ``children`` and each edge gets its own node.
+    """
+
+    def __init__(self, ctx: NumericContext):
+        self.ctx = ctx
+        self.exact: dict[Matrix, InvariantTreeNode] = {}
+        self.numeric: list[tuple[np.ndarray, InvariantTreeNode]] = []
+
+    def children(self, G: GeneratorSet, embed: Matrix | np.ndarray, fam: InvariantFamily,
+                 budget: int) -> list[InvariantTreeNode]:
+        """Child nodes of a node with the given embedding into K^n and family."""
+        out = []
+        for sub in fam.subspaces:
+            if sub.dim == 0:
+                out.append(InvariantTreeNode(0, sub.case, 0, []))
+                continue
+            out.append(self._child(G, embed, sub, budget - 1))
+        return out
+
+    def _child(self, G: GeneratorSet, embed: Matrix | np.ndarray, sub: InvariantSubspace,
+               budget: int) -> InvariantTreeNode:
+        basis = sub.subspace.basis
+        if isinstance(embed, Matrix) and isinstance(basis, Matrix):
+            child_embed = embed * basis
+            key = Subspace.span(embed.rows, child_embed.columns()).basis
+            memo = self.exact.get(key)
+        else:
+            child_embed = _as_numeric(embed, self.ctx) @ basis
+            key = _projector(child_embed, self.ctx)
+            memo = self._numeric_match(sub.dim, key)
+        if memo is None:
+            if budget <= 0:
+                raise InvarianceViolation("invariant tree exceeded its depth budget")
+            restricted = _restrict_group(G, sub, self.ctx)
+            fam = invariant_family(restricted, self.ctx)
+            memo = InvariantTreeNode(sub.dim, sub.case, fam.count,
+                                     self.children(restricted, child_embed, fam, budget))
+            if isinstance(key, Matrix):
+                self.exact[key] = memo
+            else:
+                self.numeric.append((key, memo))
+            return memo
+        if memo.height > budget:
+            raise InvarianceViolation("invariant tree exceeded its depth budget")
+        return replace(memo, case=sub.case)
+
+    def _numeric_match(self, dim: int, proj: np.ndarray) -> InvariantTreeNode | None:
+        # projectors have entries of size at most 1, so the tolerance needs no
+        # further scale; rounded keys would split equal subspaces at rounding
+        # boundaries
+        tol = _numeric_tolerance(self.ctx)
+        for other, node in self.numeric:
+            if node.dimension == dim and np.max(np.abs(other - proj)) <= tol:
+                return node
+        return None
+
+
+def _projector(embed: np.ndarray, ctx: NumericContext) -> np.ndarray:
+    """Orthogonal projector of K^n onto the column span of a numeric embedding."""
+    U = nrange(embed, ctx, expected=embed.shape[1])
+    return U @ U.conj().T
 
 
 def _restrict_group(G: GeneratorSet, sub: InvariantSubspace, ctx: NumericContext) -> GeneratorSet:

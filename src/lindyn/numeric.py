@@ -13,6 +13,7 @@ from typing import Sequence
 import mpmath
 import numpy as np
 
+from .errors import InvarianceViolation
 from .linalg import Matrix
 
 
@@ -193,14 +194,16 @@ def nkernel(
 def nsolve_cols(B: np.ndarray, Y: np.ndarray, ctx: NumericContext):
     """Least-squares solution X of B X = Y plus the max-entry residual."""
     if ctx.high:
+        # mpmath.qr_solve divides by zero at a pivot whose real part is zero,
+        # even for a well-conditioned basis such as a coordinate vector
         with mpmath.workprec(ctx.precision):
-            Bm = _to_mp(B)
-            cols = []
-            for j in range(Y.shape[1]):
-                y = mpmath.matrix([[Y[i, j]] for i in range(Y.shape[0])])
-                x = mpmath.qr_solve(Bm, y)[0]
-                cols.append([x[i] for i in range(len(x))])
-            X = np.array(cols, dtype=object).T
+            Q, R = mpmath.qr(_to_mp(B), mode="skinny")
+            QhY = Q.H * _to_mp(Y)
+            try:
+                cols = [mpmath.lu_solve(R, QhY.column(j)) for j in range(Y.shape[1])]
+            except ZeroDivisionError:
+                raise InvarianceViolation("numeric basis is rank-deficient") from None
+            X = np.array([[x[i] for i in range(len(x))] for x in cols], dtype=object).T
     else:
         X = np.linalg.lstsq(B.astype(complex), Y.astype(complex), rcond=None)[0]
     residual = max_abs(B @ X - Y)

@@ -617,8 +617,7 @@ def _realify_exact_basis(basis: Matrix) -> Matrix:
 def _realify_numeric_basis(basis: np.ndarray, ctx: NumericContext) -> np.ndarray:
     d = basis.shape[1]
     cand = np.hstack([real_part(basis), imag_part(basis)])
-    svals, V = nsvd(cand, ctx)
-    # range of cand = left singular vectors; recompute directly
+    # range of cand = left singular vectors
     if cand.dtype == object:
         A = np.array([[float(x.real) for x in row] for row in cand])
     else:
@@ -781,16 +780,10 @@ def _triangularize_exact(restrictions: list[Matrix], mus: list[Scalar]):
     tri = []
     for R in restrictions:
         T = solve(P, R * P)
-        if T is None or not _exact_lower_triangular(T):
+        if T is None or not T.is_lower_triangular():
             raise NoCommonEigenvector("exact triangularization failed")
         tri.append(T)
     return P, tri
-
-
-def _exact_lower_triangular(T: Matrix) -> bool:
-    return all(
-        T[i, j].is_zero() for i in range(T.rows) for j in range(i + 1, T.cols)
-    )
 
 
 def _extend_exact(current: list, candidates: list) -> list:

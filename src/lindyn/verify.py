@@ -46,8 +46,8 @@ class ClaimResult:
 
 def _structure_claim(f: Fixture, ctx: NumericContext) -> ClaimResult:
     n = f.group.dimension
-    fam = invariant_family(f.group, ctx)
     tree = invariant_tree(f.group, ctx)
+    fam = tree.family
     ok = (
         fam.count <= n
         and all(s.dim in (n - 1, n - 2) for s in fam.subspaces)

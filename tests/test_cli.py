@@ -1,10 +1,12 @@
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import random_commuting_family
 from lindyn.cli import main
 from lindyn.fixtures import all_fixtures, fixture_by_name, fixture_input_dict
 from lindyn.report import loads_report
@@ -81,6 +83,21 @@ class TestAnalyze:
         code, _, err = run_cli(["analyze", str(p)])
         assert code == 2
         assert "commute" in err
+
+    def test_numeric_failure_is_an_error_line(self, tmp_path, capsys):
+        # first random.Random(2) family: its 128-bit refinement used to end in
+        # an uncaught ZeroDivisionError from mpmath.qr_solve
+        rng = random.Random(2)
+        G = random_commuting_family(rng, rng.randint(3, 6))
+        doc = {
+            "field": G.field,
+            "dimension": G.dimension,
+            "generators": [[[str(e) for e in row] for row in g.entries()] for g in G.generators],
+        }
+        p = tmp_path / "randpoly.json"
+        p.write_text(json.dumps(doc))
+        assert main(["analyze", str(p), "--precision", "128"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_n1_report(self, tmp_path):
         doc = {"field": "real", "dimension": 1, "generators": [{"name": "A", "rows": [["2"]]}]}

@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 from conftest import random_commuting_family, random_lastrow_group, random_sform_family
+from lindyn import invariants
 from lindyn.errors import FirstCoordinateZero, InvarianceViolation, NotConvergent
-from lindyn.fixtures import fixture_by_name
+from lindyn.fixtures import all_fixtures, fixture_by_name
 from lindyn.groups import GeneratorSet
 from lindyn.invariants import (
+    InvariantTreeNode,
+    _restrict_group,
     bounded_restriction_witness,
     invariant_family,
     invariant_hull,
@@ -19,9 +22,42 @@ from lindyn.invariants import (
 )
 from lindyn.linalg import Matrix, Subspace, as_vector, matrix_from_strings, restrict, solve
 from lindyn.numeric import NumericContext, NumSubspace, max_abs, nsolve_cols, to_numeric
+from lindyn.report import render_tree
 from lindyn.scalars import Scalar
 
 CTX = NumericContext()
+
+
+def naive_tree(G, ctx, budget, case=None):
+    """Reference recursion: a fresh family at every node of every chain."""
+    n = G.dimension
+    if n == 0:
+        return InvariantTreeNode(0, case, 0, [])
+    if budget <= 0:
+        raise InvarianceViolation("invariant tree exceeded its depth budget")
+    fam = invariant_family(G, ctx)
+    children = []
+    for sub in fam.subspaces:
+        if sub.dim == 0:
+            children.append(InvariantTreeNode(0, sub.case, 0, []))
+            continue
+        children.append(naive_tree(_restrict_group(G, sub, ctx), ctx, budget - 1, sub.case))
+    return InvariantTreeNode(n, case, fam.count, children)
+
+
+def assert_tree_matches_naive(G, ctx=CTX):
+    tree = invariant_tree(G, ctx)
+    expected = naive_tree(G, ctx, G.dimension)
+    assert render_tree(tree.root) == render_tree(expected)
+    assert tree.depth == expected.max_depth()
+    return tree
+
+
+def diagonal_group(n):
+    """Two diagonal generators, the first with distinct eigenvalues."""
+    first = [[str(i + 2) if i == j else "0" for j in range(n)] for i in range(n)]
+    second = [[str(i % 2 + 1) if i == j else "0" for j in range(n)] for i in range(n)]
+    return GeneratorSet.from_strings("real", [first, second])
 
 
 def shear3():
@@ -172,7 +208,7 @@ class TestConjugatePairFamilies:
         fam = invariant_family(G, CTX)
         cases = sorted((s.case, s.dim, s.exact) for s in fam.subspaces)
         assert cases == [("real-conjugate-pair", 1, False), ("real-hyperplane", 2, False)]
-        assert invariant_tree(G, CTX).depth <= 3
+        assert assert_tree_matches_naive(G).depth <= 3
 
 
 class TestMembership:
@@ -208,7 +244,7 @@ class TestInvariantTree:
     def test_depth_bounded_random(self, rng):
         for _ in range(6):
             G = random_commuting_family(rng, rng.randint(2, 4))
-            tree = invariant_tree(G, CTX)
+            tree = assert_tree_matches_naive(G)
             assert tree.depth <= G.dimension
             stack = [tree.root]
             while stack:
@@ -216,6 +252,54 @@ class TestInvariantTree:
                 for child in node.children:
                     assert child.dimension < node.dimension
                     stack.append(child)
+
+    @pytest.mark.parametrize("name", [f.name for f in all_fixtures()])
+    def test_fixture_trees_match_naive(self, name):
+        assert_tree_matches_naive(fixture_by_name(name).group)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_diagonal_trees_match_naive(self, n):
+        assert assert_tree_matches_naive(diagonal_group(n)).depth == n
+
+    @pytest.mark.parametrize("n, numeric", [(5, False), (6, False), (4, True)])
+    def test_one_family_per_distinct_subspace(self, n, numeric, monkeypatch):
+        # n distinct real eigenvalues: the nonzero invariant subspaces are the
+        # 2^n - 1 sums of eigenlines, against n!-many chain nodes.  The numeric
+        # group has eigenvalues +-sqrt(2), +-sqrt(3) outside its entries' field.
+        if numeric:
+            G = GeneratorSet.from_strings("real", [[
+                ["0", "2", "0", "0"], ["1", "0", "0", "0"],
+                ["0", "0", "0", "3"], ["0", "0", "1", "0"],
+            ]])
+        else:
+            G = diagonal_group(n)
+        calls = []
+        family = invariants.invariant_family
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return family(*args, **kwargs)
+
+        monkeypatch.setattr(invariants, "invariant_family", counted)
+        tree = invariant_tree(G, CTX)
+        assert len(calls) == 2**n - 1
+        assert tree.depth == n
+        assert all(s.exact != numeric for s in tree.family.subspaces)
+
+    def test_depth_budget(self):
+        G = diagonal_group(4)
+        assert invariant_tree(G, CTX, max_depth=4).depth == 4
+        with pytest.raises(InvarianceViolation):
+            invariant_tree(G, CTX, max_depth=3)
+        with pytest.raises(InvarianceViolation):
+            invariant_tree(shear3(), CTX, max_depth=2)
+
+    def test_tree_carries_root_family(self):
+        tree = invariant_tree(radical4(), CTX)
+        assert tree.family.count == tree.root.family_size
+        assert [s.dim for s in tree.family.subspaces] == [
+            s.dim for s in invariant_family(radical4(), CTX).subspaces
+        ]
 
 
 class TestBoundedRestrictionWitness:

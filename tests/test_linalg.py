@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_integer_matrix, random_scalar
-from lindyn.errors import NotInvariant
+from lindyn.errors import InvarianceViolation, NotInvariant
 from lindyn.linalg import (
     Matrix,
     Subspace,
@@ -16,7 +16,7 @@ from lindyn.linalg import (
     solve,
     sum_intersection,
 )
-from lindyn.numeric import NumericContext, nrank, to_numeric
+from lindyn.numeric import NumericContext, as_complex, nrank, nsolve_cols, to_numeric
 from lindyn.scalars import Scalar, parse_scalar
 
 
@@ -217,6 +217,20 @@ class TestBasisChangeAndBackends:
         ctx = NumericContext(precision=128)
         M = radical_rows()
         assert nrank(to_numeric(M, ctx), ctx) == 2
+
+    def test_high_precision_solve_on_coordinate_basis(self):
+        # a pivot with zero real part divided by zero inside mpmath.qr_solve
+        ctx = NumericContext(precision=128)
+        B = to_numeric(Matrix.from_rows([[0], [0], [1]]), ctx)
+        X, resid = nsolve_cols(B, B * 3, ctx)
+        assert abs(as_complex(X[0, 0]) - 3) < 1e-30
+        assert resid < 1e-30
+
+    def test_high_precision_solve_rejects_dependent_basis(self):
+        ctx = NumericContext(precision=128)
+        B = to_numeric(Matrix.from_rows([[1, 2], [1, 2], [0, 0]]), ctx)
+        with pytest.raises(InvarianceViolation):
+            nsolve_cols(B, B, ctx)
 
     def test_solve_consistency(self, rng):
         for _ in range(10):
