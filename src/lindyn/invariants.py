@@ -22,9 +22,9 @@ from .groups import COMPLEX, REAL, GeneratorSet
 from .linalg import (
     BasisChange,
     Matrix,
+    RowEchelon,
     Subspace,
     Vector,
-    rank as exact_rank,
     restrict,
     solve,
 )
@@ -99,19 +99,11 @@ def nilpotent_span(G: GeneratorSet) -> NilpotentSpan:
             if not vec[0].is_zero():
                 raise InvarianceViolation("nilpotent direction has nonzero first coordinate")
             vectors.append((gi, i, vec))
-    chosen: list[int] = []
-    basis: list[Vector] = []
-    r = 0
-    for idx, (_, _, vec) in enumerate(vectors):
-        if all(x.is_zero() for x in vec):
-            continue
-        trial = basis + [vec]
-        if exact_rank(Matrix.from_cols([list(v) for v in trial])) > r:
-            basis.append(vec)
-            chosen.append(idx)
-            r += 1
-    span = Subspace.span(n, [list(v) for v in basis]) if basis else Subspace(n, Matrix.zeros(n, 0))
-    return NilpotentSpan(vectors, chosen, r, span)
+    ech = RowEchelon()
+    chosen = [idx for idx, (_, _, vec) in enumerate(vectors) if ech.insert(vec)]
+    reduced = ech.basis()
+    span = Subspace(n, Matrix.from_cols(reduced) if reduced else Matrix.zeros(n, 0))
+    return NilpotentSpan(vectors, chosen, len(chosen), span)
 
 
 def nilpotent_span_closure_defect(G: GeneratorSet, fam: NilpotentSpan, words) -> int:

@@ -1,13 +1,20 @@
 """Exact matrices and subspaces over the radical scalar field.
 
-Rank and determinant use fraction-free (Bareiss) elimination to avoid
-coefficient blow-up; kernels and solves finish with exact back-substitution so
-basis vectors come out with unit entries at their free coordinates, which
-keeps every derived basis deterministic.
+Rank, kernel, solve and determinant share one fraction-free (Bareiss)
+forward elimination, which avoids coefficient blow-up.  When every entry of
+the matrix is rational it runs on Python ints: each row is scaled by the lcm
+of its denominators, which changes neither the pivot columns, the kernel nor
+the solution of an augmented system, and each update divides exactly by the
+previous pivot.  A matrix with any radical or imaginary entry runs on
+Scalars.  Kernels and solves finish with exact back-substitution (in
+Fractions on the integer path) so basis vectors come out with unit entries at
+their free coordinates, which keeps every derived basis deterministic.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -170,29 +177,15 @@ class Matrix:
     # -- elimination-based operations --------------------------------------
 
     def det(self) -> Scalar:
-        """Determinant by fraction-free elimination."""
+        """Determinant: the last fraction-free pivot at full rank, else 0."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
+        if self.rows == 0:
             return Scalar.one()
-        m = [list(r) for r in self._rows]
-        sign = 1
-        prev = Scalar.one()
-        for k in range(n - 1):
-            pr = next((i for i in range(k, n) if not m[i][k].is_zero()), None)
-            if pr is None:
-                return Scalar.zero()
-            if pr != k:
-                m[k], m[pr] = m[pr], m[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-                m[i][k] = Scalar.zero()
-            prev = m[k][k]
-        d = m[n - 1][n - 1]
-        return d if sign > 0 else -d
+        ech, pivots, factor = _forward_echelon(self._rows)
+        if len(pivots) < self.rows:
+            return Scalar.zero()
+        return _to_scalar(factor * ech[-1][-1])
 
     def power(self, k: int) -> "Matrix":
         """Integer matrix power by repeated squaring; negative k via inverse."""
@@ -247,37 +240,91 @@ def matrix_from_strings(rows: Sequence[Sequence[str]]) -> Matrix:
 # -- elimination -----------------------------------------------------------
 
 
-def _forward_echelon(rows: list[list[Scalar]]) -> tuple[list[list[Scalar]], list[int]]:
-    """Fraction-free forward elimination; returns echelon rows and pivot cols."""
-    m = [list(r) for r in rows]
+def _integer_rows(rows) -> tuple[list[list[int]], int] | None:
+    """Rows scaled to integers by the lcm of each row's denominators, with
+    the product of those scales; None when some entry is not rational."""
+    out = []
+    scale = 1
+    for row in rows:
+        fracs = [a.rational_value() for a in row]
+        if any(q is None for q in fracs):
+            return None
+        lcm = math.lcm(*(q.denominator for q in fracs))
+        out.append([q.numerator * (lcm // q.denominator) for q in fracs])
+        scale *= lcm
+    return out, scale
+
+
+def _forward_echelon(rows) -> tuple[list[list], list[int], Fraction | int]:
+    """Fraction-free (Bareiss) forward elimination.
+
+    Returns the echelon rows, the pivot columns and a factor such that a
+    square matrix of full rank has determinant ``factor * ech[-1][-1]``.
+    All-rational input runs on the integer rows of :func:`_integer_rows`,
+    dividing exactly with ``//``, and the echelon rows are ints; any other
+    input runs on Scalars.
+    """
+    ints = _integer_rows(rows)
+    if ints is not None:
+        m, scale = ints
+        factor, zero, div = Fraction(1, scale), 0, operator.floordiv
+    else:
+        m = [list(r) for r in rows]
+        factor, zero, div = 1, Scalar.zero(), operator.truediv
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     pivots: list[int] = []
-    prev = Scalar.one()
+    prev = 1
     r = 0
     for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if not m[i][c].is_zero()), None)
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
         if pr is None:
             continue
         if pr != r:
             m[r], m[pr] = m[pr], m[r]
+            factor = -factor
+        prow = m[r]
+        p = prow[c]
         for i in range(r + 1, nrows):
+            row = m[i]
+            f = row[c]
             for j in range(c + 1, ncols):
-                m[i][j] = (m[i][j] * m[r][c] - m[i][c] * m[r][j]) / prev
-            m[i][c] = Scalar.zero()
-        prev = m[r][c]
+                row[j] = div(row[j] * p - f * prow[j], prev)
+            row[c] = zero
+        prev = p
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return m, pivots
+    return m, pivots, factor
+
+
+def _back_substitute(ech, pivots: list[int], rhs: list, x: list) -> list:
+    """Fill the pivot coordinates of x from the pivot rows of ``ech``.
+
+    ``rhs`` holds one right-hand side per pivot row and x arrives with its
+    free coordinates set.  Integer rows are divided in Fractions.
+    """
+    width = len(x)
+    for ri in range(len(pivots) - 1, -1, -1):
+        pc, row = pivots[ri], ech[ri]
+        acc = rhs[ri]
+        for j in range(pc + 1, width):
+            if row[j] and x[j]:
+                acc = acc - row[j] * x[j]
+        p = row[pc]
+        if not acc:
+            x[pc] = 0
+        else:
+            x[pc] = Fraction(acc, p) if isinstance(p, int) else acc / p
+    return x
 
 
 def rank(M: Matrix) -> int:
     """Exact rank via fraction-free elimination."""
     if M.rows == 0 or M.cols == 0:
         return 0
-    _, pivots = _forward_echelon([list(r) for r in M.entries()])
+    _, pivots, _ = _forward_echelon(M.entries())
     return len(pivots)
 
 
@@ -286,20 +333,13 @@ def kernel(M: Matrix) -> "Subspace":
     n = M.cols
     if M.rows == 0 or n == 0:
         return Subspace(n, Matrix.identity(n))
-    ech, pivots = _forward_echelon([list(r) for r in M.entries()])
+    ech, pivots, _ = _forward_echelon(M.entries())
     free = [c for c in range(n) if c not in pivots]
-    basis_cols: list[list[Scalar]] = []
+    basis_cols = []
     for fc in free:
-        x = [Scalar.zero()] * n
-        x[fc] = Scalar.one()
-        for ri in range(len(pivots) - 1, -1, -1):
-            pc = pivots[ri]
-            acc = Scalar.zero()
-            for j in range(pc + 1, n):
-                if not (ech[ri][j].is_zero() or x[j].is_zero()):
-                    acc = acc + ech[ri][j] * x[j]
-            x[pc] = -acc / ech[ri][pc]
-        basis_cols.append(x)
+        x = [0] * n
+        x[fc] = 1
+        basis_cols.append(_back_substitute(ech, pivots, [0] * len(pivots), x))
     return Subspace(n, Matrix.from_cols(basis_cols) if basis_cols else Matrix.zeros(n, 0))
 
 
@@ -309,24 +349,17 @@ def solve(A: Matrix, B: Matrix) -> Matrix | None:
     For a singular consistent system the free variables are set to zero.
     """
     n, k = A.rows, A.cols
-    aug = [list(ra) + list(rb) for ra, rb in zip(A.entries(), B.entries())]
-    ech, pivots = _forward_echelon(aug)
+    aug = [ra + rb for ra, rb in zip(A.entries(), B.entries())]
+    ech, pivots, _ = _forward_echelon(aug)
     pivots = [p for p in pivots if p < k]
-    # any pivot beyond column k means an inconsistent row
+    # a nonzero right-hand side below the coefficient rank is inconsistent
     for i in range(len(pivots), n):
-        if any(not ech[i][j].is_zero() for j in range(k, k + B.cols)):
+        if any(ech[i][j] for j in range(k, k + B.cols)):
             return None
-    cols = []
-    for bc in range(B.cols):
-        x = [Scalar.zero()] * k
-        for ri in range(len(pivots) - 1, -1, -1):
-            pc = pivots[ri]
-            acc = ech[ri][k + bc]
-            for j in range(pc + 1, k):
-                if not (ech[ri][j].is_zero() or x[j].is_zero()):
-                    acc = acc - ech[ri][j] * x[j]
-            x[pc] = acc / ech[ri][pc]
-        cols.append(x)
+    cols = [
+        _back_substitute(ech, pivots, [row[k + bc] for row in ech], [0] * k)
+        for bc in range(B.cols)
+    ]
     return Matrix.from_cols(cols)
 
 
@@ -401,31 +434,49 @@ class Subspace:
         return self.canonical().basis == other.canonical().basis
 
 
+class RowEchelon:
+    """Reduced row-echelon basis of a span, grown one vector at a time.
+
+    Inserting a vector reduces it against the rows kept so far, so testing a
+    candidate for independence costs one reduction, not a full rank.
+    """
+
+    def __init__(self):
+        self._rows: list[list[Scalar]] = []
+        self._pivots: list[int] = []
+
+    def insert(self, v: Sequence[Scalar]) -> bool:
+        """Add v to the span; False (and nothing kept) when v already lies in it."""
+        row = list(v)
+        for p, prow in zip(self._pivots, self._rows):
+            f = row[p]
+            if f:
+                row = [a - f * b if b else a for a, b in zip(row, prow)]
+        lead = next((j for j, a in enumerate(row) if a), None)
+        if lead is None:
+            return False
+        inv = row[lead].inverse()
+        row = [a * inv for a in row]
+        for idx, other in enumerate(self._rows):
+            f = other[lead]
+            if f:
+                self._rows[idx] = [a - f * b if b else a for a, b in zip(other, row)]
+        self._rows.append(row)
+        self._pivots.append(lead)
+        return True
+
+    def basis(self) -> list[Vector]:
+        """The reduced rows in order of their pivot columns."""
+        order = sorted(range(len(self._rows)), key=self._pivots.__getitem__)
+        return [tuple(self._rows[idx]) for idx in order]
+
+
 def row_reduce_basis(vectors: Sequence[Vector]) -> list[Vector]:
     """Reduced-echelon basis of the span (vectors treated as rows)."""
-    rows = [list(v) for v in vectors]
-    n = len(rows[0]) if rows else 0
-    out: list[list[Scalar]] = []
-    pivots: list[int] = []
-    for row in rows:
-        row = list(row)
-        for p, prow in zip(pivots, out):
-            if not row[p].is_zero():
-                f = row[p]
-                row = [a - f * b for a, b in zip(row, prow)]
-        lead = next((j for j in range(n) if not row[j].is_zero()), None)
-        if lead is None:
-            continue
-        lv = row[lead]
-        row = [a / lv for a in row]
-        for idx in range(len(out)):
-            if not out[idx][lead].is_zero():
-                f = out[idx][lead]
-                out[idx] = [a - f * b for a, b in zip(out[idx], row)]
-        out.append(row)
-        pivots.append(lead)
-    order = sorted(range(len(out)), key=lambda idx: pivots[idx])
-    return [tuple(out[idx]) for idx in order]
+    ech = RowEchelon()
+    for v in vectors:
+        ech.insert(v)
+    return ech.basis()
 
 
 def restrict(A: Matrix, space: Subspace, basis: Matrix | None = None) -> Matrix:

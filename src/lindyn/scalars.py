@@ -121,11 +121,22 @@ class Scalar:
     def is_zero(self) -> bool:
         return not self._terms
 
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
     def is_real(self) -> bool:
         return all(not imag for (_, imag) in self._terms)
 
     def is_rational(self) -> bool:
         return all(k == _RATIONAL_KEY for k in self._terms)
+
+    def rational_value(self) -> Fraction | None:
+        """The value as a Fraction, or None when it is not rational."""
+        if not self._terms:
+            return Fraction(0)
+        if len(self._terms) > 1:
+            return None
+        return self._terms.get(_RATIONAL_KEY)
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
@@ -193,9 +204,22 @@ class Scalar:
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
-        """Multiplicative inverse by repeated conjugation over each extension."""
+        """Multiplicative inverse.
+
+        A single term has a closed form: 1/(q*sqrt(d)*i^e) is
+        (1/(q*d)) * sqrt(d) * (-i)^e.  Longer sums go through
+        :meth:`_conjugation_inverse`.
+        """
         if self.is_zero():
             raise ZeroDivisionError("scalar division by zero")
+        if len(self._terms) == 1:
+            ((d, imag), q), = self._terms.items()
+            inv = 1 / (q * d)
+            return Scalar({(d, imag): -inv if imag else inv})
+        return self._conjugation_inverse()
+
+    def _conjugation_inverse(self) -> "Scalar":
+        """Inverse by repeated conjugation over each extension."""
         num = Scalar.one()
         cur = self
         if not cur.is_real():

@@ -24,7 +24,7 @@ from .errors import (
     UnmatchedConjugate,
 )
 from .groups import REAL, GeneratorSet
-from .linalg import Matrix, Subspace, kernel, row_reduce_basis, solve
+from .linalg import Matrix, RowEchelon, Subspace, kernel, row_reduce_basis, solve
 from .numeric import (
     NumericContext,
     NumSubspace,
@@ -747,6 +747,7 @@ def _triangularize_exact(restrictions: list[Matrix], mus: list[Scalar]):
     nils = [R - Matrix.identity(d).scale(mu) for R, mu in zip(restrictions, mus)]
     layers: list[list] = []
     current: list = []  # basis vectors (columns) of the current flag subspace
+    flag = RowEchelon()  # the span of current, for independence tests
     while len(current) < d:
         if current:
             ann = kernel(Matrix.from_cols(current).transpose()).basis.transpose()
@@ -760,7 +761,7 @@ def _triangularize_exact(restrictions: list[Matrix], mus: list[Scalar]):
             V = kernel(Matrix(stacked_rows))
         else:
             V = Subspace.full(d)
-        new_vecs = _extend_exact(current, V.basis.columns())
+        new_vecs = [v for v in V.basis.columns() if flag.insert(v)]
         if not new_vecs:
             raise NoCommonEigenvector(
                 "joint kernel of the nilpotent parts did not grow"
@@ -784,21 +785,6 @@ def _triangularize_exact(restrictions: list[Matrix], mus: list[Scalar]):
             raise NoCommonEigenvector("exact triangularization failed")
         tri.append(T)
     return P, tri
-
-
-def _extend_exact(current: list, candidates: list) -> list:
-    added = []
-    basis = list(current)
-    cur_rank = len(basis)
-    for cand in candidates:
-        trial = basis + [cand]
-        from .linalg import rank as exact_rank
-
-        if exact_rank(Matrix.from_cols(trial)) > cur_rank:
-            basis.append(cand)
-            added.append(cand)
-            cur_rank += 1
-    return added
 
 
 def _triangularize_numeric(restrictions, mus, ctx: NumericContext, noise: float):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import subprocess
@@ -21,6 +22,17 @@ def fixture_files(tmp_path_factory):
         p.write_text(json.dumps(fixture_input_dict(f), indent=2))
         paths[f.name] = str(p)
     return paths
+
+
+# sha256 of `lindyn analyze <fixture>` at the CLI defaults, recorded before
+# all-rational matrices moved to integer elimination: how exact linear algebra
+# is carried out must not change a report byte.
+GOLDEN_REPORT_SHA256 = {
+    "shear3": "93b1a29bdb9eb60ce39a4c6915cba2d64274c4cd796dcec841b92a5a0c48897d",
+    "shear4": "e511d17f364860e97936638bb451aa3f8ea51c55612bb409eeacb8d12c89481e",
+    "cshear5": "518173dce37ac9c41945b407e4e9761b0b44f25cf68c799e5e04ed83d9c30e8b",
+    "radical4": "373da0890cdd3ee87b3cf5127aa74ebc9dd48888a2efa9e39d0a13640c1bea41",
+}
 
 
 def run_cli(args):
@@ -53,6 +65,12 @@ class TestAnalyze:
         assert main(["analyze", fixture_files["radical4"], "--output", str(a)]) == 0
         assert main(["analyze", fixture_files["radical4"], "--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_REPORT_SHA256))
+    def test_golden_report_digest(self, fixture_files, tmp_path, name):
+        out = tmp_path / "report.json"
+        assert main(["analyze", fixture_files[name], "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_REPORT_SHA256[name]
 
     def test_report_round_trip(self, fixture_files, tmp_path):
         out = tmp_path / "r.json"

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from lindyn.linalg import (
     restrict,
     solve,
     sum_intersection,
+    _integer_rows,
 )
 from lindyn.numeric import NumericContext, as_complex, nrank, nsolve_cols, to_numeric
 from lindyn.scalars import Scalar, parse_scalar
@@ -240,3 +242,135 @@ class TestBasisChangeAndBackends:
             sol = solve(A, B)
             assert sol is not None
             assert (A * sol) == B
+
+
+# -- integer elimination against a Fraction Gauss-Jordan oracle ---------------
+
+
+def _gauss_jordan(rows):
+    """Reduced row-echelon form over Fraction: (rref, pivot columns, det)."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    pivots, det, r = [], Fraction(1), 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        if pr != r:
+            m[r], m[pr] = m[pr], m[r]
+            det = -det
+        pv = m[r][c]
+        det *= pv
+        m[r] = [x / pv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots, det if r == nrows == ncols else Fraction(0)
+
+
+def _oracle_kernel(rows, n):
+    rref, pivots, _ = _gauss_jordan(rows)
+    vecs = []
+    for fc in (c for c in range(n) if c not in pivots):
+        x = [Fraction(0)] * n
+        x[fc] = Fraction(1)
+        for ri, pc in enumerate(pivots):
+            x[pc] = -rref[ri][fc]
+        vecs.append(x)
+    return Matrix.from_cols(vecs) if vecs else Matrix.zeros(n, 0)
+
+
+def _oracle_solve(a_rows, b_rows, k):
+    rref, pivots, _ = _gauss_jordan([ra + rb for ra, rb in zip(a_rows, b_rows)])
+    if any(p >= k for p in pivots):
+        return None
+    cols = []
+    for bc in range(len(b_rows[0])):
+        x = [Fraction(0)] * k
+        for ri, pc in enumerate(pivots):
+            x[pc] = rref[ri][k + bc]
+        cols.append(x)
+    return Matrix.from_cols(cols)
+
+
+def _fraction_matmul(A, B, cols):
+    return [[sum((row[t] * B[t][j] for t in range(len(B))), Fraction(0)) for j in range(cols)]
+            for row in A]
+
+
+def _random_rational_rows(rng, r, c):
+    """Entries with small denominators, many zeros, a chance of low rank and
+    of an all-zero row or column."""
+    def entry():
+        if rng.random() < 0.4:
+            return Fraction(0)
+        return Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3, 6]))
+
+    if r and c and rng.random() < 0.4:
+        k = rng.randint(0, min(r, c))
+        rows = [[entry() for _ in range(k)] for _ in range(r)]
+        rows = _fraction_matmul(rows, [[entry() for _ in range(c)] for _ in range(k)], c)
+    else:
+        rows = [[entry() for _ in range(c)] for _ in range(r)]
+    if r and rng.random() < 0.2:
+        rows[rng.randrange(r)] = [Fraction(0)] * c
+    if c and rng.random() < 0.2:
+        j = rng.randrange(c)
+        for row in rows:
+            row[j] = Fraction(0)
+    return rows
+
+
+class TestIntegerElimination:
+    SHAPES = [(0, 0), (0, 3), (3, 0), (1, 1), (1, 4), (4, 1),
+              (2, 5), (5, 2), (3, 3), (4, 4), (5, 5), (6, 4)]
+
+    def test_agrees_with_fraction_oracle(self):
+        rng = random.Random(314159)
+        for _ in range(12):
+            for r, c in self.SHAPES:
+                rows = _random_rational_rows(rng, r, c)
+                M = Matrix.from_rows(rows)
+                if r == 0:  # a matrix with no rows also has no columns
+                    assert rank(M) == 0
+                    continue
+                assert _integer_rows(M.entries()) is not None
+                _, pivots, det = _gauss_jordan(rows)
+                assert rank(M) == len(pivots)
+                assert kernel(M).basis == _oracle_kernel(rows, c)
+                if r == c:
+                    assert M.det() == Scalar.from_fraction(det)
+                if c == 0:
+                    continue
+                consistent = _fraction_matmul(rows, _random_rational_rows(rng, c, 2), 2)
+                arbitrary = _random_rational_rows(rng, r, 2)
+                for b_rows in (consistent, arbitrary):
+                    expected = _oracle_solve(rows, b_rows, c)
+                    got = solve(M, Matrix.from_rows(b_rows))
+                    assert (got is None) == (expected is None)
+                    if expected is not None:
+                        assert got == expected
+
+    def test_inconsistent_system(self):
+        A = Matrix.from_rows([[1, 2], [2, 4]])
+        assert solve(A, Matrix.from_rows([[1], [3]])) is None
+        assert solve(A, Matrix.from_rows([[1], [2]])) == Matrix.from_rows([[1], [0]])
+
+    def test_single_radical_entry_takes_the_scalar_path(self):
+        M = matrix_from_strings([["1", "1/2", "0"], ["2", "sqrt(2)", "1"], ["3", "1", "0"]])
+        assert _integer_rows(M.entries()) is None
+        # cofactor expansion along the last column: -1 * (1*1 - 1/2*3)
+        assert M.det() == Scalar.from_fraction(Fraction(1, 2))
+        assert rank(M) == 3
+        S = M.vstack(Matrix.from_rows([[0, 0, 0]]))
+        assert rank(S) == 3 and kernel(S).dim == 0
+        # the top two rows leave a kernel with a unit at the free column
+        K = kernel(M.submatrix([0, 1], [0, 1, 2]))
+        assert K.basis == Matrix.from_cols([["1/2 + 1/2*sqrt(2)", "-1 - sqrt(2)", "1"]])
+        B = Matrix.from_rows([[1], [0], [2]])
+        X = solve(M, B)
+        assert M * X == B
+        assert X == M.inverse() * B

@@ -127,6 +127,14 @@ scalar_strategy = st.builds(
     st.integers(min_value=0, max_value=10**9),
 )
 
+# single terms q * sqrt(d) * i^e with squarefree d
+monomial_strategy = st.builds(
+    lambda q, d, imag: Scalar({(d, imag): q}),
+    st.fractions(max_denominator=50).filter(bool),
+    st.sampled_from([1, 2, 3, 5, 6, 7, 10, 30]),
+    st.booleans(),
+)
+
 
 def _random(seed):
     rng = random.Random(seed)
@@ -149,6 +157,14 @@ class TestFieldAxioms:
     def test_inverse(self, a):
         if not a.is_zero():
             assert a * a.inverse() == Scalar.one()
+
+    @settings(max_examples=200, deadline=None)
+    @given(monomial_strategy)
+    def test_monomial_inverse_closed_form(self, a):
+        inv = a.inverse()
+        assert a * inv == Scalar.one()
+        assert inv == a._conjugation_inverse()
+        assert len(inv.terms) == 1
 
     @settings(max_examples=100, deadline=None)
     @given(scalar_strategy, scalar_strategy)

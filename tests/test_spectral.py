@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import random_commuting_family, random_integer_matrix, random_sform_family
-from lindyn.errors import NotAbelian
+from lindyn.errors import NoCommonEigenvector, NotAbelian
 from lindyn.groups import GeneratorSet
+from lindyn.invariants import invariant_family
 from lindyn.linalg import Matrix, matrix_from_strings, rank, solve
 from lindyn.numeric import NumericContext, max_abs, to_numeric
 from lindyn.scalars import Scalar, parse_scalar
@@ -269,7 +270,6 @@ class TestErrorPaths:
             pair_conjugates([blocks[0]], G, CTX)  # partner withheld
 
     def test_no_common_eigenvector_raised(self):
-        from lindyn.errors import NoCommonEigenvector
         from lindyn.spectral import _triangularize_exact
 
         N1 = Matrix.from_rows([[0, 1], [0, 0]])
@@ -293,3 +293,15 @@ class TestHighPrecisionPath:
         G = GeneratorSet.from_strings("real", [[["2", "0"], ["0", "3"]]])
         blocks = simultaneous_refinement(G, ctx)
         assert sorted(b.dim for b in blocks) == [1, 1]
+
+    @pytest.mark.xfail(
+        raises=NoCommonEigenvector,
+        strict=True,
+        reason="the 128-bit numeric triangularization thresholds the kernel of the "
+        "realified basis against its own complex128 noise and finds it empty",
+    )
+    def test_sqrt2_spectrum_at_128_bits(self):
+        # eigenvalues +-sqrt(2): the two eigenlines, found at 53 bits
+        G = GeneratorSet.from_strings("real", [[["0", "2"], ["1", "0"]]])
+        assert invariant_family(G, NumericContext()).count == 2
+        assert invariant_family(G, NumericContext(precision=128)).count == 2
