@@ -16,8 +16,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import UnsupportedDimension
-from .linalg import Matrix, kernel, rank as exact_rank
-from .scalars import Scalar, integerize, rational_nullspace
+from .linalg import Matrix, kernel, rank as exact_rank, rational_kernel
+from .scalars import Scalar, integerize
 
 CLOSED = "CLOSED"
 DENSE = "DENSE"
@@ -72,7 +72,7 @@ def relation_basis(span: IntegerSpan) -> list[list[int]]:
     if span.count == 0:
         return []
     rows = _coefficient_rows(span.vectors)
-    return [integerize(v) for v in rational_nullspace(rows)]
+    return [integerize(v) for v in rational_kernel(rows)]
 
 
 def integer_relation(span: IntegerSpan) -> list[int] | None:
@@ -105,7 +105,7 @@ def character_basis(span: IntegerSpan) -> list[list[int]]:
         x = ker.basis.col(j)
         for key in keys:
             rows.append([x[i].terms.get(key, Fraction(0)) for i in range(k)])
-    return [integerize(v) for v in rational_nullspace(rows)]
+    return [integerize(v) for v in rational_kernel(rows)]
 
 
 @dataclass

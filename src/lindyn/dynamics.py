@@ -108,11 +108,6 @@ def _staged_columns(stacks: list[np.ndarray], u: np.ndarray) -> np.ndarray:
     return V
 
 
-def _staged_points(stacks: list[np.ndarray], u: np.ndarray) -> np.ndarray:
-    """All points for the full exponent box, as rows (single start vector)."""
-    return _staged_columns(stacks, u).T
-
-
 def _dedup(points: np.ndarray, eps: float) -> np.ndarray:
     if points.shape[0] == 0:
         return points
@@ -158,7 +153,7 @@ def enumerate_orbit(
     total = (2 * K + 1) ** g if g else 1
     if g == 0 or K == 0 or total <= cfg.max_store:
         stacks = [_power_stack(A, K) for A in gens]
-        pts = _staged_points(stacks, un) if g else un.reshape(1, -1)
+        pts = _staged_columns(stacks, un).T if g else un.reshape(1, -1)
         clipped_mask = np.abs(pts).max(axis=1) > cfg.overflow_limit
         clipped = bool(clipped_mask.any())
         pts = pts[~clipped_mask]
@@ -297,7 +292,9 @@ def classify_closure(cloud: OrbitCloud, cfg: ClosureConfig | None = None) -> Clo
         # a discrete verdict additionally demands separation at the scale the
         # density test operates on (the gap threshold)
         floor = max(cfg.min_dist_factor * cfg.dedup_eps, cfg.gap_threshold)
-        if min_dist >= floor and _discrete_plausible(cloud, min_dist):
+        # a streamed cloud omits points, so a large min distance could be an
+        # artifact of subsampling; only trust DISCRETE on fully stored boxes
+        if min_dist >= floor and not cloud.subsampled:
             return ClosureVerdict(DISCRETE, d, min_distance=min_dist, notes=notes)
     else:
         notes.append("point count above discrete-check limit")
@@ -344,12 +341,6 @@ def classify_closure(cloud: OrbitCloud, cfg: ClosureConfig | None = None) -> Clo
         INCONCLUSIVE, d, gap=None, min_distance=min_dist,
         notes=notes + [f"{empty}/{total_cells} window cells empty at resolution {res}"],
     )
-
-
-def _discrete_plausible(cloud: OrbitCloud, min_dist: float) -> bool:
-    # a streamed cloud omits points, so a large min distance could be an
-    # artifact of subsampling; only trust DISCRETE on fully stored boxes
-    return not cloud.subsampled
 
 
 def classify_stabilized(

@@ -44,6 +44,7 @@ from .spectral import (
     SpectralBlock,
     TriangularForm,
     pair_conjugates,
+    re_im_columns,
     simultaneous_refinement,
     triangularize,
 )
@@ -221,7 +222,7 @@ def invariant_family(G: GeneratorSet, ctx: NumericContext | None = None) -> Inva
             else:
                 leader = blocks[grp.leader]
                 tf = triangularize(G, leader, ctx)
-                real_tri = _interleave(tf.basis, ctx)
+                real_tri = re_im_columns(tf.basis)
                 units.append((CASE_CONJUGATE_PAIR, grp.real_basis, real_tri))
             forms.append(tf)
 
@@ -233,8 +234,8 @@ def invariant_family(G: GeneratorSet, ctx: NumericContext | None = None) -> Inva
         change = BasisChange.of(P)
         P_inv = change.inverse
     else:
-        Q = np.hstack([_as_numeric(pb, ctx) for _, pb, _ in units])
-        P = np.hstack([_as_numeric(tb, ctx) for _, _, tb in units])
+        Q = np.hstack([to_numeric(pb, ctx) for _, pb, _ in units])
+        P = np.hstack([to_numeric(tb, ctx) for _, _, tb in units])
         P_inv = ninverse(P, ctx)
 
     subspaces: list[InvariantSubspace] = []
@@ -276,35 +277,11 @@ def _as_subspace(n: int, basis) -> Subspace | NumSubspace:
     return NumSubspace(n, basis)
 
 
-def _as_numeric(M, ctx: NumericContext) -> np.ndarray:
-    return to_numeric(M, ctx) if isinstance(M, Matrix) else M
-
-
 def _hstack_exact(mats: list[Matrix]) -> Matrix:
     out = mats[0]
     for m in mats[1:]:
         out = out.hstack(m)
     return out
-
-
-def _interleave(basis, ctx: NumericContext):
-    """Columns Re(w1), Im(w1), Re(w2), ... of a complex basis."""
-    if isinstance(basis, Matrix):
-        cols = []
-        half = Scalar.from_fraction("1/2")
-        mhi = Scalar.i() * Scalar.from_fraction("-1/2")
-        for j in range(basis.cols):
-            col = basis.col(j)
-            cols.append([(c + c.conjugate()) * half for c in col])
-            cols.append([(c - c.conjugate()) * mhi for c in col])
-        return Matrix.from_cols(cols)
-    from .numeric import imag_part, real_part
-
-    cols = []
-    for j in range(basis.shape[1]):
-        cols.append(real_part(basis[:, j : j + 1]))
-        cols.append(imag_part(basis[:, j : j + 1]))
-    return np.hstack(cols)
 
 
 def _exact_invariance_residual(G: GeneratorSet, sub: Subspace) -> float:
@@ -325,7 +302,7 @@ def _numeric_invariance_residual(G: GeneratorSet, sub: NumSubspace, ctx: Numeric
     if sub.dim == 0:
         return 0.0
     for g in G.generators:
-        gn = _as_numeric(g, ctx)
+        gn = to_numeric(g, ctx)
         target = gn @ sub.basis
         _, resid = nsolve_cols(sub.basis, target, ctx)
         scale = max(1.0, max_abs(gn)) * max(1.0, max_abs(sub.basis))
@@ -358,7 +335,7 @@ def membership(family: InvariantFamily, x, ctx: NumericContext | None = None) ->
             if all(v.is_zero() for v in vals):
                 containing.append(k)
         else:
-            fn = _as_numeric(sub.functionals, ctx)
+            fn = to_numeric(sub.functionals, ctx)
             xn = vec_to_numeric(x, ctx)
             vals = fn @ xn.reshape(-1, 1)
             scale = max_abs(fn) * max(1.0, max_abs(xn.reshape(-1, 1)))
@@ -456,7 +433,7 @@ class _TreeBuilder:
             key = Subspace.span(embed.rows, child_embed.columns()).basis
             memo = self.exact.get(key)
         else:
-            child_embed = _as_numeric(embed, self.ctx) @ basis
+            child_embed = to_numeric(embed, self.ctx) @ basis
             key = _projector(child_embed, self.ctx)
             memo = self._numeric_match(sub.dim, key)
         if memo is None:
@@ -499,9 +476,9 @@ def _restrict_group(G: GeneratorSet, sub: InvariantSubspace, ctx: NumericContext
         for g in G.generators:
             gens.append(restrict(g, space))
     else:
-        basis = _as_numeric(sub.subspace.basis, ctx)
+        basis = to_numeric(sub.subspace.basis, ctx)
         for g in G.generators:
-            gn = _as_numeric(g, ctx)
+            gn = to_numeric(g, ctx)
             sol, _ = nsolve_cols(basis, gn @ basis, ctx)
             gens.append(sol)
     return GeneratorSet(G.field, sub.dim, gens, list(G.names))

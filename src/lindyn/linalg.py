@@ -343,6 +343,17 @@ def kernel(M: Matrix) -> "Subspace":
     return Subspace(n, Matrix.from_cols(basis_cols) if basis_cols else Matrix.zeros(n, 0))
 
 
+def rational_kernel(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+    """The :func:`kernel` basis of a matrix of Fractions, as Fraction vectors.
+
+    A matrix given by no rows has no known width and gives no vectors.
+    """
+    if not rows:
+        return []
+    basis = kernel(Matrix.from_rows(rows)).basis
+    return [[c.rational_value() for c in col] for col in basis.columns()]
+
+
 def solve(A: Matrix, B: Matrix) -> Matrix | None:
     """Exact solution X of A X = B, or None when inconsistent.
 

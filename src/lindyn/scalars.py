@@ -462,40 +462,6 @@ def parse_scalar(text: str) -> Scalar:
 # -- rational linear algebra over the coefficient vectors -------------
 
 
-def rational_nullspace(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Basis of {x : M x = 0} for a matrix of Fractions, by exact RREF."""
-    if not rows:
-        return []
-    m = [list(map(Fraction, row)) for row in rows]
-    nrows, ncols = len(m), len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for row_idx, pc in enumerate(pivots):
-            vec[pc] = -m[row_idx][fc]
-        basis.append(vec)
-    return basis
-
-
 def integerize(vec: Sequence[Fraction]) -> list[int]:
     """Scale a rational vector to coprime integers, first nonzero positive."""
     denom = math.lcm(*(f.denominator for f in vec)) if vec else 1
@@ -525,7 +491,9 @@ def is_rationally_independent(
         keys = [_RATIONAL_KEY]
     # rows indexed by basis key, columns by value: kernel vectors are relations
     rows = [[v._terms.get(k, Fraction(0)) for v in values] for k in keys]
-    kernel = rational_nullspace(rows)
+    from .linalg import rational_kernel  # linalg imports this module
+
+    kernel = rational_kernel(rows)
     if not kernel:
         return True, None
     return False, integerize(kernel[0])

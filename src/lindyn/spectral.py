@@ -7,12 +7,20 @@ numerics otherwise.  Single-eigenvalue verdicts use the spectral-radius proxy
 ``||N^d||^(1/d)`` of the traceless part rather than raw eigenvalue clustering,
 which stays reliable for defective matrices where eig output scatters like
 ``ulp^(1/d)``.
+
+Each job has one routine.  Numeric eigenvalues are clustered only by
+:func:`_separated_clusterings`, which yields every clustering radius that
+separates the spectrum; its callers differ only in how they accept one (the
+nullity check, exact field recognition of the first, or certification of the
+numeric kernels).  A triangular exact matrix skips clustering and reads its
+spectrum off the diagonal (:func:`_triangular_spectrum`), and
+:func:`re_im_columns` is the one real/imaginary interleave of a basis.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
@@ -131,9 +139,7 @@ def _restrict_numeric(g, basis, ctx: NumericContext):
 def _block_restriction(g, blk: _Block, ctx: NumericContext):
     if blk.exact and isinstance(g, Matrix):
         return _restrict_exact(g, blk.basis)
-    gn = to_numeric(g, ctx) if isinstance(g, Matrix) else g
-    bn = to_numeric(blk.basis, ctx) if blk.exact else blk.basis
-    sol, rel_resid = _restrict_numeric(gn, bn, ctx)
+    sol, rel_resid = _restrict_numeric(to_numeric(g, ctx), to_numeric(blk.basis, ctx), ctx)
     if rel_resid > 1e3 * max(ctx.eps, blk.noise):
         raise InvarianceViolation(
             f"numeric block basis is not invariant (residual {rel_resid:.3g})"
@@ -233,6 +239,39 @@ def _cluster(values: list[complex], delta: float) -> list[tuple[complex, int, li
     return out
 
 
+def _separated_clusterings(A: np.ndarray, ctx: NumericContext):
+    """Yield (delta, clusters) for each radius that separates A's eigenvalues.
+
+    Ten radii grow by 8x from ``ctx.cluster_delta`` times the spectral scale;
+    a radius is skipped when two cluster centres lie within 10 * delta.
+    """
+    raw = [as_complex(e) for e in neig(A, ctx)]
+    scale = max(1.0, max(abs(v) for v in raw))
+    for j in range(10):
+        delta = ctx.cluster_delta * scale * (8.0**j)
+        clusters = _cluster(raw, delta)
+        centers = [c for c, _, _ in clusters]
+        gaps = [abs(a - b) for i, a in enumerate(centers) for b in centers[i + 1 :]]
+        if gaps and min(gaps) < 10 * delta:
+            continue
+        yield delta, clusters
+
+
+def _exact_sort_key(v: Scalar) -> tuple[float, float]:
+    z = complex(v.evaluate(64))
+    return (round(z.real, 12), round(z.imag, 12))
+
+
+def _triangular_spectrum(A: Matrix) -> list[tuple[Scalar, int]] | None:
+    """Diagonal values with multiplicities of a triangular A, else None."""
+    if not (A.is_lower_triangular() or A.transpose().is_lower_triangular()):
+        return None
+    seen: dict[Scalar, int] = {}
+    for i in range(A.rows):
+        seen[A[i, i]] = seen.get(A[i, i], 0) + 1
+    return list(seen.items())
+
+
 def recognize_in_field(z, radicands, prec: int = 53) -> Scalar | None:
     """Try to express a numeric value exactly over [1, sqrt(d)...] and i."""
     z = as_complex(z) if not isinstance(z, complex) else z
@@ -282,19 +321,11 @@ def eigenvalues(
     if isinstance(A, Matrix):
         if A.rows != A.cols:
             raise ValueError("eigenvalues of a non-square matrix")
-        if A.is_lower_triangular() or A.transpose().is_lower_triangular():
-            seen: dict[Scalar, int] = {}
-            for i in range(A.rows):
-                seen[A[i, i]] = seen.get(A[i, i], 0) + 1
-            items = sorted(
-                seen.items(),
-                key=lambda kv: (
-                    round(complex(kv[0].evaluate(64)).real, 12),
-                    round(complex(kv[0].evaluate(64)).imag, 12),
-                ),
-            )
+        spectrum = _triangular_spectrum(A)
+        if spectrum is not None:
+            spectrum.sort(key=lambda vm: _exact_sort_key(vm[0]))
             return [
-                (NumericScalar.from_exact(v, ctx.precision), m, v) for v, m in items
+                (NumericScalar.from_exact(v, ctx.precision), m, v) for v, m in spectrum
             ]
         if radicands == set():
             rads = set()
@@ -315,36 +346,25 @@ def eigenvalues(
             cur = cur.doubled()
 
 
-def _eigenvalues_once(A, ctx: NumericContext, radicands):
-    An = to_numeric(A, ctx) if isinstance(A, Matrix) else A
+def _nullity_matches(An: np.ndarray, center: complex, mult: int, ctx: NumericContext) -> bool:
+    """Whether (An - center)^n has a clean null space of dimension mult."""
     n = An.shape[0]
-    raw = [as_complex(e) for e in neig(An, ctx)]
-    scale = max(1.0, max(abs(v) for v in raw))
     err = 16 * 2.0 ** (1 - ctx.precision)
-    for j in range(10):
-        delta = ctx.cluster_delta * scale * (8.0**j)
-        clusters = _cluster(raw, delta)
-        centers = [c for c, _, _ in clusters]
-        gaps = [
-            abs(a - b) for i, a in enumerate(centers) for b in centers[i + 1 :]
-        ]
-        if gaps and min(gaps) < 10 * delta:
-            continue
-        ok = True
-        for center, mult, _ in clusters:
-            N = An - center * nidentity(n, ctx)
-            P = npower(N, n, ctx)
-            tau = 10 * n * max(err, ctx.eps * 1e-3) * max(1.0, max_abs(N)) ** (n - 1)
-            svals, _ = nsvd(P, ctx)
-            svals = [float(abs(as_complex(s))) for s in svals] + [0.0] * (
-                n - len(svals)
-            )
-            nullity = sum(1 for s in svals if s <= tau)
-            above = [s for s in svals if s > tau]
-            if nullity != mult or (above and min(above) < 10 * tau):
-                ok = False
-                break
-        if ok:
+    N = An - center * nidentity(n, ctx)
+    P = npower(N, n, ctx)
+    tau = 10 * n * max(err, ctx.eps * 1e-3) * max(1.0, max_abs(N)) ** (n - 1)
+    svals, _ = nsvd(P, ctx)
+    svals = [float(abs(as_complex(s))) for s in svals] + [0.0] * (n - len(svals))
+    nullity = sum(1 for s in svals if s <= tau)
+    above = [s for s in svals if s > tau]
+    return nullity == mult and not (above and min(above) < 10 * tau)
+
+
+def _eigenvalues_once(A, ctx: NumericContext, radicands):
+    An = to_numeric(A, ctx)
+    n = An.shape[0]
+    for _, clusters in _separated_clusterings(An, ctx):
+        if all(_nullity_matches(An, center, mult, ctx) for center, mult, _ in clusters):
             out = []
             for center, mult, _ in clusters:
                 exact = None
@@ -400,39 +420,36 @@ def _refine(G: GeneratorSet, ctx: NumericContext) -> list[SpectralBlock]:
         # so the noise floor follows the data precision, not the context
         root = _Block(nidentity(n, ctx), noise=64 * 2.0 ** (1 - _data_precision(G, ctx)))
     queue = [root]
-    final: list[_Block] = []
+    final: list[tuple[_Block, list]] = []  # each block with its eigenvalue per generator
     while queue:
         blk = queue.pop(0)
         if blk.dim == 0:
             continue
-        split_done = False
+        mus = []
         for g in G.generators:
             R = _block_restriction(g, blk, ctx)
             mu = _single_eigenvalue(R, blk, ctx)
             if mu is None:
                 queue[0:0] = _split_block(R, blk, ctx, radicands)
-                split_done = True
                 break
-        if not split_done:
-            final.append(blk)
+            mus.append(mu)
+        else:
+            final.append((blk, mus))
 
-    total = sum(b.dim for b in final)
+    total = sum(b.dim for b, _ in final)
     if total != n:
         raise _Ambiguous(f"block dimensions sum to {total}, expected {n}")
-    _validate_direct_sum(final, ctx)
+    _validate_direct_sum([b for b, _ in final], ctx)
 
     blocks = []
-    for blk in final:
+    for blk, mus in final:
         eig_num: dict[int, NumericScalar] = {}
         eig_exact: dict[int, Scalar | None] = {}
-        for gi, g in enumerate(G.generators):
-            R = _block_restriction(g, blk, ctx)
-            if isinstance(R, Matrix):
-                mu = _exact_trace_mean(R)
+        for gi, mu in enumerate(mus):
+            if isinstance(mu, Scalar):
                 eig_exact[gi] = mu
                 eig_num[gi] = NumericScalar.from_exact(mu, ctx.precision)
             else:
-                mu = _numeric_trace_mean(R)
                 eig_exact[gi] = None
                 eig_num[gi] = NumericScalar.from_complex(as_complex(mu), ctx.precision)
         if blk.exact:
@@ -462,7 +479,7 @@ def _validate_direct_sum(blocks: list[_Block], ctx: NumericContext) -> None:
         if stacked.rows == stacked.cols and stacked.det().is_zero():
             raise _Ambiguous("exact block bases do not form a direct sum")
         return
-    mats = [to_numeric(b.basis, ctx) if b.exact else b.basis for b in blocks]
+    mats = [to_numeric(b.basis, ctx) for b in blocks]
     stacked = np.hstack([np.asarray(m, dtype=object if m.dtype == object else complex) for m in mats])
     if nrank(stacked, ctx) != stacked.shape[1]:
         raise _Ambiguous("numeric block bases do not form a direct sum")
@@ -481,85 +498,48 @@ def _split_block(R, blk: _Block, ctx: NumericContext, radicands) -> list[_Block]
 
 def _split_exact(R: Matrix, blk: _Block, ctx: NumericContext, radicands) -> list[_Block] | None:
     d = R.rows
-    exact_clusters: list[tuple[Scalar, int]] | None = None
-    if R.is_lower_triangular() or R.transpose().is_lower_triangular():
-        seen: dict[Scalar, int] = {}
-        for i in range(d):
-            seen[R[i, i]] = seen.get(R[i, i], 0) + 1
-        exact_clusters = list(seen.items())
-    else:
-        raw = [as_complex(e) for e in neig(to_numeric(R, ctx), ctx)]
-        scale = max(1.0, max(abs(v) for v in raw))
-        for j in range(10):
-            delta = ctx.cluster_delta * scale * (8.0**j)
-            clusters = _cluster(raw, delta)
-            if len(clusters) < 2:
-                break
-            centers = [c for c, _, _ in clusters]
-            gaps = [abs(a - b) for i, a in enumerate(centers) for b in centers[i + 1 :]]
-            if gaps and min(gaps) < 10 * delta:
-                continue
-            cand = []
-            for center, mult, _ in clusters:
-                exact = recognize_in_field(center, radicands, ctx.precision)
-                if exact is None:
-                    cand = None
-                    break
-                cand.append((exact, mult))
-            if cand is not None:
-                exact_clusters = cand
-            break
-    if exact_clusters is None or len(exact_clusters) < 2:
+    spectrum = _triangular_spectrum(R)
+    if spectrum is None:
+        _, clusters = next(_separated_clusterings(to_numeric(R, ctx), ctx), (None, []))
+        if len(clusters) < 2:
+            return None
+        spectrum = []
+        for center, mult, _ in clusters:
+            exact = recognize_in_field(center, radicands, ctx.precision)
+            if exact is None:
+                return None
+            spectrum.append((exact, mult))
+    if len(spectrum) < 2:
         return None
     subs = []
     Idd = Matrix.identity(d)
-    for value, mult in exact_clusters:
+    for value, mult in spectrum:
         K = kernel((R - Idd.scale(value)).power(d))
         if K.dim != mult:
             return None
         subs.append((value, K.basis))
     if sum(b.cols for _, b in subs) != d:
         return None
-    subs.sort(
-        key=lambda vb: (
-            round(complex(vb[0].evaluate(64)).real, 12),
-            round(complex(vb[0].evaluate(64)).imag, 12),
-        )
-    )
+    subs.sort(key=lambda vb: _exact_sort_key(vb[0]))
     return [_Block(blk.basis * basis, noise=blk.noise) for _, basis in subs]
 
 
 def _split_numeric(R: np.ndarray, blk: _Block, ctx: NumericContext) -> list[_Block]:
     d = R.shape[0]
-    raw = [as_complex(e) for e in neig(R, ctx)]
-    scale = max(1.0, max(abs(v) for v in raw))
-    basis_n = blk.basis if not blk.exact else to_numeric(blk.basis, ctx)
-    for j in range(10):
-        delta = ctx.cluster_delta * scale * (8.0**j)
-        clusters = _cluster(raw, delta)
+    for delta, clusters in _separated_clusterings(R, ctx):
         if len(clusters) < 2:
             break
-        centers = [c for c, _, _ in clusters]
-        gaps = [abs(a - b) for i, a in enumerate(centers) for b in centers[i + 1 :]]
-        if gaps and min(gaps) < 10 * delta:
-            continue
         subs = []
-        ok = True
         for center, mult, _ in clusters:
             N = R - center * nidentity(d, ctx)
             K = nkernel(npower(N, mult, ctx), ctx, expected=mult)
             sol, resid = nsolve_cols(K, R @ K, ctx)
             if resid > 1e3 * max(ctx.eps, blk.noise, delta) * max(1.0, max_abs(R)):
-                ok = False
                 break
             subs.append(K)
-        if not ok:
-            continue
-        stacked = np.hstack(subs)
-        if nrank(stacked, ctx) != d:
-            continue
-        child_noise = max(blk.noise, 64 * 2.0 ** (1 - ctx.precision))
-        return [_Block(basis_n @ K, noise=child_noise) for K in subs]
+        if len(subs) == len(clusters) and nrank(np.hstack(subs), ctx) == d:
+            child_noise = max(blk.noise, 64 * 2.0 ** (1 - ctx.precision))
+            return [_Block(to_numeric(blk.basis, ctx) @ K, noise=child_noise) for K in subs]
     raise _Ambiguous("numeric eigenvalue clusters cannot be certified")
 
 
@@ -593,22 +573,14 @@ def _conjugate_span(a: SpectralBlock, b: SpectralBlock, ctx: NumericContext) -> 
         return Subspace.span(a.subspace.ambient, conj_cols) == Subspace.span(
             b.subspace.ambient, b.subspace.basis.columns()
         )
-    an = to_numeric(a.subspace.basis, ctx) if a.exact else a.subspace.basis
-    bn = to_numeric(b.subspace.basis, ctx) if b.exact else b.subspace.basis
-    stacked = np.hstack([nconj(an), bn])
+    stacked = np.hstack([nconj(to_numeric(a.subspace.basis, ctx)), to_numeric(b.subspace.basis, ctx)])
     return nrank(stacked, ctx) == a.dim
 
 
 def _realify_exact_basis(basis: Matrix) -> Matrix:
     if basis.is_real():
         return basis
-    vecs = []
-    for j in range(basis.cols):
-        col = basis.col(j)
-        vecs.append(tuple((c + c.conjugate()) / Scalar.from_int(2) for c in col))
-        im = Scalar.i() * Scalar.from_fraction("-1/2")
-        vecs.append(tuple((c - c.conjugate()) * im for c in col))
-    reduced = row_reduce_basis(vecs)
+    reduced = row_reduce_basis(re_im_columns(basis).columns())
     if len(reduced) != basis.cols:
         raise UnmatchedConjugate("block with real eigenvalues is not conjugation-stable")
     return Matrix.from_cols(reduced)
@@ -666,8 +638,7 @@ def pair_conjugates(
         leader = i if _leader_orientation(blk) else partner
         blocks[i].conj_partner = partner
         blocks[partner].conj_partner = i
-        lead_blk = blocks[leader]
-        rb = _interleaved_real_basis(lead_blk, ctx)
+        rb = re_im_columns(blocks[leader].subspace.basis)
         groups.append(RealBlockGroup("pair", (i, partner), leader, rb))
     return groups
 
@@ -680,22 +651,20 @@ def _leader_orientation(blk: SpectralBlock) -> bool:
     return True
 
 
-def _interleaved_real_basis(blk: SpectralBlock, ctx: NumericContext):
-    """Columns Re(w1), Im(w1), Re(w2), ... from the block basis w."""
-    if blk.exact:
-        cols = []
+def re_im_columns(basis: Matrix | np.ndarray) -> Matrix | np.ndarray:
+    """Columns Re(w1), Im(w1), Re(w2), ... of a basis w, exact or numeric."""
+    if isinstance(basis, Matrix):
         half = Scalar.from_fraction("1/2")
         mhi = Scalar.i() * Scalar.from_fraction("-1/2")
-        for j in range(blk.subspace.basis.cols):
-            col = blk.subspace.basis.col(j)
+        cols = []
+        for col in basis.columns():
             cols.append([(c + c.conjugate()) * half for c in col])
             cols.append([(c - c.conjugate()) * mhi for c in col])
         return Matrix.from_cols(cols)
-    B = blk.subspace.basis
     cols = []
-    for j in range(B.shape[1]):
-        cols.append(real_part(B[:, j : j + 1]))
-        cols.append(imag_part(B[:, j : j + 1]))
+    for j in range(basis.shape[1]):
+        cols.append(real_part(basis[:, j : j + 1]))
+        cols.append(imag_part(basis[:, j : j + 1]))
     return np.hstack(cols)
 
 
@@ -721,25 +690,18 @@ def triangularize(
             mus.append(ex if ex is not None else _exact_trace_mean(R))
         else:
             mus.append(_numeric_trace_mean(R))
-    coeff_change, tri = _triangularize_restrictions(restrictions, mus, ctx, blk.noise)
+    if all(isinstance(R, Matrix) for R in restrictions):
+        coeff_change, tri = _triangularize_exact(restrictions, mus)
+    else:
+        nmus = [m.evaluate(ctx.precision) if isinstance(m, Scalar) else m for m in mus]
+        coeff_change, tri = _triangularize_numeric(
+            [to_numeric(R, ctx) for R in restrictions], nmus, ctx, blk.noise
+        )
     if isinstance(coeff_change, Matrix) and blk.exact:
         basis = blk.basis * coeff_change
     else:
-        bn = to_numeric(blk.basis, ctx) if blk.exact else blk.basis
-        cc = to_numeric(coeff_change, ctx) if isinstance(coeff_change, Matrix) else coeff_change
-        basis = bn @ cc
+        basis = to_numeric(blk.basis, ctx) @ to_numeric(coeff_change, ctx)
     return TriangularForm(basis, coeff_change, tri, mus)
-
-
-def _triangularize_restrictions(restrictions, mus, ctx: NumericContext, noise: float):
-    exact = all(isinstance(R, Matrix) for R in restrictions)
-    if exact:
-        return _triangularize_exact(restrictions, mus)
-    numeric = [to_numeric(R, ctx) if isinstance(R, Matrix) else R for R in restrictions]
-    nmus = [
-        m.evaluate(ctx.precision) if isinstance(m, Scalar) else m for m in mus
-    ]
-    return _triangularize_numeric(numeric, nmus, ctx, noise)
 
 
 def _triangularize_exact(restrictions: list[Matrix], mus: list[Scalar]):

@@ -61,17 +61,22 @@ def _structure_claim(f: Fixture, ctx: NumericContext) -> ClaimResult:
     return ClaimResult(f.name, "structure", ok, detail)
 
 
-def _first_coords_subgroup(f: Fixture, point) -> IntegerSpan:
-    """The coefficient subgroup driving the last coordinate of a shear orbit."""
+def _increments(f: Fixture, point) -> list[Scalar]:
+    """Per-generator last-coordinate increments of a shear orbit at the point:
+    the last row of g - I applied to it."""
     n = f.group.dimension
-    gens = f.group.generators
-    coeffs = []
-    for g in gens:
-        # last row of g - I applied to the point: the per-step increment
+    increments = []
+    for g in f.group.generators:
         inc = Scalar.zero()
         for j in range(n - 1):
             inc = inc + g[n - 1, j] * point[j]
-        coeffs.append(inc)
+        increments.append(inc)
+    return increments
+
+
+def _first_coords_subgroup(f: Fixture, point) -> IntegerSpan:
+    """The coefficient subgroup driving the last coordinate of a shear orbit."""
+    coeffs = _increments(f, point)
     if f.group.field == "complex":
         return IntegerSpan.of([(c.real_part(), c.imag_part()) for c in coeffs], 2)
     return IntegerSpan.of([(c,) for c in coeffs], 1)
@@ -174,15 +179,7 @@ def _dense_plane_claim(f: Fixture, key: str, ctx: NumericContext, cfg: ClosureCo
 
 def _approach_words(f: Fixture, target: Scalar, bound: int = 10**4):
     """Exponent tuples driving the base point of radical4 toward its limit."""
-    n = f.group.dimension
-    base = f.points["base"]
-    # per-generator last-coordinate increments at the base point
-    values = []
-    for g in f.group.generators:
-        inc = Scalar.zero()
-        for j in range(n - 1):
-            inc = inc + g[n - 1, j] * base[j]
-        values.append(inc)
+    values = _increments(f, f.points["base"])
     return approximate_target(values, target, bound), values
 
 

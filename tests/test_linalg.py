@@ -13,6 +13,7 @@ from lindyn.linalg import (
     kernel,
     matrix_from_strings,
     rank,
+    rational_kernel,
     restrict,
     solve,
     sum_intersection,
@@ -336,11 +337,16 @@ class TestIntegerElimination:
                 M = Matrix.from_rows(rows)
                 if r == 0:  # a matrix with no rows also has no columns
                     assert rank(M) == 0
+                    assert rational_kernel(rows) == []
                     continue
                 assert _integer_rows(M.entries()) is not None
                 _, pivots, det = _gauss_jordan(rows)
                 assert rank(M) == len(pivots)
                 assert kernel(M).basis == _oracle_kernel(rows, c)
+                assert rational_kernel(rows) == [
+                    [x.rational_value() for x in col]
+                    for col in _oracle_kernel(rows, c).columns()
+                ]
                 if r == c:
                     assert M.det() == Scalar.from_fraction(det)
                 if c == 0:
