@@ -3,7 +3,9 @@
 Orbit clouds are enumerated over exponent boxes [-K, K]^g with vectorized
 power stacks; boxes too large to materialize are streamed in chunks, keeping
 every point that lands in the classification window plus a deterministic
-stride sample for hull estimation.  Closure verdicts are explicitly heuristic:
+stride sample for hull estimation.  A streamed chunk applies its last stage
+through the hull projector first, and forms full coordinates only where a
+window hit or a stride sample lies.  Closure verdicts are explicitly heuristic:
 DISCRETE needs a minimum pairwise separation, DENSE_IN_AFFINE(d) needs the
 sampled window covered at the configured resolution, everything else is
 INCONCLUSIVE.
@@ -108,19 +110,51 @@ def _staged_columns(stacks: list[np.ndarray], u: np.ndarray) -> np.ndarray:
     return V
 
 
+def _staged_rows(stacks: list[np.ndarray], u: np.ndarray) -> np.ndarray:
+    """The rows of _staged_columns(stacks, u).T, formed in place.
+
+    The last stage runs a few blocks at a time, with the same products
+    P[a] @ V, so no (n, #tuples) intermediate or transposed copy is made.
+    """
+    V = _staged_columns(stacks[:-1], u)
+    final = stacks[-1]
+    n, M = V.shape
+    rows = np.empty((final.shape[0], M, n), dtype=complex)
+    step = max(1, 2**20 // (n * M))
+    for lo in range(0, final.shape[0], step):
+        rows[lo : lo + step] = np.matmul(final[lo : lo + step], V).transpose(0, 2, 1)
+    return rows.reshape(-1, n)
+
+
 def _dedup(points: np.ndarray, eps: float) -> np.ndarray:
+    """Finite rows of `points`, one per eps-grid key, in lexsort order of the keys.
+
+    Key columns equal on every row never decide the order or a duplicate, so
+    only the varying ones are sorted.
+    """
     if points.shape[0] == 0:
         return points
     flat = points.view(float).reshape(points.shape[0], -1)
-    finite = np.all(np.isfinite(flat), axis=1)
-    points, flat = points[finite], flat[finite]
-    if points.shape[0] == 0:
-        return points
-    keys = np.round(flat / eps)
-    order = np.lexsort(keys.T)
-    ks = keys[order]
-    keep = np.concatenate([[True], np.any(ks[1:] != ks[:-1], axis=1)])
-    return points[order][keep]
+    lo, hi = flat.min(axis=0), flat.max(axis=0)  # NaN or inf in a column shows here
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        finite = np.all(np.isfinite(flat), axis=1)
+        points, flat = points[finite], flat[finite]
+        if points.shape[0] == 0:
+            return points
+        lo, hi = flat.min(axis=0), flat.max(axis=0)
+    # rounding x / eps is monotone, so a column's keys are all equal iff the
+    # keys of its extremes are
+    varying = np.flatnonzero(np.round(lo / eps) != np.round(hi / eps))
+    keys = [np.round(flat[:, j] / eps) for j in varying]
+    if not keys:
+        return points[:1].copy()
+    order = np.lexsort(keys)
+    keep = np.zeros(order.size, dtype=bool)
+    keep[0] = True
+    for k in keys:
+        ks = k[order]
+        keep[1:] |= ks[1:] != ks[:-1]
+    return np.take(points, order[keep], axis=0)
 
 
 def _realify(points: np.ndarray, fieldname: str) -> np.ndarray:
@@ -152,11 +186,14 @@ def enumerate_orbit(
     g = len(gens)
     total = (2 * K + 1) ** g if g else 1
     if g == 0 or K == 0 or total <= cfg.max_store:
-        stacks = [_power_stack(A, K) for A in gens]
-        pts = _staged_columns(stacks, un).T if g else un.reshape(1, -1)
+        # overflow is the clipping case handled below, not an error
+        with np.errstate(over="ignore", invalid="ignore"):
+            stacks = [_power_stack(A, K) for A in gens]
+            pts = _staged_rows(stacks, un) if g else un.reshape(1, -1)
         clipped_mask = np.abs(pts).max(axis=1) > cfg.overflow_limit
         clipped = bool(clipped_mask.any())
-        pts = pts[~clipped_mask]
+        if clipped:
+            pts = pts[~clipped_mask]
         pts = _dedup(pts, cfg.dedup_eps)
         return OrbitCloud(un, K, G.field, pts, total, False, clipped)
     return _enumerate_streamed(G, gens, un, K, cfg, total)
@@ -196,54 +233,99 @@ def _complex_projector(V: np.ndarray, fieldname: str) -> np.ndarray:
 
 
 def _stream_chunks(gens, un, K, cfg: ClosureConfig, frame, fieldname, total):
-    """One streaming pass; returns (window points, stride sample, clipped, hull grew)."""
+    """One streaming pass; returns (window points, stride sample, clipped, hull grew).
+
+    The orbit map is linear, so the last stage P of the staged product is
+    applied through the hull projector first: one real GEMM of the stacked
+    rows W^T P[a] against the previous stage's columns gives every tuple's
+    window coordinates.  Full coordinates are formed only for the exponent
+    blocks a that hold a window hit or a stride sample, by the same products
+    P[a] @ prev the staged product takes, so every kept point has the same
+    bits; only the window hits and the stride sample are kept.
+    """
     base, V = frame
     W = np.conj(_complex_projector(V, fieldname))  # (n, d)
-    stacks = [_power_stack(A, K) for A in gens[:-1]]
-    last = _power_stack(gens[-1], K)
-    inner = (2 * K + 1) ** len(stacks)
-    batch = max(1, min(2 * K + 1, 1_500_000 // max(inner, 1)))
-    stride = max(1, total // 200_000)
     offset = base @ V  # proj_real(x) = Re(x @ W) - offset
+    n, d = W.shape
+    limit = cfg.overflow_limit
     window_chunks = []
     sample_chunks = []
     clipped = False
     grew = False
     counter = 0
-    for lo in range(0, 2 * K + 1, batch):
-        hi = min(lo + batch, 2 * K + 1)
-        starts = np.stack([last[k] @ un for k in range(lo, hi)], axis=1)  # (n, b)
-        T = _staged_columns(stacks, starts)  # (n, m) points as columns
-        m = T.shape[1]
-        finite = np.abs(T).max(axis=0) <= cfg.overflow_limit  # (m,)
-        if not finite.all():
-            clipped = True
-        # projection onto the hull frame without materializing realified rows
-        proj = (W.T @ T).real - offset.reshape(-1, 1)  # (d, m)
-        inwin = (np.abs(proj).max(axis=0) <= 1.5 * cfg.window) & finite
-        window_chunks.append(T[:, inwin].T)
-        take = np.arange(counter % stride, m, stride)
-        if take.size:
-            take = take[finite[take]]
-            sample_real = _realify(T[:, take].T, fieldname)
-            sample_chunks.append(sample_real)
-            centered = sample_real - base
-            resid = centered - (centered @ V) @ V.T
-            if resid.size and np.abs(resid).max() > cfg.hull_tol * max(
-                1.0, float(np.abs(centered).max())
-            ):
-                grew = True
-        counter += m
-    nn = len(un)
+    # overflow is the clipping case handled below, not an error
+    with np.errstate(over="ignore", invalid="ignore"):
+        stacks = [_power_stack(A, K) for A in gens]
+        last = stacks.pop()  # forms the start columns
+        final = stacks.pop() if stacks else None
+        if final is None:  # one generator: the start columns are the points
+            S, bound = W.T, np.ones(1)
+        else:
+            S = np.matmul(W.T, final).reshape(-1, n)  # rows W^T P[a]
+            # max_i |(P[a] x)_i| <= bound[a] * max_k |x_k|
+            bound = np.abs(final).sum(axis=2).max(axis=1)
+        S = np.concatenate([S.real, -S.imag], axis=1)  # Re(S x) = S @ [Re x; Im x]
+        blocks = bound.size
+        inner = (2 * K + 1) ** (len(gens) - 1)
+        batch = max(1, min(2 * K + 1, 1_500_000 // max(inner, 1)))
+        stride = max(1, total // 200_000)
+        for lo in range(0, 2 * K + 1, batch):
+            hi = min(lo + batch, 2 * K + 1)
+            starts = np.stack([last[k] @ un for k in range(lo, hi)], axis=1)  # (n, b)
+            prev = _staged_columns(stacks, starts)  # (n, M) before the last stage
+            M = prev.shape[1]
+            m = blocks * M  # points of this chunk; point a * M + c is P[a] @ prev[:, c]
+            # overflow: the bound, with a factor 2 for rounding, clears most
+            # points; the rest get the exact test, every |coordinate| <= limit
+            finite = np.ones((blocks, M), dtype=bool)
+            colmax = np.abs(prev).max(axis=0)
+            if not 2.0 * bound.max() * colmax.max() <= limit:
+                unsure = ~(2.0 * np.outer(bound, colmax) <= limit)
+                for a in np.flatnonzero(unsure.any(axis=1)):
+                    T = prev if final is None else final[a] @ prev
+                    c = np.flatnonzero(unsure[a])
+                    finite[a, c] = np.abs(T[:, c]).max(axis=0) <= limit
+                clipped = clipped or not finite.all()
+
+            proj = (S @ np.concatenate([prev.real, prev.imag])).reshape(blocks, d, M)
+            proj -= offset.reshape(1, -1, 1)
+            hit = np.abs(proj, out=proj).max(axis=1) <= 1.5 * cfg.window  # (blocks, M)
+            hit_a, hit_c = np.divmod(np.flatnonzero(hit & finite), M)
+            take = np.arange(counter % stride, m, stride)
+            take = take[finite.reshape(-1)[take]]
+            take_a, take_c = np.divmod(take, M)
+
+            # a few blocks at a time, so no (n, m) array is formed
+            step = max(1, 2**20 // (n * M))
+            samples = []
+            for a0 in range(0, blocks, step):
+                h0, h1 = np.searchsorted(hit_a, (a0, a0 + step))
+                t0, t1 = np.searchsorted(take_a, (a0, a0 + step))
+                if h0 == h1 and t0 == t1:
+                    continue
+                T = prev[None] if final is None else np.matmul(final[a0 : a0 + step], prev)
+                window_chunks.append(T[hit_a[h0:h1] - a0, :, hit_c[h0:h1]])
+                samples.append(T[take_a[t0:t1] - a0, :, take_c[t0:t1]])
+            if counter % stride < m:
+                rows = np.concatenate(samples) if samples else np.zeros((0, n), dtype=complex)
+                sample_real = _realify(rows, fieldname)
+                sample_chunks.append(sample_real)
+                centered = sample_real - base
+                resid = centered - (centered @ V) @ V.T
+                if resid.size and np.abs(resid).max() > cfg.hull_tol * max(
+                    1.0, float(np.abs(centered).max())
+                ):
+                    grew = True
+            counter += m
     window = (
         np.vstack(window_chunks)
         if any(w.size for w in window_chunks)
-        else np.zeros((0, nn), dtype=complex)
+        else np.zeros((0, n), dtype=complex)
     )
     sample = (
         np.vstack(sample_chunks)
         if sample_chunks
-        else np.zeros((0, 2 * nn if fieldname == COMPLEX else nn))
+        else np.zeros((0, 2 * n if fieldname == COMPLEX else n))
     )
     return window, sample, clipped, grew
 

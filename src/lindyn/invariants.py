@@ -211,13 +211,15 @@ def invariant_family(G: GeneratorSet, ctx: NumericContext | None = None) -> Inva
         for grp in groups:
             if grp.kind == "real":
                 blk = blocks[grp.leader]
-                pseudo = SpectralBlock(
-                    _as_subspace(n, grp.real_basis),
-                    blk.eigen_numeric,
-                    blk.eigen_exact,
-                    noise=blk.noise,
-                )
-                tf = triangularize(G, pseudo, ctx)
+                # a basis that is already real is kept, with its restrictions
+                if grp.real_basis is not blk.basis():
+                    blk = SpectralBlock(
+                        _as_subspace(n, grp.real_basis),
+                        blk.eigen_numeric,
+                        blk.eigen_exact,
+                        noise=blk.noise,
+                    )
+                tf = triangularize(G, blk, ctx)
                 units.append((CASE_REAL_HYPERPLANE, grp.real_basis, tf.basis))
             else:
                 leader = blocks[grp.leader]

@@ -70,6 +70,9 @@ class SpectralBlock:
     eigen_exact: dict[int, Scalar | None]
     noise: float = 0.0
     conj_partner: int | None = None
+    # per-generator restrictions to subspace.basis, computed in restriction_ctx
+    restrictions: list | None = None
+    restriction_ctx: NumericContext | None = None
 
     @property
     def dim(self) -> int:
@@ -420,29 +423,31 @@ def _refine(G: GeneratorSet, ctx: NumericContext) -> list[SpectralBlock]:
         # so the noise floor follows the data precision, not the context
         root = _Block(nidentity(n, ctx), noise=64 * 2.0 ** (1 - _data_precision(G, ctx)))
     queue = [root]
-    final: list[tuple[_Block, list]] = []  # each block with its eigenvalue per generator
+    # each block with its restriction and eigenvalue per generator
+    final: list[tuple[_Block, list, list]] = []
     while queue:
         blk = queue.pop(0)
         if blk.dim == 0:
             continue
-        mus = []
+        restrictions, mus = [], []
         for g in G.generators:
             R = _block_restriction(g, blk, ctx)
             mu = _single_eigenvalue(R, blk, ctx)
             if mu is None:
                 queue[0:0] = _split_block(R, blk, ctx, radicands)
                 break
+            restrictions.append(R)
             mus.append(mu)
         else:
-            final.append((blk, mus))
+            final.append((blk, restrictions, mus))
 
-    total = sum(b.dim for b, _ in final)
+    total = sum(b.dim for b, _, _ in final)
     if total != n:
         raise _Ambiguous(f"block dimensions sum to {total}, expected {n}")
-    _validate_direct_sum([b for b, _ in final], ctx)
+    _validate_direct_sum([b for b, _, _ in final], ctx)
 
     blocks = []
-    for blk, mus in final:
+    for blk, restrictions, mus in final:
         eig_num: dict[int, NumericScalar] = {}
         eig_exact: dict[int, Scalar | None] = {}
         for gi, mu in enumerate(mus):
@@ -456,7 +461,8 @@ def _refine(G: GeneratorSet, ctx: NumericContext) -> list[SpectralBlock]:
             sub = Subspace(n, blk.basis)
         else:
             sub = NumSubspace(n, blk.basis)
-        blocks.append(SpectralBlock(sub, eig_num, eig_exact, noise=blk.noise))
+        blocks.append(SpectralBlock(sub, eig_num, eig_exact, noise=blk.noise,
+                                    restrictions=restrictions, restriction_ctx=ctx))
 
     def sort_key(b: SpectralBlock):
         vals = []
@@ -680,11 +686,11 @@ def triangularize(
     """Common basis making every generator lower triangular on the block."""
     ctx = ctx or NumericContext()
     blk = _Block(block.subspace.basis, noise=block.noise)
-    restrictions = []
+    restrictions = block.restrictions
+    if restrictions is None or block.restriction_ctx != ctx:
+        restrictions = [_block_restriction(g, blk, ctx) for g in G.generators]
     mus = []
-    for gi, g in enumerate(G.generators):
-        R = _block_restriction(g, blk, ctx)
-        restrictions.append(R)
+    for gi, R in enumerate(restrictions):
         ex = block.eigen_exact.get(gi)
         if isinstance(R, Matrix):
             mus.append(ex if ex is not None else _exact_trace_mean(R))

@@ -1,11 +1,14 @@
+import hashlib
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import random_lastrow_group
 from lindyn.dynamics import (
+    _dedup,
     DENSE_IN_AFFINE,
     DISCRETE,
     INCONCLUSIVE,
@@ -90,6 +93,121 @@ class TestEnumerate:
         cloud = enumerate_orbit(G, as_vector([1, 1]), 250, ClosureConfig(overflow_limit=1e30))
         assert cloud.clipped
         assert cloud.count < 501
+
+
+# sha256 of cloud.points as the plain staged product and the all-column dedup
+# gave them: the enumeration must not change a single bit of its output.  The
+# digests hold for numpy's bundled OpenBLAS; another BLAS may round differently.
+POINT_DIGESTS = {
+    "shear3_dense_K300": "2c531a1e789a296f836c94c586935573e848d89d77a07f12c5e7ee82864d59d2",
+    "shear3_dense_K300_streamed": "45648f3c155632f22baf6841d7f460cd77d579633b5a8879c911bdb9e9f97afe",
+    "cshear5_plane_K24_streamed": "fdd05e1ce11e0e9096701aa68206e1b60422995683016f3fcb15c17a0f66cf7d",
+    "one_generator_streamed": "8d7759f864cbfbf9d82ceb20f84b537dba7eacd03bb2741a7ee589a0400d9762",
+    "expanding_clipped_streamed": "e61f4bd5a041a0c8072ddb41276a3d41b8c6e775ae8a08f634a792971d0b7614",
+    "generic_complex_streamed": "36428593f2de42744c8a3ffbc11197735ddcd588e54940514198c83ed76b286d",
+}
+
+
+def _digest_case(name):
+    dense3 = as_vector(["1", "sqrt(2)", "0"])
+    if name == "shear3_dense_K300":
+        return shear3(), dense3, 300, CFG
+    if name == "shear3_dense_K300_streamed":  # g = 2
+        return shear3(), dense3, 300, ClosureConfig(max_store=50_000)
+    if name == "cshear5_plane_K24_streamed":  # g = 3: a nested stage before the last
+        u = as_vector(["1+i", "sqrt(3)+i*sqrt(2)", "sqrt(2)+i", "0", "0"])
+        return fixture_by_name("cshear5").group, u, 24, ClosureConfig(max_store=10_000)
+    if name == "generic_complex_streamed":
+        # inexact float entries: a point of the last stage formed by a
+        # product over fewer columns would round differently here
+        rng = np.random.default_rng(11)
+        P = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        gens = [
+            P @ np.diag(np.exp(2j * np.pi * rng.uniform(0, 1, 3))
+                        * (1 + 0.001 * rng.standard_normal(3))) @ np.linalg.inv(P)
+            for _ in range(2)
+        ]
+        u = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        G = GeneratorSet("complex", 3, gens, ["a", "b"])
+        return G, u, 100, ClosureConfig(max_store=5000, window=3.0)
+    if name == "one_generator_streamed":
+        G = GeneratorSet.from_strings("real", [[["1", "0"], ["1", "1"]]])
+        return G, as_vector(["sqrt(2)", "1/3"]), 3000, ClosureConfig(max_store=1000)
+    G = GeneratorSet.from_strings(
+        "real", [[["3", "0"], ["0", "1/3"]], [["2", "0"], ["0", "1/2"]]]
+    )
+    return G, as_vector([1, 1]), 250, ClosureConfig(overflow_limit=1e30, max_store=10_000)
+
+
+class TestSameBits:
+    @pytest.mark.parametrize("name", sorted(POINT_DIGESTS))
+    def test_points_digest(self, name):
+        G, u, K, cfg = _digest_case(name)
+        cloud = enumerate_orbit(G, u, K, cfg)
+        assert cloud.subsampled == name.endswith("_streamed")
+        assert cloud.clipped == name.startswith("expanding")
+        digest = hashlib.sha256(np.ascontiguousarray(cloud.points).tobytes()).hexdigest()
+        assert digest == POINT_DIGESTS[name]
+
+    @pytest.mark.parametrize("max_store", [4_500_000, 200])
+    def test_handled_overflow_is_silent(self, max_store):
+        # powers of 1e10 overflow long before K=400; clipping drops them
+        G = GeneratorSet.from_strings("real", [[["10000000000", "0"], ["0", "1/10000000000"]]])
+        for K in (32, 400):
+            cfg = ClosureConfig(max_store=max_store)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                cloud = enumerate_orbit(G, as_vector([1, 1]), K, cfg)
+            assert cloud.clipped and cloud.subsampled == (2 * K + 1 > max_store)
+            assert np.isfinite(cloud.points).all()
+            assert np.abs(cloud.points).max() <= cfg.overflow_limit
+
+
+def _dedup_oracle(points, eps):
+    """_dedup as it was: lexsort over every realified key column."""
+    if points.shape[0] == 0:
+        return points
+    flat = points.view(float).reshape(points.shape[0], -1)
+    finite = np.all(np.isfinite(flat), axis=1)
+    points, flat = points[finite], flat[finite]
+    if points.shape[0] == 0:
+        return points
+    keys = np.round(flat / eps)
+    order = np.lexsort(keys.T)
+    ks = keys[order]
+    keep = np.concatenate([[True], np.any(ks[1:] != ks[:-1], axis=1)])
+    return points[order][keep]
+
+
+class TestDedup:
+    def _same(self, pts, eps=1e-9):
+        got, want = _dedup(pts, eps), _dedup_oracle(pts, eps)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_against_all_column_oracle(self):
+        rng = np.random.default_rng(5)
+        for trial in range(60):
+            m, n = int(rng.integers(1, 400)), int(rng.integers(1, 5))
+            grid = rng.integers(-3, 4, size=(m, n, 2)) * 1e-9 * rng.choice([0.3, 1, 7])
+            pts = (grid[..., 0] + 1j * grid[..., 1]).astype(complex)
+            for j in rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False):
+                pts[:, j] = pts[0, j]  # constant columns
+            if trial % 3 == 0:
+                pts.imag = 0.0
+            self._same(pts)
+            self._same(pts, eps=2.5e-9)
+
+    def test_edge_cases(self):
+        self._same(np.zeros((0, 3), dtype=complex))
+        self._same(np.full((7, 2), 1 + 2j))  # all rows equal
+        pts = np.array([[1, np.nan], [np.inf, 0], [1, 1], [1, 1], [0, -np.inf]], dtype=complex)
+        self._same(pts)  # rows with NaN and inf
+        self._same(np.array([[np.nan, 0], [1, np.inf]], dtype=complex))  # nothing finite
+        # keys that round to -0.0 and to 0.0 compare equal
+        tiny = 1e-9 * np.array([-0.2, 0.2, -0.0, 0.0, 0.4, -0.4, 1.0])
+        self._same((tiny + 1j * tiny[::-1]).reshape(-1, 1))
+        self._same(np.stack([tiny, np.ones_like(tiny)], axis=1).astype(complex))
 
 
 class TestClassify:

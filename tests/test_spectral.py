@@ -227,6 +227,43 @@ class TestTriangularize:
                 mu = mu * g_mu**k
             assert T.constant_diagonal() == mu
 
+    def test_restrictions_computed_once_per_block(self, monkeypatch):
+        # refinement hands each final block its restrictions; triangularize
+        # and the real pseudo-blocks of invariant_family reuse them
+        from lindyn import spectral
+        from lindyn.fixtures import fixture_by_name
+
+        calls = []
+        restrict = spectral._block_restriction
+
+        def counting(g, blk, ctx):
+            calls.append((str(blk.basis), id(g)))
+            return restrict(g, blk, ctx)
+
+        monkeypatch.setattr(spectral, "_block_restriction", counting)
+        G = fixture_by_name("shear3").group
+        invariant_family(G, CTX)
+        assert len(calls) == len(G.generators) == 2  # one block, one call per generator
+        diag = GeneratorSet.from_strings(
+            "real", [[["1", "0", "0"], ["0", "2", "0"], ["0", "0", "3"]]]
+        )
+        for group in (diag, rot_block_group()):
+            calls.clear()
+            invariant_family(group, CTX)
+            assert len(calls) == len(set(calls))
+
+    def test_block_without_restrictions(self):
+        # a block built elsewhere carries no restrictions: the same form
+        from dataclasses import replace
+
+        for G in (shear3_group(), rot_block_group()):
+            for blk in simultaneous_refinement(G, CTX):
+                assert blk.restrictions is not None
+                tf = triangularize(G, blk, CTX)
+                bare = triangularize(G, replace(blk, restrictions=None), CTX)
+                assert bare.basis == tf.basis and bare.triangular == tf.triangular
+                assert bare.diagonal == tf.diagonal
+
     def test_single_eigenvalue_words(self, rng):
         # products of single-eigenvalue commuting matrices keep a single
         # eigenvalue (checked on random words)
