@@ -3,9 +3,9 @@
 Orbit clouds are enumerated over exponent boxes [-K, K]^g with vectorized
 power stacks; boxes too large to materialize are streamed in chunks, keeping
 every point that lands in the classification window plus a deterministic
-stride sample for hull estimation.  A streamed chunk applies its last stage
-through the hull projector first, and forms full coordinates only where a
-window hit or a stride sample lies.  Closure verdicts are explicitly heuristic:
+stride sample for hull estimation.  A streamed chunk tests overflow exactly
+only when a norm bound cannot clear it, and keeps only its window hits and
+its stride sample.  Closure verdicts are explicitly heuristic:
 DISCRETE needs a minimum pairwise separation, DENSE_IN_AFFINE(d) needs the
 sampled window covered at the configured resolution, everything else is
 INCONCLUSIVE.
@@ -102,28 +102,19 @@ def _power_stack(A: np.ndarray, K: int) -> np.ndarray:
 def _staged_columns(stacks: list[np.ndarray], u: np.ndarray) -> np.ndarray:
     """Orbit points as columns (n, #tuples * b) for start columns u (n, b).
 
-    Each stage is a handful of wide GEMMs, which keeps BLAS call counts low.
+    A stage P maps columns V to the blocks [P[0] @ V, P[1] @ V, ...] side by
+    side; batched GEMMs write a few blocks at a time into place, which keeps
+    BLAS call counts low and makes no list of blocks to concatenate.
     """
     V = u.reshape(-1, 1) if u.ndim == 1 else u
     for pows in stacks:
-        V = np.concatenate([p @ V for p in pows], axis=1)
+        n, M = V.shape
+        out = np.empty((n, pows.shape[0], M), dtype=complex)
+        step = max(1, 2**18 // (n * M))
+        for lo in range(0, pows.shape[0], step):
+            out[:, lo : lo + step] = np.matmul(pows[lo : lo + step], V).transpose(1, 0, 2)
+        V = out.reshape(n, -1)
     return V
-
-
-def _staged_rows(stacks: list[np.ndarray], u: np.ndarray) -> np.ndarray:
-    """The rows of _staged_columns(stacks, u).T, formed in place.
-
-    The last stage runs a few blocks at a time, with the same products
-    P[a] @ V, so no (n, #tuples) intermediate or transposed copy is made.
-    """
-    V = _staged_columns(stacks[:-1], u)
-    final = stacks[-1]
-    n, M = V.shape
-    rows = np.empty((final.shape[0], M, n), dtype=complex)
-    step = max(1, 2**20 // (n * M))
-    for lo in range(0, final.shape[0], step):
-        rows[lo : lo + step] = np.matmul(final[lo : lo + step], V).transpose(0, 2, 1)
-    return rows.reshape(-1, n)
 
 
 def _dedup(points: np.ndarray, eps: float) -> np.ndarray:
@@ -189,11 +180,10 @@ def enumerate_orbit(
         # overflow is the clipping case handled below, not an error
         with np.errstate(over="ignore", invalid="ignore"):
             stacks = [_power_stack(A, K) for A in gens]
-            pts = _staged_rows(stacks, un) if g else un.reshape(1, -1)
+            pts = _staged_columns(stacks, un).T if g else un.reshape(1, -1)
         clipped_mask = np.abs(pts).max(axis=1) > cfg.overflow_limit
         clipped = bool(clipped_mask.any())
-        if clipped:
-            pts = pts[~clipped_mask]
+        pts = pts[~clipped_mask] if clipped else np.ascontiguousarray(pts)
         pts = _dedup(pts, cfg.dedup_eps)
         return OrbitCloud(un, K, G.field, pts, total, False, clipped)
     return _enumerate_streamed(G, gens, un, K, cfg, total)
@@ -235,18 +225,13 @@ def _complex_projector(V: np.ndarray, fieldname: str) -> np.ndarray:
 def _stream_chunks(gens, un, K, cfg: ClosureConfig, frame, fieldname, total):
     """One streaming pass; returns (window points, stride sample, clipped, hull grew).
 
-    The orbit map is linear, so the last stage P of the staged product is
-    applied through the hull projector first: one real GEMM of the stacked
-    rows W^T P[a] against the previous stage's columns gives every tuple's
-    window coordinates.  Full coordinates are formed only for the exponent
-    blocks a that hold a window hit or a stride sample, by the same products
-    P[a] @ prev the staged product takes, so every kept point has the same
-    bits; only the window hits and the stride sample are kept.
+    Each chunk's points are formed as columns, and only the window hits and
+    the stride sample are kept.  The exact overflow test (every |coordinate|
+    within the limit) runs only on chunks that a norm bound cannot clear.
     """
     base, V = frame
     W = np.conj(_complex_projector(V, fieldname))  # (n, d)
     offset = base @ V  # proj_real(x) = Re(x @ W) - offset
-    n, d = W.shape
     limit = cfg.overflow_limit
     window_chunks = []
     sample_chunks = []
@@ -255,60 +240,36 @@ def _stream_chunks(gens, un, K, cfg: ClosureConfig, frame, fieldname, total):
     counter = 0
     # overflow is the clipping case handled below, not an error
     with np.errstate(over="ignore", invalid="ignore"):
-        stacks = [_power_stack(A, K) for A in gens]
-        last = stacks.pop()  # forms the start columns
-        final = stacks.pop() if stacks else None
-        if final is None:  # one generator: the start columns are the points
-            S, bound = W.T, np.ones(1)
-        else:
-            S = np.matmul(W.T, final).reshape(-1, n)  # rows W^T P[a]
-            # max_i |(P[a] x)_i| <= bound[a] * max_k |x_k|
-            bound = np.abs(final).sum(axis=2).max(axis=1)
-        S = np.concatenate([S.real, -S.imag], axis=1)  # Re(S x) = S @ [Re x; Im x]
-        blocks = bound.size
-        inner = (2 * K + 1) ** (len(gens) - 1)
+        stacks = [_power_stack(A, K) for A in gens[:-1]]
+        last = _power_stack(gens[-1], K)
+        # every coordinate of a chunk's point is at most bound * max |start|,
+        # bound the product over the stages of their largest row sum
+        bound = math.prod(np.abs(P).sum(axis=2).max() for P in stacks)
+        inner = (2 * K + 1) ** len(stacks)
         batch = max(1, min(2 * K + 1, 1_500_000 // max(inner, 1)))
         stride = max(1, total // 200_000)
         for lo in range(0, 2 * K + 1, batch):
             hi = min(lo + batch, 2 * K + 1)
             starts = np.stack([last[k] @ un for k in range(lo, hi)], axis=1)  # (n, b)
-            prev = _staged_columns(stacks, starts)  # (n, M) before the last stage
-            M = prev.shape[1]
-            m = blocks * M  # points of this chunk; point a * M + c is P[a] @ prev[:, c]
-            # overflow: the bound, with a factor 2 for rounding, clears most
-            # points; the rest get the exact test, every |coordinate| <= limit
-            finite = np.ones((blocks, M), dtype=bool)
-            colmax = np.abs(prev).max(axis=0)
-            if not 2.0 * bound.max() * colmax.max() <= limit:
-                unsure = ~(2.0 * np.outer(bound, colmax) <= limit)
-                for a in np.flatnonzero(unsure.any(axis=1)):
-                    T = prev if final is None else final[a] @ prev
-                    c = np.flatnonzero(unsure[a])
-                    finite[a, c] = np.abs(T[:, c]).max(axis=0) <= limit
+            T = _staged_columns(stacks, starts)  # (n, m) points as columns
+            m = T.shape[1]
+            # with a factor 2 for rounding, the bound clears most chunks
+            finite = None
+            if not 2.0 * bound * np.abs(starts).max() <= limit:
+                finite = np.abs(T).max(axis=0) <= limit  # (m,)
                 clipped = clipped or not finite.all()
-
-            proj = (S @ np.concatenate([prev.real, prev.imag])).reshape(blocks, d, M)
-            proj -= offset.reshape(1, -1, 1)
-            hit = np.abs(proj, out=proj).max(axis=1) <= 1.5 * cfg.window  # (blocks, M)
-            hit_a, hit_c = np.divmod(np.flatnonzero(hit & finite), M)
+            # projection onto the hull frame without materializing realified rows
+            proj = (W.T @ T).real - offset.reshape(-1, 1)  # (d, m)
+            # a 0-dimensional frame projects every point to the base point
+            inwin = np.abs(proj).max(axis=0, initial=0.0) <= 1.5 * cfg.window
+            if finite is not None:
+                inwin &= finite
+            window_chunks.append(T[:, np.flatnonzero(inwin)].T)
             take = np.arange(counter % stride, m, stride)
-            take = take[finite.reshape(-1)[take]]
-            take_a, take_c = np.divmod(take, M)
-
-            # a few blocks at a time, so no (n, m) array is formed
-            step = max(1, 2**20 // (n * M))
-            samples = []
-            for a0 in range(0, blocks, step):
-                h0, h1 = np.searchsorted(hit_a, (a0, a0 + step))
-                t0, t1 = np.searchsorted(take_a, (a0, a0 + step))
-                if h0 == h1 and t0 == t1:
-                    continue
-                T = prev[None] if final is None else np.matmul(final[a0 : a0 + step], prev)
-                window_chunks.append(T[hit_a[h0:h1] - a0, :, hit_c[h0:h1]])
-                samples.append(T[take_a[t0:t1] - a0, :, take_c[t0:t1]])
-            if counter % stride < m:
-                rows = np.concatenate(samples) if samples else np.zeros((0, n), dtype=complex)
-                sample_real = _realify(rows, fieldname)
+            if take.size:
+                if finite is not None:
+                    take = take[finite[take]]
+                sample_real = _realify(T[:, take].T, fieldname)
                 sample_chunks.append(sample_real)
                 centered = sample_real - base
                 resid = centered - (centered @ V) @ V.T
@@ -317,6 +278,7 @@ def _stream_chunks(gens, un, K, cfg: ClosureConfig, frame, fieldname, total):
                 ):
                     grew = True
             counter += m
+    n = len(un)
     window = (
         np.vstack(window_chunks)
         if any(w.size for w in window_chunks)

@@ -210,16 +210,7 @@ def invariant_family(G: GeneratorSet, ctx: NumericContext | None = None) -> Inva
         groups = pair_conjugates(blocks, G, ctx)
         for grp in groups:
             if grp.kind == "real":
-                blk = blocks[grp.leader]
-                # a basis that is already real is kept, with its restrictions
-                if grp.real_basis is not blk.basis():
-                    blk = SpectralBlock(
-                        _as_subspace(n, grp.real_basis),
-                        blk.eigen_numeric,
-                        blk.eigen_exact,
-                        noise=blk.noise,
-                    )
-                tf = triangularize(G, blk, ctx)
+                tf = triangularize(G, grp.block, ctx)
                 units.append((CASE_REAL_HYPERPLANE, grp.real_basis, tf.basis))
             else:
                 leader = blocks[grp.leader]
@@ -271,12 +262,6 @@ def invariant_family(G: GeneratorSet, ctx: NumericContext | None = None) -> Inva
                 f"invariant subspace has dimension {s.dim}, expected {n-1} or {n-2}"
             )
     return InvariantFamily(G.field, n, subspaces, Q, P, change, blocks, groups, forms)
-
-
-def _as_subspace(n: int, basis) -> Subspace | NumSubspace:
-    if isinstance(basis, Matrix):
-        return Subspace(n, basis)
-    return NumSubspace(n, basis)
 
 
 def _hstack_exact(mats: list[Matrix]) -> Matrix:

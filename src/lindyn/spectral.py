@@ -104,6 +104,7 @@ class RealBlockGroup:
     members: tuple[int, ...]
     leader: int
     real_basis: Matrix | np.ndarray
+    block: SpectralBlock | None = None  # a real singleton's block on real_basis
 
 
 @dataclass
@@ -583,9 +584,22 @@ def _conjugate_span(a: SpectralBlock, b: SpectralBlock, ctx: NumericContext) -> 
     return nrank(stacked, ctx) == a.dim
 
 
+def _real_block(blk: SpectralBlock, ctx: NumericContext) -> SpectralBlock:
+    """The block on a real basis of its span.
+
+    An exact block whose basis is already real is returned itself, so the
+    restrictions it carries are reused.
+    """
+    if blk.exact:
+        if blk.subspace.basis.is_real():
+            return blk
+        sub = Subspace(blk.subspace.ambient, _realify_exact_basis(blk.subspace.basis))
+    else:
+        sub = NumSubspace(blk.subspace.ambient, _realify_numeric_basis(blk.subspace.basis, ctx))
+    return SpectralBlock(sub, blk.eigen_numeric, blk.eigen_exact, noise=blk.noise)
+
+
 def _realify_exact_basis(basis: Matrix) -> Matrix:
-    if basis.is_real():
-        return basis
     reduced = row_reduce_basis(re_im_columns(basis).columns())
     if len(reduced) != basis.cols:
         raise UnmatchedConjugate("block with real eigenvalues is not conjugation-stable")
@@ -621,12 +635,8 @@ def pair_conjugates(
             continue
         if _eigen_is_real(blk, tol):
             used.add(i)
-            rb = (
-                _realify_exact_basis(blk.subspace.basis)
-                if blk.exact
-                else _realify_numeric_basis(blk.subspace.basis, ctx)
-            )
-            groups.append(RealBlockGroup("real", (i,), i, rb))
+            real = _real_block(blk, ctx)
+            groups.append(RealBlockGroup("real", (i,), i, real.basis(), real))
             continue
         partner = None
         for j in range(len(blocks)):

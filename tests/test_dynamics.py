@@ -94,6 +94,12 @@ class TestEnumerate:
         assert cloud.clipped
         assert cloud.count < 501
 
+    def test_streamed_fixed_point(self):
+        # the small box has a 0-dimensional hull: every point is the base point
+        cloud = enumerate_orbit(shear3(), as_vector([0, 0, 1]), 300, ClosureConfig(max_store=1000))
+        assert cloud.subsampled and cloud.count == 1
+        assert cloud.points.tolist() == [[0, 0, 1]]
+
 
 # sha256 of cloud.points as the plain staged product and the all-column dedup
 # gave them: the enumeration must not change a single bit of its output.  The

@@ -157,6 +157,10 @@ class TestPairing:
         blocks = simultaneous_refinement(G, CTX)
         groups = pair_conjugates(blocks, G, CTX)
         assert [g.kind for g in groups] == ["real", "real"]
+        # a real exact basis keeps its block, and the restrictions it carries
+        for g in groups:
+            assert g.block is blocks[g.leader]
+            assert g.real_basis is g.block.basis()
 
     def test_rot_block_pairs(self):
         G = rot_block_group()
@@ -229,7 +233,7 @@ class TestTriangularize:
 
     def test_restrictions_computed_once_per_block(self, monkeypatch):
         # refinement hands each final block its restrictions; triangularize
-        # and the real pseudo-blocks of invariant_family reuse them
+        # and the real singleton blocks of pair_conjugates reuse them
         from lindyn import spectral
         from lindyn.fixtures import fixture_by_name
 
