@@ -1,11 +1,14 @@
 """Finite orbit exploration and empirical closure classification.
 
 Orbit clouds are enumerated over exponent boxes [-K, K]^g with vectorized
-power stacks; boxes too large to materialize are streamed in chunks, keeping
-every point that lands in the classification window plus a deterministic
-stride sample for hull estimation.  A streamed chunk tests overflow exactly
-only when a norm bound cannot clear it, and keeps only its window hits and
-its stride sample.  Closure verdicts are explicitly heuristic:
+power stacks.  Boxes too large to materialize are streamed in chunks: the
+outermost stage is applied through the hull projector, so a chunk's window
+coordinates cost one real GEMM, and a point is formed in full only if it is
+a window hit, a stride sample (which tests whether the hull grew), or a
+column whose norm bound cannot clear the exact overflow test.  A streamed
+cloud keeps the window hits; its points equal the materialized ones up to
+rounding, and its verdicts and gaps are the same.  Closure verdicts are
+explicitly heuristic:
 DISCRETE needs a minimum pairwise separation, DENSE_IN_AFFINE(d) needs the
 sampled window covered at the configured resolution, everything else is
 INCONCLUSIVE.
@@ -166,10 +169,12 @@ def enumerate_orbit(
 ) -> OrbitCloud:
     """Orbit sample {g^k u : k in [-K, K]^g}, deduplicated at dedup_eps.
 
-    Boxes beyond cfg.max_store are streamed: the returned points then consist
-    of a full small-box cloud, every point whose hull projection lies within
-    1.5x the classification window, and a deterministic stride sample; the
-    window portion remains exhaustive so covering verdicts stay sound.
+    Boxes beyond cfg.max_store are streamed: the returned points are then the
+    full cloud of a small box K0 <= K and every point of the whole box whose
+    hull projection lies within 1.5x the classification window.  The window
+    portion is exhaustive, so covering verdicts stay sound.  A stride sample
+    of the box only tests whether the hull grew beyond the small box's frame;
+    it is not returned.
     """
     cfg = cfg or ClosureConfig()
     gens = _numeric_generators(G)
@@ -225,14 +230,20 @@ def _complex_projector(V: np.ndarray, fieldname: str) -> np.ndarray:
 def _stream_chunks(gens, un, K, cfg: ClosureConfig, frame, fieldname, total):
     """One streaming pass; returns (window points, stride sample, clipped, hull grew).
 
-    Each chunk's points are formed as columns, and only the window hits and
-    the stride sample are kept.  The exact overflow test (every |coordinate|
-    within the limit) runs only on chunks that a norm bound cannot clear.
+    A chunk's tuples are the columns j * M + col of the blocks P[j] @ inner,
+    with P the outermost power stack and inner (n, M) the chunk's start
+    columns taken through the other stages; a single generator has the
+    identity as its one outer stage.  The window coordinates of all of them
+    come from one real GEMM of the projected outer stack on the realified
+    inner columns.  A point is formed in full only when it is a window hit, a
+    stride sample, or a column whose norm bound cannot clear the exact
+    overflow test (every |coordinate| within the limit).
     """
     base, V = frame
     W = np.conj(_complex_projector(V, fieldname))  # (n, d)
     offset = base @ V  # proj_real(x) = Re(x @ W) - offset
     limit = cfg.overflow_limit
+    n = len(un)
     window_chunks = []
     sample_chunks = []
     clipped = False
@@ -242,48 +253,45 @@ def _stream_chunks(gens, un, K, cfg: ClosureConfig, frame, fieldname, total):
     with np.errstate(over="ignore", invalid="ignore"):
         stacks = [_power_stack(A, K) for A in gens[:-1]]
         last = _power_stack(gens[-1], K)
-        # every coordinate of a chunk's point is at most bound * max |start|,
-        # bound the product over the stages of their largest row sum
-        bound = math.prod(np.abs(P).sum(axis=2).max() for P in stacks)
-        inner = (2 * K + 1) ** len(stacks)
-        batch = max(1, min(2 * K + 1, 1_500_000 // max(inner, 1)))
+        outer = stacks.pop() if stacks else np.eye(n, dtype=complex)[None]
+        J, d = outer.shape[0], W.shape[1]
+        # Re(W^T P[j] x) = [Re(W^T P[j]), -Im(W^T P[j])] @ [Re x; Im x]
+        WP = np.matmul(W.T, outer)  # (J, d, n)
+        Qr = np.concatenate([WP.real, -WP.imag], axis=2).reshape(J * d, 2 * n)
+        # |(P[j] x)_i| <= rowsum[j] * max|x|; a factor 2 covers the rounding
+        rowsum = np.abs(outer).sum(axis=2).max(axis=1)  # (J,)
+        per_start = J * (2 * K + 1) ** len(stacks)
+        batch = max(1, min(2 * K + 1, 1_500_000 // per_start))
         stride = max(1, total // 200_000)
         for lo in range(0, 2 * K + 1, batch):
             hi = min(lo + batch, 2 * K + 1)
             starts = np.stack([last[k] @ un for k in range(lo, hi)], axis=1)  # (n, b)
-            T = _staged_columns(stacks, starts)  # (n, m) points as columns
-            m = T.shape[1]
-            # with a factor 2 for rounding, the bound clears most chunks
-            finite = None
-            if not 2.0 * bound * np.abs(starts).max() <= limit:
-                finite = np.abs(T).max(axis=0) <= limit  # (m,)
-                clipped = clipped or not finite.all()
-            # projection onto the hull frame without materializing realified rows
-            proj = (W.T @ T).real - offset.reshape(-1, 1)  # (d, m)
+            inner = _staged_columns(stacks, starts)  # (n, M)
+            M = inner.shape[1]
+            proj = (Qr @ np.vstack([inner.real, inner.imag])).reshape(J, d, M)
+            proj -= offset.reshape(-1, 1)
             # a 0-dimensional frame projects every point to the base point
-            inwin = np.abs(proj).max(axis=0, initial=0.0) <= 1.5 * cfg.window
-            if finite is not None:
-                inwin &= finite
-            window_chunks.append(T[:, np.flatnonzero(inwin)].T)
-            take = np.arange(counter % stride, m, stride)
-            if take.size:
-                if finite is not None:
-                    take = take[finite[take]]
-                sample_real = _realify(T[:, take].T, fieldname)
+            hit = (np.abs(proj, out=proj).max(axis=1, initial=0.0) <= 1.5 * cfg.window).ravel()
+            sample = np.zeros(J * M, dtype=bool)
+            sample[counter % stride :: stride] = True
+            need = hit | sample
+            if not clipped:
+                need |= ~(2.0 * np.outer(rowsum, np.abs(inner).max(axis=0)) <= limit).ravel()
+            sel = np.flatnonzero(need)
+            pts = _outer_columns(outer, inner, sel)  # (s, n)
+            ok = np.abs(pts).max(axis=1) <= limit
+            clipped = clipped or not ok.all()
+            window_chunks.append(pts[hit[sel] & ok])
+            taken = sample[sel] & ok
+            if taken.any():
+                sample_real = _realify(pts[taken], fieldname)
                 sample_chunks.append(sample_real)
                 centered = sample_real - base
                 resid = centered - (centered @ V) @ V.T
-                if resid.size and np.abs(resid).max() > cfg.hull_tol * max(
-                    1.0, float(np.abs(centered).max())
-                ):
+                if np.abs(resid).max() > cfg.hull_tol * max(1.0, float(np.abs(centered).max())):
                     grew = True
-            counter += m
-    n = len(un)
-    window = (
-        np.vstack(window_chunks)
-        if any(w.size for w in window_chunks)
-        else np.zeros((0, n), dtype=complex)
-    )
+            counter += J * M
+    window = np.vstack(window_chunks) if window_chunks else np.zeros((0, n), dtype=complex)
     sample = (
         np.vstack(sample_chunks)
         if sample_chunks
@@ -292,12 +300,38 @@ def _stream_chunks(gens, un, K, cfg: ClosureConfig, frame, fieldname, total):
     return window, sample, clipped, grew
 
 
-def _hull_frame(real_pts: np.ndarray, base_real: np.ndarray, cfg: ClosureConfig, prefer_dim=None):
-    """Affine frame (base, orthonormal directions) of the sampled hull."""
+def _outer_columns(outer: np.ndarray, inner: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """Rows outer[j] @ inner[:, col] for the flat indices j * M + col.
+
+    The gathered matrices take about 32 MB per slice.
+    """
+    js, cols = np.divmod(flat, inner.shape[1])
+    out = np.empty((flat.size, inner.shape[0]), dtype=complex)
+    step = max(1, 2**21 // outer[0].size)
+    for lo in range(0, flat.size, step):
+        x = inner[:, cols[lo : lo + step]].T[:, :, None]
+        out[lo : lo + step] = np.matmul(outer[js[lo : lo + step]], x)[:, :, 0]
+    return out
+
+
+def _hull_frame(real_pts: np.ndarray, base_real: np.ndarray, cfg: ClosureConfig):
+    """Affine frame (base, orthonormal directions) of the sampled hull.
+
+    The directions are the right singular vectors of the centered points,
+    read from the R factor of a tall-skinny QR: the rows are reduced in
+    blocks of 1,000, the stacked block factors once more, and only the final
+    square R goes through an SVD.
+    """
     centered = real_pts - base_real
-    if centered.shape[0] == 0:
-        return base_real, np.zeros((real_pts.shape[1], 0))
-    _, S, Vt = np.linalg.svd(centered, full_matrices=False)
+    rows, c = centered.shape
+    if rows == 0:
+        return base_real, np.zeros((c, 0))
+    blocks = rows // 1000
+    R = centered
+    if blocks:
+        Rb = np.linalg.qr(centered[: blocks * 1000].reshape(blocks, 1000, c), mode="r")
+        R = np.vstack([Rb.reshape(-1, c), centered[blocks * 1000 :]])
+    _, S, Vt = np.linalg.svd(np.linalg.qr(R, mode="r"))
     scale = S[0] if S.size and S[0] > 0 else 1.0
     d = int(np.sum(S > cfg.hull_tol * scale))
     return base_real, Vt[:d].T

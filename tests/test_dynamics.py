@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import random
@@ -5,10 +6,13 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from conftest import random_lastrow_group
 from lindyn.dynamics import (
     _dedup,
+    _hull_frame,
+    _realify,
     DENSE_IN_AFFINE,
     DISCRETE,
     INCONCLUSIVE,
@@ -94,6 +98,48 @@ class TestEnumerate:
         assert cloud.clipped
         assert cloud.count < 501
 
+    @pytest.mark.parametrize("name", ["generic_complex_streamed", "cshear5_plane_K24_streamed"])
+    def test_streamed_window_complete(self, name):
+        # oracle: the whole box, materialized; every point of it within the
+        # window of the streamed cloud's own frame must have been kept
+        G, u, K, cfg = _digest_case(name)
+        streamed = enumerate_orbit(G, u, K, cfg)
+        full = enumerate_orbit(G, u, K, dataclasses.replace(cfg, max_store=10**7))
+        assert streamed.subsampled and not full.subsampled
+        base = _realify(streamed.base_point.reshape(1, -1), G.field)[0]
+        kept = _realify(streamed.points, G.field)
+        base, V = _hull_frame(kept, base, cfg)
+        real = _realify(full.points, G.field)
+        inwin = real[np.abs((real - base) @ V).max(axis=1) <= cfg.window]
+        assert inwin.shape[0] > 100
+        dist, _ = cKDTree(kept).query(inwin)
+        assert dist.max() <= 1e-12
+
+    def test_norm_bound_without_overflow(self):
+        # rotations keep |coordinates| <= 1, but their row sums reach sqrt(2):
+        # at a limit of 1.2 the norm bound clears no column, and the exact
+        # overflow test must then clip nothing
+        def rot(t):
+            return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+
+        G = GeneratorSet("real", 2, [rot(1.0), rot(math.sqrt(2))], ["a", "b"])
+        u = np.array([0.6, 0.8])
+        tight = enumerate_orbit(G, u, 150, ClosureConfig(max_store=5000, overflow_limit=1.2))
+        loose = enumerate_orbit(G, u, 150, ClosureConfig(max_store=5000))
+        assert tight.subsampled and not tight.clipped and not loose.clipped
+        assert tight.count == loose.count == 60_751
+
+    def test_one_overflowing_tuple_clips(self):
+        # points (1, k1 + 1000 k2 + 1/2): only the corner k = (400, 400) is
+        # above the limit, and it is neither a window hit nor a stride sample
+        G = GeneratorSet.from_strings("real", [[["1", "0"], ["1", "1"]], [["1", "0"], ["1000", "1"]]])
+        cfg = ClosureConfig(max_store=10_000, overflow_limit=400_400.25)
+        streamed = enumerate_orbit(G, as_vector(["1", "1/2"]), 400, cfg)
+        full = enumerate_orbit(G, as_vector(["1", "1/2"]), 400, dataclasses.replace(cfg, max_store=10**6))
+        assert streamed.subsampled and not full.subsampled
+        assert streamed.clipped and full.clipped
+        assert full.count == 801**2 - 1
+
     def test_streamed_fixed_point(self):
         # the small box has a 0-dimensional hull: every point is the base point
         cloud = enumerate_orbit(shear3(), as_vector([0, 0, 1]), 300, ClosureConfig(max_store=1000))
@@ -101,16 +147,19 @@ class TestEnumerate:
         assert cloud.points.tolist() == [[0, 0, 1]]
 
 
-# sha256 of cloud.points as the plain staged product and the all-column dedup
-# gave them: the enumeration must not change a single bit of its output.  The
-# digests hold for numpy's bundled OpenBLAS; another BLAS may round differently.
+# sha256 of cloud.points.  The enumeration promises the same verdicts and gaps,
+# and points equal up to rounding: a streamed point is formed by a product per
+# gathered column, which may round differently from a product over a block of
+# columns (generic_complex_streamed, whose entries are inexact, shows it).  The
+# digests pin the current bits, so any change that moves a point shows here.
+# They hold for numpy's bundled OpenBLAS; another BLAS may round differently.
 POINT_DIGESTS = {
     "shear3_dense_K300": "2c531a1e789a296f836c94c586935573e848d89d77a07f12c5e7ee82864d59d2",
     "shear3_dense_K300_streamed": "45648f3c155632f22baf6841d7f460cd77d579633b5a8879c911bdb9e9f97afe",
     "cshear5_plane_K24_streamed": "fdd05e1ce11e0e9096701aa68206e1b60422995683016f3fcb15c17a0f66cf7d",
     "one_generator_streamed": "8d7759f864cbfbf9d82ceb20f84b537dba7eacd03bb2741a7ee589a0400d9762",
     "expanding_clipped_streamed": "e61f4bd5a041a0c8072ddb41276a3d41b8c6e775ae8a08f634a792971d0b7614",
-    "generic_complex_streamed": "36428593f2de42744c8a3ffbc11197735ddcd588e54940514198c83ed76b286d",
+    "generic_complex_streamed": "215ebd2c97b1dcd5f9e82118ad5565240f7f8ff913f8b474c3d05befc8fec01e",
 }
 
 
