@@ -291,7 +291,7 @@ def _stream_chunks(gens, un, K, cfg: ClosureConfig, frame, fieldname, total):
                 if np.abs(resid).max() > cfg.hull_tol * max(1.0, float(np.abs(centered).max())):
                     grew = True
             counter += J * M
-    window = np.vstack(window_chunks) if window_chunks else np.zeros((0, n), dtype=complex)
+    window = np.vstack(window_chunks)  # a pass has at least one chunk
     sample = (
         np.vstack(sample_chunks)
         if sample_chunks
