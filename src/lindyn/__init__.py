@@ -15,9 +15,8 @@ from .errors import (  # noqa: F401
     ParseError,
     PointNotInU,
     UnmatchedConjugate,
-    UnsupportedDimension,
 )
 from .groups import GeneratorSet  # noqa: F401
 from .linalg import Matrix, Subspace, as_vector  # noqa: F401
 from .numeric import NumericContext  # noqa: F401
-from .scalars import NumericScalar, Scalar, parse_scalar  # noqa: F401
+from .scalars import Scalar, parse_scalar  # noqa: F401

@@ -15,7 +15,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import UnsupportedDimension
 from .linalg import Matrix, kernel, rank as exact_rank, rational_kernel
 from .scalars import Scalar, integerize
 
@@ -75,12 +74,6 @@ def relation_basis(span: IntegerSpan) -> list[list[int]]:
     return [integerize(v) for v in rational_kernel(rows)]
 
 
-def integer_relation(span: IntegerSpan) -> list[int] | None:
-    """One nonzero integer relation among the generators, or None."""
-    basis = relation_basis(span)
-    return basis[0] if basis else None
-
-
 def character_basis(span: IntegerSpan) -> list[list[int]]:
     """Integer vectors s lying in the real row space of the generator matrix.
 
@@ -125,8 +118,6 @@ def dense_in(span: IntegerSpan) -> DensityVerdict:
     all of R^d, DENSE_IN_PROPER_SUBGROUP otherwise; the certificate carries
     the relation basis and/or the obstructing character.
     """
-    if span.dim > 3:
-        raise UnsupportedDimension(f"density decisions support d <= 3, got {span.dim}")
     rels = relation_basis(span)
     free_rank = span.count - len(rels)
     span_dim = exact_rank(span.matrix()) if span.count else 0

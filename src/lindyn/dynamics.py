@@ -24,7 +24,7 @@ import numpy as np
 from .errors import NoProgress, NotConvergent, PointNotInU
 from .groups import COMPLEX, GeneratorSet
 from .invariants import InvariantFamily, membership
-from .linalg import Matrix, Vector
+from .linalg import Matrix
 from .numeric import NumericContext
 from .scalars import Scalar, is_rationally_independent
 
@@ -57,7 +57,6 @@ class OrbitCloud:
     total_tuples: int
     subsampled: bool = False
     clipped: bool = False
-    window_complete: bool = True      # points within the window are exhaustive
 
     @property
     def count(self) -> int:
@@ -469,34 +468,6 @@ def _same_signature(a: ClosureVerdict, b: ClosureVerdict) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# exact orbit points (small boxes, for algebraic property checks)
-
-
-def exact_orbit_points(G: GeneratorSet, u: Vector, K: int) -> dict[tuple[int, ...], Vector]:
-    """Exact orbit points indexed by exponent tuple; exact backend only."""
-    if not G.exact:
-        raise ValueError("exact orbit enumeration needs exact generators")
-    import itertools
-
-    out = {}
-    powers = []
-    for g in G.generators:
-        pows = {0: Matrix.identity(G.dimension)}
-        for k in range(1, K + 1):
-            pows[k] = g * pows[k - 1]
-        ginv = g.inverse()
-        for k in range(1, K + 1):
-            pows[-k] = ginv * pows[-k + 1]
-        powers.append(pows)
-    for tup in itertools.product(range(-K, K + 1), repeat=len(G.generators)):
-        vec = tuple(u)
-        for pows, k in zip(powers, tup):
-            vec = pows[k].matvec(vec)
-        out[tup] = vec
-    return out
-
-
-# ---------------------------------------------------------------------------
 # inverse recurrence (the dynamical symmetry check on U)
 
 
@@ -655,55 +626,3 @@ def _best_in_box(vals, tgt, pivot, others, B):
         out.append((tuple(tup), float(res[idx])))
     out.sort(key=lambda t: t[1])
     return out
-
-
-# ---------------------------------------------------------------------------
-# density propagation
-
-
-@dataclass
-class PropagationReport:
-    skipped: bool
-    reason: str
-    checked: int = 0
-    failures: list[int] = field(default_factory=list)
-
-
-def density_propagation_check(
-    G: GeneratorSet,
-    family: InvariantFamily,
-    cloud: OrbitCloud,
-    verdict: ClosureVerdict,
-    cfg: ClosureConfig | None = None,
-    ctx: NumericContext | None = None,
-    samples: int = 20,
-    seed: int = 0,
-) -> PropagationReport:
-    """If one orbit is dense in the whole space, all orbits through U must be.
-
-    Samples further base points of U and requires each of their clouds to
-    reach the same full-dimensional covering; any failure is reported as a
-    counterexample candidate (i.e. a numerics bug, not new mathematics).
-    """
-    cfg = cfg or ClosureConfig()
-    ctx = ctx or NumericContext()
-    n = G.dimension
-    full_dim = 2 * n if G.field == COMPLEX else n
-    if verdict.kind != DENSE_IN_AFFINE or verdict.hull_dim != full_dim:
-        return PropagationReport(True, "orbit is not empirically dense in the full space")
-    rng = np.random.default_rng(seed)
-    base = cloud.base_point
-    failures = []
-    checked = 0
-    while checked < samples:
-        offset = rng.uniform(-cfg.window, cfg.window, size=n)
-        if G.field == COMPLEX:
-            offset = offset + 1j * rng.uniform(-cfg.window, cfg.window, size=n)
-        candidate = base + offset
-        if not membership(family, candidate, ctx).in_U:
-            continue
-        sub_verdict, _ = classify_stabilized(G, candidate, cfg, max_exponent=cloud.exponent_bound)
-        checked += 1
-        if sub_verdict is None or sub_verdict.kind != DENSE_IN_AFFINE or sub_verdict.hull_dim != full_dim:
-            failures.append(checked - 1)
-    return PropagationReport(False, "", checked, failures)

@@ -67,7 +67,3 @@ class NoProgress(LindynError):
         if relation is not None:
             msg += f"; integer relation {relation} found among the values"
         super().__init__(msg)
-
-
-class UnsupportedDimension(LindynError):
-    """Density decision requested above the supported ambient dimension."""

@@ -121,25 +121,3 @@ def radical4() -> Fixture:
 
 def all_fixtures() -> list[Fixture]:
     return [shear3(), shear4(), cshear5(), radical4()]
-
-
-def fixture_by_name(name: str) -> Fixture:
-    for f in all_fixtures():
-        if f.name == name:
-            return f
-    raise KeyError(f"unknown fixture {name!r}")
-
-
-def fixture_input_dict(f: Fixture) -> dict:
-    """The fixture as an analyze-input document (for file round trips)."""
-    gens = []
-    for name, g in zip(f.group.names, f.group.generators):
-        gens.append(
-            {"name": name, "rows": [[str(e) for e in row] for row in g.entries()]}
-        )
-    return {
-        "field": f.group.field,
-        "dimension": f.group.dimension,
-        "generators": gens,
-        "points": {k: [str(c) for c in v] for k, v in f.points.items()},
-    }

@@ -107,28 +107,6 @@ def nilpotent_span(G: GeneratorSet) -> NilpotentSpan:
     return NilpotentSpan(vectors, chosen, len(chosen), span)
 
 
-def nilpotent_span_closure_defect(G: GeneratorSet, fam: NilpotentSpan, words) -> int:
-    """How many word-generated directions escape the generator span.
-
-    The family is built from generators alone; group elements are words in
-    them, and this counts (W - mu_W I) e_i outside span(F) over the given
-    exponent words.  Zero means the generator-built span suffices.
-    """
-    n = G.dimension
-    bad = 0
-    for word in words:
-        W = G.word(word)
-        mu = s_form_diagonal(W)
-        N = W - Matrix.identity(n).scale(mu)
-        for i in range(n - 1):
-            vec = N.col(i)
-            if all(x.is_zero() for x in vec):
-                continue
-            if not fam.span.contains(vec):
-                bad += 1
-    return bad
-
-
 def invariant_hull(G: GeneratorSet, u, fam: NilpotentSpan | None = None) -> Subspace:
     """Smallest computed invariant subspace containing u: span{u, v_1..v_r}."""
     fam = fam or nilpotent_span(G)

@@ -511,38 +511,3 @@ def restrict(A: Matrix, space: Subspace, basis: Matrix | None = None) -> Matrix:
                 raise NotInvariant(j, [str(x) for x in resid.col(0)])
         raise NotInvariant(-1, "inconsistent restriction")
     return sol
-
-
-def sum_intersection(U, V):
-    """Bases of U + V and U ∩ V; dims satisfy the modular identity.
-
-    Dispatches on the operands' backend; mixing exact and tolerant subspaces
-    is rejected.
-    """
-    if U.ambient != V.ambient:
-        raise ValueError("ambient dimensions differ")
-    exact_u, exact_v = isinstance(U, Subspace), isinstance(V, Subspace)
-    if exact_u != exact_v:
-        raise ValueError("operands must share a backend")
-    if not exact_u:
-        from .numeric import nsum_intersection
-
-        return nsum_intersection(U, V)
-    n = U.ambient
-    total = Subspace.span(n, U.basis.columns() + V.basis.columns())
-    if U.dim == 0 or V.dim == 0:
-        return total, Subspace(n, Matrix.zeros(n, 0))
-    stacked = U.basis.hstack(-V.basis)
-    ker = kernel(stacked)
-    inter_vecs = []
-    for j in range(ker.dim):
-        coeffs = ker.basis.col(j)[: U.dim]
-        vec = [Scalar.zero()] * n
-        for idx, c in enumerate(coeffs):
-            if c.is_zero():
-                continue
-            col = U.basis.col(idx)
-            vec = [a + c * b for a, b in zip(vec, col)]
-        inter_vecs.append(tuple(vec))
-    inter = Subspace.span(n, inter_vecs)
-    return total, inter

@@ -282,23 +282,3 @@ def nrange(A: np.ndarray, ctx: NumericContext, expected: int | None = None) -> n
         thresh = ctx.eps * max(float(S[0]) if S.size else 0.0, 1e-300)
         expected = int(np.sum(S > thresh))
     return U[:, :expected]
-
-
-def nsum_intersection(Uspace: "NumSubspace", Vspace: "NumSubspace", ctx: NumericContext | None = None):
-    """Tolerant bases of U + V and U ∩ V with the modular dimension identity."""
-    ctx = ctx or NumericContext()
-    n = Uspace.ambient
-    Bu, Bv = Uspace.basis, Vspace.basis
-    if Uspace.dim == 0 or Vspace.dim == 0:
-        total = nrange(np.hstack([Bu, Bv]), ctx) if (Uspace.dim or Vspace.dim) else np.zeros((n, 0), complex)
-        return NumSubspace(n, total), NumSubspace(n, np.zeros((n, 0), dtype=complex))
-    stacked = np.hstack([Bu, -Bv])
-    total_dim = nrank(stacked if stacked.dtype != object else stacked, ctx)
-    total = nrange(np.hstack([Bu, Bv]), ctx, expected=total_dim)
-    ker = nkernel(stacked, ctx, expected=Uspace.dim + Vspace.dim - total_dim)
-    if ker.shape[1] == 0:
-        inter = np.zeros((n, 0), dtype=complex)
-    else:
-        vecs = Bu.astype(complex) @ ker[: Uspace.dim].astype(complex)
-        inter = nrange(vecs, ctx, expected=ker.shape[1])
-    return NumSubspace(n, total), NumSubspace(n, inter)

@@ -89,7 +89,7 @@ def analysis_report(
             if ex is not None:
                 eigen[name] = render_value(ex)
             else:
-                eigen[name] = render_value(b.eigen_numeric[gi].as_complex())
+                eigen[name] = render_value(b.eigen_numeric[gi])
         blocks.append(
             {
                 "dimension": b.dim,
@@ -165,7 +165,3 @@ def analysis_report(
 
 def dumps_report(report: dict[str, Any]) -> str:
     return json.dumps(report, indent=2, sort_keys=False) + "\n"
-
-
-def loads_report(text: str) -> dict[str, Any]:
-    return json.loads(text)

@@ -497,62 +497,3 @@ def is_rationally_independent(
     if not kernel:
         return True, None
     return False, integerize(kernel[0])
-
-
-# -- numeric comparison plumbing ---------------------------------------
-
-
-class NumericScalar:
-    """Floating snapshot of a (possibly exact) value at a given precision."""
-
-    __slots__ = ("re", "im", "prec", "source")
-
-    def __init__(self, re, im, prec: int = 53, source: Scalar | None = None):
-        self.re = re
-        self.im = im
-        self.prec = prec
-        self.source = source
-
-    @staticmethod
-    def from_exact(value: Scalar, prec: int = 128) -> "NumericScalar":
-        z = value.evaluate(prec)
-        return NumericScalar(z.real, z.imag, prec, source=value)
-
-    @staticmethod
-    def from_complex(z: complex, prec: int = 53) -> "NumericScalar":
-        return NumericScalar(z.real, z.imag, prec)
-
-    def as_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
-
-    def close_to(self, other: "NumericScalar", tol: float) -> bool:
-        dz = abs(self.as_complex() - other.as_complex())
-        return dz <= tol
-
-    def __repr__(self):
-        return f"NumericScalar({self.as_complex()}, prec={self.prec})"
-
-
-def stable_compare(a: Scalar, b: Scalar, tol: float = 1e-24, prec: int = 128) -> int:
-    """Three-way compare of real scalars via evaluation, re-checked at 2*prec.
-
-    Returns -1, 0 or +1; raises if the verdict flips when precision doubles.
-    """
-    if not (a.is_real() and b.is_real()):
-        raise ValueError("stable_compare requires real scalars")
-    diff = a - b
-    if diff.is_zero():
-        return 0
-
-    def decide(p):
-        v = diff.evaluate(p).real
-        if abs(v) <= tol:
-            return 0
-        return 1 if v > 0 else -1
-
-    first, second = decide(prec), decide(2 * prec)
-    if first != second:
-        raise ArithmeticError(
-            f"comparison of {a} and {b} unstable under precision doubling"
-        )
-    return first

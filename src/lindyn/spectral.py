@@ -50,7 +50,7 @@ from .numeric import (
     real_part,
     to_numeric,
 )
-from .scalars import NumericScalar, Scalar
+from .scalars import Scalar
 
 
 class _Ambiguous(Exception):
@@ -66,7 +66,7 @@ class SpectralBlock:
     """Joint generalized eigenspace: one eigenvalue per generator on it."""
 
     subspace: Subspace | NumSubspace
-    eigen_numeric: dict[int, NumericScalar]
+    eigen_numeric: dict[int, complex]
     eigen_exact: dict[int, Scalar | None]
     noise: float = 0.0
     conj_partner: int | None = None
@@ -316,7 +316,7 @@ def eigenvalues(
 ):
     """Clustered eigenvalues with multiplicities, cross-checked by kernel dims.
 
-    Returns a list of (NumericScalar, multiplicity, exact_or_None) sorted by
+    Returns a list of (complex, multiplicity, exact_or_None) sorted by
     (re, im).  Raises ClusterAmbiguity when no tried precision separates the
     clusters cleanly.
     """
@@ -328,9 +328,7 @@ def eigenvalues(
         spectrum = _triangular_spectrum(A)
         if spectrum is not None:
             spectrum.sort(key=lambda vm: _exact_sort_key(vm[0]))
-            return [
-                (NumericScalar.from_exact(v, ctx.precision), m, v) for v, m in spectrum
-            ]
+            return [(complex(v.evaluate(ctx.precision)), m, v) for v, m in spectrum]
         if radicands == set():
             rads = set()
             for row in A.entries():
@@ -380,9 +378,7 @@ def _eigenvalues_once(A, ctx: NumericContext, radicands):
                         )
                         if K.dim == mult:
                             exact = cand
-                out.append(
-                    (NumericScalar.from_complex(center, ctx.precision), mult, exact)
-                )
+                out.append((complex(center), mult, exact))
             return out
     raise _Ambiguous("no clustering radius separates the spectrum")
 
@@ -449,15 +445,15 @@ def _refine(G: GeneratorSet, ctx: NumericContext) -> list[SpectralBlock]:
 
     blocks = []
     for blk, restrictions, mus in final:
-        eig_num: dict[int, NumericScalar] = {}
+        eig_num: dict[int, complex] = {}
         eig_exact: dict[int, Scalar | None] = {}
         for gi, mu in enumerate(mus):
             if isinstance(mu, Scalar):
                 eig_exact[gi] = mu
-                eig_num[gi] = NumericScalar.from_exact(mu, ctx.precision)
+                eig_num[gi] = complex(mu.evaluate(ctx.precision))
             else:
                 eig_exact[gi] = None
-                eig_num[gi] = NumericScalar.from_complex(as_complex(mu), ctx.precision)
+                eig_num[gi] = as_complex(mu)
         if blk.exact:
             sub = Subspace(n, blk.basis)
         else:
@@ -468,7 +464,7 @@ def _refine(G: GeneratorSet, ctx: NumericContext) -> list[SpectralBlock]:
     def sort_key(b: SpectralBlock):
         vals = []
         for gi in range(len(G.generators)):
-            z = b.eigen_numeric[gi].as_complex()
+            z = b.eigen_numeric[gi]
             vals.append((round(z.real, 9), round(z.imag, 9)))
         return (tuple(vals), -b.dim)
 
@@ -555,20 +551,20 @@ def _split_numeric(R: np.ndarray, blk: _Block, ctx: NumericContext) -> list[_Blo
 
 
 def _eigen_is_real(block: SpectralBlock, tol: float) -> bool:
-    for gi, ns in block.eigen_numeric.items():
+    for gi, z in block.eigen_numeric.items():
         ex = block.eigen_exact.get(gi)
         if ex is not None:
             if not ex.is_real():
                 return False
-        elif abs(ns.as_complex().imag) > tol * max(1.0, abs(ns.as_complex())):
+        elif abs(z.imag) > tol * max(1.0, abs(z)):
             return False
     return True
 
 
 def _conjugate_maps(a: SpectralBlock, b: SpectralBlock, tol: float) -> bool:
     for gi in a.eigen_numeric:
-        za = a.eigen_numeric[gi].as_complex()
-        zb = b.eigen_numeric[gi].as_complex()
+        za = a.eigen_numeric[gi]
+        zb = b.eigen_numeric[gi]
         if abs(za - zb.conjugate()) > tol * max(1.0, abs(za)):
             return False
     return True
@@ -661,7 +657,7 @@ def pair_conjugates(
 
 def _leader_orientation(blk: SpectralBlock) -> bool:
     for gi in sorted(blk.eigen_numeric):
-        im = blk.eigen_numeric[gi].as_complex().imag
+        im = blk.eigen_numeric[gi].imag
         if abs(im) > 1e-12:
             return im > 0
     return True

@@ -1,4 +1,4 @@
-"""Shared builders for randomized families used across the suite."""
+"""Shared builders for fixtures and randomized families used across the suite."""
 
 from __future__ import annotations
 
@@ -7,10 +7,33 @@ from fractions import Fraction
 
 import pytest
 
+from lindyn.fixtures import Fixture, all_fixtures
 from lindyn.groups import GeneratorSet
 from lindyn.invariants import nilpotent_span
 from lindyn.linalg import Matrix
 from lindyn.scalars import Scalar
+
+
+def fixture_by_name(name: str) -> Fixture:
+    for f in all_fixtures():
+        if f.name == name:
+            return f
+    raise KeyError(f"unknown fixture {name!r}")
+
+
+def fixture_input_dict(f: Fixture) -> dict:
+    """The fixture as an analyze-input document (for file round trips)."""
+    gens = []
+    for name, g in zip(f.group.names, f.group.generators):
+        gens.append(
+            {"name": name, "rows": [[str(e) for e in row] for row in g.entries()]}
+        )
+    return {
+        "field": f.group.field,
+        "dimension": f.group.dimension,
+        "generators": gens,
+        "points": {k: [str(c) for c in v] for k, v in f.points.items()},
+    }
 
 
 def random_scalar(rng: random.Random, radicands=(2, 3), max_num=5, allow_imag=True) -> Scalar:

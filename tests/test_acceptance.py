@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 from conftest import (
+    fixture_by_name,
+    fixture_input_dict,
     random_commuting_family,
     random_lastrow_group,
     random_scalar,
@@ -30,7 +32,7 @@ from lindyn.dynamics import (
     inverse_recurrence_check,
 )
 from lindyn.errors import NoProgress
-from lindyn.fixtures import all_fixtures, fixture_by_name, fixture_input_dict
+from lindyn.fixtures import all_fixtures
 from lindyn.groups import GeneratorSet
 from lindyn.invariants import (
     bounded_restriction_witness,
@@ -41,7 +43,6 @@ from lindyn.invariants import (
 )
 from lindyn.linalg import Matrix, as_vector, kernel, rank
 from lindyn.numeric import NumericContext, nrank, to_numeric
-from lindyn.report import loads_report
 from lindyn.scalars import Scalar, is_rationally_independent
 
 CTX = NumericContext()
@@ -64,7 +65,7 @@ class TestCriterion1InvariantFamilies:
             code = main(["analyze", str(inp), "--output", str(out)])
             elapsed = time.time() - t0
             assert code == 0
-            rep = loads_report(out.read_text())
+            rep = json.loads(out.read_text())
             n = f.group.dimension
             fam = rep["invariant_family"]
             dims_ok = all(
@@ -78,7 +79,7 @@ class TestCriterion1InvariantFamilies:
             details.append(f"{f.name}: r={fam['count']} {elapsed:.2f}s")
         # the three-dimensional shear family has exactly one hyperplane x1 = 0
         inp = tmp_path / "shear3.json"
-        rep = loads_report((tmp_path / "shear3-report.json").read_text())
+        rep = json.loads((tmp_path / "shear3-report.json").read_text())
         sub = rep["invariant_family"]["subspaces"]
         exact_h1 = (
             len(sub) == 1

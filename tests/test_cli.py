@@ -7,10 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import random_commuting_family
+from conftest import fixture_by_name, fixture_input_dict, random_commuting_family
 from lindyn.cli import main
-from lindyn.fixtures import all_fixtures, fixture_by_name, fixture_input_dict
-from lindyn.report import loads_report
+from lindyn.fixtures import all_fixtures
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +76,7 @@ class TestAnalyze:
         out = tmp_path / "report.json"
         code = main(["analyze", fixture_files["shear3"], "--output", str(out)])
         assert code == 0
-        rep = loads_report(out.read_text())
+        rep = json.loads(out.read_text())
         fam = rep["invariant_family"]
         assert fam["count"] == 1
         sub = fam["subspaces"][0]
@@ -115,7 +114,7 @@ class TestAnalyze:
         out = tmp_path / "r.json"
         main(["analyze", fixture_files["cshear5"], "--output", str(out)])
         text = out.read_text()
-        rep = loads_report(text)
+        rep = json.loads(text)
         assert json.dumps(rep, indent=2) + "\n" == text
 
     def test_all_fixture_reports_fast(self, fixture_files, tmp_path):

@@ -14,11 +14,10 @@ from lindyn.density import (
     dense_in,
     determinant_cofactors,
     determinant_zero_search,
-    integer_relation,
     relation_basis,
 )
-from lindyn.errors import UnsupportedDimension
-from lindyn.scalars import Scalar, parse_scalar
+from lindyn.linalg import kernel
+from lindyn.scalars import Scalar, is_rationally_independent, parse_scalar
 
 ONE = Scalar.one()
 ZERO = Scalar.zero()
@@ -32,15 +31,15 @@ def radical_span():
 
 class TestIntegerRelation:
     def test_radical_rows_independent(self):
-        assert integer_relation(radical_span()) is None
+        assert relation_basis(radical_span()) == []
 
     def test_collinear_rationals(self):
         sp = IntegerSpan.of([(ONE, ZERO), (Scalar.from_int(2), ZERO), (ZERO, ONE)], 2)
-        assert integer_relation(sp) == [2, -1, 0]
+        assert relation_basis(sp)[0] == [2, -1, 0]
 
     def test_sqrt8(self):
         sp = IntegerSpan.of([(ONE,), (S2,), (Scalar.sqrt_int(8),)], 1)
-        assert integer_relation(sp) == [0, 2, -1]
+        assert relation_basis(sp)[0] == [0, 2, -1]
 
     def test_relations_annihilate(self, rng):
         for _ in range(20):
@@ -88,9 +87,35 @@ class TestDenseIn:
         v = dense_in(sp)
         assert v.kind == DENSE_IN_PROPER_SUBGROUP and v.span_dim == 1
 
-    def test_dimension_guard(self):
-        with pytest.raises(UnsupportedDimension):
-            dense_in(IntegerSpan.of([(ONE, ONE, ONE, ONE)], 4))
+    @pytest.mark.parametrize(
+        "alphas, kind, character",
+        [
+            (["sqrt(2)", "sqrt(3)", "sqrt(5)", "sqrt(7)"], DENSE, None),
+            (["sqrt(2)", "sqrt(3)", "sqrt(6)", "sqrt(2)+sqrt(3)"], DENSE_IN_PROPER_SUBGROUP, [1, 1, 0, -1, 0]),
+            (["sqrt(2)", "sqrt(3)", "sqrt(5)", "sqrt(7)", "sqrt(11)"], DENSE, None),
+            ([], CLOSED, None),
+        ],
+        ids=["d4-dense", "d4-character", "d5-dense", "d4-lattice"],
+    )
+    def test_kronecker_family(self, alphas, kind, character):
+        # Z^d + Z(a_1..a_d) is dense in R^d iff 1, a_1..a_d are Q-independent
+        # (Kronecker); with no extra vector the coordinate lattice is closed
+        d = len(alphas) or 4
+        unit = [tuple(ONE if i == j else ZERO for i in range(d)) for j in range(d)]
+        extra = [tuple(parse_scalar(a) for a in alphas)] if alphas else []
+        sp = IntegerSpan.of(unit + extra, d)
+        v = dense_in(sp)
+        assert v.kind == kind
+        assert v.character == character
+        if alphas:
+            independent, _ = is_rationally_independent([ONE] + list(extra[0]))
+            assert (v.kind == DENSE) == independent
+        if v.character is not None:
+            # a character s satisfies sum_j x_j s_j = 0 for every relation x
+            ker = kernel(sp.matrix())
+            for j in range(ker.dim):
+                terms = (Scalar.from_int(s) * x for s, x in zip(v.character, ker.basis.col(j)))
+                assert sum(terms, ZERO).is_zero()
 
     def test_rejects_complex_entries(self):
         with pytest.raises(ValueError):

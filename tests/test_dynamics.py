@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 import random
 import warnings
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from conftest import random_lastrow_group
+from conftest import fixture_by_name, random_lastrow_group
 from lindyn.dynamics import (
     _dedup,
     _hull_frame,
@@ -21,13 +22,10 @@ from lindyn.dynamics import (
     approximate_target,
     classify_closure,
     classify_stabilized,
-    density_propagation_check,
     enumerate_orbit,
-    exact_orbit_points,
     inverse_recurrence_check,
 )
 from lindyn.errors import NoProgress, NotConvergent, PointNotInU
-from lindyn.fixtures import fixture_by_name
 from lindyn.groups import GeneratorSet
 from lindyn.invariants import invariant_family
 from lindyn.linalg import Matrix, as_vector
@@ -72,7 +70,7 @@ class TestEnumerate:
     def test_group_law_exact(self, rng):
         G = shear3()
         u = as_vector([1, 1, 0])
-        pts = exact_orbit_points(G, u, 2)
+        pts = {k: G.word(k).matvec(u) for k in itertools.product(range(-2, 3), repeat=2)}
         for _ in range(100):
             k = (rng.randint(-1, 1), rng.randint(-1, 1))
             kp = (rng.randint(-1, 1), rng.randint(-1, 1))
@@ -315,6 +313,16 @@ class TestClassify:
         assert verdict.kind == DISCRETE
         assert K <= 64  # stabilizes long before the cap
 
+    def test_dense_complex_similarity_pair(self):
+        # two commuting similarities of C with dense joint orbit; moduli are
+        # kept near 1 so the window fills at desk-scale exponents
+        a = np.array([[1.02 * np.exp(1j)]], dtype=complex)
+        b = np.array([[1.02 ** (-1 / math.sqrt(2)) * np.exp(1j * math.sqrt(3))]], dtype=complex)
+        G = GeneratorSet("complex", 1, [a, b], ["a", "b"])
+        cloud = enumerate_orbit(G, np.array([1.0 + 0.0j]), 128, CFG)
+        verdict = classify_closure(cloud, CFG)
+        assert verdict.kind == DENSE_IN_AFFINE and verdict.hull_dim == 2
+
 
 class TestApproximateTarget:
     def test_sqrt3_reachable(self):
@@ -422,37 +430,3 @@ class TestInverseRecurrence:
             assert rep.tends_to_zero and rep.final_error < 1e-3
             done += 1
         assert done >= 4
-
-
-class TestDensityPropagation:
-    def test_skipped_for_discrete(self):
-        G = shear3()
-        fam = invariant_family(G, CTX)
-        cloud = enumerate_orbit(G, as_vector([1, 1, 0]), 64, CFG)
-        verdict = classify_closure(cloud, CFG)
-        rep = density_propagation_check(G, fam, cloud, verdict, CFG, CTX)
-        assert rep.skipped
-
-    def test_skipped_for_expanding_line(self):
-        # hyperbolic 1-dim group: orbits are never dense in the plane
-        G = GeneratorSet.from_strings("real", [[["2", "0"], ["0", "1/2"]]])
-        fam = invariant_family(G, CTX)
-        cloud = enumerate_orbit(G, as_vector([1, 1]), 40, CFG)
-        verdict = classify_closure(cloud, CFG)
-        rep = density_propagation_check(G, fam, cloud, verdict, CFG, CTX)
-        assert rep.skipped
-
-    def test_propagates_for_dense_complex_orbit(self):
-        # two commuting similarities of C with dense joint orbit; moduli are
-        # kept near 1 so the window fills at desk-scale exponents
-        a = np.array([[1.02 * np.exp(1j)]], dtype=complex)
-        b = np.array([[1.02 ** (-1 / math.sqrt(2)) * np.exp(1j * math.sqrt(3))]], dtype=complex)
-        G = GeneratorSet("complex", 1, [a, b], ["a", "b"])
-        fam = invariant_family(G, CTX)
-        u = np.array([1.0 + 0.0j])
-        cloud = enumerate_orbit(G, u, 128, CFG)
-        verdict = classify_closure(cloud, CFG)
-        assert verdict.kind == DENSE_IN_AFFINE and verdict.hull_dim == 2
-        rep = density_propagation_check(G, fam, cloud, verdict, CFG, CTX, samples=5, seed=3)
-        assert not rep.skipped
-        assert rep.checked == 5 and rep.failures == []

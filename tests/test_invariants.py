@@ -4,10 +4,10 @@ import random
 import numpy as np
 import pytest
 
-from conftest import random_commuting_family, random_lastrow_group, random_sform_family
+from conftest import fixture_by_name, random_commuting_family, random_lastrow_group, random_sform_family
 from lindyn import invariants
 from lindyn.errors import FirstCoordinateZero, InvarianceViolation, NotConvergent
-from lindyn.fixtures import all_fixtures, fixture_by_name
+from lindyn.fixtures import all_fixtures
 from lindyn.groups import GeneratorSet
 from lindyn.invariants import (
     InvariantTreeNode,
@@ -18,7 +18,7 @@ from lindyn.invariants import (
     invariant_tree,
     membership,
     nilpotent_span,
-    nilpotent_span_closure_defect,
+    s_form_diagonal,
 )
 from lindyn.linalg import Matrix, Subspace, as_vector, matrix_from_strings, restrict, solve
 from lindyn.numeric import NumericContext, NumSubspace, max_abs, nsolve_cols, to_numeric
@@ -94,12 +94,22 @@ class TestNilpotentSpan:
                 assert v[0].is_zero()
 
     def test_word_closure(self, rng):
-        # directions generated by random words stay inside the generator span
+        # directions generated by random words stay inside the generator span:
+        # no column of W - mu_W I escapes span(F) for a word W
         for _ in range(10):
             G = random_sform_family(rng, rng.randint(2, 5))
             fam = nilpotent_span(G)
+            n = G.dimension
             words = [tuple(rng.randint(-3, 3) for _ in G.generators) for _ in range(10)]
-            assert nilpotent_span_closure_defect(G, fam, words) == 0
+            bad = 0
+            for word in words:
+                W = G.word(word)
+                N = W - Matrix.identity(n).scale(s_form_diagonal(W))
+                for i in range(n - 1):
+                    vec = N.col(i)
+                    if not all(x.is_zero() for x in vec) and not fam.span.contains(vec):
+                        bad += 1
+            assert bad == 0
 
 
 class TestInvariantHull:

@@ -16,7 +16,6 @@ from lindyn.linalg import (
     rational_kernel,
     restrict,
     solve,
-    sum_intersection,
     _integer_rows,
 )
 from lindyn.numeric import NumericContext, as_complex, nrank, nsolve_cols, to_numeric
@@ -120,85 +119,6 @@ class TestRestrict:
     def test_defining_equation(self):
         RA = restrict(self.A, self.H)
         assert (self.H.basis * RA) == (self.A * self.H.basis)
-
-
-class TestSumIntersection:
-    def test_coordinate_axes(self):
-        U = Subspace.span(2, [as_vector([1, 0])])
-        V = Subspace.span(2, [as_vector([0, 1])])
-        s, i = sum_intersection(U, V)
-        assert s.dim == 2 and i.dim == 0
-
-    def test_coordinate_hyperplanes(self):
-        E1 = Subspace.span(4, [as_vector(r) for r in ([0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1])])
-        E2 = Subspace.span(4, [as_vector(r) for r in ([1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1])])
-        s, i = sum_intersection(E1, E2)
-        assert s.dim == 4 and i.dim == 2
-
-    def test_dimension_formula_random(self, rng):
-        for _ in range(15):
-            n = 6
-            U = Subspace.span(
-                n, [[Scalar.from_int(rng.randint(-2, 2)) for _ in range(n)] for _ in range(rng.randint(1, 4))]
-            )
-            V = Subspace.span(
-                n, [[Scalar.from_int(rng.randint(-2, 2)) for _ in range(n)] for _ in range(rng.randint(1, 4))]
-            )
-            s, i = sum_intersection(U, V)
-            # oracle: dim(U+V) is the rank of the stacked bases
-            if U.dim and V.dim:
-                stacked = U.basis.hstack(V.basis)
-            elif U.dim:
-                stacked = U.basis
-            else:
-                stacked = V.basis
-            assert s.dim == (rank(stacked) if stacked.cols else 0)
-            assert s.dim + i.dim == U.dim + V.dim
-            for j in range(i.dim):
-                v = i.basis.col(j)
-                assert U.contains(v) and V.contains(v)
-
-
-class TestNumericSumIntersection:
-    def test_tolerant_backend(self, rng):
-        import numpy as np
-
-        from lindyn.numeric import NumericContext, NumSubspace
-
-        ctx = NumericContext()
-        for _ in range(10):
-            n = 6
-            Bu = np.random.default_rng(rng.randint(0, 10**6)).normal(size=(n, rng.randint(1, 4)))
-            Bv = np.random.default_rng(rng.randint(0, 10**6)).normal(size=(n, rng.randint(1, 4)))
-            U = NumSubspace(n, Bu.astype(complex))
-            V = NumSubspace(n, Bv.astype(complex))
-            s, i = sum_intersection(U, V)
-            assert s.dim + i.dim == U.dim + V.dim
-            for j in range(i.dim):
-                v = i.basis[:, j]
-                assert U.contains(v, ctx) and V.contains(v, ctx)
-
-    def test_shared_direction(self):
-        import numpy as np
-
-        from lindyn.numeric import NumSubspace
-
-        n = 4
-        w = np.array([1.0, 2.0, 0.0, 1.0], dtype=complex)
-        U = NumSubspace(n, np.stack([w, np.eye(4, dtype=complex)[0]], axis=1))
-        V = NumSubspace(n, np.stack([w, np.eye(4, dtype=complex)[1]], axis=1))
-        s, i = sum_intersection(U, V)
-        assert s.dim == 3 and i.dim == 1
-
-    def test_mixed_backends_rejected(self):
-        import numpy as np
-
-        from lindyn.numeric import NumSubspace
-
-        U = Subspace.span(2, [as_vector([1, 0])])
-        V = NumSubspace(2, np.eye(2, dtype=complex)[:, :1])
-        with pytest.raises(ValueError):
-            sum_intersection(U, V)
 
 
 class TestBasisChangeAndBackends:

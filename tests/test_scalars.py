@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 
 from lindyn.errors import ParseError
 from lindyn.scalars import (
-    NumericScalar,
     Scalar,
     is_rationally_independent,
     parse_scalar,
     square_free_split,
-    stable_compare,
 )
 
 
@@ -194,20 +192,3 @@ class TestNumeric:
         z = x.to_complex()
         ref = complex(x.evaluate(64))
         assert abs(z - ref) < 1e-12
-
-    def test_stable_compare(self):
-        assert stable_compare(S("sqrt(2)"), S("sqrt(2)")) == 0
-        assert stable_compare(S("sqrt(2)"), S("1")) == 1
-        assert stable_compare(S("1"), S("sqrt(2)")) == -1
-
-    def test_stable_compare_decisions_consistent_under_doubling(self):
-        # close but distinct values: verdict must agree when recomputed at 2p
-        a = S("sqrt(2)")
-        b = Scalar.from_fraction(Fraction(141421356237309505, 10**17))
-        assert stable_compare(a, b, tol=1e-24, prec=128) in (-1, 1)
-
-    def test_numeric_scalar_snapshot(self):
-        ns = NumericScalar.from_exact(S("1+i"), 64)
-        assert abs(ns.as_complex() - complex(1, 1)) < 1e-15
-        other = NumericScalar.from_complex(complex(1, 1))
-        assert ns.close_to(other, 1e-12)

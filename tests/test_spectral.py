@@ -62,12 +62,12 @@ class TestEigenvalues:
             [["0", "0", "0", "-6"], ["1", "0", "0", "0"], ["0", "1", "0", "5"], ["0", "0", "1", "0"]]
         )
         evs = eigenvalues(C, CTX)
-        got = sorted(e[0].as_complex().real for e in evs)
+        got = sorted(e[0].real for e in evs)
         # oracle: numeric values of the known roots
         expected = sorted([-math.sqrt(3), -math.sqrt(2), math.sqrt(2), math.sqrt(3)])
         assert len(evs) == 4
         assert all(abs(a - b) < 1e-9 for a, b in zip(got, expected))
-        assert all(abs(e[0].as_complex().imag) < 1e-9 for e in evs)
+        assert all(abs(e[0].imag) < 1e-9 for e in evs)
 
     def test_recognition_in_field(self):
         val = recognize_in_field(complex(0.5, math.sqrt(3) / 2), {3})
@@ -235,7 +235,7 @@ class TestTriangularize:
         # refinement hands each final block its restrictions; triangularize
         # and the real singleton blocks of pair_conjugates reuse them
         from lindyn import spectral
-        from lindyn.fixtures import fixture_by_name
+        from conftest import fixture_by_name
 
         calls = []
         restrict = spectral._block_restriction
@@ -301,7 +301,6 @@ class TestErrorPaths:
     def test_unmatched_conjugate_raised(self):
         from lindyn.errors import UnmatchedConjugate
         from lindyn.linalg import Subspace
-        from lindyn.scalars import NumericScalar, Scalar
         from lindyn.spectral import SpectralBlock
 
         R = matrix_from_strings([["1/2", "-1/2*sqrt(3)"], ["1/2*sqrt(3)", "1/2"]])
@@ -325,7 +324,7 @@ class TestHighPrecisionPath:
         ctx = NumericContext(precision=128)
         C = matrix_from_strings([["0", "-2"], ["1", "0"]])  # x^2 + 2
         evs = eigenvalues(C, ctx)
-        vals = sorted(e[0].as_complex().imag for e in evs)
+        vals = sorted(e[0].imag for e in evs)
         assert abs(vals[0] + math.sqrt(2)) < 1e-12
         assert abs(vals[1] - math.sqrt(2)) < 1e-12
 
