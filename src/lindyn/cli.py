@@ -51,7 +51,14 @@ def load_input(path: str) -> tuple[GeneratorSet, dict]:
     points = doc.get("points", {})
     if isinstance(points, list):
         points = {f"p{i}": p for i, p in enumerate(points)}
+    for name, coords in points.items():
+        _check_point(f"point {name}", coords, n)
     return G, points
+
+
+def _check_point(what: str, coords, n: int) -> None:
+    if len(coords) != n:
+        raise LindynError(f"{what} has {len(coords)} coordinates, expected {n}")
 
 
 def _contexts(args) -> tuple[NumericContext, ClosureConfig]:
@@ -110,10 +117,7 @@ def cmd_orbit(args) -> int:
     ctx, cfg = _contexts(args)
     G.validate(ctx)
     coords = [c for c in args.point.split(",") if c.strip()]
-    if len(coords) != G.dimension:
-        raise LindynError(
-            f"point has {len(coords)} coordinates, expected {G.dimension}"
-        )
+    _check_point("point", coords, G.dimension)
     vec = as_vector(coords)
     family = invariant_family(G, ctx)
     mem = membership(family, vec, ctx)

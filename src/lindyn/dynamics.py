@@ -428,11 +428,12 @@ def classify_stabilized(
     start: int = 8,
 ) -> tuple[ClosureVerdict, int]:
     """Grow the exponent box K = start, 2start, ... until the verdict repeats twice."""
+    if max_exponent < start:
+        raise ValueError(f"max exponent {max_exponent} is below the first box {start}")
     cfg = cfg or ClosureConfig()
     prev = None
     streak = 0
     K = start
-    verdict = None
     while K <= max_exponent:
         cloud = enumerate_orbit(G, u, K, cfg)
         verdict = classify_closure(cloud, cfg)

@@ -26,7 +26,6 @@ from .linalg import (
     Subspace,
     Vector,
     restrict,
-    solve,
 )
 from .numeric import (
     NumericContext,
@@ -34,7 +33,7 @@ from .numeric import (
     max_abs,
     ninverse,
     nrange,
-    nsolve_cols,
+    nrestrict,
     to_numeric,
     vec_to_numeric,
 )
@@ -135,6 +134,7 @@ class InvariantSubspace:
     block_index: int
     functionals: Matrix | np.ndarray     # rows; H = joint kernel of these
     invariance_residual: float
+    restrictions: list                   # per generator, in subspace.basis; [] when dim is 0
 
     @property
     def dim(self) -> int:
@@ -152,7 +152,6 @@ class InvariantFamily:
     subspaces: list[InvariantSubspace]
     block_change: Matrix | np.ndarray        # Q: stacked block bases
     triangular_change: Matrix | np.ndarray   # P: triangularized composite basis
-    change: BasisChange | None = None        # P with verified inverse (exact path)
     blocks: list[SpectralBlock] = field(default_factory=list)
     groups: list[RealBlockGroup] = field(default_factory=list)
     forms: list[TriangularForm] = field(default_factory=list)
@@ -170,9 +169,9 @@ def invariant_family(G: GeneratorSet, ctx: NumericContext | None = None) -> Inva
         zero_sub = Subspace(1, Matrix.zeros(1, 0))
         functionals = Matrix.identity(1)
         case = CASE_REAL_HYPERPLANE if G.field == REAL else CASE_COMPLEX_HYPERPLANE
-        sub = InvariantSubspace(zero_sub, case, 0, functionals, 0.0)
+        sub = InvariantSubspace(zero_sub, case, 0, functionals, 0.0, [])
         eye = Matrix.identity(1)
-        return InvariantFamily(G.field, 1, [sub], eye, eye, BasisChange.of(eye))
+        return InvariantFamily(G.field, 1, [sub], eye, eye)
 
     blocks = simultaneous_refinement(G, ctx)
 
@@ -198,12 +197,10 @@ def invariant_family(G: GeneratorSet, ctx: NumericContext | None = None) -> Inva
             forms.append(tf)
 
     exact_all = all(isinstance(tb, Matrix) for _, _, tb in units)
-    change = None
     if exact_all:
         Q = _hstack_exact([pb for _, pb, _ in units])
         P = _hstack_exact([tb for _, _, tb in units])
-        change = BasisChange.of(P)
-        P_inv = change.inverse
+        P_inv = BasisChange.of(P).inverse
     else:
         Q = np.hstack([to_numeric(pb, ctx) for _, pb, _ in units])
         P = np.hstack([to_numeric(tb, ctx) for _, _, tb in units])
@@ -221,13 +218,12 @@ def invariant_family(G: GeneratorSet, ctx: NumericContext | None = None) -> Inva
             basis = P.submatrix(range(n), col_idx) if col_idx else Matrix.zeros(n, 0)
             sub = Subspace(n, basis)
             functionals = P_inv.submatrix(range(offset, offset + omit), range(n))
-            residual = _exact_invariance_residual(G, sub)
         else:
             basis = P[:, col_idx] if col_idx else np.zeros((n, 0), dtype=complex)
             sub = NumSubspace(n, basis)
             functionals = P_inv[offset : offset + omit, :]
-            residual = _numeric_invariance_residual(G, sub, ctx)
-        subspaces.append(InvariantSubspace(sub, case, ui, functionals, residual))
+        restrictions, residual = _restrictions(G, sub, ctx)
+        subspaces.append(InvariantSubspace(sub, case, ui, functionals, residual, restrictions))
         offset += width
 
     if len(subspaces) > n:
@@ -239,7 +235,7 @@ def invariant_family(G: GeneratorSet, ctx: NumericContext | None = None) -> Inva
             raise InvarianceViolation(
                 f"invariant subspace has dimension {s.dim}, expected {n-1} or {n-2}"
             )
-    return InvariantFamily(G.field, n, subspaces, Q, P, change, blocks, groups, forms)
+    return InvariantFamily(G.field, n, subspaces, Q, P, blocks, groups, forms)
 
 
 def _hstack_exact(mats: list[Matrix]) -> Matrix:
@@ -249,34 +245,31 @@ def _hstack_exact(mats: list[Matrix]) -> Matrix:
     return out
 
 
-def _exact_invariance_residual(G: GeneratorSet, sub: Subspace) -> float:
-    for g in G.generators:
-        if sub.dim == 0:
-            continue
-        restrict(g, sub)  # raises NotInvariant on failure
-    return 0.0
-
-
 def _numeric_tolerance(ctx: NumericContext) -> float:
     """Bound on a numeric residual divided by the size of its operands."""
     return 1e3 * ctx.eps
 
 
-def _numeric_invariance_residual(G: GeneratorSet, sub: NumSubspace, ctx: NumericContext) -> float:
-    worst = 0.0
+def _restrictions(G: GeneratorSet, sub: Subspace | NumSubspace,
+                  ctx: NumericContext) -> tuple[list, float]:
+    """Every generator restricted to sub, and the worst relative residual.
+
+    This is the invariance check: it raises when sub is not invariant.
+    """
     if sub.dim == 0:
-        return 0.0
+        return [], 0.0
+    if isinstance(sub, Subspace):
+        return [restrict(g, sub.basis) for g in G.generators], 0.0
+    out, worst = [], 0.0
     for g in G.generators:
-        gn = to_numeric(g, ctx)
-        target = gn @ sub.basis
-        _, resid = nsolve_cols(sub.basis, target, ctx)
-        scale = max(1.0, max_abs(gn)) * max(1.0, max_abs(sub.basis))
-        worst = max(worst, resid / scale)
+        X, rel_resid = nrestrict(g, sub.basis, ctx)
+        out.append(X)
+        worst = max(worst, rel_resid)
     if worst > _numeric_tolerance(ctx):
         raise InvarianceViolation(
             f"numeric invariant subspace residual {worst:.3g} exceeds tolerance"
         )
-    return worst
+    return out, worst
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +323,6 @@ class InvariantTreeNode:
 
     def __post_init__(self):
         self.height = 1 + max(c.height for c in self.children) if self.children else 0
-
-    def max_depth(self) -> int:
-        return self.height
 
 
 @dataclass
@@ -404,7 +394,7 @@ class _TreeBuilder:
         if memo is None:
             if budget <= 0:
                 raise InvarianceViolation("invariant tree exceeded its depth budget")
-            restricted = _restrict_group(G, sub, self.ctx)
+            restricted = GeneratorSet(G.field, sub.dim, sub.restrictions, list(G.names))
             fam = invariant_family(restricted, self.ctx)
             memo = InvariantTreeNode(sub.dim, sub.case, fam.count,
                                      self.children(restricted, child_embed, fam, budget))
@@ -432,21 +422,6 @@ def _projector(embed: np.ndarray, ctx: NumericContext) -> np.ndarray:
     """Orthogonal projector of K^n onto the column span of a numeric embedding."""
     U = nrange(embed, ctx, expected=embed.shape[1])
     return U @ U.conj().T
-
-
-def _restrict_group(G: GeneratorSet, sub: InvariantSubspace, ctx: NumericContext) -> GeneratorSet:
-    gens = []
-    if sub.exact and G.exact:
-        space = sub.subspace
-        for g in G.generators:
-            gens.append(restrict(g, space))
-    else:
-        basis = to_numeric(sub.subspace.basis, ctx)
-        for g in G.generators:
-            gn = to_numeric(g, ctx)
-            sol, _ = nsolve_cols(basis, gn @ basis, ctx)
-            gens.append(sol)
-    return GeneratorSet(G.field, sub.dim, gens, list(G.names))
 
 
 # ---------------------------------------------------------------------------
@@ -505,9 +480,7 @@ def bounded_restriction_witness(
     bound = 0.0
     for word, element in zip(words, elements):
         if isinstance(word, Matrix):
-            acc = solve(embed, element * embed)
-            if acc is None or not (embed * acc - element * embed).is_zero():
-                raise InvarianceViolation("sequence element does not preserve the witness subspace")
+            acc = restrict(element, embed)
         else:
             acc = Matrix.identity(gens[0].rows) if gens else Matrix.identity(0)
             for g, k in zip(gens, word):
@@ -531,19 +504,11 @@ def _witness_recurse(G: GeneratorSet, u: Vector, trace: list[str]) -> tuple[Matr
             for j in range(1, n)
         ]
         P = Matrix.from_cols(cols)
-        gens = [solve(P, g * P) for g in G.generators]
-        if any(g is None for g in gens):
-            raise InvarianceViolation("basis change failed in witness recursion")
-        return P, gens
+        return P, [restrict(g, P) for g in G.generators]
 
     trace.append(f"recurse-hull(rank={r})")
     f_basis = Matrix.from_cols([list(v) for v in fam.chosen_vectors()])
-    f_restrictions = []
-    for g in G.generators:
-        sol = solve(f_basis, g * f_basis)
-        if sol is None or not (f_basis * sol - g * f_basis).is_zero():
-            raise InvarianceViolation("nilpotent span is not invariant")
-        f_restrictions.append(sol)
+    f_restrictions = [restrict(g, f_basis) for g in G.generators]
     mus = [s_form_diagonal(g) for g in G.generators]
     from .spectral import _triangularize_exact
 
@@ -553,14 +518,9 @@ def _witness_recurse(G: GeneratorSet, u: Vector, trace: list[str]) -> tuple[Matr
         lead = next((x for x in w if not x.is_zero()))
         w_cols.append([x / lead for x in w])
     hull_basis = Matrix.from_cols([list(u)] + w_cols)
-    restricted = []
-    for g in G.generators:
-        sol = solve(hull_basis, g * hull_basis)
-        if sol is None or not (hull_basis * sol - g * hull_basis).is_zero():
-            raise InvarianceViolation("invariant hull restriction failed")
-        if not sol.is_lower_triangular():
-            raise InvarianceViolation("restricted generator is not lower triangular")
-        restricted.append(sol)
+    restricted = [restrict(g, hull_basis) for g in G.generators]
+    if not all(sol.is_lower_triangular() for sol in restricted):
+        raise InvarianceViolation("restricted generator is not lower triangular")
     sub_group = GeneratorSet(G.field, r + 1, restricted, list(G.names))
     sub_u = tuple([Scalar.one()] + [Scalar.zero()] * r)
     sub_embed, gens = _witness_recurse(sub_group, sub_u, trace)

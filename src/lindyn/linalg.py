@@ -86,9 +86,6 @@ class Matrix:
         i, j = ij
         return self._rows[i][j]
 
-    def row(self, i: int) -> Vector:
-        return self._rows[i]
-
     def col(self, j: int) -> Vector:
         return tuple(r[j] for r in self._rows)
 
@@ -392,12 +389,6 @@ class BasisChange:
     def of(P: Matrix) -> "BasisChange":
         return BasisChange(P, P.inverse())
 
-    def apply(self, v: Sequence[Scalar]) -> Vector:
-        return self.matrix.matvec(v)
-
-    def coordinates(self, v: Sequence[Scalar]) -> Vector:
-        return self.inverse.matvec(v)
-
 
 @dataclass(frozen=True)
 class Subspace:
@@ -490,23 +481,23 @@ def row_reduce_basis(vectors: Sequence[Vector]) -> list[Vector]:
     return ech.basis()
 
 
-def restrict(A: Matrix, space: Subspace, basis: Matrix | None = None) -> Matrix:
-    """Matrix of A restricted to an A-invariant subspace, in the given basis.
+def restrict(A: Matrix, basis: Matrix) -> Matrix:
+    """Matrix of A restricted to the A-invariant span of the basis columns.
 
     Raises NotInvariant when some basis image leaves the span.
     """
-    B = basis if basis is not None else space.basis
-    if B.cols == 0:
+    if basis.cols == 0:
         return Matrix.zeros(0, 0)
-    target = A * B
-    sol = solve(B, target)
-    if sol is None or not (B * sol - target).is_zero():
+    target = A * basis
+    sol = solve(basis, target)
+    if sol is None or not (basis * sol - target).is_zero():
         # locate the offending column for the error report
-        for j in range(B.cols):
-            col_sol = solve(B, Matrix.from_cols([list(target.col(j))]))
+        for j in range(basis.cols):
+            col = Matrix.from_cols([list(target.col(j))])
+            col_sol = solve(basis, col)
             if col_sol is None:
                 raise NotInvariant(j, "exact solve inconsistent")
-            resid = B * col_sol - Matrix.from_cols([list(target.col(j))])
+            resid = basis * col_sol - col
             if not resid.is_zero():
                 raise NotInvariant(j, [str(x) for x in resid.col(0)])
         raise NotInvariant(-1, "inconsistent restriction")

@@ -210,6 +210,17 @@ def nsolve_cols(B: np.ndarray, Y: np.ndarray, ctx: NumericContext):
     return X, residual
 
 
+def nrestrict(A, basis, ctx: NumericContext):
+    """Least-squares restriction X of A to the span of the basis columns,
+    with the residual of ``basis X = A basis`` relative to the operand sizes.
+
+    Callers decide whether the residual shows the span is invariant.
+    """
+    A, basis = to_numeric(A, ctx), to_numeric(basis, ctx)
+    X, resid = nsolve_cols(basis, A @ basis, ctx)
+    return X, resid / (max(1.0, max_abs(A)) * max(1.0, max_abs(basis)))
+
+
 def ninverse(A: np.ndarray, ctx: NumericContext) -> np.ndarray:
     if ctx.high:
         with mpmath.workprec(ctx.precision):
@@ -261,13 +272,6 @@ class NumSubspace:
     @property
     def dim(self) -> int:
         return self.basis.shape[1]
-
-    def contains(self, v: np.ndarray, ctx: NumericContext) -> bool:
-        if self.dim == 0:
-            return max_abs(v.reshape(-1, 1)) <= ctx.eps
-        _, res = nsolve_cols(self.basis, v.reshape(-1, 1), ctx)
-        scale = max(max_abs(self.basis), max_abs(v.reshape(-1, 1)), 1.0)
-        return res <= ctx.eps * scale
 
 
 def nrange(A: np.ndarray, ctx: NumericContext, expected: int | None = None) -> np.ndarray:

@@ -32,7 +32,7 @@ from .errors import (
     UnmatchedConjugate,
 )
 from .groups import REAL, GeneratorSet
-from .linalg import Matrix, RowEchelon, Subspace, kernel, row_reduce_basis, solve
+from .linalg import Matrix, RowEchelon, Subspace, kernel, restrict, row_reduce_basis, solve
 from .numeric import (
     NumericContext,
     NumSubspace,
@@ -45,6 +45,7 @@ from .numeric import (
     npower,
     nrank,
     nconj,
+    nrestrict,
     nsolve_cols,
     nsvd,
     real_part,
@@ -91,7 +92,6 @@ class TriangularForm:
     """Common basis in which every generator is lower triangular."""
 
     basis: Matrix | np.ndarray          # ambient columns, triangular order
-    coeff_change: Matrix | np.ndarray   # d x d change from the block basis
     triangular: list                    # per-generator restricted matrices
     diagonal: list                      # per-generator repeated value mu
 
@@ -125,25 +125,10 @@ class _Block:
 # restriction helpers
 
 
-def _restrict_exact(g: Matrix, basis: Matrix) -> Matrix:
-    target = g * basis
-    sol = solve(basis, target)
-    if sol is None or not (basis * sol - target).is_zero():
-        raise InvarianceViolation("exact block basis is not invariant")
-    return sol
-
-
-def _restrict_numeric(g, basis, ctx: NumericContext):
-    target = g @ basis
-    sol, resid = nsolve_cols(basis, target, ctx)
-    scale = max(1.0, max_abs(g)) * max(1.0, max_abs(basis))
-    return sol, resid / scale
-
-
 def _block_restriction(g, blk: _Block, ctx: NumericContext):
     if blk.exact and isinstance(g, Matrix):
-        return _restrict_exact(g, blk.basis)
-    sol, rel_resid = _restrict_numeric(to_numeric(g, ctx), to_numeric(blk.basis, ctx), ctx)
+        return restrict(g, blk.basis)
+    sol, rel_resid = nrestrict(g, blk.basis, ctx)
     if rel_resid > 1e3 * max(ctx.eps, blk.noise):
         raise InvarianceViolation(
             f"numeric block basis is not invariant (residual {rel_resid:.3g})"
@@ -713,7 +698,7 @@ def triangularize(
         basis = blk.basis * coeff_change
     else:
         basis = to_numeric(blk.basis, ctx) @ to_numeric(coeff_change, ctx)
-    return TriangularForm(basis, coeff_change, tri, mus)
+    return TriangularForm(basis, tri, mus)
 
 
 def _triangularize_exact(restrictions: list[Matrix], mus: list[Scalar]):

@@ -155,6 +155,23 @@ class TestAnalyze:
         assert main(["analyze", str(p), "--precision", "128"]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_point_length_checked(self, tmp_path, capsys):
+        # a short point used to be read as a truncated vector: in_U true on shear3
+        doc = fixture_input_dict(fixture_by_name("shear3"))
+        doc["points"] = {"short": ["1", "1"]}
+        p = tmp_path / "short.json"
+        p.write_text(json.dumps(doc))
+        assert main(["analyze", str(p)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: point short has 2 coordinates, expected 3\n"
+
+    def test_max_exponent_below_first_box(self, fixture_files, capsys):
+        code = main(["analyze", fixture_files["shear3"], "--classify-points",
+                     "--max-exponent", "4"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: max exponent 4")
+
     def test_n1_report(self, tmp_path):
         doc = {"field": "real", "dimension": 1, "generators": [{"name": "A", "rows": [["2"]]}]}
         p = tmp_path / "one.json"
@@ -195,6 +212,12 @@ class TestOrbit:
         code, _, err = run_cli(["orbit", fixture_files["shear3"], "--point", "1,2"])
         assert code == 1
         assert "coordinates" in err
+
+    def test_max_exponent_below_first_box(self, fixture_files):
+        code, out, err = run_cli(["orbit", fixture_files["shear3"], "--point", "1,1,0",
+                                  "--max-exponent", "7"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: max exponent 7") and "Traceback" not in err
 
     def test_dump_points(self, fixture_files, tmp_path, capsys):
         dump = tmp_path / "cloud.csv"

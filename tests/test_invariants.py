@@ -11,7 +11,6 @@ from lindyn.fixtures import all_fixtures
 from lindyn.groups import GeneratorSet
 from lindyn.invariants import (
     InvariantTreeNode,
-    _restrict_group,
     bounded_restriction_witness,
     invariant_family,
     invariant_hull,
@@ -41,7 +40,13 @@ def naive_tree(G, ctx, budget, case=None):
         if sub.dim == 0:
             children.append(InvariantTreeNode(0, sub.case, 0, []))
             continue
-        children.append(naive_tree(_restrict_group(G, sub, ctx), ctx, budget - 1, sub.case))
+        if sub.exact and G.exact:
+            gens = [restrict(g, sub.subspace.basis) for g in G.generators]
+        else:
+            basis = to_numeric(sub.subspace.basis, ctx)
+            gens = [nsolve_cols(basis, to_numeric(g, ctx) @ basis, ctx)[0] for g in G.generators]
+        restricted = GeneratorSet(G.field, sub.dim, gens, list(G.names))
+        children.append(naive_tree(restricted, ctx, budget - 1, sub.case))
     return InvariantTreeNode(n, case, fam.count, children)
 
 
@@ -49,7 +54,7 @@ def assert_tree_matches_naive(G, ctx=CTX):
     tree = invariant_tree(G, ctx)
     expected = naive_tree(G, ctx, G.dimension)
     assert render_tree(tree.root) == render_tree(expected)
-    assert tree.depth == expected.max_depth()
+    assert tree.depth == expected.height
     return tree
 
 
@@ -174,7 +179,7 @@ class TestInvariantFamily:
                 if s.exact:
                     for g in G.generators:
                         if s.dim:
-                            restrict(g, s.subspace)  # raises if not invariant
+                            restrict(g, s.subspace.basis)  # raises if not invariant
                 else:
                     for g in G.generators:
                         gn = to_numeric(g, CTX)
@@ -295,6 +300,25 @@ class TestInvariantTree:
         assert len(calls) == 2**n - 1
         assert tree.depth == n
         assert all(s.exact != numeric for s in tree.family.subspaces)
+
+    def test_restrictions_computed_once(self, monkeypatch):
+        # the invariance check of each family restricts every generator to
+        # each subspace, and the tree builds the child group from those.
+        # Distinct subspaces can give equal local matrices, so a generator is
+        # keyed by identity and held, which keeps its id from being reused
+        calls, held = [], []
+        restrict = invariants.restrict
+
+        def counting(A, basis):
+            calls.append((id(A), basis))
+            held.append(A)
+            return restrict(A, basis)
+
+        monkeypatch.setattr(invariants, "restrict", counting)
+        for G in (diagonal_group(4), shear3()):
+            calls.clear()
+            invariant_tree(G, CTX)
+            assert calls and len(calls) == len(set(calls))
 
     def test_depth_budget(self):
         G = diagonal_group(4)

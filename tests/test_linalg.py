@@ -98,26 +98,26 @@ class TestRestrict:
         self.H = Subspace(4, Matrix.from_cols([list(u), list(e4)]))
 
     def test_restriction_values(self):
-        RA = restrict(self.A, self.H)
-        RB = restrict(self.B, self.H)
+        RA = restrict(self.A, self.H.basis)
+        RB = restrict(self.B, self.H.basis)
         assert RA == matrix_from_strings([["1", "0"], ["sqrt(2)", "1"]])
         assert RB == matrix_from_strings([["1", "0"], ["1", "1"]])
 
     def test_restrict_identity(self):
-        assert restrict(Matrix.identity(4), self.H) == Matrix.identity(2)
+        assert restrict(Matrix.identity(4), self.H.basis) == Matrix.identity(2)
 
     def test_not_invariant(self):
         bad = Subspace(4, Matrix.from_cols([[Scalar.one(), Scalar.zero(), Scalar.zero(), Scalar.zero()]]))
         with pytest.raises(NotInvariant):
-            restrict(self.A, bad)
+            restrict(self.A, bad.basis)
 
     def test_functorial(self):
-        RA = restrict(self.A, self.H)
-        RB = restrict(self.B, self.H)
-        assert restrict(self.A * self.B, self.H) == RA * RB
+        RA = restrict(self.A, self.H.basis)
+        RB = restrict(self.B, self.H.basis)
+        assert restrict(self.A * self.B, self.H.basis) == RA * RB
 
     def test_defining_equation(self):
-        RA = restrict(self.A, self.H)
+        RA = restrict(self.A, self.H.basis)
         assert (self.H.basis * RA) == (self.A * self.H.basis)
 
 
