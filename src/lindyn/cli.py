@@ -116,7 +116,9 @@ def cmd_orbit(args) -> int:
     G, _ = load_input(args.input)
     ctx, cfg = _contexts(args)
     G.validate(ctx)
-    coords = [c for c in args.point.split(",") if c.strip()]
+    coords = args.point.split(",")
+    if not all(c.strip() for c in coords):
+        raise LindynError(f"point {args.point!r} has an empty coordinate")
     _check_point("point", coords, G.dimension)
     vec = as_vector(coords)
     family = invariant_family(G, ctx)

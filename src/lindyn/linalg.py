@@ -9,6 +9,13 @@ previous pivot.  A matrix with any radical or imaginary entry runs on
 Scalars.  Kernels and solves finish with exact back-substitution (in
 Fractions on the integer path) so basis vectors come out with unit entries at
 their free coordinates, which keeps every derived basis deterministic.
+
+A :class:`Subspace` checks that its basis is independent.  It first looks for
+a private row per column, a row where that column alone is nonzero; when
+every column has one the columns are independent, at the cost of one pass
+over the entries.  Kernel bases (a unit at each free coordinate) and
+reduced-echelon span bases (a unit at each pivot) always have them, so only
+other bases pay for an elimination.
 """
 
 from __future__ import annotations
@@ -390,6 +397,21 @@ class BasisChange:
         return BasisChange(P, P.inverse())
 
 
+def _has_private_rows(M: Matrix) -> bool:
+    """True when every column has a private row, one where it alone is nonzero.
+
+    A combination of the columns that vanishes is zero in each column's
+    private row, so its coefficients are all zero: the columns are
+    independent, certified without elimination.
+    """
+    found = set()
+    for row in M.entries():
+        nonzero = [j for j, a in enumerate(row) if a]
+        if len(nonzero) == 1:
+            found.add(nonzero[0])
+    return len(found) == M.cols
+
+
 @dataclass(frozen=True)
 class Subspace:
     """Span of the columns of ``basis`` inside an ambient exact space."""
@@ -400,8 +422,9 @@ class Subspace:
     def __post_init__(self):
         if self.basis.cols and self.basis.rows != self.ambient:
             raise ValueError("basis vectors have wrong length")
-        if self.basis.cols and rank(self.basis) != self.basis.cols:
-            raise ValueError("basis vectors are linearly dependent")
+        if self.basis.cols and not _has_private_rows(self.basis):
+            if rank(self.basis) != self.basis.cols:
+                raise ValueError("basis vectors are linearly dependent")
 
     @property
     def dim(self) -> int:

@@ -6,6 +6,12 @@ A :class:`Scalar` is a finite sum of terms ``q * sqrt(d) * i^e`` with rational
 equality and rational-independence questions reduce to exact linear algebra
 over the coefficient vectors.  Numeric evaluation goes through mpmath at a
 configurable precision; a fast ``complex`` path exists for bulk sampling.
+
+Canonical means the terms are keyed by ``(d, e)``, sorted by key, with no
+zero coefficient.  Most arithmetic in the exact kernel is on zero or on
+single terms, mostly rationals, so sums, differences, negations and products
+with a zero operand, or of two single terms, build their canonical result
+directly; only longer sums run the general term loop and sort its keys.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from .errors import ParseError
 Key = tuple[int, bool]  # (squarefree radicand, imaginary flag)
 
 _RATIONAL_KEY: Key = (1, False)
+_FRACTION_ZERO = Fraction(0)
 
 
 @lru_cache(maxsize=None)
@@ -54,15 +61,12 @@ def smallest_prime_factor(n: int) -> int:
     return n
 
 
-def _mul_key(k1: Key, k2: Key) -> tuple[Key, Fraction]:
-    """Product of two basis elements as (key, rational cofactor)."""
+def _mul_key(k1: Key, k2: Key) -> tuple[Key, int]:
+    """Product of two basis elements as (key, integer cofactor)."""
     d1, i1 = k1
     d2, i2 = k2
     g = math.gcd(d1, d2)
-    coeff = Fraction(g)
-    if i1 and i2:
-        coeff = -coeff
-    return ((d1 // g) * (d2 // g), i1 != i2), coeff
+    return ((d1 // g) * (d2 // g), i1 != i2), -g if i1 and i2 else g
 
 
 class Scalar:
@@ -71,20 +75,25 @@ class Scalar:
     __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: dict[Key, Fraction] | None = None):
-        clean = {}
-        if terms:
-            for key, coeff in terms.items():
-                if coeff:
-                    clean[key] = coeff
-        self._terms = dict(sorted(clean.items()))
+        clean = {k: c for k, c in terms.items() if c} if terms else {}
+        self._terms = dict(sorted(clean.items())) if len(clean) > 1 else clean
         self._hash = None
+
+    @staticmethod
+    def _canonical(terms: dict[Key, Fraction]) -> "Scalar":
+        """Wrap terms that are already canonical: sorted, no zero coefficient."""
+        s = object.__new__(Scalar)
+        s._terms = terms
+        s._hash = None
+        return s
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def from_fraction(q) -> "Scalar":
-        q = Fraction(q)
-        return Scalar({_RATIONAL_KEY: q})
+        if not isinstance(q, Fraction):
+            q = Fraction(q)
+        return Scalar._canonical({_RATIONAL_KEY: q} if q else {})
 
     @staticmethod
     def from_int(n: int) -> "Scalar":
@@ -92,7 +101,7 @@ class Scalar:
 
     @staticmethod
     def zero() -> "Scalar":
-        return Scalar()
+        return Scalar._canonical({})
 
     @staticmethod
     def one() -> "Scalar":
@@ -133,7 +142,7 @@ class Scalar:
     def rational_value(self) -> Fraction | None:
         """The value as a Fraction, or None when it is not rational."""
         if not self._terms:
-            return Fraction(0)
+            return _FRACTION_ZERO
         if len(self._terms) > 1:
             return None
         return self._terms.get(_RATIONAL_KEY)
@@ -141,7 +150,7 @@ class Scalar:
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self._terms.get(_RATIONAL_KEY, Fraction(0))
+        return self._terms.get(_RATIONAL_KEY, _FRACTION_ZERO)
 
     def radicands(self) -> set[int]:
         return {d for (d, _) in self._terms if d > 1}
@@ -166,21 +175,26 @@ class Scalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms = dict(self._terms)
-        for k, c in other._terms.items():
-            terms[k] = terms.get(k, Fraction(0)) + c
-        return Scalar(terms)
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other
+        return self._sum(other._terms, False)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar({k: -c for k, c in self._terms.items()})
+        return Scalar._canonical({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        if not other._terms:
+            return self
+        if not self._terms:
+            return -other
+        return self._sum(other._terms, True)
 
     def __rsub__(self, other):
         other = _coerce(other)
@@ -188,17 +202,46 @@ class Scalar:
             return NotImplemented
         return other - self
 
+    def _sum(self, other: dict[Key, Fraction], negate: bool) -> "Scalar":
+        """self + other, or self - other when negate, for nonzero operands."""
+        terms = self._terms
+        if len(terms) == 1 and len(other) == 1:
+            (k1, c1), = terms.items()
+            (k2, c2), = other.items()
+            if negate:
+                c2 = -c2
+            if k1 == k2:
+                c = c1 + c2
+                return Scalar._canonical({k1: c} if c else {})
+            return Scalar._canonical({k1: c1, k2: c2} if k1 < k2 else {k2: c2, k1: c1})
+        terms = dict(terms)
+        for k, c in other.items():
+            if negate:
+                c = -c
+            terms[k] = terms[k] + c if k in terms else c
+        return Scalar(terms)
+
     def __mul__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not self._terms:
+            return self
+        if not other._terms:
+            return other
+        if len(self._terms) == 1 and len(other._terms) == 1:
+            (k1, c1), = self._terms.items()
+            (k2, c2), = other._terms.items()
+            if k1 == _RATIONAL_KEY:
+                return Scalar._canonical({k2: c1 * c2})
+            if k2 == _RATIONAL_KEY:
+                return Scalar._canonical({k1: c1 * c2})
         terms: dict[Key, Fraction] = {}
         for k1, c1 in self._terms.items():
             for k2, c2 in other._terms.items():
                 key, extra = _mul_key(k1, k2)
                 c = c1 * c2 * extra
-                if c:
-                    terms[key] = terms.get(key, Fraction(0)) + c
+                terms[key] = terms[key] + c if key in terms else c
         return Scalar(terms)
 
     __rmul__ = __mul__

@@ -213,6 +213,14 @@ class TestOrbit:
         assert code == 1
         assert "coordinates" in err
 
+    def test_empty_point_field_rejected(self, fixture_files, capsys):
+        # "1,,1,0" once passed the length check as (1, 1, 0)
+        for point in ["1,,1,0", "1,1,0,", " ,1,1", "1, ,0"]:
+            code = main(["orbit", fixture_files["shear3"], "--point", point])
+            out, err = capsys.readouterr()
+            assert code == 1 and out == ""
+            assert err == f"error: point {point!r} has an empty coordinate\n"
+
     def test_max_exponent_below_first_box(self, fixture_files):
         code, out, err = run_cli(["orbit", fixture_files["shear3"], "--point", "1,1,0",
                                   "--max-exponent", "7"])

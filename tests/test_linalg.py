@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_integer_matrix, random_scalar
+from lindyn import linalg
 from lindyn.errors import InvarianceViolation, NotInvariant
 from lindyn.linalg import (
     Matrix,
@@ -300,3 +301,45 @@ class TestIntegerElimination:
         X = solve(M, B)
         assert M * X == B
         assert X == M.inverse() * B
+
+
+class TestIndependenceCertificate:
+    """Subspace bases are checked by private rows first, by rank otherwise."""
+
+    def test_dependent_bases_raise(self):
+        for cols in (
+            [[1, 2, 3], [0, 0, 0]],              # a zero column
+            [[1, 2, 3], [1, 2, 3]],              # a repeated column
+            [[1, 1, 0], [0, 1, 1], [1, 2, 1]],   # c3 = c1 + c2, no private row
+            [[1, 0, 0], [0, 1, 1], [0, 2, 2]],   # only c1 has a private row
+        ):
+            with pytest.raises(ValueError, match="dependent"):
+                Subspace(3, Matrix.from_cols(cols))
+
+    def test_basis_without_private_rows_goes_through_rank(self, monkeypatch):
+        calls = []
+
+        def counting_rank(M):
+            calls.append(M)
+            return rank(M)
+
+        monkeypatch.setattr(linalg, "rank", counting_rank)
+        assert Subspace(2, Matrix.from_rows([[1, 1], [1, -1]])).dim == 2
+        assert len(calls) == 1
+
+    def test_kernel_and_span_never_call_rank(self, monkeypatch):
+        def no_rank(M):
+            raise AssertionError("rank called")
+
+        monkeypatch.setattr(linalg, "rank", no_rank)
+        rng = random.Random(2718)
+        for _ in range(60):
+            r, c = rng.randint(1, 6), rng.randint(1, 6)
+            rows = _random_rational_rows(rng, r, c)
+            if rng.random() < 0.3:
+                rows[0] = [random_scalar(rng, radicands=(2,)) for _ in range(c)]
+            M = Matrix.from_rows(rows)
+            # the module-level rank is the unpatched function
+            assert kernel(M).dim == c - rank(M)
+            assert Subspace.span(c, M.entries()).dim == rank(M)
+            assert Subspace.span(r, M.columns()).dim == rank(M)

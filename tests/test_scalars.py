@@ -180,6 +180,60 @@ class TestFieldAxioms:
         assert parse_scalar(str(a)) == a
 
 
+# coefficients that often cancel, and keys that often coincide
+coeff_strategy = st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2)]) | (
+    st.fractions(max_denominator=20).filter(bool)
+)
+key_strategy = st.tuples(st.sampled_from([1, 2, 3, 6]), st.booleans())
+operand_strategy = st.one_of(
+    st.just(Scalar.zero()),
+    coeff_strategy.map(Scalar.from_fraction),
+    st.builds(lambda k, c: Scalar({k: c}), key_strategy, coeff_strategy),
+    st.dictionaries(key_strategy, coeff_strategy, min_size=2, max_size=5).map(Scalar),
+)
+
+
+def _term_loop(op, a, b):
+    """Canonical terms of a op b by the general term loop, built from the
+    operands' terms alone: summed per key, zeros dropped, keys sorted."""
+    if op == "*":
+        pairs = []
+        for (d1, i1), c1 in a.terms.items():
+            for (d2, i2), c2 in b.terms.items():
+                g = math.gcd(d1, d2)
+                sign = -1 if i1 and i2 else 1
+                pairs.append((((d1 // g) * (d2 // g), i1 != i2), sign * g * c1 * c2))
+    else:
+        sign = 1 if op == "+" else -1
+        pairs = list(a.terms.items()) + [(k, sign * c) for k, c in b.terms.items()]
+    out = {}
+    for k, c in pairs:
+        out[k] = out.get(k, Fraction(0)) + c
+    return sorted((k, c) for k, c in out.items() if c)
+
+
+class TestFastPath:
+    """One-term and zero operands take a short path; the result must be the
+    canonical form the general term loop gives."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(operand_strategy, operand_strategy)
+    def test_matches_general_term_loop(self, a, b):
+        cases = [
+            (a + b, _term_loop("+", a, b)),
+            (a - b, _term_loop("-", a, b)),
+            (a * b, _term_loop("*", a, b)),
+            (-a, _term_loop("-", Scalar.zero(), a)),
+        ]
+        for got, want in cases:
+            assert list(got.terms.items()) == want
+            assert all(isinstance(c, Fraction) and c != 0 for c in got.terms.values())
+            expected = Scalar(dict(want))
+            assert got == expected
+            assert hash(got) == hash(expected)
+            assert str(got) == str(expected)
+
+
 class TestNumeric:
     def test_evaluate_precision(self):
         x = S("sqrt(2)")
