@@ -422,9 +422,9 @@ class Subspace:
     def __post_init__(self):
         if self.basis.cols and self.basis.rows != self.ambient:
             raise ValueError("basis vectors have wrong length")
-        if self.basis.cols and not _has_private_rows(self.basis):
-            if rank(self.basis) != self.basis.cols:
-                raise ValueError("basis vectors are linearly dependent")
+        cols = self.basis.cols
+        if cols and not _has_private_rows(self.basis) and rank(self.basis) != cols:
+            raise ValueError("basis vectors are linearly dependent")
 
     @property
     def dim(self) -> int:
