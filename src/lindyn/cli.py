@@ -62,6 +62,11 @@ def _check_point(what: str, coords, n: int) -> None:
 
 
 def _contexts(args) -> tuple[NumericContext, ClosureConfig]:
+    if args.precision < 53:
+        raise LindynError(f"precision {args.precision} is below 53 bits")
+    for flag, value in (("--tol", args.tol), ("--gap-threshold", args.gap_threshold)):
+        if not value > 0:
+            raise LindynError(f"{flag} must be positive, got {value:g}")
     ctx = NumericContext(precision=args.precision, eps=args.tol)
     cfg = ClosureConfig(
         gap_threshold=args.gap_threshold,
@@ -72,7 +77,8 @@ def _contexts(args) -> tuple[NumericContext, ClosureConfig]:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--precision", type=int, default=128,
-                   help="working precision in bits for numeric fallbacks (default 128)")
+                   help="working precision in bits for numeric fallbacks, "
+                   "at least 53 (default 128)")
     p.add_argument("--tol", type=float, default=1e-9,
                    help="relative tolerance for tolerant comparisons (default 1e-9)")
     p.add_argument("--gap-threshold", type=float, default=0.01,
@@ -153,6 +159,8 @@ def _dump_points_csv(points: np.ndarray, fieldname: str, path: str) -> None:
 
 def cmd_verify_examples(args) -> int:
     ctx, cfg = _contexts(args)
+    if args.dense_exponent is not None and args.dense_exponent < 1:
+        raise LindynError(f"dense exponent {args.dense_exponent} is below 1")
     results = verify_all(ctx, cfg, dense_K=args.dense_exponent)
     failures = 0
     for r in results:

@@ -30,6 +30,8 @@ class GeneratorSet:
         if not self.names:
             self.names = [f"g{k}" for k in range(len(self.generators))]
         n = self.dimension
+        if n < 1:
+            raise ValueError(f"dimension must be at least 1, got {n}")
         for g in self.generators:
             shape = (g.rows, g.cols) if isinstance(g, Matrix) else g.shape
             if shape != (n, n):

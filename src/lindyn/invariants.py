@@ -3,13 +3,16 @@
 Computes the family H_1..H_r of invariant subspaces of codimension 1 or 2
 whose complement U is a dense open set, the nilpotent-direction span and
 invariant hull that drive the bounded-restriction recursion, and the
-recursive invariant tree certifying that chains of invariant subspaces have
-length at most n.
+invariant tree certifying that chains of invariant subspaces have length at
+most n.  The tree is read off the family's triangular basis P: every
+generator is lower triangular on each unit of P's columns, so a node is the
+tuple of its units' remaining widths and no family below the root is
+computed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,7 +35,6 @@ from .numeric import (
     NumSubspace,
     max_abs,
     ninverse,
-    nrange,
     nrestrict,
     to_numeric,
     vec_to_numeric,
@@ -134,7 +136,7 @@ class InvariantSubspace:
     block_index: int
     functionals: Matrix | np.ndarray     # rows; H = joint kernel of these
     invariance_residual: float
-    restrictions: list                   # per generator, in subspace.basis; [] when dim is 0
+    width: int                           # columns of its unit in P; it drops the leading codim
 
     @property
     def dim(self) -> int:
@@ -169,7 +171,7 @@ def invariant_family(G: GeneratorSet, ctx: NumericContext | None = None) -> Inva
         zero_sub = Subspace(1, Matrix.zeros(1, 0))
         functionals = Matrix.identity(1)
         case = CASE_REAL_HYPERPLANE if G.field == REAL else CASE_COMPLEX_HYPERPLANE
-        sub = InvariantSubspace(zero_sub, case, 0, functionals, 0.0, [])
+        sub = InvariantSubspace(zero_sub, case, 0, functionals, 0.0, 1)
         eye = Matrix.identity(1)
         return InvariantFamily(G.field, 1, [sub], eye, eye)
 
@@ -222,8 +224,8 @@ def invariant_family(G: GeneratorSet, ctx: NumericContext | None = None) -> Inva
             basis = P[:, col_idx] if col_idx else np.zeros((n, 0), dtype=complex)
             sub = NumSubspace(n, basis)
             functionals = P_inv[offset : offset + omit, :]
-        restrictions, residual = _restrictions(G, sub, ctx)
-        subspaces.append(InvariantSubspace(sub, case, ui, functionals, residual, restrictions))
+        residual = _invariance_residual(G, sub, ctx)
+        subspaces.append(InvariantSubspace(sub, case, ui, functionals, residual, width))
         offset += width
 
     if len(subspaces) > n:
@@ -245,31 +247,25 @@ def _hstack_exact(mats: list[Matrix]) -> Matrix:
     return out
 
 
-def _numeric_tolerance(ctx: NumericContext) -> float:
-    """Bound on a numeric residual divided by the size of its operands."""
-    return 1e3 * ctx.eps
+def _invariance_residual(G: GeneratorSet, sub: Subspace | NumSubspace,
+                         ctx: NumericContext) -> float:
+    """Worst relative residual of restricting every generator to sub.
 
-
-def _restrictions(G: GeneratorSet, sub: Subspace | NumSubspace,
-                  ctx: NumericContext) -> tuple[list, float]:
-    """Every generator restricted to sub, and the worst relative residual.
-
-    This is the invariance check: it raises when sub is not invariant.
+    This is the invariance check: it raises when sub is not invariant, for a
+    numeric sub when the residual relative to the operands exceeds 1e3 eps.
     """
     if sub.dim == 0:
-        return [], 0.0
+        return 0.0
     if isinstance(sub, Subspace):
-        return [restrict(g, sub.basis) for g in G.generators], 0.0
-    out, worst = [], 0.0
-    for g in G.generators:
-        X, rel_resid = nrestrict(g, sub.basis, ctx)
-        out.append(X)
-        worst = max(worst, rel_resid)
-    if worst > _numeric_tolerance(ctx):
+        for g in G.generators:
+            restrict(g, sub.basis)
+        return 0.0
+    worst = max((nrestrict(g, sub.basis, ctx)[1] for g in G.generators), default=0.0)
+    if worst > 1e3 * ctx.eps:
         raise InvarianceViolation(
             f"numeric invariant subspace residual {worst:.3g} exceeds tolerance"
         )
-    return out, worst
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +307,9 @@ class InvariantTreeNode:
     """A tree node as reached along one edge.
 
     ``case`` belongs to the edge from the parent; ``children`` is shared by
-    every node for the same subspace of K^n.  ``height`` is fixed when the
-    node is built, so depth queries do not walk every chain.
+    every node for the same subspace of K^n, that is for the same tuple of
+    remaining unit widths.  ``height`` is fixed when the node is built, so
+    depth queries do not walk every chain.
     """
 
     dimension: int
@@ -329,99 +326,38 @@ class InvariantTreeNode:
 class InvariantTree:
     root: InvariantTreeNode
     depth: int
-    family: InvariantFamily | None = None   # the root's family; None when n = 0
+    family: InvariantFamily   # the root's
 
 
-def invariant_tree(G: GeneratorSet, ctx: NumericContext | None = None,
-                   max_depth: int | None = None) -> InvariantTree:
-    """Recursive invariant families down to dimension zero.
+def invariant_tree(G: GeneratorSet, ctx: NumericContext | None = None) -> InvariantTree:
+    """Invariant subspaces along every chain K^n ⊃ H ⊃ ... ⊃ {0}.
 
-    Depth counts edges on the longest chain K^n ⊃ H ⊃ ... ⊃ {0}; the
-    recursion drops dimension at every step so depth never exceeds n.  Chains
-    through the same subspace of K^n share its children, so each distinct
-    subspace is restricted to and has its family computed once.  Raises
-    InvarianceViolation when some chain is longer than ``max_depth``.
+    Only the root's family is computed.  Its basis P lays out one unit of
+    columns per block (per conjugate pair over R), and every generator is
+    lower triangular on each unit (2x2 block triangular on a pair's Re/Im
+    columns).  Dropping a unit's leading codim columns (1, or 2 for a pair)
+    therefore leaves an invariant subspace whose group has one family member
+    per non-empty unit, with that unit's case.  A node is the tuple w of
+    remaining unit widths: it has dimension sum(w), family size the number of
+    non-zero w_i, and a child w - codim_i e_i for each w_i > 0.  Nodes with
+    equal tuples share their children, and depth is sum(w_i / codim_i) <= n.
     """
     ctx = ctx or NumericContext()
-    n = G.dimension
-    limit = max_depth if max_depth is not None else n
-    if n == 0:
-        return InvariantTree(InvariantTreeNode(0, None, 0, []), 0)
-    if limit <= 0:
-        raise InvarianceViolation("invariant tree exceeded its depth budget")
     family = invariant_family(G, ctx)
-    builder = _TreeBuilder(ctx)
-    children = builder.children(G, Matrix.identity(n), family, limit)
-    root = InvariantTreeNode(n, None, family.count, children)
+    units = [(s.case, G.dimension - s.dim) for s in family.subspaces]
+    shared: dict[tuple[int, ...], list[InvariantTreeNode]] = {}
+
+    def node(widths: tuple[int, ...], case: str | None) -> InvariantTreeNode:
+        children = shared.get(widths)
+        if children is None:
+            children = shared[widths] = [
+                node(widths[:i] + (w - codim,) + widths[i + 1:], unit_case)
+                for i, ((unit_case, codim), w) in enumerate(zip(units, widths)) if w
+            ]
+        return InvariantTreeNode(sum(widths), case, sum(1 for w in widths if w), children)
+
+    root = node(tuple(s.width for s in family.subspaces), None)
     return InvariantTree(root, root.height, family)
-
-
-class _TreeBuilder:
-    """Tree nodes memoized by their subspace of K^n.
-
-    A node's ``case`` belongs to the edge from its parent (one subspace can be
-    a hyperplane of one parent and of codimension 2 in another), so the memo
-    keeps ``family_size`` and ``children`` and each edge gets its own node.
-    """
-
-    def __init__(self, ctx: NumericContext):
-        self.ctx = ctx
-        self.exact: dict[Matrix, InvariantTreeNode] = {}
-        self.numeric: list[tuple[np.ndarray, InvariantTreeNode]] = []
-
-    def children(self, G: GeneratorSet, embed: Matrix | np.ndarray, fam: InvariantFamily,
-                 budget: int) -> list[InvariantTreeNode]:
-        """Child nodes of a node with the given embedding into K^n and family."""
-        out = []
-        for sub in fam.subspaces:
-            if sub.dim == 0:
-                out.append(InvariantTreeNode(0, sub.case, 0, []))
-                continue
-            out.append(self._child(G, embed, sub, budget - 1))
-        return out
-
-    def _child(self, G: GeneratorSet, embed: Matrix | np.ndarray, sub: InvariantSubspace,
-               budget: int) -> InvariantTreeNode:
-        basis = sub.subspace.basis
-        if isinstance(embed, Matrix) and isinstance(basis, Matrix):
-            child_embed = embed * basis
-            key = Subspace.span(embed.rows, child_embed.columns()).basis
-            memo = self.exact.get(key)
-        else:
-            child_embed = to_numeric(embed, self.ctx) @ basis
-            key = _projector(child_embed, self.ctx)
-            memo = self._numeric_match(sub.dim, key)
-        if memo is None:
-            if budget <= 0:
-                raise InvarianceViolation("invariant tree exceeded its depth budget")
-            restricted = GeneratorSet(G.field, sub.dim, sub.restrictions, list(G.names))
-            fam = invariant_family(restricted, self.ctx)
-            memo = InvariantTreeNode(sub.dim, sub.case, fam.count,
-                                     self.children(restricted, child_embed, fam, budget))
-            if isinstance(key, Matrix):
-                self.exact[key] = memo
-            else:
-                self.numeric.append((key, memo))
-            return memo
-        if memo.height > budget:
-            raise InvarianceViolation("invariant tree exceeded its depth budget")
-        return replace(memo, case=sub.case)
-
-    def _numeric_match(self, dim: int, proj: np.ndarray) -> InvariantTreeNode | None:
-        # projectors have entries of size at most 1, so the tolerance needs no
-        # further scale; rounded keys would split equal subspaces at rounding
-        # boundaries
-        tol = _numeric_tolerance(self.ctx)
-        for other, node in self.numeric:
-            if node.dimension == dim and np.max(np.abs(other - proj)) <= tol:
-                return node
-        return None
-
-
-def _projector(embed: np.ndarray, ctx: NumericContext) -> np.ndarray:
-    """Orthogonal projector of K^n onto the column span of a numeric embedding."""
-    U = nrange(embed, ctx, expected=embed.shape[1])
-    return U @ U.conj().T
 
 
 # ---------------------------------------------------------------------------

@@ -272,17 +272,3 @@ class NumSubspace:
     @property
     def dim(self) -> int:
         return self.basis.shape[1]
-
-
-def nrange(A: np.ndarray, ctx: NumericContext, expected: int | None = None) -> np.ndarray:
-    """Orthonormal basis (columns) of the tolerant column space."""
-    An = A.astype(complex) if A.dtype != object else np.array(
-        [[as_complex(x) for x in row] for row in A], dtype=complex
-    )
-    if An.size == 0:
-        return np.zeros((An.shape[0], 0), dtype=complex)
-    U, S, _ = np.linalg.svd(An, full_matrices=False)
-    if expected is None:
-        thresh = ctx.eps * max(float(S[0]) if S.size else 0.0, 1e-300)
-        expected = int(np.sum(S > thresh))
-    return U[:, :expected]

@@ -247,13 +247,14 @@ def verify_fixture(
 ) -> list[ClaimResult]:
     ctx = ctx or NumericContext()
     cfg = cfg or ClosureConfig()
+    line_K, plane_K = (1000, 200) if dense_K is None else (dense_K, dense_K)
     out = [_structure_claim(f, ctx)]
     if f.name in ("shear3", "shear4"):
         out.append(_closed_orbit_claim(f, "closed", ctx, cfg))
-        out.append(_dense_line_claim(f, "dense_line", ctx, cfg, K=dense_K or 1000))
+        out.append(_dense_line_claim(f, "dense_line", ctx, cfg, K=line_K))
     elif f.name == "cshear5":
         out.append(_closed_complex_claim(f, "closed", ctx, cfg))
-        out.append(_dense_plane_claim(f, "dense_plane", ctx, cfg, K=dense_K or 200))
+        out.append(_dense_plane_claim(f, "dense_plane", ctx, cfg, K=plane_K))
     elif f.name == "radical4":
         out.append(_closure_minus_orbit_claim(f, ctx))
         out.append(_unbounded_sequence_claim(f, ctx))

@@ -35,6 +35,7 @@ GOLDEN_REPORT_SHA256 = {
     "rotation3": "8e36c02d22a2bc59b7ee79116ee0a881a0bc76b4b6543f958cba99f1489e6d49",
     "numpair3": "72c12d2f27f4a2cfd5ef0ead92f83d69e33388e722354e90f525974d19fd2392",
     "sqrt2sqrt3": "75467de5d078e4106681a1d81f65ec0ac683af2f19a2c0365e54b51576991c26",
+    "pairsqrt2": "23447e0766094dbd93f56fdea986e2d641a7b7efc0dafedc8d17c035f7dc5b23",
 }
 
 # Single-generator real documents and their extra CLI arguments.  Every fixture
@@ -44,7 +45,10 @@ GOLDEN_REPORT_SHA256 = {
 #   diag3       triangular exact split;
 #   rotation3   field recognition, exact conjugate pair, exact Re/Im interleave;
 #   numpair3    numeric split, numeric pair and numeric interleave;
-#   sqrt2sqrt3  numeric real blocks (eigenvalues +-sqrt(2), +-sqrt(3)).
+#   sqrt2sqrt3  numeric real blocks (eigenvalues +-sqrt(2), +-sqrt(3));
+#   pairsqrt2   a defective +-i pair of real width 4 beside a sqrt(2) line, the
+#               one conjugate-pair unit wider than 2 (recorded before the
+#               invariant tree was read off the root's triangular form).
 # The two numeric families fail at the 128-bit default (the real basis of a
 # numeric block is built in double precision), so they run at 53 bits.
 INLINE_DOCUMENTS = {
@@ -60,6 +64,11 @@ INLINE_DOCUMENTS = {
     "sqrt2sqrt3": (
         [["0", "2", "0", "0"], ["1", "0", "0", "0"], ["0", "0", "0", "3"], ["0", "0", "1", "0"]],
         ["--precision", "53"],
+    ),
+    "pairsqrt2": (
+        [["0", "-1", "1", "0", "0"], ["1", "0", "0", "1", "0"], ["0", "0", "0", "-1", "0"],
+         ["0", "0", "1", "0", "0"], ["0", "0", "0", "0", "sqrt(2)"]],
+        [],
     ),
 }
 
@@ -167,10 +176,27 @@ class TestAnalyze:
         assert captured.err == "error: point short has 2 coordinates, expected 3\n"
 
     def test_max_exponent_below_first_box(self, fixture_files, capsys):
-        code = main(["analyze", fixture_files["shear3"], "--classify-points",
-                     "--max-exponent", "4"])
-        assert code == 1
-        assert capsys.readouterr().err.startswith("error: max exponent 4")
+        # an exponent bound below the first box is an error line, and so is
+        # every other numeric option out of range: --precision below 53 used
+        # to be echoed into the report, and a tolerance of 0 was accepted
+        for args, err in [
+            (["--classify-points", "--max-exponent", "4"], "error: max exponent 4"),
+            (["--precision", "0"], "error: precision 0 is below 53 bits\n"),
+            (["--tol", "0"], "error: --tol must be positive, got 0\n"),
+            (["--gap-threshold", "-0.5"], "error: --gap-threshold must be positive, got -0.5\n"),
+        ]:
+            assert main(["analyze", fixture_files["shear3"], *args]) == 1
+            out, got = capsys.readouterr()
+            assert out == "" and got.startswith(err)
+
+    def test_dimension_zero_rejected(self, tmp_path, capsys):
+        # used to end in an AttributeError traceback from the report
+        p = tmp_path / "zero.json"
+        p.write_text(json.dumps({"field": "real", "dimension": 0, "generators": [[]]}))
+        assert main(["analyze", str(p)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: dimension must be at least 1, got 0\n"
 
     def test_n1_report(self, tmp_path):
         doc = {"field": "real", "dimension": 1, "generators": [{"name": "A", "rows": [["2"]]}]}
@@ -222,10 +248,20 @@ class TestOrbit:
             assert err == f"error: point {point!r} has an empty coordinate\n"
 
     def test_max_exponent_below_first_box(self, fixture_files):
-        code, out, err = run_cli(["orbit", fixture_files["shear3"], "--point", "1,1,0",
-                                  "--max-exponent", "7"])
-        assert code == 1 and out == ""
-        assert err.startswith("error: max exponent 7") and "Traceback" not in err
+        # an exponent bound below the first box is an error line, and so is
+        # every other numeric option out of range: --tol -1 used to turn this
+        # point's DENSE_IN_AFFINE verdict into DISCRETE
+        for args, err in [
+            (["--max-exponent", "7"], "error: max exponent 7"),
+            (["--tol", "-1"], "error: --tol must be positive, got -1\n"),
+            (["--tol", "nan"], "error: --tol must be positive, got nan\n"),
+            (["--gap-threshold", "0"], "error: --gap-threshold must be positive, got 0\n"),
+            (["--precision", "52"], "error: precision 52 is below 53 bits\n"),
+        ]:
+            code, out, got = run_cli(["orbit", fixture_files["shear3"], "--point", "1,sqrt(2),0",
+                                      *args])
+            assert code == 1 and out == ""
+            assert got.startswith(err) and "Traceback" not in got
 
     def test_dump_points(self, fixture_files, tmp_path, capsys):
         dump = tmp_path / "cloud.csv"
@@ -247,6 +283,18 @@ class TestVerifyExamples:
         lines = [l for l in out.strip().splitlines() if l.startswith(("PASS", "FAIL"))]
         assert len(lines) >= 10
         assert all(l.startswith("PASS") for l in lines)
+
+    def test_bad_option_is_an_error_line(self, capsys):
+        # --dense-exponent 0 used to mean the default, and -1 ended in numpy's
+        # "negative dimensions are not allowed"
+        for args, err in [
+            (["--dense-exponent", "0"], "error: dense exponent 0 is below 1\n"),
+            (["--dense-exponent", "-1"], "error: dense exponent -1 is below 1\n"),
+            (["--tol", "0"], "error: --tol must be positive, got 0\n"),
+            (["--precision", "8"], "error: precision 8 is below 53 bits\n"),
+        ]:
+            assert main(["verify-examples", *args]) == 1
+            assert capsys.readouterr() == ("", err)
 
     def test_altered_radical_fixture_detected(self):
         # replacing the radical limit by a rational breaks the independence

@@ -278,9 +278,11 @@ class TestInvariantTree:
 
     @pytest.mark.parametrize("n, numeric", [(5, False), (6, False), (4, True)])
     def test_one_family_per_distinct_subspace(self, n, numeric, monkeypatch):
-        # n distinct real eigenvalues: the nonzero invariant subspaces are the
-        # 2^n - 1 sums of eigenlines, against n!-many chain nodes.  The numeric
-        # group has eigenvalues +-sqrt(2), +-sqrt(3) outside its entries' field.
+        # n distinct real eigenvalues: 2^n - 1 nonzero invariant subspaces,
+        # against n!-many chain nodes, and the root's family describes them
+        # all, so the whole tree costs one family and one refinement.  The
+        # numeric group has eigenvalues +-sqrt(2), +-sqrt(3) outside its
+        # entries' field.
         if numeric:
             G = GeneratorSet.from_strings("real", [[
                 ["0", "2", "0", "0"], ["1", "0", "0", "0"],
@@ -289,21 +291,40 @@ class TestInvariantTree:
         else:
             G = diagonal_group(n)
         calls = []
-        family = invariants.invariant_family
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return family(*args, **kwargs)
+        def counted(name):
+            original = getattr(invariants, name)
 
-        monkeypatch.setattr(invariants, "invariant_family", counted)
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(invariants, name, wrapper)
+
+        counted("invariant_family")
+        counted("simultaneous_refinement")
         tree = invariant_tree(G, CTX)
-        assert len(calls) == 2**n - 1
+        assert sorted(calls) == ["invariant_family", "simultaneous_refinement"]
         assert tree.depth == n
         assert all(s.exact != numeric for s in tree.family.subspaces)
 
+    def test_diagonal_ten(self):
+        # one node per subset of the ten eigenlines, C(10, k) of dimension k
+        tree = invariant_tree(diagonal_group(10), CTX)
+        assert tree.depth == 10
+        reached, stack = {}, [tree.root]
+        while stack:
+            node = stack.pop()
+            if id(node.children) not in reached:
+                reached[id(node.children)] = node
+                stack.extend(node.children)
+        assert len(reached) == 2**10
+        dims = [node.dimension for node in reached.values()]
+        assert [dims.count(k) for k in range(11)] == [math.comb(10, k) for k in range(11)]
+
     def test_restrictions_computed_once(self, monkeypatch):
-        # the invariance check of each family restricts every generator to
-        # each subspace, and the tree builds the child group from those.
+        # the invariance check of the root family restricts every generator
+        # to each subspace once; no restriction is computed below the root.
         # Distinct subspaces can give equal local matrices, so a generator is
         # keyed by identity and held, which keeps its id from being reused
         calls, held = [], []
@@ -319,14 +340,6 @@ class TestInvariantTree:
             calls.clear()
             invariant_tree(G, CTX)
             assert calls and len(calls) == len(set(calls))
-
-    def test_depth_budget(self):
-        G = diagonal_group(4)
-        assert invariant_tree(G, CTX, max_depth=4).depth == 4
-        with pytest.raises(InvarianceViolation):
-            invariant_tree(G, CTX, max_depth=3)
-        with pytest.raises(InvarianceViolation):
-            invariant_tree(shear3(), CTX, max_depth=2)
 
     def test_tree_carries_root_family(self):
         tree = invariant_tree(radical4(), CTX)

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,15 +27,32 @@ tree depth by dimension (n, depth): families
 """
 
 
-def test_random_family_survey_smoke():
+def run_script(name, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "random_family_survey.py"),
-         "--families", "4", "--max-dim", "4", "--seed", "0"],
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+def test_random_family_survey_smoke():
+    proc = run_script("random_family_survey.py", "--families", "4", "--max-dim", "4",
+                      "--seed", "0")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == SURVEY_STDOUT
+
+
+def test_analyze_examples_smoke(tmp_path):
+    proc = run_script("analyze_examples.py", "--out", str(tmp_path), "--max-exponent", "64")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    table = lines[lines.index("") + 2:]
+    rows = [re.match(r"(\S+) +\d+ \[[\d, ]*\] +(\d+)  ", row) for row in table]
+    depths = [(m[1], int(m[2])) for m in rows]
+    assert depths == [("shear3", 3), ("shear4", 4), ("cshear5", 5), ("radical4", 4)]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        f"{name}.json" for name, _ in depths
+    )
