@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    ClusterAmbiguity,
     FirstCoordinateZero,
     InvarianceViolation,
     NotConvergent,
@@ -207,6 +208,7 @@ def invariant_family(G: GeneratorSet, ctx: NumericContext | None = None) -> Inva
         Q = np.hstack([to_numeric(pb, ctx) for _, pb, _ in units])
         P = np.hstack([to_numeric(tb, ctx) for _, _, tb in units])
         P_inv = ninverse(P, ctx)
+        _check_conditioning(P, P_inv, ctx)
 
     subspaces: list[InvariantSubspace] = []
     offset = 0
@@ -245,6 +247,24 @@ def _hstack_exact(mats: list[Matrix]) -> Matrix:
     for m in mats[1:]:
         out = out.hstack(m)
     return out
+
+
+def _check_conditioning(P: np.ndarray, P_inv: np.ndarray, ctx: NumericContext) -> None:
+    """Refuse a numeric basis P whose functionals are not accurate to ctx.eps.
+
+    The functionals are rows of P^-1, accurate to about cond(P) 2^-precision
+    relative, and membership compares them with ctx.eps.  A defective
+    cluster split into nearby eigenvalues gives units whose leading columns
+    are nearly parallel, so cond(P) grows like 2^(precision/2) and the
+    family it yields is not the group's.
+    """
+    kappa = max_abs(P) * max_abs(P_inv)
+    if kappa * 2.0 ** -ctx.precision > ctx.eps:
+        raise ClusterAmbiguity(
+            f"family basis has condition {kappa:.3g}, so its functionals are not "
+            f"accurate to {ctx.eps:g} at precision {ctx.precision}; "
+            "a defective cluster was likely split"
+        )
 
 
 def _invariance_residual(G: GeneratorSet, sub: Subspace | NumSubspace,

@@ -73,6 +73,29 @@ INLINE_DOCUMENTS = {
 }
 
 
+# The structure-radical benchmark documents of these names: two commuting
+# generators, each a rotation-scaling block of a conjugate pair beside a 2x2
+# Jordan block on a real eigenvalue, conjugated by an integer unimodular matrix.
+SPLIT_DEFECTIVE = {
+    "jordan-real4-0": [
+        [["-21", "12", "-6", "-38"], ["-7", "5", "-2", "-12"],
+         ["-7", "4", "-2", "-13"], ["11", "-6", "3", "20"]],
+        [["-45", "24", "-6", "-78"], ["-16", "11", "-2", "-26"],
+         ["-20", "10", "-2", "-35"], ["24", "-12", "3", "42"]],
+    ],
+    "jordan-real4-1": [
+        [["2", "-2", "2", "-4"],
+         ["20", "-17 - 3*sqrt(2)", "20 + 4*sqrt(2)", "-36 - 8*sqrt(2)"],
+         ["10 + 2*sqrt(2)", "-5 - 3*sqrt(2)", "6 + 4*sqrt(2)", "-10 - 6*sqrt(2)"],
+         ["-3 + sqrt(2)", "5", "-6", "11 + sqrt(2)"]],
+        [["2", "-2", "2", "-4"],
+         ["24", "-23 - 3*sqrt(2)", "28 + 4*sqrt(2)", "-48 - 8*sqrt(2)"],
+         ["10 + 2*sqrt(2)", "-5 - 3*sqrt(2)", "6 + 4*sqrt(2)", "-10 - 6*sqrt(2)"],
+         ["-5 + sqrt(2)", "8", "-10", "17 + sqrt(2)"]],
+    ],
+}
+
+
 def run_cli(args):
     proc = subprocess.run(
         [sys.executable, "-m", "lindyn.cli", *args], capture_output=True, text=True
@@ -163,6 +186,28 @@ class TestAnalyze:
         p.write_text(json.dumps(doc))
         assert main(["analyze", str(p), "--precision", "128"]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("name", sorted(SPLIT_DEFECTIVE))
+    def test_split_defective_cluster_refused(self, tmp_path, capsys, name):
+        # At 53 bits the defective 2-dimensional real block of these Jordan
+        # families splits into two nearby eigenvalues, and the family comes
+        # out with 3 subspaces whose basis has condition above 1e9.  That
+        # family is refused; at the 128-bit default the block is exact and
+        # there are 2 subspaces.  Recognizing the cluster at 53 bits is
+        # ROADMAP item 1, which has to change the first assertion on purpose.
+        rows = SPLIT_DEFECTIVE[name]
+        p = tmp_path / f"{name}.json"
+        p.write_text(json.dumps({"field": "real", "dimension": 4, "generators": rows}))
+        assert main(["analyze", str(p), "--precision", "53"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: family basis has condition ")
+        assert err.endswith("a defective cluster was likely split\n")
+        report = tmp_path / "report.json"
+        assert main(["analyze", str(p), "--output", str(report)]) == 0
+        fam = json.loads(report.read_text())["invariant_family"]
+        assert [s["case"] for s in fam["subspaces"]] == ["real-conjugate-pair", "real-hyperplane"]
+        assert all(e["exact"] is not None for s in fam["subspaces"]
+                   for row in s["functionals"] for e in row)
 
     def test_point_length_checked(self, tmp_path, capsys):
         # a short point used to be read as a truncated vector: in_U true on shear3
