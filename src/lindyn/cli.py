@@ -35,6 +35,8 @@ EXIT_AMBIGUOUS = 3
 
 def load_input(path: str) -> tuple[GeneratorSet, dict]:
     doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise LindynError("input is not a JSON object")
     fieldname = doc["field"]
     n = int(doc["dimension"])
     gens = []
@@ -51,12 +53,16 @@ def load_input(path: str) -> tuple[GeneratorSet, dict]:
     points = doc.get("points", {})
     if isinstance(points, list):
         points = {f"p{i}": p for i, p in enumerate(points)}
+    if not isinstance(points, dict):
+        raise LindynError("points must be a list or an object")
     for name, coords in points.items():
         _check_point(f"point {name}", coords, n)
     return G, points
 
 
 def _check_point(what: str, coords, n: int) -> None:
+    if not isinstance(coords, list):
+        raise LindynError(f"{what} is not a list of coordinates")
     if len(coords) != n:
         raise LindynError(f"{what} has {len(coords)} coordinates, expected {n}")
 
@@ -83,8 +89,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="relative tolerance for tolerant comparisons (default 1e-9)")
     p.add_argument("--gap-threshold", type=float, default=0.01,
                    help="max window gap for a dense verdict (default 0.01)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized property sampling (default 0)")
 
 
 def cmd_analyze(args) -> int:
@@ -108,7 +112,7 @@ def cmd_analyze(args) -> int:
         point_sections.append(section)
     report = analysis_report(
         G, family, tree.root, tree.depth, ctx, cfg,
-        args.seed, args.max_exponent, point_sections, residual,
+        0, args.max_exponent, point_sections, residual,
     )
     text = dumps_report(report)
     if args.output:

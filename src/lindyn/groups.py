@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import NotAbelian
 from .linalg import Matrix, matrix_from_strings
-from .numeric import NumericContext, max_abs, nrank, to_numeric
+from .numeric import NumericContext, max_abs, npower, nrank, to_numeric
 
 REAL = "real"
 COMPLEX = "complex"
@@ -27,8 +27,13 @@ class GeneratorSet:
     def __post_init__(self):
         if self.field not in (REAL, COMPLEX):
             raise ValueError(f"field must be 'real' or 'complex', got {self.field!r}")
+        if not self.generators:
+            raise ValueError("a group needs at least one generator")
         if not self.names:
             self.names = [f"g{k}" for k in range(len(self.generators))]
+        for i, name in enumerate(self.names):
+            if name in self.names[:i]:
+                raise ValueError(f"duplicate generator name {name!r}")
         n = self.dimension
         if n < 1:
             raise ValueError(f"dimension must be at least 1, got {n}")
@@ -106,16 +111,10 @@ class GeneratorSet:
         for g, k in zip(self.generators, exponents):
             if k == 0:
                 continue
-            term = g.power(k) if isinstance(g, Matrix) else _npow(g, k)
+            term = g.power(k) if isinstance(g, Matrix) else npower(g, k, NumericContext())
             acc = term if acc is None else acc * term if isinstance(term, Matrix) else acc @ term
         if acc is None:
             if self.exact:
                 return Matrix.identity(self.dimension)
             return np.eye(self.dimension, dtype=complex)
         return acc
-
-
-def _npow(a: np.ndarray, k: int) -> np.ndarray:
-    from .numeric import npower
-
-    return npower(a, k, NumericContext())

@@ -322,24 +322,18 @@ def membership(family: InvariantFamily, x, ctx: NumericContext | None = None) ->
 # the invariant tree
 
 
-@dataclass
+@dataclass(eq=False)
 class InvariantTreeNode:
-    """A tree node as reached along one edge.
+    """One invariant subspace of K^n; nodes are compared by identity.
 
-    ``case`` belongs to the edge from the parent; ``children`` is shared by
-    every node for the same subspace of K^n, that is for the same tuple of
-    remaining unit widths.  ``height`` is fixed when the node is built, so
-    depth queries do not walk every chain.
+    ``children[i]`` drops a unit of case ``cases[i]``.  A subspace reached
+    along several chains is one node object with several parents.
     """
 
     dimension: int
-    case: str | None
     family_size: int
     children: list["InvariantTreeNode"]
-    height: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.height = 1 + max(c.height for c in self.children) if self.children else 0
+    cases: list[str]
 
 
 @dataclass
@@ -359,25 +353,26 @@ def invariant_tree(G: GeneratorSet, ctx: NumericContext | None = None) -> Invari
     therefore leaves an invariant subspace whose group has one family member
     per non-empty unit, with that unit's case.  A node is the tuple w of
     remaining unit widths: it has dimension sum(w), family size the number of
-    non-zero w_i, and a child w - codim_i e_i for each w_i > 0.  Nodes with
-    equal tuples share their children, and depth is sum(w_i / codim_i) <= n.
+    non-zero w_i, and a child w - codim_i e_i for each w_i > 0.  There is one
+    node per tuple, and depth is sum(w_i / codim_i) <= n.
     """
     ctx = ctx or NumericContext()
     family = invariant_family(G, ctx)
     units = [(s.case, G.dimension - s.dim) for s in family.subspaces]
-    shared: dict[tuple[int, ...], list[InvariantTreeNode]] = {}
+    nodes: dict[tuple[int, ...], InvariantTreeNode] = {}
 
-    def node(widths: tuple[int, ...], case: str | None) -> InvariantTreeNode:
-        children = shared.get(widths)
-        if children is None:
-            children = shared[widths] = [
-                node(widths[:i] + (w - codim,) + widths[i + 1:], unit_case)
-                for i, ((unit_case, codim), w) in enumerate(zip(units, widths)) if w
-            ]
-        return InvariantTreeNode(sum(widths), case, sum(1 for w in widths if w), children)
+    def node(widths: tuple[int, ...]) -> InvariantTreeNode:
+        if widths not in nodes:
+            edges = [(case, widths[:i] + (w - codim,) + widths[i + 1:])
+                     for i, ((case, codim), w) in enumerate(zip(units, widths)) if w]
+            nodes[widths] = InvariantTreeNode(sum(widths), sum(1 for w in widths if w),
+                                              [node(child) for _, child in edges],
+                                              [case for case, _ in edges])
+        return nodes[widths]
 
-    root = node(tuple(s.width for s in family.subspaces), None)
-    return InvariantTree(root, root.height, family)
+    widths = tuple(s.width for s in family.subspaces)
+    depth = sum(w // codim for (_, codim), w in zip(units, widths))
+    return InvariantTree(node(widths), depth, family)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Exact quantities are rendered as expression strings with a decimal value side
 by side; every knob needed to re-run the analysis (precision, tolerances,
-exponent bounds, seed) is echoed into the report.
+exponent bounds) is echoed into the report.
 """
 
 from __future__ import annotations
@@ -43,13 +43,18 @@ def render_matrix(M) -> list[list[dict[str, Any]]]:
     return [[render_value(arr[i, j]) for j in range(arr.shape[1])] for i in range(arr.shape[0])]
 
 
-def render_tree(node: InvariantTreeNode) -> dict[str, Any]:
-    return {
-        "dimension": node.dimension,
-        "case": node.case,
-        "family_size": node.family_size,
-        "children": [render_tree(c) for c in node.children],
-    }
+def render_tree(root: InvariantTreeNode) -> list[dict[str, Any]]:
+    """The distinct nodes breadth-first from the root; a child is named by its index."""
+    order, index = [root], {root: 0}
+    for node in order:
+        for child in node.children:
+            if child not in index:
+                index[child] = len(order)
+                order.append(child)
+    return [{"dimension": node.dimension, "family_size": node.family_size,
+             "children": [{"node": index[c], "case": case}
+                          for c, case in zip(node.children, node.cases)]}
+            for node in order]
 
 
 def membership_dict(m: Membership) -> dict[str, Any]:
@@ -76,51 +81,42 @@ def analysis_report(
     tree_depth: int,
     ctx: NumericContext,
     cfg: ClosureConfig,
-    seed: int,
+    seed: int,  # unused: benchmark/work.py passes the arguments positionally
     max_exponent: int,
     point_sections: list[dict[str, Any]],
     commutator_residual: float,
 ) -> dict[str, Any]:
-    blocks = []
-    for b in family.blocks:
-        eigen = {}
-        for gi, name in enumerate(G.names):
-            ex = b.eigen_exact.get(gi)
-            if ex is not None:
-                eigen[name] = render_value(ex)
-            else:
-                eigen[name] = render_value(b.eigen_numeric[gi])
-        blocks.append(
-            {
-                "dimension": b.dim,
-                "exact": b.exact,
-                "eigenvalues": eigen,
-                "conjugate_partner": b.conj_partner,
-            }
-        )
-    subspaces = []
-    for s in family.subspaces:
-        subspaces.append(
-            {
-                "case": s.case,
-                "dimension": s.dim,
-                "block": s.block_index,
-                "functionals": render_matrix(s.functionals),
-                "basis": render_matrix(s.subspace.basis),
-                "invariance_residual": f"{s.invariance_residual:.12g}",
-            }
-        )
-    triangular_forms = []
-    for tf in family.forms:
-        triangular_forms.append(
-            {
-                "diagonal": {
-                    name: render_value(mu)
-                    for name, mu in zip(G.names, tf.diagonal)
-                },
-                "triangular": [render_matrix(T) for T in tf.triangular],
-            }
-        )
+    blocks = [
+        {
+            "dimension": b.dim,
+            "exact": b.exact,
+            "eigenvalues": {
+                name: render_value(b.eigen_numeric[gi] if b.eigen_exact.get(gi) is None
+                                   else b.eigen_exact[gi])
+                for gi, name in enumerate(G.names)
+            },
+            "conjugate_partner": b.conj_partner,
+        }
+        for b in family.blocks
+    ]
+    subspaces = [
+        {
+            "case": s.case,
+            "dimension": s.dim,
+            "block": s.block_index,
+            "functionals": render_matrix(s.functionals),
+            "basis": render_matrix(s.subspace.basis),
+            "invariance_residual": f"{s.invariance_residual:.12g}",
+        }
+        for s in family.subspaces
+    ]
+    triangular_forms = [
+        {
+            "diagonal": {name: render_value(mu) for name, mu in zip(G.names, tf.diagonal)},
+            "triangular": [render_matrix(T) for T in tf.triangular],
+        }
+        for tf in family.forms
+    ]
     return {
         "tool": {"name": "lindyn", "version": __version__},
         "config": {
@@ -130,7 +126,6 @@ def analysis_report(
             "max_exponent": max_exponent,
             "window": f"{cfg.window:.12g}",
             "gap_threshold": f"{cfg.gap_threshold:.12g}",
-            "seed": seed,
         },
         "input": {
             "field": G.field,
@@ -158,7 +153,7 @@ def analysis_report(
             "Q": render_matrix(family.block_change),
             "P": render_matrix(family.triangular_change),
         },
-        "invariant_tree": {"depth": tree_depth, "root": render_tree(tree_root)},
+        "invariant_tree": {"depth": tree_depth, "nodes": render_tree(tree_root)},
         "points": point_sections,
     }
 

@@ -23,19 +23,22 @@ def fixture_files(tmp_path_factory):
     return paths
 
 
-# sha256 of `lindyn analyze <fixture>` at the CLI defaults, recorded before
-# all-rational matrices moved to integer elimination: how exact linear algebra
-# is carried out must not change a report byte.
+# sha256 of `lindyn analyze <fixture>` at the CLI defaults, first recorded
+# before all-rational matrices moved to integer elimination: how exact linear
+# algebra is carried out must not change a report byte.  Re-recorded when the
+# invariant tree became a list of distinct nodes and config.seed was dropped,
+# after checking that every other byte was unchanged and that expanding the
+# node list from node 0 gave the old chain-by-chain tree exactly.
 GOLDEN_REPORT_SHA256 = {
-    "shear3": "93b1a29bdb9eb60ce39a4c6915cba2d64274c4cd796dcec841b92a5a0c48897d",
-    "shear4": "e511d17f364860e97936638bb451aa3f8ea51c55612bb409eeacb8d12c89481e",
-    "cshear5": "518173dce37ac9c41945b407e4e9761b0b44f25cf68c799e5e04ed83d9c30e8b",
-    "radical4": "373da0890cdd3ee87b3cf5127aa74ebc9dd48888a2efa9e39d0a13640c1bea41",
-    "diag3": "646871f49a4d9d8018c5c75a6d53f14bba92fd17860a952ef9db8a8283a932b7",
-    "rotation3": "8e36c02d22a2bc59b7ee79116ee0a881a0bc76b4b6543f958cba99f1489e6d49",
-    "numpair3": "72c12d2f27f4a2cfd5ef0ead92f83d69e33388e722354e90f525974d19fd2392",
-    "sqrt2sqrt3": "75467de5d078e4106681a1d81f65ec0ac683af2f19a2c0365e54b51576991c26",
-    "pairsqrt2": "23447e0766094dbd93f56fdea986e2d641a7b7efc0dafedc8d17c035f7dc5b23",
+    "shear3": "2b8165dc468512fe0b7f2a60beb6a402e0b61ffaf8ec5e419a169d68eb31cdb3",
+    "shear4": "d84ba3e3639b1686a3e6fdcbd2fb414949b67f09b1db97f387739f1453a4f43f",
+    "cshear5": "f0f0effb7bf6bfdf88b5db22daec2100bd6f31ec075c0897b40ea900c996056e",
+    "radical4": "242243aa07b47e788c741f14d86c81d670e84e82bea5ab30addf272c7845034d",
+    "diag3": "123b85793fad34650b10c593a32faf2f99ab81593ad94b85e46c76393fd3e18f",
+    "rotation3": "1cd1bcf447c90ba396b1a7cc26072fc8df068b694b0357b6cdf6953f209471a5",
+    "numpair3": "9ba3789873e339f689f804b9a5aceb9c9ea9112736754efdf652d5568437e3e7",
+    "sqrt2sqrt3": "14a60f38ee282dcc1ce01e91b6e1f520c845537ac35e1009d14adc0aa79ad1e9",
+    "pairsqrt2": "2e9c2b13a7d495b88f54699a4442372019ce7430f021a5848f1f47cc83053f40",
 }
 
 # Single-generator real documents and their extra CLI arguments.  Every fixture
@@ -234,14 +237,43 @@ class TestAnalyze:
             out, got = capsys.readouterr()
             assert out == "" and got.startswith(err)
 
-    def test_dimension_zero_rejected(self, tmp_path, capsys):
-        # used to end in an AttributeError traceback from the report
-        p = tmp_path / "zero.json"
-        p.write_text(json.dumps({"field": "real", "dimension": 0, "generators": [[]]}))
-        assert main(["analyze", str(p)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: dimension must be at least 1, got 0\n"
+    def test_malformed_document_rejected(self, tmp_path, capsys):
+        # each used to end in a traceback or a wrong message: dimension 0 in an
+        # AttributeError from the report, a top-level array in a TypeError,
+        # "points": 5 in an AttributeError, a bare coordinate in a TypeError
+        # from len, no generators in "shape mismatch" from triangularize; and
+        # a repeated name dropped the first A's eigenvalues from the report
+        shear3 = fixture_input_dict(fixture_by_name("shear3"))
+        diag = [{"name": "A", "rows": [["2", "0"], ["0", "3"]]},
+                {"name": "A", "rows": [["5", "0"], ["0", "7"]]}]
+        for doc, err in [
+            ({"field": "real", "dimension": 0, "generators": [[]]},
+             "dimension must be at least 1, got 0"),
+            ([shear3], "input is not a JSON object"),
+            ({**shear3, "points": 5}, "points must be a list or an object"),
+            ({**shear3, "points": {"p": 7}}, "point p is not a list of coordinates"),
+            ({"field": "real", "dimension": 2, "generators": []},
+             "a group needs at least one generator"),
+            ({"field": "real", "dimension": 2, "generators": diag},
+             "duplicate generator name 'A'"),
+        ]:
+            p = tmp_path / "bad.json"
+            p.write_text(json.dumps(doc))
+            assert main(["analyze", str(p)]) == 1
+            assert capsys.readouterr() == ("", f"error: {err}\n")
+
+    def test_diagonal_ten_lattice(self, tmp_path):
+        # one node per invariant subspace, 2^10 of them; rendered chain by
+        # chain the tree had 109,601 nodes in 33 MB at n=8
+        n = 10
+        gens = [[[str(i + 2) if i == j else "0" for j in range(n)] for i in range(n)],
+                [[str(i % 2 + 1) if i == j else "0" for j in range(n)] for i in range(n)]]
+        p, out = tmp_path / "diag10.json", tmp_path / "report.json"
+        p.write_text(json.dumps({"field": "real", "dimension": n, "generators": gens}))
+        assert main(["analyze", str(p), "--output", str(out)]) == 0
+        assert out.stat().st_size < 2**20
+        tree = json.loads(out.read_text())["invariant_tree"]
+        assert tree["depth"] == n and len(tree["nodes"]) == 2**n
 
     def test_n1_report(self, tmp_path):
         doc = {"field": "real", "dimension": 1, "generators": [{"name": "A", "rows": [["2"]]}]}

@@ -10,7 +10,6 @@ from lindyn.errors import FirstCoordinateZero, InvarianceViolation, NotConvergen
 from lindyn.fixtures import all_fixtures
 from lindyn.groups import GeneratorSet
 from lindyn.invariants import (
-    InvariantTreeNode,
     bounded_restriction_witness,
     invariant_family,
     invariant_hull,
@@ -31,14 +30,14 @@ def naive_tree(G, ctx, budget, case=None):
     """Reference recursion: a fresh family at every node of every chain."""
     n = G.dimension
     if n == 0:
-        return InvariantTreeNode(0, case, 0, [])
+        return chain_node(0, case, 0, [])
     if budget <= 0:
         raise InvarianceViolation("invariant tree exceeded its depth budget")
     fam = invariant_family(G, ctx)
     children = []
     for sub in fam.subspaces:
         if sub.dim == 0:
-            children.append(InvariantTreeNode(0, sub.case, 0, []))
+            children.append(chain_node(0, sub.case, 0, []))
             continue
         if sub.exact and G.exact:
             gens = [restrict(g, sub.subspace.basis) for g in G.generators]
@@ -47,14 +46,31 @@ def naive_tree(G, ctx, budget, case=None):
             gens = [nsolve_cols(basis, to_numeric(g, ctx) @ basis, ctx)[0] for g in G.generators]
         restricted = GeneratorSet(G.field, sub.dim, gens, list(G.names))
         children.append(naive_tree(restricted, ctx, budget - 1, sub.case))
-    return InvariantTreeNode(n, case, fam.count, children)
+    return chain_node(n, case, fam.count, children)
+
+
+def chain_node(dimension, case, family_size, children):
+    """A node as reached along one chain, with the case of its last edge."""
+    return {"dimension": dimension, "case": case, "family_size": family_size,
+            "children": children}
+
+
+def expand_chains(nodes, index=0, case=None):
+    """Every chain of a rendered lattice, from node ``index`` down."""
+    node = nodes[index]
+    children = [expand_chains(nodes, c["node"], c["case"]) for c in node["children"]]
+    return chain_node(node["dimension"], case, node["family_size"], children)
+
+
+def chain_height(node):
+    return 1 + max(map(chain_height, node["children"])) if node["children"] else 0
 
 
 def assert_tree_matches_naive(G, ctx=CTX):
     tree = invariant_tree(G, ctx)
     expected = naive_tree(G, ctx, G.dimension)
-    assert render_tree(tree.root) == render_tree(expected)
-    assert tree.depth == expected.height
+    assert expand_chains(render_tree(tree.root)) == expected
+    assert tree.depth == chain_height(expected)
     return tree
 
 
@@ -309,16 +325,21 @@ class TestInvariantTree:
         assert all(s.exact != numeric for s in tree.family.subspaces)
 
     def test_diagonal_ten(self):
-        # one node per subset of the ten eigenlines, C(10, k) of dimension k
+        # one node object per subset of the ten eigenlines, C(10, k) of
+        # dimension k, and one edge per eigenline in each nonzero subset
         tree = invariant_tree(diagonal_group(10), CTX)
         assert tree.depth == 10
-        reached, stack = {}, [tree.root]
+        reached, edges, stack = {id(tree.root): tree.root}, 0, [tree.root]
         while stack:
             node = stack.pop()
-            if id(node.children) not in reached:
-                reached[id(node.children)] = node
-                stack.extend(node.children)
+            assert len(node.cases) == len(node.children)
+            edges += len(node.children)
+            for child in node.children:
+                if id(child) not in reached:
+                    reached[id(child)] = child
+                    stack.append(child)
         assert len(reached) == 2**10
+        assert edges == 10 * 2**9
         dims = [node.dimension for node in reached.values()]
         assert [dims.count(k) for k in range(11)] == [math.comb(10, k) for k in range(11)]
 
