@@ -1,20 +1,19 @@
 #!/usr/bin/env python3
-"""Run the full analysis pipeline on every built-in fixture.
+"""Run `lindyn analyze --classify-points` on every fixture in fixtures/.
 
-Writes one analysis report per fixture plus orbit verdicts for its declared
-points, then prints a summary table.  Output lands in ./out by default.
+Writes one analysis report per fixture, with membership and orbit verdicts
+for its declared points, then prints a summary table read from the reports.
+Output lands in ./out by default.
 """
 
 import argparse
 import json
+import sys
 import time
 from pathlib import Path
 
-from lindyn.dynamics import ClosureConfig, classify_stabilized
-from lindyn.fixtures import all_fixtures
-from lindyn.invariants import invariant_tree, membership
-from lindyn.numeric import NumericContext
-from lindyn.report import analysis_report, dumps_report, membership_dict, verdict_dict
+from lindyn.cli import FIXTURES, main as lindyn
+from lindyn.verify import CLAIMS
 
 
 def main() -> None:
@@ -26,36 +25,22 @@ def main() -> None:
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    ctx = NumericContext(precision=args.precision)
-    cfg = ClosureConfig()
 
     rows = []
-    for f in all_fixtures():
+    for name in CLAIMS:
+        path = outdir / f"{name}.json"
         t0 = time.time()
-        tree = invariant_tree(f.group, ctx)
-        fam = tree.family
-        sections = []
-        for name, point in f.points.items():
-            verdict, K = classify_stabilized(
-                f.group, point, cfg, max_exponent=args.max_exponent
-            )
-            sections.append(
-                {
-                    "name": name,
-                    "point": [str(c) for c in point],
-                    "membership": membership_dict(membership(fam, point, ctx)),
-                    "closure": verdict_dict(verdict, K),
-                }
-            )
-        report = analysis_report(
-            f.group, fam, tree.root, tree.depth, ctx, cfg, 0,
-            args.max_exponent, sections, f.group.commutator_residual(ctx),
-        )
-        path = outdir / f"{f.name}.json"
-        path.write_text(dumps_report(report))
+        code = lindyn(["analyze", str(FIXTURES / f"{name}.json"), "--classify-points",
+                       "--max-exponent", str(args.max_exponent),
+                       "--precision", str(args.precision), "--output", str(path)])
+        if code != 0:
+            sys.exit(code)
+        report = json.loads(path.read_text())
+        fam = report["invariant_family"]
         rows.append(
-            (f.name, fam.count, [s.dim for s in fam.subspaces], tree.depth,
-             {s["name"]: s["closure"]["kind"] for s in sections},
+            (name, fam["count"], [s["dimension"] for s in fam["subspaces"]],
+             report["invariant_tree"]["depth"],
+             {p["name"]: p["closure"]["kind"] for p in report["points"]},
              time.time() - t0)
         )
         print(f"wrote {path}")

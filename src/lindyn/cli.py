@@ -25,12 +25,16 @@ from .report import (
     membership_dict,
     verdict_dict,
 )
-from .verify import verify_all
+from .verify import CLAIMS, verify_fixture
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NOT_ABELIAN = 2
 EXIT_AMBIGUOUS = 3
+
+# the checkout's fixtures/, found from this file so that verify-examples does
+# not depend on the working directory (a source checkout or editable install)
+FIXTURES = Path(__file__).resolve().parents[2] / "fixtures"
 
 
 def load_input(path: str) -> tuple[GeneratorSet, dict]:
@@ -39,6 +43,8 @@ def load_input(path: str) -> tuple[GeneratorSet, dict]:
         raise LindynError("input is not a JSON object")
     fieldname = doc["field"]
     n = int(doc["dimension"])
+    if not isinstance(doc["generators"], list):
+        raise LindynError("generators must be a list")
     gens = []
     names = []
     for gi, entry in enumerate(doc["generators"]):
@@ -48,6 +54,10 @@ def load_input(path: str) -> tuple[GeneratorSet, dict]:
         else:
             names.append(f"g{gi}")
             rows = entry
+        if not isinstance(rows, list):
+            raise LindynError(f"generator {names[-1]} is not a list of rows")
+        for row in rows:
+            _check_scalars(f"a row of generator {names[-1]}", row, "entries")
         gens.append(Matrix.from_rows(rows))
     G = GeneratorSet(fieldname, n, gens, names)
     points = doc.get("points", {})
@@ -60,9 +70,17 @@ def load_input(path: str) -> tuple[GeneratorSet, dict]:
     return G, points
 
 
+def _check_scalars(what: str, values, items: str) -> None:
+    """A JSON list of scalar expressions: strings or numbers."""
+    if not isinstance(values, list):
+        raise LindynError(f"{what} is not a list of {items}")
+    for v in values:
+        if not isinstance(v, (str, int, float)):
+            raise LindynError(f"{what} has {json.dumps(v)} among its {items}")
+
+
 def _check_point(what: str, coords, n: int) -> None:
-    if not isinstance(coords, list):
-        raise LindynError(f"{what} is not a list of coordinates")
+    _check_scalars(what, coords, "coordinates")
     if len(coords) != n:
         raise LindynError(f"{what} has {len(coords)} coordinates, expected {n}")
 
@@ -165,7 +183,10 @@ def cmd_verify_examples(args) -> int:
     ctx, cfg = _contexts(args)
     if args.dense_exponent is not None and args.dense_exponent < 1:
         raise LindynError(f"dense exponent {args.dense_exponent} is below 1")
-    results = verify_all(ctx, cfg, dense_K=args.dense_exponent)
+    results = []
+    for name in CLAIMS:
+        G, points = load_input(str(FIXTURES / f"{name}.json"))
+        results.extend(verify_fixture(name, G, points, ctx, cfg, args.dense_exponent))
     failures = 0
     for r in results:
         sys.stdout.write(r.line() + "\n")
@@ -204,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(po)
     po.set_defaults(func=cmd_orbit)
 
-    pv = sub.add_parser("verify-examples", help="run every built-in fixture claim")
+    pv = sub.add_parser("verify-examples", help="run every claim of the fixtures in fixtures/")
     pv.add_argument("--dense-exponent", type=int, default=None,
                     help="override the exponent bound of the dense-orbit claims")
     _add_common(pv)

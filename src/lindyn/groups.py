@@ -8,7 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NotAbelian
-from .linalg import Matrix, matrix_from_strings
+from .linalg import Matrix
 from .numeric import NumericContext, max_abs, npower, nrank, to_numeric
 
 REAL = "real"
@@ -45,13 +45,6 @@ class GeneratorSet:
     @property
     def exact(self) -> bool:
         return all(isinstance(g, Matrix) for g in self.generators)
-
-    @staticmethod
-    def from_strings(field: str, rows_per_generator: Sequence[Sequence[Sequence[str]]],
-                     names: Sequence[str] | None = None) -> "GeneratorSet":
-        gens = [matrix_from_strings(rows) for rows in rows_per_generator]
-        n = gens[0].rows if gens else 0
-        return GeneratorSet(field, n, gens, list(names or []))
 
     def radicands(self) -> set[int]:
         rads: set[int] = set()

@@ -237,10 +237,6 @@ def _dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
     return acc
 
 
-def matrix_from_strings(rows: Sequence[Sequence[str]]) -> Matrix:
-    return Matrix.from_rows(rows)
-
-
 # -- elimination -----------------------------------------------------------
 
 

@@ -1,8 +1,10 @@
-"""Claim harness for the built-in fixtures.
+"""Claim harness for the fixtures in ``fixtures/``.
 
 Every documented behaviour of a fixture becomes one checkable claim with its
 preconditions validated first, so an edited fixture whose certificate no
-longer applies is reported as a mismatch instead of silently passing.
+longer applies is reported as a mismatch instead of silently passing.  A
+claim is called as ``claim(name, G, points, ctx, cfg, dense_K)`` on the
+fixture's group and its named points (vectors).
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .dynamics import (
     enumerate_orbit,
     inverse_recurrence_check,
 )
-from .fixtures import Fixture, all_fixtures
 from .invariants import (
     bounded_restriction_witness,
     invariant_family,
@@ -29,6 +30,8 @@ from .invariants import (
     invariant_tree,
     membership,
 )
+from .groups import GeneratorSet
+from .linalg import as_vector
 from .numeric import NumericContext
 from .scalars import Scalar, is_rationally_independent
 
@@ -44,9 +47,10 @@ class ClaimResult:
         return f"{'PASS' if self.ok else 'FAIL'} {self.fixture}.{self.claim}: {self.detail}"
 
 
-def _structure_claim(f: Fixture, ctx: NumericContext) -> ClaimResult:
-    n = f.group.dimension
-    tree = invariant_tree(f.group, ctx)
+def _structure_claim(name: str, G: GeneratorSet, points, ctx: NumericContext,
+                     cfg: ClosureConfig, dense_K: int | None) -> ClaimResult:
+    n = G.dimension
+    tree = invariant_tree(G, ctx)
     fam = tree.family
     ok = (
         fam.count <= n
@@ -58,15 +62,15 @@ def _structure_claim(f: Fixture, ctx: NumericContext) -> ClaimResult:
         f"{fam.count} invariant subspace(s), dims "
         f"{[s.dim for s in fam.subspaces]}, tree depth {tree.depth}"
     )
-    return ClaimResult(f.name, "structure", ok, detail)
+    return ClaimResult(name, "structure", ok, detail)
 
 
-def _increments(f: Fixture, point) -> list[Scalar]:
+def _increments(G: GeneratorSet, point) -> list[Scalar]:
     """Per-generator last-coordinate increments of a shear orbit at the point:
     the last row of g - I applied to it."""
-    n = f.group.dimension
+    n = G.dimension
     increments = []
-    for g in f.group.generators:
+    for g in G.generators:
         inc = Scalar.zero()
         for j in range(n - 1):
             inc = inc + g[n - 1, j] * point[j]
@@ -74,30 +78,31 @@ def _increments(f: Fixture, point) -> list[Scalar]:
     return increments
 
 
-def _first_coords_subgroup(f: Fixture, point) -> IntegerSpan:
+def _first_coords_subgroup(G: GeneratorSet, point) -> IntegerSpan:
     """The coefficient subgroup driving the last coordinate of a shear orbit."""
-    coeffs = _increments(f, point)
-    if f.group.field == "complex":
+    coeffs = _increments(G, point)
+    if G.field == "complex":
         return IntegerSpan.of([(c.real_part(), c.imag_part()) for c in coeffs], 2)
     return IntegerSpan.of([(c,) for c in coeffs], 1)
 
 
-def _closed_orbit_claim(f: Fixture, key: str, ctx: NumericContext, cfg: ClosureConfig,
-                        max_exponent: int = 64) -> ClaimResult:
-    point = f.points[key]
-    span = _first_coords_subgroup(f, point)
+def _closed_orbit_claim(name: str, G: GeneratorSet, points, ctx: NumericContext,
+                        cfg: ClosureConfig, dense_K: int | None) -> ClaimResult:
+    key = "closed"
+    point = points[key]
+    span = _first_coords_subgroup(G, point)
     rational = all(
         c.is_rational() for v in span.vectors for c in v
     )
     if not rational:
         return ClaimResult(
-            f.name, f"closed-orbit[{key}]", False,
+            name, f"closed-orbit[{key}]", False,
             "precondition violated: increments are not rational, the closed "
             "verdict certificate does not apply",
         )
     verdict_exact = dense_in(span)
-    verdict_cloud, K = classify_stabilized(f.group, point, cfg, max_exponent=max_exponent)
-    fam = invariant_family(f.group, ctx)
+    verdict_cloud, K = classify_stabilized(G, point, cfg, max_exponent=64)
+    fam = invariant_family(G, ctx)
     ok = (
         verdict_exact.kind == CLOSED
         and verdict_cloud is not None
@@ -105,36 +110,40 @@ def _closed_orbit_claim(f: Fixture, key: str, ctx: NumericContext, cfg: ClosureC
         and membership(fam, point, ctx).in_U
     )
     return ClaimResult(
-        f.name, f"closed-orbit[{key}]", ok,
+        name, f"closed-orbit[{key}]", ok,
         f"exact {verdict_exact.kind}, sampled {verdict_cloud.kind} at K={K}",
     )
 
 
-def _dense_line_claim(f: Fixture, key: str, ctx: NumericContext, cfg: ClosureConfig,
-                      K: int = 1000) -> ClaimResult:
-    point = f.points[key]
-    span = _first_coords_subgroup(f, point)
+def _dense_line_claim(name: str, G: GeneratorSet, points, ctx: NumericContext,
+                      cfg: ClosureConfig, dense_K: int | None) -> ClaimResult:
+    key = "dense_line"
+    K = 1000 if dense_K is None else dense_K
+    point = points[key]
+    span = _first_coords_subgroup(G, point)
     verdict_exact = dense_in(span)
     if verdict_exact.kind != DENSE:
         return ClaimResult(
-            f.name, f"dense-line[{key}]", False,
+            name, f"dense-line[{key}]", False,
             f"precondition violated: coefficient subgroup is {verdict_exact.kind}, "
             "the density certificate does not apply",
         )
-    cloud = enumerate_orbit(f.group, point, K, cfg)
+    cloud = enumerate_orbit(G, point, K, cfg)
     verdict = classify_closure(cloud, cfg)
     ok = verdict.kind == DENSE_IN_AFFINE and verdict.hull_dim == 1 and (
         verdict.gap is not None and verdict.gap < cfg.gap_threshold + 1e-12
     )
     return ClaimResult(
-        f.name, f"dense-line[{key}]", ok,
+        name, f"dense-line[{key}]", ok,
         f"exact DENSE; sampled {verdict.kind}({verdict.hull_dim}) at K={K}, "
         f"max gap {verdict.gap:.3g}" if verdict.gap is not None else f"sampled {verdict.kind}",
     )
 
 
-def _closed_complex_claim(f: Fixture, key: str, ctx: NumericContext, cfg: ClosureConfig) -> ClaimResult:
-    point = f.points[key]
+def _closed_complex_claim(name: str, G: GeneratorSet, points, ctx: NumericContext,
+                          cfg: ClosureConfig, dense_K: int | None) -> ClaimResult:
+    key = "closed"
+    point = points[key]
     precondition = True
     for c in point[:3]:
         re, im = c.real_part(), c.imag_part()
@@ -142,133 +151,127 @@ def _closed_complex_claim(f: Fixture, key: str, ctx: NumericContext, cfg: Closur
             precondition = False
     if not precondition:
         return ClaimResult(
-            f.name, f"closed-orbit[{key}]", False,
+            name, f"closed-orbit[{key}]", False,
             "precondition violated: leading coordinates are not nonzero "
             "rational complex numbers, the closed verdict certificate does not apply",
         )
-    span = _first_coords_subgroup(f, point)
+    span = _first_coords_subgroup(G, point)
     verdict_exact = dense_in(span)
-    verdict_cloud, K = classify_stabilized(f.group, point, cfg, max_exponent=64)
+    verdict_cloud, K = classify_stabilized(G, point, cfg, max_exponent=64)
     ok = verdict_exact.kind == CLOSED and verdict_cloud.kind == DISCRETE
     return ClaimResult(
-        f.name, f"closed-orbit[{key}]", ok,
+        name, f"closed-orbit[{key}]", ok,
         f"exact {verdict_exact.kind}, sampled {verdict_cloud.kind} at K={K}",
     )
 
 
-def _dense_plane_claim(f: Fixture, key: str, ctx: NumericContext, cfg: ClosureConfig,
-                       K: int = 200, brute_bound: int = 50) -> ClaimResult:
-    point = f.points[key]
-    span = _first_coords_subgroup(f, point)
+def _dense_plane_claim(name: str, G: GeneratorSet, points, ctx: NumericContext,
+                       cfg: ClosureConfig, dense_K: int | None) -> ClaimResult:
+    key, brute_bound = "dense_plane", 50
+    K = 200 if dense_K is None else dense_K
+    point = points[key]
+    span = _first_coords_subgroup(G, point)
     verdict_exact = dense_in(span)
     zeros = determinant_zero_search(span, brute_bound) if span.count == 3 and span.dim == 2 else []
     if verdict_exact.kind != DENSE:
         return ClaimResult(
-            f.name, f"dense-plane[{key}]", False,
+            name, f"dense-plane[{key}]", False,
             f"precondition violated: exact verdict is {verdict_exact.kind}",
         )
-    cloud = enumerate_orbit(f.group, point, K, cfg)
+    cloud = enumerate_orbit(G, point, K, cfg)
     verdict = classify_closure(cloud, cfg)
     ok = not zeros and verdict.kind == DENSE_IN_AFFINE and verdict.hull_dim == 2
     return ClaimResult(
-        f.name, f"dense-plane[{key}]", ok,
+        name, f"dense-plane[{key}]", ok,
         f"exact DENSE, determinant zero-search empty up to {brute_bound}, "
         f"sampled {verdict.kind}({verdict.hull_dim}) at K={K}",
     )
 
 
-def _approach_words(f: Fixture, target: Scalar, bound: int = 10**4):
+def _approach_words(G: GeneratorSet, points, bound: int = 10**4):
     """Exponent tuples driving the base point of radical4 toward its limit."""
-    values = _increments(f, f.points["base"])
-    return approximate_target(values, target, bound), values
+    values = _increments(G, points["base"])
+    return approximate_target(values, points["limit"][-1], bound), values
 
 
-def _closure_minus_orbit_claim(f: Fixture, ctx: NumericContext) -> ClaimResult:
-    base, limit = f.points["base"], f.points["limit"]
-    target = limit[-1]
-    approx, values = _approach_words(f, target)
+def _closure_minus_orbit_claim(name: str, G: GeneratorSet, points, ctx: NumericContext,
+                               cfg: ClosureConfig, dense_K: int | None) -> ClaimResult:
+    target = points["limit"][-1]
+    approx, values = _approach_words(G, points)
     reach = approx.achieved < 1e-4
     independent, relation = is_rationally_independent(values + [target])
     if not independent:
         return ClaimResult(
-            f.name, "closure-minus-orbit", False,
+            name, "closure-minus-orbit", False,
             f"altered expected verdict: the limit coordinate satisfies the "
             f"integer relation {relation} with the increments, so the "
             "non-membership certificate fails",
         )
     ok = reach
     return ClaimResult(
-        f.name, "closure-minus-orbit", ok,
+        name, "closure-minus-orbit", ok,
         f"residual {approx.achieved:.2e} after {len(approx.tuples)} improvements; "
         f"limit is rationally independent of the increments, so it is not attained",
     )
 
 
-def _unbounded_sequence_claim(f: Fixture, ctx: NumericContext) -> ClaimResult:
-    approx, _ = _approach_words(f, f.points["limit"][-1])
-    norms = [f.group.word(w).max_abs() for w in approx.tuples]
+def _unbounded_sequence_claim(name: str, G: GeneratorSet, points, ctx: NumericContext,
+                              cfg: ClosureConfig, dense_K: int | None) -> ClaimResult:
+    approx, _ = _approach_words(G, points)
+    norms = [G.word(w).max_abs() for w in approx.tuples]
     ok = max(norms) > 1e3
     return ClaimResult(
-        f.name, "unbounded-sequence", ok,
+        name, "unbounded-sequence", ok,
         f"max entry along the sequence {max(norms):.4g}",
     )
 
 
-def _bounded_restriction_claim(f: Fixture, ctx: NumericContext) -> ClaimResult:
-    base = f.points["base"]
-    approx, _ = _approach_words(f, f.points["limit"][-1])
-    hull = invariant_hull(f.group, base)
-    witness = bounded_restriction_witness(f.group, base, approx.tuples, ctx)
+def _bounded_restriction_claim(name: str, G: GeneratorSet, points, ctx: NumericContext,
+                               cfg: ClosureConfig, dense_K: int | None) -> ClaimResult:
+    base = points["base"]
+    approx, _ = _approach_words(G, points)
+    hull = invariant_hull(G, base)
+    witness = bounded_restriction_witness(G, base, approx.tuples, ctx)
     bound_limit = 1 + math.sqrt(3) + 1e-3
     ok = hull.dim == 2 and witness.bound <= bound_limit
     return ClaimResult(
-        f.name, "bounded-restriction", ok,
+        name, "bounded-restriction", ok,
         f"hull dim {hull.dim}, restricted sup max-entry {witness.bound:.6f} "
         f"<= {bound_limit:.6f}",
     )
 
 
-def _recurrence_claim(f: Fixture, ctx: NumericContext) -> ClaimResult:
-    base, limit = f.points["base"], f.points["limit"]
-    approx, _ = _approach_words(f, limit[-1])
-    fam = invariant_family(f.group, ctx)
-    rep = inverse_recurrence_check(f.group, fam, base, limit, approx.tuples, ctx)
+def _recurrence_claim(name: str, G: GeneratorSet, points, ctx: NumericContext,
+                      cfg: ClosureConfig, dense_K: int | None) -> ClaimResult:
+    base, limit = points["base"], points["limit"]
+    approx, _ = _approach_words(G, points)
+    fam = invariant_family(G, ctx)
+    rep = inverse_recurrence_check(G, fam, base, limit, approx.tuples, ctx)
     return ClaimResult(
-        f.name, "inverse-recurrence", rep.tends_to_zero,
+        name, "inverse-recurrence", rep.tends_to_zero,
         f"tail max of ||B^-1 v - u|| is {rep.tail_max:.2e}",
     )
 
 
+# The claims of each fixture, in the order verify-examples runs them.
+CLAIMS = {
+    "shear3": (_structure_claim, _closed_orbit_claim, _dense_line_claim),
+    "shear4": (_structure_claim, _closed_orbit_claim, _dense_line_claim),
+    "cshear5": (_structure_claim, _closed_complex_claim, _dense_plane_claim),
+    "radical4": (_structure_claim, _closure_minus_orbit_claim, _unbounded_sequence_claim,
+                 _bounded_restriction_claim, _recurrence_claim),
+}
+
+
 def verify_fixture(
-    f: Fixture,
-    ctx: NumericContext | None = None,
-    cfg: ClosureConfig | None = None,
+    name: str,
+    G: GeneratorSet,
+    points: dict,
+    ctx: NumericContext,
+    cfg: ClosureConfig,
     dense_K: int | None = None,
 ) -> list[ClaimResult]:
-    ctx = ctx or NumericContext()
-    cfg = cfg or ClosureConfig()
-    line_K, plane_K = (1000, 200) if dense_K is None else (dense_K, dense_K)
-    out = [_structure_claim(f, ctx)]
-    if f.name in ("shear3", "shear4"):
-        out.append(_closed_orbit_claim(f, "closed", ctx, cfg))
-        out.append(_dense_line_claim(f, "dense_line", ctx, cfg, K=line_K))
-    elif f.name == "cshear5":
-        out.append(_closed_complex_claim(f, "closed", ctx, cfg))
-        out.append(_dense_plane_claim(f, "dense_plane", ctx, cfg, K=plane_K))
-    elif f.name == "radical4":
-        out.append(_closure_minus_orbit_claim(f, ctx))
-        out.append(_unbounded_sequence_claim(f, ctx))
-        out.append(_bounded_restriction_claim(f, ctx))
-        out.append(_recurrence_claim(f, ctx))
-    return out
-
-
-def verify_all(
-    ctx: NumericContext | None = None,
-    cfg: ClosureConfig | None = None,
-    dense_K: int | None = None,
-) -> list[ClaimResult]:
-    results = []
-    for f in all_fixtures():
-        results.extend(verify_fixture(f, ctx, cfg, dense_K=dense_K))
-    return results
+    """Run the claims of fixture ``name`` on its group and its points, given
+    as coordinate lists; ``dense_K`` overrides the dense claims' exponent bound."""
+    vectors = {key: as_vector(coords) for key, coords in points.items()}
+    return [claim(name, G, vectors, ctx, cfg, dense_K) for claim in CLAIMS[name]]

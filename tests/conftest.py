@@ -2,38 +2,43 @@
 
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
+from typing import Sequence
 
 import pytest
 
-from lindyn.fixtures import Fixture, all_fixtures
+from lindyn.cli import FIXTURES, load_input
 from lindyn.groups import GeneratorSet
 from lindyn.invariants import nilpotent_span
-from lindyn.linalg import Matrix
+from lindyn.linalg import Matrix, Vector, as_vector
 from lindyn.scalars import Scalar
 
 
-def fixture_by_name(name: str) -> Fixture:
-    for f in all_fixtures():
-        if f.name == name:
-            return f
-    raise KeyError(f"unknown fixture {name!r}")
+def lindyn_env() -> dict[str, str]:
+    """The environment with this checkout's src/ first on PYTHONPATH, for
+    subprocesses that may run in another working directory."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
 
 
-def fixture_input_dict(f: Fixture) -> dict:
-    """The fixture as an analyze-input document (for file round trips)."""
-    gens = []
-    for name, g in zip(f.group.names, f.group.generators):
-        gens.append(
-            {"name": name, "rows": [[str(e) for e in row] for row in g.entries()]}
-        )
-    return {
-        "field": f.group.field,
-        "dimension": f.group.dimension,
-        "generators": gens,
-        "points": {k: [str(c) for c in v] for k, v in f.points.items()},
-    }
+# the committed fixtures/*.json, the files users run
+FIXTURE_NAMES = sorted(p.stem for p in FIXTURES.glob("*.json"))
+
+
+def fixture_by_name(name: str) -> tuple[GeneratorSet, dict[str, Vector]]:
+    """The committed fixtures/<name>.json: its group and its named points."""
+    G, points = load_input(str(FIXTURES / f"{name}.json"))
+    return G, {key: as_vector(coords) for key, coords in points.items()}
+
+
+def group_from_strings(field: str, rows_per_generator: Sequence[Sequence[Sequence[str]]],
+                       names: Sequence[str] | None = None) -> GeneratorSet:
+    gens = [Matrix.from_rows(rows) for rows in rows_per_generator]
+    return GeneratorSet(field, gens[0].rows, gens, list(names or []))
 
 
 def random_scalar(rng: random.Random, radicands=(2, 3), max_num=5, allow_imag=True) -> Scalar:
@@ -127,7 +132,7 @@ def random_lastrow_group(rng: random.Random, n: int):
     b[n - 1][j1] = f"{q2}"
     if j2 != j1:
         b[n - 1][j2] = "1"
-    G = GeneratorSet.from_strings("real", [a, b], ["A", "B"])
+    G = group_from_strings("real", [a, b], ["A", "B"])
     base = [Scalar.one()] * (n - 1) + [Scalar.zero()]
     values = []
     for g in G.generators:

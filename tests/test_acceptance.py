@@ -13,14 +13,14 @@ import numpy as np
 import pytest
 
 from conftest import (
+    FIXTURE_NAMES,
     fixture_by_name,
-    fixture_input_dict,
     random_commuting_family,
     random_lastrow_group,
     random_scalar,
     random_sform_family,
 )
-from lindyn.cli import main
+from lindyn.cli import FIXTURES, main
 from lindyn.density import CLOSED, DENSE, IntegerSpan, dense_in, determinant_zero_search
 from lindyn.dynamics import (
     DENSE_IN_AFFINE,
@@ -32,7 +32,6 @@ from lindyn.dynamics import (
     inverse_recurrence_check,
 )
 from lindyn.errors import NoProgress
-from lindyn.fixtures import all_fixtures
 from lindyn.groups import GeneratorSet
 from lindyn.invariants import (
     bounded_restriction_witness,
@@ -57,16 +56,15 @@ class TestCriterion1InvariantFamilies:
     def test_analyze_conformance(self, tmp_path):
         ok = True
         details = []
-        for f in all_fixtures():
-            inp = tmp_path / f"{f.name}.json"
-            inp.write_text(json.dumps(fixture_input_dict(f)))
-            out = tmp_path / f"{f.name}-report.json"
+        for name in FIXTURE_NAMES:
+            inp = FIXTURES / f"{name}.json"
+            out = tmp_path / f"{name}-report.json"
             t0 = time.time()
             code = main(["analyze", str(inp), "--output", str(out)])
             elapsed = time.time() - t0
             assert code == 0
             rep = json.loads(out.read_text())
-            n = f.group.dimension
+            n = rep["input"]["dimension"]
             fam = rep["invariant_family"]
             dims_ok = all(
                 s["dimension"] in (n - 1, n - 2) for s in fam["subspaces"]
@@ -76,9 +74,8 @@ class TestCriterion1InvariantFamilies:
             )
             this_ok = fam["count"] <= n and dims_ok and residuals_ok and elapsed < 1.0
             ok = ok and this_ok
-            details.append(f"{f.name}: r={fam['count']} {elapsed:.2f}s")
+            details.append(f"{name}: r={fam['count']} {elapsed:.2f}s")
         # the three-dimensional shear family has exactly one hyperplane x1 = 0
-        inp = tmp_path / "shear3.json"
         rep = json.loads((tmp_path / "shear3-report.json").read_text())
         sub = rep["invariant_family"]["subspaces"]
         exact_h1 = (
@@ -92,7 +89,7 @@ class TestCriterion1InvariantFamilies:
 
 class TestCriterion2ClosureVerdicts:
     def test_discrete_and_dense_line(self):
-        G = fixture_by_name("shear3").group
+        G = fixture_by_name("shear3")[0]
         c1 = enumerate_orbit(G, as_vector([1, 1, 0]), 100, CFG)
         v1 = classify_closure(c1, CFG)
         c2 = enumerate_orbit(G, as_vector(["1", "sqrt(2)", "0"]), 1000, CFG)
@@ -149,10 +146,9 @@ class TestCriterion3ExactDensity:
 class TestCriterion4RadicalShearPipeline:
     def test_full_reproduction(self):
         t0 = time.time()
-        f = fixture_by_name("radical4")
-        G = f.group
-        u = f.points["base"]
-        v = f.points["limit"]
+        G, points = fixture_by_name("radical4")
+        u = points["base"]
+        v = points["limit"]
         s2, s3, one = Scalar.sqrt_int(2), Scalar.sqrt_int(3), Scalar.one()
         ap = approximate_target([s2, one], s3, 10**4)
         approx_ok = ap.achieved < 1e-4
@@ -303,12 +299,13 @@ class TestCriterion6ExactSoundness:
     def test_exact_vs_numeric_rank_on_fixtures(self):
         checked = 0
         agree = 0
-        for f in all_fixtures():
-            for g in f.group.generators:
+        for name in FIXTURE_NAMES:
+            G, points = fixture_by_name(name)
+            for g in G.generators:
                 checked += 1
                 if rank(g) == nrank(to_numeric(g, CTX), CTX):
                     agree += 1
-            for p in f.points.values():
+            for p in points.values():
                 M = Matrix.from_cols([list(p)])
                 checked += 1
                 if rank(M) == nrank(to_numeric(M, CTX), CTX):

@@ -7,23 +7,20 @@ from pathlib import Path
 
 import pytest
 
-from conftest import fixture_by_name, fixture_input_dict, random_commuting_family
-from lindyn.cli import main
-from lindyn.fixtures import all_fixtures
+from conftest import FIXTURE_NAMES, fixture_by_name, lindyn_env, random_commuting_family
+from lindyn.cli import FIXTURES, main
+from lindyn.dynamics import ClosureConfig
+from lindyn.linalg import as_vector
+from lindyn.numeric import NumericContext
+from lindyn.verify import _closed_complex_claim, _closure_minus_orbit_claim
 
 
-@pytest.fixture(scope="module")
-def fixture_files(tmp_path_factory):
-    root = tmp_path_factory.mktemp("inputs")
-    paths = {}
-    for f in all_fixtures():
-        p = root / f"{f.name}.json"
-        p.write_text(json.dumps(fixture_input_dict(f), indent=2))
-        paths[f.name] = str(p)
-    return paths
+@pytest.fixture
+def fixture_files():
+    return {name: str(FIXTURES / f"{name}.json") for name in FIXTURE_NAMES}
 
 
-# sha256 of `lindyn analyze <fixture>` at the CLI defaults, first recorded
+# sha256 of `lindyn analyze fixtures/<name>.json` at the CLI defaults, first recorded
 # before all-rational matrices moved to integer elimination: how exact linear
 # algebra is carried out must not change a report byte.  Re-recorded when the
 # invariant tree became a list of distinct nodes and config.seed was dropped,
@@ -99,9 +96,10 @@ SPLIT_DEFECTIVE = {
 }
 
 
-def run_cli(args):
+def run_cli(args, cwd=None):
     proc = subprocess.run(
-        [sys.executable, "-m", "lindyn.cli", *args], capture_output=True, text=True
+        [sys.executable, "-m", "lindyn.cli", *args], capture_output=True, text=True,
+        cwd=cwd, env=lindyn_env(),
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -214,7 +212,7 @@ class TestAnalyze:
 
     def test_point_length_checked(self, tmp_path, capsys):
         # a short point used to be read as a truncated vector: in_U true on shear3
-        doc = fixture_input_dict(fixture_by_name("shear3"))
+        doc = json.loads((FIXTURES / "shear3.json").read_text())
         doc["points"] = {"short": ["1", "1"]}
         p = tmp_path / "short.json"
         p.write_text(json.dumps(doc))
@@ -241,11 +239,14 @@ class TestAnalyze:
         # each used to end in a traceback or a wrong message: dimension 0 in an
         # AttributeError from the report, a top-level array in a TypeError,
         # "points": 5 in an AttributeError, a bare coordinate in a TypeError
-        # from len, no generators in "shape mismatch" from triangularize; and
-        # a repeated name dropped the first A's eigenvalues from the report
-        shear3 = fixture_input_dict(fixture_by_name("shear3"))
+        # from len, no generators in "shape mismatch" from triangularize,
+        # generators, rows, a row, an entry or a coordinate of the wrong JSON
+        # type in a TypeError; and a repeated name dropped the first A's
+        # eigenvalues from the report
+        shear3 = json.loads((FIXTURES / "shear3.json").read_text())
         diag = [{"name": "A", "rows": [["2", "0"], ["0", "3"]]},
                 {"name": "A", "rows": [["5", "0"], ["0", "7"]]}]
+        real2 = {"field": "real", "dimension": 2}
         for doc, err in [
             ({"field": "real", "dimension": 0, "generators": [[]]},
              "dimension must be at least 1, got 0"),
@@ -256,6 +257,15 @@ class TestAnalyze:
              "a group needs at least one generator"),
             ({"field": "real", "dimension": 2, "generators": diag},
              "duplicate generator name 'A'"),
+            ({**real2, "generators": 5}, "generators must be a list"),
+            ({**real2, "generators": [{"name": "A", "rows": 5}]},
+             "generator A is not a list of rows"),
+            ({**real2, "generators": [[5, ["1", "1"]]]},
+             "a row of generator g0 is not a list of entries"),
+            ({**real2, "generators": [[["1", None], ["1", "1"]]]},
+             "a row of generator g0 has null among its entries"),
+            ({**shear3, "points": {"p": ["1", None, "0"]}},
+             "point p has null among its coordinates"),
         ]:
             p = tmp_path / "bad.json"
             p.write_text(json.dumps(doc))
@@ -351,15 +361,25 @@ class TestOrbit:
         assert len(lines) - 1 == out["dump"]["points"]
 
 
+# every claim of verify-examples, in the order it runs them
+CLAIM_IDS = [
+    "shear3.structure", "shear3.closed-orbit[closed]", "shear3.dense-line[dense_line]",
+    "shear4.structure", "shear4.closed-orbit[closed]", "shear4.dense-line[dense_line]",
+    "cshear5.structure", "cshear5.closed-orbit[closed]", "cshear5.dense-plane[dense_plane]",
+    "radical4.structure", "radical4.closure-minus-orbit", "radical4.unbounded-sequence",
+    "radical4.bounded-restriction", "radical4.inverse-recurrence",
+]
+
+
 class TestVerifyExamples:
-    def test_all_claims_pass_fast_config(self, capsys):
-        # lighter exponent bound; the full-strength run lives in acceptance
-        code = main(["verify-examples", "--dense-exponent", "256"])
-        out = capsys.readouterr().out
-        assert code == 0, out
-        lines = [l for l in out.strip().splitlines() if l.startswith(("PASS", "FAIL"))]
-        assert len(lines) >= 10
-        assert all(l.startswith("PASS") for l in lines)
+    def test_all_claims_pass_fast_config(self, tmp_path):
+        # lighter exponent bound; the full-strength run lives in acceptance.
+        # Run outside the checkout: the fixtures are found from the package.
+        code, out, err = run_cli(["verify-examples", "--dense-exponent", "256"], cwd=tmp_path)
+        assert code == 0 and err == "", out + err
+        lines = out.splitlines()
+        assert [l.split(": ", 1)[0] for l in lines[:-1]] == [f"PASS {c}" for c in CLAIM_IDS]
+        assert lines[-1] == f"{len(CLAIM_IDS)}/{len(CLAIM_IDS)} claims passed"
 
     def test_bad_option_is_an_error_line(self, capsys):
         # --dense-exponent 0 used to mean the default, and -1 ended in numpy's
@@ -376,32 +396,17 @@ class TestVerifyExamples:
     def test_altered_radical_fixture_detected(self):
         # replacing the radical limit by a rational breaks the independence
         # certificate; the harness must flag it rather than pass silently
-        from lindyn.fixtures import radical4
-        from lindyn.linalg import as_vector
-        from lindyn.verify import _closure_minus_orbit_claim
-        import dataclasses
-
-        f = radical4()
-        altered = dataclasses.replace(
-            f, points={**f.points, "limit": as_vector(["1", "1", "0", "3/2"])}
-        )
-        res = _closure_minus_orbit_claim(altered, None)
+        G, points = fixture_by_name("radical4")
+        altered = {**points, "limit": as_vector(["1", "1", "0", "3/2"])}
+        res = _closure_minus_orbit_claim("radical4", G, altered, NumericContext(),
+                                         ClosureConfig(), None)
         assert not res.ok
         assert "altered expected verdict" in res.detail
 
     def test_altered_complex_fixture_detected(self):
         # making the first coordinate real voids the closed-orbit certificate
-        from lindyn.fixtures import cshear5
-        from lindyn.linalg import as_vector
-        from lindyn.verify import _closed_complex_claim
-        from lindyn.dynamics import ClosureConfig
-        from lindyn.numeric import NumericContext
-        import dataclasses
-
-        f = cshear5()
-        altered = dataclasses.replace(
-            f, points={**f.points, "closed": as_vector(["1", "2+i", "1+2*i", "0", "0"])}
-        )
-        res = _closed_complex_claim(altered, "closed", NumericContext(), ClosureConfig())
+        G, points = fixture_by_name("cshear5")
+        altered = {**points, "closed": as_vector(["1", "2+i", "1+2*i", "0", "0"])}
+        res = _closed_complex_claim("cshear5", G, altered, NumericContext(), ClosureConfig(), None)
         assert not res.ok
         assert "precondition violated" in res.detail

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from conftest import fixture_by_name, random_lastrow_group
+from conftest import fixture_by_name, group_from_strings, random_lastrow_group
 from lindyn.dynamics import (
     _dedup,
     _hull_frame,
@@ -37,15 +37,15 @@ CFG = ClosureConfig()
 
 
 def shear3():
-    return fixture_by_name("shear3").group
+    return fixture_by_name("shear3")[0]
 
 
 def shear4():
-    return fixture_by_name("shear4").group
+    return fixture_by_name("shear4")[0]
 
 
 def radical4():
-    return fixture_by_name("radical4").group
+    return fixture_by_name("radical4")[0]
 
 
 class TestEnumerate:
@@ -91,7 +91,7 @@ class TestEnumerate:
         assert abs(v_full.gap - v_stream.gap) < 1e-9
 
     def test_overflow_clipping(self):
-        G = GeneratorSet.from_strings("real", [[["3", "0"], ["0", "1/3"]]])
+        G = group_from_strings("real", [[["3", "0"], ["0", "1/3"]]])
         cloud = enumerate_orbit(G, as_vector([1, 1]), 250, ClosureConfig(overflow_limit=1e30))
         assert cloud.clipped
         assert cloud.count < 501
@@ -130,7 +130,7 @@ class TestEnumerate:
     def test_one_overflowing_tuple_clips(self):
         # points (1, k1 + 1000 k2 + 1/2): only the corner k = (400, 400) is
         # above the limit, and it is neither a window hit nor a stride sample
-        G = GeneratorSet.from_strings("real", [[["1", "0"], ["1", "1"]], [["1", "0"], ["1000", "1"]]])
+        G = group_from_strings("real", [[["1", "0"], ["1", "1"]], [["1", "0"], ["1000", "1"]]])
         cfg = ClosureConfig(max_store=10_000, overflow_limit=400_400.25)
         streamed = enumerate_orbit(G, as_vector(["1", "1/2"]), 400, cfg)
         full = enumerate_orbit(G, as_vector(["1", "1/2"]), 400, dataclasses.replace(cfg, max_store=10**6))
@@ -169,7 +169,7 @@ def _digest_case(name):
         return shear3(), dense3, 300, ClosureConfig(max_store=50_000)
     if name == "cshear5_plane_K24_streamed":  # g = 3: a nested stage before the last
         u = as_vector(["1+i", "sqrt(3)+i*sqrt(2)", "sqrt(2)+i", "0", "0"])
-        return fixture_by_name("cshear5").group, u, 24, ClosureConfig(max_store=10_000)
+        return fixture_by_name("cshear5")[0], u, 24, ClosureConfig(max_store=10_000)
     if name == "generic_complex_streamed":
         # inexact float entries: a point of the last stage formed by a
         # product over fewer columns would round differently here
@@ -184,9 +184,9 @@ def _digest_case(name):
         G = GeneratorSet("complex", 3, gens, ["a", "b"])
         return G, u, 100, ClosureConfig(max_store=5000, window=3.0)
     if name == "one_generator_streamed":
-        G = GeneratorSet.from_strings("real", [[["1", "0"], ["1", "1"]]])
+        G = group_from_strings("real", [[["1", "0"], ["1", "1"]]])
         return G, as_vector(["sqrt(2)", "1/3"]), 3000, ClosureConfig(max_store=1000)
-    G = GeneratorSet.from_strings(
+    G = group_from_strings(
         "real", [[["3", "0"], ["0", "1/3"]], [["2", "0"], ["0", "1/2"]]]
     )
     return G, as_vector([1, 1]), 250, ClosureConfig(overflow_limit=1e30, max_store=10_000)
@@ -205,7 +205,7 @@ class TestSameBits:
     @pytest.mark.parametrize("max_store", [4_500_000, 200])
     def test_handled_overflow_is_silent(self, max_store):
         # powers of 1e10 overflow long before K=400; clipping drops them
-        G = GeneratorSet.from_strings("real", [[["10000000000", "0"], ["0", "1/10000000000"]]])
+        G = group_from_strings("real", [[["10000000000", "0"], ["0", "1/10000000000"]]])
         for K in (32, 400):
             cfg = ClosureConfig(max_store=max_store)
             with warnings.catch_warnings():
@@ -380,7 +380,7 @@ class TestInverseRecurrence:
         assert rep.tail_max == 0.0 and rep.tends_to_zero
 
     def test_homothety_matrix_sequence(self):
-        G = GeneratorSet.from_strings("real", [[["2", "0"], ["0", "2"]]])
+        G = group_from_strings("real", [[["2", "0"], ["0", "2"]]])
         fam = invariant_family(G, CTX)
         u = as_vector([1, 0])
         seq = [

@@ -4,10 +4,16 @@ import random
 import numpy as np
 import pytest
 
-from conftest import fixture_by_name, random_commuting_family, random_lastrow_group, random_sform_family
+from conftest import (
+    FIXTURE_NAMES,
+    fixture_by_name,
+    group_from_strings,
+    random_commuting_family,
+    random_lastrow_group,
+    random_sform_family,
+)
 from lindyn import invariants
 from lindyn.errors import FirstCoordinateZero, InvarianceViolation, NotConvergent
-from lindyn.fixtures import all_fixtures
 from lindyn.groups import GeneratorSet
 from lindyn.invariants import (
     bounded_restriction_witness,
@@ -18,7 +24,7 @@ from lindyn.invariants import (
     nilpotent_span,
     s_form_diagonal,
 )
-from lindyn.linalg import Matrix, Subspace, as_vector, matrix_from_strings, restrict, solve
+from lindyn.linalg import Matrix, Subspace, as_vector, restrict, solve
 from lindyn.numeric import NumericContext, NumSubspace, max_abs, nsolve_cols, to_numeric
 from lindyn.report import render_tree
 from lindyn.scalars import Scalar
@@ -78,15 +84,15 @@ def diagonal_group(n):
     """Two diagonal generators, the first with distinct eigenvalues."""
     first = [[str(i + 2) if i == j else "0" for j in range(n)] for i in range(n)]
     second = [[str(i % 2 + 1) if i == j else "0" for j in range(n)] for i in range(n)]
-    return GeneratorSet.from_strings("real", [first, second])
+    return group_from_strings("real", [first, second])
 
 
 def shear3():
-    return fixture_by_name("shear3").group
+    return fixture_by_name("shear3")[0]
 
 
 def radical4():
-    return fixture_by_name("radical4").group
+    return fixture_by_name("radical4")[0]
 
 
 class TestNilpotentSpan:
@@ -104,7 +110,7 @@ class TestNilpotentSpan:
         assert fam.span.contains(as_vector([0, 0, 0, 1]))
 
     def test_homothety(self):
-        G = GeneratorSet.from_strings("real", [[["2", "0"], ["0", "2"]]])
+        G = group_from_strings("real", [[["2", "0"], ["0", "2"]]])
         fam = nilpotent_span(G)
         assert fam.rank == 0 and fam.span.dim == 0
 
@@ -142,7 +148,7 @@ class TestInvariantHull:
         assert hull.contains(as_vector([1, 1, 0, 0]))
 
     def test_homothety_hull_is_line(self):
-        G = GeneratorSet.from_strings("real", [[["2", "0"], ["0", "2"]]])
+        G = group_from_strings("real", [[["2", "0"], ["0", "2"]]])
         hull = invariant_hull(G, as_vector([1, 1]))
         assert hull.dim == 1
 
@@ -163,7 +169,7 @@ class TestInvariantFamily:
         assert sub.invariance_residual == 0.0
 
     def test_diag_two_hyperplanes(self):
-        G = GeneratorSet.from_strings("real", [[["2", "0"], ["0", "3"]]])
+        G = group_from_strings("real", [[["2", "0"], ["0", "3"]]])
         fam = invariant_family(G, CTX)
         fns = sorted(
             [[str(x) for x in row] for row in s.functionals.entries()][0]
@@ -172,7 +178,7 @@ class TestInvariantFamily:
         assert fns == [["0", "1"], ["1", "0"]]
 
     def test_rotation_codim2(self):
-        R = matrix_from_strings([["1/2", "-1/2*sqrt(3)"], ["1/2*sqrt(3)", "1/2"]])
+        R = Matrix.from_rows([["1/2", "-1/2*sqrt(3)"], ["1/2*sqrt(3)", "1/2"]])
         G = GeneratorSet("real", 2, [R], ["R"])
         fam = invariant_family(G, CTX)
         assert fam.count == 1
@@ -180,7 +186,7 @@ class TestInvariantFamily:
         assert fam.subspaces[0].case == "real-conjugate-pair"
 
     def test_n1_zero_subspace(self):
-        G = GeneratorSet.from_strings("real", [[["2"]]])
+        G = group_from_strings("real", [[["2"]]])
         fam = invariant_family(G, CTX)
         assert fam.count == 1 and fam.subspaces[0].dim == 0
 
@@ -206,10 +212,10 @@ class TestInvariantFamily:
 
 class TestConjugatePairFamilies:
     def test_two_pairs_give_two_codim2(self):
-        A = matrix_from_strings(
+        A = Matrix.from_rows(
             [["0", "-1", "0", "0"], ["1", "0", "0", "0"], ["0", "0", "0", "-2"], ["0", "0", "2", "0"]]
         )
-        B = matrix_from_strings(
+        B = Matrix.from_rows(
             [["0", "-2", "0", "0"], ["2", "0", "0", "0"], ["0", "0", "0", "-3"], ["0", "0", "3", "0"]]
         )
         G = GeneratorSet("real", 4, [A, B], ["A", "B"])
@@ -223,7 +229,7 @@ class TestConjugatePairFamilies:
         assert membership(fam, as_vector([0, 0, 1, 0]), CTX).containing == [1]
 
     def test_mixed_real_and_pair(self):
-        M = matrix_from_strings(
+        M = Matrix.from_rows(
             [["2", "0", "0"], ["0", "1/2", "-1/2*sqrt(3)"], ["0", "1/2*sqrt(3)", "1/2"]]
         )
         G = GeneratorSet("real", 3, [M], ["M"])
@@ -234,7 +240,7 @@ class TestConjugatePairFamilies:
     def test_numeric_pair_outside_field(self):
         # eigenvalues (1 +- i sqrt(11))/2 are not recognized over the entry
         # radicands, so the pair machinery runs on the numeric backend
-        C = matrix_from_strings([["0", "-3", "0"], ["1", "1", "0"], ["0", "0", "2"]])
+        C = Matrix.from_rows([["0", "-3", "0"], ["1", "1", "0"], ["0", "0", "2"]])
         G = GeneratorSet("real", 3, [C], ["C"])
         fam = invariant_family(G, CTX)
         cases = sorted((s.case, s.dim, s.exact) for s in fam.subspaces)
@@ -251,7 +257,7 @@ class TestMembership:
         assert zero.containing == [0]
 
     def test_zero_in_every_subspace(self):
-        G = GeneratorSet.from_strings("real", [[["2", "0"], ["0", "3"]]])
+        G = group_from_strings("real", [[["2", "0"], ["0", "3"]]])
         fam = invariant_family(G, CTX)
         zero = membership(fam, as_vector([0, 0]), CTX)
         assert zero.containing == [0, 1]
@@ -264,12 +270,12 @@ class TestInvariantTree:
         assert tree.root.dimension == 3
 
     def test_homothety_plane(self):
-        G = GeneratorSet.from_strings("real", [[["2", "0"], ["0", "2"]]])
+        G = group_from_strings("real", [[["2", "0"], ["0", "2"]]])
         tree = invariant_tree(G, CTX)
         assert tree.depth == 2  # plane -> line -> origin
 
     def test_n1(self):
-        G = GeneratorSet.from_strings("real", [[["3"]]])
+        G = group_from_strings("real", [[["3"]]])
         assert invariant_tree(G, CTX).depth == 1
 
     def test_depth_bounded_random(self, rng):
@@ -284,9 +290,9 @@ class TestInvariantTree:
                     assert child.dimension < node.dimension
                     stack.append(child)
 
-    @pytest.mark.parametrize("name", [f.name for f in all_fixtures()])
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_fixture_trees_match_naive(self, name):
-        assert_tree_matches_naive(fixture_by_name(name).group)
+        assert_tree_matches_naive(fixture_by_name(name)[0])
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_diagonal_trees_match_naive(self, n):
@@ -300,7 +306,7 @@ class TestInvariantTree:
         # numeric group has eigenvalues +-sqrt(2), +-sqrt(3) outside its
         # entries' field.
         if numeric:
-            G = GeneratorSet.from_strings("real", [[
+            G = group_from_strings("real", [[
                 ["0", "2", "0", "0"], ["1", "0", "0", "0"],
                 ["0", "0", "0", "3"], ["0", "0", "1", "0"],
             ]])
@@ -392,14 +398,14 @@ class TestBoundedRestrictionWitness:
         assert max(G.word(word).max_abs() for word in words) > 1e3
 
     def test_constant_identity_sequence(self):
-        G = GeneratorSet.from_strings("real", [[["1", "0"], ["0", "1"]]])
+        G = group_from_strings("real", [[["1", "0"], ["0", "1"]]])
         w = bounded_restriction_witness(G, as_vector([1, 0]), [(0,)] * 4, CTX)
         assert w.bound == 1.0
         assert w.case_trace == ["homothety"]
 
     def test_homothety_matrix_sequence(self):
         # explicit homothety sequence (1+1/m) I given as matrices
-        G = GeneratorSet.from_strings("real", [[["2", "0"], ["0", "2"]]])
+        G = group_from_strings("real", [[["2", "0"], ["0", "2"]]])
         seq = [
             Matrix.identity(2).scale(Scalar.from_fraction(f"{m+1}/{m}"))
             for m in range(1, 121)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import random_integer_matrix, random_scalar
+from conftest import FIXTURE_NAMES, fixture_by_name, random_integer_matrix, random_scalar
 from lindyn import linalg
 from lindyn.errors import InvarianceViolation, NotInvariant
 from lindyn.linalg import (
@@ -12,7 +12,6 @@ from lindyn.linalg import (
     Subspace,
     as_vector,
     kernel,
-    matrix_from_strings,
     rank,
     rational_kernel,
     restrict,
@@ -24,7 +23,7 @@ from lindyn.scalars import Scalar, parse_scalar
 
 
 def radical_rows():
-    return matrix_from_strings([["1", "1"], ["sqrt(3)", "sqrt(2)"], ["sqrt(2)", "1"]])
+    return Matrix.from_rows([["1", "1"], ["sqrt(3)", "sqrt(2)"], ["sqrt(2)", "1"]])
 
 
 class TestRank:
@@ -53,7 +52,7 @@ class TestRank:
 
 class TestKernel:
     def test_unipotent_cube(self):
-        A = matrix_from_strings([["1", "0", "0"], ["0", "1", "0"], ["1", "0", "1"]])
+        A = Matrix.from_rows([["1", "0", "0"], ["0", "1", "0"], ["1", "0", "1"]])
         N = A - Matrix.identity(3)
         # oracle: the cube of the strictly lower part vanishes identically
         assert (N * N * N).is_zero()
@@ -63,7 +62,7 @@ class TestKernel:
         assert kernel(Matrix.identity(4)).dim == 0
 
     def test_kernel_diag(self):
-        K = kernel(matrix_from_strings([["0", "0"], ["0", "1"]]))
+        K = kernel(Matrix.from_rows([["0", "0"], ["0", "1"]]))
         assert K.dim == 1
         assert [str(x) for x in K.basis.col(0)] == ["1", "0"]
 
@@ -78,7 +77,7 @@ class TestKernel:
 
 class TestRestrict:
     def setup_method(self):
-        self.A = matrix_from_strings(
+        self.A = Matrix.from_rows(
             [
                 ["1", "0", "0", "0"],
                 ["0", "1", "0", "0"],
@@ -86,7 +85,7 @@ class TestRestrict:
                 ["sqrt(2)-1", "1", "0", "1"],
             ]
         )
-        self.B = matrix_from_strings(
+        self.B = Matrix.from_rows(
             [
                 ["1", "0", "0", "0"],
                 ["0", "1", "0", "0"],
@@ -101,8 +100,8 @@ class TestRestrict:
     def test_restriction_values(self):
         RA = restrict(self.A, self.H.basis)
         RB = restrict(self.B, self.H.basis)
-        assert RA == matrix_from_strings([["1", "0"], ["sqrt(2)", "1"]])
-        assert RB == matrix_from_strings([["1", "0"], ["1", "1"]])
+        assert RA == Matrix.from_rows([["1", "0"], ["sqrt(2)", "1"]])
+        assert RB == Matrix.from_rows([["1", "0"], ["1", "1"]])
 
     def test_restrict_identity(self):
         assert restrict(Matrix.identity(4), self.H.basis) == Matrix.identity(2)
@@ -124,15 +123,13 @@ class TestRestrict:
 
 class TestBasisChangeAndBackends:
     def test_inverse_cached_identity(self):
-        P = matrix_from_strings([["1", "2", "0"], ["0", "1", "sqrt(2)"], ["1", "0", "1"]])
+        P = Matrix.from_rows([["1", "2", "0"], ["0", "1", "sqrt(2)"], ["1", "0", "1"]])
         assert (P * P.inverse()) == Matrix.identity(3)
 
     def test_exact_vs_numeric_rank_on_fixtures(self):
-        from lindyn.fixtures import all_fixtures
-
         ctx = NumericContext()
-        for f in all_fixtures():
-            for g in f.group.generators:
+        for name in FIXTURE_NAMES:
+            for g in fixture_by_name(name)[0].generators:
                 assert rank(g) == nrank(to_numeric(g, ctx), ctx)
         M = radical_rows()
         assert rank(M) == nrank(to_numeric(M, ctx), ctx) == 2
@@ -287,7 +284,7 @@ class TestIntegerElimination:
         assert solve(A, Matrix.from_rows([[1], [2]])) == Matrix.from_rows([[1], [0]])
 
     def test_single_radical_entry_takes_the_scalar_path(self):
-        M = matrix_from_strings([["1", "1/2", "0"], ["2", "sqrt(2)", "1"], ["3", "1", "0"]])
+        M = Matrix.from_rows([["1", "1/2", "0"], ["2", "sqrt(2)", "1"], ["3", "1", "0"]])
         assert _integer_rows(M.entries()) is None
         # cofactor expansion along the last column: -1 * (1*1 - 1/2*3)
         assert M.det() == Scalar.from_fraction(Fraction(1, 2))

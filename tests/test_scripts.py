@@ -1,8 +1,9 @@
-import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+from conftest import lindyn_env
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -28,13 +29,9 @@ tree depth by dimension (n, depth): families
 
 
 def run_script(name, *args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=lindyn_env(), timeout=60,
     )
 
 

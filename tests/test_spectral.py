@@ -4,11 +4,16 @@ import random
 import numpy as np
 import pytest
 
-from conftest import random_commuting_family, random_integer_matrix, random_sform_family
+from conftest import (
+    group_from_strings,
+    random_commuting_family,
+    random_integer_matrix,
+    random_sform_family,
+)
 from lindyn.errors import NoCommonEigenvector, NotAbelian
 from lindyn.groups import GeneratorSet
 from lindyn.invariants import invariant_family
-from lindyn.linalg import Matrix, matrix_from_strings, rank, solve
+from lindyn.linalg import Matrix, rank, solve
 from lindyn.numeric import NumericContext, max_abs, to_numeric
 from lindyn.scalars import Scalar, parse_scalar
 from lindyn.spectral import (
@@ -23,7 +28,7 @@ CTX = NumericContext()
 
 
 def shear3_group():
-    return GeneratorSet.from_strings(
+    return group_from_strings(
         "real",
         [
             [["1", "0", "0"], ["0", "1", "0"], ["1", "0", "1"]],
@@ -35,10 +40,10 @@ def shear3_group():
 
 def rot_block_group():
     """rot(pi/2) + 2rot(pi/2) and 2rot(pi/2) + 3rot(pi/2) on R^4."""
-    A = matrix_from_strings(
+    A = Matrix.from_rows(
         [["0", "-1", "0", "0"], ["1", "0", "0", "0"], ["0", "0", "0", "-2"], ["0", "0", "2", "0"]]
     )
-    B = matrix_from_strings(
+    B = Matrix.from_rows(
         [["0", "-2", "0", "0"], ["2", "0", "0", "0"], ["0", "0", "0", "-3"], ["0", "0", "3", "0"]]
     )
     return GeneratorSet("real", 4, [A, B], ["A", "B"])
@@ -53,12 +58,12 @@ class TestEigenvalues:
         assert mult == 3 and exact == Scalar.one()
 
     def test_diag(self):
-        evs = eigenvalues(matrix_from_strings([["2", "0"], ["0", "3"]]), CTX)
+        evs = eigenvalues(Matrix.from_rows([["2", "0"], ["0", "3"]]), CTX)
         assert [(e[1], str(e[2])) for e in evs] == [(1, "2"), (1, "3")]
 
     def test_companion_of_quartic(self):
         # companion matrix of (x^2-2)(x^2-3) = x^4 - 5x^2 + 6
-        C = matrix_from_strings(
+        C = Matrix.from_rows(
             [["0", "0", "0", "-6"], ["1", "0", "0", "0"], ["0", "1", "0", "5"], ["0", "0", "1", "0"]]
         )
         evs = eigenvalues(C, CTX)
@@ -83,7 +88,7 @@ class TestRefinement:
         assert blocks[0].eigen_exact == {0: Scalar.one(), 1: Scalar.one()}
 
     def test_diag_splits(self):
-        G = GeneratorSet.from_strings(
+        G = group_from_strings(
             "real", [[["2", "0"], ["0", "3"]], [["1", "0"], ["0", "1"]]]
         )
         blocks = simultaneous_refinement(G, CTX)
@@ -116,7 +121,7 @@ class TestRefinement:
         assert rank(stacked) == 4
 
     def test_not_abelian_rejected(self):
-        G = GeneratorSet.from_strings(
+        G = group_from_strings(
             "real", [[["1", "1"], ["0", "1"]], [["1", "0"], ["1", "1"]]]
         )
         with pytest.raises(NotAbelian):
@@ -144,7 +149,7 @@ class TestRefinement:
 
 class TestPairing:
     def test_rotation_pair(self):
-        R = matrix_from_strings([["1/2", "-1/2*sqrt(3)"], ["1/2*sqrt(3)", "1/2"]])
+        R = Matrix.from_rows([["1/2", "-1/2*sqrt(3)"], ["1/2*sqrt(3)", "1/2"]])
         G = GeneratorSet("real", 2, [R], ["R"])
         blocks = simultaneous_refinement(G, CTX)
         groups = pair_conjugates(blocks, G, CTX)
@@ -153,7 +158,7 @@ class TestPairing:
         assert rb.cols == 2 and rb.is_real()
 
     def test_diag_real_singletons(self):
-        G = GeneratorSet.from_strings("real", [[["2", "0"], ["0", "3"]]])
+        G = group_from_strings("real", [[["2", "0"], ["0", "3"]]])
         blocks = simultaneous_refinement(G, CTX)
         groups = pair_conjugates(blocks, G, CTX)
         assert [g.kind for g in groups] == ["real", "real"]
@@ -185,7 +190,7 @@ class TestTriangularize:
             assert T == g
 
     def test_single_jordan_block(self):
-        G = GeneratorSet.from_strings(
+        G = group_from_strings(
             "real", [[["1", "0", "0"], ["1", "1", "0"], ["0", "1", "1"]]]
         )
         blocks = simultaneous_refinement(G, CTX)
@@ -245,10 +250,10 @@ class TestTriangularize:
             return restrict(g, blk, ctx)
 
         monkeypatch.setattr(spectral, "_block_restriction", counting)
-        G = fixture_by_name("shear3").group
+        G = fixture_by_name("shear3")[0]
         invariant_family(G, CTX)
         assert len(calls) == len(G.generators) == 2  # one block, one call per generator
-        diag = GeneratorSet.from_strings(
+        diag = group_from_strings(
             "real", [[["1", "0", "0"], ["0", "2", "0"], ["0", "0", "3"]]]
         )
         for group in (diag, rot_block_group()):
@@ -303,7 +308,7 @@ class TestErrorPaths:
         from lindyn.linalg import Subspace
         from lindyn.spectral import SpectralBlock
 
-        R = matrix_from_strings([["1/2", "-1/2*sqrt(3)"], ["1/2*sqrt(3)", "1/2"]])
+        R = Matrix.from_rows([["1/2", "-1/2*sqrt(3)"], ["1/2*sqrt(3)", "1/2"]])
         G = GeneratorSet("real", 2, [R], ["R"])
         blocks = simultaneous_refinement(G, CTX)
         with pytest.raises(UnmatchedConjugate):
@@ -322,7 +327,7 @@ class TestErrorPaths:
 class TestHighPrecisionPath:
     def test_eigenvalues_at_128_bits(self):
         ctx = NumericContext(precision=128)
-        C = matrix_from_strings([["0", "-2"], ["1", "0"]])  # x^2 + 2
+        C = Matrix.from_rows([["0", "-2"], ["1", "0"]])  # x^2 + 2
         evs = eigenvalues(C, ctx)
         vals = sorted(e[0].imag for e in evs)
         assert abs(vals[0] + math.sqrt(2)) < 1e-12
@@ -330,7 +335,7 @@ class TestHighPrecisionPath:
 
     def test_refinement_at_128_bits(self):
         ctx = NumericContext(precision=128)
-        G = GeneratorSet.from_strings("real", [[["2", "0"], ["0", "3"]]])
+        G = group_from_strings("real", [[["2", "0"], ["0", "3"]]])
         blocks = simultaneous_refinement(G, ctx)
         assert sorted(b.dim for b in blocks) == [1, 1]
 
@@ -342,6 +347,6 @@ class TestHighPrecisionPath:
     )
     def test_sqrt2_spectrum_at_128_bits(self):
         # eigenvalues +-sqrt(2): the two eigenlines, found at 53 bits
-        G = GeneratorSet.from_strings("real", [[["0", "2"], ["1", "0"]]])
+        G = group_from_strings("real", [[["0", "2"], ["1", "0"]]])
         assert invariant_family(G, NumericContext()).count == 2
         assert invariant_family(G, NumericContext(precision=128)).count == 2
