@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -42,7 +43,7 @@ def load_input(path: str) -> tuple[GeneratorSet, dict]:
     if not isinstance(doc, dict):
         raise LindynError("input is not a JSON object")
     fieldname = doc["field"]
-    n = int(doc["dimension"])
+    n = _dimension(doc["dimension"])
     if not isinstance(doc["generators"], list):
         raise LindynError("generators must be a list")
     gens = []
@@ -68,6 +69,15 @@ def load_input(path: str) -> tuple[GeneratorSet, dict]:
     for name, coords in points.items():
         _check_point(f"point {name}", coords, n)
     return G, points
+
+
+def _dimension(value) -> int:
+    """A JSON integer (not a bool) or a decimal integer string."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
+        return int(value)
+    raise LindynError(f"dimension {json.dumps(value)} is not an integer")
 
 
 def _check_scalars(what: str, values, items: str) -> None:

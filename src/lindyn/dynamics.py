@@ -6,12 +6,13 @@ outermost stage is applied through the hull projector, so a chunk's window
 coordinates cost one real GEMM, and a point is formed in full only if it is
 a window hit, a stride sample (which tests whether the hull grew), or a
 column whose norm bound cannot clear the exact overflow test.  A streamed
-cloud keeps the window hits; its points equal the materialized ones up to
-rounding, and its verdicts and gaps are the same.  Closure verdicts are
-explicitly heuristic:
-DISCRETE needs a minimum pairwise separation, DENSE_IN_AFFINE(d) needs the
-sampled window covered at the configured resolution, everything else is
-INCONCLUSIVE.
+cloud is its window: it stores only the deduplicated window hits, together
+with the hull frame they were selected in, and is classified in that frame.
+Its points equal the materialized box's window points up to rounding, and
+its verdicts and gaps are the same.  Closure verdicts are explicitly
+heuristic: DISCRETE needs a minimum pairwise separation over a fully stored
+box, DENSE_IN_AFFINE(d) needs the sampled window covered at the configured
+resolution, everything else is INCONCLUSIVE.
 """
 
 from __future__ import annotations
@@ -57,6 +58,9 @@ class OrbitCloud:
     total_tuples: int
     subsampled: bool = False
     clipped: bool = False
+    # (base, orthonormal directions) of the realified hull a streamed cloud's
+    # window hits were selected in; None for a materialized box
+    frame: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def count(self) -> int:
@@ -168,12 +172,13 @@ def enumerate_orbit(
 ) -> OrbitCloud:
     """Orbit sample {g^k u : k in [-K, K]^g}, deduplicated at dedup_eps.
 
-    Boxes beyond cfg.max_store are streamed: the returned points are then the
-    full cloud of a small box K0 <= K and every point of the whole box whose
-    hull projection lies within 1.5x the classification window.  The window
-    portion is exhaustive, so covering verdicts stay sound.  A stride sample
-    of the box only tests whether the hull grew beyond the small box's frame;
-    it is not returned.
+    Boxes beyond cfg.max_store are streamed, and the returned cloud is then
+    its window: every point of the whole box whose coordinates in the hull
+    frame lie within 1.5x the classification window, deduplicated, with that
+    frame in `frame`.  The window is exhaustive, so covering verdicts stay
+    sound.  A small full box K0 <= K only fixes the frame, and a stride sample
+    of the whole box only tests whether the hull grew beyond it; neither is
+    returned.
     """
     cfg = cfg or ClosureConfig()
     gens = _numeric_generators(G)
@@ -181,42 +186,58 @@ def enumerate_orbit(
     g = len(gens)
     total = (2 * K + 1) ** g if g else 1
     if g == 0 or K == 0 or total <= cfg.max_store:
-        # overflow is the clipping case handled below, not an error
-        with np.errstate(over="ignore", invalid="ignore"):
-            stacks = [_power_stack(A, K) for A in gens]
-            pts = _staged_columns(stacks, un).T if g else un.reshape(1, -1)
-        clipped_mask = np.abs(pts).max(axis=1) > cfg.overflow_limit
-        clipped = bool(clipped_mask.any())
-        pts = pts[~clipped_mask] if clipped else np.ascontiguousarray(pts)
+        pts, clipped = _box(gens, un, K, cfg)
+        # rebinding frees a transposed view's base before _dedup allocates
+        pts = np.ascontiguousarray(pts)
         pts = _dedup(pts, cfg.dedup_eps)
         return OrbitCloud(un, K, G.field, pts, total, False, clipped)
     return _enumerate_streamed(G, gens, un, K, cfg, total)
 
 
+def _box(gens, un, K, cfg: ClosureConfig) -> tuple[np.ndarray, bool]:
+    """Rows g^k u over the whole box [-K, K]^g, and whether any was clipped.
+
+    A row with a coordinate above cfg.overflow_limit is clipped, and one that
+    is not finite is dropped too.  The exact scan for them runs only when the
+    norm bound 2 max|u| prod_i max_k rowsum(g_i^k) cannot clear the whole box
+    (the factor 2 covers the rounding).  The rows may be a transposed view.
+    """
+    # overflow is the clipping case handled here, not an error
+    with np.errstate(over="ignore", invalid="ignore"):
+        stacks = [_power_stack(A, K) for A in gens]
+        pts = _staged_columns(stacks, un).T if gens else un.reshape(1, -1)
+        bound = 2.0 * np.abs(un).max() * math.prod(np.abs(P).sum(axis=2).max() for P in stacks)
+    if bound <= cfg.overflow_limit:
+        return pts, False
+    big = np.abs(pts).max(axis=1)
+    keep = big <= cfg.overflow_limit
+    return (pts if keep.all() else pts[keep]), bool((big > cfg.overflow_limit).any())
+
+
 def _enumerate_streamed(G, gens, un, K, cfg: ClosureConfig, total: int) -> OrbitCloud:
-    # pass 1: a small full box fixes the affine frame
+    # a small full box fixes the hull frame.  The stream covers it again, so
+    # its rows are dropped once their triangular factor is known.
     K0 = 2
     while (2 * K0 + 1) ** len(gens) * 8 <= cfg.max_store and K0 < K:
         K0 *= 2
     K0 = min(K0, K)
-    small = enumerate_orbit(G, tuple(un), K0, cfg)
     base_real = _realify(un.reshape(1, -1), G.field)[0]
-    frame = _hull_frame(_realify(small.points, G.field), base_real, cfg)
-
-    window_pts = np.zeros((0, len(un)), dtype=complex)
-    clipped = False
-    for _attempt in range(2):
-        window_pts, sample_real, clipped, grew = _stream_chunks(
-            gens, un, K, cfg, frame, G.field, total
-        )
-        if not grew:
-            break
-        combined = np.vstack([_realify(small.points, G.field), sample_real])
-        frame = _hull_frame(combined, base_real, cfg)
-
-    all_pts = np.vstack([small.points, window_pts])
-    pts = _dedup(all_pts, cfg.dedup_eps)
-    return OrbitCloud(un, K, G.field, pts, total, True, clipped)
+    small, _ = _box(gens, un, K0, cfg)
+    centered = _realify(small, G.field)
+    del small
+    centered -= base_real
+    R = _hull_factor(centered)
+    del centered
+    frame = (base_real, _hull_directions(R, cfg))
+    window_pts, sample_real, clipped, grew = _stream_chunks(gens, un, K, cfg, frame, G.field, total)
+    if grew:
+        # the stride sample left the small box's hull; the same sample lies
+        # in the regrown hull, so one more pass settles the window
+        R = _hull_factor(np.vstack([R, sample_real - base_real]))
+        frame = (base_real, _hull_directions(R, cfg))
+        window_pts, _, clipped, _ = _stream_chunks(gens, un, K, cfg, frame, G.field, total)
+    pts = _dedup(window_pts, cfg.dedup_eps)
+    return OrbitCloud(un, K, G.field, pts, total, True, clipped, frame)
 
 
 def _complex_projector(V: np.ndarray, fieldname: str) -> np.ndarray:
@@ -313,27 +334,31 @@ def _outer_columns(outer: np.ndarray, inner: np.ndarray, flat: np.ndarray) -> np
     return out
 
 
-def _hull_frame(real_pts: np.ndarray, base_real: np.ndarray, cfg: ClosureConfig):
-    """Affine frame (base, orthonormal directions) of the sampled hull.
+def _hull_factor(centered: np.ndarray) -> np.ndarray:
+    """R factor of a tall-skinny QR of the rows of `centered`.
 
-    The directions are the right singular vectors of the centered points,
-    read from the R factor of a tall-skinny QR: the rows are reduced in
-    blocks of 1,000, the stacked block factors once more, and only the final
-    square R goes through an SVD.
+    The rows are reduced in blocks of 1,000 and the stacked block factors once
+    more, so R^T R is the rows' Gram matrix and Q is never formed.
     """
-    centered = real_pts - base_real
     rows, c = centered.shape
-    if rows == 0:
-        return base_real, np.zeros((c, 0))
     blocks = rows // 1000
     R = centered
     if blocks:
         Rb = np.linalg.qr(centered[: blocks * 1000].reshape(blocks, 1000, c), mode="r")
         R = np.vstack([Rb.reshape(-1, c), centered[blocks * 1000 :]])
-    _, S, Vt = np.linalg.svd(np.linalg.qr(R, mode="r"))
+    return np.linalg.qr(R, mode="r")
+
+
+def _hull_directions(R: np.ndarray, cfg: ClosureConfig) -> np.ndarray:
+    """Orthonormal hull directions (columns) of the rows whose R factor is R.
+
+    They are the right singular vectors of R whose singular values exceed
+    hull_tol times the largest.
+    """
+    _, S, Vt = np.linalg.svd(R)
     scale = S[0] if S.size and S[0] > 0 else 1.0
     d = int(np.sum(S > cfg.hull_tol * scale))
-    return base_real, Vt[:d].T
+    return Vt[:d].T
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +371,11 @@ def classify_closure(cloud: OrbitCloud, cfg: ClosureConfig | None = None) -> Clo
     if cloud.count == 0:
         return ClosureVerdict(INCONCLUSIVE, 0, notes=["empty cloud"])
     real = _realify(cloud.points, cloud.field)
-    base = _realify(cloud.base_point.reshape(1, -1), cloud.field)[0]
-    base_frame, V = _hull_frame(real, base, cfg)
+    if cloud.frame is None:
+        base = _realify(cloud.base_point.reshape(1, -1), cloud.field)[0]
+        V = _hull_directions(_hull_factor(real - base), cfg)
+    else:
+        base, V = cloud.frame
     d = V.shape[1]
     notes = []
     if cloud.clipped:
@@ -356,10 +384,15 @@ def classify_closure(cloud: OrbitCloud, cfg: ClosureConfig | None = None) -> Clo
         notes.append("large box streamed: stored points are window-complete")
 
     min_dist = None
-    if cloud.count == 1:
+    # a streamed cloud's one window hit can lie on a hull of higher dimension
+    if cloud.count == 1 and d == 0:
         return ClosureVerdict(DISCRETE, 0, min_distance=math.inf,
                               notes=notes + ["single point"])
-    if cloud.count <= cfg.discrete_count_limit:
+    # a streamed cloud stores only its window, so its separation says nothing
+    # about the orbit's: DISCRETE needs a fully stored box
+    if not cloud.subsampled and cloud.count > cfg.discrete_count_limit:
+        notes.append("point count above discrete-check limit")
+    elif not cloud.subsampled:
         from scipy.spatial import cKDTree
 
         tree = cKDTree(real)
@@ -369,22 +402,18 @@ def classify_closure(cloud: OrbitCloud, cfg: ClosureConfig | None = None) -> Clo
         # a discrete verdict additionally demands separation at the scale the
         # density test operates on (the gap threshold)
         floor = max(cfg.min_dist_factor * cfg.dedup_eps, cfg.gap_threshold)
-        # a streamed cloud omits points, so a large min distance could be an
-        # artifact of subsampling; only trust DISCRETE on fully stored boxes
-        if min_dist >= floor and not cloud.subsampled:
+        if min_dist >= floor:
             return ClosureVerdict(DISCRETE, d, min_distance=min_dist, notes=notes)
-    else:
-        notes.append("point count above discrete-check limit")
 
     if d == 0:
         return ClosureVerdict(INCONCLUSIVE, 0, min_distance=min_dist,
                               notes=notes + ["no spread beyond dedup resolution"])
 
-    proj = (real - base_frame) @ V
+    proj = (real - base) @ V
     W = cfg.window
     if d == 1:
-        c = np.sort(proj[:, 0])
-        inside = c[(c >= -W) & (c <= W)]
+        c = proj[:, 0]
+        inside = np.sort(c[(c >= -W) & (c <= W)])
         if c.min() > -W or c.max() < W or inside.size < 2:
             return ClosureVerdict(
                 INCONCLUSIVE, d, min_distance=min_dist,

@@ -242,7 +242,8 @@ class TestAnalyze:
         # from len, no generators in "shape mismatch" from triangularize,
         # generators, rows, a row, an entry or a coordinate of the wrong JSON
         # type in a TypeError; and a repeated name dropped the first A's
-        # eigenvalues from the report
+        # eigenvalues from the report.  A dimension of null or [3] ended in a
+        # TypeError, 2.5 was read as 2 and true as 1
         shear3 = json.loads((FIXTURES / "shear3.json").read_text())
         diag = [{"name": "A", "rows": [["2", "0"], ["0", "3"]]},
                 {"name": "A", "rows": [["5", "0"], ["0", "7"]]}]
@@ -266,6 +267,11 @@ class TestAnalyze:
              "a row of generator g0 has null among its entries"),
             ({**shear3, "points": {"p": ["1", None, "0"]}},
              "point p has null among its coordinates"),
+            ({**shear3, "dimension": None}, "dimension null is not an integer"),
+            ({**shear3, "dimension": [3]}, "dimension [3] is not an integer"),
+            ({**shear3, "dimension": 2.5}, "dimension 2.5 is not an integer"),
+            ({**shear3, "dimension": True}, "dimension true is not an integer"),
+            ({**shear3, "dimension": "3.0"}, 'dimension "3.0" is not an integer'),
         ]:
             p = tmp_path / "bad.json"
             p.write_text(json.dumps(doc))

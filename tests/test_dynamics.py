@@ -12,7 +12,6 @@ from scipy.spatial import cKDTree
 from conftest import fixture_by_name, group_from_strings, random_lastrow_group
 from lindyn.dynamics import (
     _dedup,
-    _hull_frame,
     _realify,
     DENSE_IN_AFFINE,
     DISCRETE,
@@ -99,19 +98,40 @@ class TestEnumerate:
     @pytest.mark.parametrize("name", ["generic_complex_streamed", "cshear5_plane_K24_streamed"])
     def test_streamed_window_complete(self, name):
         # oracle: the whole box, materialized; every point of it within the
-        # window of the streamed cloud's own frame must have been kept
+        # window of the frame the stream ran in must have been kept, and
+        # every kept point is a point of the box within 1.5 windows
         G, u, K, cfg = _digest_case(name)
         streamed = enumerate_orbit(G, u, K, cfg)
         full = enumerate_orbit(G, u, K, dataclasses.replace(cfg, max_store=10**7))
-        assert streamed.subsampled and not full.subsampled
-        base = _realify(streamed.base_point.reshape(1, -1), G.field)[0]
+        assert streamed.subsampled and not full.subsampled and full.frame is None
+        base, V = streamed.frame
         kept = _realify(streamed.points, G.field)
-        base, V = _hull_frame(kept, base, cfg)
         real = _realify(full.points, G.field)
-        inwin = real[np.abs((real - base) @ V).max(axis=1) <= cfg.window]
+        offset = np.abs((real - base) @ V).max(axis=1)
+        inwin = real[offset <= cfg.window]
         assert inwin.shape[0] > 100
         dist, _ = cKDTree(kept).query(inwin)
         assert dist.max() <= 1e-12
+        dist, _ = cKDTree(real[offset <= 1.5 * cfg.window]).query(kept)
+        assert dist.max() <= 1e-12
+
+    def test_streamed_verdict_matches_materialized(self):
+        # the cshear5 dense plane at K=24, streamed in its own frame against
+        # the whole box classified in the frame of all its points.  The whole
+        # box is still separated at 0.064, above the gap threshold, so its
+        # nearest-neighbour check would say DISCRETE: it is switched off to
+        # compare the covering verdicts
+        G, u, K, cfg = _digest_case("cshear5_plane_K24_streamed")
+        streamed = enumerate_orbit(G, u, K, cfg)
+        full_cfg = dataclasses.replace(cfg, max_store=10**7, discrete_count_limit=0)
+        full = enumerate_orbit(G, u, K, full_cfg)
+        assert streamed.subsampled and not full.subsampled
+        v_stream, v_full = classify_closure(streamed, cfg), classify_closure(full, full_cfg)
+        assert v_stream.kind == v_full.kind == DENSE_IN_AFFINE
+        assert v_stream.hull_dim == v_full.hull_dim == 2
+        assert v_stream.gap == v_full.gap
+        # no separation is measured on a cloud that stores only its window
+        assert v_stream.min_distance is None
 
     def test_norm_bound_without_overflow(self):
         # rotations keep |coordinates| <= 1, but their row sums reach sqrt(2):
@@ -125,7 +145,22 @@ class TestEnumerate:
         tight = enumerate_orbit(G, u, 150, ClosureConfig(max_store=5000, overflow_limit=1.2))
         loose = enumerate_orbit(G, u, 150, ClosureConfig(max_store=5000))
         assert tight.subsampled and not tight.clipped and not loose.clipped
-        assert tight.count == loose.count == 60_751
+        assert tight.count == loose.count == 60_391
+
+    def test_norm_bound_without_overflow_materialized(self):
+        # the same rotation pair as a materialized box: the norm bound
+        # 2 max|u| prod(row sums), about 3.2, does not clear a limit of 1.2,
+        # so the exact scan runs, and it must clip nothing
+        def rot(t):
+            return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+
+        G = GeneratorSet("real", 2, [rot(1.0), rot(math.sqrt(2))], ["a", "b"])
+        u = np.array([0.6, 0.8])
+        tight = enumerate_orbit(G, u, 150, ClosureConfig(overflow_limit=1.2))
+        loose = enumerate_orbit(G, u, 150, ClosureConfig())
+        assert not tight.subsampled and not tight.clipped and not loose.clipped
+        assert tight.count == loose.count
+        assert tight.points.tobytes() == loose.points.tobytes()
 
     def test_one_overflowing_tuple_clips(self):
         # points (1, k1 + 1000 k2 + 1/2): only the corner k = (400, 400) is
@@ -146,18 +181,20 @@ class TestEnumerate:
 
 
 # sha256 of cloud.points.  The enumeration promises the same verdicts and gaps,
-# and points equal up to rounding: a streamed point is formed by a product per
-# gathered column, which may round differently from a product over a block of
-# columns (generic_complex_streamed, whose entries are inexact, shows it).  The
-# digests pin the current bits, so any change that moves a point shows here.
+# and points equal up to rounding; a streamed cloud stores only the box's
+# points within 1.5 windows of its frame.  A streamed point is formed by a
+# product per gathered column, which may round differently from a product over
+# a block of columns (generic_complex_streamed, whose entries are inexact,
+# shows it).  The digests pin the current bits, so any change that moves a
+# point shows here.
 # They hold for numpy's bundled OpenBLAS; another BLAS may round differently.
 POINT_DIGESTS = {
     "shear3_dense_K300": "2c531a1e789a296f836c94c586935573e848d89d77a07f12c5e7ee82864d59d2",
-    "shear3_dense_K300_streamed": "45648f3c155632f22baf6841d7f460cd77d579633b5a8879c911bdb9e9f97afe",
-    "cshear5_plane_K24_streamed": "fdd05e1ce11e0e9096701aa68206e1b60422995683016f3fcb15c17a0f66cf7d",
-    "one_generator_streamed": "8d7759f864cbfbf9d82ceb20f84b537dba7eacd03bb2741a7ee589a0400d9762",
-    "expanding_clipped_streamed": "e61f4bd5a041a0c8072ddb41276a3d41b8c6e775ae8a08f634a792971d0b7614",
-    "generic_complex_streamed": "215ebd2c97b1dcd5f9e82118ad5565240f7f8ff913f8b474c3d05befc8fec01e",
+    "shear3_dense_K300_streamed": "4ee3925ff43c5a32d0ec27b75a48cdbaa33e07848df44570ade6f0df8e509609",
+    "cshear5_plane_K24_streamed": "9cb40fd509ec46bdd9a6f4108c7bbf8a3baa7df95c4d4e68e095dc9af5eae274",
+    "one_generator_streamed": "7dbb60e46ac955a83d35a97c8fc2277b1ddc3c48196c03eba9eceef891815b90",
+    "expanding_clipped_streamed": "856dcc1aa406fa5f500001ddbeb5e0615387b66744d94b4c69295a5080728db9",
+    "generic_complex_streamed": "e7c9fa43a5c1588282d5c58227747fd1d29e3f481b4c822b93903986696fa715",
 }
 
 
