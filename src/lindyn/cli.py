@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -51,6 +52,8 @@ def load_input(path: str) -> tuple[GeneratorSet, dict]:
     for gi, entry in enumerate(doc["generators"]):
         if isinstance(entry, dict):
             names.append(entry.get("name", f"g{gi}"))
+            if "rows" not in entry:
+                raise LindynError(f"generator {names[-1]} has no rows")
             rows = entry["rows"]
         else:
             names.append(f"g{gi}")
@@ -81,11 +84,11 @@ def _dimension(value) -> int:
 
 
 def _check_scalars(what: str, values, items: str) -> None:
-    """A JSON list of scalar expressions: strings or numbers."""
+    """A JSON list of scalar expressions: strings or finite numbers."""
     if not isinstance(values, list):
         raise LindynError(f"{what} is not a list of {items}")
     for v in values:
-        if not isinstance(v, (str, int, float)):
+        if not isinstance(v, (str, int, float)) or (isinstance(v, float) and not math.isfinite(v)):
             raise LindynError(f"{what} has {json.dumps(v)} among its {items}")
 
 

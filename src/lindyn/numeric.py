@@ -111,14 +111,13 @@ def neig(A: np.ndarray, ctx: NumericContext) -> list:
     return list(np.linalg.eigvals(A.astype(complex)))
 
 
-def nrank(A: np.ndarray, ctx: NumericContext, scale: float | None = None) -> int:
+def nrank(A: np.ndarray, ctx: NumericContext) -> int:
     """Pivot count from full-pivot elimination, threshold eps * entry scale."""
     if A.size == 0:
         return 0
     work = np.array(A, dtype=object if A.dtype == object else complex)
     nr, nc = work.shape
-    if scale is None:
-        scale = max_abs(work)
+    scale = max_abs(work)
     if scale == 0.0:
         return 0
     thresh = ctx.eps * scale

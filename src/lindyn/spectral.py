@@ -8,13 +8,15 @@ numerics otherwise.  Single-eigenvalue verdicts use the spectral-radius proxy
 which stays reliable for defective matrices where eig output scatters like
 ``ulp^(1/d)``.
 
-Each job has one routine.  Numeric eigenvalues are clustered only by
-:func:`_separated_clusterings`, which yields every clustering radius that
-separates the spectrum; its callers differ only in how they accept one (the
-nullity check, exact field recognition of the first, or certification of the
-numeric kernels).  A triangular exact matrix skips clustering and reads its
-spectrum off the diagonal (:func:`_triangular_spectrum`), and
-:func:`re_im_columns` is the one real/imaginary interleave of a basis.
+Each job has one routine.  :func:`eigenvalues` is the one exact-spectrum
+routine, and the refinement splits an exact block through it.  Numeric
+eigenvalues are clustered only by :func:`_separated_clusterings`, which yields
+every clustering radius that separates the spectrum; its two callers differ
+only in how they accept one (:func:`eigenvalues` recognises the first in the
+field, :func:`_split_numeric` certifies the numeric kernels).  A triangular
+exact matrix skips clustering and reads its spectrum off the diagonal
+(:func:`_triangular_spectrum`), and :func:`re_im_columns` is the one
+real/imaginary interleave of a basis.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from .numeric import (
     nconj,
     nrestrict,
     nsolve_cols,
-    nsvd,
     real_part,
     to_numeric,
 )
@@ -140,16 +141,9 @@ def _block_restriction(g, blk: _Block, ctx: NumericContext):
 # single-eigenvalue verdicts
 
 
-def _exact_trace_mean(R: Matrix) -> Scalar:
-    d = R.rows
-    tr = Scalar.zero()
-    for i in range(d):
-        tr = tr + R[i, i]
-    return tr / Scalar.from_int(d)
-
-
-def _numeric_trace_mean(R: np.ndarray):
-    d = R.shape[0]
+def _trace_mean(R):
+    """Mean of the diagonal of R, an exact or numeric square matrix."""
+    d = R.rows if isinstance(R, Matrix) else R.shape[0]
     tr = R[0, 0]
     for i in range(1, d):
         tr = tr + R[i, i]
@@ -178,12 +172,11 @@ def _single_eigenvalue(R, blk: _Block, ctx: NumericContext):
     Exact restrictions are decided exactly; numeric ones use the banded
     spectral-radius test and raise _Ambiguous inside the gray zone.
     """
+    mu = _trace_mean(R)
     if isinstance(R, Matrix):
-        mu = _exact_trace_mean(R)
         N = R - Matrix.identity(R.rows).scale(mu)
         return mu if N.power(R.rows).is_zero() else None
     d = R.shape[0]
-    mu = _numeric_trace_mean(R)
     if d == 1:
         return mu
     N = R - mu * nidentity(d, ctx)
@@ -261,7 +254,7 @@ def _triangular_spectrum(A: Matrix) -> list[tuple[Scalar, int]] | None:
     return list(seen.items())
 
 
-def recognize_in_field(z, radicands, prec: int = 53) -> Scalar | None:
+def recognize_in_field(z, radicands) -> Scalar | None:
     """Try to express a numeric value exactly over [1, sqrt(d)...] and i."""
     z = as_complex(z) if not isinstance(z, complex) else z
     rads = sorted(set(radicands))
@@ -295,77 +288,45 @@ def recognize_in_field(z, radicands, prec: int = 53) -> Scalar | None:
 
 
 def eigenvalues(
-    A: Matrix | np.ndarray,
+    A: Matrix,
     ctx: NumericContext | None = None,
     radicands: set[int] | None = None,
-):
-    """Clustered eigenvalues with multiplicities, cross-checked by kernel dims.
+) -> list[tuple[Scalar, int, Matrix]] | None:
+    """Exact spectrum of A as (value, multiplicity, generalized eigenspace basis).
 
-    Returns a list of (complex, multiplicity, exact_or_None) sorted by
-    (re, im).  Raises ClusterAmbiguity when no tried precision separates the
-    clusters cleanly.
+    A triangular A reads its values off the diagonal; otherwise the first
+    radius that separates the numeric spectrum clusters it, and each centre
+    is recognised over ``radicands`` (default: those of A's entries).  Every
+    value is certified by ``kernel((A - v)^n)`` having the multiplicity's
+    dimension.  The triples are sorted by value; None when some eigenvalue is
+    not found in the field.
     """
+    if A.rows != A.cols:
+        raise ValueError("eigenvalues of a non-square matrix")
     ctx = ctx or NumericContext()
-    radicands = radicands if radicands is not None else set()
-    if isinstance(A, Matrix):
-        if A.rows != A.cols:
-            raise ValueError("eigenvalues of a non-square matrix")
-        spectrum = _triangular_spectrum(A)
-        if spectrum is not None:
-            spectrum.sort(key=lambda vm: _exact_sort_key(vm[0]))
-            return [(complex(v.evaluate(ctx.precision)), m, v) for v, m in spectrum]
-        if radicands == set():
-            rads = set()
-            for row in A.entries():
-                for e in row:
-                    rads |= e.radicands()
-            radicands = rads
-
-    cur = ctx
-    while True:
-        try:
-            return _eigenvalues_once(A, cur, radicands)
-        except _Ambiguous:
-            if cur.precision >= cur.max_precision:
-                raise ClusterAmbiguity(
-                    f"eigenvalue clusters unresolved at precision {cur.precision}"
-                )
-            cur = cur.doubled()
-
-
-def _nullity_matches(An: np.ndarray, center: complex, mult: int, ctx: NumericContext) -> bool:
-    """Whether (An - center)^n has a clean null space of dimension mult."""
-    n = An.shape[0]
-    err = 16 * 2.0 ** (1 - ctx.precision)
-    N = An - center * nidentity(n, ctx)
-    P = npower(N, n, ctx)
-    tau = 10 * n * max(err, ctx.eps * 1e-3) * max(1.0, max_abs(N)) ** (n - 1)
-    svals, _ = nsvd(P, ctx)
-    svals = [float(abs(as_complex(s))) for s in svals] + [0.0] * (n - len(svals))
-    nullity = sum(1 for s in svals if s <= tau)
-    above = [s for s in svals if s > tau]
-    return nullity == mult and not (above and min(above) < 10 * tau)
-
-
-def _eigenvalues_once(A, ctx: NumericContext, radicands):
-    An = to_numeric(A, ctx)
-    n = An.shape[0]
-    for _, clusters in _separated_clusterings(An, ctx):
-        if all(_nullity_matches(An, center, mult, ctx) for center, mult, _ in clusters):
-            out = []
-            for center, mult, _ in clusters:
-                exact = None
-                if isinstance(A, Matrix):
-                    cand = recognize_in_field(center, radicands, ctx.precision)
-                    if cand is not None:
-                        K = kernel(
-                            (A - Matrix.identity(n).scale(cand)).power(n)
-                        )
-                        if K.dim == mult:
-                            exact = cand
-                out.append((complex(center), mult, exact))
-            return out
-    raise _Ambiguous("no clustering radius separates the spectrum")
+    n = A.rows
+    spectrum = _triangular_spectrum(A)
+    if spectrum is None:
+        if radicands is None:
+            radicands = set().union(*(e.radicands() for row in A.entries() for e in row))
+        _, clusters = next(_separated_clusterings(to_numeric(A, ctx), ctx), (None, None))
+        if clusters is None:
+            return None
+        spectrum = []
+        for center, mult, _ in clusters:
+            value = recognize_in_field(center, radicands)
+            if value is None:
+                return None
+            spectrum.append((value, mult))
+    out = []
+    Id = Matrix.identity(n)
+    for value, mult in spectrum:
+        K = kernel((A - Id.scale(value)).power(n))
+        if K.dim != mult:
+            return None
+        out.append((value, mult, K.basis))
+    out.sort(key=lambda vmb: _exact_sort_key(vmb[0]))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -485,31 +446,10 @@ def _split_block(R, blk: _Block, ctx: NumericContext, radicands) -> list[_Block]
 
 
 def _split_exact(R: Matrix, blk: _Block, ctx: NumericContext, radicands) -> list[_Block] | None:
-    d = R.rows
-    spectrum = _triangular_spectrum(R)
-    if spectrum is None:
-        _, clusters = next(_separated_clusterings(to_numeric(R, ctx), ctx), (None, []))
-        if len(clusters) < 2:
-            return None
-        spectrum = []
-        for center, mult, _ in clusters:
-            exact = recognize_in_field(center, radicands, ctx.precision)
-            if exact is None:
-                return None
-            spectrum.append((exact, mult))
-    if len(spectrum) < 2:
+    spectrum = eigenvalues(R, ctx, radicands)
+    if spectrum is None or len(spectrum) < 2 or sum(m for _, m, _ in spectrum) != R.rows:
         return None
-    subs = []
-    Idd = Matrix.identity(d)
-    for value, mult in spectrum:
-        K = kernel((R - Idd.scale(value)).power(d))
-        if K.dim != mult:
-            return None
-        subs.append((value, K.basis))
-    if sum(b.cols for _, b in subs) != d:
-        return None
-    subs.sort(key=lambda vb: _exact_sort_key(vb[0]))
-    return [_Block(blk.basis * basis, noise=blk.noise) for _, basis in subs]
+    return [_Block(blk.basis * basis) for _, _, basis in spectrum]
 
 
 def _split_numeric(R: np.ndarray, blk: _Block, ctx: NumericContext) -> list[_Block]:
@@ -683,10 +623,7 @@ def triangularize(
     mus = []
     for gi, R in enumerate(restrictions):
         ex = block.eigen_exact.get(gi)
-        if isinstance(R, Matrix):
-            mus.append(ex if ex is not None else _exact_trace_mean(R))
-        else:
-            mus.append(_numeric_trace_mean(R))
+        mus.append(ex if ex is not None else _trace_mean(R))
     if all(isinstance(R, Matrix) for R in restrictions):
         coeff_change, tri = _triangularize_exact(restrictions, mus)
     else:

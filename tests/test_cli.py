@@ -243,7 +243,10 @@ class TestAnalyze:
         # generators, rows, a row, an entry or a coordinate of the wrong JSON
         # type in a TypeError; and a repeated name dropped the first A's
         # eigenvalues from the report.  A dimension of null or [3] ended in a
-        # TypeError, 2.5 was read as 2 and true as 1
+        # TypeError, 2.5 was read as 2 and true as 1.  An entry or coordinate
+        # of 1e400 or +-Infinity ended in an OverflowError traceback, NaN in
+        # "cannot convert NaN to integer ratio", and a generator object
+        # without rows in "error: 'rows'"
         shear3 = json.loads((FIXTURES / "shear3.json").read_text())
         diag = [{"name": "A", "rows": [["2", "0"], ["0", "3"]]},
                 {"name": "A", "rows": [["5", "0"], ["0", "7"]]}]
@@ -272,9 +275,20 @@ class TestAnalyze:
             ({**shear3, "dimension": 2.5}, "dimension 2.5 is not an integer"),
             ({**shear3, "dimension": True}, "dimension true is not an integer"),
             ({**shear3, "dimension": "3.0"}, 'dimension "3.0" is not an integer'),
+            ('{"field": "real", "dimension": 1, "generators": [[[1e400]]]}',
+             "a row of generator g0 has Infinity among its entries"),
+            ({**real2, "generators": [[["1", "0"], [float("-inf"), "1"]]]},
+             "a row of generator g0 has -Infinity among its entries"),
+            ({**real2, "generators": [[["1", float("nan")], ["0", "1"]]]},
+             "a row of generator g0 has NaN among its entries"),
+            ({**shear3, "points": {"p": ["1", float("inf"), "0"]}},
+             "point p has Infinity among its coordinates"),
+            ({**shear3, "points": [["1", "0", float("nan")]]},
+             "point p0 has NaN among its coordinates"),
+            ({**real2, "generators": [{"name": "A"}]}, "generator A has no rows"),
         ]:
             p = tmp_path / "bad.json"
-            p.write_text(json.dumps(doc))
+            p.write_text(doc if isinstance(doc, str) else json.dumps(doc))
             assert main(["analyze", str(p)]) == 1
             assert capsys.readouterr() == ("", f"error: {err}\n")
 

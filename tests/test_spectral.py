@@ -54,25 +54,35 @@ class TestEigenvalues:
         A = shear3_group().generators[0]
         evs = eigenvalues(A, CTX)
         assert len(evs) == 1
-        ns, mult, exact = evs[0]
-        assert mult == 3 and exact == Scalar.one()
+        value, mult, basis = evs[0]
+        assert value == Scalar.one() and mult == 3 and basis.cols == 3
 
     def test_diag(self):
         evs = eigenvalues(Matrix.from_rows([["2", "0"], ["0", "3"]]), CTX)
-        assert [(e[1], str(e[2])) for e in evs] == [(1, "2"), (1, "3")]
+        assert [(str(v), m, b) for v, m, b in evs] == [
+            ("2", 1, Matrix.from_rows([["1"], ["0"]])),
+            ("3", 1, Matrix.from_rows([["0"], ["1"]])),
+        ]
 
     def test_companion_of_quartic(self):
         # companion matrix of (x^2-2)(x^2-3) = x^4 - 5x^2 + 6
         C = Matrix.from_rows(
             [["0", "0", "0", "-6"], ["1", "0", "0", "0"], ["0", "1", "0", "5"], ["0", "0", "1", "0"]]
         )
-        evs = eigenvalues(C, CTX)
-        got = sorted(e[0].real for e in evs)
-        # oracle: numeric values of the known roots
-        expected = sorted([-math.sqrt(3), -math.sqrt(2), math.sqrt(2), math.sqrt(3)])
-        assert len(evs) == 4
-        assert all(abs(a - b) < 1e-9 for a, b in zip(got, expected))
-        assert all(abs(e[0].imag) < 1e-9 for e in evs)
+        evs = eigenvalues(C, CTX, {2, 3})
+        # oracle: the roots of the two quadratic factors, in ascending order
+        expected = ["-sqrt(3)", "-sqrt(2)", "sqrt(2)", "sqrt(3)"]
+        assert [v for v, _, _ in evs] == [parse_scalar(e) for e in expected]
+        for v, mult, basis in evs:
+            assert mult == 1 and C * basis == basis.scale(v)
+        # the entries are rational, so no radicand is tried by default
+        assert eigenvalues(C, CTX) is None
+
+    def test_close_eigenvalues_not_found(self):
+        # eigenvalues 1 +- sqrt(2)*10^-10 fall in one cluster around 1, but
+        # kernel((A - 1)^2) is 0, not of dimension 2, so 1 is not certified
+        A = Matrix.from_rows([["1", "2"], ["1/" + "1" + "0" * 20, "1"]])
+        assert eigenvalues(A, CTX) is None
 
     def test_recognition_in_field(self):
         val = recognize_in_field(complex(0.5, math.sqrt(3) / 2), {3})
@@ -109,6 +119,24 @@ class TestRefinement:
         expected = [Scalar.one(), -Scalar.i(), Scalar.zero(), Scalar.zero()]
         scale = col[0]
         assert [c / scale for c in col] == expected
+
+    def test_exact_split_goes_through_eigenvalues(self, monkeypatch):
+        import lindyn.spectral as spectral
+
+        calls = []
+        original = spectral.eigenvalues
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "eigenvalues", counting)
+        G = rot_block_group()
+        blocks = simultaneous_refinement(G, CTX)
+        # A's spectrum +-i, +-2i splits K^4 into lines at the root, and B has
+        # one eigenvalue on each line
+        assert calls == [G.generators[0]]
+        assert [b.dim for b in blocks] == [1, 1, 1, 1]
 
     def test_refinement_splits_products_only(self):
         # each generator alone has conjugate-pair spectra, but the complex
@@ -301,7 +329,7 @@ class TestErrorPaths:
         # the same separation is decidable when the input is exact
         A = Matrix.from_rows([[0, 1], [0, "1/20000000"]])
         evs = eigenvalues(A, NumericContext())
-        assert [(str(e[2]), e[1]) for e in evs] == [("0", 1), ("1/20000000", 1)]
+        assert [(str(v), m) for v, m, _ in evs] == [("0", 1), ("1/20000000", 1)]
 
     def test_unmatched_conjugate_raised(self):
         from lindyn.errors import UnmatchedConjugate
@@ -328,10 +356,8 @@ class TestHighPrecisionPath:
     def test_eigenvalues_at_128_bits(self):
         ctx = NumericContext(precision=128)
         C = Matrix.from_rows([["0", "-2"], ["1", "0"]])  # x^2 + 2
-        evs = eigenvalues(C, ctx)
-        vals = sorted(e[0].imag for e in evs)
-        assert abs(vals[0] + math.sqrt(2)) < 1e-12
-        assert abs(vals[1] - math.sqrt(2)) < 1e-12
+        evs = eigenvalues(C, ctx, {2})
+        assert [v for v, _, _ in evs] == [parse_scalar("-sqrt(2)*i"), parse_scalar("sqrt(2)*i")]
 
     def test_refinement_at_128_bits(self):
         ctx = NumericContext(precision=128)
