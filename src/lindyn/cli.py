@@ -15,9 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import ClosureConfig, classify_stabilized, enumerate_orbit
+from .dynamics import ClosureConfig, _realify, classify_stabilized, enumerate_orbit
 from .errors import ClusterAmbiguity, LindynError, NotAbelian
-from .groups import GeneratorSet
+from .groups import COMPLEX, GeneratorSet
 from .invariants import invariant_family, invariant_tree, membership
 from .linalg import Matrix, as_vector
 from .numeric import NumericContext
@@ -84,11 +84,15 @@ def _dimension(value) -> int:
 
 
 def _check_scalars(what: str, values, items: str) -> None:
-    """A JSON list of scalar expressions: strings or finite numbers."""
+    """A JSON list of scalar expressions: strings or finite numbers (not bools)."""
     if not isinstance(values, list):
         raise LindynError(f"{what} is not a list of {items}")
     for v in values:
-        if not isinstance(v, (str, int, float)) or (isinstance(v, float) and not math.isfinite(v)):
+        if (
+            not isinstance(v, (str, int, float))
+            or isinstance(v, bool)
+            or (isinstance(v, float) and not math.isfinite(v))
+        ):
             raise LindynError(f"{what} has {json.dumps(v)} among its {items}")
 
 
@@ -179,17 +183,15 @@ def cmd_orbit(args) -> int:
 
 
 def _dump_points_csv(points: np.ndarray, fieldname: str, path: str) -> None:
+    """The realified points as CSV: columns re0,im0,re1,... over C, x0,x1,... over R."""
     n = points.shape[1]
+    if fieldname == COMPLEX:
+        header = ",".join(f"re{j},im{j}" for j in range(n))
+    else:
+        header = ",".join(f"x{j}" for j in range(n))
     with open(path, "w") as fh:
-        if fieldname == "complex":
-            header = ",".join(f"re{j},im{j}" for j in range(n))
-            fh.write(header + "\n")
-            for row in points:
-                fh.write(",".join(f"{c.real:.17g},{c.imag:.17g}" for c in row) + "\n")
-        else:
-            fh.write(",".join(f"x{j}" for j in range(n)) + "\n")
-            for row in points:
-                fh.write(",".join(f"{c.real:.17g}" for c in row) + "\n")
+        fh.write(header + "\n")
+        np.savetxt(fh, _realify(points, fieldname), fmt="%.17g", delimiter=",")
 
 
 def cmd_verify_examples(args) -> int:

@@ -1,15 +1,20 @@
 """Finite orbit exploration and empirical closure classification.
 
 Orbit clouds are enumerated over exponent boxes [-K, K]^g with vectorized
-power stacks.  Boxes too large to materialize are streamed in chunks: the
-outermost stage is applied through the hull projector, so a chunk's window
-coordinates cost one real GEMM, and a point is formed in full only if it is
-a window hit, a stride sample (which tests whether the hull grew), or a
-column whose norm bound cannot clear the exact overflow test.  A streamed
-cloud is its window: it stores only the deduplicated window hits, together
-with the hull frame they were selected in, and is classified in that frame.
-Its points equal the materialized box's window points up to rounding, and
-its verdicts and gaps are the same.  Closure verdicts are explicitly
+power stacks.  A real orbit (every generator entry and start coordinate has
+zero imaginary part) runs in float64 throughout, any other in complex128; the
+arrays take their dtype from the data, and the two differ in code only in the
+streamed window GEMM and in _dedup's key columns.  A materialized box is
+deduplicated through the transposed view of its staged product, so it is not
+copied into rows first.  Boxes too large to materialize are streamed in
+chunks: the outermost stage is applied through the hull projector, so a
+chunk's window coordinates cost one real GEMM, and a point is formed in full
+only if it is a window hit, a stride sample (which tests whether the hull
+grew), or a column whose norm bound cannot clear the exact overflow test.  A
+streamed cloud is its window: it stores only the deduplicated window hits,
+together with the hull frame they were selected in, and is classified in that
+frame.  Its points equal the materialized box's window points up to rounding,
+and its verdicts and gaps are the same.  Closure verdicts are explicitly
 heuristic: DISCRETE needs a minimum pairwise separation over a fully stored
 box, DENSE_IN_AFFINE(d) needs the sampled window covered at the configured
 resolution, everything else is INCONCLUSIVE.
@@ -51,10 +56,10 @@ class ClosureConfig:
 
 @dataclass
 class OrbitCloud:
-    base_point: np.ndarray            # complex ambient coordinates
+    base_point: np.ndarray            # ambient coordinates; float64 for a real orbit, else complex
     exponent_bound: int
     field: str
-    points: np.ndarray                # deduped points (m, n) complex
+    points: np.ndarray                # deduped points (m, n), of base_point's dtype
     total_tuples: int
     subsampled: bool = False
     clipped: bool = False
@@ -95,7 +100,7 @@ def _numeric_point(u) -> np.ndarray:
 
 def _power_stack(A: np.ndarray, K: int) -> np.ndarray:
     n = A.shape[0]
-    pows = np.empty((2 * K + 1, n, n), dtype=complex)
+    pows = np.empty((2 * K + 1, n, n), dtype=A.dtype)
     pows[K] = np.eye(n)
     for k in range(1, K + 1):
         pows[K + k] = A @ pows[K + k - 1]
@@ -115,7 +120,7 @@ def _staged_columns(stacks: list[np.ndarray], u: np.ndarray) -> np.ndarray:
     V = u.reshape(-1, 1) if u.ndim == 1 else u
     for pows in stacks:
         n, M = V.shape
-        out = np.empty((n, pows.shape[0], M), dtype=complex)
+        out = np.empty((n, pows.shape[0], M), dtype=np.result_type(pows, V))
         step = max(1, 2**18 // (n * M))
         for lo in range(0, pows.shape[0], step):
             out[:, lo : lo + step] = np.matmul(pows[lo : lo + step], V).transpose(1, 0, 2)
@@ -126,23 +131,26 @@ def _staged_columns(stacks: list[np.ndarray], u: np.ndarray) -> np.ndarray:
 def _dedup(points: np.ndarray, eps: float) -> np.ndarray:
     """Finite rows of `points`, one per eps-grid key, in lexsort order of the keys.
 
-    Key columns equal on every row never decide the order or a duplicate, so
-    only the varying ones are sorted.
+    The key columns are the columns of `points`, or their real and imaginary
+    parts for complex points, read as strided views: `points` may be the
+    transposed view of an (n, m) product, and it is not copied.  Key columns
+    equal on every row never decide the order or a duplicate, so only the
+    varying ones are sorted.
     """
     if points.shape[0] == 0:
         return points
-    flat = points.view(float).reshape(points.shape[0], -1)
-    lo, hi = flat.min(axis=0), flat.max(axis=0)  # NaN or inf in a column shows here
+    cols = _key_columns(points)
+    lo, hi = _extremes(cols)  # NaN or inf in a column shows here
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-        finite = np.all(np.isfinite(flat), axis=1)
-        points, flat = points[finite], flat[finite]
+        points = points[np.logical_and.reduce([np.isfinite(c) for c in cols])]
         if points.shape[0] == 0:
             return points
-        lo, hi = flat.min(axis=0), flat.max(axis=0)
+        cols = _key_columns(points)
+        lo, hi = _extremes(cols)
     # rounding x / eps is monotone, so a column's keys are all equal iff the
     # keys of its extremes are
     varying = np.flatnonzero(np.round(lo / eps) != np.round(hi / eps))
-    keys = [np.round(flat[:, j] / eps) for j in varying]
+    keys = [np.round(cols[j] / eps) for j in varying]
     if not keys:
         return points[:1].copy()
     order = np.lexsort(keys)
@@ -151,7 +159,20 @@ def _dedup(points: np.ndarray, eps: float) -> np.ndarray:
     for k in keys:
         ks = k[order]
         keep[1:] |= ks[1:] != ks[:-1]
-    return np.take(points, order[keep], axis=0)
+    # np.take would first copy a transposed view into rows
+    return points[order[keep]]
+
+
+def _key_columns(points: np.ndarray) -> list[np.ndarray]:
+    """The columns of `points` in the order of its realified row (re, im, re, im, ...)."""
+    cols = [points[:, j] for j in range(points.shape[1])]
+    if np.iscomplexobj(points):
+        return [part for c in cols for part in (c.real, c.imag)]
+    return cols
+
+
+def _extremes(cols: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    return np.array([c.min() for c in cols]), np.array([c.max() for c in cols])
 
 
 def _realify(points: np.ndarray, fieldname: str) -> np.ndarray:
@@ -161,7 +182,7 @@ def _realify(points: np.ndarray, fieldname: str) -> np.ndarray:
         out[:, 0::2] = points.real
         out[:, 1::2] = points.imag
         return out
-    return points.real.astype(float)
+    return np.asarray(points.real, dtype=float)
 
 
 def enumerate_orbit(
@@ -183,14 +204,14 @@ def enumerate_orbit(
     cfg = cfg or ClosureConfig()
     gens = _numeric_generators(G)
     un = _numeric_point(u)
+    # a real orbit runs in float64: every array below takes its operands' dtype
+    if not any(a.imag.any() for a in [*gens, un]):
+        gens, un = [A.real.copy() for A in gens], un.real.copy()
     g = len(gens)
     total = (2 * K + 1) ** g if g else 1
     if g == 0 or K == 0 or total <= cfg.max_store:
         pts, clipped = _box(gens, un, K, cfg)
-        # rebinding frees a transposed view's base before _dedup allocates
-        pts = np.ascontiguousarray(pts)
-        pts = _dedup(pts, cfg.dedup_eps)
-        return OrbitCloud(un, K, G.field, pts, total, False, clipped)
+        return OrbitCloud(un, K, G.field, _dedup(pts, cfg.dedup_eps), total, False, clipped)
     return _enumerate_streamed(G, gens, un, K, cfg, total)
 
 
@@ -241,10 +262,10 @@ def _enumerate_streamed(G, gens, un, K, cfg: ClosureConfig, total: int) -> Orbit
 
 
 def _complex_projector(V: np.ndarray, fieldname: str) -> np.ndarray:
-    """Complex matrix W with realdot(x_real, V) = Re(x @ conj(W))."""
+    """Matrix W with realdot(x_real, V) = Re(x @ conj(W)); V itself for a real field."""
     if fieldname == COMPLEX:
         return V[0::2, :] + 1j * V[1::2, :]
-    return V.astype(complex)
+    return V
 
 
 def _stream_chunks(gens, un, K, cfg: ClosureConfig, frame, fieldname, total):
@@ -255,9 +276,10 @@ def _stream_chunks(gens, un, K, cfg: ClosureConfig, frame, fieldname, total):
     columns taken through the other stages; a single generator has the
     identity as its one outer stage.  The window coordinates of all of them
     come from one real GEMM of the projected outer stack on the realified
-    inner columns.  A point is formed in full only when it is a window hit, a
-    stride sample, or a column whose norm bound cannot clear the exact
-    overflow test (every |coordinate| within the limit).
+    inner columns (the inner columns themselves for a real orbit).  A point is
+    formed in full only when it is a window hit, a stride sample, or a column
+    whose norm bound cannot clear the exact overflow test (every |coordinate|
+    within the limit).
     """
     base, V = frame
     W = np.conj(_complex_projector(V, fieldname))  # (n, d)
@@ -273,11 +295,14 @@ def _stream_chunks(gens, un, K, cfg: ClosureConfig, frame, fieldname, total):
     with np.errstate(over="ignore", invalid="ignore"):
         stacks = [_power_stack(A, K) for A in gens[:-1]]
         last = _power_stack(gens[-1], K)
-        outer = stacks.pop() if stacks else np.eye(n, dtype=complex)[None]
+        outer = stacks.pop() if stacks else np.eye(n, dtype=un.dtype)[None]
         J, d = outer.shape[0], W.shape[1]
-        # Re(W^T P[j] x) = [Re(W^T P[j]), -Im(W^T P[j])] @ [Re x; Im x]
+        # Re(W^T P[j] x) = [Re(W^T P[j]), -Im(W^T P[j])] @ [Re x; Im x], which
+        # is Re(W^T P[j]) @ x for real P[j] and x
         WP = np.matmul(W.T, outer)  # (J, d, n)
-        Qr = np.concatenate([WP.real, -WP.imag], axis=2).reshape(J * d, 2 * n)
+        complex_data = np.iscomplexobj(un)
+        Qr = np.concatenate([WP.real, -WP.imag], axis=2) if complex_data else WP.real
+        Qr = Qr.reshape(J * d, Qr.shape[2])
         # |(P[j] x)_i| <= rowsum[j] * max|x|; a factor 2 covers the rounding
         rowsum = np.abs(outer).sum(axis=2).max(axis=1)  # (J,)
         per_start = J * (2 * K + 1) ** len(stacks)
@@ -288,7 +313,8 @@ def _stream_chunks(gens, un, K, cfg: ClosureConfig, frame, fieldname, total):
             starts = np.stack([last[k] @ un for k in range(lo, hi)], axis=1)  # (n, b)
             inner = _staged_columns(stacks, starts)  # (n, M)
             M = inner.shape[1]
-            proj = (Qr @ np.vstack([inner.real, inner.imag])).reshape(J, d, M)
+            cols = np.vstack([inner.real, inner.imag]) if complex_data else inner
+            proj = (Qr @ cols).reshape(J, d, M)
             proj -= offset.reshape(-1, 1)
             # a 0-dimensional frame projects every point to the base point
             hit = (np.abs(proj, out=proj).max(axis=1, initial=0.0) <= 1.5 * cfg.window).ravel()
@@ -312,11 +338,7 @@ def _stream_chunks(gens, un, K, cfg: ClosureConfig, frame, fieldname, total):
                     grew = True
             counter += J * M
     window = np.vstack(window_chunks)  # a pass has at least one chunk
-    sample = (
-        np.vstack(sample_chunks)
-        if sample_chunks
-        else np.zeros((0, 2 * n if fieldname == COMPLEX else n))
-    )
+    sample = np.vstack(sample_chunks) if sample_chunks else np.zeros((0, base.size))
     return window, sample, clipped, grew
 
 
@@ -326,7 +348,7 @@ def _outer_columns(outer: np.ndarray, inner: np.ndarray, flat: np.ndarray) -> np
     The gathered matrices take about 32 MB per slice.
     """
     js, cols = np.divmod(flat, inner.shape[1])
-    out = np.empty((flat.size, inner.shape[0]), dtype=complex)
+    out = np.empty((flat.size, inner.shape[0]), dtype=np.result_type(outer, inner))
     step = max(1, 2**21 // outer[0].size)
     for lo in range(0, flat.size, step):
         x = inner[:, cols[lo : lo + step]].T[:, :, None]

@@ -286,6 +286,11 @@ class TestAnalyze:
             ({**shear3, "points": [["1", "0", float("nan")]]},
              "point p0 has NaN among its coordinates"),
             ({**real2, "generators": [{"name": "A"}]}, "generator A has no rows"),
+            # bool is an int subclass: true was read as the entry 1
+            ({"field": "real", "dimension": 1, "generators": [[[True]]], "points": [["1"]]},
+             "a row of generator g0 has true among its entries"),
+            ({"field": "real", "dimension": 1, "generators": [[["1"]]], "points": [[False]]},
+             "point p0 has false among its coordinates"),
         ]:
             p = tmp_path / "bad.json"
             p.write_text(doc if isinstance(doc, str) else json.dumps(doc))
@@ -379,6 +384,23 @@ class TestOrbit:
         assert lines[0] == "x0,x1,x2"
         out = json.loads(capsys.readouterr().out)
         assert len(lines) - 1 == out["dump"]["points"]
+
+    @pytest.mark.parametrize("name, point, digest", [
+        # a real orbit (16,641 points) and a complex one (20,673 points)
+        ("shear3", "1,sqrt(2),0",
+         "35bf7c3d9d1c56f364173da766526b5273574c56b454920f8f33856cfc318621"),
+        ("cshear5", "1 + i,2 + i,1 + 2*i,0,0",
+         "5de9593e3ceb262982e9ae4b3d82a8248564018b85b6f870fb0923d897e88630"),
+    ])
+    def test_dump_points_bytes(self, fixture_files, tmp_path, capsys, name, point, digest):
+        # sha256 of the CSV as each coordinate was once formatted one by one
+        # with f"{x:.17g}"; --dump-points must write the same bytes
+        dump = tmp_path / "cloud.csv"
+        code = main(["orbit", fixture_files[name], "--point", point,
+                     "--max-exponent", "64", "--dump-points", str(dump)])
+        assert code == 0
+        capsys.readouterr()
+        assert hashlib.sha256(dump.read_bytes()).hexdigest() == digest
 
 
 # every claim of verify-examples, in the order it runs them

@@ -11,7 +11,11 @@ from scipy.spatial import cKDTree
 
 from conftest import fixture_by_name, group_from_strings, random_lastrow_group
 from lindyn.dynamics import (
+    _box,
     _dedup,
+    _enumerate_streamed,
+    _numeric_generators,
+    _numeric_point,
     _realify,
     DENSE_IN_AFFINE,
     DISCRETE,
@@ -236,7 +240,12 @@ class TestSameBits:
         cloud = enumerate_orbit(G, u, K, cfg)
         assert cloud.subsampled == name.endswith("_streamed")
         assert cloud.clipped == name.startswith("expanding")
-        digest = hashlib.sha256(np.ascontiguousarray(cloud.points).tobytes()).hexdigest()
+        # a real orbit is enumerated in float64; its points, cast to complex,
+        # have the bits the digests were recorded from in complex128
+        real = G.field == "real"
+        assert cloud.points.dtype == (np.float64 if real else np.complex128)
+        points = np.ascontiguousarray(cloud.points, dtype=complex)
+        digest = hashlib.sha256(points.tobytes()).hexdigest()
         assert digest == POINT_DIGESTS[name]
 
     @pytest.mark.parametrize("max_store", [4_500_000, 200])
@@ -251,6 +260,32 @@ class TestSameBits:
             assert cloud.clipped and cloud.subsampled == (2 * K + 1 > max_store)
             assert np.isfinite(cloud.points).all()
             assert np.abs(cloud.points).max() <= cfg.overflow_limit
+
+
+class TestRealPath:
+    @pytest.mark.parametrize(
+        "name", ["shear3_dense_K300", "shear3_dense_K300_streamed", "one_generator_streamed"]
+    )
+    def test_float64_matches_complex(self, name):
+        # the same generators and start point, run as complex128 arrays with
+        # zero imaginary parts: the float64 run is their real part, bit for bit
+        G, u, K, cfg = _digest_case(name)
+        gens, un = _numeric_generators(G), _numeric_point(u)
+        assert un.dtype == np.complex128 and not any(a.imag.any() for a in [*gens, un])
+        cloud = enumerate_orbit(G, u, K, cfg)
+        assert cloud.points.dtype == cloud.base_point.dtype == np.float64
+        if cloud.subsampled:
+            total = (2 * K + 1) ** len(gens)
+            ref = _enumerate_streamed(G, gens, un, K, cfg, total).points
+        else:
+            box, _ = _box(gens, un, K, cfg)
+            real_box, _ = _box([A.real.copy() for A in gens], un.real.copy(), K, cfg)
+            assert box.dtype == np.complex128 and real_box.dtype == np.float64
+            assert not box.imag.any()
+            assert _bytes(real_box) == _bytes(box.real)
+            ref = _dedup(box, cfg.dedup_eps)
+        assert ref.dtype == np.complex128 and not ref.imag.any()
+        assert _bytes(cloud.points) == _bytes(ref.real)
 
 
 def _dedup_oracle(points, eps):
@@ -269,6 +304,33 @@ def _dedup_oracle(points, eps):
     return points[order][keep]
 
 
+def _dedup_trials():
+    """60 seeded complex point sets on a grid near dedup_eps, some with constant columns."""
+    rng = np.random.default_rng(5)
+    for trial in range(60):
+        m, n = int(rng.integers(1, 400)), int(rng.integers(1, 5))
+        grid = rng.integers(-3, 4, size=(m, n, 2)) * 1e-9 * rng.choice([0.3, 1, 7])
+        pts = (grid[..., 0] + 1j * grid[..., 1]).astype(complex)
+        for j in rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False):
+            pts[:, j] = pts[0, j]  # constant columns
+        if trial % 3 == 0:
+            pts.imag = 0.0
+        yield pts
+
+
+def _with_nonfinite_rows(pts, rng):
+    """A copy of `pts` with NaN or inf in one coordinate of up to three rows."""
+    out = pts.copy()
+    rows = rng.choice(out.shape[0], size=min(3, out.shape[0]), replace=False)
+    for i in rows:
+        out[i, rng.integers(out.shape[1])] = rng.choice([np.nan, np.inf, -np.inf])
+    return out
+
+
+def _bytes(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
 class TestDedup:
     def _same(self, pts, eps=1e-9):
         got, want = _dedup(pts, eps), _dedup_oracle(pts, eps)
@@ -276,17 +338,27 @@ class TestDedup:
         assert got.tobytes() == want.tobytes()
 
     def test_against_all_column_oracle(self):
-        rng = np.random.default_rng(5)
-        for trial in range(60):
-            m, n = int(rng.integers(1, 400)), int(rng.integers(1, 5))
-            grid = rng.integers(-3, 4, size=(m, n, 2)) * 1e-9 * rng.choice([0.3, 1, 7])
-            pts = (grid[..., 0] + 1j * grid[..., 1]).astype(complex)
-            for j in rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False):
-                pts[:, j] = pts[0, j]  # constant columns
-            if trial % 3 == 0:
-                pts.imag = 0.0
+        for pts in _dedup_trials():
             self._same(pts)
             self._same(pts, eps=2.5e-9)
+
+    def test_float64_and_transposed_views(self):
+        # float64 points dedup as their complex cast does, and a transposed
+        # view (how enumerate_orbit passes a materialized box) as its
+        # contiguous copy, on the oracle's trials with and without NaN/inf rows
+        rng = np.random.default_rng(6)
+        for pts in _dedup_trials():
+            for cpts in (pts, _with_nonfinite_rows(pts, rng)):
+                x = np.ascontiguousarray(cpts.real)
+                for eps in (1e-9, 2.5e-9):
+                    got = _dedup(x, eps)
+                    assert got.dtype == np.float64
+                    assert _bytes(got) == _bytes(_dedup_oracle(x.astype(complex), eps).real)
+                    for a in (cpts, x):
+                        view = a.T.copy().T
+                        got, want = _dedup(view, eps), _dedup(a, eps)
+                        assert got.shape == want.shape and got.dtype == want.dtype
+                        assert _bytes(got) == _bytes(want)
 
     def test_edge_cases(self):
         self._same(np.zeros((0, 3), dtype=complex))
