@@ -159,8 +159,13 @@ def _dedup(points: np.ndarray, eps: float) -> np.ndarray:
     for k in keys:
         ks = k[order]
         keep[1:] |= ks[1:] != ks[:-1]
-    # np.take would first copy a transposed view into rows
-    return points[order[keep]]
+    # one gather per column: np.take would first copy a transposed view into
+    # rows, and fancy indexing its rows takes about twice as long
+    rows = order[keep]
+    out = np.empty((rows.size, points.shape[1]), dtype=points.dtype)
+    for j in range(points.shape[1]):
+        out[:, j] = points[:, j][rows]
+    return out
 
 
 def _key_columns(points: np.ndarray) -> list[np.ndarray]:

@@ -262,14 +262,24 @@ class TestSameBits:
             assert np.abs(cloud.points).max() <= cfg.overflow_limit
 
 
+def _real_case(name):
+    if name == "cshear5_real_point_streamed":
+        # cshear5's generators are real, so a real start point gives a real
+        # orbit in a complex field: its hull frame has zero imaginary rows
+        u = as_vector(["1", "sqrt(3)", "sqrt(2)", "0", "0"])
+        return fixture_by_name("cshear5")[0], u, 24, ClosureConfig(max_store=10_000)
+    return _digest_case(name)
+
+
 class TestRealPath:
-    @pytest.mark.parametrize(
-        "name", ["shear3_dense_K300", "shear3_dense_K300_streamed", "one_generator_streamed"]
-    )
+    @pytest.mark.parametrize("name", [
+        "shear3_dense_K300", "shear3_dense_K300_streamed", "one_generator_streamed",
+        "cshear5_real_point_streamed",
+    ])
     def test_float64_matches_complex(self, name):
         # the same generators and start point, run as complex128 arrays with
         # zero imaginary parts: the float64 run is their real part, bit for bit
-        G, u, K, cfg = _digest_case(name)
+        G, u, K, cfg = _real_case(name)
         gens, un = _numeric_generators(G), _numeric_point(u)
         assert un.dtype == np.complex128 and not any(a.imag.any() for a in [*gens, un])
         cloud = enumerate_orbit(G, u, K, cfg)
