@@ -56,7 +56,9 @@ class ClosureConfig:
 
 @dataclass
 class OrbitCloud:
-    base_point: np.ndarray            # ambient coordinates; float64 for a real orbit, else complex
+    # float64 for a real orbit (every generator entry and coordinate real),
+    # complex128 otherwise; points may be a column-major array
+    base_point: np.ndarray            # ambient coordinates
     exponent_bound: int
     field: str
     points: np.ndarray                # deduped points (m, n), of base_point's dtype
@@ -159,13 +161,10 @@ def _dedup(points: np.ndarray, eps: float) -> np.ndarray:
     for k in keys:
         ks = k[order]
         keep[1:] |= ks[1:] != ks[:-1]
-    # one gather per column: np.take would first copy a transposed view into
-    # rows, and fancy indexing its rows takes about twice as long
-    rows = order[keep]
-    out = np.empty((rows.size, points.shape[1]), dtype=points.dtype)
-    for j in range(points.shape[1]):
-        out[:, j] = points[:, j][rows]
-    return out
+    # for a materialized box points.T is the staged (n, M) product itself, so
+    # this gathers along its rows; taking rows of points would first copy it
+    # into rows, and fancy-indexing them is about three times slower
+    return np.take(points.T, order[keep], axis=1).T
 
 
 def _key_columns(points: np.ndarray) -> list[np.ndarray]:
