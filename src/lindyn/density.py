@@ -6,14 +6,16 @@ rank, and integer vectors s with <t, v_i> = s_i for some real t (characters of
 the closure) decide density.  A finitely generated subgroup is closed exactly
 when its free rank equals the dimension of its real span; it is dense exactly
 when it spans R^d and admits no nonzero character.
+
+:func:`dense_in` is the one density decision and :func:`relation_basis` the
+one integer-relation decision; the d = 2 determinant-criterion brute force
+that checks them lives in the test suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
 
 from .linalg import Matrix, kernel, rank as exact_rank, rational_kernel
 from .scalars import Scalar, integerize
@@ -155,44 +157,3 @@ def dense_in(span: IntegerSpan) -> DensityVerdict:
         character=nonzero_char,
         notes=["nonzero integer character obstructs density"],
     )
-
-
-# ---------------------------------------------------------------------------
-# determinant-criterion brute force (the d = 2, k = 3 oracle)
-
-
-def determinant_cofactors(span: IntegerSpan) -> list[Scalar]:
-    """Cofactors c with det([x-row; y-row; s]) = sum s_i c_i, for d=2, k=3."""
-    if span.dim != 2 or span.count != 3:
-        raise ValueError("determinant criterion needs three vectors in R^2")
-    (x1, y1), (x2, y2), (x3, y3) = span.vectors
-    return [
-        x2 * y3 - x3 * y2,
-        x3 * y1 - x1 * y3,
-        x1 * y2 - x2 * y1,
-    ]
-
-
-def determinant_zero_search(span: IntegerSpan, bound: int = 50) -> list[tuple[int, int, int]]:
-    """All integer s with |s_i| <= bound and det = 0 exactly, 0 excluded.
-
-    Numeric prefilter over the full box, candidates verified exactly.
-    """
-    cof = determinant_cofactors(span)
-    c = np.array([x.to_complex().real for x in cof])
-    rng = np.arange(-bound, bound + 1)
-    S1, S2, S3 = np.meshgrid(rng, rng, rng, indexing="ij")
-    vals = S1 * c[0] + S2 * c[1] + S3 * c[2]
-    tol = 1e-7 * max(1.0, float(np.max(np.abs(c)))) * bound
-    idx = np.argwhere(np.abs(vals) <= tol)
-    out = []
-    for i, j, k in idx:
-        s = (int(rng[i]), int(rng[j]), int(rng[k]))
-        if s == (0, 0, 0):
-            continue
-        total = Scalar.zero()
-        for si, ci in zip(s, cof):
-            total = total + ci * Scalar.from_int(si)
-        if total.is_zero():
-            out.append(s)
-    return out

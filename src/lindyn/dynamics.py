@@ -16,8 +16,8 @@ together with the hull frame they were selected in, and is classified in that
 frame.  Its points equal the materialized box's window points up to rounding,
 and its verdicts and gaps are the same.  Closure verdicts are explicitly
 heuristic: DISCRETE needs a minimum pairwise separation over a fully stored
-box, DENSE_IN_AFFINE(d) needs the sampled window covered at the configured
-resolution, everything else is INCONCLUSIVE.
+box, DENSE_IN_AFFINE(d) needs the sampled window covered at COVER_RESOLUTION,
+everything else is INCONCLUSIVE.
 """
 
 from __future__ import annotations
@@ -32,11 +32,17 @@ from .groups import COMPLEX, GeneratorSet
 from .invariants import InvariantFamily, membership
 from .linalg import Matrix
 from .numeric import NumericContext
-from .scalars import Scalar, is_rationally_independent
+from .scalars import Scalar
 
 DISCRETE = "DISCRETE"
 DENSE_IN_AFFINE = "DENSE_IN_AFFINE"
 INCONCLUSIVE = "INCONCLUSIVE"
+
+COVER_RESOLUTION = 0.25  # grid cell size for hull dimension >= 2
+MIN_DIST_FACTOR = 100.0  # DISCRETE floor = factor * dedup_eps
+HULL_TOL = 1e-6          # hull directions: singular values above HULL_TOL * the largest
+FIRST_BOX = 8            # classify_stabilized's first exponent bound
+RECURRENCE_TOL = 1e-3    # final backward error of a recurrent sequence
 
 
 @dataclass(frozen=True)
@@ -45,10 +51,7 @@ class ClosureConfig:
 
     window: float = 1.0
     gap_threshold: float = 0.01       # max allowed 1-dim gap inside the window
-    cover_resolution: float = 0.25    # grid cell size for hull dimension >= 2
-    min_dist_factor: float = 100.0    # DISCRETE floor = factor * dedup_eps
     dedup_eps: float = 1e-9
-    hull_tol: float = 1e-6
     overflow_limit: float = 1e100
     max_store: int = 4_500_000        # largest tuple box fully materialized
     discrete_count_limit: int = 200_000
@@ -253,13 +256,13 @@ def _enumerate_streamed(G, gens, un, K, cfg: ClosureConfig, total: int) -> Orbit
     centered -= base_real
     R = _hull_factor(centered)
     del centered
-    frame = (base_real, _hull_directions(R, cfg))
+    frame = (base_real, _hull_directions(R))
     window_pts, sample_real, clipped, grew = _stream_chunks(gens, un, K, cfg, frame, G.field, total)
     if grew:
         # the stride sample left the small box's hull; the same sample lies
         # in the regrown hull, so one more pass settles the window
         R = _hull_factor(np.vstack([R, sample_real - base_real]))
-        frame = (base_real, _hull_directions(R, cfg))
+        frame = (base_real, _hull_directions(R))
         window_pts, _, clipped, _ = _stream_chunks(gens, un, K, cfg, frame, G.field, total)
     pts = _dedup(window_pts, cfg.dedup_eps)
     return OrbitCloud(un, K, G.field, pts, total, True, clipped, frame)
@@ -338,7 +341,7 @@ def _stream_chunks(gens, un, K, cfg: ClosureConfig, frame, fieldname, total):
                 sample_chunks.append(sample_real)
                 centered = sample_real - base
                 resid = centered - (centered @ V) @ V.T
-                if np.abs(resid).max() > cfg.hull_tol * max(1.0, float(np.abs(centered).max())):
+                if np.abs(resid).max() > HULL_TOL * max(1.0, float(np.abs(centered).max())):
                     grew = True
             counter += J * M
     window = np.vstack(window_chunks)  # a pass has at least one chunk
@@ -375,15 +378,15 @@ def _hull_factor(centered: np.ndarray) -> np.ndarray:
     return np.linalg.qr(R, mode="r")
 
 
-def _hull_directions(R: np.ndarray, cfg: ClosureConfig) -> np.ndarray:
+def _hull_directions(R: np.ndarray) -> np.ndarray:
     """Orthonormal hull directions (columns) of the rows whose R factor is R.
 
     They are the right singular vectors of R whose singular values exceed
-    hull_tol times the largest.
+    HULL_TOL times the largest.
     """
     _, S, Vt = np.linalg.svd(R)
     scale = S[0] if S.size and S[0] > 0 else 1.0
-    d = int(np.sum(S > cfg.hull_tol * scale))
+    d = int(np.sum(S > HULL_TOL * scale))
     return Vt[:d].T
 
 
@@ -398,10 +401,11 @@ def classify_closure(cloud: OrbitCloud, cfg: ClosureConfig | None = None) -> Clo
         return ClosureVerdict(INCONCLUSIVE, 0, notes=["empty cloud"])
     real = _realify(cloud.points, cloud.field)
     if cloud.frame is None:
-        base = _realify(cloud.base_point.reshape(1, -1), cloud.field)[0]
-        V = _hull_directions(_hull_factor(real - base), cfg)
+        centered = real - _realify(cloud.base_point.reshape(1, -1), cloud.field)[0]
+        V = _hull_directions(_hull_factor(centered))
     else:
         base, V = cloud.frame
+        centered = real - base
     d = V.shape[1]
     notes = []
     if cloud.clipped:
@@ -427,7 +431,7 @@ def classify_closure(cloud: OrbitCloud, cfg: ClosureConfig | None = None) -> Clo
         # a dense orbit sampled at finite K also clears the 100*eps floor, so
         # a discrete verdict additionally demands separation at the scale the
         # density test operates on (the gap threshold)
-        floor = max(cfg.min_dist_factor * cfg.dedup_eps, cfg.gap_threshold)
+        floor = max(MIN_DIST_FACTOR * cfg.dedup_eps, cfg.gap_threshold)
         if min_dist >= floor:
             return ClosureVerdict(DISCRETE, d, min_distance=min_dist, notes=notes)
 
@@ -435,7 +439,7 @@ def classify_closure(cloud: OrbitCloud, cfg: ClosureConfig | None = None) -> Clo
         return ClosureVerdict(INCONCLUSIVE, 0, min_distance=min_dist,
                               notes=notes + ["no spread beyond dedup resolution"])
 
-    proj = (real - base) @ V
+    proj = centered @ V
     W = cfg.window
     if d == 1:
         c = proj[:, 0]
@@ -454,7 +458,7 @@ def classify_closure(cloud: OrbitCloud, cfg: ClosureConfig | None = None) -> Clo
             notes=notes + [f"max window gap {gap:.4g} above threshold"],
         )
 
-    res = cfg.cover_resolution
+    res = COVER_RESOLUTION
     cells_per_axis = max(1, int(round(2 * W / res)))
     inwin = np.all(np.abs(proj) <= W, axis=1)
     pw = proj[inwin]
@@ -480,15 +484,14 @@ def classify_stabilized(
     u,
     cfg: ClosureConfig | None = None,
     max_exponent: int = 256,
-    start: int = 8,
 ) -> tuple[ClosureVerdict, int]:
-    """Grow the exponent box K = start, 2start, ... until the verdict repeats twice."""
-    if max_exponent < start:
-        raise ValueError(f"max exponent {max_exponent} is below the first box {start}")
+    """Grow the exponent box K = FIRST_BOX, 2 FIRST_BOX, ... until the verdict repeats twice."""
+    if max_exponent < FIRST_BOX:
+        raise ValueError(f"max exponent {max_exponent} is below the first box {FIRST_BOX}")
     cfg = cfg or ClosureConfig()
     prev = None
     streak = 0
-    K = start
+    K = FIRST_BOX
     while K <= max_exponent:
         cloud = enumerate_orbit(G, u, K, cfg)
         verdict = classify_closure(cloud, cfg)
@@ -533,7 +536,7 @@ class InverseRecurrenceReport:
     backward_errors: list[float]  # ||B_m^-1 v - u||
     tail_max: float               # max backward error over the last quarter
     final_error: float
-    tends_to_zero: bool           # tail decreasing and final error below tol
+    tends_to_zero: bool           # tail decreasing and final error below RECURRENCE_TOL
 
 
 def inverse_recurrence_check(
@@ -543,7 +546,6 @@ def inverse_recurrence_check(
     v,
     words: list[tuple[int, ...]],
     ctx: NumericContext | None = None,
-    tol: float = 1e-3,
 ) -> InverseRecurrenceReport:
     """If B_m u -> v with u, v in U, the inverses must bring v back to u.
 
@@ -562,11 +564,8 @@ def inverse_recurrence_check(
     fwd = []
     bwd = []
     for word in words:
-        if isinstance(word, Matrix):
-            W, Winv = word, word.inverse()
-        else:
-            W = G.word(word)
-            Winv = G.word(tuple(-k for k in word))
+        W = G.word(word)
+        Winv = G.word(tuple(-k for k in word))
         if isinstance(W, Matrix):
             img = np.array([c.to_complex() for c in W.matvec(tuple(u))])
             back = np.array([c.to_complex() for c in Winv.matvec(tuple(v))])
@@ -586,7 +585,7 @@ def inverse_recurrence_check(
         b <= a * 1.2 + 1e-12 for a, b in zip(bwd[-tail:], bwd[-tail + 1 :])
     )
     return InverseRecurrenceReport(
-        fwd, bwd, tail_max, final, decreasing and final <= tol
+        fwd, bwd, tail_max, final, decreasing and final <= RECURRENCE_TOL
     )
 
 
@@ -599,8 +598,6 @@ class ApproximationSequence:
     tuples: list[tuple[int, ...]]
     residuals: list[float]
     achieved: float
-    stalled: bool
-    relation: list[int] | None
 
 
 def approximate_target(
@@ -614,7 +611,7 @@ def approximate_target(
     Searches nested boxes (doubling up to `bound`), solving the largest-value
     coordinate by rounding, which is exhaustive-equivalent over each box.
     Raises NoProgress only when `min_residual` was demanded but the search
-    stalled; the integer-relation certificate rides along when one exists.
+    stalled.
     """
     if not values:
         raise ValueError("need at least one value")
@@ -628,7 +625,6 @@ def approximate_target(
     if np.all(vals == 0.0):
         raise ValueError("all values are zero")
 
-    independent, relation = is_rationally_independent(values)
     pivot = int(np.argmax(np.abs(vals)))
     others = [i for i in range(len(vals)) if i != pivot]
 
@@ -636,24 +632,20 @@ def approximate_target(
     residuals: list[float] = []
     best = math.inf
     B = 1
-    stalls = 0
     while B <= bound:
         if len(vals) > 1 and (2 * B + 1) ** (len(vals) - 1) > 8_000_000:
             break  # desk-scale guard for many-value inputs
-        found_improvement = False
         for tup, res in _best_in_box(vals, tgt, pivot, others, B):
             if res < best * (1 - 1e-12):
                 best = res
                 tuples.append(tup)
                 residuals.append(res)
-                found_improvement = True
         if min_residual is not None and best <= min_residual:
             break
-        stalls = 0 if found_improvement else stalls + 1
         B *= 2
     if min_residual is not None and best > min_residual:
-        raise NoProgress(best, relation)
-    return ApproximationSequence(tuples, residuals, best, stalls >= 2, relation)
+        raise NoProgress(best)
+    return ApproximationSequence(tuples, residuals, best)
 
 
 def _best_in_box(vals, tgt, pivot, others, B):

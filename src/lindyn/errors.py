@@ -60,10 +60,6 @@ class FirstCoordinateZero(LindynError):
 class NoProgress(LindynError):
     """Integer approximation stalled short of the requested residual."""
 
-    def __init__(self, best_residual, relation=None):
+    def __init__(self, best_residual):
         self.best_residual = best_residual
-        self.relation = relation
-        msg = f"approximation stalled at residual {best_residual}"
-        if relation is not None:
-            msg += f"; integer relation {relation} found among the values"
-        super().__init__(msg)
+        super().__init__(f"approximation stalled at residual {best_residual}")

@@ -42,7 +42,6 @@ from .numeric import (
 )
 from .scalars import Scalar
 from .spectral import (
-    RealBlockGroup,
     SpectralBlock,
     TriangularForm,
     pair_conjugates,
@@ -54,6 +53,8 @@ from .spectral import (
 CASE_COMPLEX_HYPERPLANE = "complex-hyperplane"
 CASE_REAL_HYPERPLANE = "real-hyperplane"
 CASE_CONJUGATE_PAIR = "real-conjugate-pair"
+
+CONVERGENCE_TOL = 1e-2  # largest relative drift of u's images along a witness tail
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +157,6 @@ class InvariantFamily:
     block_change: Matrix | np.ndarray        # Q: stacked block bases
     triangular_change: Matrix | np.ndarray   # P: triangularized composite basis
     blocks: list[SpectralBlock] = field(default_factory=list)
-    groups: list[RealBlockGroup] = field(default_factory=list)
     forms: list[TriangularForm] = field(default_factory=list)
 
     @property
@@ -181,14 +181,12 @@ def invariant_family(G: GeneratorSet, ctx: NumericContext | None = None) -> Inva
     units: list[tuple[str, object, object]] = []  # (case, pre-basis, triangular-basis)
     forms: list[TriangularForm] = []
     if G.field == COMPLEX:
-        groups: list[RealBlockGroup] = []
         for bi, blk in enumerate(blocks):
             tf = triangularize(G, blk, ctx)
             units.append((CASE_COMPLEX_HYPERPLANE, blk.basis(), tf.basis))
             forms.append(tf)
     else:
-        groups = pair_conjugates(blocks, G, ctx)
-        for grp in groups:
+        for grp in pair_conjugates(blocks, G, ctx):
             if grp.kind == "real":
                 tf = triangularize(G, grp.block, ctx)
                 units.append((CASE_REAL_HYPERPLANE, grp.real_basis, tf.basis))
@@ -239,7 +237,7 @@ def invariant_family(G: GeneratorSet, ctx: NumericContext | None = None) -> Inva
             raise InvarianceViolation(
                 f"invariant subspace has dimension {s.dim}, expected {n-1} or {n-2}"
             )
-    return InvariantFamily(G.field, n, subspaces, Q, P, blocks, groups, forms)
+    return InvariantFamily(G.field, n, subspaces, Q, P, blocks, forms)
 
 
 def _hstack_exact(mats: list[Matrix]) -> Matrix:
@@ -394,7 +392,6 @@ def bounded_restriction_witness(
     u,
     words: list[tuple[int, ...]],
     ctx: NumericContext | None = None,
-    convergence_tol: float = 1e-2,
 ) -> BoundedRestrictionWitness:
     """Invariant H containing u on which the convergent sequence stays bounded.
 
@@ -409,10 +406,9 @@ def bounded_restriction_witness(
     if u[0].is_zero():
         raise FirstCoordinateZero("u must have nonzero first coordinate")
 
-    elements = [w if isinstance(w, Matrix) else G.word(w) for w in words]
     images = []
-    for W in elements:
-        img = W.matvec(u)
+    for word in words:
+        img = G.word(word).matvec(u)
         images.append(np.array([c.to_complex() for c in img]))
     if len(images) >= 2:
         tail = images[len(images) // 2 :]
@@ -420,7 +416,7 @@ def bounded_restriction_witness(
             float(np.max(np.abs(a - tail[-1]))) for a in tail
         )
         scale = max(1.0, float(np.max(np.abs(tail[-1]))))
-        if worst > convergence_tol * scale:
+        if worst > CONVERGENCE_TOL * scale:
             raise NotConvergent(
                 f"images of u along the sequence drift by {worst:.3g}"
             )
@@ -429,14 +425,11 @@ def bounded_restriction_witness(
     embed, gens = _witness_recurse(G, u, trace)
     seq = []
     bound = 0.0
-    for word, element in zip(words, elements):
-        if isinstance(word, Matrix):
-            acc = restrict(element, embed)
-        else:
-            acc = Matrix.identity(gens[0].rows) if gens else Matrix.identity(0)
-            for g, k in zip(gens, word):
-                if k:
-                    acc = acc * g.power(k)
+    for word in words:
+        acc = Matrix.identity(gens[0].rows) if gens else Matrix.identity(0)
+        for g, k in zip(gens, word):
+            if k:
+                acc = acc * g.power(k)
         seq.append(acc)
         bound = max(bound, acc.max_abs())
     sub = Subspace(G.dimension, embed)

@@ -114,9 +114,6 @@ class Matrix:
             [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self._rows, other._rows)]
         )
 
-    def __neg__(self) -> "Matrix":
-        return Matrix([[-a for a in r] for r in self._rows])
-
     def scale(self, s) -> "Matrix":
         s = _to_scalar(s)
         return Matrix([[s * a for a in r] for r in self._rows])
@@ -435,10 +432,6 @@ class Subspace:
         if not reduced:
             return Subspace(ambient, Matrix.zeros(ambient, 0))
         return Subspace(ambient, Matrix.from_cols(reduced))
-
-    @staticmethod
-    def full(ambient: int) -> "Subspace":
-        return Subspace(ambient, Matrix.identity(ambient))
 
     def canonical(self) -> "Subspace":
         return Subspace.span(self.ambient, self.basis.columns())

@@ -2,7 +2,14 @@
 
 High-precision matrices are numpy object arrays with ``mpmath.mpc`` entries so
 that slicing, stacking and ``@`` behave identically on both paths; only the
-decompositions (eig, svd) convert to ``mpmath.matrix`` at the call site.
+decompositions (eig, svd, qr, lu, inverse) convert to ``mpmath.matrix`` at the
+call site and run at the context precision.  Products, sums and powers of
+object arrays run outside ``workprec`` and so round at mpmath's global
+precision.
+
+A context carries the two settings its callers choose, the precision and the
+tolerance.  The eigenvalue clustering radius and the precision ceiling of the
+retry ladder are the constants CLUSTER_DELTA and MAX_PRECISION.
 """
 
 from __future__ import annotations
@@ -16,22 +23,23 @@ import numpy as np
 from .errors import InvarianceViolation
 from .linalg import Matrix
 
+CLUSTER_DELTA = 1e-8  # smallest eigenvalue clustering radius, relative to the spectrum
+MAX_PRECISION = 512   # bits; the precision-doubling retries stop here
+
 
 @dataclass(frozen=True)
 class NumericContext:
-    """Precision and tolerance knobs for every tolerant computation."""
+    """Precision and tolerance for every tolerant computation."""
 
     precision: int = 53
     eps: float = 1e-9
-    cluster_delta: float = 1e-8
-    max_precision: int = 512
 
     @property
     def high(self) -> bool:
         return self.precision > 53
 
     def doubled(self) -> "NumericContext":
-        return replace(self, precision=min(2 * self.precision, self.max_precision))
+        return replace(self, precision=min(2 * self.precision, MAX_PRECISION))
 
 
 def as_complex(x) -> complex:
@@ -163,21 +171,16 @@ def nsvd(A: np.ndarray, ctx: NumericContext):
     return list(S), Vh.conj().T
 
 
-def nkernel(
-    A: np.ndarray,
-    ctx: NumericContext,
-    expected: int | None = None,
-    scale: float | None = None,
-) -> np.ndarray:
-    """Orthonormal basis (columns) of the tolerant null space."""
+def nkernel(A: np.ndarray, ctx: NumericContext, expected: int | None = None) -> np.ndarray:
+    """Orthonormal basis (columns) of the tolerant null space, thresholded at
+    eps times the largest singular value."""
     nr, nc = A.shape
     if nc == 0:
         return np.zeros((0, 0), dtype=complex)
     if nr == 0 or max_abs(A) == 0.0:
         return nidentity(nc, ctx)
     S, V = nsvd(A, ctx)
-    if scale is None:
-        scale = float(abs(as_complex(S[0]))) if len(S) else 0.0
+    scale = float(abs(as_complex(S[0]))) if len(S) else 0.0
     thresh = ctx.eps * max(scale, 1e-300)
     svals = [float(abs(as_complex(s))) for s in S]
     svals += [0.0] * (nc - len(svals))

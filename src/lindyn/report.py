@@ -17,7 +17,7 @@ from .dynamics import ClosureConfig, ClosureVerdict
 from .groups import GeneratorSet
 from .invariants import InvariantFamily, InvariantTreeNode, Membership
 from .linalg import Matrix
-from .numeric import NumericContext, as_complex
+from .numeric import CLUSTER_DELTA, NumericContext, as_complex
 from .scalars import Scalar
 
 
@@ -122,7 +122,7 @@ def analysis_report(
         "config": {
             "precision": ctx.precision,
             "eps": f"{ctx.eps:.12g}",
-            "cluster_delta": f"{ctx.cluster_delta:.12g}",
+            "cluster_delta": f"{CLUSTER_DELTA:.12g}",
             "max_exponent": max_exponent,
             "window": f"{cfg.window:.12g}",
             "gap_threshold": f"{cfg.gap_threshold:.12g}",

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import mpmath
 
@@ -288,12 +288,6 @@ class Scalar:
             return NotImplemented
         return self * other.inverse()
 
-    def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
-
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
@@ -515,28 +509,3 @@ def integerize(vec: Sequence[Fraction]) -> list[int]:
     if first < 0:
         ints = [-v for v in ints]
     return ints
-
-
-def is_rationally_independent(
-    values: Iterable[Scalar],
-) -> tuple[bool, list[int] | None]:
-    """Decide whether real scalars admit a nonzero rational relation.
-
-    Returns ``(True, None)`` when independent, else ``(False, relation)`` with
-    a nonzero integer tuple ``q`` such that ``sum(q[i] * values[i]) == 0``.
-    """
-    values = list(values)
-    for v in values:
-        if not v.is_real():
-            raise ValueError(f"rational independence requires real values, got {v}")
-    keys = sorted({k for v in values for k in v._terms})
-    if not keys:
-        keys = [_RATIONAL_KEY]
-    # rows indexed by basis key, columns by value: kernel vectors are relations
-    rows = [[v._terms.get(k, Fraction(0)) for v in values] for k in keys]
-    from .linalg import rational_kernel  # linalg imports this module
-
-    kernel = rational_kernel(rows)
-    if not kernel:
-        return True, None
-    return False, integerize(kernel[0])

@@ -34,8 +34,10 @@ from .errors import (
     UnmatchedConjugate,
 )
 from .groups import REAL, GeneratorSet
-from .linalg import Matrix, RowEchelon, Subspace, kernel, restrict, row_reduce_basis, solve
+from .linalg import Matrix, RowEchelon, Subspace, kernel, restrict, solve
 from .numeric import (
+    CLUSTER_DELTA,
+    MAX_PRECISION,
     NumericContext,
     NumSubspace,
     as_complex,
@@ -224,13 +226,13 @@ def _cluster(values: list[complex], delta: float) -> list[tuple[complex, int, li
 def _separated_clusterings(A: np.ndarray, ctx: NumericContext):
     """Yield (delta, clusters) for each radius that separates A's eigenvalues.
 
-    Ten radii grow by 8x from ``ctx.cluster_delta`` times the spectral scale;
+    Ten radii grow by 8x from ``CLUSTER_DELTA`` times the spectral scale;
     a radius is skipped when two cluster centres lie within 10 * delta.
     """
     raw = [as_complex(e) for e in neig(A, ctx)]
     scale = max(1.0, max(abs(v) for v in raw))
     for j in range(10):
-        delta = ctx.cluster_delta * scale * (8.0**j)
+        delta = CLUSTER_DELTA * scale * (8.0**j)
         clusters = _cluster(raw, delta)
         centers = [c for c, _, _ in clusters]
         gaps = [abs(a - b) for i, a in enumerate(centers) for b in centers[i + 1 :]]
@@ -342,7 +344,7 @@ def simultaneous_refinement(G: GeneratorSet, ctx: NumericContext | None = None) 
         try:
             return _refine(G, cur)
         except _Ambiguous as exc:
-            if cur.precision >= cur.max_precision:
+            if cur.precision >= MAX_PRECISION:
                 raise ClusterAmbiguity(str(exc))
             cur = cur.doubled()
 
@@ -508,23 +510,15 @@ def _conjugate_span(a: SpectralBlock, b: SpectralBlock, ctx: NumericContext) -> 
 def _real_block(blk: SpectralBlock, ctx: NumericContext) -> SpectralBlock:
     """The block on a real basis of its span.
 
-    An exact block whose basis is already real is returned itself, so the
-    restrictions it carries are reused.
+    An exact block is returned itself, so the restrictions it carries are
+    reused: its basis is a kernel of real matrices, hence real.
     """
     if blk.exact:
-        if blk.subspace.basis.is_real():
-            return blk
-        sub = Subspace(blk.subspace.ambient, _realify_exact_basis(blk.subspace.basis))
-    else:
-        sub = NumSubspace(blk.subspace.ambient, _realify_numeric_basis(blk.subspace.basis, ctx))
+        if not blk.subspace.basis.is_real():
+            raise UnmatchedConjugate("exact block with real eigenvalues has a complex basis")
+        return blk
+    sub = NumSubspace(blk.subspace.ambient, _realify_numeric_basis(blk.subspace.basis, ctx))
     return SpectralBlock(sub, blk.eigen_numeric, blk.eigen_exact, noise=blk.noise)
-
-
-def _realify_exact_basis(basis: Matrix) -> Matrix:
-    reduced = row_reduce_basis(re_im_columns(basis).columns())
-    if len(reduced) != basis.cols:
-        raise UnmatchedConjugate("block with real eigenvalues is not conjugation-stable")
-    return Matrix.from_cols(reduced)
 
 
 def _realify_numeric_basis(basis: np.ndarray, ctx: NumericContext) -> np.ndarray:
@@ -653,10 +647,7 @@ def _triangularize_exact(restrictions: list[Matrix], mus: list[Scalar]):
         for N in nils:
             prod = ann * N
             stacked_rows.extend(prod.entries())
-        if stacked_rows:
-            V = kernel(Matrix(stacked_rows))
-        else:
-            V = Subspace.full(d)
+        V = kernel(Matrix(stacked_rows))
         new_vecs = [v for v in V.basis.columns() if flag.insert(v)]
         if not new_vecs:
             raise NoCommonEigenvector(

@@ -8,9 +8,11 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
 import pytest
 
 from lindyn.cli import FIXTURES, load_input
+from lindyn.density import IntegerSpan, relation_basis
 from lindyn.groups import GeneratorSet
 from lindyn.invariants import nilpotent_span
 from lindyn.linalg import Matrix, Vector, as_vector
@@ -141,6 +143,53 @@ def random_lastrow_group(rng: random.Random, n: int):
             inc = inc + g[n - 1, j] * base[j]
         values.append(inc)
     return G, tuple(base), values
+
+
+def integer_relations(values: Sequence[Scalar]) -> list[list[int]]:
+    """Basis of the integer relations among real scalars; empty iff they are
+    rationally independent."""
+    return relation_basis(IntegerSpan.of([(v,) for v in values], 1))
+
+
+# ---------------------------------------------------------------------------
+# determinant-criterion brute force: the d = 2, k = 3 oracle for dense_in
+
+
+def determinant_cofactors(span: IntegerSpan) -> list[Scalar]:
+    """Cofactors c with det([x-row; y-row; s]) = sum s_i c_i, for d=2, k=3."""
+    if span.dim != 2 or span.count != 3:
+        raise ValueError("determinant criterion needs three vectors in R^2")
+    (x1, y1), (x2, y2), (x3, y3) = span.vectors
+    return [
+        x2 * y3 - x3 * y2,
+        x3 * y1 - x1 * y3,
+        x1 * y2 - x2 * y1,
+    ]
+
+
+def determinant_zero_search(span: IntegerSpan, bound: int = 50) -> list[tuple[int, int, int]]:
+    """All integer s with |s_i| <= bound and det = 0 exactly, 0 excluded.
+
+    Numeric prefilter over the full box, candidates verified exactly.
+    """
+    cof = determinant_cofactors(span)
+    c = np.array([x.to_complex().real for x in cof])
+    rng = np.arange(-bound, bound + 1)
+    S1, S2, S3 = np.meshgrid(rng, rng, rng, indexing="ij")
+    vals = S1 * c[0] + S2 * c[1] + S3 * c[2]
+    tol = 1e-7 * max(1.0, float(np.max(np.abs(c)))) * bound
+    idx = np.argwhere(np.abs(vals) <= tol)
+    out = []
+    for i, j, k in idx:
+        s = (int(rng[i]), int(rng[j]), int(rng[k]))
+        if s == (0, 0, 0):
+            continue
+        total = Scalar.zero()
+        for si, ci in zip(s, cof):
+            total = total + ci * Scalar.from_int(si)
+        if total.is_zero():
+            out.append(s)
+    return out
 
 
 @pytest.fixture

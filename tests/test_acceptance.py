@@ -14,14 +14,16 @@ import pytest
 
 from conftest import (
     FIXTURE_NAMES,
+    determinant_zero_search,
     fixture_by_name,
+    integer_relations,
     random_commuting_family,
     random_lastrow_group,
     random_scalar,
     random_sform_family,
 )
 from lindyn.cli import FIXTURES, main
-from lindyn.density import CLOSED, DENSE, IntegerSpan, dense_in, determinant_zero_search
+from lindyn.density import CLOSED, DENSE, IntegerSpan, dense_in
 from lindyn.dynamics import (
     DENSE_IN_AFFINE,
     DISCRETE,
@@ -42,7 +44,7 @@ from lindyn.invariants import (
 )
 from lindyn.linalg import Matrix, as_vector, kernel, rank
 from lindyn.numeric import NumericContext, nrank, to_numeric
-from lindyn.scalars import Scalar, is_rationally_independent
+from lindyn.scalars import Scalar
 
 CTX = NumericContext()
 CFG = ClosureConfig()
@@ -157,7 +159,7 @@ class TestCriterion4RadicalShearPipeline:
         witness = bounded_restriction_witness(G, u, ap.tuples, CTX)
         bound_ok = witness.bound <= 1 + math.sqrt(3) + 1e-3
         fam = invariant_family(G, CTX)
-        rep = inverse_recurrence_check(G, fam, u, v, ap.tuples, CTX, tol=1e-3)
+        rep = inverse_recurrence_check(G, fam, u, v, ap.tuples, CTX)
         recur_ok = rep.tends_to_zero and rep.final_error < 1e-3
         elapsed = time.time() - t0
         ok = approx_ok and unbounded_ok and bound_ok and recur_ok and elapsed < 10.0
@@ -234,8 +236,7 @@ class TestCriterion5PropertySuites:
             attempts += 1
             n = rng.randint(3, 5)
             G, base, values = random_lastrow_group(rng, n)
-            indep, _ = is_rationally_independent(values)
-            if not indep:
+            if integer_relations(values):
                 continue
             d = rng.choice([7, 11, 13])
             target = Scalar.sqrt_int(d) * Scalar.from_fraction(f"{rng.randint(1, 3)}/2")
@@ -248,7 +249,7 @@ class TestCriterion5PropertySuites:
             v[-1] = base[-1] + target
             if not (membership(fam, base, CTX).in_U and membership(fam, tuple(v), CTX).in_U):
                 continue
-            rep = inverse_recurrence_check(G, fam, base, tuple(v), ap.tuples, CTX, tol=1e-3)
+            rep = inverse_recurrence_check(G, fam, base, tuple(v), ap.tuples, CTX)
             done += 1
             if rep.tends_to_zero and rep.final_error < 1e-3:
                 good += 1

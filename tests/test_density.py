@@ -4,7 +4,12 @@ import random
 import numpy as np
 import pytest
 
-from conftest import random_scalar
+from conftest import (
+    determinant_cofactors,
+    determinant_zero_search,
+    integer_relations,
+    random_scalar,
+)
 from lindyn.density import (
     CLOSED,
     DENSE,
@@ -12,12 +17,10 @@ from lindyn.density import (
     IntegerSpan,
     character_basis,
     dense_in,
-    determinant_cofactors,
-    determinant_zero_search,
     relation_basis,
 )
 from lindyn.linalg import kernel
-from lindyn.scalars import Scalar, is_rationally_independent, parse_scalar
+from lindyn.scalars import Scalar, parse_scalar
 
 ONE = Scalar.one()
 ZERO = Scalar.zero()
@@ -108,8 +111,7 @@ class TestDenseIn:
         assert v.kind == kind
         assert v.character == character
         if alphas:
-            independent, _ = is_rationally_independent([ONE] + list(extra[0]))
-            assert (v.kind == DENSE) == independent
+            assert (v.kind == DENSE) == (integer_relations([ONE] + list(extra[0])) == [])
         if v.character is not None:
             # a character s satisfies sum_j x_j s_j = 0 for every relation x
             ker = kernel(sp.matrix())

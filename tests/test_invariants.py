@@ -403,17 +403,6 @@ class TestBoundedRestrictionWitness:
         assert w.bound == 1.0
         assert w.case_trace == ["homothety"]
 
-    def test_homothety_matrix_sequence(self):
-        # explicit homothety sequence (1+1/m) I given as matrices
-        G = group_from_strings("real", [[["2", "0"], ["0", "2"]]])
-        seq = [
-            Matrix.identity(2).scale(Scalar.from_fraction(f"{m+1}/{m}"))
-            for m in range(1, 121)
-        ]
-        w = bounded_restriction_witness(G, as_vector([1, 0]), seq, CTX)
-        assert w.case_trace == ["homothety"]
-        assert w.bound <= 2.0
-
     def test_first_coordinate_zero_rejected(self):
         G = radical4()
         with pytest.raises(FirstCoordinateZero):

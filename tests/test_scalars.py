@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import integer_relations
 from lindyn.errors import ParseError
 from lindyn.scalars import (
     Scalar,
-    is_rationally_independent,
     parse_scalar,
     square_free_split,
 )
@@ -88,22 +88,15 @@ class TestArithmetic:
 
 class TestIndependence:
     def test_one_sqrt2_sqrt3(self):
-        ok, cert = is_rationally_independent(
-            [Scalar.one(), Scalar.sqrt_int(2), Scalar.sqrt_int(3)]
-        )
-        assert ok and cert is None
+        assert integer_relations([Scalar.one(), Scalar.sqrt_int(2), Scalar.sqrt_int(3)]) == []
 
     def test_sqrt8_relation(self):
-        ok, cert = is_rationally_independent(
-            [Scalar.one(), Scalar.sqrt_int(2), Scalar.sqrt_int(8)]
-        )
-        assert not ok
-        assert cert == [0, 2, -1]
+        rels = integer_relations([Scalar.one(), Scalar.sqrt_int(2), Scalar.sqrt_int(8)])
+        assert rels == [[0, 2, -1]]
 
     def test_sqrt6_family_independent(self):
         vals = [Scalar.one(), Scalar.sqrt_int(2), Scalar.sqrt_int(3), Scalar.sqrt_int(6)]
-        ok, _ = is_rationally_independent(vals)
-        assert ok
+        assert integer_relations(vals) == []
         # oracle: exhaustive small-coefficient search up to |q| <= 100 finds
         # no vanishing combination (inner coefficient solved by rounding)
         v = np.array([float(x.evaluate(64).real) for x in vals])
@@ -117,7 +110,7 @@ class TestIndependence:
 
     def test_rejects_complex(self):
         with pytest.raises(ValueError):
-            is_rationally_independent([Scalar.i()])
+            integer_relations([Scalar.i()])
 
 
 scalar_strategy = st.builds(

@@ -1,6 +1,7 @@
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -14,7 +15,7 @@ from lindyn.errors import NoCommonEigenvector, NotAbelian
 from lindyn.groups import GeneratorSet
 from lindyn.invariants import invariant_family
 from lindyn.linalg import Matrix, rank, solve
-from lindyn.numeric import NumericContext, max_abs, to_numeric
+from lindyn.numeric import NumericContext, max_abs, npower, to_numeric
 from lindyn.scalars import Scalar, parse_scalar
 from lindyn.spectral import (
     eigenvalues,
@@ -323,7 +324,7 @@ class TestErrorPaths:
         N = np.array([[a, 1.0], [-a * a + h, -a]], dtype=complex)
         G = GeneratorSet("real", 2, [np.eye(2, dtype=complex) + N], ["g"])
         with pytest.raises(ClusterAmbiguity):
-            simultaneous_refinement(G, NumericContext(max_precision=128))
+            simultaneous_refinement(G, NumericContext())
 
     def test_triangular_input_resolves_band_scale_gap_exactly(self):
         # the same separation is decidable when the input is exact
@@ -376,3 +377,18 @@ class TestHighPrecisionPath:
         G = group_from_strings("real", [[["0", "2"], ["1", "0"]]])
         assert invariant_family(G, NumericContext()).count == 2
         assert invariant_family(G, NumericContext(precision=128)).count == 2
+
+    @pytest.mark.xfail(
+        raises=AssertionError,
+        strict=True,
+        reason="products of mpmath object arrays round at mpmath's global 53 bits: "
+        "only the decompositions run inside workprec(ctx.precision)",
+    )
+    def test_power_at_128_bits(self):
+        # M^2 has the entry 1 + sqrt(2); at 128 bits it must be off by at most 2^-120
+        ctx = NumericContext(precision=128)
+        M = Matrix.from_rows([["sqrt(2)", "1"], ["0", "1"]])
+        entry = npower(to_numeric(M, ctx), 2, ctx)[0, 1]
+        exact = parse_scalar("1 + sqrt(2)").evaluate(128)
+        with mpmath.workprec(128):
+            assert abs(entry - exact) <= mpmath.mpf(2) ** -120

@@ -1,13 +1,20 @@
-"""Every public module-level function and class in lindyn has a caller.
+"""Every public module-level function and class in lindyn has a caller, and
+every field of NumericContext and ClosureConfig has a caller that sets it.
 
 A name counts as used when some module of the package, a script or the
 benchmark mentions it other than at its own definition: as a name, an
 attribute, an import, or a string constant (the benchmark tracer wraps
-functions by name).  Code that only the suite calls belongs in the suite.
+functions by name).  Code that only the suite calls belongs in the suite, and
+a setting that no program caller sets is a constant, unless it is a listed
+test seam.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
+
+from lindyn.dynamics import ClosureConfig
+from lindyn.numeric import NumericContext
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "lindyn"
@@ -43,3 +50,43 @@ def test_no_public_definition_is_only_for_the_suite():
     used = referenced_names()
     unused = sorted(qual for name, qual in public_definitions().items() if name not in used)
     assert unused == [], f"defined in lindyn but used only by tests (or nowhere): {unused}"
+
+
+# Fields no program caller sets, each kept settable for the tests that reach
+# a code path with it on small inputs.
+TEST_SEAMS = {
+    "ClosureConfig.max_store": "streams boxes of a few thousand tuples",
+    "ClosureConfig.overflow_limit": "clips orbits whose entries stay far below 1e100",
+    "ClosureConfig.window": "widens the window of the streamed generic complex digest case",
+    "ClosureConfig.discrete_count_limit": "switches the separation check off to compare "
+    "the covering verdicts of a streamed and a materialized box",
+}
+SETTINGS_CALLS = {"NumericContext", "ClosureConfig", "replace"}
+
+
+def keywords_set_by_callers() -> set[str]:
+    """Keyword names passed to NumericContext(...), ClosureConfig(...) and
+    dataclasses.replace(...) anywhere in the program, scripts or benchmark."""
+    names = set()
+    for directory in USERS:
+        for path in sorted(directory.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called in SETTINGS_CALLS:
+                    names.update(k.arg for k in node.keywords if k.arg)
+    return names
+
+
+def test_no_setting_is_only_for_the_suite():
+    set_by_callers = keywords_set_by_callers()
+    unset = sorted(
+        f"{cls.__name__}.{f.name}"
+        for cls in (NumericContext, ClosureConfig)
+        for f in dataclasses.fields(cls)
+        if f.name not in set_by_callers and f"{cls.__name__}.{f.name}" not in TEST_SEAMS
+    )
+    assert unset == [], f"settings no program caller sets; make them constants: {unset}"
+    assert all(reason for reason in TEST_SEAMS.values())
