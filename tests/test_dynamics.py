@@ -14,11 +14,14 @@ from lindyn.dynamics import (
     _box,
     _dedup,
     _enumerate_streamed,
+    _hull_directions,
+    _hull_factor,
     _numeric_generators,
     _numeric_point,
     _realify,
     DENSE_IN_AFFINE,
     DISCRETE,
+    HULL_SLAB,
     INCONCLUSIVE,
     ApproximationSequence,
     ClosureConfig,
@@ -99,12 +102,19 @@ class TestEnumerate:
         assert cloud.clipped
         assert cloud.count < 501
 
-    @pytest.mark.parametrize("name", ["generic_complex_streamed", "cshear5_plane_K24_streamed"])
+    @pytest.mark.parametrize("name", [
+        "generic_complex_streamed", "cshear5_plane_K24_streamed",
+        "shear3_dense_K300_streamed",  # a real orbit: the float64 window GEMM, d = 1
+        "one_generator_streamed",      # the identity as the one outer stage, J = 1
+    ])
     def test_streamed_window_complete(self, name):
         # oracle: the whole box, materialized; every point of it within the
         # window of the frame the stream ran in must have been kept, and
         # every kept point is a point of the box within 1.5 windows
         G, u, K, cfg = _digest_case(name)
+        if name == "one_generator_streamed":
+            # its points lie sqrt(2) apart on a line: this window holds 283
+            cfg = dataclasses.replace(cfg, window=200.0)
         streamed = enumerate_orbit(G, u, K, cfg)
         full = enumerate_orbit(G, u, K, dataclasses.replace(cfg, max_store=10**7))
         assert streamed.subsampled and not full.subsampled and full.frame is None
@@ -298,6 +308,41 @@ class TestRealPath:
         assert _bytes(cloud.points) == _bytes(ref.real)
 
 
+def _hull_factor_oracle(centered):
+    """_hull_factor as it was: the blocked QR of a whole realified, centered array."""
+    rows, c = centered.shape
+    blocks = rows // 1000
+    R = centered
+    if blocks:
+        Rb = np.linalg.qr(centered[: blocks * 1000].reshape(blocks, 1000, c), mode="r")
+        R = np.vstack([Rb.reshape(-1, c), centered[blocks * 1000 :]])
+    return np.linalg.qr(R, mode="r")
+
+
+class TestHullFactor:
+    @pytest.mark.parametrize("name", [
+        "shear3_dense_K300", "cshear5_plane_K24_streamed", "cshear5_real_point_streamed",
+    ])
+    def test_slabs_match_whole_array(self, name):
+        # a box as _enumerate_streamed factors it (a transposed view of the
+        # staged product), cut to fewer rows than one block, to whole slabs, to
+        # a last slab of whole blocks, and to a ragged last block
+        G, u, K, cfg = _real_case(name)
+        gens, un = _numeric_generators(G), _numeric_point(u)
+        if not any(a.imag.any() for a in [*gens, un]):  # as enumerate_orbit runs a real orbit
+            gens, un = [A.real.copy() for A in gens], un.real.copy()
+        box, _ = _box(gens, un, K, cfg)
+        base = _realify(un.reshape(1, -1), G.field)[0]
+        slab = 1000 * HULL_SLAB
+        for rows in (700, 2 * slab, 2 * slab + 5000, slab + 3456, box.shape[0]):
+            points = box[:rows]
+            centered = _realify(points, G.field) - base
+            R = _hull_factor(points, G.field, base)
+            assert R.shape == (centered.shape[1],) * 2
+            assert _bytes(R) == _bytes(_hull_factor_oracle(centered))
+            assert _bytes(R) == _bytes(_hull_factor(centered))
+
+
 def _dedup_oracle(points, eps):
     """_dedup as it was: lexsort over every realified key column."""
     if points.shape[0] == 0:
@@ -431,6 +476,28 @@ class TestClassify:
         verdict, K = classify_stabilized(shear3(), as_vector([1, 1, 0]), CFG, max_exponent=256)
         assert verdict.kind == DISCRETE
         assert K <= 64  # stabilizes long before the cap
+
+    @pytest.mark.parametrize("window", [1.0, 3.0, 10.0])
+    def test_filled_cells_against_set_oracle(self, window):
+        # the materialized cshear5 dense plane at K=24, past the separation
+        # check; the wider windows leave some of their cells empty
+        G, u, K, cfg = _digest_case("cshear5_plane_K24_streamed")
+        cfg = dataclasses.replace(cfg, max_store=10**7, discrete_count_limit=0, window=window)
+        cloud = enumerate_orbit(G, u, K, cfg)
+        verdict = classify_closure(cloud, cfg)
+        base = _realify(cloud.base_point.reshape(1, -1), G.field)[0]
+        centered = _realify(cloud.points, G.field) - base
+        proj = centered @ _hull_directions(_hull_factor(centered))
+        cells = int(round(2 * window / 0.25))
+        pw = proj[np.all(np.abs(proj) <= window, axis=1)]
+        idx = np.clip(((pw + window) / (2 * window) * cells).astype(int), 0, cells - 1)
+        empty = cells**2 - len({tuple(row) for row in idx})
+        assert verdict.hull_dim == proj.shape[1] == 2
+        if empty == 0:
+            assert window == 1.0 and verdict.kind == DENSE_IN_AFFINE
+        else:
+            assert verdict.kind == INCONCLUSIVE
+            assert f"{empty}/{cells**2} window cells empty at resolution 0.25" in verdict.notes
 
     def test_dense_complex_similarity_pair(self):
         # two commuting similarities of C with dense joint orbit; moduli are
