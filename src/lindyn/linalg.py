@@ -194,14 +194,17 @@ class Matrix:
             raise ValueError("power of a non-square matrix")
         if k < 0:
             return self.inverse().power(-k)
-        result = Matrix.identity(self.rows)
+        if k == 0:
+            return Matrix.identity(self.rows)
+        result = None
         base = self
-        while k:
+        while True:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = base * base
 
     def inverse(self) -> "Matrix":
         sol = solve(self, Matrix.identity(self.rows))

@@ -17,12 +17,19 @@ field, :func:`_split_numeric` certifies the numeric kernels).  A triangular
 exact matrix skips clustering and reads its spectrum off the diagonal
 (:func:`_triangular_spectrum`), and :func:`re_im_columns` is the one
 real/imaginary interleave of a basis.
+
+An exact spectrum is only proposed numerically: :func:`eigenvalues` clusters
+double-precision eigenvalues first and proposes again at the context
+precision only when that proposal is not certified.  Either way each value v
+of multiplicity m is certified exactly by ``kernel((A - v)^m)``
+(:func:`_certified`), so the precision of the proposal never changes an
+answer, only whether one is found.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import mpmath
 import numpy as np
@@ -296,34 +303,65 @@ def eigenvalues(
 ) -> list[tuple[Scalar, int, Matrix]] | None:
     """Exact spectrum of A as (value, multiplicity, generalized eigenspace basis).
 
-    A triangular A reads its values off the diagonal; otherwise the first
+    A triangular A reads its values off the diagonal.  Otherwise the first
     radius that separates the numeric spectrum clusters it, and each centre
-    is recognised over ``radicands`` (default: those of A's entries).  Every
-    value is certified by ``kernel((A - v)^n)`` having the multiplicity's
-    dimension.  The triples are sorted by value; None when some eigenvalue is
-    not found in the field.
+    is recognised over ``radicands`` (default: those of A's entries).  The
+    centres are proposed at 53 bits first, and again at ``ctx.precision``
+    only when the 53-bit proposal is not certified.  A proposal is certified
+    when its values are distinct, its multiplicities sum to n, and each
+    ``kernel((A - v)^m)`` has the dimension of v's multiplicity m.  The
+    triples are sorted by value; None when some eigenvalue is not found in
+    the field.
     """
     if A.rows != A.cols:
         raise ValueError("eigenvalues of a non-square matrix")
     ctx = ctx or NumericContext()
-    n = A.rows
     spectrum = _triangular_spectrum(A)
-    if spectrum is None:
-        if radicands is None:
-            radicands = set().union(*(e.radicands() for row in A.entries() for e in row))
-        _, clusters = next(_separated_clusterings(to_numeric(A, ctx), ctx), (None, None))
-        if clusters is None:
+    if spectrum is not None:
+        return _certified(A, spectrum)
+    if radicands is None:
+        radicands = set().union(*(e.radicands() for row in A.entries() for e in row))
+    # a certified spectrum is unique, so the cheap proposal decides whenever
+    # it is certified; only a failed one is proposed again at ctx.precision
+    rungs = [replace(ctx, precision=53), ctx] if ctx.high else [ctx]
+    for rung in rungs:
+        spectrum = _recognized_spectrum(A, rung, radicands)
+        if spectrum is not None and (out := _certified(A, spectrum)) is not None:
+            return out
+    return None
+
+
+def _recognized_spectrum(A: Matrix, ctx: NumericContext, radicands) -> list[tuple[Scalar, int]] | None:
+    """Cluster centres of A's numeric spectrum recognised over radicands, else None."""
+    _, clusters = next(_separated_clusterings(to_numeric(A, ctx), ctx), (None, None))
+    if clusters is None:
+        return None
+    spectrum = []
+    for center, mult, _ in clusters:
+        value = recognize_in_field(center, radicands)
+        if value is None:
             return None
-        spectrum = []
-        for center, mult, _ in clusters:
-            value = recognize_in_field(center, radicands)
-            if value is None:
-                return None
-            spectrum.append((value, mult))
+        spectrum.append((value, mult))
+    return spectrum
+
+
+def _certified(A: Matrix, spectrum: list[tuple[Scalar, int]]) -> list[tuple[Scalar, int, Matrix]] | None:
+    """The proposed (value, multiplicity) pairs with their eigenspaces, if exact.
+
+    ker((A - v)^m) lies in the generalized eigenspace G(v), and the G(v) of
+    distinct values form a direct sum, so sum dim G(v_i) <= n = sum m_i.
+    When every kernel has dimension m_i, each is therefore the whole G(v_i),
+    which is ker((A - v_i)^n): A has no other eigenvalue.  A null space fixes
+    the pivot set of its echelon form, so ``kernel`` returns the same basis
+    as it would for the n-th power.
+    """
+    n = A.rows
+    if len({v for v, _ in spectrum}) != len(spectrum) or sum(m for _, m in spectrum) != n:
+        return None
     out = []
     Id = Matrix.identity(n)
     for value, mult in spectrum:
-        K = kernel((A - Id.scale(value)).power(n))
+        K = kernel((A - Id.scale(value)).power(mult))
         if K.dim != mult:
             return None
         out.append((value, mult, K.basis))
@@ -449,7 +487,7 @@ def _split_block(R, blk: _Block, ctx: NumericContext, radicands) -> list[_Block]
 
 def _split_exact(R: Matrix, blk: _Block, ctx: NumericContext, radicands) -> list[_Block] | None:
     spectrum = eigenvalues(R, ctx, radicands)
-    if spectrum is None or len(spectrum) < 2 or sum(m for _, m, _ in spectrum) != R.rows:
+    if spectrum is None or len(spectrum) < 2:
         return None
     return [_Block(blk.basis * basis) for _, _, basis in spectrum]
 

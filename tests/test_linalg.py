@@ -75,6 +75,24 @@ class TestKernel:
                 assert all(x.is_zero() for x in img)
 
 
+class TestPower:
+    def test_matches_repeated_products(self):
+        rng = random.Random(7)
+        for _ in range(3):
+            A = Matrix.zeros(3, 3)
+            while A.det().is_zero():
+                A = Matrix.from_rows([[random_scalar(rng, radicands=(2,)) for _ in range(3)]
+                                      for _ in range(3)])
+            inv = A.inverse()
+            for k in range(-3, 10):
+                # oracle: |k| products of A, or of its inverse for negative k
+                expected = Matrix.identity(3)
+                for _ in range(abs(k)):
+                    expected = expected * (A if k > 0 else inv)
+                assert A.power(k) == expected, k
+            assert A.power(1) == A and A.power(-1) * A == Matrix.identity(3)
+
+
 class TestRestrict:
     def setup_method(self):
         self.A = Matrix.from_rows(

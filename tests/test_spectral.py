@@ -50,6 +50,27 @@ def rot_block_group():
     return GeneratorSet("real", 4, [A, B], ["A", "B"])
 
 
+# g0 of benchmark/gen.py's jordan-real4-0 at seed 1: eigenvalues -i, i and a
+# defective 1, whose double-precision eigenvalues scatter too far apart to be
+# recognised
+JORDAN_REAL4_G0 = [["-21", "12", "-6", "-38"], ["-7", "5", "-2", "-12"],
+                   ["-7", "4", "-2", "-13"], ["11", "-6", "3", "20"]]
+
+
+def record_neig_precisions(monkeypatch) -> list[int]:
+    import lindyn.spectral as spectral
+
+    precisions = []
+    original = spectral.neig
+
+    def recording(A, ctx):
+        precisions.append(ctx.precision)
+        return original(A, ctx)
+
+    monkeypatch.setattr(spectral, "neig", recording)
+    return precisions
+
+
 class TestEigenvalues:
     def test_unipotent(self):
         A = shear3_group().generators[0]
@@ -65,7 +86,7 @@ class TestEigenvalues:
             ("3", 1, Matrix.from_rows([["0"], ["1"]])),
         ]
 
-    def test_companion_of_quartic(self):
+    def test_companion_of_quartic(self, monkeypatch):
         # companion matrix of (x^2-2)(x^2-3) = x^4 - 5x^2 + 6
         C = Matrix.from_rows(
             [["0", "0", "0", "-6"], ["1", "0", "0", "0"], ["0", "1", "0", "5"], ["0", "0", "1", "0"]]
@@ -78,6 +99,10 @@ class TestEigenvalues:
             assert mult == 1 and C * basis == basis.scale(v)
         # the entries are rational, so no radicand is tried by default
         assert eigenvalues(C, CTX) is None
+        # under a 128-bit context the 53-bit proposal is already certified
+        precisions = record_neig_precisions(monkeypatch)
+        assert eigenvalues(C, NumericContext(precision=128), {2, 3}) == evs
+        assert precisions == [53]
 
     def test_close_eigenvalues_not_found(self):
         # eigenvalues 1 +- sqrt(2)*10^-10 fall in one cluster around 1, but
@@ -89,6 +114,31 @@ class TestEigenvalues:
         val = recognize_in_field(complex(0.5, math.sqrt(3) / 2), {3})
         assert val == parse_scalar("1/2 + 1/2*sqrt(3)*i")
         assert recognize_in_field(complex(math.pi, 0.0), {2, 3}) is None
+
+
+class TestProposalLadder:
+    def test_defective_block_is_proposed_again_at_context_precision(self, monkeypatch):
+        precisions = record_neig_precisions(monkeypatch)
+        evs = eigenvalues(Matrix.from_rows(JORDAN_REAL4_G0), NumericContext(precision=128))
+        assert precisions == [53, 128]
+        # the triples of the 128-bit proposal alone, as recorded before the
+        # 53-bit rung existed
+        assert [(str(v), m, [[str(x) for x in row] for row in b.entries()]) for v, m, b in evs] == [
+            ("-i", 1, [["-2"], ["-2/3"], ["-2/3 - 1/3*i"], ["1"]]),
+            ("i", 1, [["-2"], ["-2/3"], ["-2/3 + 1/3*i"], ["1"]]),
+            ("1", 2, [["1/2", "-3/2"], ["1", "0"], ["0", "-1"], ["0", "1"]]),
+        ]
+
+    def test_two_clusters_on_one_value_not_certified(self, monkeypatch):
+        import lindyn.spectral as spectral
+
+        # eigenvalues 1 and 2; ker(A - 1) alone has the multiplicity's
+        # dimension, so only the distinctness check refuses the proposal
+        A = Matrix.from_rows([["0", "-2"], ["1", "3"]])
+        assert [(str(v), m) for v, m, _ in eigenvalues(A, CTX)] == [("1", 1), ("2", 1)]
+        monkeypatch.setattr(spectral, "recognize_in_field", lambda z, radicands: Scalar.one())
+        assert eigenvalues(A, CTX) is None
+        assert eigenvalues(A, NumericContext(precision=128)) is None
 
 
 class TestRefinement:
