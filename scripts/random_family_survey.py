@@ -12,6 +12,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+from lindyn.errors import LindynError
 from lindyn.groups import GeneratorSet
 from lindyn.invariants import invariant_tree
 from lindyn.linalg import Matrix
@@ -54,10 +55,15 @@ def main() -> None:
     counts = Counter()
     codims = Counter()
     depths = Counter()
+    failed = Counter()
     for i in range(args.families):
         n = rng.randint(2, args.max_dim)
         G = random_family(rng, n)
-        tree = invariant_tree(G, ctx)
+        try:
+            tree = invariant_tree(G, ctx)
+        except LindynError as exc:  # a family the numeric path cannot decompose
+            failed[type(exc).__name__] += 1
+            continue
         fam = tree.family
         counts[(n, fam.count)] += 1
         for s in fam.subspaces:
@@ -65,6 +71,8 @@ def main() -> None:
         depths[(n, tree.depth)] += 1
 
     print(f"surveyed {args.families} families (seed {args.seed})")
+    if failed:
+        print("failed families:", dict(sorted(failed.items())))
     print("\nsubspace count by dimension (n, r): families")
     for key in sorted(counts):
         print(f"  {key}: {counts[key]}")

@@ -6,21 +6,25 @@ zero imaginary part) runs in float64 throughout, any other in complex128; the
 arrays take their dtype from the data, and the two differ in code only in the
 streamed window GEMM and in _dedup's key columns.  A materialized box is
 deduplicated through the transposed view of its staged product, so it is not
-copied into rows first.  Boxes too large to materialize are streamed in
-chunks: the outermost stage is applied through the hull projector, so a
-chunk's window coordinates cost one real GEMM, which runs one cache-sized tile
-of outer powers at a time together with the window test.  A point is formed in
-full only if it is a window hit, a stride sample (which tests whether the hull
-grew), or a column whose norm bound cannot clear the exact overflow test; the
-per-column bounds are formed only for a chunk whose largest one does not clear
-it.  The small box that fixes the hull frame is realified, centered and
-QR-factored a slab of rows at a time.  A streamed cloud is its window: it
-stores only the deduplicated window hits, together with the hull frame they
-were selected in, and is classified in that frame.  Its points equal the
-materialized box's window points up to rounding, and its verdicts and gaps are
-the same.  Closure verdicts are explicitly heuristic: DISCRETE needs a minimum
-pairwise separation over a fully stored box, DENSE_IN_AFFINE(d) needs the
-sampled window covered at COVER_RESOLUTION, everything else is INCONCLUSIVE.
+copied into rows first.  A cloud that moves in one realified coordinate (a
+last-row shear moves only the last coordinate) is deduplicated by sorting that
+coordinate's values, not a permutation of its rows, and its minimum separation
+is the least gap between them, found without a k-d tree.  Boxes too large to
+materialize are streamed in chunks: the outermost stage is applied through the
+hull projector, so a chunk's window coordinates cost one real GEMM, which runs
+one cache-sized tile of outer powers at a time together with the window test.
+A point is formed in full only if it is a window hit, a stride sample (which
+tests whether the hull grew), or a column whose norm bound cannot clear the
+exact overflow test; the per-column bounds are formed only for a chunk whose
+largest one does not clear it.  The small box that fixes the hull frame is
+realified, centered and QR-factored a slab of rows at a time.  A streamed
+cloud is its window: it stores only the deduplicated window hits, together
+with the hull frame they were selected in, and is classified in that frame.
+Its points equal the materialized box's window points up to rounding, and its
+verdicts and gaps are the same.  Closure verdicts are explicitly heuristic:
+DISCRETE needs a minimum pairwise separation over a fully stored box,
+DENSE_IN_AFFINE(d) needs the sampled window covered at COVER_RESOLUTION,
+everything else is INCONCLUSIVE.
 """
 
 from __future__ import annotations
@@ -156,7 +160,14 @@ def _dedup(points: np.ndarray, eps: float) -> np.ndarray:
     parts for complex points, read as strided views: `points` may be the
     transposed view of an (n, m) product, and it is not copied.  Key columns
     equal on every row never decide the order or a duplicate, so only the
-    varying ones are sorted.
+    varying ones are sorted.  When a single key column moves (a last-row shear
+    moves one coordinate), only its values are sorted, not a permutation of
+    the rows.  Rounding x / eps is monotone, so the sorted values are in
+    lexsort order of the keys.  When the values of each key share their bits,
+    the row the lexsort keeps for a key, its first, is row 0 with the moving
+    column set to that value, since every other column has row 0's bits.  A
+    key whose values differ in their bits (0.0 and -0.0, or two values in one
+    eps cell) sends the rows to the lexsort.
     """
     if points.shape[0] == 0:
         return points
@@ -168,6 +179,27 @@ def _dedup(points: np.ndarray, eps: float) -> np.ndarray:
             return points
         cols = _key_columns(points)
         lo, hi = _extremes(cols)
+    moving = _moving_columns(cols)
+    if len(moving) == 1:
+        j = moving[0]
+        vals = np.sort(cols[j])
+        new = np.empty(vals.size, dtype=bool)
+        new[0] = True
+        np.not_equal(vals[1:].view(np.int64), vals[:-1].view(np.int64), out=new[1:])
+        # one value per bit pattern.  No other array is kept by name, so the
+        # output below is formed next to the points and these values alone.
+        vals = vals[new]
+        # the keys of distinct values rise strictly unless two share a key
+        if (np.diff(np.round(vals / eps)) > 0).all():
+            # the (n, m) layout the lexsort path gathers, returned transposed
+            out = np.empty((points.shape[1], vals.size), dtype=points.dtype)
+            out[...] = points[0].reshape(-1, 1)
+            if np.iscomplexobj(points):
+                row = out[j // 2].imag if j % 2 else out[j // 2].real
+            else:
+                row = out[j]
+            row[...] = vals
+            return out.T
     # rounding x / eps is monotone, so a column's keys are all equal iff the
     # keys of its extremes are
     varying = np.flatnonzero(np.round(lo / eps) != np.round(hi / eps))
@@ -184,6 +216,14 @@ def _dedup(points: np.ndarray, eps: float) -> np.ndarray:
     # this gathers along its rows; taking rows of points would first copy it
     # into rows, and fancy-indexing them is about three times slower
     return np.take(points.T, order[keep], axis=1).T
+
+
+def _moving_columns(cols: list[np.ndarray]) -> list[int]:
+    """Indices of the key columns whose values do not all have row 0's bits.
+
+    Bits, not values, are compared, so a column that mixes 0.0 and -0.0 moves.
+    """
+    return [j for j, c in enumerate(cols) if (c.view(np.int64) != c.view(np.int64)[0]).any()]
 
 
 def _key_columns(points: np.ndarray) -> list[np.ndarray]:
@@ -456,11 +496,18 @@ def classify_closure(cloud: OrbitCloud, cfg: ClosureConfig | None = None) -> Clo
     if not cloud.subsampled and cloud.count > cfg.discrete_count_limit:
         notes.append("point count above discrete-check limit")
     elif not cloud.subsampled:
-        from scipy.spatial import cKDTree
+        moving = _moving_columns(list(real.T))
+        if len(moving) == 1:
+            # the points lie on a line parallel to an axis, where a point's
+            # nearest other point is a sorted neighbour.  The tree's distance
+            # sqrt(fl(x^2) + 0 + ...) is |x| in binary64 unless x^2 underflows,
+            # which no gap between rows deduplicated at dedup_eps does
+            min_dist = float(np.diff(np.sort(real[:, moving[0]])).min())
+        else:
+            from scipy.spatial import cKDTree
 
-        tree = cKDTree(real)
-        dists, _ = tree.query(real, k=2)
-        min_dist = float(dists[:, 1].min())
+            dists, _ = cKDTree(real).query(real, k=2)
+            min_dist = float(dists[:, 1].min())
         # a dense orbit sampled at finite K also clears the 100*eps floor, so
         # a discrete verdict additionally demands separation at the scale the
         # density test operates on (the gap threshold)

@@ -25,6 +25,7 @@ from lindyn.dynamics import (
     INCONCLUSIVE,
     ApproximationSequence,
     ClosureConfig,
+    OrbitCloud,
     approximate_target,
     classify_closure,
     classify_stabilized,
@@ -426,6 +427,65 @@ class TestDedup:
         self._same((tiny + 1j * tiny[::-1]).reshape(-1, 1))
         self._same(np.stack([tiny, np.ones_like(tiny)], axis=1).astype(complex))
 
+    def _one_column_cases(self):
+        """(name, points, whether _dedup runs no lexsort) with one key column moving."""
+        rng = np.random.default_rng(7)
+        m = 500
+        line = np.empty((m, 3))
+        line[:, 0], line[:, 1] = 1.5, -2.0
+        line[:, 2] = rng.integers(-50, 50, m) * 0.25  # exact duplicates
+        yield "duplicates", line, True
+        near = line[:8].copy()
+        near[:, 2] = [0.25, np.nextafter(0.25, 1), 0.5, 0.25, -3.0, 0.5, 7.0, -3.0]
+        yield "one key, two bit patterns", near, False
+        signed = line[:6].copy()
+        signed[:, 2] = [0.0, -0.0, 1.0, 0.0, -0.0, 2.0]
+        yield "+-0.0 mix", signed, False
+        zeros = line[:4].copy()
+        zeros[:, 2] = [0.0, -0.0, 0.0, -0.0]  # moves in its bits only
+        yield "+-0.0 only", zeros, True
+        for bad in (np.nan, np.inf):
+            for j in (0, 2):
+                x = line.copy()
+                x[::7, j] = bad
+                yield f"{bad} in column {j}", x, True
+        imag = 1.5 + 0.5j + np.zeros((m, 2), dtype=complex)
+        imag[:, 1] = 3.0 + 1j * line[:, 2]
+        yield "complex, imaginary part moves", imag, True
+        real = imag.copy()
+        real[:, 1] = line[:, 2] + 3.0j
+        yield "complex, real part moves", real, True
+        yield "single row", line[:1].copy(), True
+        yield "transposed view", np.ascontiguousarray(line.T).T, True
+        yield "transposed complex view", np.ascontiguousarray(imag.T).T, True
+
+    def test_one_moving_column_against_oracle(self, monkeypatch):
+        # the rows a single moving column gives are the oracle's, byte for
+        # byte; the path that sorts values alone runs no lexsort, and a run of
+        # equal keys with differing bits falls back to it
+        cases = []
+        for name, pts, no_sort in self._one_column_cases():
+            contiguous = np.ascontiguousarray(pts)
+            want = _dedup_oracle(contiguous.astype(complex), 1e-9)
+            if not np.iscomplexobj(pts):
+                want = want.real
+            got = _dedup(pts, 1e-9)
+            assert got.dtype == pts.dtype and got.shape == want.shape, name
+            assert _bytes(got) == _bytes(want), name
+            assert got.flags.f_contiguous, name  # the gather path's layout
+            cases.append((name, pts, no_sort, got))
+
+        def no_lexsort(keys):
+            raise AssertionError("lexsort called")
+
+        monkeypatch.setattr(np, "lexsort", no_lexsort)
+        for name, pts, no_sort, got in cases:
+            if no_sort:
+                assert _bytes(_dedup(pts, 1e-9)) == _bytes(got), name
+            else:
+                with pytest.raises(AssertionError, match="lexsort called"):
+                    _dedup(pts, 1e-9)
+
 
 class TestClassify:
     def test_discrete_line(self):
@@ -508,6 +568,73 @@ class TestClassify:
         cloud = enumerate_orbit(G, np.array([1.0 + 0.0j]), 128, CFG)
         verdict = classify_closure(cloud, CFG)
         assert verdict.kind == DENSE_IN_AFFINE and verdict.hull_dim == 2
+
+    def test_one_coordinate_min_distance_is_the_trees(self, monkeypatch):
+        # unsorted, duplicated and two-row clouds spanning 1e-8 to 1e3 that
+        # move in one realified coordinate: the sorted gaps give the k-d
+        # tree's answer bit for bit, and no tree is built for them
+        rng = np.random.default_rng(11)
+        clouds = []
+        for trial in range(24):
+            m = 2 if trial % 6 == 0 else int(rng.integers(3, 300))
+            vals = rng.choice([-1.0, 1.0], m) * 10.0 ** rng.uniform(-8, 3, m)
+            if trial % 3 == 1:
+                vals[: m // 3] = vals[-(m // 3):]  # duplicate rows
+            if trial % 2:
+                pts = np.empty((m, 3))
+                pts[:, :2] = [1.0, np.sqrt(2.0)]
+                pts[:, 2] = vals
+                field = "real"
+            else:
+                pts = np.full((m, 2), 1.0 - 2.0j)
+                if trial % 4:
+                    pts[:, 1] += 1j * vals
+                else:
+                    pts[:, 0] = vals + pts[:, 0].imag * 1j
+                field = "complex"
+            clouds.append(OrbitCloud(pts[0].copy(), 1, field, pts, m))
+        wants = []
+        for cloud in clouds:
+            real = _realify(cloud.points, cloud.field)
+            wants.append(cKDTree(real).query(real, k=2)[0][:, 1].min())
+
+        def no_tree(data):
+            raise AssertionError("k-d tree built")
+
+        monkeypatch.setattr("scipy.spatial.cKDTree", no_tree)
+        for cloud, want in zip(clouds, wants):
+            got = classify_closure(cloud, CFG).min_distance
+            assert float(got).hex() == float(want).hex()
+
+    def test_two_coordinate_min_distance_is_the_trees(self):
+        rng = np.random.default_rng(12)
+        pts = np.empty((200, 3))
+        pts[:, 0] = 1.0
+        pts[:, 1:] = rng.uniform(-100, 100, (200, 2))
+        cloud = OrbitCloud(pts[0].copy(), 1, "real", pts, 200)
+        want = cKDTree(pts).query(pts, k=2)[0][:, 1].min()
+        assert float(classify_closure(cloud, CFG).min_distance).hex() == float(want).hex()
+
+    # (kind, hull dimension, final K, min_distance, gap) of every fixture
+    # point, recorded when every cloud's separation came from a k-d tree
+    FIXTURE_VERDICTS = {
+        ("shear3", "closed"): ("DISCRETE", 1, 32, "0x1.0000000000000p+0", None),
+        ("shear3", "dense_line"): ("DENSE_IN_AFFINE", 1, 256, None, "0x1.4aff935a61000p-8"),
+        ("shear3", "hyperplane"): ("DISCRETE", 1, 32, "0x1.0000000000000p+0", None),
+        ("shear4", "closed"): ("DISCRETE", 1, 32, "0x1.fffffffffffe0p-1", None),
+        ("shear4", "dense_line"): ("DENSE_IN_AFFINE", 1, 256, None, "0x1.4aff935a61000p-8"),
+        ("radical4", "base"): ("DENSE_IN_AFFINE", 1, 256, None, "0x1.4aff935a5e000p-8"),
+        ("radical4", "limit"): ("DENSE_IN_AFFINE", 1, 256, None, "0x1.4aff935a5e000p-8"),
+        ("cshear5", "closed"): ("DISCRETE", 2, 32, "0x1.0000000000000p+0", None),
+        ("cshear5", "dense_plane"): ("DENSE_IN_AFFINE", 2, 128, None, "0x1.6a09e667f3bcdp-2"),
+    }
+
+    @pytest.mark.parametrize("name,point", sorted(FIXTURE_VERDICTS))
+    def test_fixture_verdicts(self, name, point):
+        G, points = fixture_by_name(name)
+        v, K = classify_stabilized(G, points[point], CFG)
+        hexed = [None if x is None else float(x).hex() for x in (v.min_distance, v.gap)]
+        assert (v.kind, v.hull_dim, K, *hexed) == self.FIXTURE_VERDICTS[name, point]
 
 
 class TestApproximateTarget:

@@ -42,6 +42,17 @@ def test_random_family_survey_smoke():
     assert proc.stdout == SURVEY_STDOUT
 
 
+def test_random_family_survey_outlives_a_failing_family():
+    # these arguments draw a family the 53-bit numeric path cannot
+    # decompose; the survey tallies it and goes on.  Which families fail is
+    # the numeric path's business, not pinned here.
+    proc = run_script("random_family_survey.py", "--families", "30", "--max-dim", "6",
+                      "--seed", "0")
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr + proc.stdout
+    assert proc.stdout.startswith("surveyed 30 families")
+
+
 def test_analyze_examples_smoke(tmp_path):
     proc = run_script("analyze_examples.py", "--out", str(tmp_path), "--max-exponent", "64")
     assert proc.returncode == 0, proc.stderr
