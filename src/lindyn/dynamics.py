@@ -1,27 +1,29 @@
 """Finite orbit exploration and empirical closure classification.
 
 Orbit clouds are enumerated over exponent boxes [-K, K]^g with vectorized
-power stacks.  A real orbit (every generator entry and start coordinate has
-zero imaginary part) runs in float64 throughout, any other in complex128; the
-arrays take their dtype from the data, and the two differ in code only in the
-streamed window GEMM and in _dedup's key columns.  A materialized box is
-deduplicated through the transposed view of its staged product, so it is not
-copied into rows first.  A cloud that moves in one realified coordinate (a
-last-row shear moves only the last coordinate) is deduplicated by sorting that
-coordinate's values, not a permutation of its rows, and its minimum separation
-is the least gap between them, found without a k-d tree.  Boxes too large to
-materialize are streamed in chunks: the outermost stage is applied through the
-hull projector, so a chunk's window coordinates cost one real GEMM, which runs
-one cache-sized tile of outer powers at a time together with the window test.
-A point is formed in full only if it is a window hit, a stride sample (which
-tests whether the hull grew), or a column whose norm bound cannot clear the
-exact overflow test; the per-column bounds are formed only for a chunk whose
-largest one does not clear it.  The small box that fixes the hull frame is
-realified, centered and QR-factored a slab of rows at a time.  A streamed
-cloud is its window: it stores only the deduplicated window hits, together
-with the hull frame they were selected in, and is classified in that frame.
-Its points equal the materialized box's window points up to rounding, and its
-verdicts and gaps are the same.  Closure verdicts are explicitly heuristic:
+power stacks, from exact generators and an exact start point u.  Every cloud
+carries the frame of the orbit's affine hull u + W, found before enumeration
+and without sampling: for abelian G, W is the smallest G-invariant subspace
+that contains every (g_i - I)u, a Krylov closure computed exactly and
+orthonormalized once in float64.  A real orbit (every generator entry and
+start coordinate has zero imaginary part) runs in float64 throughout, any
+other in complex128; the arrays take their dtype from the data, and the two
+differ in code only in the streamed window GEMM and in _dedup's key columns.
+A materialized box is deduplicated through the transposed view of its staged
+product, so it is not copied into rows first.  A cloud that moves in one
+realified coordinate (a last-row shear moves only the last coordinate) is
+deduplicated by sorting that coordinate's values, not a permutation of its
+rows, and its minimum separation is the least gap between them, found without
+a k-d tree.  Boxes too large to materialize are streamed in chunks: the
+outermost stage is applied through the frame's projector, so a chunk's window
+coordinates cost one real GEMM, which runs one cache-sized tile of outer
+powers at a time together with the window test.  A point is formed in full
+only if it is a window hit or a column whose norm bound cannot clear the exact
+overflow test; the per-column bounds are formed only for a chunk whose largest
+one does not clear it.  A streamed cloud is its window: it stores only the
+deduplicated window hits.  Its points equal the materialized box's window
+points up to rounding, and its verdicts and gaps are the same.  Closure
+verdicts are explicitly heuristic:
 DISCRETE needs a minimum pairwise separation over a fully stored box,
 DENSE_IN_AFFINE(d) needs the sampled window covered at COVER_RESOLUTION,
 everything else is INCONCLUSIVE.
@@ -35,9 +37,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoProgress, NotConvergent, PointNotInU
-from .groups import COMPLEX, REAL, GeneratorSet
+from .groups import COMPLEX, GeneratorSet
 from .invariants import InvariantFamily, membership
-from .linalg import Matrix
+from .linalg import Matrix, RowEchelon, Vector
 from .numeric import NumericContext
 from .scalars import Scalar
 
@@ -47,7 +49,6 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 COVER_RESOLUTION = 0.25  # grid cell size for hull dimension >= 2
 MIN_DIST_FACTOR = 100.0  # DISCRETE floor = factor * dedup_eps
-HULL_TOL = 1e-6          # hull directions: singular values above HULL_TOL * the largest
 FIRST_BOX = 8            # classify_stabilized's first exponent bound
 RECURRENCE_TOL = 1e-3    # final backward error of a recurrent sequence
 # A streamed chunk's window projections are computed for a tile of outer
@@ -58,11 +59,6 @@ RECURRENCE_TOL = 1e-3    # final backward error of a recurrent sequence
 # chunk untiled) took a median 0.88 s at 512 KiB, 1.0 s at 128 KiB, 1 MiB and
 # 2 MiB, and 1.23 s untiled.
 WINDOW_TILE_BYTES = 2**19
-# The hull frame's rows are realified, centered and reduced HULL_SLAB blocks
-# of 1000 rows at a time.  On the same machine, the 2,146,689-point frame box
-# of that plane took a median 0.20-0.21 s at 8 to 16 blocks, 0.24 s at 64, and
-# 0.34-0.56 s (min to median) as one slab.
-HULL_SLAB = 16
 
 
 @dataclass(frozen=True)
@@ -86,11 +82,11 @@ class OrbitCloud:
     field: str
     points: np.ndarray                # deduped points (m, n), of base_point's dtype
     total_tuples: int
+    # (realified base point, orthonormal columns spanning W) of the orbit's
+    # affine hull; a streamed cloud's window hits were selected in it
+    frame: tuple[np.ndarray, np.ndarray]
     subsampled: bool = False
     clipped: bool = False
-    # (base, orthonormal directions) of the realified hull a streamed cloud's
-    # window hits were selected in; None for a materialized box
-    frame: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def count(self) -> int:
@@ -111,10 +107,7 @@ class ClosureVerdict:
 
 
 def _numeric_generators(G: GeneratorSet) -> list[np.ndarray]:
-    out = []
-    for g in G.generators:
-        out.append(g.to_complex_array() if isinstance(g, Matrix) else np.asarray(g, dtype=complex))
-    return out
+    return [g.to_complex_array() for g in G.generators]
 
 
 def _numeric_point(u) -> np.ndarray:
@@ -256,26 +249,57 @@ def enumerate_orbit(
 ) -> OrbitCloud:
     """Orbit sample {g^k u : k in [-K, K]^g}, deduplicated at dedup_eps.
 
-    Boxes beyond cfg.max_store are streamed, and the returned cloud is then
-    its window: every point of the whole box whose coordinates in the hull
-    frame lie within 1.5x the classification window, deduplicated, with that
-    frame in `frame`.  The window is exhaustive, so covering verdicts stay
-    sound.  A small full box K0 <= K only fixes the frame, and a stride sample
-    of the whole box only tests whether the hull grew beyond it; neither is
-    returned.
+    G must be exact and u a vector of Scalars; ValueError otherwise.  The
+    cloud's frame is that of the orbit's affine hull (see _frame), computed
+    from G and u alone, so it does not depend on K or on the box.  Boxes
+    beyond cfg.max_store are streamed, and the returned cloud is then its
+    window: every point of the whole box whose coordinates in the frame lie
+    within 1.5x the classification window, deduplicated.  The window is
+    exhaustive, so covering verdicts stay sound.
     """
+    if not G.exact or not all(isinstance(c, Scalar) for c in u):
+        raise ValueError("orbit enumeration requires exact generators and an exact point")
     cfg = cfg or ClosureConfig()
     gens = _numeric_generators(G)
     un = _numeric_point(u)
     # a real orbit runs in float64: every array below takes its operands' dtype
     if not any(a.imag.any() for a in [*gens, un]):
         gens, un = [A.real.copy() for A in gens], un.real.copy()
-    g = len(gens)
-    total = (2 * K + 1) ** g if g else 1
-    if g == 0 or K == 0 or total <= cfg.max_store:
+    frame = _frame(G, tuple(u))
+    total = (2 * K + 1) ** len(gens)
+    subsampled = total > cfg.max_store
+    if subsampled:
+        pts, clipped = _stream_window(gens, un, K, cfg, frame, G.field)
+    else:
         pts, clipped = _box(gens, un, K, cfg)
-        return OrbitCloud(un, K, G.field, _dedup(pts, cfg.dedup_eps), total, False, clipped)
-    return _enumerate_streamed(G, gens, un, K, cfg, total)
+    return OrbitCloud(un, K, G.field, _dedup(pts, cfg.dedup_eps), total, frame,
+                      subsampled, clipped)
+
+
+def _frame(G: GeneratorSet, u: Vector) -> tuple[np.ndarray, np.ndarray]:
+    """(realified u, V), with V's orthonormal columns spanning W: u + W is the orbit's affine hull.
+
+    For abelian G, gh u - u = g(hu - u) + (gu - u), so W is the smallest
+    G-invariant subspace that contains every (g_i - I)u.  Over R in a complex
+    field it is the real span of the realified vectors, closed under the
+    realified g_j.  It is grown exactly: each realified vector that the
+    echelon keeps (at most 2n) pushes its images g_j v.  The reduced echelon
+    basis depends on W alone, and one float64 QR orthonormalizes it.
+    """
+    def realified(v: Vector) -> list[Scalar]:
+        if G.field == COMPLEX:
+            return [p for c in v for p in (c.real_part(), c.imag_part())]
+        return [c.real_part() for c in v]
+
+    ech = RowEchelon()
+    todo = [tuple(a - b for a, b in zip(g.matvec(u), u)) for g in G.generators]
+    while todo:
+        v = todo.pop()
+        if ech.insert(realified(v)):
+            todo.extend(g.matvec(v) for g in G.generators)
+    base = np.array([c.to_complex().real for c in realified(u)])
+    rows = [c.to_complex().real for row in ech.basis() for c in row]
+    return base, np.linalg.qr(np.reshape(rows, (-1, base.size)).T)[0]
 
 
 def _box(gens, un, K, cfg: ClosureConfig) -> tuple[np.ndarray, bool]:
@@ -289,36 +313,13 @@ def _box(gens, un, K, cfg: ClosureConfig) -> tuple[np.ndarray, bool]:
     # overflow is the clipping case handled here, not an error
     with np.errstate(over="ignore", invalid="ignore"):
         stacks = [_power_stack(A, K) for A in gens]
-        pts = _staged_columns(stacks, un).T if gens else un.reshape(1, -1)
+        pts = _staged_columns(stacks, un).T
         bound = 2.0 * np.abs(un).max() * math.prod(np.abs(P).sum(axis=2).max() for P in stacks)
     if bound <= cfg.overflow_limit:
         return pts, False
     big = np.abs(pts).max(axis=1)
     keep = big <= cfg.overflow_limit
     return (pts if keep.all() else pts[keep]), bool((big > cfg.overflow_limit).any())
-
-
-def _enumerate_streamed(G, gens, un, K, cfg: ClosureConfig, total: int) -> OrbitCloud:
-    # a small full box fixes the hull frame.  The stream covers it again, so
-    # its rows are dropped once their triangular factor is known.
-    K0 = 2
-    while (2 * K0 + 1) ** len(gens) * 8 <= cfg.max_store and K0 < K:
-        K0 *= 2
-    K0 = min(K0, K)
-    base_real = _realify(un.reshape(1, -1), G.field)[0]
-    small, _ = _box(gens, un, K0, cfg)
-    R = _hull_factor(small, G.field, base_real)
-    del small
-    frame = (base_real, _hull_directions(R))
-    window_pts, sample_real, clipped, grew = _stream_chunks(gens, un, K, cfg, frame, G.field, total)
-    if grew:
-        # the stride sample left the small box's hull; the same sample lies
-        # in the regrown hull, so one more pass settles the window
-        R = _hull_factor(np.vstack([R, sample_real - base_real]))
-        frame = (base_real, _hull_directions(R))
-        window_pts, _, clipped, _ = _stream_chunks(gens, un, K, cfg, frame, G.field, total)
-    pts = _dedup(window_pts, cfg.dedup_eps)
-    return OrbitCloud(un, K, G.field, pts, total, True, clipped, frame)
 
 
 def _complex_projector(V: np.ndarray, fieldname: str) -> np.ndarray:
@@ -328,8 +329,8 @@ def _complex_projector(V: np.ndarray, fieldname: str) -> np.ndarray:
     return V
 
 
-def _stream_chunks(gens, un, K, cfg: ClosureConfig, frame, fieldname, total):
-    """One streaming pass; returns (window points, stride sample, clipped, hull grew).
+def _stream_window(gens, un, K, cfg: ClosureConfig, frame, fieldname) -> tuple[np.ndarray, bool]:
+    """The box's points within 1.5 windows of the frame, and whether any was clipped.
 
     A chunk's tuples are the columns j * M + col of the blocks P[j] @ inner,
     with P the outermost power stack and inner (n, M) the chunk's start
@@ -338,9 +339,9 @@ def _stream_chunks(gens, un, K, cfg: ClosureConfig, frame, fieldname, total):
     real GEMM of the projected outer stack on the realified inner columns (the
     inner columns themselves for a real orbit), one tile of outer powers at a
     time, and are tested against the window while the tile is in cache.  A
-    point is formed in full only when it is a window hit, a stride sample, or
-    a column whose norm bound cannot clear the exact overflow test (every
-    |coordinate| within the limit).
+    point is formed in full only when it is a window hit or a column whose
+    norm bound cannot clear the exact overflow test (every |coordinate| within
+    the limit).
     """
     base, V = frame
     W = np.conj(_complex_projector(V, fieldname))  # (n, d)
@@ -348,10 +349,7 @@ def _stream_chunks(gens, un, K, cfg: ClosureConfig, frame, fieldname, total):
     limit = cfg.overflow_limit
     n = len(un)
     window_chunks = []
-    sample_chunks = []
     clipped = False
-    grew = False
-    counter = 0
     # overflow is the clipping case handled below, not an error
     with np.errstate(over="ignore", invalid="ignore"):
         stacks = [_power_stack(A, K) for A in gens[:-1]]
@@ -368,7 +366,6 @@ def _stream_chunks(gens, un, K, cfg: ClosureConfig, frame, fieldname, total):
         rowsum = np.abs(outer).sum(axis=2).max(axis=1)  # (J,)
         per_start = J * (2 * K + 1) ** len(stacks)
         batch = max(1, min(2 * K + 1, 1_500_000 // per_start))
-        stride = max(1, total // 200_000)
         for lo in range(0, 2 * K + 1, batch):
             hi = min(lo + batch, 2 * K + 1)
             starts = np.stack([last[k] @ un for k in range(lo, hi)], axis=1)  # (n, b)
@@ -385,32 +382,19 @@ def _stream_chunks(gens, un, K, cfg: ClosureConfig, frame, fieldname, total):
                 np.less_equal(np.abs(proj, out=proj).max(axis=1, initial=0.0),
                               1.5 * cfg.window, out=hit[j0:j1])
             hit = hit.ravel()
-            sample = np.zeros(J * M, dtype=bool)
-            sample[counter % stride :: stride] = True
-            need = hit | sample
+            need = hit
             if not clipped:
                 colmax = np.abs(inner).max(axis=0)
                 # rounding is monotone, so the largest product bounds every
                 # other one, and only a chunk it does not clear is scanned
                 if not 2.0 * rowsum.max() * colmax.max() <= limit:
-                    need |= ~(2.0 * np.outer(rowsum, colmax) <= limit).ravel()
+                    need = hit | ~(2.0 * np.outer(rowsum, colmax) <= limit).ravel()
             sel = np.flatnonzero(need)
             pts = _outer_columns(outer, inner, sel)  # (s, n)
             ok = np.abs(pts).max(axis=1) <= limit
             clipped = clipped or not ok.all()
             window_chunks.append(pts[hit[sel] & ok])
-            taken = sample[sel] & ok
-            if taken.any():
-                sample_real = _realify(pts[taken], fieldname)
-                sample_chunks.append(sample_real)
-                centered = sample_real - base
-                resid = centered - (centered @ V) @ V.T
-                if np.abs(resid).max() > HULL_TOL * max(1.0, float(np.abs(centered).max())):
-                    grew = True
-            counter += J * M
-    window = np.vstack(window_chunks)  # a pass has at least one chunk
-    sample = np.vstack(sample_chunks) if sample_chunks else np.zeros((0, base.size))
-    return window, sample, clipped, grew
+    return np.vstack(window_chunks), clipped  # a pass has at least one chunk
 
 
 def _outer_columns(outer: np.ndarray, inner: np.ndarray, flat: np.ndarray) -> np.ndarray:
@@ -427,42 +411,6 @@ def _outer_columns(outer: np.ndarray, inner: np.ndarray, flat: np.ndarray) -> np
     return out
 
 
-def _hull_factor(points: np.ndarray, fieldname: str = REAL,
-                 base: np.ndarray | None = None) -> np.ndarray:
-    """R factor of a tall-skinny QR of the realified rows of `points`, less `base`.
-
-    The rows are reduced in blocks of 1,000 and the stacked block factors once
-    more, so R^T R is the Gram matrix of the centered rows and Q is never
-    formed.  They are realified and centered HULL_SLAB blocks at a time, so a
-    whole realified copy of `points` is not formed either.
-    """
-    def centered(lo: int, hi: int) -> np.ndarray:
-        x = _realify(points[lo:hi], fieldname)
-        return x if base is None else x - base
-
-    rows = points.shape[0]
-    full = rows - rows % 1000
-    parts = []
-    for lo in range(0, full, 1000 * HULL_SLAB):
-        x = centered(lo, min(lo + 1000 * HULL_SLAB, full))
-        c = x.shape[1]
-        parts.append(np.linalg.qr(x.reshape(-1, 1000, c), mode="r").reshape(-1, c))
-    parts.append(centered(full, rows))
-    return np.linalg.qr(np.vstack(parts), mode="r")
-
-
-def _hull_directions(R: np.ndarray) -> np.ndarray:
-    """Orthonormal hull directions (columns) of the rows whose R factor is R.
-
-    They are the right singular vectors of R whose singular values exceed
-    HULL_TOL times the largest.
-    """
-    _, S, Vt = np.linalg.svd(R)
-    scale = S[0] if S.size and S[0] > 0 else 1.0
-    d = int(np.sum(S > HULL_TOL * scale))
-    return Vt[:d].T
-
-
 # ---------------------------------------------------------------------------
 # classification
 
@@ -473,12 +421,7 @@ def classify_closure(cloud: OrbitCloud, cfg: ClosureConfig | None = None) -> Clo
     if cloud.count == 0:
         return ClosureVerdict(INCONCLUSIVE, 0, notes=["empty cloud"])
     real = _realify(cloud.points, cloud.field)
-    if cloud.frame is None:
-        centered = real - _realify(cloud.base_point.reshape(1, -1), cloud.field)[0]
-        V = _hull_directions(_hull_factor(centered))
-    else:
-        base, V = cloud.frame
-        centered = real - base
+    base, V = cloud.frame
     d = V.shape[1]
     notes = []
     if cloud.clipped:
@@ -519,7 +462,8 @@ def classify_closure(cloud: OrbitCloud, cfg: ClosureConfig | None = None) -> Clo
         return ClosureVerdict(INCONCLUSIVE, 0, min_distance=min_dist,
                               notes=notes + ["no spread beyond dedup resolution"])
 
-    proj = centered @ V
+    # not (real - base) @ V, which would form a centered copy of the cloud
+    proj = real @ V - base @ V
     W = cfg.window
     if d == 1:
         c = proj[:, 0]

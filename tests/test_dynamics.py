@@ -13,15 +13,12 @@ from conftest import fixture_by_name, group_from_strings, integer_relations, ran
 from lindyn.dynamics import (
     _box,
     _dedup,
-    _enumerate_streamed,
-    _hull_directions,
-    _hull_factor,
     _numeric_generators,
     _numeric_point,
     _realify,
+    _stream_window,
     DENSE_IN_AFFINE,
     DISCRETE,
-    HULL_SLAB,
     INCONCLUSIVE,
     ApproximationSequence,
     ClosureConfig,
@@ -35,7 +32,7 @@ from lindyn.dynamics import (
 from lindyn.errors import NoProgress, NotConvergent, PointNotInU
 from lindyn.groups import GeneratorSet
 from lindyn.invariants import invariant_family
-from lindyn.linalg import as_vector
+from lindyn.linalg import Matrix, as_vector
 from lindyn.numeric import NumericContext
 from lindyn.scalars import Scalar
 
@@ -53,6 +50,13 @@ def shear4():
 
 def radical4():
     return fixture_by_name("radical4")[0]
+
+
+def _rotation_pair():
+    """Rotations by (3/5, 4/5) and (5/13, 12/13), of infinite order, and u = (3/5, 4/5)."""
+    G = group_from_strings("real", [[["3/5", "-4/5"], ["4/5", "3/5"]],
+                                    [["5/13", "-12/13"], ["12/13", "5/13"]]], ["a", "b"])
+    return G, as_vector(["3/5", "4/5"])
 
 
 class TestEnumerate:
@@ -118,7 +122,9 @@ class TestEnumerate:
             cfg = dataclasses.replace(cfg, window=200.0)
         streamed = enumerate_orbit(G, u, K, cfg)
         full = enumerate_orbit(G, u, K, dataclasses.replace(cfg, max_store=10**7))
-        assert streamed.subsampled and not full.subsampled and full.frame is None
+        assert streamed.subsampled and not full.subsampled
+        # both come from G and u alone, so the box is classified in the same frame
+        assert all(_bytes(a) == _bytes(b) for a, b in zip(streamed.frame, full.frame))
         base, V = streamed.frame
         kept = _realify(streamed.points, G.field)
         real = _realify(full.points, G.field)
@@ -129,6 +135,16 @@ class TestEnumerate:
         assert dist.max() <= 1e-12
         dist, _ = cKDTree(real[offset <= 1.5 * cfg.window]).query(kept)
         assert dist.max() <= 1e-12
+
+    def test_streamed_cloud_does_not_depend_on_max_store(self):
+        # max_store only decides whether a box is streamed; the frame comes
+        # from G and u, and the stream's chunks from K alone
+        G, u, K, cfg = _digest_case("cshear5_plane_K24_streamed")
+        a = enumerate_orbit(G, u, K, dataclasses.replace(cfg, max_store=10_000))
+        b = enumerate_orbit(G, u, K, dataclasses.replace(cfg, max_store=50_000))
+        assert a.subsampled and b.subsampled
+        for x, y in zip([*a.frame, a.points], [*b.frame, b.points]):
+            assert x.dtype == y.dtype and x.shape == y.shape and _bytes(x) == _bytes(y)
 
     def test_streamed_verdict_matches_materialized(self):
         # the cshear5 dense plane at K=24, streamed in its own frame against
@@ -152,25 +168,17 @@ class TestEnumerate:
         # rotations keep |coordinates| <= 1, but their row sums reach sqrt(2):
         # at a limit of 1.2 the norm bound clears no column, and the exact
         # overflow test must then clip nothing
-        def rot(t):
-            return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
-
-        G = GeneratorSet("real", 2, [rot(1.0), rot(math.sqrt(2))], ["a", "b"])
-        u = np.array([0.6, 0.8])
+        G, u = _rotation_pair()
         tight = enumerate_orbit(G, u, 150, ClosureConfig(max_store=5000, overflow_limit=1.2))
         loose = enumerate_orbit(G, u, 150, ClosureConfig(max_store=5000))
         assert tight.subsampled and not tight.clipped and not loose.clipped
-        assert tight.count == loose.count == 60_391
+        assert tight.count == loose.count == 54_661
 
     def test_norm_bound_without_overflow_materialized(self):
         # the same rotation pair as a materialized box: the norm bound
         # 2 max|u| prod(row sums), about 3.2, does not clear a limit of 1.2,
         # so the exact scan runs, and it must clip nothing
-        def rot(t):
-            return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
-
-        G = GeneratorSet("real", 2, [rot(1.0), rot(math.sqrt(2))], ["a", "b"])
-        u = np.array([0.6, 0.8])
+        G, u = _rotation_pair()
         tight = enumerate_orbit(G, u, 150, ClosureConfig(overflow_limit=1.2))
         loose = enumerate_orbit(G, u, 150, ClosureConfig())
         assert not tight.subsampled and not tight.clipped and not loose.clipped
@@ -179,7 +187,7 @@ class TestEnumerate:
 
     def test_one_overflowing_tuple_clips(self):
         # points (1, k1 + 1000 k2 + 1/2): only the corner k = (400, 400) is
-        # above the limit, and it is neither a window hit nor a stride sample
+        # above the limit, and it is not a window hit
         G = group_from_strings("real", [[["1", "0"], ["1", "1"]], [["1", "0"], ["1000", "1"]]])
         cfg = ClosureConfig(max_store=10_000, overflow_limit=400_400.25)
         streamed = enumerate_orbit(G, as_vector(["1", "1/2"]), 400, cfg)
@@ -188,8 +196,16 @@ class TestEnumerate:
         assert streamed.clipped and full.clipped
         assert full.count == 801**2 - 1
 
+    def test_inexact_inputs_refused(self):
+        G, u = _rotation_pair()
+        with pytest.raises(ValueError, match="exact"):
+            enumerate_orbit(G, np.array([0.6, 0.8]), 3, CFG)
+        numeric = GeneratorSet("real", 2, [g.to_complex_array().real for g in G.generators])
+        with pytest.raises(ValueError, match="exact"):
+            enumerate_orbit(numeric, u, 3, CFG)
+
     def test_streamed_fixed_point(self):
-        # the small box has a 0-dimensional hull: every point is the base point
+        # u is a fixed point, so its frame is 0-dimensional
         cloud = enumerate_orbit(shear3(), as_vector([0, 0, 1]), 300, ClosureConfig(max_store=1000))
         assert cloud.subsampled and cloud.count == 1
         assert cloud.points.tolist() == [[0, 0, 1]]
@@ -199,17 +215,17 @@ class TestEnumerate:
 # and points equal up to rounding; a streamed cloud stores only the box's
 # points within 1.5 windows of its frame.  A streamed point is formed by a
 # product per gathered column, which may round differently from a product over
-# a block of columns (generic_complex_streamed, whose entries are inexact,
+# a block of columns (generic_complex_streamed, whose float64 entries round,
 # shows it).  The digests pin the current bits, so any change that moves a
 # point shows here.
 # They hold for numpy's bundled OpenBLAS; another BLAS may round differently.
 POINT_DIGESTS = {
     "shear3_dense_K300": "2c531a1e789a296f836c94c586935573e848d89d77a07f12c5e7ee82864d59d2",
     "shear3_dense_K300_streamed": "4ee3925ff43c5a32d0ec27b75a48cdbaa33e07848df44570ade6f0df8e509609",
-    "cshear5_plane_K24_streamed": "9cb40fd509ec46bdd9a6f4108c7bbf8a3baa7df95c4d4e68e095dc9af5eae274",
+    "cshear5_plane_K24_streamed": "5db53bc6ce9092749153150e225e30f7a2ad2c6356b07cc1851293768db8069c",
     "one_generator_streamed": "7dbb60e46ac955a83d35a97c8fc2277b1ddc3c48196c03eba9eceef891815b90",
     "expanding_clipped_streamed": "856dcc1aa406fa5f500001ddbeb5e0615387b66744d94b4c69295a5080728db9",
-    "generic_complex_streamed": "e7c9fa43a5c1588282d5c58227747fd1d29e3f481b4c822b93903986696fa715",
+    "generic_complex_streamed": "516b265842cbb2c0e4bc4f48368d50aa871f378b036faf7562425da98cd810b9",
 }
 
 
@@ -223,17 +239,20 @@ def _digest_case(name):
         u = as_vector(["1+i", "sqrt(3)+i*sqrt(2)", "sqrt(2)+i", "0", "0"])
         return fixture_by_name("cshear5")[0], u, 24, ClosureConfig(max_store=10_000)
     if name == "generic_complex_streamed":
-        # inexact float entries: a point of the last stage formed by a
-        # product over fewer columns would round differently here
-        rng = np.random.default_rng(11)
-        P = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        gens = [
-            P @ np.diag(np.exp(2j * np.pi * rng.uniform(0, 1, 3))
-                        * (1 + 0.001 * rng.standard_normal(3))) @ np.linalg.inv(P)
-            for _ in range(2)
-        ]
-        u = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        # P D P^-1 with eigenvalues near the unit circle.  The denominators are
+        # not powers of two, so the float64 entries round: a point of the last
+        # stage formed by a product over fewer columns would round differently
+        P = Matrix.from_rows([["2/3+i", "-1+3*i/5", "1"], ["1-2*i/7", "3/2", "-2+i"],
+                              ["-1/3", "1+i", "2/5-i"]])
+        eigenvalues = [["1001/1000*(3+4*i)/5", "1499/1500*(5+12*i)/13", "3001/3000*(8+15*i)/17"],
+                       ["2999/3000*(7+24*i)/25", "1001/1000*(20+21*i)/29", "1499/1500*(12+35*i)/37"]]
+        gens = []
+        for diag in eigenvalues:
+            D = Matrix.from_rows([[x if i == j else "0" for j in range(3)]
+                                  for i, x in enumerate(diag)])
+            gens.append(P * D * P.inverse())
         G = GeneratorSet("complex", 3, gens, ["a", "b"])
+        u = as_vector(["1/3-i", "1+2*i/7", "-3/5+i"])
         return G, u, 100, ClosureConfig(max_store=5000, window=3.0)
     if name == "one_generator_streamed":
         G = group_from_strings("real", [[["1", "0"], ["1", "1"]]])
@@ -296,8 +315,7 @@ class TestRealPath:
         cloud = enumerate_orbit(G, u, K, cfg)
         assert cloud.points.dtype == cloud.base_point.dtype == np.float64
         if cloud.subsampled:
-            total = (2 * K + 1) ** len(gens)
-            ref = _enumerate_streamed(G, gens, un, K, cfg, total).points
+            ref = _dedup(_stream_window(gens, un, K, cfg, cloud.frame, G.field)[0], cfg.dedup_eps)
         else:
             box, _ = _box(gens, un, K, cfg)
             real_box, _ = _box([A.real.copy() for A in gens], un.real.copy(), K, cfg)
@@ -309,39 +327,52 @@ class TestRealPath:
         assert _bytes(cloud.points) == _bytes(ref.real)
 
 
-def _hull_factor_oracle(centered):
-    """_hull_factor as it was: the blocked QR of a whole realified, centered array."""
-    rows, c = centered.shape
-    blocks = rows // 1000
-    R = centered
-    if blocks:
-        Rb = np.linalg.qr(centered[: blocks * 1000].reshape(blocks, 1000, c), mode="r")
-        R = np.vstack([Rb.reshape(-1, c), centered[blocks * 1000 :]])
-    return np.linalg.qr(R, mode="r")
+def _box_svd_directions(G, u, K=8):
+    """Hull directions estimated from a box: principal axes of its realified points less u.
+
+    Those are the right singular vectors whose singular values exceed 1e-6
+    times the largest.
+    """
+    cloud = enumerate_orbit(G, u, K, CFG)
+    base = _realify(cloud.base_point.reshape(1, -1), G.field)[0]
+    _, S, Vt = np.linalg.svd(_realify(cloud.points, G.field) - base, full_matrices=False)
+    d = int(np.sum(S > 1e-6 * S[0])) if S[0] > 0 else 0
+    return Vt[:d].T
 
 
-class TestHullFactor:
-    @pytest.mark.parametrize("name", [
-        "shear3_dense_K300", "cshear5_plane_K24_streamed", "cshear5_real_point_streamed",
-    ])
-    def test_slabs_match_whole_array(self, name):
-        # a box as _enumerate_streamed factors it (a transposed view of the
-        # staged product), cut to fewer rows than one block, to whole slabs, to
-        # a last slab of whole blocks, and to a ragged last block
-        G, u, K, cfg = _real_case(name)
-        gens, un = _numeric_generators(G), _numeric_point(u)
-        if not any(a.imag.any() for a in [*gens, un]):  # as enumerate_orbit runs a real orbit
-            gens, un = [A.real.copy() for A in gens], un.real.copy()
-        box, _ = _box(gens, un, K, cfg)
-        base = _realify(un.reshape(1, -1), G.field)[0]
-        slab = 1000 * HULL_SLAB
-        for rows in (700, 2 * slab, 2 * slab + 5000, slab + 3456, box.shape[0]):
-            points = box[:rows]
-            centered = _realify(points, G.field) - base
-            R = _hull_factor(points, G.field, base)
-            assert R.shape == (centered.shape[1],) * 2
-            assert _bytes(R) == _bytes(_hull_factor_oracle(centered))
-            assert _bytes(R) == _bytes(_hull_factor(centered))
+def _frame_cases():
+    for name, point in sorted(TestClassify.FIXTURE_VERDICTS):
+        G, points = fixture_by_name(name)
+        yield f"{name}.{point}", G, points[point]
+    rng = random.Random(21)
+    for k in range(12):
+        n = rng.randint(3, 5)
+        G, base, _ = random_lastrow_group(rng, n)
+        yield f"lastrow{k}.base", G, base
+        # some coordinates zero, so that a shear may fix the point
+        yield f"lastrow{k}.p", G, as_vector([rng.choice([0, 0, 1, -2, "1/3"]) for _ in range(n)])
+    for name in ("expanding_clipped_streamed", "generic_complex_streamed",
+                 "cshear5_real_point_streamed"):
+        G, u, _, _ = _real_case(name)
+        yield name, G, u
+
+
+class TestFrame:
+    def test_exact_frame_against_box_svd(self):
+        # the exact frame spans the principal axes of a K=8 box: the same
+        # dimension, and a largest principal angle of at most 1e-9
+        dims = set()
+        for name, G, u in _frame_cases():
+            base, V = enumerate_orbit(G, u, 0, CFG).frame
+            assert _bytes(base) == _bytes(_realify(_numeric_point(u).reshape(1, -1), G.field)[0])
+            assert np.allclose(V.T @ V, np.eye(V.shape[1]), rtol=0, atol=1e-12), name
+            oracle = _box_svd_directions(G, u)
+            assert V.shape == oracle.shape, name
+            if V.shape[1]:
+                sin_max = np.linalg.norm(oracle - V @ (V.T @ oracle), 2)
+                assert sin_max <= 1e-9, name
+            dims.add(V.shape[1])
+        assert dims == {0, 1, 2, 6}
 
 
 def _dedup_oracle(points, eps):
@@ -487,6 +518,13 @@ class TestDedup:
                     _dedup(pts, 1e-9)
 
 
+def _axes_frame(points, field):
+    """The frame of a hand-built cloud: its first point and the axes along which it moves."""
+    real = _realify(points, field)
+    moving = np.flatnonzero((real != real[0]).any(axis=0))
+    return real[0].copy(), np.eye(real.shape[1])[:, moving]
+
+
 class TestClassify:
     def test_discrete_line(self):
         cloud = enumerate_orbit(shear3(), as_vector([1, 1, 0]), 100, CFG)
@@ -545,9 +583,8 @@ class TestClassify:
         cfg = dataclasses.replace(cfg, max_store=10**7, discrete_count_limit=0, window=window)
         cloud = enumerate_orbit(G, u, K, cfg)
         verdict = classify_closure(cloud, cfg)
-        base = _realify(cloud.base_point.reshape(1, -1), G.field)[0]
-        centered = _realify(cloud.points, G.field) - base
-        proj = centered @ _hull_directions(_hull_factor(centered))
+        base, V = cloud.frame
+        proj = _realify(cloud.points, G.field) @ V - base @ V
         cells = int(round(2 * window / 0.25))
         pw = proj[np.all(np.abs(proj) <= window, axis=1)]
         idx = np.clip(((pw + window) / (2 * window) * cells).astype(int), 0, cells - 1)
@@ -562,10 +599,8 @@ class TestClassify:
     def test_dense_complex_similarity_pair(self):
         # two commuting similarities of C with dense joint orbit; moduli are
         # kept near 1 so the window fills at desk-scale exponents
-        a = np.array([[1.02 * np.exp(1j)]], dtype=complex)
-        b = np.array([[1.02 ** (-1 / math.sqrt(2)) * np.exp(1j * math.sqrt(3))]], dtype=complex)
-        G = GeneratorSet("complex", 1, [a, b], ["a", "b"])
-        cloud = enumerate_orbit(G, np.array([1.0 + 0.0j]), 128, CFG)
+        G = group_from_strings("complex", [[["51/50*(3+4*i)/5"]], [["49/50*(5+12*i)/13"]]])
+        cloud = enumerate_orbit(G, as_vector(["1"]), 128, CFG)
         verdict = classify_closure(cloud, CFG)
         assert verdict.kind == DENSE_IN_AFFINE and verdict.hull_dim == 2
 
@@ -592,7 +627,7 @@ class TestClassify:
                 else:
                     pts[:, 0] = vals + pts[:, 0].imag * 1j
                 field = "complex"
-            clouds.append(OrbitCloud(pts[0].copy(), 1, field, pts, m))
+            clouds.append(OrbitCloud(pts[0].copy(), 1, field, pts, m, _axes_frame(pts, field)))
         wants = []
         for cloud in clouds:
             real = _realify(cloud.points, cloud.field)
@@ -611,7 +646,7 @@ class TestClassify:
         pts = np.empty((200, 3))
         pts[:, 0] = 1.0
         pts[:, 1:] = rng.uniform(-100, 100, (200, 2))
-        cloud = OrbitCloud(pts[0].copy(), 1, "real", pts, 200)
+        cloud = OrbitCloud(pts[0].copy(), 1, "real", pts, 200, _axes_frame(pts, "real"))
         want = cKDTree(pts).query(pts, k=2)[0][:, 1].min()
         assert float(classify_closure(cloud, CFG).min_distance).hex() == float(want).hex()
 
