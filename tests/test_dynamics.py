@@ -147,9 +147,8 @@ class TestEnumerate:
             assert x.dtype == y.dtype and x.shape == y.shape and _bytes(x) == _bytes(y)
 
     def test_streamed_verdict_matches_materialized(self):
-        # the cshear5 dense plane at K=24, streamed in its own frame against
-        # the whole box classified in the frame of all its points.  The whole
-        # box is still separated at 0.064, above the gap threshold, so its
+        # the cshear5 dense plane at K=24, streamed, against the whole box
+        # classified in the same frame.  The whole box is still separated at 0.064, above the gap threshold, so its
         # nearest-neighbour check would say DISCRETE: it is switched off to
         # compare the covering verdicts
         G, u, K, cfg = _digest_case("cshear5_plane_K24_streamed")
