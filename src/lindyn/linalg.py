@@ -1,14 +1,19 @@
 """Exact matrices and subspaces over the radical scalar field.
 
+A matrix whose entries are all rational keeps an integer form, computed on
+first use: each row times the lcm of its denominators, with that lcm.  A
+product of two rational matrices sums, in ints, the rows of the right one
+(at one common scale) that the left one's nonzero entries select, and makes
+one Fraction per nonzero result.  Any other product runs on Scalars.
+
 Rank, kernel, solve and determinant share one fraction-free (Bareiss)
-forward elimination, which avoids coefficient blow-up.  When every entry of
-the matrix is rational it runs on Python ints: each row is scaled by the lcm
-of its denominators, which changes neither the pivot columns, the kernel nor
-the solution of an augmented system, and each update divides exactly by the
-previous pivot.  A matrix with any radical or imaginary entry runs on
-Scalars.  Kernels and solves finish with exact back-substitution (in
-Fractions on the integer path) so basis vectors come out with unit entries at
-their free coordinates, which keeps every derived basis deterministic.
+forward elimination, which avoids coefficient blow-up.  A rational matrix is
+eliminated on its integer form, which changes neither the pivot columns, the
+kernel nor the solution of an augmented system, and each update divides
+exactly by the previous pivot; any other runs on Scalars.  Kernels and
+solves finish with exact back-substitution (in Fractions on the integer path)
+so basis vectors come out with unit entries at their free coordinates, which
+keeps every derived basis deterministic.
 
 A :class:`Subspace` checks that its basis is independent.  It first looks for
 a private row per column, a row where that column alone is nonzero; when
@@ -29,9 +34,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import NotInvariant
-from .scalars import Scalar, parse_scalar
+from .scalars import _RATIONAL_KEY, Scalar, parse_scalar
 
 Vector = tuple[Scalar, ...]
+
+_ZERO = Scalar.zero()
 
 
 def _to_scalar(x) -> Scalar:
@@ -39,7 +46,23 @@ def _to_scalar(x) -> Scalar:
         return x
     if isinstance(x, str):
         return parse_scalar(x)
-    return Scalar.from_fraction(x)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return Scalar._canonical({_RATIONAL_KEY: x}) if x else _ZERO
+
+
+def _rational(num: int, den: int) -> Scalar:
+    return Scalar._canonical({_RATIONAL_KEY: Fraction(num, den)}) if num else _ZERO
+
+
+def _integer_row(row: Sequence[Scalar]) -> tuple[list[int], int] | None:
+    """The row times the lcm of its denominators, with that lcm; None when
+    some entry is not rational."""
+    fracs = [a.rational_value() for a in row]
+    if any(q is None for q in fracs):
+        return None
+    lcm = math.lcm(*(q.denominator for q in fracs))
+    return [q.numerator * (lcm // q.denominator) for q in fracs], lcm
 
 
 def as_vector(entries: Iterable) -> Vector:
@@ -49,14 +72,22 @@ def as_vector(entries: Iterable) -> Vector:
 class Matrix:
     """Immutable matrix with Scalar entries."""
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_rows", "_ints")
 
     def __init__(self, rows: Sequence[Sequence[Scalar]]):
         self._rows = tuple(tuple(row) for row in rows)
+        self._ints = None
         if self._rows:
             w = len(self._rows[0])
             if any(len(r) != w for r in self._rows):
                 raise ValueError("ragged rows")
+
+    def _integer_form(self) -> list[tuple[list[int], int]] | bool:
+        """The :func:`_integer_row` of each row, computed once; False unless all are rational."""
+        if self._ints is None:
+            form = [_integer_row(row) for row in self._rows]
+            self._ints = False if None in form else form
+        return self._ints
 
     # -- constructors ---------------------------------------------------
 
@@ -119,20 +150,35 @@ class Matrix:
         return Matrix([[s * a for a in r] for r in self._rows])
 
     def __mul__(self, other):
-        if isinstance(other, Matrix):
-            if self.cols != other.rows:
-                raise ValueError("shape mismatch")
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        if self.cols != other.rows:
+            raise ValueError("shape mismatch")
+        fa = self._integer_form()
+        fb = fa is not False and other._integer_form()
+        if fb is False:
             ocols = other.columns()
-            return Matrix(
-                [
-                    [_dot(row, col) for col in ocols]
-                    for row in self._rows
-                ]
-            )
-        return NotImplemented
+            return Matrix([[_dot(row, col) for col in ocols] for row in self._rows])
+        # the rows of other at one common scale, as their nonzero (column, value)
+        scale = math.lcm(*(lb for _, lb in fb))
+        sparse = [[(j, b * (scale // lb)) for j, b in enumerate(ints) if b] for ints, lb in fb]
+        rows = []
+        for ints, la in fa:
+            acc = [0] * other.cols
+            for a, brow in zip(ints, sparse):
+                if a:
+                    for j, b in brow:
+                        acc[j] += a * b
+            rows.append([_rational(x, la * scale) for x in acc])
+        return Matrix(rows)
 
     def matvec(self, v: Sequence[Scalar]) -> Vector:
-        return tuple(_dot(row, v) for row in self._rows)
+        fa = self._integer_form()
+        fv = fa is not False and _integer_row(v)
+        if not fv:
+            return tuple(_dot(row, v) for row in self._rows)
+        vints, lv = fv
+        return tuple(_rational(sum(map(operator.mul, ints, vints)), la * lv) for ints, la in fa)
 
     def transpose(self) -> "Matrix":
         return Matrix(list(map(list, zip(*self._rows)))) if self._rows else self
@@ -183,10 +229,13 @@ class Matrix:
             raise ValueError("determinant of a non-square matrix")
         if self.rows == 0:
             return Scalar.one()
-        ech, pivots, factor = _forward_echelon(self._rows)
+        ech, pivots, sign = _forward_echelon(*_elimination_rows(self))
         if len(pivots) < self.rows:
-            return Scalar.zero()
-        return _to_scalar(factor * ech[-1][-1])
+            return _ZERO
+        form = self._integer_form()
+        if form is False:
+            return sign * ech[-1][-1]
+        return _rational(sign * ech[-1][-1], math.prod(lcm for _, lcm in form))
 
     def power(self, k: int) -> "Matrix":
         """Integer matrix power by repeated squaring; negative k via inverse."""
@@ -240,37 +289,24 @@ def _dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
 # -- elimination -----------------------------------------------------------
 
 
-def _integer_rows(rows) -> tuple[list[list[int]], int] | None:
-    """Rows scaled to integers by the lcm of each row's denominators, with
-    the product of those scales; None when some entry is not rational."""
-    out = []
-    scale = 1
-    for row in rows:
-        fracs = [a.rational_value() for a in row]
-        if any(q is None for q in fracs):
-            return None
-        lcm = math.lcm(*(q.denominator for q in fracs))
-        out.append([q.numerator * (lcm // q.denominator) for q in fracs])
-        scale *= lcm
-    return out, scale
+def _elimination_rows(M: Matrix) -> tuple[list[list], bool]:
+    """Fresh rows of M to eliminate, and whether they are its integer form."""
+    form = M._integer_form()
+    if form is False:
+        return [list(r) for r in M.entries()], False
+    return [list(ints) for ints, _ in form], True
 
 
-def _forward_echelon(rows) -> tuple[list[list], list[int], Fraction | int]:
-    """Fraction-free (Bareiss) forward elimination.
+def _forward_echelon(m: list[list], integer: bool) -> tuple[list[list], list[int], int]:
+    """Fraction-free (Bareiss) forward elimination of the rows m, in place.
 
-    Returns the echelon rows, the pivot columns and a factor such that a
-    square matrix of full rank has determinant ``factor * ech[-1][-1]``.
-    All-rational input runs on the integer rows of :func:`_integer_rows`,
-    dividing exactly with ``//``, and the echelon rows are ints; any other
-    input runs on Scalars.
+    Returns the echelon rows, the pivot columns and the sign of the row
+    swaps: a square matrix of full rank has determinant ``sign *
+    ech[-1][-1]`` divided by the product of the row scales.  Integer rows
+    divide exactly with ``//``; Scalar rows divide in the field.
     """
-    ints = _integer_rows(rows)
-    if ints is not None:
-        m, scale = ints
-        factor, zero, div = Fraction(1, scale), 0, operator.floordiv
-    else:
-        m = [list(r) for r in rows]
-        factor, zero, div = 1, Scalar.zero(), operator.truediv
+    sign = 1
+    zero, div = (0, operator.floordiv) if integer else (_ZERO, operator.truediv)
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     pivots: list[int] = []
@@ -282,7 +318,7 @@ def _forward_echelon(rows) -> tuple[list[list], list[int], Fraction | int]:
             continue
         if pr != r:
             m[r], m[pr] = m[pr], m[r]
-            factor = -factor
+            sign = -sign
         prow = m[r]
         p = prow[c]
         for i in range(r + 1, nrows):
@@ -296,7 +332,7 @@ def _forward_echelon(rows) -> tuple[list[list], list[int], Fraction | int]:
         r += 1
         if r == nrows:
             break
-    return m, pivots, factor
+    return m, pivots, sign
 
 
 def _back_substitute(ech, pivots: list[int], rhs: list, x: list) -> list:
@@ -324,7 +360,7 @@ def rank(M: Matrix) -> int:
     """Exact rank via fraction-free elimination."""
     if M.rows == 0 or M.cols == 0:
         return 0
-    _, pivots, _ = _forward_echelon(M.entries())
+    _, pivots, _ = _forward_echelon(*_elimination_rows(M))
     return len(pivots)
 
 
@@ -333,7 +369,7 @@ def kernel(M: Matrix) -> "Subspace":
     n = M.cols
     if M.rows == 0 or n == 0:
         return Subspace(n, Matrix.identity(n))
-    ech, pivots, _ = _forward_echelon(M.entries())
+    ech, pivots, _ = _forward_echelon(*_elimination_rows(M))
     free = [c for c in range(n) if c not in pivots]
     basis_cols = []
     for fc in free:
@@ -360,8 +396,13 @@ def solve(A: Matrix, B: Matrix) -> Matrix | None:
     For a singular consistent system the free variables are set to zero.
     """
     n, k = A.rows, A.cols
-    aug = [ra + rb for ra, rb in zip(A.entries(), B.entries())]
-    ech, pivots, _ = _forward_echelon(aug)
+    fa = A._integer_form()
+    fb = fa is not False and B._integer_form()
+    if fb is False:
+        aug = [list(ra + rb) for ra, rb in zip(A.entries(), B.entries())]
+    else:  # each augmented row times the product of its two scales
+        aug = [[x * lb for x in ra] + [x * la for x in rb] for (ra, la), (rb, lb) in zip(fa, fb)]
+    ech, pivots, _ = _forward_echelon(aug, fb is not False)
     pivots = [p for p in pivots if p < k]
     # a nonzero right-hand side below the coefficient rank is inconsistent
     for i in range(len(pivots), n):
@@ -505,7 +546,7 @@ def restrict(A: Matrix, basis: Matrix) -> Matrix:
         return Matrix.zeros(0, 0)
     target = A * basis
     sol = solve(basis, target)
-    if sol is None or not (basis * sol - target).is_zero():
+    if sol is None or basis * sol != target:
         # locate the offending column for the error report
         for j in range(basis.cols):
             col = Matrix.from_cols([list(target.col(j))])

@@ -230,13 +230,12 @@ def _cluster(values: list[complex], delta: float) -> list[tuple[complex, int, li
     return out
 
 
-def _separated_clusterings(A: np.ndarray, ctx: NumericContext):
-    """Yield (delta, clusters) for each radius that separates A's eigenvalues.
+def _separated_clusterings(raw: list[complex]):
+    """Yield (delta, clusters) for each radius that separates the eigenvalues raw.
 
     Ten radii grow by 8x from ``CLUSTER_DELTA`` times the spectral scale;
     a radius is skipped when two cluster centres lie within 10 * delta.
     """
-    raw = [as_complex(e) for e in neig(A, ctx)]
     scale = max(1.0, max(abs(v) for v in raw))
     for j in range(10):
         delta = CLUSTER_DELTA * scale * (8.0**j)
@@ -300,6 +299,7 @@ def eigenvalues(
     A: Matrix,
     ctx: NumericContext | None = None,
     radicands: set[int] | None = None,
+    numeric: list[complex] | None = None,
 ) -> list[tuple[Scalar, int, Matrix]] | None:
     """Exact spectrum of A as (value, multiplicity, generalized eigenspace basis).
 
@@ -311,7 +311,9 @@ def eigenvalues(
     when its values are distinct, its multiplicities sum to n, and each
     ``kernel((A - v)^m)`` has the dimension of v's multiplicity m.  The
     triples are sorted by value; None when some eigenvalue is not found in
-    the field.
+    the field.  Then a ``numeric`` list receives the numeric eigenvalues of
+    the last rung, at ``ctx.precision``, so that a caller that goes on to
+    split A numerically does not compute them again.
     """
     if A.rows != A.cols:
         raise ValueError("eigenvalues of a non-square matrix")
@@ -325,15 +327,18 @@ def eigenvalues(
     # it is certified; only a failed one is proposed again at ctx.precision
     rungs = [replace(ctx, precision=53), ctx] if ctx.high else [ctx]
     for rung in rungs:
-        spectrum = _recognized_spectrum(A, rung, radicands)
+        raw = [as_complex(e) for e in neig(to_numeric(A, rung), rung)]
+        spectrum = _recognized_spectrum(raw, radicands)
         if spectrum is not None and (out := _certified(A, spectrum)) is not None:
             return out
+    if numeric is not None:
+        numeric.extend(raw)
     return None
 
 
-def _recognized_spectrum(A: Matrix, ctx: NumericContext, radicands) -> list[tuple[Scalar, int]] | None:
-    """Cluster centres of A's numeric spectrum recognised over radicands, else None."""
-    _, clusters = next(_separated_clusterings(to_numeric(A, ctx), ctx), (None, None))
+def _recognized_spectrum(raw: list[complex], radicands) -> list[tuple[Scalar, int]] | None:
+    """Cluster centres of the numeric spectrum raw recognised over radicands, else None."""
+    _, clusters = next(_separated_clusterings(raw), (None, None))
     if clusters is None:
         return None
     spectrum = []
@@ -476,25 +481,20 @@ def _validate_direct_sum(blocks: list[_Block], ctx: NumericContext) -> None:
 
 def _split_block(R, blk: _Block, ctx: NumericContext, radicands) -> list[_Block]:
     """Split a block along the spectrum of one restriction with >= 2 eigenvalues."""
+    raw: list[complex] = []
     if isinstance(R, Matrix):
-        subs = _split_exact(R, blk, ctx, radicands)
-        if subs is not None:
-            return subs
+        spectrum = eigenvalues(R, ctx, radicands, raw)
+        if spectrum is not None and len(spectrum) >= 2:
+            return [_Block(blk.basis * basis) for _, _, basis in spectrum]
         R = to_numeric(R, ctx)
         blk = _Block(to_numeric(blk.basis, ctx), noise=max(blk.noise, 64 * 2.0 ** (1 - ctx.precision)))
-    return _split_numeric(R, blk, ctx)
+    return _split_numeric(R, blk, ctx, raw or [as_complex(e) for e in neig(R, ctx)])
 
 
-def _split_exact(R: Matrix, blk: _Block, ctx: NumericContext, radicands) -> list[_Block] | None:
-    spectrum = eigenvalues(R, ctx, radicands)
-    if spectrum is None or len(spectrum) < 2:
-        return None
-    return [_Block(blk.basis * basis) for _, _, basis in spectrum]
-
-
-def _split_numeric(R: np.ndarray, blk: _Block, ctx: NumericContext) -> list[_Block]:
+def _split_numeric(R: np.ndarray, blk: _Block, ctx: NumericContext, raw: list[complex]) -> list[_Block]:
+    """Split along the clusterings of raw, the numeric eigenvalues of R."""
     d = R.shape[0]
-    for delta, clusters in _separated_clusterings(R, ctx):
+    for delta, clusters in _separated_clusterings(raw):
         if len(clusters) < 2:
             break
         subs = []

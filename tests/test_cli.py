@@ -3,6 +3,7 @@ import json
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,8 @@ from lindyn.cli import FIXTURES, main
 from lindyn.dynamics import ClosureConfig
 from lindyn.linalg import as_vector
 from lindyn.numeric import NumericContext
+from lindyn.report import _fmt_complex, _scalar_approx, render_value
+from lindyn.scalars import Scalar
 from lindyn.verify import _closed_complex_claim, _closure_minus_orbit_claim
 
 
@@ -36,9 +39,14 @@ GOLDEN_REPORT_SHA256 = {
     "numpair3": "9ba3789873e339f689f804b9a5aceb9c9ea9112736754efdf652d5568437e3e7",
     "sqrt2sqrt3": "14a60f38ee282dcc1ce01e91b6e1f520c845537ac35e1009d14adc0aa79ad1e9",
     "pairsqrt2": "2e9c2b13a7d495b88f54699a4442372019ce7430f021a5848f1f47cc83053f40",
+    "sform8": "cc2c5fe018ecc5474441053d008422c9d02d917f60fb0d3627b33a839cc22074",
+    "sform8-p53": "5837c43cc6d7a6a34a4d7e5ea5a8f2ae4a09853f19675f63c1282aa948906a51",
+    "diag6": "85a93bb4d74916f666803a5c53d5a1392fc6ee5ce2974031fb8c0fe24ff7362e",
+    "diag6-p53": "f361899897b76cfb02454abfd996898ca576ec4c6d5d69cec323520c59f0488b",
 }
 
-# Single-generator real documents and their extra CLI arguments.  Every fixture
+# Inline real documents (a list of generators) and their extra CLI arguments;
+# the five below have a single generator.  Every fixture
 # above is one exact spectral block, so its digest never reaches the spectral
 # split, conjugate pairing or numeric paths; these digests, recorded before
 # the spectral core was folded into one routine per job, pin those paths:
@@ -52,25 +60,56 @@ GOLDEN_REPORT_SHA256 = {
 # The two numeric families fail at the 128-bit default (the real basis of a
 # numeric block is built in double precision), so they run at 53 bits.
 INLINE_DOCUMENTS = {
-    "diag3": ([["1", "0", "0"], ["0", "2", "0"], ["0", "0", "3"]], []),
+    "diag3": ([[["1", "0", "0"], ["0", "2", "0"], ["0", "0", "3"]]], []),
     "rotation3": (
-        [["2", "0", "0"], ["0", "1/2", "-1/2*sqrt(3)"], ["0", "1/2*sqrt(3)", "1/2"]],
+        [[["2", "0", "0"], ["0", "1/2", "-1/2*sqrt(3)"], ["0", "1/2*sqrt(3)", "1/2"]]],
         [],
     ),
     "numpair3": (
-        [["0", "-3", "0"], ["1", "1", "0"], ["0", "0", "2"]],
+        [[["0", "-3", "0"], ["1", "1", "0"], ["0", "0", "2"]]],
         ["--precision", "53"],
     ),
     "sqrt2sqrt3": (
-        [["0", "2", "0", "0"], ["1", "0", "0", "0"], ["0", "0", "0", "3"], ["0", "0", "1", "0"]],
+        [[["0", "2", "0", "0"], ["1", "0", "0", "0"], ["0", "0", "0", "3"], ["0", "0", "1", "0"]]],
         ["--precision", "53"],
     ),
     "pairsqrt2": (
-        [["0", "-1", "1", "0", "0"], ["1", "0", "0", "1", "0"], ["0", "0", "0", "-1", "0"],
-         ["0", "0", "1", "0", "0"], ["0", "0", "0", "0", "sqrt(2)"]],
+        [[["0", "-1", "1", "0", "0"], ["1", "0", "0", "1", "0"], ["0", "0", "0", "-1", "0"],
+          ["0", "0", "1", "0", "0"], ["0", "0", "0", "0", "sqrt(2)"]]],
         [],
     ),
 }
+
+
+def _polynomial_in(N, coeffs) -> list[list[str]]:
+    """The rows of sum(c_k N^k), k = 0, 1, ..., for an integer matrix N."""
+    n = len(N)
+    power = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    total = [[Fraction(0)] * n for _ in range(n)]
+    for c in coeffs:
+        total = [[t + c * p for t, p in zip(tr, pr)] for tr, pr in zip(total, power)]
+        power = [[sum(power[i][k] * N[k][j] for k in range(n)) for j in range(n)]
+                 for i in range(n)]
+    return [[str(x) for x in row] for row in total]
+
+
+# Two rational documents with two generators each, whose analysis is mostly
+# exact matrix products, kernels and solves over Q: an S-form pair (I + aN +
+# bN^2 for one strictly lower-triangular N, one generator with denominators
+# 2 and 3), which gives one block and a full chain of depth 8, and a diagonal
+# pair with six one-dimensional blocks.  Recorded at both precisions before
+# rational products and elimination moved to cached integer rows and
+# rationals were rendered from floats.
+_N8 = [[0, 0, 0, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0, 0], [-2, 2, 0, 0, 0, 0, 0, 0],
+       [2, 1, 2, 0, 0, 0, 0, 0], [2, -1, 0, 1, 0, 0, 0, 0], [2, -2, 1, -2, -1, 0, 0, 0],
+       [2, 0, -1, 0, 2, 1, 0, 0], [2, 1, 0, -1, -1, 0, 2, 0]]
+_SFORM8 = [_polynomial_in(_N8, (1, -1, -1)),
+           _polynomial_in(_N8, (1, Fraction(-1, 3), Fraction(1, 2)))]
+_DIAG6 = [[[str(d[i]) if i == j else "0" for j in range(6)] for i in range(6)]
+          for d in ([2, 11, -3, 5, -7, -13], [3, -2, 1, 1, -1, Fraction(1, 2)])]
+for _name, _gens in (("sform8", _SFORM8), ("diag6", _DIAG6)):
+    INLINE_DOCUMENTS[_name] = (_gens, [])
+    INLINE_DOCUMENTS[f"{_name}-p53"] = (_gens, ["--precision", "53"])
 
 
 # The structure-radical benchmark documents of these names: two commuting
@@ -132,10 +171,10 @@ class TestAnalyze:
     def test_golden_report_digest(self, fixture_files, tmp_path, name):
         out = tmp_path / "report.json"
         if name in INLINE_DOCUMENTS:
-            rows, extra = INLINE_DOCUMENTS[name]
+            gens, extra = INLINE_DOCUMENTS[name]
             path = tmp_path / f"{name}.json"
             path.write_text(json.dumps(
-                {"field": "real", "dimension": len(rows), "generators": [rows]}
+                {"field": "real", "dimension": len(gens[0]), "generators": gens}
             ))
             args = [str(path), *extra]
         else:
@@ -319,6 +358,68 @@ class TestAnalyze:
         rep = json.loads(out)
         assert rep["invariant_family"]["subspaces"][0]["dimension"] == 0
         assert rep["invariant_tree"]["depth"] == 1
+
+
+def _near_midpoint(c: int, e: int) -> Fraction:
+    """a/b with a * 2^(54-e) - c * b = 1: within 1/(b 2^(54-e)) of the double
+    midpoint c / 2^(54-e), closer than rounding to 80 + bitlen(a) bits can tell."""
+    s = 54 - e
+    b = -pow(c, -1, 1 << s) % (1 << s)
+    return Fraction((c * b + 1) >> s, b)
+
+
+class TestRenderValue:
+    """A rational prints from float only where the double is provably the
+    one ``evaluate(64)`` gives."""
+
+    @staticmethod
+    def assert_as_evaluate(q: Fraction):
+        x = Scalar.from_fraction(q)
+        expected = complex(x.evaluate(64))
+        assert repr(_scalar_approx(x)) == repr(expected), q
+        assert render_value(x) == {"exact": str(x), "approx": _fmt_complex(expected)}
+
+    def test_seeded_rationals(self):
+        rng = random.Random(57721)
+        fast = slow = 0
+        for _ in range(3000):
+            b = rng.randint(1, 2 ** rng.randint(1, 200))
+            # bitlen(a) - bitlen(b) on both sides of -24
+            width = max(0, b.bit_length() + rng.randint(-40, 30))
+            a = rng.getrandbits(width) | (1 << width >> 1)
+            q = Fraction(rng.choice([-1, 1]) * a, b)
+            if q.denominator.bit_length() <= q.numerator.bit_length() + 24:
+                fast += 1
+            else:
+                slow += 1
+            self.assert_as_evaluate(q)
+        assert fast > 1000 and slow > 500
+
+    def test_edges(self):
+        for q in (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 3), Fraction(-7, 2**60),
+                  Fraction(1, 2**24), Fraction(1, 2**25), Fraction(3, 2**25), Fraction(1, 2**26),
+                  Fraction(2**1000 + 1, 3), Fraction(-(2**1100), 7)):
+            self.assert_as_evaluate(q)
+        # dyadic ties between two doubles round to even; the others are a
+        # quarter and just over a half of the spacing above 1
+        for q, nearest in ((Fraction(2**53 + 1, 2**53), 1.0),
+                           (Fraction(2**53 + 3, 2**53), 1 + 2.0**-51),
+                           (Fraction(-(2**53 + 1), 2**53), -1.0),
+                           (Fraction(2**54 + 1, 2**54), 1.0),
+                           (Fraction(2**80 + 2**27 + 1, 2**80), 1 + 2.0**-52)):
+            assert float(q) == nearest
+            self.assert_as_evaluate(q)
+
+    def test_fallback_where_float_differs(self):
+        # beyond the bit-length condition a rational can round to a double
+        # other than evaluate(64)'s; it must keep evaluate
+        differs = 0
+        for c in range(2**53 + 1, 2**53 + 41, 2):
+            q = _near_midpoint(c, -40)
+            assert q.denominator.bit_length() > q.numerator.bit_length() + 24
+            differs += complex(float(q)) != complex(Scalar.from_fraction(q).evaluate(64))
+            self.assert_as_evaluate(q)
+        assert differs > 5
 
 
 class TestOrbit:

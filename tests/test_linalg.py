@@ -16,7 +16,6 @@ from lindyn.linalg import (
     rational_kernel,
     restrict,
     solve,
-    _integer_rows,
 )
 from lindyn.numeric import NumericContext, as_complex, nrank, nsolve_cols, to_numeric
 from lindyn.scalars import Scalar, parse_scalar
@@ -275,7 +274,7 @@ class TestIntegerElimination:
                     assert rank(M) == 0
                     assert rational_kernel(rows) == []
                     continue
-                assert _integer_rows(M.entries()) is not None
+                assert M._integer_form() is not False
                 _, pivots, det = _gauss_jordan(rows)
                 assert rank(M) == len(pivots)
                 assert kernel(M).basis == _oracle_kernel(rows, c)
@@ -303,7 +302,7 @@ class TestIntegerElimination:
 
     def test_single_radical_entry_takes_the_scalar_path(self):
         M = Matrix.from_rows([["1", "1/2", "0"], ["2", "sqrt(2)", "1"], ["3", "1", "0"]])
-        assert _integer_rows(M.entries()) is None
+        assert M._integer_form() is False
         # cofactor expansion along the last column: -1 * (1*1 - 1/2*3)
         assert M.det() == Scalar.from_fraction(Fraction(1, 2))
         assert rank(M) == 3
@@ -316,6 +315,80 @@ class TestIntegerElimination:
         X = solve(M, B)
         assert M * X == B
         assert X == M.inverse() * B
+
+
+def _scalar_product(A: Matrix, B: Matrix) -> Matrix:
+    """A * B entry by entry in Scalar arithmetic, the oracle for the integer product."""
+    return Matrix([[sum((a * b for a, b in zip(row, col)), Scalar.zero())
+                    for col in B.columns()] for row in A.entries()])
+
+
+def _wide_rational_rows(rng, r, c):
+    """Sparse entries with numerators up to 2^200 and denominators up to 2^60."""
+    def entry():
+        if rng.random() < 0.5:
+            return Fraction(0)
+        return Fraction(rng.randint(-2**rng.randint(1, 200), 2**200),
+                        rng.randint(1, 2**rng.randint(1, 60)))
+
+    return [[entry() for _ in range(c)] for _ in range(r)]
+
+
+class TestIntegerProduct:
+    """Rational products run on cached integer rows; any other runs on Scalars."""
+
+    def test_agrees_with_scalar_oracle(self):
+        rng = random.Random(271828)
+        for _ in range(10):
+            for r, k, c in [(1, 1, 1), (2, 3, 4), (4, 3, 2), (5, 5, 5), (3, 6, 1), (6, 2, 6)]:
+                for make in (_random_rational_rows, _wide_rational_rows):
+                    A = Matrix.from_rows(make(rng, r, k))
+                    B = Matrix.from_rows(make(rng, k, c))
+                    assert A._integer_form() is not False
+                    assert A * B == _scalar_product(A, B)
+                    v = B.col(0)
+                    assert A.matvec(v) == _scalar_product(A, Matrix.from_cols([v])).col(0)
+                    assert Matrix.identity(r) * A == A == A * Matrix.identity(k)
+                    # results of transpose, hstack and submatrix carry no stale form
+                    At, Bt = A.transpose(), B.transpose()
+                    assert Bt * At == _scalar_product(Bt, At) == (A * B).transpose()
+                    AB = A.hstack(A)
+                    assert AB * B.vstack(B) == _scalar_product(AB, B.vstack(B))
+                    S = A.submatrix(range(r - 1, -1, -1), range(k))
+                    assert S * B == _scalar_product(S, B)
+
+    def test_empty_shapes(self):
+        tall = Matrix([[]] * 3)  # 3x0
+        assert tall * Matrix([]) == tall
+        assert tall.matvec(()) == (Scalar.zero(),) * 3
+        M = Matrix.from_rows([[1, 2, 3], [4, 5, 6]])
+        assert M * tall == Matrix([[]] * 2)
+        assert Matrix([]) * Matrix([]) == Matrix([])
+
+    def test_non_rational_entry_takes_the_scalar_path(self, monkeypatch):
+        calls = []
+        original = linalg._dot
+
+        def counting(u, v):
+            calls.append(1)
+            return original(u, v)
+
+        monkeypatch.setattr(linalg, "_dot", counting)
+        rng = random.Random(161803)
+        Q = Matrix.from_rows(_random_rational_rows(rng, 3, 3))
+        Q * Q
+        Q.matvec(Q.col(1))
+        assert calls == []
+        for odd in ("sqrt(2)", "1/2*i"):
+            rows = _random_rational_rows(rng, 3, 3)
+            rows[1][2] = odd
+            R = Matrix.from_rows(rows)
+            assert R._integer_form() is False
+            for A, B in ((R, Q), (Q, R), (R, R)):
+                calls.clear()
+                assert A * B == _scalar_product(A, B)
+                assert A.matvec(B.col(2)) == _scalar_product(A, B).col(2)
+                assert len(calls) == 9 + 3
 
 
 class TestIndependenceCertificate:
