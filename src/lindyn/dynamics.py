@@ -10,11 +10,14 @@ start coordinate has zero imaginary part) runs in float64 throughout, any
 other in complex128; the arrays take their dtype from the data, and the two
 differ in code only in the streamed window GEMM and in _dedup's key columns.
 A materialized box is deduplicated through the transposed view of its staged
-product, so it is not copied into rows first.  A cloud that moves in one
-realified coordinate (a last-row shear moves only the last coordinate) is
-deduplicated by sorting that coordinate's values, not a permutation of its
-rows, and its minimum separation is the least gap between them, found without
-a k-d tree.  Boxes too large to materialize are streamed in chunks: the
+product, so it is not copied into rows first, and the deduplication consumes
+it.  A cloud that moves in one realified coordinate (a last-row shear moves
+only the last coordinate) is deduplicated by sorting that coordinate's
+values, not a permutation of its rows, into the box's own buffer when at
+least half of them survive, and its minimum separation is the least gap
+between them.  Any other cloud's is the exact nearest pair on a grid of
+cells, which a k-d tree's nearest-neighbour query returns too, bit for
+bit.  Boxes too large to materialize are streamed in chunks: the
 outermost stage is applied through the frame's projector, so a chunk's window
 coordinates cost one real GEMM, which runs one cache-sized tile of outer
 powers at a time together with the window test.  A point is formed in full
@@ -31,6 +34,7 @@ everything else is INCONCLUSIVE.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -161,6 +165,13 @@ def _dedup(points: np.ndarray, eps: float) -> np.ndarray:
     column set to that value, since every other column has row 0's bits.  A
     key whose values differ in their bits (0.0 and -0.0, or two values in one
     eps cell) sends the rows to the lexsort.
+
+    `points` is consumed: when points.T is C-contiguous (the transposed view
+    of a materialized box) and at least half of its rows survive, the path of
+    a single moving column writes its (n, m') result into the first n * m'
+    elements of that buffer, so a box is not allocated twice.  A smaller
+    result gets its own array and does not pin the box.  Either way the result
+    is the F-contiguous (m', n) array the lexsort path returns.
     """
     if points.shape[0] == 0:
         return points
@@ -180,13 +191,20 @@ def _dedup(points: np.ndarray, eps: float) -> np.ndarray:
         new[0] = True
         np.not_equal(vals[1:].view(np.int64), vals[:-1].view(np.int64), out=new[1:])
         # one value per bit pattern.  No other array is kept by name, so the
-        # output below is formed next to the points and these values alone.
+        # output below is formed in the points' buffer or next to it.
         vals = vals[new]
+        keys = vals / eps
+        np.round(keys, out=keys)
         # the keys of distinct values rise strictly unless two share a key
-        if (np.diff(np.round(vals / eps)) > 0).all():
+        if (keys[1:] > keys[:-1]).all():
             # the (n, m) layout the lexsort path gathers, returned transposed
-            out = np.empty((points.shape[1], vals.size), dtype=points.dtype)
-            out[...] = points[0].reshape(-1, 1)
+            n, k = points.shape[1], vals.size
+            first = points[0].reshape(-1, 1).copy()
+            if points.T.flags.c_contiguous and 2 * k >= points.shape[0]:
+                out = points.T.reshape(-1)[: n * k].reshape(n, k)
+            else:
+                out = np.empty((n, k), dtype=points.dtype)
+            out[...] = first
             if np.iscomplexobj(points):
                 row = out[j // 2].imag if j % 2 else out[j // 2].real
             else:
@@ -272,6 +290,7 @@ def enumerate_orbit(
         pts, clipped = _stream_window(gens, un, K, cfg, frame, G.field)
     else:
         pts, clipped = _box(gens, un, K, cfg)
+    # pts is a temporary, which _dedup may overwrite
     return OrbitCloud(un, K, G.field, _dedup(pts, cfg.dedup_eps), total, frame,
                       subsampled, clipped)
 
@@ -439,18 +458,7 @@ def classify_closure(cloud: OrbitCloud, cfg: ClosureConfig | None = None) -> Clo
     if not cloud.subsampled and cloud.count > cfg.discrete_count_limit:
         notes.append("point count above discrete-check limit")
     elif not cloud.subsampled:
-        moving = _moving_columns(list(real.T))
-        if len(moving) == 1:
-            # the points lie on a line parallel to an axis, where a point's
-            # nearest other point is a sorted neighbour.  The tree's distance
-            # sqrt(fl(x^2) + 0 + ...) is |x| in binary64 unless x^2 underflows,
-            # which no gap between rows deduplicated at dedup_eps does
-            min_dist = float(np.diff(np.sort(real[:, moving[0]])).min())
-        else:
-            from scipy.spatial import cKDTree
-
-            dists, _ = cKDTree(real).query(real, k=2)
-            min_dist = float(dists[:, 1].min())
+        min_dist = _nearest_pair(real, _moving_columns(list(real.T)))
         # a dense orbit sampled at finite K also clears the 100*eps floor, so
         # a discrete verdict additionally demands separation at the scale the
         # density test operates on (the gap threshold)
@@ -504,6 +512,79 @@ def classify_closure(cloud: OrbitCloud, cfg: ClosureConfig | None = None) -> Clo
         INCONCLUSIVE, d, gap=None, min_distance=min_dist,
         notes=notes + [f"{empty}/{total_cells} window cells empty at resolution {res}"],
     )
+
+
+def _nearest_pair(real: np.ndarray, moving: list[int]) -> float:
+    """Least distance between two rows of `real`: a k-d tree's, bit for bit.
+
+    cKDTree sums fl(d_j^2) in four lanes (j mod 4) over the full blocks of four
+    columns, adds them as ((a0 + a1) + a2) + a3, then the other columns in
+    order, and takes the monotone, correctly rounded sqrt of that sum s.  The
+    columns outside `moving` add only +0.0, so s is formed over the moving ones.
+
+    The s of the lexsort neighbours bounds the least: ub.  A sum of nonnegative
+    terms rounds to at least each term, so a pair with s <= ub has
+    fl(d_c^2) <= ub and |x_c - y_c| <= sqrt(ub) (1 - u)^-1.5 (u = 2^-53) in
+    every column c.  The rows are binned on the (at most) three widest moving
+    columns into cells of side h = sqrt(ub) (1 + 2^-20) + 2^-48 E + 2^-500, E
+    the widest extent: the margin covers the error of fl(fl(x - lo) / h), at
+    most 2.01 u E / h, the rounding of h and underflow, so such a pair's cells
+    differ by at most one per binned column, and each cell is compared with
+    itself and its half-neighbourhood.  Cells are numbered by rank, which keeps
+    adjacent ones adjacent (and may make others so, adding only candidates);
+    a column that would overflow the int64 key is left out.  Candidate pairs
+    are formed in slices, so rows that share one cell form no O(m^2) array.
+    """
+    m = real.shape[0]
+    if m < 2:
+        return math.inf
+    cols = [real[:, j] for j in moving]
+    full = real.shape[1] - real.shape[1] % 4
+    lanes = [[c for j, c in zip(moving, cols) if j < full and j % 4 == lane] for lane in range(4)]
+    groups = lanes + [[c] for j, c in zip(moving, cols) if j >= full]
+
+    def sq(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        # sum() starts from 0, and 0 + x is x for x >= +0.0
+        return sum(sum(np.square(c[i] - c[j]) for c in group) for group in groups)
+
+    order = np.lexsort(cols)
+    best = sq(order[:-1], order[1:]).min()
+    if len(cols) == 1:
+        return math.sqrt(best)  # on a line, a nearest row is a sorted neighbour
+    lo, hi = _extremes(cols)
+    h = math.sqrt(best) * (1 + 2**-20) + float((hi - lo).max()) * 2**-48 + 2**-500
+    key = np.zeros(m, dtype=np.int64)
+    strides: list[int] = []
+    total = 1
+    for k in np.argsort(lo - hi, kind="stable")[:3]:
+        occupied, rank = np.unique(np.floor((cols[k] - lo[k]) / h), return_inverse=True)
+        size = occupied.size + 1  # a free top cell, so an offset of -1 never aliases
+        if total * size >= 2**63:
+            break
+        key = key * size + rank
+        strides = [s * size for s in strides] + [1]
+        total *= size
+    order = np.argsort(key, kind="stable")
+    cells, start, count = np.unique(key[order], return_index=True, return_counts=True)
+    deltas = {sum(o * s for o, s in zip(off, strides))
+              for off in itertools.product((-1, 0, 1), repeat=len(strides))}
+    a, b = [], []
+    for delta in sorted(d for d in deltas if d >= 0):
+        pos = np.minimum(np.searchsorted(cells, cells + delta), cells.size - 1)
+        hit = cells[pos] == cells + delta
+        a.append(np.flatnonzero(hit))
+        b.append(pos[hit])
+    a, b = np.concatenate(a), np.concatenate(b)
+    first = np.concatenate([[0], np.cumsum(count[a] * count[b])])
+    for t0 in range(0, int(first[-1]), 2**18):
+        t = np.arange(t0, min(t0 + 2**18, int(first[-1])))
+        p = np.searchsorted(first, t, side="right") - 1
+        q, r = np.divmod(t - first[p], count[b[p]])
+        i, j = order[start[a[p]] + q], order[start[b[p]] + r]
+        s = sq(i, j)
+        s[i == j] = np.inf
+        best = min(best, s.min())
+    return math.sqrt(best)
 
 
 def classify_stabilized(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -9,7 +10,7 @@ import numpy as np
 
 from .errors import NotAbelian
 from .linalg import Matrix
-from .numeric import NumericContext, max_abs, npower, nrank, to_numeric
+from .numeric import NumericContext, as_complex, max_abs, npower, nrank, to_numeric
 
 REAL = "real"
 COMPLEX = "complex"
@@ -87,14 +88,26 @@ class GeneratorSet:
                         raise NotAbelian(self.names[i], self.names[j], resid)
 
     def commutator_residual(self, ctx: NumericContext) -> float:
-        """Largest commutator entry over all generator pairs (numeric view)."""
-        worst = 0.0
-        mats = [to_numeric(g, ctx) if not isinstance(g, np.ndarray) else g
-                for g in self.generators]
-        for i in range(len(mats)):
-            for j in range(i + 1, len(mats)):
-                worst = max(worst, max_abs(mats[i] @ mats[j] - mats[j] @ mats[i]))
-        return worst
+        """Largest commutator entry over all generator pairs (numeric view).
+
+        Above 53 bits, numpy's object matmul sums each entry's products in
+        order from the first, each rounded at mpmath's global precision, so a
+        zero product changes nothing: exact generators skip them, and their
+        zero entries are not evaluated.
+        """
+        if self.exact and ctx.high:
+            n = self.dimension
+            nonzero = [{(i, j): e.evaluate(ctx.precision) for i, row in enumerate(g.entries())
+                        for j, e in enumerate(row) if not e.is_zero()} for g in self.generators]
+
+            def entry(A: dict, B: dict, i: int, k: int):
+                return sum(A[i, j] * B[j, k] for j in range(n) if (i, j) in A and (j, k) in B)
+
+            return max((abs(as_complex(entry(A, B, i, k) - entry(B, A, i, k)))
+                        for A, B in itertools.combinations(nonzero, 2)
+                        for i in range(n) for k in range(n)), default=0.0)
+        mats = [to_numeric(g, ctx) for g in self.generators]
+        return max((max_abs(a @ b - b @ a) for a, b in itertools.combinations(mats, 2)), default=0.0)
 
     def word(self, exponents: Sequence[int]):
         """Product of generators raised to the given exponents."""

@@ -526,6 +526,27 @@ PASS radical4.inverse-recurrence: tail max of ||B^-1 v - u|| is 5.53e-05
 """
 
 
+class TestWithoutScipy:
+    # numpy and mpmath are the only runtime dependencies: with scipy made
+    # unimportable, the cshear5 closed orbit (whose separation comes from
+    # two moving coordinates) and verify-examples print what they print here
+    SCRIPT = ("import sys\n"
+              "sys.modules['scipy'] = None  # an import of scipy raises ImportError\n"
+              "from lindyn.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+
+    @pytest.mark.parametrize("args", [
+        ["orbit", str(FIXTURES / "cshear5.json"), "--point", "1+i,2+i,1+2*i,0,0"],
+        ["verify-examples"],
+    ])
+    def test_same_stdout_without_scipy(self, args, capsys):
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, *args],
+                              capture_output=True, text=True, env=lindyn_env())
+        assert proc.returncode == 0, proc.stderr
+        assert main(args) == 0
+        assert proc.stdout == capsys.readouterr().out
+
+
 class TestVerifyExamples:
     def test_all_claims_pass_fast_config(self, tmp_path):
         # lighter exponent bound; the full-strength run lives in acceptance.

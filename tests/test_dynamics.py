@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,6 +14,8 @@ from conftest import fixture_by_name, group_from_strings, integer_relations, ran
 from lindyn.dynamics import (
     _box,
     _dedup,
+    _moving_columns,
+    _nearest_pair,
     _numeric_generators,
     _numeric_point,
     _realify,
@@ -517,6 +520,23 @@ class TestDedup:
                     _dedup(pts, 1e-9)
 
 
+    def test_result_reuses_a_transposed_box(self):
+        # a transposed view whose rows mostly survive receives the result in
+        # its own buffer, with the bits and layout of a fresh array; a result
+        # of fewer than half the rows is its own array
+        rng = np.random.default_rng(8)
+        for m, dtype in itertools.product((5, 8, 500), (float, complex)):
+            for distinct in (True, False):
+                box = np.empty((3, m), dtype=dtype)
+                box[:2] = rng.normal(size=(2, 1))
+                box[2] = (rng.permutation(m) if distinct else np.arange(m) % 2) * 0.25
+                want = _dedup(np.ascontiguousarray(box.T), 1e-9)
+                got = _dedup(box.T, 1e-9)
+                assert got.flags.f_contiguous and got.shape == want.shape
+                assert _bytes(got) == _bytes(want)
+                assert np.shares_memory(got, box) == (2 * got.shape[0] >= m)
+
+
 def _axes_frame(points, field):
     """The frame of a hand-built cloud: its first point and the axes along which it moves."""
     real = _realify(points, field)
@@ -649,6 +669,23 @@ class TestClassify:
         want = cKDTree(pts).query(pts, k=2)[0][:, 1].min()
         assert float(classify_closure(cloud, CFG).min_distance).hex() == float(want).hex()
 
+    @pytest.mark.parametrize("name", ["shear3", "shear4"])
+    def test_dense_line_box_is_not_allocated_twice(self, name):
+        # a materialized box that moves in one coordinate is deduplicated
+        # inside its own buffer: the traced peak of enumeration stays within
+        # the staged product and three columns of it
+        G, points = fixture_by_name(name)
+        K = 300
+        tracemalloc.start()
+        try:
+            cloud = enumerate_orbit(G, points["dense_line"], K, CFG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tuples = (2 * K + 1) ** len(G.generators)
+        assert cloud.count == tuples and cloud.points.dtype == np.float64
+        assert peak <= (G.dimension + 3) * tuples * 8
+
     # (kind, hull dimension, final K, min_distance, gap) of every fixture
     # point, recorded when every cloud's separation came from a k-d tree
     FIXTURE_VERDICTS = {
@@ -669,6 +706,70 @@ class TestClassify:
         v, K = classify_stabilized(G, points[point], CFG)
         hexed = [None if x is None else float(x).hex() for x in (v.min_distance, v.gap)]
         assert (v.kind, v.hull_dim, K, *hexed) == self.FIXTURE_VERDICTS[name, point]
+
+
+class TestNearestPair:
+    """_nearest_pair against the k-d tree's k=2 query, as float.hex."""
+
+    def _same(self, pts):
+        got = _nearest_pair(pts, _moving_columns(list(pts.T)))
+        want = cKDTree(pts).query(pts, k=2)[0][:, 1].min()
+        assert float(got).hex() == float(want).hex()
+
+    def _moving(self, rng, d):
+        """At least three moving columns of d = 5..12, in the blocks of four and past them."""
+        picks = {int(rng.integers(4)), d - 1, *rng.choice(d, int(rng.integers(1, d)), replace=False)}
+        return np.array(sorted(picks))
+
+    def test_gaussian_and_lattice_clouds(self):
+        rng = np.random.default_rng(21)
+        for trial in range(80):
+            d = int(rng.integers(5, 13))
+            m = int(rng.integers(2, 400))
+            cols = self._moving(rng, d)
+            pts = np.tile(rng.normal(size=d), (m, 1))
+            if trial % 2:
+                pts[:, cols] = rng.normal(size=(m, cols.size)) * 10.0 ** rng.uniform(-3, 3)
+            else:
+                pts[:, cols] += rng.integers(-6, 7, (m, cols.size)) * rng.uniform(0.1, 3)
+                pts = np.unique(pts, axis=0)
+            if pts.shape[0] >= 2:
+                self._same(pts)
+
+    def test_two_far_clusters(self):
+        rng = np.random.default_rng(22)
+        for d in (5, 8, 11):
+            cols = self._moving(rng, d)
+            pts = np.zeros((300, d))
+            pts[:, cols] = rng.normal(size=(300, cols.size))
+            pts[:150, cols] += 1e6
+            self._same(pts)
+
+    def test_all_rows_in_one_cell(self):
+        # about a thousand vertices of the unit 12-cube: no two lie closer
+        # than the extent 1 of a column, so every row falls in one cell, and
+        # its 10^6 candidate pairs are formed slice by slice
+        bits = np.random.default_rng(23).integers(0, 2, (1200, 12))
+        self._same(np.unique(bits, axis=0).astype(float))
+
+    def test_wide_extent_fine_spacing(self):
+        # clusters spread over 1e12 with a spacing of 1e-3: the raw cell
+        # indices of three columns overflow an int64 key
+        rng = np.random.default_rng(24)
+        for d in (5, 7):
+            centers = rng.uniform(-1e12, 1e12, (10, d))
+            pts = centers[rng.integers(10, size=400)]
+            pts[:, :3] += rng.integers(-5, 6, (400, 3)) * 1e-3
+            pts[:, 3:] = 2.0
+            self._same(np.unique(pts, axis=0))
+
+    def test_signed_zeros(self):
+        rng = np.random.default_rng(25)
+        for d in (5, 6, 9):
+            pts = np.ones((200, d))
+            pts[:, 0] = rng.choice([0.0, -0.0], 200)  # moves in its bits only
+            pts[:, 2:] = rng.choice([0.0, -0.0, 0.5, -1.0], (200, d - 2))
+            self._same(np.unique(pts, axis=0))
 
 
 class TestApproximateTarget:

@@ -10,6 +10,7 @@ from conftest import (
     group_from_strings,
     random_commuting_family,
     random_lastrow_group,
+    random_scalar,
     random_sform_family,
 )
 from lindyn import invariants
@@ -443,3 +444,26 @@ class TestStructureProperties:
             )
             assert nilpotent_span(lead).rank == n - 2
         assert found >= 5
+
+
+class TestCommutatorResidual:
+    def test_sparse_products_keep_the_dense_bits(self):
+        # exact generators skip their zero products above 53 bits; the result
+        # is the object-array matmul's, bit for bit, on commuting families
+        # and on sparse radical matrices whose commutators do not vanish
+        rng = random.Random(31)
+        groups = [random_commuting_family(rng, rng.randint(2, 5), 3) for _ in range(4)]
+        for _ in range(8):
+            n = rng.randint(1, 6)
+            gens = [Matrix([[random_scalar(rng) if rng.random() < 0.4 else Scalar.zero()
+                             for _ in range(n)] for _ in range(n)]) for _ in range(3)]
+            groups.append(GeneratorSet("complex", n, gens))
+        nonzero = 0
+        for G in groups:
+            for precision in (64, 128, 256):
+                ctx = NumericContext(precision=precision)
+                mats = [to_numeric(g, ctx) for g in G.generators]
+                want = max(max_abs(a @ b - b @ a) for i, a in enumerate(mats) for b in mats[i + 1:])
+                assert float(G.commutator_residual(ctx)).hex() == float(want).hex()
+                nonzero += want != 0
+        assert nonzero >= 12
