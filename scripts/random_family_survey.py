@@ -10,7 +10,6 @@ fixtures.
 import argparse
 import random
 from collections import Counter
-from fractions import Fraction
 
 from lindyn.errors import LindynError
 from lindyn.groups import GeneratorSet

@@ -90,16 +90,10 @@ def character_basis(span: IntegerSpan) -> list[list[int]]:
     if ker.dim == 0:
         # row space is all of R^k: every integer vector qualifies
         return [[1 if i == j else 0 for i in range(k)] for j in range(k)]
-    # s must satisfy sum_j x_j s_j = 0 for every kernel vector x; expanding
-    # each x_j over the radical basis turns this into rational rows acting on s
-    keys = sorted(
-        {key for j in range(ker.dim) for c in ker.basis.col(j) for key in c.terms}
-    ) or [(1, False)]
-    rows = []
-    for j in range(ker.dim):
-        x = ker.basis.col(j)
-        for key in keys:
-            rows.append([x[i].terms.get(key, Fraction(0)) for i in range(k)])
+    # s must satisfy sum_i x_i s_i = 0 for every kernel vector x; expanding
+    # each x_i over the radical basis turns this into rational rows acting on
+    # s, one per (kernel vector, key), read off the kernel basis's k rows
+    rows = _coefficient_rows(ker.basis.entries())
     return [integerize(v) for v in rational_kernel(rows)]
 
 

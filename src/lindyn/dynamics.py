@@ -11,11 +11,11 @@ other in complex128; the arrays take their dtype from the data, and the two
 differ in code only in the streamed window GEMM and in _dedup's key columns.
 A materialized box is deduplicated through the transposed view of its staged
 product, so it is not copied into rows first, and the deduplication consumes
-it.  A cloud that moves in one realified coordinate (a last-row shear moves
-only the last coordinate) is deduplicated by sorting that coordinate's
-values, not a permutation of its rows, into the box's own buffer when at
-least half of them survive, and its minimum separation is the least gap
-between them.  Any other cloud's is the exact nearest pair on a grid of
+it: when at least half of its rows survive, they are written into the box's
+own buffer.  A cloud that moves in one realified coordinate (a last-row shear
+moves only the last coordinate) is deduplicated by sorting that coordinate's
+values, not a permutation of its rows, and its minimum separation is the least
+gap between them.  Any other cloud's is the exact nearest pair on a grid of
 cells, which a k-d tree's nearest-neighbour query returns too, bit for
 bit.  Boxes too large to materialize are streamed in chunks: the
 outermost stage is applied through the frame's projector, so a chunk's window
@@ -43,7 +43,7 @@ import numpy as np
 from .errors import NoProgress, NotConvergent, PointNotInU
 from .groups import COMPLEX, GeneratorSet
 from .invariants import InvariantFamily, membership
-from .linalg import Matrix, RowEchelon, Vector
+from .linalg import RowEchelon, Vector
 from .numeric import NumericContext
 from .scalars import Scalar
 
@@ -82,7 +82,6 @@ class OrbitCloud:
     # float64 for a real orbit (every generator entry and coordinate real),
     # complex128 otherwise; points may be a column-major array
     base_point: np.ndarray            # ambient coordinates
-    exponent_bound: int
     field: str
     points: np.ndarray                # deduped points (m, n), of base_point's dtype
     total_tuples: int
@@ -114,10 +113,8 @@ def _numeric_generators(G: GeneratorSet) -> list[np.ndarray]:
     return [g.to_complex_array() for g in G.generators]
 
 
-def _numeric_point(u) -> np.ndarray:
-    if isinstance(u, np.ndarray):
-        return u.astype(complex)
-    return np.array([c.to_complex() if isinstance(c, Scalar) else complex(c) for c in u])
+def _numeric_point(u: Vector) -> np.ndarray:
+    return np.array([c.to_complex() for c in u])
 
 
 def _power_stack(A: np.ndarray, K: int) -> np.ndarray:
@@ -166,12 +163,8 @@ def _dedup(points: np.ndarray, eps: float) -> np.ndarray:
     key whose values differ in their bits (0.0 and -0.0, or two values in one
     eps cell) sends the rows to the lexsort.
 
-    `points` is consumed: when points.T is C-contiguous (the transposed view
-    of a materialized box) and at least half of its rows survive, the path of
-    a single moving column writes its (n, m') result into the first n * m'
-    elements of that buffer, so a box is not allocated twice.  A smaller
-    result gets its own array and does not pin the box.  Either way the result
-    is the F-contiguous (m', n) array the lexsort path returns.
+    `points` is consumed: both paths write their (n, m') result into
+    _result_rows and return it transposed, an F-contiguous (m', n) array.
     """
     if points.shape[0] == 0:
         return points
@@ -197,13 +190,8 @@ def _dedup(points: np.ndarray, eps: float) -> np.ndarray:
         np.round(keys, out=keys)
         # the keys of distinct values rise strictly unless two share a key
         if (keys[1:] > keys[:-1]).all():
-            # the (n, m) layout the lexsort path gathers, returned transposed
-            n, k = points.shape[1], vals.size
             first = points[0].reshape(-1, 1).copy()
-            if points.T.flags.c_contiguous and 2 * k >= points.shape[0]:
-                out = points.T.reshape(-1)[: n * k].reshape(n, k)
-            else:
-                out = np.empty((n, k), dtype=points.dtype)
+            out = _result_rows(points, vals.size)
             out[...] = first
             if np.iscomplexobj(points):
                 row = out[j // 2].imag if j % 2 else out[j // 2].real
@@ -214,19 +202,49 @@ def _dedup(points: np.ndarray, eps: float) -> np.ndarray:
     # rounding x / eps is monotone, so a column's keys are all equal iff the
     # keys of its extremes are
     varying = np.flatnonzero(np.round(lo / eps) != np.round(hi / eps))
-    keys = [np.round(cols[j] / eps) for j in varying]
-    if not keys:
+    if not varying.size:
         return points[:1].copy()
+    rows = _first_of_each_key([cols[j] for j in varying], eps)
+    # for a materialized box points.T is the staged (n, M) product itself, so
+    # this gathers along its rows; taking rows of points would first copy it
+    # into rows, and fancy-indexing them is about three times slower.  Row c
+    # is gathered whole before it is written to elements [c k, (c + 1) k) of
+    # the result, which lie below row c + 1 of points.T
+    out = _result_rows(points, rows.size)
+    for c, row in enumerate(points.T):
+        out[c] = row[rows]
+    return out.T
+
+
+def _first_of_each_key(cols: list[np.ndarray], eps: float) -> np.ndarray:
+    """Indices of the first row of each distinct eps-grid key, in lexsort order of the keys.
+
+    The keys and the sort order are freed on return, before _dedup gathers.
+    """
+    keys = [c / eps for c in cols]
+    for k in keys:
+        np.round(k, out=k)
     order = np.lexsort(keys)
     keep = np.zeros(order.size, dtype=bool)
     keep[0] = True
     for k in keys:
         ks = k[order]
         keep[1:] |= ks[1:] != ks[:-1]
-    # for a materialized box points.T is the staged (n, M) product itself, so
-    # this gathers along its rows; taking rows of points would first copy it
-    # into rows, and fancy-indexing them is about three times slower
-    return np.take(points.T, order[keep], axis=1).T
+    return order[keep]
+
+
+def _result_rows(points: np.ndarray, k: int) -> np.ndarray:
+    """The (n, k) array _dedup writes its result into, for points of shape (M, n).
+
+    When points.T is C-contiguous (the transposed view of a materialized box)
+    and k >= M / 2, it is the first n * k elements of that buffer, so a box is
+    not allocated twice; a smaller result gets its own array and does not pin
+    the box.
+    """
+    n = points.shape[1]
+    if points.T.flags.c_contiguous and 2 * k >= points.shape[0]:
+        return points.T.reshape(-1)[: n * k].reshape(n, k)
+    return np.empty((n, k), dtype=points.dtype)
 
 
 def _moving_columns(cols: list[np.ndarray]) -> list[int]:
@@ -291,8 +309,7 @@ def enumerate_orbit(
     else:
         pts, clipped = _box(gens, un, K, cfg)
     # pts is a temporary, which _dedup may overwrite
-    return OrbitCloud(un, K, G.field, _dedup(pts, cfg.dedup_eps), total, frame,
-                      subsampled, clipped)
+    return OrbitCloud(un, G.field, _dedup(pts, cfg.dedup_eps), total, frame, subsampled, clipped)
 
 
 def _frame(G: GeneratorSet, u: Vector) -> tuple[np.ndarray, np.ndarray]:
@@ -672,14 +689,8 @@ def inverse_recurrence_check(
     fwd = []
     bwd = []
     for word in words:
-        W = G.word(word)
-        Winv = G.word(tuple(-k for k in word))
-        if isinstance(W, Matrix):
-            img = np.array([c.to_complex() for c in W.matvec(tuple(u))])
-            back = np.array([c.to_complex() for c in Winv.matvec(tuple(v))])
-        else:
-            img = W @ un
-            back = Winv @ vn
+        img = _numeric_point(G.word(word).matvec(tuple(u)))
+        back = _numeric_point(G.word(tuple(-k for k in word)).matvec(tuple(v)))
         fwd.append(float(np.linalg.norm(img - vn)))
         bwd.append(float(np.linalg.norm(back - un)))
     tail = max(2, len(words) // 2)

@@ -44,6 +44,7 @@ from .scalars import Scalar
 from .spectral import (
     SpectralBlock,
     TriangularForm,
+    _triangularize_exact,
     pair_conjugates,
     re_im_columns,
     simultaneous_refinement,
@@ -296,13 +297,12 @@ class Membership:
     containing: list[int]
 
 
-def membership(family: InvariantFamily, x, ctx: NumericContext | None = None) -> Membership:
-    """Which H_k contain x; x lies in U exactly when the list is empty."""
+def membership(family: InvariantFamily, x: Vector, ctx: NumericContext | None = None) -> Membership:
+    """Which H_k contain x, a vector of Scalars; x lies in U exactly when the list is empty."""
     ctx = ctx or NumericContext()
     containing = []
-    exact_x = not isinstance(x, np.ndarray) and all(isinstance(c, Scalar) for c in x)
     for k, sub in enumerate(family.subspaces):
-        if isinstance(sub.functionals, Matrix) and exact_x:
+        if isinstance(sub.functionals, Matrix):
             vals = sub.functionals.matvec(tuple(x))
             if all(v.is_zero() for v in vals):
                 containing.append(k)
@@ -391,7 +391,6 @@ def bounded_restriction_witness(
     G: GeneratorSet,
     u,
     words: list[tuple[int, ...]],
-    ctx: NumericContext | None = None,
 ) -> BoundedRestrictionWitness:
     """Invariant H containing u on which the convergent sequence stays bounded.
 
@@ -399,7 +398,6 @@ def bounded_restriction_witness(
     zero is the homothety case, and intermediate rank recurses on the
     invariant hull of u with a triangular basis of the nilpotent span.
     """
-    ctx = ctx or NumericContext()
     if not G.exact:
         raise ValueError("witness recursion requires exact generators")
     u = tuple(u)
@@ -454,8 +452,6 @@ def _witness_recurse(G: GeneratorSet, u: Vector, trace: list[str]) -> tuple[Matr
     f_basis = Matrix.from_cols([list(v) for v in fam.chosen_vectors()])
     f_restrictions = [restrict(g, f_basis) for g in G.generators]
     mus = [s_form_diagonal(g) for g in G.generators]
-    from .spectral import _triangularize_exact
-
     coeff_change, _ = _triangularize_exact(f_restrictions, mus)
     w_cols = []
     for w in (f_basis * coeff_change).columns():

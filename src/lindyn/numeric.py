@@ -63,16 +63,8 @@ def to_numeric(M, ctx: NumericContext) -> np.ndarray:
 
 
 def vec_to_numeric(v: Sequence, ctx: NumericContext) -> np.ndarray:
-    from .scalars import Scalar
-
-    if isinstance(v, np.ndarray):
-        return v
-    out = []
-    for x in v:
-        if isinstance(x, Scalar):
-            out.append(x.evaluate(ctx.precision) if ctx.high else x.to_complex())
-        else:
-            out.append(mpmath.mpc(x) if ctx.high else complex(x))
+    """Numeric view of a vector of Scalars."""
+    out = [x.evaluate(ctx.precision) if ctx.high else x.to_complex() for x in v]
     return np.array(out, dtype=object if ctx.high else complex)
 
 
@@ -231,9 +223,8 @@ def ninverse(A: np.ndarray, ctx: NumericContext) -> np.ndarray:
 
 
 def npower(A: np.ndarray, k: int, ctx: NumericContext) -> np.ndarray:
+    """A**k for k >= 0."""
     n = A.shape[0]
-    if k < 0:
-        return npower(ninverse(A, ctx), -k, ctx)
     result = nidentity(n, ctx)
     base = A
     while k:

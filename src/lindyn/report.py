@@ -151,12 +151,7 @@ def analysis_report(
             "field": G.field,
             "dimension": G.dimension,
             "generator_names": list(G.names),
-            "generators": [
-                [[str(e) for e in row] for row in g.entries()]
-                if isinstance(g, Matrix)
-                else render_matrix(g)
-                for g in G.generators
-            ],
+            "generators": [[[str(e) for e in row] for row in g.entries()] for g in G.generators],
         },
         "commutativity": {
             "abelian": True,

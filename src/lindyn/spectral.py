@@ -136,7 +136,8 @@ class _Block:
 
 
 def _block_restriction(g, blk: _Block, ctx: NumericContext):
-    if blk.exact and isinstance(g, Matrix):
+    # a group with a numeric generator has a numeric root, so no exact block
+    if blk.exact:
         return restrict(g, blk.basis)
     sol, rel_resid = nrestrict(g, blk.basis, ctx)
     if rel_resid > 1e3 * max(ctx.eps, blk.noise):
@@ -415,8 +416,6 @@ def _refine(G: GeneratorSet, ctx: NumericContext) -> list[SpectralBlock]:
     final: list[tuple[_Block, list, list]] = []
     while queue:
         blk = queue.pop(0)
-        if blk.dim == 0:
-            continue
         restrictions, mus = [], []
         for g in G.generators:
             R = _block_restriction(g, blk, ctx)
@@ -464,8 +463,6 @@ def _refine(G: GeneratorSet, ctx: NumericContext) -> list[SpectralBlock]:
 
 
 def _validate_direct_sum(blocks: list[_Block], ctx: NumericContext) -> None:
-    if not blocks:
-        return
     if all(b.exact for b in blocks):
         stacked = blocks[0].basis
         for b in blocks[1:]:
@@ -623,13 +620,8 @@ def _leader_orientation(blk: SpectralBlock) -> bool:
 def re_im_columns(basis: Matrix | np.ndarray) -> Matrix | np.ndarray:
     """Columns Re(w1), Im(w1), Re(w2), ... of a basis w, exact or numeric."""
     if isinstance(basis, Matrix):
-        half = Scalar.from_fraction("1/2")
-        mhi = Scalar.i() * Scalar.from_fraction("-1/2")
-        cols = []
-        for col in basis.columns():
-            cols.append([(c + c.conjugate()) * half for c in col])
-            cols.append([(c - c.conjugate()) * mhi for c in col])
-        return Matrix.from_cols(cols)
+        return Matrix.from_cols([[part(c) for c in col] for col in basis.columns()
+                                 for part in (Scalar.real_part, Scalar.imag_part)])
     cols = []
     for j in range(basis.shape[1]):
         cols.append(real_part(basis[:, j : j + 1]))

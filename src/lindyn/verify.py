@@ -229,7 +229,7 @@ def _bounded_restriction_claim(name: str, G: GeneratorSet, points, ctx: NumericC
     base = points["base"]
     approx, _ = _approach_words(G, points)
     hull = invariant_hull(G, base)
-    witness = bounded_restriction_witness(G, base, approx.tuples, ctx)
+    witness = bounded_restriction_witness(G, base, approx.tuples)
     bound_limit = 1 + math.sqrt(3) + 1e-3
     ok = hull.dim == 2 and witness.bound <= bound_limit
     return ClaimResult(

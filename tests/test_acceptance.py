@@ -156,7 +156,7 @@ class TestCriterion4RadicalShearPipeline:
         approx_ok = ap.achieved < 1e-4
         norms = [G.word(w).max_abs() for w in ap.tuples]
         unbounded_ok = max(norms) > 1e3
-        witness = bounded_restriction_witness(G, u, ap.tuples, CTX)
+        witness = bounded_restriction_witness(G, u, ap.tuples)
         bound_ok = witness.bound <= 1 + math.sqrt(3) + 1e-3
         fam = invariant_family(G, CTX)
         rep = inverse_recurrence_check(G, fam, u, v, ap.tuples, CTX)

@@ -314,6 +314,8 @@ class TestAnalyze:
             ({**shear3, "dimension": 2.5}, "dimension 2.5 is not an integer"),
             ({**shear3, "dimension": True}, "dimension true is not an integer"),
             ({**shear3, "dimension": "3.0"}, 'dimension "3.0" is not an integer'),
+            ({**shear3, "dimension": "0"}, "dimension must be at least 1, got 0"),
+            ({**shear3, "dimension": "-2"}, "dimension must be at least 1, got -2"),
             ('{"field": "real", "dimension": 1, "generators": [[[1e400]]]}',
              "a row of generator g0 has Infinity among its entries"),
             ({**real2, "generators": [[["1", "0"], [float("-inf"), "1"]]]},
@@ -335,6 +337,17 @@ class TestAnalyze:
             p.write_text(doc if isinstance(doc, str) else json.dumps(doc))
             assert main(["analyze", str(p)]) == 1
             assert capsys.readouterr() == ("", f"error: {err}\n")
+
+    def test_dimension_as_a_string(self, tmp_path, capsys):
+        # a decimal integer string is read as that integer
+        shear3 = json.loads((FIXTURES / "shear3.json").read_text())
+        p = tmp_path / "doc.json"
+        outputs = []
+        for dimension in (3, "3"):
+            p.write_text(json.dumps({**shear3, "dimension": dimension}))
+            assert main(["analyze", str(p)]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1] and outputs[0].out
 
     def test_diagonal_ten_lattice(self, tmp_path):
         # one node per invariant subspace, 2^10 of them; rendered chain by

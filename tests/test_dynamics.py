@@ -19,12 +19,14 @@ from lindyn.dynamics import (
     _numeric_generators,
     _numeric_point,
     _realify,
+    _same_signature,
     _stream_window,
     DENSE_IN_AFFINE,
     DISCRETE,
     INCONCLUSIVE,
     ApproximationSequence,
     ClosureConfig,
+    ClosureVerdict,
     OrbitCloud,
     approximate_target,
     classify_closure,
@@ -107,8 +109,9 @@ class TestEnumerate:
     def test_overflow_clipping(self):
         G = group_from_strings("real", [[["3", "0"], ["0", "1/3"]]])
         cloud = enumerate_orbit(G, as_vector([1, 1]), 250, ClosureConfig(overflow_limit=1e30))
-        assert cloud.clipped
+        assert cloud.clipped and not cloud.subsampled
         assert cloud.count < 501
+        assert "overflow-clipped points were dropped" in classify_closure(cloud, CFG).notes
 
     @pytest.mark.parametrize("name", [
         "generic_complex_streamed", "cshear5_plane_K24_streamed",
@@ -211,6 +214,10 @@ class TestEnumerate:
         cloud = enumerate_orbit(shear3(), as_vector([0, 0, 1]), 300, ClosureConfig(max_store=1000))
         assert cloud.subsampled and cloud.count == 1
         assert cloud.points.tolist() == [[0, 0, 1]]
+        # its one stored point is the whole orbit
+        v = classify_closure(cloud, CFG)
+        assert (v.kind, v.hull_dim, v.min_distance) == (DISCRETE, 0, math.inf)
+        assert v.notes == ["large box streamed: stored points are window-complete", "single point"]
 
 
 # sha256 of cloud.points.  The enumeration promises the same verdicts and gaps,
@@ -589,6 +596,20 @@ class TestClassify:
             vv = classify_closure(enumerate_orbit(G, v, 256, CFG), CFG)
             assert vv.hull_dim == base_v.hull_dim
 
+    def test_empty_cloud_is_inconclusive(self):
+        cloud = OrbitCloud(np.zeros(2), "real", np.zeros((0, 2)), 0, (np.zeros(2), np.zeros((2, 0))))
+        v = classify_closure(cloud, CFG)
+        assert (v.kind, v.hull_dim, v.notes) == (INCONCLUSIVE, 0, ["empty cloud"])
+
+    def test_same_signature_of_missing_and_infinite_separations(self):
+        def discrete(dist):
+            return ClosureVerdict(DISCRETE, 0, min_distance=dist)
+
+        assert _same_signature(discrete(None), discrete(None))
+        assert _same_signature(discrete(math.inf), discrete(math.inf))
+        for a, b in [(None, 1.0), (1.0, None), (math.inf, 1.0), (1.0, math.inf), (None, math.inf)]:
+            assert not _same_signature(discrete(a), discrete(b)), (a, b)
+
     def test_stabilized_early_stop(self):
         verdict, K = classify_stabilized(shear3(), as_vector([1, 1, 0]), CFG, max_exponent=256)
         assert verdict.kind == DISCRETE
@@ -646,7 +667,7 @@ class TestClassify:
                 else:
                     pts[:, 0] = vals + pts[:, 0].imag * 1j
                 field = "complex"
-            clouds.append(OrbitCloud(pts[0].copy(), 1, field, pts, m, _axes_frame(pts, field)))
+            clouds.append(OrbitCloud(pts[0].copy(), field, pts, m, _axes_frame(pts, field)))
         wants = []
         for cloud in clouds:
             real = _realify(cloud.points, cloud.field)
@@ -665,7 +686,7 @@ class TestClassify:
         pts = np.empty((200, 3))
         pts[:, 0] = 1.0
         pts[:, 1:] = rng.uniform(-100, 100, (200, 2))
-        cloud = OrbitCloud(pts[0].copy(), 1, "real", pts, 200, _axes_frame(pts, "real"))
+        cloud = OrbitCloud(pts[0].copy(), "real", pts, 200, _axes_frame(pts, "real"))
         want = cKDTree(pts).query(pts, k=2)[0][:, 1].min()
         assert float(classify_closure(cloud, CFG).min_distance).hex() == float(want).hex()
 
@@ -685,6 +706,26 @@ class TestClassify:
         tuples = (2 * K + 1) ** len(G.generators)
         assert cloud.count == tuples and cloud.points.dtype == np.float64
         assert peak <= (G.dimension + 3) * tuples * 8
+
+    def test_dense_plane_box_is_not_allocated_twice(self):
+        # a box that moves in several coordinates goes through the lexsort,
+        # whose gather also writes into the box when most rows survive: the
+        # traced peak stays within 1.6 staged products, and the rows are the
+        # all-column oracle's, which gathers the same rows in the same order
+        G, points = fixture_by_name("cshear5")
+        K = 32
+        tracemalloc.start()
+        try:
+            cloud = enumerate_orbit(G, points["dense_plane"], K, CFG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tuples = (2 * K + 1) ** len(G.generators)
+        staged = tuples * G.dimension * cloud.points.dtype.itemsize
+        assert cloud.points.dtype == np.complex128 and 2 * cloud.count >= tuples
+        assert peak <= 1.6 * staged
+        box = np.ascontiguousarray(_box(_numeric_generators(G), cloud.base_point, K, CFG)[0])
+        assert _bytes(cloud.points) == _bytes(_dedup_oracle(box, CFG.dedup_eps))
 
     # (kind, hull dimension, final K, min_distance, gap) of every fixture
     # point, recorded when every cloud's separation came from a k-d tree

@@ -390,7 +390,7 @@ class TestBoundedRestrictionWitness:
         G = radical4()
         u = as_vector([1, 1, 0, 0])
         words = self.approach_words()
-        w = bounded_restriction_witness(G, u, words, CTX)
+        w = bounded_restriction_witness(G, u, words)
         assert w.case_trace == ["recurse-hull(rank=1)", "full-rank"]
         assert [str(x) for x in w.basis.col(0)] == ["1", "1", "0", "0"]
         assert [str(x) for x in w.basis.col(1)] == ["0", "0", "0", "1"]
@@ -400,26 +400,26 @@ class TestBoundedRestrictionWitness:
 
     def test_constant_identity_sequence(self):
         G = group_from_strings("real", [[["1", "0"], ["0", "1"]]])
-        w = bounded_restriction_witness(G, as_vector([1, 0]), [(0,)] * 4, CTX)
+        w = bounded_restriction_witness(G, as_vector([1, 0]), [(0,)] * 4)
         assert w.bound == 1.0
         assert w.case_trace == ["homothety"]
 
     def test_first_coordinate_zero_rejected(self):
         G = radical4()
         with pytest.raises(FirstCoordinateZero):
-            bounded_restriction_witness(G, as_vector([0, 1, 0, 0]), [(0, 0)], CTX)
+            bounded_restriction_witness(G, as_vector([0, 1, 0, 0]), [(0, 0)])
 
     def test_divergent_sequence_rejected(self):
         G = radical4()
         words = [(m, 0) for m in range(1, 9)]  # k*sqrt(2) runs away
         with pytest.raises(NotConvergent):
-            bounded_restriction_witness(G, as_vector([1, 1, 0, 0]), words, CTX)
+            bounded_restriction_witness(G, as_vector([1, 1, 0, 0]), words)
 
     def test_full_rank_case_direct(self, rng):
         # a family with full nilpotent rank exercises the terminal case
         G = random_sform_family(rng, 3, want_rank=2)
         u = as_vector([1, 0, 0])
-        w = bounded_restriction_witness(G, u, [(0, 0)] * 4, CTX)
+        w = bounded_restriction_witness(G, u, [(0, 0)] * 4)
         assert w.case_trace == ["full-rank"]
         assert w.subspace.dim == 3
 

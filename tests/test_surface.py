@@ -1,5 +1,6 @@
-"""Every public module-level function and class in lindyn has a caller, and
-every field of NumericContext and ClosureConfig has a caller that sets it.
+"""Every public module-level function and class in lindyn has a caller,
+every field of NumericContext and ClosureConfig has a caller that sets it,
+and no module of the package or the scripts imports a name it never uses.
 
 A name counts as used when some module of the package, a script or the
 benchmark mentions it other than at its own definition: as a name, an
@@ -90,3 +91,31 @@ def test_no_setting_is_only_for_the_suite():
     )
     assert unset == [], f"settings no program caller sets; make them constants: {unset}"
     assert all(reason for reason in TEST_SEAMS.values())
+
+
+# An import that a module never uses; re-exports marked "noqa: F401" are kept.
+IMPORTERS = [PACKAGE, ROOT / "scripts"]
+
+
+def unused_imports(path: Path) -> list[str]:
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if getattr(node, "module", None) == "__future__" or "noqa: F401" in lines[node.lineno - 1]:
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if bound not in used:
+                unused.append(f"{path.relative_to(ROOT)}: {bound}")
+    return unused
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = [name for directory in IMPORTERS for path in sorted(directory.glob("*.py"))
+              for name in unused_imports(path)]
+    assert unused == [], f"imported but never used: {unused}"
