@@ -44,7 +44,7 @@ from .errors import NoProgress, NotConvergent, PointNotInU
 from .groups import COMPLEX, GeneratorSet
 from .invariants import InvariantFamily, membership
 from .linalg import RowEchelon, Vector
-from .numeric import NumericContext
+from .numeric import NumericContext, vec_to_numeric
 from .scalars import Scalar
 
 DISCRETE = "DISCRETE"
@@ -111,10 +111,6 @@ class ClosureVerdict:
 
 def _numeric_generators(G: GeneratorSet) -> list[np.ndarray]:
     return [g.to_complex_array() for g in G.generators]
-
-
-def _numeric_point(u: Vector) -> np.ndarray:
-    return np.array([c.to_complex() for c in u])
 
 
 def _power_stack(A: np.ndarray, K: int) -> np.ndarray:
@@ -297,7 +293,7 @@ def enumerate_orbit(
         raise ValueError("orbit enumeration requires exact generators and an exact point")
     cfg = cfg or ClosureConfig()
     gens = _numeric_generators(G)
-    un = _numeric_point(u)
+    un = vec_to_numeric(u, NumericContext())
     # a real orbit runs in float64: every array below takes its operands' dtype
     if not any(a.imag.any() for a in [*gens, un]):
         gens, un = [A.real.copy() for A in gens], un.real.copy()
@@ -684,13 +680,14 @@ def inverse_recurrence_check(
         raise PointNotInU(f"u lies in H_{mu.containing}")
     if not mv.in_U:
         raise PointNotInU(f"v lies in H_{mv.containing}")
-    un = _numeric_point(u)
-    vn = _numeric_point(v)
+    double = NumericContext()
+    un = vec_to_numeric(u, double)
+    vn = vec_to_numeric(v, double)
     fwd = []
     bwd = []
     for word in words:
-        img = _numeric_point(G.word(word).matvec(tuple(u)))
-        back = _numeric_point(G.word(tuple(-k for k in word)).matvec(tuple(v)))
+        img = vec_to_numeric(G.word(word).matvec(tuple(u)), double)
+        back = vec_to_numeric(G.word(tuple(-k for k in word)).matvec(tuple(v)), double)
         fwd.append(float(np.linalg.norm(img - vn)))
         bwd.append(float(np.linalg.norm(back - un)))
     tail = max(2, len(words) // 2)

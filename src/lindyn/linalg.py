@@ -4,16 +4,22 @@ A matrix whose entries are all rational keeps an integer form, computed on
 first use: each row times the lcm of its denominators, with that lcm.  A
 product of two rational matrices sums, in ints, the rows of the right one
 (at one common scale) that the left one's nonzero entries select, and makes
-one Fraction per nonzero result.  Any other product runs on Scalars.
+one Fraction per nonzero result.  Any other product, and ``matvec`` with any
+non-rational operand, runs on term forms, also computed once per matrix:
+each entry as its (basis key, int) pairs at the row's common denominator,
+the lcm over all of the row's terms.  The ints are summed per (row, column,
+key) through the key product's integer cofactor, again with one Fraction per
+nonzero result term.
 
 Rank, kernel, solve and determinant share one fraction-free (Bareiss)
 forward elimination, which avoids coefficient blow-up.  A rational matrix is
 eliminated on its integer form, which changes neither the pivot columns, the
 kernel nor the solution of an augmented system, and each update divides
-exactly by the previous pivot; any other runs on Scalars.  Kernels and
-solves finish with exact back-substitution (in Fractions on the integer path)
-so basis vectors come out with unit entries at their free coordinates, which
-keeps every derived basis deterministic.
+exactly by the previous pivot.  Any other is eliminated on Scalars, and each
+update is multiplied by the previous pivot's inverse, one field inverse per
+pivot step.  Kernels and solves finish with exact back-substitution (in
+Fractions on the integer path) so basis vectors come out with unit entries
+at their free coordinates, which keeps every derived basis deterministic.
 
 A :class:`Subspace` checks that its basis is independent.  It first looks for
 a private row per column, a row where that column alone is nonzero; when
@@ -34,9 +40,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import NotInvariant
-from .scalars import _RATIONAL_KEY, Scalar, parse_scalar
+from .scalars import _RATIONAL_KEY, Key, Scalar, _mul_key, parse_scalar
 
 Vector = tuple[Scalar, ...]
+# a row's entries as (key, int) pairs at one common denominator, with it
+TermRow = tuple[list[tuple[tuple[Key, int], ...]], int]
 
 _ZERO = Scalar.zero()
 
@@ -65,6 +73,48 @@ def _integer_row(row: Sequence[Scalar]) -> tuple[list[int], int] | None:
     return [q.numerator * (lcm // q.denominator) for q in fracs], lcm
 
 
+def _term_row(row: Sequence[Scalar]) -> TermRow:
+    """Each entry of the row as its (key, int) pairs at one scale, the lcm of
+    the denominators of all the row's terms, with that lcm."""
+    lcm = math.lcm(*(c.denominator for a in row for c in a._terms.values()))
+    return [tuple((k, c.numerator * (lcm // c.denominator)) for k, c in a._terms.items())
+            for a in row], lcm
+
+
+def _term_product(fa: list[TermRow], fb: list[TermRow], width: int) -> list[list[Scalar]]:
+    """The rows of A B, with ``width`` columns, from the term rows of A and B.
+
+    The rows of B are brought to one common scale.  A term of A[i][t] times
+    a term of B[t][j] is an int times one basis element (its ``_mul_key``
+    cofactor folded in), summed into row i's int for (j, key); each nonzero
+    sum becomes one Fraction.
+    """
+    scale = math.lcm(*(lb for _, lb in fb))
+    sparse = [[(j, k, b * (scale // lb)) for j, entry in enumerate(entries) for k, b in entry]
+              for entries, lb in fb]
+    by_key: dict[tuple[int, Key], list] = {}  # (t, key of A's term) -> [((j, key), int)]
+    rows = []
+    for entries, la in fa:
+        acc: dict[tuple[int, Key], int] = {}
+        for t, entry in enumerate(entries):
+            for k1, a in entry:
+                products = by_key.get((t, k1))
+                if products is None:
+                    products = by_key[t, k1] = []
+                    for j, k2, b in sparse[t]:
+                        key, cofactor = _mul_key(k1, k2)
+                        products.append(((j, key), b * cofactor))
+                for jk, b in products:
+                    acc[jk] = acc.get(jk, 0) + a * b
+        den = la * scale
+        out: list[dict[Key, Fraction]] = [{} for _ in range(width)]
+        for (j, key), x in sorted(acc.items()):  # each entry's keys in sorted order
+            if x:
+                out[j][key] = Fraction(x, den)
+        rows.append([Scalar._canonical(terms) if terms else _ZERO for terms in out])
+    return rows
+
+
 def as_vector(entries: Iterable) -> Vector:
     return tuple(_to_scalar(x) for x in entries)
 
@@ -72,11 +122,12 @@ def as_vector(entries: Iterable) -> Vector:
 class Matrix:
     """Immutable matrix with Scalar entries."""
 
-    __slots__ = ("_rows", "_ints")
+    __slots__ = ("_rows", "_ints", "_term_rows")
 
     def __init__(self, rows: Sequence[Sequence[Scalar]]):
         self._rows = tuple(tuple(row) for row in rows)
         self._ints = None
+        self._term_rows = None
         if self._rows:
             w = len(self._rows[0])
             if any(len(r) != w for r in self._rows):
@@ -88,6 +139,12 @@ class Matrix:
             form = [_integer_row(row) for row in self._rows]
             self._ints = False if None in form else form
         return self._ints
+
+    def _term_form(self) -> list[TermRow]:
+        """The :func:`_term_row` of each row, computed once."""
+        if self._term_rows is None:
+            self._term_rows = [_term_row(row) for row in self._rows]
+        return self._term_rows
 
     # -- constructors ---------------------------------------------------
 
@@ -157,8 +214,7 @@ class Matrix:
         fa = self._integer_form()
         fb = fa is not False and other._integer_form()
         if fb is False:
-            ocols = other.columns()
-            return Matrix([[_dot(row, col) for col in ocols] for row in self._rows])
+            return Matrix(_term_product(self._term_form(), other._term_form(), other.cols))
         # the rows of other at one common scale, as their nonzero (column, value)
         scale = math.lcm(*(lb for _, lb in fb))
         sparse = [[(j, b * (scale // lb)) for j, b in enumerate(ints) if b] for ints, lb in fb]
@@ -176,7 +232,8 @@ class Matrix:
         fa = self._integer_form()
         fv = fa is not False and _integer_row(v)
         if not fv:
-            return tuple(_dot(row, v) for row in self._rows)
+            column = [_term_row((x,)) for x in v]
+            return tuple(row[0] for row in _term_product(self._term_form(), column, 1))
         vints, lv = fv
         return tuple(_rational(sum(map(operator.mul, ints, vints)), la * lv) for ints, la in fa)
 
@@ -278,14 +335,6 @@ class Matrix:
         return f"Matrix[{body}]"
 
 
-def _dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
-    acc = Scalar.zero()
-    for a, b in zip(u, v):
-        if not (a.is_zero() or b.is_zero()):
-            acc = acc + a * b
-    return acc
-
-
 # -- elimination -----------------------------------------------------------
 
 
@@ -303,10 +352,12 @@ def _forward_echelon(m: list[list], integer: bool) -> tuple[list[list], list[int
     Returns the echelon rows, the pivot columns and the sign of the row
     swaps: a square matrix of full rank has determinant ``sign *
     ech[-1][-1]`` divided by the product of the row scales.  Integer rows
-    divide exactly with ``//``; Scalar rows divide in the field.
+    divide exactly with ``//``; Scalar rows multiply by the previous pivot's
+    inverse, computed once per pivot step, which over a field is the same
+    Scalar as dividing each entry by it.
     """
     sign = 1
-    zero, div = (0, operator.floordiv) if integer else (_ZERO, operator.truediv)
+    zero = 0 if integer else _ZERO
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     pivots: list[int] = []
@@ -321,11 +372,19 @@ def _forward_echelon(m: list[list], integer: bool) -> tuple[list[list], list[int
             sign = -sign
         prow = m[r]
         p = prow[c]
+        inv = prev.inverse() if r and not integer and r + 1 < nrows else None
         for i in range(r + 1, nrows):
             row = m[i]
             f = row[c]
-            for j in range(c + 1, ncols):
-                row[j] = div(row[j] * p - f * prow[j], prev)
+            if integer:
+                for j in range(c + 1, ncols):
+                    row[j] = (row[j] * p - f * prow[j]) // prev
+            elif r:
+                for j in range(c + 1, ncols):
+                    row[j] = (row[j] * p - f * prow[j]) * inv
+            else:  # the first step divides by 1
+                for j in range(c + 1, ncols):
+                    row[j] = row[j] * p - f * prow[j]
             row[c] = zero
         prev = p
         pivots.append(c)

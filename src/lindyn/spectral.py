@@ -12,24 +12,25 @@ Each job has one routine.  :func:`eigenvalues` is the one exact-spectrum
 routine, and the refinement splits an exact block through it.  Numeric
 eigenvalues are clustered only by :func:`_separated_clusterings`, which yields
 every clustering radius that separates the spectrum; its two callers differ
-only in how they accept one (:func:`eigenvalues` recognises the first in the
+only in how they accept one (:func:`eigenvalues` recognises each in the
 field, :func:`_split_numeric` certifies the numeric kernels).  A triangular
 exact matrix skips clustering and reads its spectrum off the diagonal
 (:func:`_triangular_spectrum`), and :func:`re_im_columns` is the one
 real/imaginary interleave of a basis.
 
 An exact spectrum is only proposed numerically: :func:`eigenvalues` clusters
-double-precision eigenvalues first and proposes again at the context
-precision only when that proposal is not certified.  Either way each value v
-of multiplicity m is certified exactly by ``kernel((A - v)^m)``
-(:func:`_certified`), so the precision of the proposal never changes an
-answer, only whether one is found.
+double-precision eigenvalues first, trying every distinct clustering in
+radius order, and proposes again at the context precision only when none is
+certified.  Either way each value v of multiplicity m is certified exactly
+by ``kernel((A - v)^m)`` (:func:`_certified`), so the precision of the
+proposal never changes an answer, only whether one is found.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -283,8 +284,6 @@ def recognize_in_field(z, radicands) -> Scalar | None:
             rel = None
         if not rel or rel[0] == 0:
             return None
-        from fractions import Fraction
-
         cand = Scalar.zero()
         for coeff, b in zip(rel[1:], basis):
             cand = cand + b * Scalar.from_fraction(Fraction(-coeff, rel[0]))
@@ -304,17 +303,20 @@ def eigenvalues(
 ) -> list[tuple[Scalar, int, Matrix]] | None:
     """Exact spectrum of A as (value, multiplicity, generalized eigenspace basis).
 
-    A triangular A reads its values off the diagonal.  Otherwise the first
-    radius that separates the numeric spectrum clusters it, and each centre
-    is recognised over ``radicands`` (default: those of A's entries).  The
-    centres are proposed at 53 bits first, and again at ``ctx.precision``
-    only when the 53-bit proposal is not certified.  A proposal is certified
-    when its values are distinct, its multiplicities sum to n, and each
-    ``kernel((A - v)^m)`` has the dimension of v's multiplicity m.  The
-    triples are sorted by value; None when some eigenvalue is not found in
-    the field.  Then a ``numeric`` list receives the numeric eigenvalues of
-    the last rung, at ``ctx.precision``, so that a caller that goes on to
-    split A numerically does not compute them again.
+    A triangular A reads its values off the diagonal.  Otherwise the numeric
+    spectrum is computed at 53 bits first, and again at ``ctx.precision``
+    only when no proposal from the 53-bit values is certified.  On each rung
+    every distinct clustering that :func:`_separated_clusterings` yields is
+    tried in radius order (a defective eigenvalue scatters into a cluster
+    that only a larger radius merges), and each distinct cluster's centre is
+    recognised over ``radicands`` (default: those of A's entries) at most
+    once.  A proposal is certified when its values are distinct, its
+    multiplicities sum to n, and each ``kernel((A - v)^m)`` has the
+    dimension of v's multiplicity m.  The triples are sorted by value; None
+    when some eigenvalue is not found in the field.  Then a ``numeric`` list
+    receives the numeric eigenvalues of the last rung, at ``ctx.precision``,
+    so that a caller that goes on to split A numerically does not compute
+    them again.
     """
     if A.rows != A.cols:
         raise ValueError("eigenvalues of a non-square matrix")
@@ -325,30 +327,31 @@ def eigenvalues(
     if radicands is None:
         radicands = set().union(*(e.radicands() for row in A.entries() for e in row))
     # a certified spectrum is unique, so the cheap proposal decides whenever
-    # it is certified; only a failed one is proposed again at ctx.precision
+    # one is certified; only when none is are the values computed again at
+    # ctx.precision
     rungs = [replace(ctx, precision=53), ctx] if ctx.high else [ctx]
     for rung in rungs:
         raw = [as_complex(e) for e in neig(to_numeric(A, rung), rung)]
-        spectrum = _recognized_spectrum(raw, radicands)
-        if spectrum is not None and (out := _certified(A, spectrum)) is not None:
-            return out
+        recognized: dict[tuple[int, ...], Scalar | None] = {}
+        tried = set()
+        for _, clusters in _separated_clusterings(raw):
+            members = tuple(tuple(m) for _, _, m in clusters)
+            if members in tried:
+                continue
+            tried.add(members)
+            spectrum = []
+            for (center, mult, _), m in zip(clusters, members):
+                if m not in recognized:
+                    recognized[m] = recognize_in_field(center, radicands)
+                if recognized[m] is None:
+                    break
+                spectrum.append((recognized[m], mult))
+            else:
+                if (out := _certified(A, spectrum)) is not None:
+                    return out
     if numeric is not None:
         numeric.extend(raw)
     return None
-
-
-def _recognized_spectrum(raw: list[complex], radicands) -> list[tuple[Scalar, int]] | None:
-    """Cluster centres of the numeric spectrum raw recognised over radicands, else None."""
-    _, clusters = next(_separated_clusterings(raw), (None, None))
-    if clusters is None:
-        return None
-    spectrum = []
-    for center, mult, _ in clusters:
-        value = recognize_in_field(center, radicands)
-        if value is None:
-            return None
-        spectrum.append((value, mult))
-    return spectrum
 
 
 def _certified(A: Matrix, spectrum: list[tuple[Scalar, int]]) -> list[tuple[Scalar, int, Matrix]] | None:

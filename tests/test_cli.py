@@ -228,23 +228,24 @@ class TestAnalyze:
         assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("name", sorted(SPLIT_DEFECTIVE))
-    def test_split_defective_cluster_refused(self, tmp_path, capsys, name):
+    def test_split_defective_cluster_recognized_at_53_bits(self, tmp_path, capsys, name):
         # At 53 bits the defective 2-dimensional real block of these Jordan
-        # families splits into two nearby eigenvalues, and the family comes
-        # out with 3 subspaces whose basis has condition above 1e9.  That
-        # family is refused; at the 128-bit default the block is exact and
-        # there are 2 subspaces.  Recognizing the cluster at 53 bits is
-        # ROADMAP item 1, which has to change the first assertion on purpose.
+        # families scatters into two nearby eigenvalues.  They were once split
+        # numerically, giving 3 subspaces whose basis has condition above 1e9,
+        # and the family was refused with exit 3.  A larger clustering radius
+        # merges them into one recognised, certified eigenvalue, so the 53-bit
+        # family is the exact one of the 128-bit default.
         rows = SPLIT_DEFECTIVE[name]
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps({"field": "real", "dimension": 4, "generators": rows}))
-        assert main(["analyze", str(p), "--precision", "53"]) == 3
-        out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error: family basis has condition ")
-        assert err.endswith("a defective cluster was likely split\n")
-        report = tmp_path / "report.json"
-        assert main(["analyze", str(p), "--output", str(report)]) == 0
-        fam = json.loads(report.read_text())["invariant_family"]
+        families = []
+        for precision in ("53", "128"):
+            report = tmp_path / f"report{precision}.json"
+            assert main(["analyze", str(p), "--precision", precision, "--output", str(report)]) == 0
+            assert capsys.readouterr().err == ""
+            families.append(json.loads(report.read_text())["invariant_family"])
+        fam = families[1]
+        assert families[0] == fam
         assert [s["case"] for s in fam["subspaces"]] == ["real-conjugate-pair", "real-hyperplane"]
         assert all(e["exact"] is not None for s in fam["subspaces"]
                    for row in s["functionals"] for e in row)

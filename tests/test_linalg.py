@@ -183,11 +183,12 @@ class TestBasisChangeAndBackends:
 # -- integer elimination against a Fraction Gauss-Jordan oracle ---------------
 
 
-def _gauss_jordan(rows):
-    """Reduced row-echelon form over Fraction: (rref, pivot columns, det)."""
-    m = [[Fraction(x) for x in row] for row in rows]
+def _gauss_jordan(rows, one=Fraction(1)):
+    """Reduced row-echelon form over the field of ``one`` (Fraction or
+    Scalar): (rref, pivot columns, det)."""
+    m = [[one * x for x in row] for row in rows]
     nrows, ncols = len(m), len(m[0]) if m else 0
-    pivots, det, r = [], Fraction(1), 0
+    pivots, det, r = [], one, 0
     for c in range(ncols):
         pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
         if pr is None:
@@ -204,28 +205,28 @@ def _gauss_jordan(rows):
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
-    return m, pivots, det if r == nrows == ncols else Fraction(0)
+    return m, pivots, det if r == nrows == ncols else one * 0
 
 
-def _oracle_kernel(rows, n):
-    rref, pivots, _ = _gauss_jordan(rows)
+def _oracle_kernel(rows, n, one=Fraction(1)):
+    rref, pivots, _ = _gauss_jordan(rows, one)
     vecs = []
     for fc in (c for c in range(n) if c not in pivots):
-        x = [Fraction(0)] * n
-        x[fc] = Fraction(1)
+        x = [one * 0] * n
+        x[fc] = one
         for ri, pc in enumerate(pivots):
             x[pc] = -rref[ri][fc]
         vecs.append(x)
     return Matrix.from_cols(vecs) if vecs else Matrix.zeros(n, 0)
 
 
-def _oracle_solve(a_rows, b_rows, k):
-    rref, pivots, _ = _gauss_jordan([ra + rb for ra, rb in zip(a_rows, b_rows)])
+def _oracle_solve(a_rows, b_rows, k, one=Fraction(1)):
+    rref, pivots, _ = _gauss_jordan([list(ra) + list(rb) for ra, rb in zip(a_rows, b_rows)], one)
     if any(p >= k for p in pivots):
         return None
     cols = []
     for bc in range(len(b_rows[0])):
-        x = [Fraction(0)] * k
+        x = [one * 0] * k
         for ri, pc in enumerate(pivots):
             x[pc] = rref[ri][k + bc]
         cols.append(x)
@@ -334,8 +335,28 @@ def _wide_rational_rows(rng, r, c):
     return [[entry() for _ in range(c)] for _ in range(r)]
 
 
+RADICAL_KEYS = [(d, imag) for d in (1, 2, 3, 6) for imag in (False, True)]
+
+
+def _radical_rows(rng, r, c, wide=False):
+    """Sparse entries over sqrt(2), sqrt(3), sqrt(6) and i; with ``wide``,
+    numerators up to 2^200 and denominators up to 2^60."""
+    def coefficient():
+        if wide:
+            return Fraction(rng.randint(-2**rng.randint(1, 200), 2**200),
+                            rng.randint(1, 2**rng.randint(1, 60)))
+        return Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3]))
+
+    def entry():
+        if rng.random() < 0.4:
+            return Scalar.zero()
+        return Scalar({k: coefficient() for k in rng.sample(RADICAL_KEYS, rng.randint(1, 3))})
+
+    return [[entry() for _ in range(c)] for _ in range(r)]
+
+
 class TestIntegerProduct:
-    """Rational products run on cached integer rows; any other runs on Scalars."""
+    """Rational products run on cached integer rows; any other on term rows."""
 
     def test_agrees_with_scalar_oracle(self):
         rng = random.Random(271828)
@@ -365,15 +386,44 @@ class TestIntegerProduct:
         assert M * tall == Matrix([[]] * 2)
         assert Matrix([]) * Matrix([]) == Matrix([])
 
-    def test_non_rational_entry_takes_the_scalar_path(self, monkeypatch):
+    def test_radical_products_agree_with_scalar_oracle(self):
+        rng = random.Random(141421)
+        for _ in range(6):
+            for r, k, c in [(1, 1, 1), (2, 3, 4), (4, 3, 2), (5, 5, 5), (3, 6, 1), (4, 2, 0)]:
+                for wide in (False, True):
+                    R = Matrix.from_rows(_radical_rows(rng, r, k, wide))
+                    S = Matrix.from_rows(_radical_rows(rng, k, c, wide))
+                    make = _wide_rational_rows if wide else _random_rational_rows
+                    Qa, Qb = Matrix.from_rows(make(rng, r, k)), Matrix.from_rows(make(rng, k, c))
+                    # rational x radical, radical x rational, radical x radical
+                    for A, B in ((Qa, S), (R, Qb), (R, S)):
+                        assert A * B == _scalar_product(A, B)
+                        if c:
+                            v = B.col(c - 1)
+                            assert A.matvec(v) == _scalar_product(A, Matrix.from_cols([v])).col(0)
+                    # a radical matrix against a rational vector and back
+                    if c:
+                        assert R.matvec(Qb.col(0)) == _scalar_product(R, Qb).col(0)
+                    assert R * Matrix.identity(k) == R == Matrix.identity(r) * R
+
+    def test_empty_radical_shapes(self):
+        R = Matrix.from_rows([["sqrt(2)", "i"], ["1", "sqrt(6)/3"]])
+        wide = Matrix([[]] * 2)  # 2x0
+        assert R._integer_form() is False
+        assert R * wide == wide  # 2x2 times 2x0 is 2x0
+        assert linalg._term_product([], [], 0) == []  # 0x0 times 0x0
+        assert linalg._term_product(R._term_form(), wide._term_form(), 0) == [[], []]
+        assert R.matvec(as_vector(["0", "0"])) == (Scalar.zero(),) * 2
+
+    def test_non_rational_entry_takes_the_term_path(self, monkeypatch):
         calls = []
-        original = linalg._dot
+        original = linalg._term_product
 
-        def counting(u, v):
-            calls.append(1)
-            return original(u, v)
+        def counting(fa, fb, width):
+            calls.append(width)
+            return original(fa, fb, width)
 
-        monkeypatch.setattr(linalg, "_dot", counting)
+        monkeypatch.setattr(linalg, "_term_product", counting)
         rng = random.Random(161803)
         Q = Matrix.from_rows(_random_rational_rows(rng, 3, 3))
         Q * Q
@@ -388,7 +438,70 @@ class TestIntegerProduct:
                 calls.clear()
                 assert A * B == _scalar_product(A, B)
                 assert A.matvec(B.col(2)) == _scalar_product(A, B).col(2)
-                assert len(calls) == 9 + 3
+                # one term product for the matrix, one for the vector
+                assert calls == [3, 1]
+
+
+class TestScalarElimination:
+    """Elimination with radical entries runs on Scalars, one inverse per pivot."""
+
+    SHAPES = [(1, 1), (1, 4), (4, 1), (2, 5), (5, 2), (3, 3), (4, 4), (5, 5), (6, 4)]
+    ONE = Scalar.one()
+
+    def _rows(self, rng, r, c):
+        """Radical entries, at times of rank below min(r, c) or with a zero row."""
+        rows = _radical_rows(rng, r, c)
+        if rng.random() < 0.4:
+            k = rng.randint(0, min(r, c) - 1)
+            rows = [[Scalar.zero()] * c for _ in range(r)]
+            if k:  # a product through k dimensions
+                low = _scalar_product(Matrix.from_rows(_radical_rows(rng, r, k)),
+                                      Matrix.from_rows(_radical_rows(rng, k, c)))
+                rows = [list(row) for row in low.entries()]
+        if rng.random() < 0.2:
+            rows[rng.randrange(r)] = [Scalar.zero()] * c
+        return rows
+
+    def test_agrees_with_scalar_oracle(self):
+        rng = random.Random(173205)
+        singular = inconsistent = 0
+        for _ in range(5):
+            for r, c in self.SHAPES:
+                rows = self._rows(rng, r, c)
+                M = Matrix.from_rows(rows)
+                _, pivots, det = _gauss_jordan(rows, self.ONE)
+                assert rank(M) == len(pivots)
+                assert kernel(M).basis == _oracle_kernel(rows, c, self.ONE)
+                if r == c:
+                    assert M.det() == det
+                    singular += det.is_zero()
+                consistent = _scalar_product(M, Matrix.from_rows(_radical_rows(rng, c, 2)))
+                for b_rows in (consistent.entries(), _radical_rows(rng, r, 2)):
+                    expected = _oracle_solve(rows, b_rows, c, self.ONE)
+                    got = solve(M, Matrix.from_rows(b_rows))
+                    assert (got is None) == (expected is None)
+                    inconsistent += got is None
+                    if expected is not None:
+                        assert got == expected
+        assert singular and inconsistent
+
+    def test_one_inverse_per_pivot(self, monkeypatch):
+        rng = random.Random(223606)
+        M = Matrix.from_rows(_radical_rows(rng, 5, 5))
+        while M.det().is_zero():
+            M = Matrix.from_rows(_radical_rows(rng, 5, 5))
+        expected = _gauss_jordan(M.entries(), self.ONE)[2]
+        calls = []
+        original = Scalar.inverse
+
+        def counting(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(Scalar, "inverse", counting)
+        assert M._integer_form() is False
+        assert M.det() == expected
+        assert 0 < len(calls) <= 5
 
 
 class TestIndependenceCertificate:

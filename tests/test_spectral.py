@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -118,9 +119,29 @@ class TestEigenvalues:
 
 class TestProposalLadder:
     def test_defective_block_is_proposed_again_at_context_precision(self, monkeypatch):
+        # a 3x3 Jordan block at 1 beside the eigenvalue 2, conjugated by an
+        # integer unimodular matrix with entries up to 262: the double-precision
+        # cluster around 1 has no centre close enough to 1 to be recognised
+        A = Matrix.from_rows([["3", "4", "4", "4"], ["-14", "-118", "-54", "-84"],
+                              ["-18", "-145", "-66", "-103"], ["31", "262", "119", "186"]])
+        precisions = record_neig_precisions(monkeypatch)
+        evs = eigenvalues(A, NumericContext(precision=128))
+        assert precisions == [53, 128]
+        assert eigenvalues(A, CTX) is None
+        # oracle: the multiplicities of the Jordan form, and A maps each basis
+        # into its span with the single eigenvalue there
+        assert [(str(v), m, b.cols) for v, m, b in evs] == [("1", 3, 3), ("2", 1, 1)]
+        for v, m, b in evs:
+            R = solve(b, A * b)
+            assert b * R == A * b
+            assert (R - Matrix.identity(m).scale(v)).power(m).is_zero()
+
+    def test_defective_block_is_decided_at_53_bits(self, monkeypatch):
+        # the 53-bit eigenvalues of the defective 1 scatter into two clusters
+        # at the smallest separating radius, but a larger one merges them
         precisions = record_neig_precisions(monkeypatch)
         evs = eigenvalues(Matrix.from_rows(JORDAN_REAL4_G0), NumericContext(precision=128))
-        assert precisions == [53, 128]
+        assert precisions == [53]
         # the triples of the 128-bit proposal alone, as recorded before the
         # 53-bit rung existed
         assert [(str(v), m, [[str(x) for x in row] for row in b.entries()]) for v, m, b in evs] == [
@@ -128,6 +149,33 @@ class TestProposalLadder:
             ("i", 1, [["-2"], ["-2/3"], ["-2/3 + 1/3*i"], ["1"]]),
             ("1", 2, [["1/2", "-3/2"], ["1", "0"], ["0", "-1"], ["0", "1"]]),
         ]
+        assert eigenvalues(Matrix.from_rows(JORDAN_REAL4_G0), CTX) == evs
+
+    def test_each_cluster_is_recognised_once_per_rung(self, monkeypatch):
+        import lindyn.spectral as spectral
+
+        # eigenvalues -2, 1 +- sqrt(2)*10^-4 and (7 +- sqrt(5))/2: the pair
+        # around 1 is separated at small radii and merged at larger ones, and
+        # every radius also separates -2; sqrt(5) is not in the field
+        A = Matrix.from_rows([[-2, 0, 0, 0, 0], [0, 0, Fraction(-(10**8 - 2), 10**8), 0, 0],
+                              [0, 1, 2, 0, 0], [0, 0, 0, 0, -11], [0, 0, 0, 1, 7]])
+        precisions = record_neig_precisions(monkeypatch)
+        calls = []
+        original = spectral.recognize_in_field
+
+        def recording(z, radicands):
+            calls.append((precisions[-1], z))
+            return original(z, radicands)
+
+        monkeypatch.setattr(spectral, "recognize_in_field", recording)
+        assert eigenvalues(A, NumericContext(precision=128)) is None
+        assert precisions == [53, 128]
+        for rung in precisions:
+            centres = [z for p, z in calls if p == rung]
+            # -2 and one of the pair at the first radius, then the merged pair
+            # and (7 - sqrt(5))/2 (and later the mean of all five): -2 only once
+            assert len(centres) >= 4
+            assert len(set(centres)) == len(centres), centres
 
     def test_two_clusters_on_one_value_not_certified(self, monkeypatch):
         import lindyn.spectral as spectral

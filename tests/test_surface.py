@@ -1,6 +1,7 @@
 """Every public module-level function and class in lindyn has a caller,
 every field of NumericContext and ClosureConfig has a caller that sets it,
-and no module of the package or the scripts imports a name it never uses.
+no module of the package or the scripts imports a name it never uses, and
+no function of the package imports anything.
 
 A name counts as used when some module of the package, a script or the
 benchmark mentions it other than at its own definition: as a name, an
@@ -119,3 +120,18 @@ def test_no_module_imports_a_name_it_never_uses():
     unused = [name for directory in IMPORTERS for path in sorted(directory.glob("*.py"))
               for name in unused_imports(path)]
     assert unused == [], f"imported but never used: {unused}"
+
+
+def function_local_imports(path: Path) -> list[str]:
+    found = set()  # an import in a nested function is walked from each enclosing one
+    for func in ast.walk(ast.parse(path.read_text())):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            found.update(node.lineno for node in ast.walk(func)
+                         if isinstance(node, (ast.Import, ast.ImportFrom)))
+    return [f"{path.relative_to(ROOT)}:{line}" for line in sorted(found)]
+
+
+def test_no_function_of_the_package_imports():
+    # imports live at the top of each module, where the unused-import check sees them
+    local = [where for path in sorted(PACKAGE.glob("*.py")) for where in function_local_imports(path)]
+    assert local == [], f"function-local imports: {local}"
