@@ -45,6 +45,7 @@ from .spectral import (
     SpectralBlock,
     TriangularForm,
     _triangularize_exact,
+    leading_one,
     pair_conjugates,
     re_im_columns,
     simultaneous_refinement,
@@ -225,7 +226,7 @@ def invariant_family(G: GeneratorSet, ctx: NumericContext | None = None) -> Inva
             basis = P[:, col_idx] if col_idx else np.zeros((n, 0), dtype=complex)
             sub = NumSubspace(n, basis)
             functionals = P_inv[offset : offset + omit, :]
-        residual = _invariance_residual(G, sub, ctx)
+        residual = _invariance_residual(G, sub, functionals, ctx)
         subspaces.append(InvariantSubspace(sub, case, ui, functionals, residual, width))
         offset += width
 
@@ -267,17 +268,26 @@ def _check_conditioning(P: np.ndarray, P_inv: np.ndarray, ctx: NumericContext) -
 
 
 def _invariance_residual(G: GeneratorSet, sub: Subspace | NumSubspace,
-                         ctx: NumericContext) -> float:
+                         functionals: Matrix | np.ndarray, ctx: NumericContext) -> float:
     """Worst relative residual of restricting every generator to sub.
 
     This is the invariance check: it raises when sub is not invariant, for a
     numeric sub when the residual relative to the operands exceeds 1e3 eps.
+
+    An exact sub is decided by ``F g B == 0`` for its basis B and its
+    functionals F, no restriction computed.  F is ``omit`` rows of P^-1 (the
+    basis change verified exactly) and B the other n - omit columns of P, so
+    F B = 0 and F has rank omit: span(B) lies in ker F and both have
+    dimension n - omit, so span(B) = ker F.  Hence g maps span(B) into itself
+    exactly when F g B = 0.  A generator that fails is restricted, which
+    raises the NotInvariant of :func:`restrict`.
     """
     if sub.dim == 0:
         return 0.0
     if isinstance(sub, Subspace):
         for g in G.generators:
-            restrict(g, sub.basis)
+            if not (functionals * g * sub.basis).is_zero():
+                restrict(g, sub.basis)  # raises: g B leaves ker F = span(B)
         return 0.0
     worst = max((nrestrict(g, sub.basis, ctx)[1] for g in G.generators), default=0.0)
     if worst > 1e3 * ctx.eps:
@@ -453,10 +463,7 @@ def _witness_recurse(G: GeneratorSet, u: Vector, trace: list[str]) -> tuple[Matr
     f_restrictions = [restrict(g, f_basis) for g in G.generators]
     mus = [s_form_diagonal(g) for g in G.generators]
     coeff_change, _ = _triangularize_exact(f_restrictions, mus)
-    w_cols = []
-    for w in (f_basis * coeff_change).columns():
-        lead = next((x for x in w if not x.is_zero()))
-        w_cols.append([x / lead for x in w])
+    w_cols = [leading_one(w) for w in (f_basis * coeff_change).columns()]
     hull_basis = Matrix.from_cols([list(u)] + w_cols)
     restricted = [restrict(g, hull_basis) for g in G.generators]
     if not all(sol.is_lower_triangular() for sol in restricted):

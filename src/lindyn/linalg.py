@@ -18,15 +18,20 @@ kernel nor the solution of an augmented system, and each update divides
 exactly by the previous pivot.  Any other is eliminated on Scalars, and each
 update is multiplied by the previous pivot's inverse, one field inverse per
 pivot step.  Kernels and solves finish with exact back-substitution (in
-Fractions on the integer path) so basis vectors come out with unit entries
-at their free coordinates, which keeps every derived basis deterministic.
+Fractions on the integer path, with one inverse per Scalar pivot) so basis
+vectors come out with unit entries at their free coordinates, which keeps
+every derived basis deterministic.
 
-A :class:`Subspace` checks that its basis is independent.  It first looks for
-a private row per column, a row where that column alone is nonzero; when
-every column has one the columns are independent, at the cost of one pass
-over the entries.  Kernel bases (a unit at each free coordinate) and
-reduced-echelon span bases (a unit at each pivot) always have them, so only
-other bases pay for an elimination.
+A private row of a column is a row where that column alone is nonzero
+(:func:`_private_rows`).  Kernel bases (a unit at each free coordinate) and
+reduced-echelon span bases (a unit at each pivot) have one per column, and
+so do the block bases of the spectral refinement, which are products of
+kernel bases.  A :class:`Subspace` whose basis has them is independent, at
+the cost of one pass over the entries; only other bases pay for a rank.
+:func:`restrict` reads the restricted matrix off the private rows of ``A
+basis`` and eliminates only for a basis without them, such as the
+triangular bases of the invariant family; either way it checks ``basis X ==
+A basis`` exactly.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ Vector = tuple[Scalar, ...]
 TermRow = tuple[list[tuple[tuple[Key, int], ...]], int]
 
 _ZERO = Scalar.zero()
+_ONE = Scalar.one()
 
 
 def _to_scalar(x) -> Scalar:
@@ -394,25 +400,33 @@ def _forward_echelon(m: list[list], integer: bool) -> tuple[list[list], list[int
     return m, pivots, sign
 
 
-def _back_substitute(ech, pivots: list[int], rhs: list, x: list) -> list:
-    """Fill the pivot coordinates of x from the pivot rows of ``ech``.
+def _back_substitute(ech, pivots: list[int], rhs: list[list], xs: list[list]) -> list[list]:
+    """Fill the pivot coordinates of each x in xs from the pivot rows of ``ech``.
 
-    ``rhs`` holds one right-hand side per pivot row and x arrives with its
-    free coordinates set.  Integer rows are divided in Fractions.
+    ``rhs[c]`` holds the right-hand side of ``xs[c]`` per pivot row, and each
+    x arrives with its free coordinates set.  Integer rows are divided in
+    Fractions; a Scalar pivot is inverted once, when some x first needs it.
     """
-    width = len(x)
+    width = len(xs[0]) if xs else 0
     for ri in range(len(pivots) - 1, -1, -1):
         pc, row = pivots[ri], ech[ri]
-        acc = rhs[ri]
-        for j in range(pc + 1, width):
-            if row[j] and x[j]:
-                acc = acc - row[j] * x[j]
         p = row[pc]
-        if not acc:
-            x[pc] = 0
-        else:
-            x[pc] = Fraction(acc, p) if isinstance(p, int) else acc / p
-    return x
+        tail = [j for j in range(pc + 1, width) if row[j]]
+        inv = None
+        for x, b in zip(xs, rhs):
+            acc = b[ri]
+            for j in tail:
+                if x[j]:
+                    acc = acc - row[j] * x[j]
+            if not acc:
+                x[pc] = 0
+            elif isinstance(p, int):
+                x[pc] = Fraction(acc, p)
+            else:
+                if inv is None:
+                    inv = p.inverse()
+                x[pc] = acc * inv
+    return xs
 
 
 def rank(M: Matrix) -> int:
@@ -430,11 +444,8 @@ def kernel(M: Matrix) -> "Subspace":
         return Subspace(n, Matrix.identity(n))
     ech, pivots, _ = _forward_echelon(*_elimination_rows(M))
     free = [c for c in range(n) if c not in pivots]
-    basis_cols = []
-    for fc in free:
-        x = [0] * n
-        x[fc] = 1
-        basis_cols.append(_back_substitute(ech, pivots, [0] * len(pivots), x))
+    basis_cols = [[int(c == fc) for c in range(n)] for fc in free]
+    _back_substitute(ech, pivots, [[0] * len(pivots)] * len(free), basis_cols)
     return Subspace(n, Matrix.from_cols(basis_cols) if basis_cols else Matrix.zeros(n, 0))
 
 
@@ -467,11 +478,8 @@ def solve(A: Matrix, B: Matrix) -> Matrix | None:
     for i in range(len(pivots), n):
         if any(ech[i][j] for j in range(k, k + B.cols)):
             return None
-    cols = [
-        _back_substitute(ech, pivots, [row[k + bc] for row in ech], [0] * k)
-        for bc in range(B.cols)
-    ]
-    return Matrix.from_cols(cols)
+    rhs = [[row[k + bc] for row in ech] for bc in range(B.cols)]
+    return Matrix.from_cols(_back_substitute(ech, pivots, rhs, [[0] * k for _ in rhs]))
 
 
 # -- subspaces and basis changes ---------------------------------------------
@@ -493,19 +501,20 @@ class BasisChange:
         return BasisChange(P, P.inverse())
 
 
-def _has_private_rows(M: Matrix) -> bool:
-    """True when every column has a private row, one where it alone is nonzero.
+def _private_rows(M: Matrix) -> list[int] | None:
+    """Per column, the first row where that column alone is nonzero; None
+    when some column has no such row.
 
     A combination of the columns that vanishes is zero in each column's
     private row, so its coefficients are all zero: the columns are
     independent, certified without elimination.
     """
-    found = set()
-    for row in M.entries():
+    found: dict[int, int] = {}
+    for i, row in enumerate(M.entries()):
         nonzero = [j for j, a in enumerate(row) if a]
         if len(nonzero) == 1:
-            found.add(nonzero[0])
-    return len(found) == M.cols
+            found.setdefault(nonzero[0], i)
+    return [found[j] for j in range(M.cols)] if len(found) == M.cols else None
 
 
 @dataclass(frozen=True)
@@ -519,7 +528,7 @@ class Subspace:
         if self.basis.cols and self.basis.rows != self.ambient:
             raise ValueError("basis vectors have wrong length")
         cols = self.basis.cols
-        if cols and not _has_private_rows(self.basis) and rank(self.basis) != cols:
+        if cols and _private_rows(self.basis) is None and rank(self.basis) != cols:
             raise ValueError("basis vectors are linearly dependent")
 
     @property
@@ -597,14 +606,32 @@ def row_reduce_basis(vectors: Sequence[Vector]) -> list[Vector]:
 
 
 def restrict(A: Matrix, basis: Matrix) -> Matrix:
-    """Matrix of A restricted to the A-invariant span of the basis columns.
+    """Matrix X of A restricted to the A-invariant span of the basis columns.
 
-    Raises NotInvariant when some basis image leaves the span.
+    X is the solution of ``basis X = A basis``.  When every column j has a
+    private row r, row r of that system reads ``basis[r, j] X[j] = (A
+    basis)[r]``, so X is read off without elimination; other bases solve
+    the system.  Either way ``basis X == A basis`` is then checked exactly,
+    which decides invariance: NotInvariant is raised, naming the first basis
+    image that leaves the span, when it fails.
     """
     if basis.cols == 0:
         return Matrix.zeros(0, 0)
     target = A * basis
-    sol = solve(basis, target)
+    private = _private_rows(basis)
+    if private is None:
+        sol = solve(basis, target)
+    else:
+        image = target.entries()
+        rows = []
+        for j, r in enumerate(private):
+            c = basis[r, j]
+            if c == _ONE:
+                rows.append(image[r])
+            else:
+                inv = c.inverse()
+                rows.append([x * inv for x in image[r]])
+        sol = Matrix(rows)
     if sol is None or basis * sol != target:
         # locate the offending column for the error report
         for j in range(basis.cols):

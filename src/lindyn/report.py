@@ -8,6 +8,7 @@ exponent bounds) is echoed into the report.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any
 
 import numpy as np
@@ -174,4 +175,62 @@ def analysis_report(
 
 
 def dumps_report(report: dict[str, Any]) -> str:
-    return json.dumps(report, indent=2, sort_keys=False) + "\n"
+    """``json.dumps(report, indent=2) + "\\n"``, byte for byte.
+
+    With an indent ``json`` falls back to its pure-Python encoder; this
+    writer walks the containers itself, leaves strings to the C escaper
+    ``encode_basestring_ascii``, writes None and ints as json does, and
+    hands every other leaf to ``json.dumps``.
+    """
+    out: list[str] = []
+    _write_json(report, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(o, newline: str, out: list[str]) -> None:
+    """Append o as indent-2 JSON; ``newline`` is a newline and o's indent."""
+    if isinstance(o, str):
+        out.append(_encode_str(o))
+    elif o is None:
+        out.append("null")
+    elif type(o) is int:
+        out.append(repr(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in o:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in o.items():
+            out.append(sep)
+            out.append(_encode_str(key) if isinstance(key, str) else _encode_key(key))
+            out.append(": ")
+            _write_json(value, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:  # bools, floats, int subclasses
+        out.append(json.dumps(o))
+
+
+def _encode_key(key) -> str:
+    """A dict key that is not a str, converted as json converts it.
+
+    Generator names come from the input unchecked, so a name may be a
+    number, a bool or null; json writes such a key as the string of its
+    JSON text and refuses any other type.
+    """
+    if key is None or isinstance(key, (int, float)):
+        return _encode_str(json.dumps(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")

@@ -362,13 +362,18 @@ def _certified(A: Matrix, spectrum: list[tuple[Scalar, int]]) -> list[tuple[Scal
     When every kernel has dimension m_i, each is therefore the whole G(v_i),
     which is ker((A - v_i)^n): A has no other eigenvalue.  A null space fixes
     the pivot set of its echelon form, so ``kernel`` returns the same basis
-    as it would for the n-th power.
+    as it would for the n-th power.  A single value of multiplicity n is
+    decided by ``(A - v)^n == 0`` alone, with the identity as its basis,
+    which is the basis ``kernel`` returns for a zero matrix.
     """
     n = A.rows
     if len({v for v, _ in spectrum}) != len(spectrum) or sum(m for _, m in spectrum) != n:
         return None
-    out = []
     Id = Matrix.identity(n)
+    if len(spectrum) == 1:
+        value = spectrum[0][0]
+        return [(value, n, Id)] if (A - Id.scale(value)).power(n).is_zero() else None
+    out = []
     for value, mult in spectrum:
         K = kernel((A - Id.scale(value)).power(mult))
         if K.dim != mult:
@@ -665,6 +670,12 @@ def triangularize(
     return TriangularForm(basis, tri, mus)
 
 
+def leading_one(col) -> list[Scalar]:
+    """A nonzero vector divided by its first nonzero entry, with one inverse."""
+    inv = next(x for x in col if x).inverse()
+    return [x * inv for x in col]
+
+
 def _triangularize_exact(restrictions: list[Matrix], mus: list[Scalar]):
     d = restrictions[0].rows if restrictions else 0
     nils = [R - Matrix.identity(d).scale(mu) for R, mu in zip(restrictions, mus)]
@@ -693,17 +704,15 @@ def _triangularize_exact(restrictions: list[Matrix], mus: list[Scalar]):
         cols.extend(layer)
     # leading-one column normalization: keeps the form triangular and the
     # diagonal unchanged, and stops radical factors inflating restrictions
-    normed = []
-    for col in cols:
-        lead = next((x for x in col if not x.is_zero()), None)
-        normed.append([x / lead for x in col] if lead is not None else list(col))
-    P = Matrix.from_cols(normed)
-    tri = []
-    for R in restrictions:
-        T = solve(P, R * P)
-        if T is None or not T.is_lower_triangular():
-            raise NoCommonEigenvector("exact triangularization failed")
-        tri.append(T)
+    P = Matrix.from_cols([leading_one(col) for col in cols])
+    # every generator's triangular matrix from one solve, which eliminates P
+    # once: P [T_1 | ... | T_k] = [R_1 P | ... | R_k P].  P is invertible, as
+    # the flag took each of its columns only when independent of the others
+    images = [(R * P).entries() for R in restrictions]
+    X = solve(P, Matrix([sum(rows, ()) for rows in zip(*images)]))
+    tri = [X.submatrix(range(d), range(i * d, (i + 1) * d)) for i in range(len(images))]
+    if not all(T.is_lower_triangular() for T in tri):
+        raise NoCommonEigenvector("exact triangularization failed")
     return P, tri
 
 

@@ -13,7 +13,7 @@ from lindyn.cli import FIXTURES, main
 from lindyn.dynamics import ClosureConfig
 from lindyn.linalg import as_vector
 from lindyn.numeric import NumericContext
-from lindyn.report import _fmt_complex, _scalar_approx, render_value
+from lindyn.report import _fmt_complex, _scalar_approx, dumps_report, render_value
 from lindyn.scalars import Scalar
 from lindyn.verify import _closed_complex_claim, _closure_minus_orbit_claim
 
@@ -43,6 +43,8 @@ GOLDEN_REPORT_SHA256 = {
     "sform8-p53": "5837c43cc6d7a6a34a4d7e5ea5a8f2ae4a09853f19675f63c1282aa948906a51",
     "diag6": "85a93bb4d74916f666803a5c53d5a1392fc6ee5ce2974031fb8c0fe24ff7362e",
     "diag6-p53": "f361899897b76cfb02454abfd996898ca576ec4c6d5d69cec323520c59f0488b",
+    "jordan-real4-0": "257b96d5de589c4e215eee1f4e6d11d6997ee7147714bbd927ea17ca61ad61ec",
+    "jordan-real4-1": "12df06169141d1f78931d4c30600fc6dddec6fa7505788c1cf011dc4edc9f199",
 }
 
 # Inline real documents (a list of generators) and their extra CLI arguments;
@@ -133,6 +135,13 @@ SPLIT_DEFECTIVE = {
          ["-5 + sqrt(2)", "8", "-10", "17 + sqrt(2)"]],
     ],
 }
+# Their golden digests pin exact invariant subspaces H_i whose bases lack a
+# private row (a row where one column alone is nonzero) for some column:
+# both H_i of jordan-real4-0, the hyperplane of jordan-real4-1.  Recorded
+# before the invariance check of an exact H_i became F g B = 0 for its
+# functionals F.
+for _name, _gens in SPLIT_DEFECTIVE.items():
+    INLINE_DOCUMENTS[_name] = (_gens, [])
 
 
 def run_cli(args, cwd=None):
@@ -188,6 +197,37 @@ class TestAnalyze:
         text = out.read_text()
         rep = json.loads(text)
         assert json.dumps(rep, indent=2) + "\n" == text
+
+    def test_dumps_report_matches_json(self):
+        # the golden reports' bytes are pinned by their digests, recorded
+        # with json.dumps; this report has every leaf and key kind json knows
+        report = {
+            "quotes \"and\" \\backslashes\\": ["\x00\x07\x1f\x7f\t\r\n", "éü 雪 \U0001f600"],
+            "empty": [[], {}, "", [[]], {"": {}}],
+            "literals": [True, False, None, 0, -1, 2**80, (1, "tuple")],
+            "floats": [1.5, -0.0, 1e300, float("inf"), float("nan")],
+            "": {"nested": {"deeper": [{"a": 1}, [2, [3]]]}},
+            1: "int key", None: "None key", 2.5: "float key", False: "bool key",
+        }
+        assert dumps_report(report) == json.dumps(report, indent=2) + "\n"
+        with pytest.raises(TypeError, match="not tuple"):
+            dumps_report({(1,): 0})
+
+    def test_non_string_generator_names(self, tmp_path):
+        # names are taken from the input unchecked and key the eigenvalue and
+        # diagonal sections; json writes such keys as "1", "null", "1.5",
+        # "false".  Digest recorded with json.dumps(report, indent=2).
+        names = [1, None, 1.5, False]
+        rows = [[["1", "1"], ["0", "1"]], [["2", "0"], ["0", "2"]]]
+        doc = {"field": "real", "dimension": 2,
+               "generators": [{"name": nm, "rows": rows[i % 2]} for i, nm in enumerate(names)]}
+        path = tmp_path / "names.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(["analyze", str(path)])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "5488906d1313754e2741f70664c3b78983826718bbdf629afa54c201e463c2e5"
+        )
 
     def test_all_fixture_reports_fast(self, fixture_files, tmp_path):
         import time

@@ -13,8 +13,8 @@ from conftest import (
     random_scalar,
     random_sform_family,
 )
-from lindyn import invariants
-from lindyn.errors import FirstCoordinateZero, InvarianceViolation, NotConvergent
+from lindyn import invariants, spectral
+from lindyn.errors import FirstCoordinateZero, InvarianceViolation, NotConvergent, NotInvariant
 from lindyn.groups import GeneratorSet
 from lindyn.invariants import (
     bounded_restriction_witness,
@@ -211,6 +211,43 @@ class TestInvariantFamily:
                         assert resid <= 1e3 * CTX.eps * scale
 
 
+class TestInvarianceByFunctionals:
+    """An exact H = span(B) = ker F is checked by F g B = 0, not restricted."""
+
+    # P = [e_0 | b_1 | b_2] is unimodular; H is spanned by b_1, b_2, whose
+    # matrix has no private row, and F is row 0 of P^-1
+    P = Matrix.from_rows([[1, 1, 1], [0, 1, 2], [0, 1, 3]])
+    B = P.submatrix(range(3), [1, 2])
+    F = P.inverse().submatrix([0], range(3))
+
+    def conjugated(self, rows):
+        return self.P * Matrix.from_rows(rows) * self.P.inverse()
+
+    def test_invariant_subspace_restricts_nothing(self, monkeypatch):
+        def no_restrict(A, basis):
+            raise AssertionError("restrict called")
+
+        monkeypatch.setattr(invariants, "restrict", no_restrict)
+        g = self.conjugated([[2, 0, 0], [1, 3, 0], [4, 1, 5]])
+        G = GeneratorSet("real", 3, [g, g * g], ["a", "b"])
+        assert invariants._invariance_residual(G, Subspace(3, self.B), self.F, CTX) == 0.0
+
+    def test_non_invariant_subspace_raises_like_restrict(self):
+        # the first two keep H (the second maps b_1 to 3 b_1 + b_2), the
+        # third maps b_1 to e_0 + 3 b_1, out of H
+        keeping = [self.conjugated([[2, 0, 0], [0, 3, 0], [0, 0, 5]]),
+                   self.conjugated([[2, 0, 0], [0, 3, 0], [0, 1, 5]])]
+        leaving = self.conjugated([[2, 1, 0], [0, 3, 0], [0, 0, 5]])
+        G = GeneratorSet("real", 3, keeping + [leaving], ["a", "b", "c"])
+        with pytest.raises(NotInvariant) as got:
+            invariants._invariance_residual(G, Subspace(3, self.B), self.F, CTX)
+        with pytest.raises(NotInvariant) as expected:
+            restrict(leaving, self.B)
+        assert (got.value.vector_index, got.value.residual) == (
+            expected.value.vector_index, expected.value.residual)
+        assert got.value.vector_index == 0
+
+
 class TestConjugatePairFamilies:
     def test_two_pairs_give_two_codim2(self):
         A = Matrix.from_rows(
@@ -351,23 +388,32 @@ class TestInvariantTree:
         assert [dims.count(k) for k in range(11)] == [math.comb(10, k) for k in range(11)]
 
     def test_restrictions_computed_once(self, monkeypatch):
-        # the invariance check of the root family restricts every generator
-        # to each subspace once; no restriction is computed below the root.
-        # Distinct subspaces can give equal local matrices, so a generator is
+        # every generator is restricted to each block basis at most once, and
+        # nothing is restricted below the root: each restricted matrix is one
+        # of the root's generators, on a basis of the ambient space.  The
+        # invariance check of the family restricts nothing while it passes.
+        # Distinct bases can give equal local matrices, so a generator is
         # keyed by identity and held, which keeps its id from being reused
-        calls, held = [], []
+        held = []
         restrict = invariants.restrict
 
-        def counting(A, basis):
-            calls.append((id(A), basis))
-            held.append(A)
-            return restrict(A, basis)
+        def counting(calls):
+            def counted(A, basis):
+                calls.append((id(A), basis))
+                held.append(A)
+                return restrict(A, basis)
+            return counted
 
-        monkeypatch.setattr(invariants, "restrict", counting)
-        for G in (diagonal_group(4), shear3()):
-            calls.clear()
+        block_calls, family_calls = [], []
+        monkeypatch.setattr(spectral, "restrict", counting(block_calls))
+        monkeypatch.setattr(invariants, "restrict", counting(family_calls))
+        for G in (diagonal_group(4), shear3(), radical4()):
+            block_calls.clear()
             invariant_tree(G, CTX)
-            assert calls and len(calls) == len(set(calls))
+            roots = {id(g) for g in G.generators}
+            assert block_calls and len(block_calls) == len(set(block_calls))
+            assert all(a in roots and basis.rows == G.dimension for a, basis in block_calls)
+            assert not family_calls
 
     def test_tree_carries_root_family(self):
         tree = invariant_tree(radical4(), CTX)

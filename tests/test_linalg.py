@@ -504,6 +504,27 @@ class TestScalarElimination:
         assert 0 < len(calls) <= 5
 
 
+    def test_back_substitution_inverts_each_pivot_once(self, monkeypatch):
+        # a solve with six right-hand sides takes at most one inverse per
+        # pivot step forward and one per pivot back, not one per column
+        rng = random.Random(314159)
+        M = Matrix.from_rows(_radical_rows(rng, 4, 4))
+        while M.det().is_zero():
+            M = Matrix.from_rows(_radical_rows(rng, 4, 4))
+        B = Matrix.from_rows(_radical_rows(rng, 4, 6))
+        expected = _oracle_solve(M.entries(), B.entries(), 4, self.ONE)
+        calls = []
+        original = Scalar.inverse
+
+        def counting(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(Scalar, "inverse", counting)
+        assert solve(M, B) == expected
+        assert 0 < len(calls) <= 4 + 4
+
+
 class TestIndependenceCertificate:
     """Subspace bases are checked by private rows first, by rank otherwise."""
 
@@ -544,3 +565,116 @@ class TestIndependenceCertificate:
             assert kernel(M).dim == c - rank(M)
             assert Subspace.span(c, M.entries()).dim == rank(M)
             assert Subspace.span(r, M.columns()).dim == rank(M)
+
+
+def _restrict_by_solve(A: Matrix, basis: Matrix) -> Matrix:
+    """The oracle: restrict by one solve of ``basis X = A basis`` for every
+    basis, with restrict's search for the first column that leaves the span."""
+    target = A * basis
+    sol = solve(basis, target)
+    if sol is None or basis * sol != target:
+        for j in range(basis.cols):
+            col = Matrix.from_cols([list(target.col(j))])
+            col_sol = solve(basis, col)
+            if col_sol is None:
+                raise NotInvariant(j, "exact solve inconsistent")
+            resid = basis * col_sol - col
+            if not resid.is_zero():
+                raise NotInvariant(j, [str(x) for x in resid.col(0)])
+        raise NotInvariant(-1, "inconsistent restriction")
+    return sol
+
+
+def _outcome(restriction, A, basis):
+    """The restricted matrix, or the column and residual of NotInvariant."""
+    try:
+        return restriction(A, basis)
+    except NotInvariant as exc:
+        return exc.vector_index, exc.residual
+
+
+class TestRestrictByPrivateRows:
+    """restrict reads X off private rows and agrees with the solve route."""
+
+    def _entry(self, rng, radical):
+        if radical and rng.random() < 0.5:
+            return random_scalar(rng, radicands=(2, 3), max_num=3, allow_imag=rng.random() < 0.3)
+        return Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2, 3]))
+
+    def _matrix(self, rng, r, c, radical):
+        return Matrix.from_rows([[self._entry(rng, radical) for _ in range(c)] for _ in range(r)])
+
+    def _basis(self, rng, n, kind, radical):
+        """An n-row basis: a kernel basis, a reduced-echelon span basis, a
+        kernel basis with its columns scaled (private rows that are not unit
+        rows), or a dense basis without private rows."""
+        while True:
+            if kind == "dense":
+                B = self._matrix(rng, n, rng.randint(1, n - 1), radical)
+                if linalg._private_rows(B) is None and rank(B) == B.cols:
+                    return B
+                continue
+            if kind == "echelon":
+                vecs = self._matrix(rng, rng.randint(1, n - 1), n, radical).entries()
+                B = Subspace.span(n, vecs).basis
+            else:
+                B = kernel(self._matrix(rng, rng.randint(1, n - 1), n, radical)).basis
+                if kind == "scaled" and B.cols:
+                    scales = [self._entry(rng, radical) or Fraction(5, 2) for _ in range(B.cols)]
+                    B = Matrix.from_cols([[s * x for x in col]
+                                          for s, col in zip(scales, B.columns())])
+            if B.cols:
+                assert linalg._private_rows(B) is not None
+                return B
+
+    def _invariant_target(self, rng, B, radical):
+        """P [[X, Y], [0, Z]] P^-1 for P = [B | C], C drawn until P is invertible."""
+        n, d = B.rows, B.cols
+        while True:
+            P = B.hstack(self._matrix(rng, n, n - d, radical)) if d < n else B
+            if not P.det().is_zero():
+                break
+        M = self._matrix(rng, n, n, radical)
+        block = Matrix([[M[i, j] if i < d or j >= d else Scalar.zero() for j in range(n)]
+                        for i in range(n)])
+        return P * block * P.inverse()
+
+    def test_agrees_with_solve_route(self):
+        rng = random.Random(141421)
+        seen = set()
+        for _ in range(3):
+            for kind in ("kernel", "echelon", "scaled", "dense"):
+                for radical in (False, True):
+                    n = rng.randint(2, 5)
+                    B = self._basis(rng, n, kind, radical)
+                    A = self._invariant_target(rng, B, radical)
+                    targets = {"invariant": A, "random": self._matrix(rng, n, n, radical)}
+                    if B.cols >= 2:
+                        # leaves column 0 inside the span and moves column 1 out
+                        w = kernel(Matrix([B.col(0)])).basis.col(0)
+                        u = self._matrix(rng, n, 1, radical)
+                        targets["column 1"] = A + u * Matrix([w])
+                    for name, T in targets.items():
+                        expected = _outcome(_restrict_by_solve, T, B)
+                        got = _outcome(restrict, T, B)
+                        assert got == expected
+                        outcome = "restricted" if isinstance(got, Matrix) else got[0]
+                        seen.add((kind, name, outcome))
+        assert {("kernel", "invariant", "restricted"), ("scaled", "invariant", "restricted"),
+                ("echelon", "invariant", "restricted"), ("dense", "invariant", "restricted"),
+                ("kernel", "random", 0), ("dense", "random", 0),
+                ("kernel", "column 1", 1), ("dense", "column 1", 1)} <= seen
+
+    def test_private_rows_take_no_elimination(self, monkeypatch):
+        rng = random.Random(173)
+
+        def no_solve(A, B):
+            raise AssertionError("solve called")
+
+        for radical in (False, True):
+            B = self._basis(rng, 4, "scaled", radical)
+            A = self._invariant_target(rng, B, radical)
+            expected = _restrict_by_solve(A, B)
+            monkeypatch.setattr(linalg, "solve", no_solve)
+            assert restrict(A, B) == expected
+            monkeypatch.undo()

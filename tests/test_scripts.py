@@ -1,7 +1,11 @@
+import importlib.util
+import json
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from conftest import lindyn_env
 
@@ -64,3 +68,104 @@ def test_analyze_examples_smoke(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         f"{name}.json" for name, _ in depths
     )
+
+
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_pairs = _load_script("bench_pairs")
+
+
+def _result_line(wall_s, ok_frac):
+    """The last line of a benchmark/run.py run, as it prints it."""
+    metrics = {"setup_s": {"value": 0.15, "unit": "s"}, "wall_s": {"value": wall_s, "unit": "s"},
+               "ok_frac": {"value": ok_frac, "unit": "frac"}}
+    return json.dumps({"correct": True, "attempted": 12, "failed": 0, "metrics": metrics})
+
+
+def _canned_pairs():
+    # wall_s: parent 0.20, 0.19, 0.21, 0.18, change 0.16, 0.17, 0.22, 0.15, so
+    # the change wins pairs 1, 2 and 4; the fifth pair's change run failed
+    walls = [(0.20, 0.16), (0.19, 0.17), (0.21, 0.22), (0.18, 0.15), (0.20, None)]
+    pairs = []
+    for seed, (parent, change) in enumerate(walls, 1):
+        pair = {"seed": seed}
+        for side, wall in (("parent", parent), ("change", change)):
+            if wall is None:
+                pair[side] = bench_pairs.parse_result(1, "item a 0.1 ok\n")
+            else:
+                out = f"item a {wall} ok\nwall_s {wall} s\n{_result_line(wall, 1.0)}\n"
+                pair[side] = bench_pairs.parse_result(0, out)
+        pairs.append(pair)
+    return pairs
+
+
+def test_bench_pairs_parses_run_output():
+    run = bench_pairs.parse_result(0, "item a 0.1 ok\n" + _result_line(0.2, 0.625) + "\n")
+    assert run == {"exit": 0, "attempted": 12, "failed": 0,
+                   "metrics": {"setup_s": 0.15, "wall_s": 0.2, "ok_frac": 0.625}}
+    assert bench_pairs.parse_result(2, "") == {"exit": 2}
+    assert bench_pairs.parse_result(1, "Traceback ...\nValueError: x\n") == {"exit": 1}
+
+
+def test_bench_pairs_summary_of_canned_runs():
+    summary = bench_pairs.summarize(_canned_pairs(), {"wall_s": "lower", "ok_frac": "higher",
+                                                      "peak_rss_mb": "lower"})
+    assert set(summary) == {"wall_s", "ok_frac"}  # no run reported peak_rss_mb
+    wall = summary["wall_s"]
+    assert wall["pairs"] == 4 and wall["change_better_pairs"] == 3
+    # statistics.quantiles' default (exclusive) method on four values
+    assert wall["parent_median_q1_q3"] == pytest.approx([0.195, 0.1825, 0.2075])
+    assert wall["change_median_q1_q3"] == pytest.approx([0.165, 0.1525, 0.2075])
+    assert summary["ok_frac"]["change_better_pairs"] == 0  # equal is not better
+    lines = bench_pairs.format_summary("structure-rational", summary, {"wall_s": "s"})
+    assert lines[1] == ("  wall_s: 0.195 [0.1825, 0.2075] -> 0.165 [0.1525, 0.2075] s "
+                        "(change better in 3/4)")
+    assert bench_pairs.median_quartiles([0.3]) == [0.3, 0.3, 0.3]
+
+
+def test_bench_pairs_alternates_sides(monkeypatch):
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        calls.append((seed, checkout))
+        return {"exit": 0, "metrics": {"wall_s": float(seed)}}
+
+    monkeypatch.setattr(bench_pairs, "run_side", fake_run)
+    assert bench_pairs.parse_seeds("1-3,7") == [1, 2, 3, 7]
+    pairs = bench_pairs.run_pairs("P", "C", "orbit", [1, 2, 3, 7], 40)
+    assert calls == [(1, "P"), (1, "C"), (2, "C"), (2, "P"), (3, "P"), (3, "C"),
+                     (7, "P"), (7, "C")]
+    assert [p["first"] for p in pairs] == ["parent", "change", "parent", "parent"]
+
+
+def test_bench_pairs_runs_for_the_benchmarks_seconds(monkeypatch, capsys):
+    seen = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        seen.append(seconds)
+        return {"exit": 0, "metrics": {"wall_s": 0.1}}
+
+    monkeypatch.setattr(bench_pairs, "run_side", fake_run)
+    assert bench_pairs.main(["--parent", "P", "--change", str(ROOT), "--workload", "orbit",
+                             "--seeds", "1-2"]) == 0
+    run_seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    assert seen == [run_seconds] * 4
+    assert "change better in 0/2" in capsys.readouterr().out
+
+
+def test_bench_pairs_summarizes_a_saved_file(tmp_path):
+    saved = tmp_path / "pairs.json"
+    saved.write_text(json.dumps({"workload": "structure-rational", "runs": _canned_pairs()}))
+    proc = run_script("bench_pairs.py", "--change", str(ROOT), "--summarize", str(saved))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "structure-rational",
+        "  setup_s: 0.15 [0.15, 0.15] -> 0.15 [0.15, 0.15] s (change better in 0/4)",
+        "  wall_s: 0.195 [0.1825, 0.2075] -> 0.165 [0.1525, 0.2075] s (change better in 3/4)",
+        "  ok_frac: 1 [1, 1] -> 1 [1, 1] frac (change better in 0/4)",
+    ]

@@ -189,6 +189,24 @@ class TestProposalLadder:
         assert eigenvalues(A, NumericContext(precision=128)) is None
 
 
+    def test_one_value_proposal_runs_no_kernel(self, monkeypatch):
+        import lindyn.spectral as spectral
+
+        # a value of multiplicity n is decided by (A - v)^n = 0 alone; the
+        # identity it returns is the kernel basis of the zero matrix
+        unipotent = Matrix.from_rows([[2, 0, 0], [1, 2, 0], [3, -1, 2]])
+        split = Matrix.from_rows([[2, 0, 0], [1, 2, 0], [3, -1, 3]])
+        assert spectral.kernel(Matrix.zeros(3, 3)).basis == Matrix.identity(3)
+
+        def no_kernel(M):
+            raise AssertionError("kernel called")
+
+        monkeypatch.setattr(spectral, "kernel", no_kernel)
+        two = Scalar.from_int(2)
+        assert spectral._certified(unipotent, [(two, 3)]) == [(two, 3, Matrix.identity(3))]
+        assert spectral._certified(split, [(two, 3)]) is None
+
+
 class TestRefinement:
     def test_unipotent_single_block(self):
         blocks = simultaneous_refinement(shear3_group(), CTX)
