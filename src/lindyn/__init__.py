@@ -14,6 +14,7 @@ from .errors import (  # noqa: F401
     NotInvariant,
     ParseError,
     PointNotInU,
+    SpectrumNotCertified,
     UnmatchedConjugate,
 )
 from .groups import GeneratorSet  # noqa: F401

@@ -1,7 +1,8 @@
 """Command-line interface: analyze, orbit, verify-examples.
 
 Exit codes: 0 success, 2 non-commuting generators, 3 unresolved numeric
-ambiguity, 1 any other input or processing error.
+ambiguity of a 53-bit split or an ill-conditioned numeric family, 1 any other
+input or processing error (a spectrum not certified above 53 bits among them).
 """
 
 from __future__ import annotations
@@ -118,8 +119,9 @@ def _contexts(args) -> tuple[NumericContext, ClosureConfig]:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--precision", type=int, default=128,
-                   help="working precision in bits for numeric fallbacks, "
-                   "at least 53 (default 128)")
+                   help="precision in bits of the second eigenvalue proposal and the "
+                   "commutator residual, at least 53 (default 128); numeric "
+                   "splitting runs only at 53")
     p.add_argument("--tol", type=float, default=1e-9,
                    help="relative tolerance for tolerant comparisons (default 1e-9)")
     p.add_argument("--gap-threshold", type=float, default=0.01,

@@ -293,7 +293,7 @@ def enumerate_orbit(
         raise ValueError("orbit enumeration requires exact generators and an exact point")
     cfg = cfg or ClosureConfig()
     gens = _numeric_generators(G)
-    un = vec_to_numeric(u, NumericContext())
+    un = vec_to_numeric(u)
     # a real orbit runs in float64: every array below takes its operands' dtype
     if not any(a.imag.any() for a in [*gens, un]):
         gens, un = [A.real.copy() for A in gens], un.real.copy()
@@ -680,14 +680,13 @@ def inverse_recurrence_check(
         raise PointNotInU(f"u lies in H_{mu.containing}")
     if not mv.in_U:
         raise PointNotInU(f"v lies in H_{mv.containing}")
-    double = NumericContext()
-    un = vec_to_numeric(u, double)
-    vn = vec_to_numeric(v, double)
+    un = vec_to_numeric(u)
+    vn = vec_to_numeric(v)
     fwd = []
     bwd = []
     for word in words:
-        img = vec_to_numeric(G.word(word).matvec(tuple(u)), double)
-        back = vec_to_numeric(G.word(tuple(-k for k in word)).matvec(tuple(v)), double)
+        img = vec_to_numeric(G.word(word).matvec(tuple(u)))
+        back = vec_to_numeric(G.word(tuple(-k for k in word)).matvec(tuple(v)))
         fwd.append(float(np.linalg.norm(img - vn)))
         bwd.append(float(np.linalg.norm(back - un)))
     tail = max(2, len(words) // 2)

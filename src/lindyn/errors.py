@@ -34,7 +34,11 @@ class InvarianceViolation(LindynError):
 
 
 class ClusterAmbiguity(LindynError):
-    """Eigenvalue clusters cannot be separated reliably at any tried precision."""
+    """Double-precision eigenvalue clusters cannot be separated reliably."""
+
+
+class SpectrumNotCertified(LindynError):
+    """No exact spectrum splits a block above 53 bits, where no numeric split runs."""
 
 
 class NoCommonEigenvector(LindynError):

@@ -84,8 +84,8 @@ class GeneratorSet:
                     if not comm.is_zero():
                         raise NotAbelian(self.names[i], self.names[j], comm.max_abs())
                 else:
-                    a = to_numeric(gens[i], ctx)
-                    b = to_numeric(gens[j], ctx)
+                    a = to_numeric(gens[i])
+                    b = to_numeric(gens[j])
                     resid = max_abs(a @ b - b @ a)
                     scale = max(max_abs(a) * max_abs(b), 1.0)
                     if resid > ctx.eps * scale:
@@ -94,10 +94,10 @@ class GeneratorSet:
     def commutator_residual(self, ctx: NumericContext) -> float:
         """Largest commutator entry over all generator pairs (numeric view).
 
-        Above 53 bits, numpy's object matmul sums each entry's products in
-        order from the first, each rounded at mpmath's global precision, so a
-        zero product changes nothing: exact generators skip them, and their
-        zero entries are not evaluated.
+        Above 53 bits the nonzero entries of exact generators are evaluated
+        at ctx.precision, and each entry of a product sums its nonzero terms
+        in order from the first, each rounded at mpmath's global precision.
+        Otherwise the products are complex128.
         """
         if self.exact and ctx.high:
             n = self.dimension
@@ -110,7 +110,7 @@ class GeneratorSet:
             return max((abs(as_complex(entry(A, B, i, k) - entry(B, A, i, k)))
                         for A, B in itertools.combinations(nonzero, 2)
                         for i in range(n) for k in range(n)), default=0.0)
-        mats = [to_numeric(g, ctx) for g in self.generators]
+        mats = [to_numeric(g) for g in self.generators]
         return max((max_abs(a @ b - b @ a) for a, b in itertools.combinations(mats, 2)), default=0.0)
 
     def word(self, exponents: Sequence[int]) -> Matrix:

@@ -35,7 +35,6 @@ from .numeric import (
     NumericContext,
     NumSubspace,
     max_abs,
-    ninverse,
     nrestrict,
     to_numeric,
     vec_to_numeric,
@@ -205,9 +204,9 @@ def invariant_family(G: GeneratorSet, ctx: NumericContext | None = None) -> Inva
         P = _hstack_exact([tb for _, _, tb in units])
         P_inv = BasisChange.of(P).inverse
     else:
-        Q = np.hstack([to_numeric(pb, ctx) for _, pb, _ in units])
-        P = np.hstack([to_numeric(tb, ctx) for _, _, tb in units])
-        P_inv = ninverse(P, ctx)
+        Q = np.hstack([to_numeric(pb) for _, pb, _ in units])
+        P = np.hstack([to_numeric(tb) for _, _, tb in units])
+        P_inv = np.linalg.inv(P)
         _check_conditioning(P, P_inv, ctx)
 
     subspaces: list[InvariantSubspace] = []
@@ -289,7 +288,7 @@ def _invariance_residual(G: GeneratorSet, sub: Subspace | NumSubspace,
             if not (functionals * g * sub.basis).is_zero():
                 restrict(g, sub.basis)  # raises: g B leaves ker F = span(B)
         return 0.0
-    worst = max((nrestrict(g, sub.basis, ctx)[1] for g in G.generators), default=0.0)
+    worst = max((nrestrict(g, sub.basis)[1] for g in G.generators), default=0.0)
     if worst > 1e3 * ctx.eps:
         raise InvarianceViolation(
             f"numeric invariant subspace residual {worst:.3g} exceeds tolerance"
@@ -317,8 +316,8 @@ def membership(family: InvariantFamily, x: Vector, ctx: NumericContext | None = 
             if all(v.is_zero() for v in vals):
                 containing.append(k)
         else:
-            fn = to_numeric(sub.functionals, ctx)
-            xn = vec_to_numeric(x, ctx)
+            fn = to_numeric(sub.functionals)
+            xn = vec_to_numeric(x)
             vals = fn @ xn.reshape(-1, 1)
             scale = max_abs(fn) * max(1.0, max_abs(xn.reshape(-1, 1)))
             if max_abs(vals) <= ctx.eps * max(scale, 1e-300):

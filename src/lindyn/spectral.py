@@ -24,6 +24,12 @@ radius order, and proposes again at the context precision only when none is
 certified.  Either way each value v of multiplicity m is certified exactly
 by ``kernel((A - v)^m)`` (:func:`_certified`), so the precision of the
 proposal never changes an answer, only whether one is found.
+
+A block whose spectrum is not certified is split numerically, in double
+precision, and only under a 53-bit context.  Above 53 bits it raises
+:class:`SpectrumNotCertified` instead: the numeric kernels are no more
+accurate than double precision, so a wider context would not make their
+answer better founded.  Every numeric block has the noise floor NOISE.
 """
 
 from __future__ import annotations
@@ -39,35 +45,28 @@ from .errors import (
     ClusterAmbiguity,
     InvarianceViolation,
     NoCommonEigenvector,
+    SpectrumNotCertified,
     UnmatchedConjugate,
 )
 from .groups import REAL, GeneratorSet
 from .linalg import Matrix, RowEchelon, Subspace, kernel, restrict, solve
 from .numeric import (
     CLUSTER_DELTA,
-    MAX_PRECISION,
     NumericContext,
     NumSubspace,
     as_complex,
-    imag_part,
     max_abs,
     neig,
-    nidentity,
     nkernel,
     npower,
     nrank,
-    nconj,
     nrestrict,
     nsolve_cols,
-    real_part,
     to_numeric,
 )
 from .scalars import Scalar
 
-
-class _Ambiguous(Exception):
-    """Internal: retry at doubled precision."""
-
+NOISE = 64 * 2.0**-52  # relative noise floor of every numeric (double-precision) block
 
 # ---------------------------------------------------------------------------
 # blocks
@@ -80,11 +79,9 @@ class SpectralBlock:
     subspace: Subspace | NumSubspace
     eigen_numeric: dict[int, complex]
     eigen_exact: dict[int, Scalar | None]
-    noise: float = 0.0
     conj_partner: int | None = None
-    # per-generator restrictions to subspace.basis, computed in restriction_ctx
+    # per-generator restrictions to subspace.basis
     restrictions: list | None = None
-    restriction_ctx: NumericContext | None = None
 
     @property
     def dim(self) -> int:
@@ -118,30 +115,16 @@ class RealBlockGroup:
     block: SpectralBlock | None = None  # a real singleton's block on real_basis
 
 
-@dataclass
-class _Block:
-    basis: Matrix | np.ndarray   # ambient x d columns
-    noise: float = 0.0
-
-    @property
-    def exact(self) -> bool:
-        return isinstance(self.basis, Matrix)
-
-    @property
-    def dim(self) -> int:
-        return self.basis.cols if self.exact else self.basis.shape[1]
-
-
 # ---------------------------------------------------------------------------
 # restriction helpers
 
 
-def _block_restriction(g, blk: _Block, ctx: NumericContext):
+def _block_restriction(g, basis: Matrix | np.ndarray, ctx: NumericContext):
     # a group with a numeric generator has a numeric root, so no exact block
-    if blk.exact:
-        return restrict(g, blk.basis)
-    sol, rel_resid = nrestrict(g, blk.basis, ctx)
-    if rel_resid > 1e3 * max(ctx.eps, blk.noise):
+    if isinstance(basis, Matrix):
+        return restrict(g, basis)
+    sol, rel_resid = nrestrict(g, basis)
+    if rel_resid > 1e3 * max(ctx.eps, NOISE):
         raise InvarianceViolation(
             f"numeric block basis is not invariant (residual {rel_resid:.3g})"
         )
@@ -161,27 +144,21 @@ def _trace_mean(R):
     return tr / d
 
 
-def _nilpotency_value(N: np.ndarray, ctx: NumericContext) -> tuple[float, float]:
+def _nilpotency_value(N: np.ndarray) -> tuple[float, float]:
     """Returns (||N^d||^(1/d), ||N||)."""
     d = N.shape[0]
     norm = max_abs(N)
     if norm == 0.0:
         return 0.0, 0.0
-    val = max_abs(npower(N, d, ctx))
+    val = max_abs(npower(N, d))
     return val ** (1.0 / d), norm
 
 
-def _bands(d: int, norm: float, noise: float, prec: int) -> tuple[float, float]:
-    err = max(16 * 2.0 ** (1 - prec), noise)
-    low = (d * err) ** (1.0 / d) * max(1.0, norm)
-    return low, 20.0 * low
-
-
-def _single_eigenvalue(R, blk: _Block, ctx: NumericContext):
+def _single_eigenvalue(R):
     """Return the single eigenvalue of R, or None when R has several.
 
     Exact restrictions are decided exactly; numeric ones use the banded
-    spectral-radius test and raise _Ambiguous inside the gray zone.
+    spectral-radius test and raise ClusterAmbiguity inside the gray zone.
     """
     mu = _trace_mean(R)
     if isinstance(R, Matrix):
@@ -190,14 +167,13 @@ def _single_eigenvalue(R, blk: _Block, ctx: NumericContext):
     d = R.shape[0]
     if d == 1:
         return mu
-    N = R - mu * nidentity(d, ctx)
-    value, norm = _nilpotency_value(N, ctx)
-    low, high = _bands(d, norm, blk.noise, ctx.precision)
+    value, norm = _nilpotency_value(R - mu * np.eye(d, dtype=complex))
+    low = (d * NOISE) ** (1.0 / d) * max(1.0, norm)
     if value <= low:
         return mu
-    if value >= high:
+    if value >= 20.0 * low:
         return None
-    raise _Ambiguous(f"nilpotency value {value:.3g} inside band ({low:.3g}, {high:.3g})")
+    raise ClusterAmbiguity(f"nilpotency value {value:.3g} inside band ({low:.3g}, {20.0 * low:.3g})")
 
 
 # ---------------------------------------------------------------------------
@@ -308,15 +284,17 @@ def eigenvalues(
     only when no proposal from the 53-bit values is certified.  On each rung
     every distinct clustering that :func:`_separated_clusterings` yields is
     tried in radius order (a defective eigenvalue scatters into a cluster
-    that only a larger radius merges), and each distinct cluster's centre is
-    recognised over ``radicands`` (default: those of A's entries) at most
-    once.  A proposal is certified when its values are distinct, its
+    that only a larger radius merges), except one with a single cluster: a
+    non-triangular A is only given here with several eigenvalues, by
+    :func:`_split_block`.  Each distinct cluster's centre is recognised over
+    ``radicands`` (default: those of A's entries) at most once.  A proposal
+    is certified when its values are distinct, its
     multiplicities sum to n, and each ``kernel((A - v)^m)`` has the
     dimension of v's multiplicity m.  The triples are sorted by value; None
     when some eigenvalue is not found in the field.  Then a ``numeric`` list
-    receives the numeric eigenvalues of the last rung, at ``ctx.precision``,
-    so that a caller that goes on to split A numerically does not compute
-    them again.
+    receives the numeric eigenvalues of the last rung, so that a caller that
+    goes on to split A numerically (under a 53-bit context, whose one rung
+    is double precision) does not compute them again.
     """
     if A.rows != A.cols:
         raise ValueError("eigenvalues of a non-square matrix")
@@ -331,12 +309,12 @@ def eigenvalues(
     # ctx.precision
     rungs = [replace(ctx, precision=53), ctx] if ctx.high else [ctx]
     for rung in rungs:
-        raw = [as_complex(e) for e in neig(to_numeric(A, rung), rung)]
+        raw = [as_complex(e) for e in neig(A, rung)]
         recognized: dict[tuple[int, ...], Scalar | None] = {}
         tried = set()
         for _, clusters in _separated_clusterings(raw):
             members = tuple(tuple(m) for _, _, m in clusters)
-            if members in tried:
+            if len(members) < 2 or members in tried:
                 continue
             tried.add(members)
             spectrum = []
@@ -362,17 +340,12 @@ def _certified(A: Matrix, spectrum: list[tuple[Scalar, int]]) -> list[tuple[Scal
     When every kernel has dimension m_i, each is therefore the whole G(v_i),
     which is ker((A - v_i)^n): A has no other eigenvalue.  A null space fixes
     the pivot set of its echelon form, so ``kernel`` returns the same basis
-    as it would for the n-th power.  A single value of multiplicity n is
-    decided by ``(A - v)^n == 0`` alone, with the identity as its basis,
-    which is the basis ``kernel`` returns for a zero matrix.
+    as it would for the n-th power.
     """
     n = A.rows
     if len({v for v, _ in spectrum}) != len(spectrum) or sum(m for _, m in spectrum) != n:
         return None
     Id = Matrix.identity(n)
-    if len(spectrum) == 1:
-        value = spectrum[0][0]
-        return [(value, n, Id)] if (A - Id.scale(value)).power(n).is_zero() else None
     out = []
     for value, mult in spectrum:
         K = kernel((A - Id.scale(value)).power(mult))
@@ -391,58 +364,32 @@ def simultaneous_refinement(G: GeneratorSet, ctx: NumericContext | None = None) 
     """Finest decomposition with one eigenvalue per generator per block."""
     ctx = ctx or NumericContext()
     G.check_abelian(ctx)
-    cur = ctx
-    while True:
-        try:
-            return _refine(G, cur)
-        except _Ambiguous as exc:
-            if cur.precision >= MAX_PRECISION:
-                raise ClusterAmbiguity(str(exc))
-            cur = cur.doubled()
-
-
-def _data_precision(G: GeneratorSet, ctx: NumericContext) -> int:
-    """Bit precision actually carried by the generator data."""
-    prec = ctx.precision
-    for g in G.generators:
-        if isinstance(g, np.ndarray) and g.dtype != object:
-            prec = min(prec, 53)
-    return prec
-
-
-def _refine(G: GeneratorSet, ctx: NumericContext) -> list[SpectralBlock]:
     n = G.dimension
     radicands = G.radicands()
-    if G.exact:
-        root = _Block(Matrix.identity(n), noise=0.0)
-    else:
-        # escalating the context cannot repair double-precision input data,
-        # so the noise floor follows the data precision, not the context
-        root = _Block(nidentity(n, ctx), noise=64 * 2.0 ** (1 - _data_precision(G, ctx)))
-    queue = [root]
-    # each block with its restriction and eigenvalue per generator
-    final: list[tuple[_Block, list, list]] = []
+    queue = [Matrix.identity(n) if G.exact else np.eye(n, dtype=complex)]
+    # each block basis with its restriction and eigenvalue per generator
+    final: list[tuple[Matrix | np.ndarray, list, list]] = []
     while queue:
-        blk = queue.pop(0)
+        basis = queue.pop(0)
         restrictions, mus = [], []
         for g in G.generators:
-            R = _block_restriction(g, blk, ctx)
-            mu = _single_eigenvalue(R, blk, ctx)
+            R = _block_restriction(g, basis, ctx)
+            mu = _single_eigenvalue(R)
             if mu is None:
-                queue[0:0] = _split_block(R, blk, ctx, radicands)
+                queue[0:0] = _split_block(R, basis, ctx, radicands)
                 break
             restrictions.append(R)
             mus.append(mu)
         else:
-            final.append((blk, restrictions, mus))
+            final.append((basis, restrictions, mus))
 
-    total = sum(b.dim for b, _, _ in final)
+    total = sum(b.cols if isinstance(b, Matrix) else b.shape[1] for b, _, _ in final)
     if total != n:
-        raise _Ambiguous(f"block dimensions sum to {total}, expected {n}")
+        raise ClusterAmbiguity(f"block dimensions sum to {total}, expected {n}")
     _validate_direct_sum([b for b, _, _ in final], ctx)
 
     blocks = []
-    for blk, restrictions, mus in final:
+    for basis, restrictions, mus in final:
         eig_num: dict[int, complex] = {}
         eig_exact: dict[int, Scalar | None] = {}
         for gi, mu in enumerate(mus):
@@ -452,12 +399,8 @@ def _refine(G: GeneratorSet, ctx: NumericContext) -> list[SpectralBlock]:
             else:
                 eig_exact[gi] = None
                 eig_num[gi] = as_complex(mu)
-        if blk.exact:
-            sub = Subspace(n, blk.basis)
-        else:
-            sub = NumSubspace(n, blk.basis)
-        blocks.append(SpectralBlock(sub, eig_num, eig_exact, noise=blk.noise,
-                                    restrictions=restrictions, restriction_ctx=ctx))
+        sub = Subspace(n, basis) if isinstance(basis, Matrix) else NumSubspace(n, basis)
+        blocks.append(SpectralBlock(sub, eig_num, eig_exact, restrictions=restrictions))
 
     def sort_key(b: SpectralBlock):
         vals = []
@@ -470,33 +413,42 @@ def _refine(G: GeneratorSet, ctx: NumericContext) -> list[SpectralBlock]:
     return blocks
 
 
-def _validate_direct_sum(blocks: list[_Block], ctx: NumericContext) -> None:
-    if all(b.exact for b in blocks):
-        stacked = blocks[0].basis
-        for b in blocks[1:]:
-            stacked = stacked.hstack(b.basis)
+def _validate_direct_sum(bases: list[Matrix | np.ndarray], ctx: NumericContext) -> None:
+    if all(isinstance(b, Matrix) for b in bases):
+        stacked = bases[0]
+        for b in bases[1:]:
+            stacked = stacked.hstack(b)
         if stacked.rows == stacked.cols and stacked.det().is_zero():
-            raise _Ambiguous("exact block bases do not form a direct sum")
+            raise ClusterAmbiguity("exact block bases do not form a direct sum")
         return
-    mats = [to_numeric(b.basis, ctx) for b in blocks]
-    stacked = np.hstack([np.asarray(m, dtype=object if m.dtype == object else complex) for m in mats])
+    stacked = np.hstack([to_numeric(b) for b in bases])
     if nrank(stacked, ctx) != stacked.shape[1]:
-        raise _Ambiguous("numeric block bases do not form a direct sum")
+        raise ClusterAmbiguity("numeric block bases do not form a direct sum")
 
 
-def _split_block(R, blk: _Block, ctx: NumericContext, radicands) -> list[_Block]:
-    """Split a block along the spectrum of one restriction with >= 2 eigenvalues."""
+def _split_block(R, basis: Matrix | np.ndarray, ctx: NumericContext, radicands) -> list:
+    """Split a block along the spectrum of one restriction with >= 2 eigenvalues.
+
+    An exact R is split along its certified spectrum.  Otherwise the block is
+    split numerically, at 53 bits only: above them SpectrumNotCertified is
+    raised.
+    """
     raw: list[complex] = []
     if isinstance(R, Matrix):
         spectrum = eigenvalues(R, ctx, radicands, raw)
-        if spectrum is not None and len(spectrum) >= 2:
-            return [_Block(blk.basis * basis) for _, _, basis in spectrum]
-        R = to_numeric(R, ctx)
-        blk = _Block(to_numeric(blk.basis, ctx), noise=max(blk.noise, 64 * 2.0 ** (1 - ctx.precision)))
-    return _split_numeric(R, blk, ctx, raw or [as_complex(e) for e in neig(R, ctx)])
+        if spectrum is not None:
+            return [basis * b for _, _, b in spectrum]
+    if ctx.high:
+        raise SpectrumNotCertified(
+            f"no exact spectrum of a block is certified at precision {ctx.precision}, "
+            "and numeric splitting runs only at 53 bits; try --precision 53"
+        )
+    R = to_numeric(R)
+    return _split_numeric(R, to_numeric(basis), ctx, raw or [as_complex(e) for e in neig(R, ctx)])
 
 
-def _split_numeric(R: np.ndarray, blk: _Block, ctx: NumericContext, raw: list[complex]) -> list[_Block]:
+def _split_numeric(R: np.ndarray, basis: np.ndarray, ctx: NumericContext,
+                   raw: list[complex]) -> list[np.ndarray]:
     """Split along the clusterings of raw, the numeric eigenvalues of R."""
     d = R.shape[0]
     for delta, clusters in _separated_clusterings(raw):
@@ -504,16 +456,14 @@ def _split_numeric(R: np.ndarray, blk: _Block, ctx: NumericContext, raw: list[co
             break
         subs = []
         for center, mult, _ in clusters:
-            N = R - center * nidentity(d, ctx)
-            K = nkernel(npower(N, mult, ctx), ctx, expected=mult)
-            sol, resid = nsolve_cols(K, R @ K, ctx)
-            if resid > 1e3 * max(ctx.eps, blk.noise, delta) * max(1.0, max_abs(R)):
+            K = nkernel(npower(R - center * np.eye(d, dtype=complex), mult), ctx, expected=mult)
+            _, resid = nsolve_cols(K, R @ K)
+            if resid > 1e3 * max(ctx.eps, NOISE, delta) * max(1.0, max_abs(R)):
                 break
             subs.append(K)
         if len(subs) == len(clusters) and nrank(np.hstack(subs), ctx) == d:
-            child_noise = max(blk.noise, 64 * 2.0 ** (1 - ctx.precision))
-            return [_Block(to_numeric(blk.basis, ctx) @ K, noise=child_noise) for K in subs]
-    raise _Ambiguous("numeric eigenvalue clusters cannot be certified")
+            return [basis @ K for K in subs]
+    raise ClusterAmbiguity("numeric eigenvalue clusters cannot be certified")
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +496,7 @@ def _conjugate_span(a: SpectralBlock, b: SpectralBlock, ctx: NumericContext) -> 
         return Subspace.span(a.subspace.ambient, conj_cols) == Subspace.span(
             b.subspace.ambient, b.subspace.basis.columns()
         )
-    stacked = np.hstack([nconj(to_numeric(a.subspace.basis, ctx)), to_numeric(b.subspace.basis, ctx)])
+    stacked = np.hstack([np.conj(to_numeric(a.subspace.basis)), to_numeric(b.subspace.basis)])
     return nrank(stacked, ctx) == a.dim
 
 
@@ -561,18 +511,13 @@ def _real_block(blk: SpectralBlock, ctx: NumericContext) -> SpectralBlock:
             raise UnmatchedConjugate("exact block with real eigenvalues has a complex basis")
         return blk
     sub = NumSubspace(blk.subspace.ambient, _realify_numeric_basis(blk.subspace.basis, ctx))
-    return SpectralBlock(sub, blk.eigen_numeric, blk.eigen_exact, noise=blk.noise)
+    return SpectralBlock(sub, blk.eigen_numeric, blk.eigen_exact)
 
 
 def _realify_numeric_basis(basis: np.ndarray, ctx: NumericContext) -> np.ndarray:
     d = basis.shape[1]
-    cand = np.hstack([real_part(basis), imag_part(basis)])
-    # range of cand = left singular vectors
-    if cand.dtype == object:
-        A = np.array([[float(x.real) for x in row] for row in cand])
-    else:
-        A = cand.real.astype(float)
-    U, S, _ = np.linalg.svd(A)
+    # range of [Re basis | Im basis] = left singular vectors
+    U, S, _ = np.linalg.svd(np.hstack([basis.real, basis.imag]).astype(float))
     if d and S[d - 1] <= ctx.eps * max(S[0], 1e-300):
         raise UnmatchedConjugate("block with real eigenvalues has deficient real span")
     return U[:, :d].astype(complex)
@@ -630,11 +575,7 @@ def re_im_columns(basis: Matrix | np.ndarray) -> Matrix | np.ndarray:
     if isinstance(basis, Matrix):
         return Matrix.from_cols([[part(c) for c in col] for col in basis.columns()
                                  for part in (Scalar.real_part, Scalar.imag_part)])
-    cols = []
-    for j in range(basis.shape[1]):
-        cols.append(real_part(basis[:, j : j + 1]))
-        cols.append(imag_part(basis[:, j : j + 1]))
-    return np.hstack(cols)
+    return np.stack([basis.real, basis.imag], axis=-1).reshape(basis.shape[0], -1).astype(complex)
 
 
 # ---------------------------------------------------------------------------
@@ -648,10 +589,10 @@ def triangularize(
 ) -> TriangularForm:
     """Common basis making every generator lower triangular on the block."""
     ctx = ctx or NumericContext()
-    blk = _Block(block.subspace.basis, noise=block.noise)
+    basis = block.subspace.basis
     restrictions = block.restrictions
-    if restrictions is None or block.restriction_ctx != ctx:
-        restrictions = [_block_restriction(g, blk, ctx) for g in G.generators]
+    if restrictions is None:
+        restrictions = [_block_restriction(g, basis, ctx) for g in G.generators]
     mus = []
     for gi, R in enumerate(restrictions):
         ex = block.eigen_exact.get(gi)
@@ -659,14 +600,12 @@ def triangularize(
     if all(isinstance(R, Matrix) for R in restrictions):
         coeff_change, tri = _triangularize_exact(restrictions, mus)
     else:
-        nmus = [m.evaluate(ctx.precision) if isinstance(m, Scalar) else m for m in mus]
-        coeff_change, tri = _triangularize_numeric(
-            [to_numeric(R, ctx) for R in restrictions], nmus, ctx, blk.noise
-        )
-    if isinstance(coeff_change, Matrix) and blk.exact:
-        basis = blk.basis * coeff_change
+        # a numeric restriction means a numeric basis, and so numeric values mu
+        coeff_change, tri = _triangularize_numeric(restrictions, mus, ctx)
+    if isinstance(coeff_change, Matrix) and isinstance(basis, Matrix):
+        basis = basis * coeff_change
     else:
-        basis = to_numeric(blk.basis, ctx) @ to_numeric(coeff_change, ctx)
+        basis = to_numeric(basis) @ to_numeric(coeff_change)
     return TriangularForm(basis, tri, mus)
 
 
@@ -716,22 +655,21 @@ def _triangularize_exact(restrictions: list[Matrix], mus: list[Scalar]):
     return P, tri
 
 
-def _triangularize_numeric(restrictions, mus, ctx: NumericContext, noise: float):
+def _triangularize_numeric(restrictions, mus, ctx: NumericContext):
     d = restrictions[0].shape[0] if restrictions else 0
-    nils = [R - mu * nidentity(d, ctx) for R, mu in zip(restrictions, mus)]
-    tol = max(ctx.eps, noise)
+    nils = [R - mu * np.eye(d, dtype=complex) for R, mu in zip(restrictions, mus)]
+    tol = max(ctx.eps, NOISE)
     layers = []
     current: np.ndarray | None = None
     dim_cur = 0
     while dim_cur < d:
         if current is not None and dim_cur:
-            ann = nkernel(current.T, ctx).T
-            ann = nconj(ann)
+            ann = np.conj(nkernel(current.T, ctx).T)
         else:
-            ann = nidentity(d, ctx)
+            ann = np.eye(d, dtype=complex)
         stacked = [ann @ N for N in nils]
         stacked = np.vstack(stacked) if stacked else np.zeros((0, d), dtype=complex)
-        V = nkernel(stacked, ctx) if stacked.shape[0] else nidentity(d, ctx)
+        V = nkernel(stacked, ctx) if stacked.shape[0] else np.eye(d, dtype=complex)
         new_cols = _extend_numeric(current, V, tol)
         if new_cols is None or new_cols.shape[1] == 0:
             raise NoCommonEigenvector(
@@ -743,7 +681,7 @@ def _triangularize_numeric(restrictions, mus, ctx: NumericContext, noise: float)
     P = np.hstack(list(reversed(layers)))
     tri = []
     for R in restrictions:
-        T, resid = nsolve_cols(P, R @ P, ctx)
+        T, resid = nsolve_cols(P, R @ P)
         scale = max(1.0, max_abs(R))
         if resid > 1e3 * tol * scale:
             raise NoCommonEigenvector("numeric triangular solve residual too large")

@@ -304,12 +304,12 @@ class TestCriterion6ExactSoundness:
             G, points = fixture_by_name(name)
             for g in G.generators:
                 checked += 1
-                if rank(g) == nrank(to_numeric(g, CTX), CTX):
+                if rank(g) == nrank(to_numeric(g), CTX):
                     agree += 1
             for p in points.values():
                 M = Matrix.from_cols([list(p)])
                 checked += 1
-                if rank(M) == nrank(to_numeric(M, CTX), CTX):
+                if rank(M) == nrank(to_numeric(M), CTX):
                     agree += 1
         ok = agree == checked
         emit("6 rank-agreement", ok, f"{agree}/{checked} fixture matrices agree across backends")

@@ -59,8 +59,8 @@ GOLDEN_REPORT_SHA256 = {
 #   pairsqrt2   a defective +-i pair of real width 4 beside a sqrt(2) line, the
 #               one conjugate-pair unit wider than 2 (recorded before the
 #               invariant tree was read off the root's triangular form).
-# The two numeric families fail at the 128-bit default (the real basis of a
-# numeric block is built in double precision), so they run at 53 bits.
+# The two numeric families run at 53 bits: numeric splitting runs only
+# there, and at the 128-bit default they exit 1 with SpectrumNotCertified.
 INLINE_DOCUMENTS = {
     "diag3": ([[["1", "0", "0"], ["0", "2", "0"], ["0", "0", "3"]]], []),
     "rotation3": (
@@ -266,6 +266,20 @@ class TestAnalyze:
         p.write_text(json.dumps(doc))
         assert main(["analyze", str(p), "--precision", "128"]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_uncertified_spectrum_above_53_bits_names_the_precision(self, tmp_path, capsys):
+        # eigenvalues +-sqrt(2) are outside the field of the rational entries:
+        # only a numeric split decomposes this family, and it runs at 53 bits
+        p = tmp_path / "sqrt2.json"
+        p.write_text(json.dumps({"field": "real", "dimension": 2,
+                                 "generators": [[["0", "2"], ["1", "0"]]]}))
+        assert main(["analyze", str(p), "--precision", "128"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "--precision 53" in captured.err
+        assert main(["analyze", str(p), "--precision", "53"]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("name", sorted(SPLIT_DEFECTIVE))
     def test_split_defective_cluster_recognized_at_53_bits(self, tmp_path, capsys, name):

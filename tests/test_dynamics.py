@@ -318,7 +318,7 @@ class TestRealPath:
         # the same generators and start point, run as complex128 arrays with
         # zero imaginary parts: the float64 run is their real part, bit for bit
         G, u, K, cfg = _real_case(name)
-        gens, un = _numeric_generators(G), vec_to_numeric(u, CTX)
+        gens, un = _numeric_generators(G), vec_to_numeric(u)
         assert un.dtype == np.complex128 and not any(a.imag.any() for a in [*gens, un])
         cloud = enumerate_orbit(G, u, K, cfg)
         assert cloud.points.dtype == cloud.base_point.dtype == np.float64
@@ -372,7 +372,7 @@ class TestFrame:
         dims = set()
         for name, G, u in _frame_cases():
             base, V = enumerate_orbit(G, u, 0, CFG).frame
-            assert _bytes(base) == _bytes(_realify(vec_to_numeric(u, CTX).reshape(1, -1), G.field)[0])
+            assert _bytes(base) == _bytes(_realify(vec_to_numeric(u).reshape(1, -1), G.field)[0])
             assert np.allclose(V.T @ V, np.eye(V.shape[1]), rtol=0, atol=1e-12), name
             oracle = _box_svd_directions(G, u)
             assert V.shape == oracle.shape, name

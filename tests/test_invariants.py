@@ -26,7 +26,7 @@ from lindyn.invariants import (
     s_form_diagonal,
 )
 from lindyn.linalg import Matrix, Subspace, as_vector, restrict, solve
-from lindyn.numeric import NumericContext, NumSubspace, max_abs, nsolve_cols, to_numeric
+from lindyn.numeric import NumericContext, NumSubspace, as_complex, max_abs, nsolve_cols, to_numeric
 from lindyn.report import render_tree
 from lindyn.scalars import Scalar
 
@@ -49,8 +49,8 @@ def naive_tree(G, ctx, budget, case=None):
         if sub.exact and G.exact:
             gens = [restrict(g, sub.subspace.basis) for g in G.generators]
         else:
-            basis = to_numeric(sub.subspace.basis, ctx)
-            gens = [nsolve_cols(basis, to_numeric(g, ctx) @ basis, ctx)[0] for g in G.generators]
+            basis = to_numeric(sub.subspace.basis)
+            gens = [nsolve_cols(basis, to_numeric(g) @ basis)[0] for g in G.generators]
         restricted = GeneratorSet(G.field, sub.dim, gens, list(G.names))
         children.append(naive_tree(restricted, ctx, budget - 1, sub.case))
     return chain_node(n, case, fam.count, children)
@@ -205,8 +205,8 @@ class TestInvariantFamily:
                             restrict(g, s.subspace.basis)  # raises if not invariant
                 else:
                     for g in G.generators:
-                        gn = to_numeric(g, CTX)
-                        _, resid = nsolve_cols(s.subspace.basis, gn @ s.subspace.basis, CTX)
+                        gn = to_numeric(g)
+                        _, resid = nsolve_cols(s.subspace.basis, gn @ s.subspace.basis)
                         scale = max(1.0, max_abs(gn)) * max(1.0, max_abs(s.subspace.basis))
                         assert resid <= 1e3 * CTX.eps * scale
 
@@ -495,8 +495,9 @@ class TestStructureProperties:
 class TestCommutatorResidual:
     def test_sparse_products_keep_the_dense_bits(self):
         # exact generators skip their zero products above 53 bits; the result
-        # is the object-array matmul's, bit for bit, on commuting families
-        # and on sparse radical matrices whose commutators do not vanish
+        # is the matmul's of mpmath object arrays, bit for bit, on commuting
+        # families and on sparse radical matrices whose commutators do not
+        # vanish
         rng = random.Random(31)
         groups = [random_commuting_family(rng, rng.randint(2, 5), 3) for _ in range(4)]
         for _ in range(8):
@@ -508,8 +509,10 @@ class TestCommutatorResidual:
         for G in groups:
             for precision in (64, 128, 256):
                 ctx = NumericContext(precision=precision)
-                mats = [to_numeric(g, ctx) for g in G.generators]
-                want = max(max_abs(a @ b - b @ a) for i, a in enumerate(mats) for b in mats[i + 1:])
+                mats = [np.array([[e.evaluate(precision) for e in row] for row in g.entries()],
+                                 dtype=object) for g in G.generators]
+                want = max(abs(as_complex(x)) for i, a in enumerate(mats) for b in mats[i + 1:]
+                           for x in (a @ b - b @ a).ravel())
                 assert float(G.commutator_residual(ctx)).hex() == float(want).hex()
                 nonzero += want != 0
         assert nonzero >= 12

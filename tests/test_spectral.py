@@ -2,7 +2,6 @@ import math
 import random
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -12,11 +11,11 @@ from conftest import (
     random_integer_matrix,
     random_sform_family,
 )
-from lindyn.errors import NoCommonEigenvector, NotAbelian
+from lindyn.errors import NoCommonEigenvector, NotAbelian, SpectrumNotCertified
 from lindyn.groups import GeneratorSet
 from lindyn.invariants import invariant_family
 from lindyn.linalg import Matrix, rank, solve
-from lindyn.numeric import NumericContext, max_abs, npower, to_numeric
+from lindyn.numeric import NumericContext, max_abs, to_numeric
 from lindyn.scalars import Scalar, parse_scalar
 from lindyn.spectral import (
     eigenvalues,
@@ -192,19 +191,30 @@ class TestProposalLadder:
     def test_one_value_proposal_runs_no_kernel(self, monkeypatch):
         import lindyn.spectral as spectral
 
-        # a value of multiplicity n is decided by (A - v)^n = 0 alone; the
-        # identity it returns is the kernel basis of the zero matrix
+        # a clustering with one cluster is never proposed, since the
+        # refinement splits only a block with several eigenvalues: a
+        # non-triangular matrix whose one eigenvalue is 2 (a 3x3 Jordan block,
+        # conjugated) gets no spectrum and runs no kernel, at either rung
         unipotent = Matrix.from_rows([[2, 0, 0], [1, 2, 0], [3, -1, 2]])
-        split = Matrix.from_rows([[2, 0, 0], [1, 2, 0], [3, -1, 3]])
-        assert spectral.kernel(Matrix.zeros(3, 3)).basis == Matrix.identity(3)
+        P = Matrix.from_rows([[1, 2, 0], [0, 1, 3], [1, 0, 1]])
+        conjugated = P * unipotent * P.inverse()
+        assert not conjugated.is_lower_triangular()
+        assert not conjugated.transpose().is_lower_triangular()
+        kernels = []
+        original = spectral.kernel
 
-        def no_kernel(M):
-            raise AssertionError("kernel called")
+        def counting(M):
+            kernels.append(M)
+            return original(M)
 
-        monkeypatch.setattr(spectral, "kernel", no_kernel)
-        two = Scalar.from_int(2)
-        assert spectral._certified(unipotent, [(two, 3)]) == [(two, 3, Matrix.identity(3))]
-        assert spectral._certified(split, [(two, 3)]) is None
+        monkeypatch.setattr(spectral, "kernel", counting)
+        precisions = record_neig_precisions(monkeypatch)
+        assert eigenvalues(conjugated, NumericContext(precision=128)) is None
+        assert precisions == [53, 128] and kernels == []
+        # a triangular matrix reads its one value off the diagonal, and the
+        # kernel of (A - 2)^3 = 0 certifies it
+        assert eigenvalues(unipotent, CTX) == [(Scalar.from_int(2), 3, Matrix.identity(3))]
+        assert len(kernels) == 1
 
 
 class TestRefinement:
@@ -284,10 +294,10 @@ class TestRefinement:
                         sol = solve(basis, g * basis)
                         assert sol is not None and (basis * sol - g * basis).is_zero()
                     else:
-                        gn = to_numeric(g, CTX)
+                        gn = to_numeric(g)
                         from lindyn.numeric import nsolve_cols
 
-                        _, resid = nsolve_cols(basis, gn @ basis, CTX)
+                        _, resid = nsolve_cols(basis, gn @ basis)
                         scale = max(1.0, max_abs(gn)) * max(1.0, max_abs(basis))
                         assert resid <= 1e3 * CTX.eps * scale
 
@@ -390,9 +400,9 @@ class TestTriangularize:
         calls = []
         restrict = spectral._block_restriction
 
-        def counting(g, blk, ctx):
-            calls.append((str(blk.basis), id(g)))
-            return restrict(g, blk, ctx)
+        def counting(g, basis, ctx):
+            calls.append((str(basis), id(g)))
+            return restrict(g, basis, ctx)
 
         monkeypatch.setattr(spectral, "_block_restriction", counting)
         G = fixture_by_name("shear3")[0]
@@ -432,8 +442,8 @@ class TestTriangularize:
 class TestErrorPaths:
     def test_cluster_ambiguity_raised(self):
         # double-precision input whose spectrum is split by ~1e-6, right at
-        # the data's own noise band: escalation cannot settle it and the
-        # refinement must say so instead of guessing
+        # the data's own noise band: the refinement must say so instead of
+        # guessing
         from lindyn.errors import ClusterAmbiguity
 
         a, h = 1.0, 1e-12
@@ -482,29 +492,40 @@ class TestHighPrecisionPath:
         blocks = simultaneous_refinement(G, ctx)
         assert sorted(b.dim for b in blocks) == [1, 1]
 
-    @pytest.mark.xfail(
-        raises=NoCommonEigenvector,
-        strict=True,
-        reason="the 128-bit numeric triangularization thresholds the kernel of the "
-        "realified basis against its own complex128 noise and finds it empty",
-    )
     def test_sqrt2_spectrum_at_128_bits(self):
-        # eigenvalues +-sqrt(2): the two eigenlines, found at 53 bits
+        # eigenvalues +-sqrt(2) lie outside the field of the rational entries,
+        # so only a numeric split finds the two eigenlines: at 53 bits.  Above
+        # them the refinement names the error and the precision that splits
         G = group_from_strings("real", [[["0", "2"], ["1", "0"]]])
         assert invariant_family(G, NumericContext()).count == 2
-        assert invariant_family(G, NumericContext(precision=128)).count == 2
+        with pytest.raises(SpectrumNotCertified, match="precision 128.*--precision 53"):
+            invariant_family(G, NumericContext(precision=128))
 
-    @pytest.mark.xfail(
-        raises=AssertionError,
-        strict=True,
-        reason="products of mpmath object arrays round at mpmath's global 53 bits: "
-        "only the decompositions run inside workprec(ctx.precision)",
-    )
-    def test_power_at_128_bits(self):
-        # M^2 has the entry 1 + sqrt(2); at 128 bits it must be off by at most 2^-120
-        ctx = NumericContext(precision=128)
-        M = Matrix.from_rows([["sqrt(2)", "1"], ["0", "1"]])
-        entry = npower(to_numeric(M, ctx), 2, ctx)[0, 1]
-        exact = parse_scalar("1 + sqrt(2)").evaluate(128)
-        with mpmath.workprec(128):
-            assert abs(entry - exact) <= mpmath.mpf(2) ** -120
+    def test_random_families_at_128_bits_are_exact_or_refused(self, monkeypatch):
+        # survey-style families (polynomials in one random integer matrix):
+        # above 53 bits a family is exact throughout or refused by name, and
+        # no numeric split or triangularization runs
+        import lindyn.spectral as spectral
+
+        numeric_calls = []
+        for name in ("_split_numeric", "_triangularize_numeric"):
+            def recording(*args, _name=name, _original=getattr(spectral, name)):
+                numeric_calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(spectral, name, recording)
+        rng = random.Random(5)
+        exact = refused = 0
+        for _ in range(24):
+            G = random_commuting_family(rng, rng.randint(2, 5))
+            try:
+                fam = invariant_family(G, NumericContext(precision=128))
+            except SpectrumNotCertified as exc:
+                assert "--precision 53" in str(exc)
+                refused += 1
+                continue
+            assert all(b.exact for b in fam.blocks)
+            assert all(s.exact for s in fam.subspaces)
+            exact += 1
+        assert numeric_calls == []
+        assert exact >= 3 and refused >= 3, (exact, refused)
