@@ -1,11 +1,20 @@
 """Exact matrices and subspaces over the radical scalar field.
 
-A matrix whose entries are all rational keeps an integer form, computed on
-first use: each row times the lcm of its denominators, with that lcm.  A
-product of two rational matrices sums, in ints, the rows of the right one
-(at one common scale) that the left one's nonzero entries select, and makes
-one Fraction per nonzero result.  Any other product, and ``matvec`` with any
-non-rational operand, runs on term forms, also computed once per matrix:
+A matrix whose entries are all rational has one integer form, its canonical
+integer rows: each row times the lcm of its entries' reduced denominators,
+with that lcm.  Rational results are born in this form: ``*``, ``+``, ``-``
+and ``scale`` by a rational, the stacks, ``transpose``, ``submatrix``,
+``identity`` and ``zeros``, ``kernel`` and ``solve`` on the integer path
+(whose Fraction back-substitution gives the rows directly), and
+``restrict``'s read-off of a rational basis.  Such a matrix builds its
+Scalar rows only when an entry is read; ``==``, ``is_zero``,
+``is_lower_triangular`` and the private-row search read the ints.  A matrix
+made from Scalars (the input, or a basis built from read vectors) computes
+its integer form on first use.  A product of two rational matrices sums, in
+ints, the rows of the right one (at one common scale) that the left one's
+nonzero entries select, and divides each result row by the gcd of its ints
+and its scale.  Any other product, and ``matvec`` with any non-rational
+operand, runs on term forms, also computed once per matrix:
 each entry as its (basis key, int) pairs at the row's common denominator,
 the lcm over all of the row's terms.  The ints are summed per (row, column,
 key) through the key product's integer cofactor, again with one Fraction per
@@ -48,6 +57,8 @@ from .errors import NotInvariant
 from .scalars import _RATIONAL_KEY, Key, Scalar, _mul_key, parse_scalar
 
 Vector = tuple[Scalar, ...]
+# a rational row as ints at one scale, the lcm of its reduced denominators, with it
+IntRow = tuple[list[int], int]
 # a row's entries as (key, int) pairs at one common denominator, with it
 TermRow = tuple[list[tuple[tuple[Key, int], ...]], int]
 
@@ -69,14 +80,25 @@ def _rational(num: int, den: int) -> Scalar:
     return Scalar._canonical({_RATIONAL_KEY: Fraction(num, den)}) if num else _ZERO
 
 
-def _integer_row(row: Sequence[Scalar]) -> tuple[list[int], int] | None:
-    """The row times the lcm of its denominators, with that lcm; None when
-    some entry is not rational."""
+def _fraction_row(row: Sequence[Fraction | int]) -> IntRow:
+    """A row of ints and Fractions times the lcm of its denominators, with
+    that lcm: its canonical integer row."""
+    lcm = math.lcm(*(q.denominator for q in row))
+    return [q.numerator * (lcm // q.denominator) for q in row], lcm
+
+
+def _integer_row(row: Sequence[Scalar]) -> IntRow | None:
+    """The canonical integer row of a row of Scalars; None when some entry is
+    not rational."""
     fracs = [a.rational_value() for a in row]
-    if any(q is None for q in fracs):
-        return None
-    lcm = math.lcm(*(q.denominator for q in fracs))
-    return [q.numerator * (lcm // q.denominator) for q in fracs], lcm
+    return None if any(q is None for q in fracs) else _fraction_row(fracs)
+
+
+def _canonical_row(ints: list[int], den: int) -> IntRow:
+    """The row ``ints / den`` as its canonical integer row: both divided by
+    their gcd, which leaves den the lcm of the entries' reduced denominators."""
+    g = math.gcd(den, *ints)
+    return (ints, den) if g == 1 else ([a // g for a in ints], den // g)
 
 
 def _term_row(row: Sequence[Scalar]) -> TermRow:
@@ -126,7 +148,11 @@ def as_vector(entries: Iterable) -> Vector:
 
 
 class Matrix:
-    """Immutable matrix with Scalar entries."""
+    """Immutable matrix with Scalar entries.
+
+    A rational matrix made by an operation on rational matrices holds only
+    its integer rows; its Scalar rows are built when an entry is first read.
+    """
 
     __slots__ = ("_rows", "_ints", "_term_rows")
 
@@ -139,17 +165,40 @@ class Matrix:
             if any(len(r) != w for r in self._rows):
                 raise ValueError("ragged rows")
 
-    def _integer_form(self) -> list[tuple[list[int], int]] | bool:
-        """The :func:`_integer_row` of each row, computed once; False unless all are rational."""
+    @staticmethod
+    def _of_ints(form: list[IntRow]) -> "Matrix":
+        """The matrix of the given canonical integer rows, with no Scalar rows yet."""
+        M = object.__new__(Matrix)
+        M._rows = None
+        M._ints = form
+        M._term_rows = None
+        return M
+
+    def _integer_form(self) -> list[IntRow] | bool:
+        """The canonical integer rows, computed once; False unless all entries are rational."""
         if self._ints is None:
-            form = [_integer_row(row) for row in self._rows]
-            self._ints = False if None in form else form
+            form = []
+            for row in self._rows:
+                ints = _integer_row(row)
+                if ints is None:
+                    form = False
+                    break
+                form.append(ints)
+            self._ints = form
         return self._ints
+
+    def _ints_at_hand(self) -> list[IntRow] | None:
+        """The integer rows when they are already known, else None."""
+        return self._ints if isinstance(self._ints, list) else None
 
     def _term_form(self) -> list[TermRow]:
         """The :func:`_term_row` of each row, computed once."""
         if self._term_rows is None:
-            self._term_rows = [_term_row(row) for row in self._rows]
+            if self._rows is None:
+                self._term_rows = [([((_RATIONAL_KEY, a),) if a else () for a in ints], den)
+                                   for ints, den in self._ints]
+            else:
+                self._term_rows = [_term_row(row) for row in self._rows]
         return self._term_rows
 
     # -- constructors ---------------------------------------------------
@@ -165,52 +214,74 @@ class Matrix:
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        one, zero = Scalar.one(), Scalar.zero()
-        return Matrix([[one if i == j else zero for j in range(n)] for i in range(n)])
+        return Matrix._of_ints([([int(i == j) for j in range(n)], 1) for i in range(n)])
 
     @staticmethod
     def zeros(r: int, c: int) -> "Matrix":
-        zero = Scalar.zero()
-        return Matrix([[zero] * c for _ in range(r)])
+        return Matrix._of_ints([([0] * c, 1) for _ in range(r)])
 
     # -- shape and access -------------------------------------------------
 
     @property
     def rows(self) -> int:
-        return len(self._rows)
+        return len(self._ints if self._rows is None else self._rows)
 
     @property
     def cols(self) -> int:
+        if self._rows is None:
+            return len(self._ints[0][0]) if self._ints else 0
         return len(self._rows[0]) if self._rows else 0
 
     def __getitem__(self, ij) -> Scalar:
         i, j = ij
+        if self._rows is None:
+            ints, den = self._ints[i]
+            return _rational(ints[j], den)
         return self._rows[i][j]
 
     def col(self, j: int) -> Vector:
-        return tuple(r[j] for r in self._rows)
+        return tuple(r[j] for r in self.entries())
 
     def columns(self) -> list[Vector]:
         return [self.col(j) for j in range(self.cols)]
 
     def entries(self) -> tuple[tuple[Scalar, ...], ...]:
+        if self._rows is None:
+            self._rows = tuple(tuple(_rational(a, den) for a in ints) for ints, den in self._ints)
         return self._rows
 
     # -- arithmetic -------------------------------------------------------
 
+    def _combine(self, other: "Matrix", sign: int) -> "Matrix":
+        """self + sign * other, sign 1 or -1."""
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ValueError("shape mismatch")
+        fa = self._integer_form()
+        fb = fa is not False and other._integer_form()
+        if fb is False:
+            op = operator.add if sign > 0 else operator.sub
+            return Matrix([list(map(op, ra, rb)) for ra, rb in zip(self.entries(), other.entries())])
+        rows = []
+        for (ia, la), (ib, lb) in zip(fa, fb):
+            den = math.lcm(la, lb)
+            ma, mb = den // la, sign * (den // lb)
+            rows.append(_canonical_row([a * ma + b * mb for a, b in zip(ia, ib)], den))
+        return Matrix._of_ints(rows)
+
     def __add__(self, other: "Matrix") -> "Matrix":
-        return Matrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self._rows, other._rows)]
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return Matrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self._rows, other._rows)]
-        )
+        return self._combine(other, -1)
 
     def scale(self, s) -> "Matrix":
         s = _to_scalar(s)
-        return Matrix([[s * a for a in r] for r in self._rows])
+        q = s.rational_value()
+        form = q is not None and self._integer_form()
+        if form is False:
+            return Matrix([[s * a for a in r] for r in self.entries()])
+        return Matrix._of_ints([_canonical_row([a * q.numerator for a in ints], den * q.denominator)
+                                for ints, den in form])
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -231,8 +302,8 @@ class Matrix:
                 if a:
                     for j, b in brow:
                         acc[j] += a * b
-            rows.append([_rational(x, la * scale) for x in acc])
-        return Matrix(rows)
+            rows.append(_canonical_row(acc, la * scale))
+        return Matrix._of_ints(rows)
 
     def matvec(self, v: Sequence[Scalar]) -> Vector:
         fa = self._integer_form()
@@ -244,33 +315,74 @@ class Matrix:
         return tuple(_rational(sum(map(operator.mul, ints, vints)), la * lv) for ints, la in fa)
 
     def transpose(self) -> "Matrix":
-        return Matrix(list(map(list, zip(*self._rows)))) if self._rows else self
+        form = self._ints_at_hand()
+        if form is None:
+            rows = self.entries()
+            return Matrix(list(map(list, zip(*rows)))) if rows else self
+        den = math.lcm(*(lcm for _, lcm in form))
+        scaled = [[a * (den // lcm) for a in ints] for ints, lcm in form]
+        return Matrix._of_ints([_canonical_row(list(col), den) for col in zip(*scaled)])
 
     def conjugate(self) -> "Matrix":
+        if self._rows is None:
+            return self
         return Matrix([[a.conjugate() for a in r] for r in self._rows])
 
     def hstack(self, other: "Matrix") -> "Matrix":
-        return Matrix([ra + rb for ra, rb in zip(self._rows, other._rows)])
+        if self.rows != other.rows:
+            raise ValueError("shape mismatch")
+        fa, fb = self._ints_at_hand(), other._ints_at_hand()
+        if fa is None or fb is None:
+            return Matrix([ra + rb for ra, rb in zip(self.entries(), other.entries())])
+        rows = []
+        for (ia, la), (ib, lb) in zip(fa, fb):
+            den = math.lcm(la, lb)
+            rows.append(_canonical_row([a * (den // la) for a in ia] + [b * (den // lb) for b in ib],
+                                       den))
+        return Matrix._of_ints(rows)
 
     def vstack(self, other: "Matrix") -> "Matrix":
-        return Matrix(self._rows + other._rows)
+        fa, fb = self._ints_at_hand(), other._ints_at_hand()
+        if fa is None or fb is None:
+            return Matrix(self.entries() + other.entries())
+        return Matrix._of_ints(fa + fb)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
-        return Matrix([[self._rows[i][j] for j in col_idx] for i in row_idx])
+        form = self._ints_at_hand()
+        if form is None:
+            rows = self.entries()
+            return Matrix([[rows[i][j] for j in col_idx] for i in row_idx])
+        return Matrix._of_ints([_canonical_row([form[i][0][j] for j in col_idx], form[i][1])
+                                for i in row_idx])
 
     def __eq__(self, other):
-        return isinstance(other, Matrix) and self._rows == other._rows
+        if not isinstance(other, Matrix):
+            return False
+        if self._rows is not None and other._rows is not None:
+            return self._rows == other._rows
+        # one side is rational and has only its integer rows
+        fa, fb = self._integer_form(), other._integer_form()
+        return fa is not False and fb is not False and fa == fb
 
     def __hash__(self):
-        return hash(self._rows)
+        form = self._integer_form()
+        if form is False:
+            return hash(self._rows)
+        return hash(tuple((tuple(ints), den) for ints, den in form))
 
     def is_zero(self) -> bool:
+        form = self._ints_at_hand()
+        if form is not None:
+            return not any(any(ints) for ints, _ in form)
         return all(a.is_zero() for r in self._rows for a in r)
 
     def is_real(self) -> bool:
-        return all(a.is_real() for r in self._rows for a in r)
+        return self._rows is None or all(a.is_real() for r in self._rows for a in r)
 
     def is_lower_triangular(self) -> bool:
+        form = self._ints_at_hand()
+        if form is not None:
+            return not any(any(ints[i + 1:]) for i, (ints, _) in enumerate(form))
         return all(
             self._rows[i][j].is_zero()
             for i in range(self.rows)
@@ -281,8 +393,8 @@ class Matrix:
         """The repeated diagonal value, or None if the diagonal varies."""
         if self.rows != self.cols or self.rows == 0:
             return None
-        mu = self._rows[0][0]
-        return mu if all(self._rows[i][i] == mu for i in range(self.rows)) else None
+        mu = self[0, 0]
+        return mu if all(self[i, i] == mu for i in range(self.rows)) else None
 
     # -- elimination-based operations --------------------------------------
 
@@ -328,16 +440,16 @@ class Matrix:
 
     def to_complex_array(self) -> np.ndarray:
         return np.array(
-            [[a.to_complex() for a in r] for r in self._rows], dtype=complex
+            [[a.to_complex() for a in r] for r in self.entries()], dtype=complex
         )
 
     def max_abs(self) -> float:
         """Largest entry magnitude (double precision estimate)."""
-        vals = [abs(a.to_complex()) for r in self._rows for a in r]
+        vals = [abs(a.to_complex()) for r in self.entries() for a in r]
         return max(vals, default=0.0)
 
     def __repr__(self):
-        body = "; ".join(", ".join(str(a) for a in r) for r in self._rows)
+        body = "; ".join(", ".join(str(a) for a in r) for r in self.entries())
         return f"Matrix[{body}]"
 
 
@@ -442,11 +554,14 @@ def kernel(M: Matrix) -> "Subspace":
     n = M.cols
     if M.rows == 0 or n == 0:
         return Subspace(n, Matrix.identity(n))
-    ech, pivots, _ = _forward_echelon(*_elimination_rows(M))
+    rows, integer = _elimination_rows(M)
+    ech, pivots, _ = _forward_echelon(rows, integer)
     free = [c for c in range(n) if c not in pivots]
+    if not free:
+        return Subspace(n, Matrix.zeros(n, 0))
     basis_cols = [[int(c == fc) for c in range(n)] for fc in free]
     _back_substitute(ech, pivots, [[0] * len(pivots)] * len(free), basis_cols)
-    return Subspace(n, Matrix.from_cols(basis_cols) if basis_cols else Matrix.zeros(n, 0))
+    return Subspace(n, _matrix_of_cols(basis_cols, integer))
 
 
 def rational_kernel(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
@@ -479,7 +594,17 @@ def solve(A: Matrix, B: Matrix) -> Matrix | None:
         if any(ech[i][j] for j in range(k, k + B.cols)):
             return None
     rhs = [[row[k + bc] for row in ech] for bc in range(B.cols)]
-    return Matrix.from_cols(_back_substitute(ech, pivots, rhs, [[0] * k for _ in rhs]))
+    return _matrix_of_cols(_back_substitute(ech, pivots, rhs, [[0] * k for _ in rhs]),
+                           fb is not False)
+
+
+def _matrix_of_cols(cols: list[list], integer: bool) -> Matrix:
+    """The matrix with these back-substituted columns; on the integer path
+    they hold ints and Fractions, and its canonical integer rows are read
+    off them directly."""
+    if not integer:
+        return Matrix.from_cols(cols)
+    return Matrix._of_ints([_fraction_row(row) for row in zip(*cols)])
 
 
 # -- subspaces and basis changes ---------------------------------------------
@@ -509,8 +634,10 @@ def _private_rows(M: Matrix) -> list[int] | None:
     private row, so its coefficients are all zero: the columns are
     independent, certified without elimination.
     """
+    form = M._ints_at_hand()
+    rows = M.entries() if form is None else [ints for ints, _ in form]
     found: dict[int, int] = {}
-    for i, row in enumerate(M.entries()):
+    for i, row in enumerate(rows):
         nonzero = [j for j, a in enumerate(row) if a]
         if len(nonzero) == 1:
             found.setdefault(nonzero[0], i)
@@ -619,8 +746,21 @@ def restrict(A: Matrix, basis: Matrix) -> Matrix:
         return Matrix.zeros(0, 0)
     target = A * basis
     private = _private_rows(basis)
+    fb, ft = basis._ints_at_hand(), target._ints_at_hand()
     if private is None:
         sol = solve(basis, target)
+    elif fb is not None and ft is not None:
+        # basis[r, j] is c / den, the row's only nonzero; X[j] = (A basis)[r] den / c
+        rows = []
+        for j, r in enumerate(private):
+            c, den = fb[r][0][j], fb[r][1]
+            ints, lcm = ft[r]
+            if c == den:
+                rows.append(ft[r])
+            else:
+                m = den if c > 0 else -den
+                rows.append(_canonical_row([a * m for a in ints], lcm * abs(c)))
+        sol = Matrix._of_ints(rows)
     else:
         image = target.entries()
         rows = []

@@ -616,21 +616,20 @@ def leading_one(col) -> list[Scalar]:
 
 
 def _triangularize_exact(restrictions: list[Matrix], mus: list[Scalar]):
-    d = restrictions[0].rows if restrictions else 0
+    d = restrictions[0].rows  # a group has at least one generator
     nils = [R - Matrix.identity(d).scale(mu) for R, mu in zip(restrictions, mus)]
     layers: list[list] = []
     current: list = []  # basis vectors (columns) of the current flag subspace
     flag = RowEchelon()  # the span of current, for independence tests
     while len(current) < d:
         if current:
-            ann = kernel(Matrix.from_cols(current).transpose()).basis.transpose()
+            ann = kernel(Matrix(current)).basis.transpose()
         else:
             ann = Matrix.identity(d)
-        stacked_rows = []
-        for N in nils:
-            prod = ann * N
-            stacked_rows.extend(prod.entries())
-        V = kernel(Matrix(stacked_rows))
+        stacked = ann * nils[0]
+        for N in nils[1:]:
+            stacked = stacked.vstack(ann * N)
+        V = kernel(stacked)
         new_vecs = [v for v in V.basis.columns() if flag.insert(v)]
         if not new_vecs:
             raise NoCommonEigenvector(
@@ -647,9 +646,11 @@ def _triangularize_exact(restrictions: list[Matrix], mus: list[Scalar]):
     # every generator's triangular matrix from one solve, which eliminates P
     # once: P [T_1 | ... | T_k] = [R_1 P | ... | R_k P].  P is invertible, as
     # the flag took each of its columns only when independent of the others
-    images = [(R * P).entries() for R in restrictions]
-    X = solve(P, Matrix([sum(rows, ()) for rows in zip(*images)]))
-    tri = [X.submatrix(range(d), range(i * d, (i + 1) * d)) for i in range(len(images))]
+    images = restrictions[0] * P
+    for R in restrictions[1:]:
+        images = images.hstack(R * P)
+    X = solve(P, images)
+    tri = [X.submatrix(range(d), range(i * d, (i + 1) * d)) for i in range(len(restrictions))]
     if not all(T.is_lower_triangular() for T in tri):
         raise NoCommonEigenvector("exact triangularization failed")
     return P, tri

@@ -45,6 +45,10 @@ GOLDEN_REPORT_SHA256 = {
     "diag6-p53": "f361899897b76cfb02454abfd996898ca576ec4c6d5d69cec323520c59f0488b",
     "jordan-real4-0": "257b96d5de589c4e215eee1f4e6d11d6997ee7147714bbd927ea17ca61ad61ec",
     "jordan-real4-1": "12df06169141d1f78931d4c30600fc6dddec6fa7505788c1cf011dc4edc9f199",
+    "bench1-sform8": "90b6b4445564f1a39392f441359aeb0d07f863585f5ac96a4bfe1568119f200d",
+    "bench1-sform8-p53": "dd0a90e58865e351d01345ead6490fba69e09f8266370f5d4b53894bc97c0ba0",
+    "bench1-diag5": "9168978abbf346a596d8be0122dd5bc9804d548084478e302b7c782d6596ba42",
+    "bench1-diag5-p53": "b61dcea4ed347dc82f471c7106f1ba1f7dcbe615f7f16e6bb9af29d13b70cfd5",
 }
 
 # Inline real documents (a list of generators) and their extra CLI arguments;
@@ -142,6 +146,32 @@ SPLIT_DEFECTIVE = {
 # functionals F.
 for _name, _gens in SPLIT_DEFECTIVE.items():
     INLINE_DOCUMENTS[_name] = (_gens, [])
+
+
+def _diagonal(*d) -> list[list[str]]:
+    return [[d[i] if i == j else "0" for j in range(len(d))] for i in range(len(d))]
+
+
+# The generators of the structure-rational benchmark documents sform8 and diag5
+# of seed 1 (their points left out): a full S-form chain of depth 8 and five
+# coordinate hyperplanes at every level.  Recorded at both precisions before
+# rational matrix results were built directly as integer rows.
+BENCH_RATIONAL = {
+    "bench1-sform8": [
+        [["1", "0", "0", "0", "0", "0", "0", "0"], ["-1", "1", "0", "0", "0", "0", "0", "0"],
+         ["0", "2", "1", "0", "0", "0", "0", "0"], ["-1", "5", "-2", "1", "0", "0", "0", "0"],
+         ["3", "0", "-2", "-1", "1", "0", "0", "0"], ["8", "1", "-3", "-3", "-1", "1", "0", "0"],
+         ["10", "-6", "0", "0", "-1", "1", "1", "0"], ["-3", "-1", "-4", "-2", "3", "-2", "2", "1"]],
+        [["1", "0", "0", "0", "0", "0", "0", "0"], ["-1", "1", "0", "0", "0", "0", "0", "0"],
+         ["-4", "2", "1", "0", "0", "0", "0", "0"], ["5", "-3", "-2", "1", "0", "0", "0", "0"],
+         ["1", "-2", "2", "-1", "1", "0", "0", "0"], ["-12", "3", "5", "-1", "-1", "1", "0", "0"],
+         ["-6", "6", "2", "0", "-3", "1", "1", "0"], ["-1", "-1", "4", "0", "-5", "2", "2", "1"]],
+    ],
+    "bench1-diag5": [_diagonal("-3", "11", "5", "-7", "2"), _diagonal("-2", "2", "3", "1", "-1")],
+}
+for _name, _gens in BENCH_RATIONAL.items():
+    INLINE_DOCUMENTS[_name] = (_gens, [])
+    INLINE_DOCUMENTS[f"{_name}-p53"] = (_gens, ["--precision", "53"])
 
 
 def run_cli(args, cwd=None):

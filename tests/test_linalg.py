@@ -659,3 +659,194 @@ class TestRestrictByPrivateRows:
             monkeypatch.setattr(linalg, "solve", no_solve)
             assert restrict(A, B) == expected
             monkeypatch.undo()
+
+
+# -- rational results born in integer rows --------------------------------------
+
+
+def _frac(M: Matrix) -> list[list[Fraction]]:
+    return [[x.rational_value() for x in row] for row in M.entries()]
+
+
+def _fraction_restriction(rng, make, n, k, private):
+    """A rational n x k basis B, a k x k matrix X and an n x n A with A B = B X.
+
+    With ``private`` each column j of B has a private row (a row where only
+    column j is nonzero), and without it no column has one.  A = B X C +
+    W (I - B C) for a left inverse C of B, so X is the one restriction of A
+    to the span of B.
+    """
+    while True:
+        B = make(rng, n, k)
+        if private:
+            for j, r in enumerate(rng.sample(range(n), k)):
+                B[r] = [Fraction(0)] * k
+                B[r][j] = rng.choice([Fraction(1), Fraction(-7, 3), Fraction(2**200 + 1, 5)])
+        elif linalg._private_rows(Matrix.from_rows(B)) is not None:
+            continue
+        Bt = [list(col) for col in zip(*B)]
+        gram = _fraction_matmul(Bt, B, k)
+        C = _oracle_solve(gram, Bt, k)
+        if len(_gauss_jordan(B)[1]) == k and C is not None:
+            break
+    C = _frac(C)
+    X = make(rng, k, k)
+    BC = _fraction_matmul(B, C, n)
+    eye_minus_bc = [[Fraction(int(i == j)) - BC[i][j] for j in range(n)] for i in range(n)]
+    A = [[a + b for a, b in zip(ra, rb)] for ra, rb in
+         zip(_fraction_matmul(_fraction_matmul(B, X, k), C, n),
+             _fraction_matmul(make(rng, n, n), eye_minus_bc, n))]
+    return A, B, X
+
+
+class TestIntegerRows:
+    """Rational results hold canonical integer rows, matched against
+    ``Matrix.from_rows`` of the Fractions of their entries."""
+
+    SHAPES = [(0, 0), (3, 0), (1, 1), (1, 4), (4, 1), (2, 5), (3, 3), (4, 4)]
+
+    def _check(self, got: Matrix, rows: list[list[Fraction]]):
+        """got is born in integer rows, canonical ones, and agrees with the oracle."""
+        assert got._rows is None
+        for ints, den in got._ints:
+            assert linalg._fraction_row([Fraction(a, den) for a in ints]) == (ints, den)
+        oracle = Matrix.from_rows(rows)
+        assert got == oracle and oracle == got
+        assert hash(got) == hash(oracle)
+        assert got.rows == oracle.rows and got.cols == oracle.cols
+        assert got.entries() == oracle.entries()
+
+    def test_operations_agree_with_fraction_oracle(self):
+        rng = random.Random(577215)
+        half = Fraction(1, 2)
+        for _ in range(6):
+            for make in (_random_rational_rows, _wide_rational_rows):
+                for r, c in self.SHAPES:
+                    a, b = make(rng, r, c), make(rng, r, c)
+                    if r:
+                        a[0] = [Fraction(0)] * c  # a zero row
+                    A, B = Matrix.from_rows(a), Matrix.from_rows(b)
+                    k = rng.randint(1, 4) if c else 0  # no rows, so no columns either
+                    d = make(rng, c, k)
+                    self._check(A * Matrix.from_rows(d), _fraction_matmul(a, d, k))
+                    self._check(A + B, [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
+                    self._check(A - B, [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
+                    for q in (Fraction(0), Fraction(-3, 7), Fraction(2**200 - 1, 3**40)):
+                        self._check(A.scale(q), [[q * x for x in row] for row in a])
+                    AB = A + B  # integer rows on both sides of the stacks
+                    ab = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+                    self._check(AB.vstack(A.scale(half)), ab + [[half * x for x in row] for row in a])
+                    self._check(AB.hstack(B.scale(half)),
+                                [ra + [half * x for x in rb] for ra, rb in zip(ab, b)])
+                    self._check(AB.transpose(), [list(col) for col in zip(*ab)] if c else [])
+                    rs = sorted(rng.sample(range(r), rng.randint(1, r))) if r else []
+                    cs = sorted(rng.sample(range(c), rng.randint(1, c))) if c else []
+                    self._check(AB.submatrix(rs, cs), [[ab[i][j] for j in cs] for i in rs])
+                    if r and c:
+                        m = make(rng, r, r)
+                        self._check(kernel(A).basis, _frac(_oracle_kernel(a, c)))
+                        x = _oracle_solve(m, b, r)
+                        if x is not None:
+                            self._check(solve(Matrix.from_rows(m), B), _frac(x))
+            for n in range(5):
+                self._check(Matrix.identity(n), [[Fraction(int(i == j)) for j in range(n)]
+                                                 for i in range(n)])
+                self._check(Matrix.zeros(n, 2), [[Fraction(0)] * 2 for _ in range(n)])
+
+    def test_restrict_agrees_with_fraction_oracle(self):
+        rng = random.Random(662607)
+        routes = set()
+        for make in (_random_rational_rows, _wide_rational_rows):
+            for private in (True, False):
+                for _ in range(4):
+                    n = rng.randint(3, 4)
+                    k = rng.randint(1 if private else 2, n - 1)
+                    a, b, x = _fraction_restriction(rng, make, n, k, private)
+                    B = Matrix.from_rows(b)
+                    routes.add("solve" if linalg._private_rows(B) is None else "read off")
+                    self._check(restrict(Matrix.from_rows(a), B), x)
+        assert routes == {"read off", "solve"}
+
+    def test_mixed_forms_compare_and_hash(self):
+        rng = random.Random(1618)
+        for make in (_random_rational_rows, _wide_rational_rows):
+            rows = make(rng, 3, 3)
+            born = Matrix.from_rows(rows) * Matrix.identity(3)  # integer rows only
+            read = Matrix(Matrix.from_rows(rows).entries())  # Scalar rows only
+            assert born == read and read == born and hash(born) == hash(read)
+            other = [list(row) for row in rows]
+            other[2][1] += Fraction(1, 3)
+            assert born != Matrix.from_rows(other) and Matrix.from_rows(other) != born
+            radical = [list(row) for row in rows]
+            radical[1][1] = "sqrt(2)"
+            assert born != Matrix.from_rows(radical) and Matrix.from_rows(radical) != born
+        # shapes: 2x0 and 3x0 differ, a matrix without rows has no columns
+        assert Matrix.zeros(2, 0) != Matrix.zeros(3, 0)
+        assert Matrix.zeros(0, 4) == Matrix([]) and hash(Matrix.zeros(0, 4)) == hash(Matrix([]))
+
+
+class TestShapeMismatch:
+    """Sums, differences and hstack refuse operands of different shapes."""
+
+    def test_sum_difference_and_hstack_raise(self):
+        row = Matrix.from_rows([[1, 2]])
+        col = Matrix.from_rows([[1], [2]])
+        square = Matrix.from_rows([[1, 2], [3, 4]])
+        radical = Matrix.from_rows([["sqrt(2)", "1"]])
+        for A, B in ((row, col), (col, row), (row, square), (radical, col),
+                     (row * Matrix.identity(2), col * Matrix.identity(1))):
+            with pytest.raises(ValueError, match="shape mismatch"):
+                A - B
+            with pytest.raises(ValueError, match="shape mismatch"):
+                A + B
+        for A, B in ((row, square), (square, row), (radical, square), (col, row)):
+            with pytest.raises(ValueError, match="shape mismatch"):
+                A.hstack(B)
+        assert square.hstack(col) == Matrix.from_rows([[1, 2, 1], [3, 4, 2]])
+
+
+class TestBornInIntegerRows:
+    """A chain of rational operations converts nothing: no intermediate result
+    has its integer rows rebuilt from Scalars, and no Scalar is made until an
+    entry is read."""
+
+    def test_chain_builds_no_scalar_until_read(self, monkeypatch):
+        rng = random.Random(8128)
+        A, B = (Matrix.from_rows(_random_rational_rows(rng, 4, 4)) for _ in range(2))
+        # rank 2: the second row is twice the first, the last the sum of the first and third
+        N = Matrix.from_rows([[1, 2, 0, -1], [2, 4, 0, -2], [0, 1, "1/2", 3], [1, 3, "1/2", 2]])
+        P = Matrix.from_rows([[2, 1, 0, 0], [0, 1, 0, 3], [1, 0, 1, 0], [0, 0, 1, 1]])
+        Q = Matrix.from_rows([[1, 1], [1, 2]])
+        s = Scalar.from_fraction(Fraction(-3, 7))
+        minus_s = -s
+        for M in (A, B, N, P, Q):  # the inputs' integer rows, once
+            assert M._integer_form() is not False
+        made = []
+        original_canonical, original_init = Scalar._canonical, Scalar.__init__
+
+        def canonical(terms):
+            made.append(terms)
+            return original_canonical(terms)
+
+        def init(self, terms=None):
+            made.append(terms)
+            original_init(self, terms)
+
+        def no_integer_row(row):
+            raise AssertionError("integer rows rebuilt from Scalars")
+
+        monkeypatch.setattr(Scalar, "_canonical", staticmethod(canonical))
+        monkeypatch.setattr(Scalar, "__init__", init)
+        monkeypatch.setattr(linalg, "_integer_row", no_integer_row)
+        C = A * B - B.scale(s)
+        M = N - Matrix.identity(4).scale(s)  # -s on ker N
+        K = kernel(N * P * P.inverse()).basis  # private rows: a unit at each free coordinate
+        X = solve(P, C * K)
+        R = restrict(M, K)
+        dense = K * Q
+        assert linalg._private_rows(dense) is None  # so restrict solves
+        R2 = restrict(M, dense)
+        assert P * X == C * K
+        assert R == R2 == Matrix.identity(2).scale(minus_s)
+        assert made == []
+        assert R[0, 0] == minus_s and made  # reading an entry makes its Scalar

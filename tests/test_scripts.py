@@ -169,3 +169,31 @@ def test_bench_pairs_summarizes_a_saved_file(tmp_path):
         "  wall_s: 0.195 [0.1825, 0.2075] -> 0.165 [0.1525, 0.2075] s (change better in 3/4)",
         "  ok_frac: 1 [1, 1] -> 1 [1, 1] frac (change better in 0/4)",
     ]
+
+
+def test_same_bytes_on_one_fixture(tmp_path):
+    # the checkout against itself: no case differs
+    proc = run_script("same_bytes.py", "--parent", str(ROOT), "--change", str(ROOT),
+                      "--seeds", "", "--match", "fixture-shear3")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "4 cases, 0 exit nonzero on both sides, 0 differ\n"
+    # a checkout whose lindyn prints one byte and fails the 53-bit runs
+    fake = tmp_path / "src" / "lindyn"
+    fake.mkdir(parents=True)
+    (fake / "__init__.py").write_text("")
+    (fake / "cli.py").write_text(
+        "import sys\n"
+        "def main(argv):\n"
+        "    sys.stdout.write('x')\n"
+        "    return 1 if '53' in argv else 0\n"
+    )
+    proc = run_script("same_bytes.py", "--parent", str(tmp_path), "--change", str(ROOT),
+                      "--seeds", "", "--match", "fixture-shear3")
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "DIFFERS analyze fixture-shear3.json --precision 53: exit, stdout",
+        "DIFFERS analyze fixture-shear3.json --precision 128: stdout",
+        "DIFFERS analyze fixture-shear3.json --classify-points --precision 53: exit, stdout",
+        "DIFFERS analyze fixture-shear3.json --classify-points --precision 128: stdout",
+        "4 cases, 0 exit nonzero on both sides, 4 differ",
+    ]
