@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Check that two checkouts of lindyn print the same bytes.
 
-    python3 scripts/same_bytes.py --parent ../parent --change . --seeds 1-2
+    python3 scripts/same_bytes.py --parent ../parent --change .
 
 The cases are ``lindyn analyze`` at ``--precision`` 53 and 128 on the four
 fixtures and on every document that ``benchmark/gen.py`` (of the change,
-imported read-only) makes for the given seeds, duplicates dropped;
+imported read-only) makes for seeds 1 and 2, duplicates dropped;
 ``analyze --classify-points`` on the fixtures at both precisions; and
 ``verify-examples``.  The documents are written once to a temporary
 directory, so both sides read the same files.  Each checkout runs every case
@@ -13,8 +13,7 @@ in one interpreter, through ``lindyn.cli.main`` with its own ``src`` first
 on the path, and records the exit code, stdout and stderr; an exception that
 escapes ``main`` is recorded as exit ``"raised"`` with its traceback as
 stderr.  The script prints one line per case that differs and exits 1 when
-any does, 0 when none does.  ``--match TEXT`` keeps only the cases whose id
-contains TEXT.
+any does, 0 when none does.
 """
 
 from __future__ import annotations
@@ -32,15 +31,7 @@ import traceback
 
 FIXTURE_NAMES = ("shear3", "shear4", "cshear5", "radical4")
 PRECISIONS = ("53", "128")
-
-
-def parse_seeds(text: str) -> list[int]:
-    """'1-2' or '1,3' or a mix; the empty string is no seed."""
-    seeds = []
-    for part in filter(None, text.split(",")):
-        lo, _, hi = part.partition("-")
-        seeds.extend(range(int(lo), int(hi or lo) + 1))
-    return seeds
+SEEDS = (1, 2)
 
 
 def load_gen(change: str):
@@ -51,7 +42,7 @@ def load_gen(change: str):
     return module
 
 
-def write_documents(change: str, seeds: list[int], outdir: str) -> tuple[list[str], list[str]]:
+def write_documents(change: str, outdir: str) -> tuple[list[str], list[str]]:
     """Write the fixtures and the generated documents to ``outdir``, each
     distinct document once; returns the fixture paths and the generated paths."""
     fixtures, generated, seen = [], [], set()
@@ -63,8 +54,8 @@ def write_documents(change: str, seeds: list[int], outdir: str) -> tuple[list[st
         with open(path, "w") as fh:
             fh.write(text)
         fixtures.append(path)
-    gen = load_gen(change) if seeds else None
-    for seed in seeds:
+    gen = load_gen(change)
+    for seed in SEEDS:
         for workload, make in gen.WORKLOADS.items():
             docs, _ = make(seed)
             for name, doc in docs.items():
@@ -135,8 +126,8 @@ def differences(cases: list[list[str]], parent: list[dict], change: list[dict]) 
 def worker(cases_path: str) -> int:
     import lindyn
 
-    src = os.path.join(os.getcwd(), "src")
-    if not os.path.abspath(lindyn.__file__).startswith(src + os.sep):
+    src = os.path.realpath(os.path.join(os.getcwd(), "src"))
+    if not os.path.realpath(lindyn.__file__).startswith(src + os.sep):
         print(f"lindyn imported from {lindyn.__file__}, not from {src}", file=sys.stderr)
         return 2
     with open(cases_path) as fh:
@@ -150,9 +141,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", help="root of the parent checkout")
     ap.add_argument("--change", default=".", help="root of the changed checkout (default .)")
-    ap.add_argument("--seeds", default="1-2",
-                    help="benchmark seeds, e.g. 1-2 or 1,3; empty for none (default 1-2)")
-    ap.add_argument("--match", default="", help="run only the cases whose id contains this")
     ap.add_argument("--worker", metavar="CASES", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.worker:
@@ -160,8 +148,8 @@ def main(argv=None) -> int:
     if not args.parent:
         ap.error("--parent is required")
     with tempfile.TemporaryDirectory() as tmp:
-        fixtures, generated = write_documents(args.change, parse_seeds(args.seeds), tmp)
-        cases = [c for c in build_cases(fixtures, generated) if args.match in case_id(c)]
+        fixtures, generated = write_documents(args.change, tmp)
+        cases = build_cases(fixtures, generated)
         cases_path = os.path.join(tmp, "cases.json")
         with open(cases_path, "w") as fh:
             json.dump(cases, fh)

@@ -7,15 +7,17 @@ and ``scale`` by a rational, the stacks, ``transpose``, ``submatrix``,
 ``identity`` and ``zeros``, ``kernel`` and ``solve`` on the integer path
 (whose Fraction back-substitution gives the rows directly), and
 ``restrict``'s read-off of a rational basis.  Such a matrix builds its
-Scalar rows only when an entry is read; ``==``, ``is_zero``,
-``is_lower_triangular`` and the private-row search read the ints.  A matrix
-made from Scalars (the input, or a basis built from read vectors) computes
-its integer form on first use.  A product of two rational matrices sums, in
-ints, the rows of the right one (at one common scale) that the left one's
-nonzero entries select, and divides each result row by the gcd of its ints
-and its scale.  Any other product, and ``matvec`` with any non-rational
-operand, runs on term forms, also computed once per matrix:
-each entry as its (basis key, int) pairs at the row's common denominator,
+Scalar rows only when an entry is read.  A matrix made from Scalars (the
+input, or a basis built from read vectors) computes its integer form on
+first use.  Whichever way a matrix was made, the rule is the same: when it
+is rational, every operation above, ``==``, ``is_zero``,
+``is_lower_triangular`` and the private-row search run on its ints.
+
+A product of two rational matrices sums, in ints, the rows of the right one
+(at one common scale) that the left one's nonzero entries select, and
+divides each result row by the gcd of its ints and its scale.  Any other
+product, and ``matvec`` with any non-rational operand, runs on term forms,
+also computed once per matrix: each entry as its (basis key, int) pairs at the row's common denominator,
 the lcm over all of the row's terms.  The ints are summed per (row, column,
 key) through the key product's integer cofactor, again with one Fraction per
 nonzero result term.
@@ -187,10 +189,6 @@ class Matrix:
             self._ints = form
         return self._ints
 
-    def _ints_at_hand(self) -> list[IntRow] | None:
-        """The integer rows when they are already known, else None."""
-        return self._ints if isinstance(self._ints, list) else None
-
     def _term_form(self) -> list[TermRow]:
         """The :func:`_term_row` of each row, computed once."""
         if self._term_rows is None:
@@ -315,8 +313,8 @@ class Matrix:
         return tuple(_rational(sum(map(operator.mul, ints, vints)), la * lv) for ints, la in fa)
 
     def transpose(self) -> "Matrix":
-        form = self._ints_at_hand()
-        if form is None:
+        form = self._integer_form()
+        if form is False:
             rows = self.entries()
             return Matrix(list(map(list, zip(*rows)))) if rows else self
         den = math.lcm(*(lcm for _, lcm in form))
@@ -324,15 +322,16 @@ class Matrix:
         return Matrix._of_ints([_canonical_row(list(col), den) for col in zip(*scaled)])
 
     def conjugate(self) -> "Matrix":
-        if self._rows is None:
+        if self._integer_form() is not False:
             return self
         return Matrix([[a.conjugate() for a in r] for r in self._rows])
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise ValueError("shape mismatch")
-        fa, fb = self._ints_at_hand(), other._ints_at_hand()
-        if fa is None or fb is None:
+        fa = self._integer_form()
+        fb = fa is not False and other._integer_form()
+        if fb is False:
             return Matrix([ra + rb for ra, rb in zip(self.entries(), other.entries())])
         rows = []
         for (ia, la), (ib, lb) in zip(fa, fb):
@@ -342,14 +341,17 @@ class Matrix:
         return Matrix._of_ints(rows)
 
     def vstack(self, other: "Matrix") -> "Matrix":
-        fa, fb = self._ints_at_hand(), other._ints_at_hand()
-        if fa is None or fb is None:
+        if self.rows and other.rows and self.cols != other.cols:
+            raise ValueError("shape mismatch")
+        fa = self._integer_form()
+        fb = fa is not False and other._integer_form()
+        if fb is False:
             return Matrix(self.entries() + other.entries())
         return Matrix._of_ints(fa + fb)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
-        form = self._ints_at_hand()
-        if form is None:
+        form = self._integer_form()
+        if form is False:
             rows = self.entries()
             return Matrix([[rows[i][j] for j in col_idx] for i in row_idx])
         return Matrix._of_ints([_canonical_row([form[i][0][j] for j in col_idx], form[i][1])
@@ -358,11 +360,10 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return False
-        if self._rows is not None and other._rows is not None:
-            return self._rows == other._rows
-        # one side is rational and has only its integer rows
         fa, fb = self._integer_form(), other._integer_form()
-        return fa is not False and fb is not False and fa == fb
+        if fa is False and fb is False:
+            return self._rows == other._rows
+        return fa == fb
 
     def __hash__(self):
         form = self._integer_form()
@@ -371,17 +372,17 @@ class Matrix:
         return hash(tuple((tuple(ints), den) for ints, den in form))
 
     def is_zero(self) -> bool:
-        form = self._ints_at_hand()
-        if form is not None:
+        form = self._integer_form()
+        if form is not False:
             return not any(any(ints) for ints, _ in form)
         return all(a.is_zero() for r in self._rows for a in r)
 
     def is_real(self) -> bool:
-        return self._rows is None or all(a.is_real() for r in self._rows for a in r)
+        return self._integer_form() is not False or all(a.is_real() for r in self._rows for a in r)
 
     def is_lower_triangular(self) -> bool:
-        form = self._ints_at_hand()
-        if form is not None:
+        form = self._integer_form()
+        if form is not False:
             return not any(any(ints[i + 1:]) for i, (ints, _) in enumerate(form))
         return all(
             self._rows[i][j].is_zero()
@@ -634,8 +635,8 @@ def _private_rows(M: Matrix) -> list[int] | None:
     private row, so its coefficients are all zero: the columns are
     independent, certified without elimination.
     """
-    form = M._ints_at_hand()
-    rows = M.entries() if form is None else [ints for ints, _ in form]
+    form = M._integer_form()
+    rows = M.entries() if form is False else [ints for ints, _ in form]
     found: dict[int, int] = {}
     for i, row in enumerate(rows):
         nonzero = [j for j, a in enumerate(row) if a]
@@ -746,10 +747,11 @@ def restrict(A: Matrix, basis: Matrix) -> Matrix:
         return Matrix.zeros(0, 0)
     target = A * basis
     private = _private_rows(basis)
-    fb, ft = basis._ints_at_hand(), target._ints_at_hand()
+    fb = basis._integer_form()
+    ft = fb is not False and target._integer_form()
     if private is None:
         sol = solve(basis, target)
-    elif fb is not None and ft is not None:
+    elif ft is not False:
         # basis[r, j] is c / den, the row's only nonzero; X[j] = (A basis)[r] den / c
         rows = []
         for j, r in enumerate(private):

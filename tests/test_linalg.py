@@ -738,10 +738,15 @@ class TestIntegerRows:
                     self._check(AB.vstack(A.scale(half)), ab + [[half * x for x in row] for row in a])
                     self._check(AB.hstack(B.scale(half)),
                                 [ra + [half * x for x in rb] for ra, rb in zip(ab, b)])
+                    # operands made from Scalars take the same integer path
+                    self._check(A.vstack(B), a + b)
+                    self._check(A.hstack(B), [ra + rb for ra, rb in zip(a, b)])
+                    self._check(A.transpose(), [list(col) for col in zip(*a)] if c else [])
                     self._check(AB.transpose(), [list(col) for col in zip(*ab)] if c else [])
                     rs = sorted(rng.sample(range(r), rng.randint(1, r))) if r else []
                     cs = sorted(rng.sample(range(c), rng.randint(1, c))) if c else []
                     self._check(AB.submatrix(rs, cs), [[ab[i][j] for j in cs] for i in rs])
+                    self._check(A.submatrix(rs, cs), [[a[i][j] for j in cs] for i in rs])
                     if r and c:
                         m = make(rng, r, r)
                         self._check(kernel(A).basis, _frac(_oracle_kernel(a, c)))
@@ -774,6 +779,12 @@ class TestIntegerRows:
             born = Matrix.from_rows(rows) * Matrix.identity(3)  # integer rows only
             read = Matrix(Matrix.from_rows(rows).entries())  # Scalar rows only
             assert born == read and read == born and hash(born) == hash(read)
+            for M in (born, read):  # the predicates read the ints of either form
+                assert M._integer_form() is not False
+                assert not M.is_zero() and M.is_real()
+                assert M.is_lower_triangular() == all(
+                    rows[i][j] == 0 for i in range(3) for j in range(i + 1, 3))
+                assert linalg._private_rows(M) == linalg._private_rows(born)
             other = [list(row) for row in rows]
             other[2][1] += Fraction(1, 3)
             assert born != Matrix.from_rows(other) and Matrix.from_rows(other) != born

@@ -171,14 +171,24 @@ def test_bench_pairs_summarizes_a_saved_file(tmp_path):
     ]
 
 
+same_bytes = _load_script("same_bytes")
+
+
 def test_same_bytes_on_one_fixture(tmp_path):
+    fixture = tmp_path / "shear3.json"
+    fixture.write_text((ROOT / "fixtures" / "shear3.json").read_text())
+    cases = [case for case in same_bytes.build_cases([str(fixture)], [])
+             if case[0] == "analyze"]
+    cases_path = tmp_path / "cases.json"
+    cases_path.write_text(json.dumps(cases))
     # the checkout against itself: no case differs
-    proc = run_script("same_bytes.py", "--parent", str(ROOT), "--change", str(ROOT),
-                      "--seeds", "", "--match", "fixture-shear3")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "4 cases, 0 exit nonzero on both sides, 0 differ\n"
-    # a checkout whose lindyn prints one byte and fails the 53-bit runs
-    fake = tmp_path / "src" / "lindyn"
+    here = same_bytes.run_checkout(str(ROOT), str(cases_path))
+    assert [r["exit"] for r in here] == [0] * 4
+    again = same_bytes.run_checkout(str(ROOT), str(cases_path))
+    assert same_bytes.differences(cases, here, again) == []
+    # a checkout whose lindyn prints one byte and fails the 53-bit runs,
+    # reached through a symlink
+    fake = tmp_path / "fake" / "src" / "lindyn"
     fake.mkdir(parents=True)
     (fake / "__init__.py").write_text("")
     (fake / "cli.py").write_text(
@@ -187,13 +197,11 @@ def test_same_bytes_on_one_fixture(tmp_path):
         "    sys.stdout.write('x')\n"
         "    return 1 if '53' in argv else 0\n"
     )
-    proc = run_script("same_bytes.py", "--parent", str(tmp_path), "--change", str(ROOT),
-                      "--seeds", "", "--match", "fixture-shear3")
-    assert proc.returncode == 1, proc.stderr
-    assert proc.stdout.splitlines() == [
-        "DIFFERS analyze fixture-shear3.json --precision 53: exit, stdout",
-        "DIFFERS analyze fixture-shear3.json --precision 128: stdout",
-        "DIFFERS analyze fixture-shear3.json --classify-points --precision 53: exit, stdout",
-        "DIFFERS analyze fixture-shear3.json --classify-points --precision 128: stdout",
-        "4 cases, 0 exit nonzero on both sides, 4 differ",
+    (tmp_path / "link").symlink_to(tmp_path / "fake")
+    other = same_bytes.run_checkout(str(tmp_path / "link"), str(cases_path))
+    assert same_bytes.differences(cases, other, here) == [
+        "DIFFERS analyze shear3.json --precision 53: exit, stdout",
+        "DIFFERS analyze shear3.json --precision 128: stdout",
+        "DIFFERS analyze shear3.json --classify-points --precision 53: exit, stdout",
+        "DIFFERS analyze shear3.json --classify-points --precision 128: stdout",
     ]
