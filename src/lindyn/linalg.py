@@ -33,6 +33,10 @@ Fractions on the integer path, with one inverse per Scalar pivot) so basis
 vectors come out with unit entries at their free coordinates, which keeps
 every derived basis deterministic.
 
+:meth:`Matrix.charpoly` is Berkowitz's division-free recursion, on the ints
+of a rational matrix at one common scale and on Scalars otherwise, and
+:func:`squarefree_factors` splits its result by Yun's exact gcds.
+
 A private row of a column is a row where that column alone is nonzero
 (:func:`_private_rows`).  Kernel bases (a unit at each free coordinate) and
 reduced-echelon span bases (a unit at each pivot) have one per column, and
@@ -413,6 +417,23 @@ class Matrix:
             return sign * ech[-1][-1]
         return _rational(sign * ech[-1][-1], math.prod(lcm for _, lcm in form))
 
+    def charpoly(self) -> list:
+        """Coefficients of det(xI - A), highest first: Fractions when A is
+        rational, else Scalars.
+
+        Berkowitz's division-free recursion runs on the ints of a rational A
+        brought to one common scale L (A = B / L), whose polynomial's i-th
+        coefficient is that of B divided by L^i, and on the Scalars otherwise.
+        """
+        if self.rows != self.cols:
+            raise ValueError("characteristic polynomial of a non-square matrix")
+        form = self._integer_form()
+        if form is False:
+            return [_to_scalar(c) for c in _berkowitz([list(r) for r in self._rows])]
+        scale = math.lcm(*(lcm for _, lcm in form))
+        poly = _berkowitz([[a * (scale // lcm) for a in ints] for ints, lcm in form])
+        return [Fraction(c, scale**i) for i, c in enumerate(poly)]
+
     def power(self, k: int) -> "Matrix":
         """Integer matrix power by repeated squaring; negative k via inverse."""
         if self.rows != self.cols:
@@ -452,6 +473,100 @@ class Matrix:
     def __repr__(self):
         body = "; ".join(", ".join(str(a) for a in r) for r in self.entries())
         return f"Matrix[{body}]"
+
+
+# -- characteristic polynomial ---------------------------------------------
+
+
+def _berkowitz(m: list[list]) -> list:
+    """Coefficients of det(xI - m), highest first, from the ring elements m.
+
+    Each trailing principal block [[a, R], [C, S]] multiplies the polynomial
+    of S by the lower triangular Toeplitz matrix whose first column is
+    1, -a, -R C, -R S C, ..., -R S^(k-1) C, k the size of S (Berkowitz 1984).
+    """
+    n = len(m)
+    poly = [1]
+    for k in range(n - 1, -1, -1):
+        row, col = m[k][k + 1:], [m[i][k] for i in range(k + 1, n)]
+        toeplitz = [1, -m[k][k]]
+        for t in range(n - k - 1):
+            if t:  # col = S^t C
+                col = [sum(map(operator.mul, m[i][k + 1:], col)) for i in range(k + 1, n)]
+            toeplitz.append(-sum(map(operator.mul, row, col)))
+        product = [0] * len(toeplitz)
+        for j, p in enumerate(poly):
+            for i, t in enumerate(toeplitz[:len(product) - j]):
+                product[i + j] += t * p
+        poly = product
+    return poly
+
+
+# Polynomials over the field of their coefficients (Fractions or Scalars) are
+# coefficient lists, highest first, with no leading zero; [] is 0.
+
+
+def _strip(f: list) -> list:
+    i = 0
+    while i < len(f) and not f[i]:
+        i += 1
+    return f[i:]
+
+
+def _monic(f: list) -> list:
+    return f if f[0] == 1 else [c / f[0] for c in f]
+
+
+def _derivative(f: list) -> list:
+    d = len(f) - 1
+    return [c * (d - i) for i, c in enumerate(f[:-1])]
+
+
+def _difference(f: list, g: list) -> list:
+    width = max(len(f), len(g))
+    f = [0] * (width - len(f)) + f
+    g = [0] * (width - len(g)) + g
+    return _strip([a - b for a, b in zip(f, g)])
+
+
+def _divmod(f: list, g: list) -> tuple[list, list]:
+    """Quotient and remainder of f by a monic g."""
+    r = list(f)
+    steps = len(f) - len(g) + 1
+    for i in range(steps):
+        if q := r[i]:
+            for j in range(1, len(g)):
+                r[i + j] = r[i + j] - q * g[j]
+    return r[:max(steps, 0)], _strip(r[max(steps, 0):])
+
+
+def _gcd(f: list, g: list) -> list:
+    """The monic gcd of f and g, not both 0, by Euclid's algorithm."""
+    while g:
+        f, g = g, _divmod(f, _monic(g))[1]
+    return _monic(f)
+
+
+def squarefree_factors(f: list) -> list[tuple[list, int]]:
+    """Yun's squarefree factorization of a monic f of degree >= 1.
+
+    Returns (a_k, k) for each a_k of degree >= 1, k increasing: the a_k are
+    monic, squarefree and pairwise coprime, and f is the product of the
+    a_k^k.  Every step is an exact gcd or an exact division in the field of
+    f's coefficients (Yun 1976).
+    """
+    df = _derivative(f)
+    g = _gcd(f, df)
+    b, c = _divmod(f, g)[0], _divmod(df, g)[0]
+    out, k = [], 1
+    while len(b) > 1:
+        d = _difference(c, _derivative(b))
+        a = _gcd(b, d)
+        if len(a) > 1:
+            out.append((a, k))
+        b, c = _divmod(b, a)[0], _divmod(d, a)[0]
+        k += 1
+    return out
 
 
 # -- elimination -----------------------------------------------------------

@@ -3,7 +3,9 @@
 Numeric splitting, restriction and triangularization run in double
 precision only.  The one computation above 53 bits is :func:`neig` of an
 exact matrix, which proposes an exact spectrum at the context precision
-when no double-precision proposal is certified.
+when no double-precision proposal is certified: the roots of the squarefree
+factors of the exact characteristic polynomial, each repeated by its
+multiplicity, so a defective eigenvalue is proposed with no scatter.
 
 A context carries the two settings its callers choose, the precision and the
 tolerance.  The eigenvalue clustering radius is the constant CLUSTER_DELTA.
@@ -17,9 +19,11 @@ from typing import Sequence
 import mpmath
 import numpy as np
 
-from .linalg import Matrix
+from .linalg import Matrix, squarefree_factors
+from .scalars import Scalar
 
 CLUSTER_DELTA = 1e-8  # smallest eigenvalue clustering radius, relative to the spectrum
+ROOT_SWEEPS = 32  # cap on the sweeps that refine the roots of one factor
 
 
 @dataclass(frozen=True)
@@ -63,17 +67,69 @@ def max_abs(A: np.ndarray) -> float:
 
 
 def neig(A, ctx: NumericContext) -> list:
-    """Eigenvalues only: of an exact Matrix at the context precision (mpmath
-    values), otherwise in double precision."""
-    if isinstance(A, Matrix) and ctx.high and A.rows > 1:
-        # mpmath.eig returns the full (E, EL, ER) tuple for 1x1 input
-        with mpmath.workprec(ctx.precision):
-            M = mpmath.matrix(A.rows, A.cols)
-            for i, row in enumerate(A.entries()):
-                for j, e in enumerate(row):
-                    M[i, j] = e.evaluate(ctx.precision)
-            return list(mpmath.eig(M, left=False, right=False))
+    """Eigenvalues only, with their multiplicities.
+
+    Of an exact Matrix above 53 bits: the roots of the squarefree factors
+    a_k of its exact characteristic polynomial, each repeated k times, at
+    the context precision (mpmath values).  Otherwise double-precision
+    eigenvalues.
+    """
+    if isinstance(A, Matrix) and ctx.high:
+        return [z for a, k in squarefree_factors(A.charpoly())
+                for z in _roots(a, ctx.precision) for _ in range(k)]
     return list(np.linalg.eigvals(to_numeric(A).astype(complex)))
+
+
+def _exact(c) -> Scalar:
+    return c if isinstance(c, Scalar) else Scalar.from_fraction(c)
+
+
+def _roots(a: list, precision: int) -> list:
+    """The roots of a monic squarefree polynomial with exact coefficients
+    (highest first) at the given precision.
+
+    A linear factor's root is exact.  Otherwise the eigenvalues of the
+    companion matrix of the coefficients rounded to doubles (``np.roots``
+    in complex128) are refined together on the exact coefficients, evaluated
+    at the precision, by :func:`_aberth_sweep`.  Once no step moves a root
+    by more than 2^-(precision/2) of the root scale, one more sweep, which
+    at least squares the error, ends it.  Roots closer together than that
+    (whose doubles coincide) may stay that far from the exact ones.
+    """
+    if len(a) == 2:
+        return [_exact(-a[1]).evaluate(precision)]
+    companion = np.eye(len(a) - 1, k=-1, dtype=complex)
+    companion[0] = [-_exact(c).to_complex() for c in a[1:]]
+    starts = np.linalg.eigvals(companion)
+    with mpmath.workprec(precision):
+        coeffs = [_exact(c).evaluate(precision) for c in a]
+        scale = max(1.0, float(np.max(np.abs(starts))))
+        limit = mpmath.ldexp(scale, -(precision // 2))
+        zs = [mpmath.mpc(z) for z in starts]
+        for _ in range(ROOT_SWEEPS):
+            if _aberth_sweep(coeffs, zs) <= limit:
+                _aberth_sweep(coeffs, zs)
+                break
+    return zs
+
+
+def _aberth_sweep(coeffs: list, zs: list):
+    """Move each root estimate in zs, in place, by the Newton step f/f' of
+    the polynomial with the coefficients (highest first), corrected by
+    Aberth's repulsion from the other estimates, so that no two converge to
+    one root; returns the largest step."""
+    largest = 0
+    for k, z in enumerate(zs):
+        f, df = coeffs[0], 0
+        for c in coeffs[1:]:
+            df = df * z + f
+            f = f * z + c
+        repulsion = sum(1 / (z - y) for y in zs if y != z)
+        if denominator := df - f * repulsion:
+            step = f / denominator
+            zs[k] = z - step
+            largest = max(largest, abs(step))
+    return largest
 
 
 def nrank(A: np.ndarray, ctx: NumericContext) -> int:

@@ -20,8 +20,9 @@ real/imaginary interleave of a basis.
 
 An exact spectrum is only proposed numerically: :func:`eigenvalues` clusters
 double-precision eigenvalues first, trying every distinct clustering in
-radius order, and proposes again at the context precision only when none is
-certified.  Either way each value v of multiplicity m is certified exactly
+radius order, and proposes again only when none is certified, from the roots
+of the squarefree factors of the exact characteristic polynomial at the
+context precision, each with its multiplicity.  Either way each value v of multiplicity m is certified exactly
 by ``kernel((A - v)^m)`` (:func:`_certified`), so the precision of the
 proposal never changes an answer, only whether one is found.
 
@@ -280,11 +281,14 @@ def eigenvalues(
     """Exact spectrum of A as (value, multiplicity, generalized eigenspace basis).
 
     A triangular A reads its values off the diagonal.  Otherwise the numeric
-    spectrum is computed at 53 bits first, and again at ``ctx.precision``
-    only when no proposal from the 53-bit values is certified.  On each rung
+    spectrum is computed at 53 bits first.  Only when no proposal from the
+    53-bit values is certified is it computed again (:func:`neig`), as the
+    roots at ``ctx.precision`` of the squarefree factors of A's exact
+    characteristic polynomial, each repeated by its multiplicity.  On each rung
     every distinct clustering that :func:`_separated_clusterings` yields is
-    tried in radius order (a defective eigenvalue scatters into a cluster
-    that only a larger radius merges), except one with a single cluster: a
+    tried in radius order (a defective eigenvalue's 53-bit values scatter
+    into a cluster that only a larger radius merges), except one with a
+    single cluster: a
     non-triangular A is only given here with several eigenvalues, by
     :func:`_split_block`.  Each distinct cluster's centre is recognised over
     ``radicands`` (default: those of A's entries) at most once.  A proposal

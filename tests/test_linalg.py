@@ -16,6 +16,7 @@ from lindyn.linalg import (
     rational_kernel,
     restrict,
     solve,
+    squarefree_factors,
 )
 from lindyn.numeric import NumericContext, nrank, to_numeric
 from lindyn.scalars import Scalar, parse_scalar
@@ -861,3 +862,127 @@ class TestBornInIntegerRows:
         assert R == R2 == Matrix.identity(2).scale(minus_s)
         assert made == []
         assert R[0, 0] == minus_s and made  # reading an entry makes its Scalar
+
+
+def _poly_value(f, x):
+    """f at x by Horner, f's coefficients highest first."""
+    acc = Scalar.zero()
+    for c in f:
+        acc = acc * x + c
+    return acc
+
+
+def _poly_product(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = out[i + j] + a * b
+    return out
+
+
+def _companion(f) -> Matrix:
+    """The companion matrix of a monic f (coefficients highest first): its
+    characteristic polynomial is f."""
+    n = len(f) - 1
+    return Matrix.from_rows([[int(i == j + 1) if j < n - 1 else -f[n - i] for j in range(n)]
+                             for i in range(n)])
+
+
+def _sylvester_resultant(f, g) -> Scalar:
+    """The resultant of f and g, the determinant of their Sylvester matrix:
+    nonzero exactly when they are coprime."""
+    m, n = len(f) - 1, len(g) - 1
+    rows = [[0] * i + list(f) + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + list(g) + [0] * (m - 1 - i) for i in range(m)]
+    return Matrix.from_rows(rows).det()
+
+
+def _conjugated(rng, M: Matrix) -> Matrix:
+    while True:
+        P = random_integer_matrix(rng, M.rows)
+        if not P.det().is_zero():
+            return P * M * P.inverse()
+
+
+class TestCharacteristicPolynomial:
+    def _inputs(self):
+        rng = random.Random(1984)
+        rational = [Matrix.from_rows(_random_rational_rows(rng, n, n)) for n in (1, 2, 3, 5)]
+        radical = [Matrix([[random_scalar(rng) for _ in range(n)] for _ in range(n)])
+                   for n in (1, 2, 3, 4)]
+        return rational + radical + [radical_rows().hstack(radical_rows().submatrix([0, 1, 2], [0]))]
+
+    def test_cayley_hamilton(self):
+        # f(A) = 0 exactly: Horner in matrices, each coefficient a multiple of I
+        for A in self._inputs():
+            f = A.charpoly()
+            assert len(f) == A.rows + 1 and f[0] == 1
+            value = Matrix.zeros(A.rows, A.rows)
+            for c in f:
+                value = value * A + Matrix.identity(A.rows).scale(c)
+            assert value.is_zero()
+
+    def test_values_are_determinants(self):
+        # oracle: det(xI - A) by Bareiss elimination at rational x
+        for A in self._inputs():
+            f = A.charpoly()
+            for x in (Fraction(0), Fraction(1), Fraction(-5, 3), Fraction(7, 2)):
+                assert _poly_value(f, x) == (Matrix.identity(A.rows).scale(x) - A).det()
+
+    def test_coefficient_fields(self):
+        rational, radical = Matrix.from_rows([[1, "1/2"], [3, 4]]), radical_rows().submatrix([0, 1], [0, 1])
+        assert all(isinstance(c, Fraction) for c in rational.charpoly())
+        assert all(isinstance(c, Scalar) for c in radical.charpoly())
+        assert rational.charpoly() == [1, -5, Fraction(5, 2)]
+        assert radical.charpoly() == [1, -1 - parse_scalar("sqrt(2)"),
+                                      parse_scalar("sqrt(2) - sqrt(3)")]
+
+
+class TestSquarefreeFactors:
+    # monic factors, pairwise coprime and squarefree, with their multiplicities
+    RATIONAL = [([1, Fraction(1, 2)], 1), ([1, 0, -2], 2), ([1, -1], 3)]
+    RADICAL = [([1, parse_scalar("-i")], 1), ([1, 0, parse_scalar("-3 - sqrt(2)")], 2),
+               ([1, parse_scalar("-sqrt(2)")], 3)]
+
+    def _cases(self):
+        rng = random.Random(1976)
+        for factors in (self.RATIONAL, self.RADICAL, [([1, -3], 4)], [([1, 0, 1], 1)]):
+            f = [1]
+            for a, k in factors:
+                for _ in range(k):
+                    f = _poly_product(f, a)
+            # the polynomial of a conjugated companion matrix is f again
+            yield factors, _conjugated(rng, _companion(f)).charpoly(), f
+
+    def test_product_of_powers_is_f(self):
+        for expected, f, built in self._cases():
+            assert f == built
+            factors = squarefree_factors(f)
+            assert factors == expected
+            product = [1]
+            for a, k in factors:
+                assert a[0] == 1
+                for _ in range(k):
+                    product = _poly_product(product, a)
+            assert product == f
+
+    def test_factors_are_squarefree_and_coprime(self):
+        for _, f, _ in self._cases():
+            factors = [a for a, _ in squarefree_factors(f)]
+            for i, a in enumerate(factors):
+                derivative = [c * (len(a) - 1 - j) for j, c in enumerate(a[:-1])]
+                assert len(a) == 2 or not _sylvester_resultant(a, derivative).is_zero()
+                for b in factors[i + 1:]:
+                    assert not _sylvester_resultant(a, b).is_zero()
+
+    def test_squarefree_input_is_one_factor(self):
+        rng = random.Random(5)
+        squarefree = 0
+        for _ in range(5):
+            A = random_integer_matrix(rng, 4, -9, 9)
+            f = A.charpoly()
+            if _sylvester_resultant(f, [c * (4 - j) for j, c in enumerate(f[:-1])]).is_zero():
+                continue
+            assert squarefree_factors(f) == [(f, 1)]
+            squarefree += 1
+        assert squarefree >= 3

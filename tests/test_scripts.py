@@ -46,6 +46,30 @@ def test_random_family_survey_smoke():
     assert proc.stdout == SURVEY_STDOUT
 
 
+# the same arguments at 128 bits, the CLI default, recorded while the second
+# proposal rung was mpmath.eig: two families are refused by name
+SURVEY_128_STDOUT = """\
+surveyed 4 families (seed 0)
+failed families: {'SpectrumNotCertified': 2}
+
+subspace count by dimension (n, r): families
+  (2, 1): 2
+
+codimension mix: {1: 1, 2: 1}
+
+tree depth by dimension (n, depth): families
+  (2, 1): 1
+  (2, 2): 1
+"""
+
+
+def test_random_family_survey_at_128_bits():
+    proc = run_script("random_family_survey.py", "--families", "4", "--max-dim", "4",
+                      "--seed", "0", "--precision", "128")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == SURVEY_128_STDOUT
+
+
 def test_random_family_survey_outlives_a_failing_family():
     # these arguments draw a family the 53-bit numeric path cannot
     # decompose; the survey tallies it and goes on.  Which families fail is

@@ -1,7 +1,9 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -9,13 +11,14 @@ from conftest import (
     group_from_strings,
     random_commuting_family,
     random_integer_matrix,
+    random_scalar,
     random_sform_family,
 )
 from lindyn.errors import NoCommonEigenvector, NotAbelian, SpectrumNotCertified
 from lindyn.groups import GeneratorSet
 from lindyn.invariants import invariant_family
-from lindyn.linalg import Matrix, rank, solve
-from lindyn.numeric import NumericContext, max_abs, to_numeric
+from lindyn.linalg import Matrix, rank, solve, squarefree_factors
+from lindyn.numeric import NumericContext, as_complex, max_abs, neig, to_numeric
 from lindyn.scalars import Scalar, parse_scalar
 from lindyn.spectral import (
     eigenvalues,
@@ -55,6 +58,13 @@ def rot_block_group():
 # recognised
 JORDAN_REAL4_G0 = [["-21", "12", "-6", "-38"], ["-7", "5", "-2", "-12"],
                    ["-7", "4", "-2", "-13"], ["11", "-6", "3", "20"]]
+
+
+# the matrix of test_defective_block_is_proposed_again_at_context_precision:
+# a 3x3 Jordan block at 1 beside the eigenvalue 2, conjugated by an integer
+# unimodular matrix
+LADDER_A0 = [["3", "4", "4", "4"], ["-14", "-118", "-54", "-84"],
+             ["-18", "-145", "-66", "-103"], ["31", "262", "119", "186"]]
 
 
 def record_neig_precisions(monkeypatch) -> list[int]:
@@ -215,6 +225,64 @@ class TestProposalLadder:
         # kernel of (A - 2)^3 = 0 certifies it
         assert eigenvalues(unipotent, CTX) == [(Scalar.from_int(2), 3, Matrix.identity(3))]
         assert len(kernels) == 1
+
+
+class TestCharacteristicPolynomialRung:
+    """Above 53 bits, neig proposes the roots of the squarefree factors of the
+    exact characteristic polynomial, each with its multiplicity."""
+
+    @staticmethod
+    def eig_oracle(A: Matrix, precision: int) -> list:
+        # mpmath's Hessenberg QR at the precision, on the entries evaluated there
+        with mpmath.workprec(precision):
+            M = mpmath.matrix([[e.evaluate(precision) for e in row] for row in A.entries()])
+            return list(mpmath.eig(M, left=False, right=False))
+
+    def test_roots_agree_with_eig_on_squarefree_inputs(self):
+        rng = random.Random(128)
+        inputs = [random_integer_matrix(rng, n, -9, 9) for n in (2, 3, 4, 5, 6)]
+        inputs += [Matrix([[random_scalar(rng, max_num=3) for _ in range(n)] for _ in range(n)])
+                   for n in (2, 3, 4)]
+        ctx = NumericContext(precision=128)
+        for A in inputs:
+            assert squarefree_factors(A.charpoly()) == [(A.charpoly(), 1)]
+            roots, oracle = neig(A, ctx), self.eig_oracle(A, 128)
+            assert len(roots) == len(oracle) == A.rows
+            with mpmath.workprec(128):
+                scale = max(1, max(abs(z) for z in oracle))
+                for z in oracle:
+                    assert min(abs(z - r) for r in roots) <= mpmath.ldexp(scale, -100)
+                for r in roots:
+                    assert min(abs(z - r) for z in oracle) <= mpmath.ldexp(scale, -100)
+
+    def test_close_roots_are_resolved(self):
+        # x^2 - 2x + 1 - 2*10^-20: the coefficients rounded to doubles have
+        # the double root 1, and only Aberth's repulsion keeps both starts
+        # from one root, so that the refinement resolves the exact roots
+        # 1 +- sqrt(2)*10^-10 to within what 128-bit coefficients fix: a
+        # rounding of 2^-128 moves a root by 2^-128 / |f'| = 2^-128 / (2.8 *
+        # 10^-10), about 2^-96
+        A = Matrix.from_rows([["1", "2"], ["1/" + "1" + "0" * 20, "1"]])
+        with mpmath.workprec(128):
+            exact = [1 - mpmath.sqrt(2) / 10**10, 1 + mpmath.sqrt(2) / 10**10]
+            roots = sorted(neig(A, NumericContext(precision=128)), key=lambda z: z.real)
+            for r, z in zip(roots, exact):
+                assert abs(r - z) <= mpmath.ldexp(1, -90)
+
+    def test_repeated_roots_are_exact(self):
+        # (x - 1)^3 (x - 2): one root per factor, repeated, with no scatter
+        A = Matrix.from_rows(LADDER_A0)
+        roots = [as_complex(z) for z in neig(A, NumericContext(precision=128))]
+        assert sorted(roots, key=abs) == [1, 1, 1, 2]
+
+    def test_radical_defective_block(self, monkeypatch):
+        # LADDER_A0 shifted by sqrt(2): Berkowitz and Yun run on Scalars
+        A = Matrix.from_rows(LADDER_A0) + Matrix.identity(4).scale(parse_scalar("sqrt(2)"))
+        assert eigenvalues(A, CTX) is None
+        precisions = record_neig_precisions(monkeypatch)
+        evs = eigenvalues(A, NumericContext(precision=128))
+        assert precisions == [53, 128]
+        assert [(str(v), m) for v, m, _ in evs] == [("1 + sqrt(2)", 3), ("2 + sqrt(2)", 1)]
 
 
 class TestRefinement:
@@ -529,3 +597,68 @@ class TestHighPrecisionPath:
             exact += 1
         assert numeric_calls == []
         assert exact >= 3 and refused >= 3, (exact, refused)
+
+
+# generators of the fields of the P J P^-1 sweep: Q, Q(sqrt 2), Q(sqrt 3), Q(i)
+SWEEP_FIELDS = {"Q": None, "Q(sqrt2)": "sqrt(2)", "Q(sqrt3)": "sqrt(3)", "Q(i)": "i"}
+
+
+def jordan_conjugate(rng: random.Random, generator: str | None) -> tuple[Matrix, list]:
+    """P J P^-1 for a random Jordan matrix J over Q(generator) with at least
+    two distinct eigenvalues and a random unimodular integer P; returns it
+    with J's (value, algebraic multiplicity) pairs, sorted by their text."""
+    w = parse_scalar(generator) if generator else Scalar.zero()
+    n = rng.randint(3, 6)
+    while True:
+        blocks, total = [], 0
+        while total < n:
+            size = rng.randint(1, n - total)
+            value = Scalar.from_int(rng.randint(-3, 3)) + Scalar.from_int(rng.randint(-2, 2)) * w
+            blocks.append((value, size))
+            total += size
+        if len({v for v, _ in blocks}) >= 2:
+            break
+    rows = [[Scalar.zero()] * n for _ in range(n)]
+    start = 0
+    for value, size in blocks:
+        for i in range(start, start + size):
+            rows[i][i] = value
+            if i > start:
+                rows[i][i - 1] = Scalar.one()
+        start += size
+    # a unimodular P = L U (unit triangular integer factors) keeps A integral
+    # over the field, with entries in the hundreds
+    L, U = (Matrix.from_rows([[int(i == j) or (rng.randint(-3, 3) if below(i, j) else 0)
+                               for j in range(n)] for i in range(n)])
+            for below in (operator.gt, operator.lt))
+    P = L * U
+    multiplicity: dict[Scalar, int] = {}
+    for value, size in blocks:
+        multiplicity[value] = multiplicity.get(value, 0) + size
+    return P * Matrix(rows) * P.inverse(), sorted(multiplicity.items(), key=lambda vm: str(vm[0]))
+
+
+class TestJordanSweep:
+    # of the 100 matrices below, the spectra certified before the second rung
+    # proposed from the characteristic polynomial (by mpmath.eig at 128
+    # bits), and how many of them only that rung proposed
+    CERTIFIED_BEFORE = 100
+    SECOND_RUNG_BEFORE = 60
+
+    def test_certified_spectra_are_the_jordan_values(self, monkeypatch):
+        ctx = NumericContext(precision=128)
+        precisions = record_neig_precisions(monkeypatch)
+        certified = second_rung = 0
+        for name, generator in SWEEP_FIELDS.items():
+            rng = random.Random(f"jordan sweep {name}")
+            for _ in range(25):
+                A, expected = jordan_conjugate(rng, generator)
+                precisions.clear()
+                evs = eigenvalues(A, ctx)
+                if evs is None:
+                    continue
+                certified += 1
+                second_rung += precisions == [53, 128]
+                assert sorted(((v, m) for v, m, _ in evs), key=lambda vm: str(vm[0])) == expected
+        assert certified >= self.CERTIFIED_BEFORE
+        assert second_rung >= self.SECOND_RUNG_BEFORE
