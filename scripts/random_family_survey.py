@@ -5,10 +5,11 @@ Samples invertible polynomial families in a random integer matrix, runs the
 decomposition, and tabulates subspace counts, codimension mix and tree depths.
 Useful for eyeballing how the structure bounds behave away from the built-in
 fixtures.  ``--precision`` sets the bits of the NumericContext the families
-run under: the library default, 53, splits numerically what is not certified
-exactly, while above 53 bits (128 is the CLI default) such a family fails
-with SpectrumNotCertified, after a second exact-spectrum proposal at that
-precision.
+run under.  Every exact spectrum is proposed in the same order at every
+precision, the roots of the characteristic polynomial refined at that
+precision; what is not certified exactly is split numerically at the
+library default, 53, while above 53 bits (128 is the CLI default) such a
+family fails with SpectrumNotCertified.
 """
 
 import argparse

@@ -119,9 +119,9 @@ def _contexts(args) -> tuple[NumericContext, ClosureConfig]:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--precision", type=int, default=128,
-                   help="precision in bits of the second eigenvalue proposal and the "
-                   "commutator residual, at least 53 (default 128); numeric "
-                   "splitting runs only at 53")
+                   help="precision in bits of the characteristic-polynomial roots "
+                   "proposed as exact eigenvalues and of the commutator residual, "
+                   "at least 53 (default 128); numeric splitting runs only at 53")
     p.add_argument("--tol", type=float, default=1e-9,
                    help="relative tolerance for tolerant comparisons (default 1e-9)")
     p.add_argument("--gap-threshold", type=float, default=0.01,

@@ -1,11 +1,10 @@
 """Tolerant numeric backend in double precision (complex128).
 
-Numeric splitting, restriction and triangularization run in double
-precision only.  The one computation above 53 bits is :func:`neig` of an
-exact matrix, which proposes an exact spectrum at the context precision
-when no double-precision proposal is certified: the roots of the squarefree
-factors of the exact characteristic polynomial, each repeated by its
-multiplicity, so a defective eigenvalue is proposed with no scatter.
+Numeric eigenvalues, splitting, restriction and triangularization run in
+double precision only.  The one computation at the context precision is
+:func:`polynomial_roots`, which refines the roots of an exact squarefree
+polynomial: :func:`lindyn.spectral.eigenvalues` proposes an exact spectrum
+from them when no double-precision proposal is certified.
 
 A context carries the two settings its callers choose, the precision and the
 tolerance.  The eigenvalue clustering radius is the constant CLUSTER_DELTA.
@@ -19,7 +18,7 @@ from typing import Sequence
 import mpmath
 import numpy as np
 
-from .linalg import Matrix, squarefree_factors
+from .linalg import Matrix
 from .scalars import Scalar
 
 CLUSTER_DELTA = 1e-8  # smallest eigenvalue clustering radius, relative to the spectrum
@@ -66,43 +65,28 @@ def max_abs(A: np.ndarray) -> float:
     return float(np.max(np.abs(A)))
 
 
-def neig(A, ctx: NumericContext) -> list:
-    """Eigenvalues only, with their multiplicities.
+def neig(A) -> list[complex]:
+    """Double-precision eigenvalues of an exact or numeric square matrix."""
+    return np.linalg.eigvals(to_numeric(A).astype(complex)).tolist()
 
-    Of an exact Matrix above 53 bits: the roots of the squarefree factors
-    a_k of its exact characteristic polynomial, each repeated k times, at
-    the context precision (mpmath values).  Otherwise double-precision
-    eigenvalues.
+
+def polynomial_roots(a: list[Scalar], precision: int) -> list:
+    """The roots of a monic squarefree polynomial of degree >= 2 with exact
+    coefficients (highest first) at the given precision (mpmath values).
+
+    The eigenvalues of the companion matrix of the coefficients rounded to
+    doubles (``np.roots`` in complex128) are refined together on the exact
+    coefficients, evaluated at the precision, by :func:`_aberth_sweep`.  Once
+    no step moves a root by more than 2^-(precision/2) of the root scale, one
+    more sweep, which at least squares the error, ends it.  Roots closer
+    together than that (whose doubles coincide) may stay that far from the
+    exact ones.
     """
-    if isinstance(A, Matrix) and ctx.high:
-        return [z for a, k in squarefree_factors(A.charpoly())
-                for z in _roots(a, ctx.precision) for _ in range(k)]
-    return list(np.linalg.eigvals(to_numeric(A).astype(complex)))
-
-
-def _exact(c) -> Scalar:
-    return c if isinstance(c, Scalar) else Scalar.from_fraction(c)
-
-
-def _roots(a: list, precision: int) -> list:
-    """The roots of a monic squarefree polynomial with exact coefficients
-    (highest first) at the given precision.
-
-    A linear factor's root is exact.  Otherwise the eigenvalues of the
-    companion matrix of the coefficients rounded to doubles (``np.roots``
-    in complex128) are refined together on the exact coefficients, evaluated
-    at the precision, by :func:`_aberth_sweep`.  Once no step moves a root
-    by more than 2^-(precision/2) of the root scale, one more sweep, which
-    at least squares the error, ends it.  Roots closer together than that
-    (whose doubles coincide) may stay that far from the exact ones.
-    """
-    if len(a) == 2:
-        return [_exact(-a[1]).evaluate(precision)]
     companion = np.eye(len(a) - 1, k=-1, dtype=complex)
-    companion[0] = [-_exact(c).to_complex() for c in a[1:]]
+    companion[0] = [-c.to_complex() for c in a[1:]]
     starts = np.linalg.eigvals(companion)
     with mpmath.workprec(precision):
-        coeffs = [_exact(c).evaluate(precision) for c in a]
+        coeffs = [c.evaluate(precision) for c in a]
         scale = max(1.0, float(np.max(np.abs(starts))))
         limit = mpmath.ldexp(scale, -(precision // 2))
         zs = [mpmath.mpc(z) for z in starts]
@@ -133,38 +117,8 @@ def _aberth_sweep(coeffs: list, zs: list):
 
 
 def nrank(A: np.ndarray, ctx: NumericContext) -> int:
-    """Pivot count from full-pivot elimination, threshold eps * entry scale."""
-    if A.size == 0:
-        return 0
-    work = np.array(A, dtype=complex)
-    nr, nc = work.shape
-    scale = max_abs(work)
-    if scale == 0.0:
-        return 0
-    thresh = ctx.eps * scale
-    rows = list(range(nr))
-    cols = list(range(nc))
-    rank_count = 0
-    for _ in range(min(nr, nc)):
-        best, bi, bj = 0.0, -1, -1
-        for i in rows:
-            for j in cols:
-                m = abs(complex(work[i, j]))
-                if m > best:
-                    best, bi, bj = m, i, j
-        if best <= thresh:
-            break
-        piv = work[bi, bj]
-        for i in rows:
-            if i == bi:
-                continue
-            f = work[i, bj] / piv
-            for j in cols:
-                work[i, j] = work[i, j] - f * work[bi, j]
-        rows.remove(bi)
-        cols.remove(bj)
-        rank_count += 1
-    return rank_count
+    """Column count less the dimension of the tolerant null space (:func:`nkernel`)."""
+    return A.shape[1] - nkernel(A, ctx).shape[1]
 
 
 def nkernel(A: np.ndarray, ctx: NumericContext, expected: int | None = None) -> np.ndarray:

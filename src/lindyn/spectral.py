@@ -13,18 +13,15 @@ routine, and the refinement splits an exact block through it.  Numeric
 eigenvalues are clustered only by :func:`_separated_clusterings`, which yields
 every clustering radius that separates the spectrum; its two callers differ
 only in how they accept one (:func:`eigenvalues` recognises each in the
-field, :func:`_split_numeric` certifies the numeric kernels).  A triangular
-exact matrix skips clustering and reads its spectrum off the diagonal
-(:func:`_triangular_spectrum`), and :func:`re_im_columns` is the one
-real/imaginary interleave of a basis.
+field, :func:`_split_numeric` certifies the numeric kernels), and
+:func:`re_im_columns` is the one real/imaginary interleave of a basis.
 
-An exact spectrum is only proposed numerically: :func:`eigenvalues` clusters
-double-precision eigenvalues first, trying every distinct clustering in
-radius order, and proposes again only when none is certified, from the roots
-of the squarefree factors of the exact characteristic polynomial at the
-context precision, each with its multiplicity.  Either way each value v of multiplicity m is certified exactly
-by ``kernel((A - v)^m)`` (:func:`_certified`), so the precision of the
-proposal never changes an answer, only whether one is found.
+:func:`eigenvalues` proposes an exact spectrum in one fixed order at every
+precision: the diagonal of a triangular matrix, then the clusterings of the
+double-precision eigenvalues, then the roots of the squarefree factors of
+the exact characteristic polynomial.  Each value v of multiplicity m is
+certified exactly by ``kernel((A - v)^m)`` (:func:`_certified`), so the
+precision of a proposal never changes an answer, only whether one is found.
 
 A block whose spectrum is not certified is split numerically, in double
 precision, and only under a 53-bit context.  Above 53 bits it raises
@@ -36,7 +33,7 @@ answer better founded.  Every numeric block has the noise floor NOISE.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
@@ -50,7 +47,7 @@ from .errors import (
     UnmatchedConjugate,
 )
 from .groups import REAL, GeneratorSet
-from .linalg import Matrix, RowEchelon, Subspace, kernel, restrict, solve
+from .linalg import Matrix, RowEchelon, Subspace, kernel, restrict, solve, squarefree_factors
 from .numeric import (
     CLUSTER_DELTA,
     NumericContext,
@@ -63,6 +60,7 @@ from .numeric import (
     nrank,
     nrestrict,
     nsolve_cols,
+    polynomial_roots,
     to_numeric,
 )
 from .scalars import Scalar
@@ -276,29 +274,27 @@ def eigenvalues(
     A: Matrix,
     ctx: NumericContext | None = None,
     radicands: set[int] | None = None,
-    numeric: list[complex] | None = None,
 ) -> list[tuple[Scalar, int, Matrix]] | None:
     """Exact spectrum of A as (value, multiplicity, generalized eigenspace basis).
 
-    A triangular A reads its values off the diagonal.  Otherwise the numeric
-    spectrum is computed at 53 bits first.  Only when no proposal from the
-    53-bit values is certified is it computed again (:func:`neig`), as the
-    roots at ``ctx.precision`` of the squarefree factors of A's exact
-    characteristic polynomial, each repeated by its multiplicity.  On each rung
-    every distinct clustering that :func:`_separated_clusterings` yields is
-    tried in radius order (a defective eigenvalue's 53-bit values scatter
-    into a cluster that only a larger radius merges), except one with a
-    single cluster: a
-    non-triangular A is only given here with several eigenvalues, by
-    :func:`_split_block`.  Each distinct cluster's centre is recognised over
-    ``radicands`` (default: those of A's entries) at most once.  A proposal
-    is certified when its values are distinct, its
-    multiplicities sum to n, and each ``kernel((A - v)^m)`` has the
-    dimension of v's multiplicity m.  The triples are sorted by value; None
-    when some eigenvalue is not found in the field.  Then a ``numeric`` list
-    receives the numeric eigenvalues of the last rung, so that a caller that
-    goes on to split A numerically (under a 53-bit context, whose one rung
-    is double precision) does not compute them again.
+    Proposals, in order, until :func:`_certified` accepts one:
+
+    1. the diagonal of a triangular A;
+    2. every distinct clustering of A's double-precision eigenvalues that
+       :func:`_separated_clusterings` yields, in radius order (a defective
+       eigenvalue's values scatter into a cluster that only a larger radius
+       merges), except one with a single cluster: a non-triangular A comes
+       here only with several eigenvalues, from :func:`_split_block`.  Each
+       distinct cluster's centre is recognised over ``radicands`` (default:
+       those of A's entries) at most once;
+    3. for each squarefree factor (a, k) of A's exact characteristic
+       polynomial, with multiplicity k: a linear factor's root, exactly, and
+       any other factor's roots at ``ctx.precision``
+       (:func:`polynomial_roots`), recognised over ``radicands``.
+
+    A proposal is certified when its values are distinct, its multiplicities
+    sum to n, and each ``kernel((A - v)^m)`` has the dimension m.  The
+    triples are sorted by value; None when no proposal is certified.
     """
     if A.rows != A.cols:
         raise ValueError("eigenvalues of a non-square matrix")
@@ -309,31 +305,35 @@ def eigenvalues(
     if radicands is None:
         radicands = set().union(*(e.radicands() for row in A.entries() for e in row))
     # a certified spectrum is unique, so the cheap proposal decides whenever
-    # one is certified; only when none is are the values computed again at
-    # ctx.precision
-    rungs = [replace(ctx, precision=53), ctx] if ctx.high else [ctx]
-    for rung in rungs:
-        raw = [as_complex(e) for e in neig(A, rung)]
-        recognized: dict[tuple[int, ...], Scalar | None] = {}
-        tried = set()
-        for _, clusters in _separated_clusterings(raw):
-            members = tuple(tuple(m) for _, _, m in clusters)
-            if len(members) < 2 or members in tried:
-                continue
-            tried.add(members)
-            spectrum = []
-            for (center, mult, _), m in zip(clusters, members):
-                if m not in recognized:
-                    recognized[m] = recognize_in_field(center, radicands)
-                if recognized[m] is None:
-                    break
-                spectrum.append((recognized[m], mult))
-            else:
-                if (out := _certified(A, spectrum)) is not None:
-                    return out
-    if numeric is not None:
-        numeric.extend(raw)
-    return None
+    # one is certified
+    recognized: dict[tuple[int, ...], Scalar | None] = {}
+    tried = set()
+    for _, clusters in _separated_clusterings(neig(A)):
+        members = tuple(tuple(m) for _, _, m in clusters)
+        if len(members) < 2 or members in tried:
+            continue
+        tried.add(members)
+        spectrum = []
+        for (center, mult, _), m in zip(clusters, members):
+            if m not in recognized:
+                recognized[m] = recognize_in_field(center, radicands)
+            if recognized[m] is None:
+                break
+            spectrum.append((recognized[m], mult))
+        else:
+            if (out := _certified(A, spectrum)) is not None:
+                return out
+    spectrum = []
+    for a, k in squarefree_factors(A.charpoly()):
+        a = [c if isinstance(c, Scalar) else Scalar.from_fraction(c) for c in a]
+        if len(a) == 2:
+            spectrum.append((-a[1], k))
+            continue
+        for z in polynomial_roots(a, ctx.precision):
+            if (value := recognize_in_field(z, radicands)) is None:
+                return None
+            spectrum.append((value, k))
+    return _certified(A, spectrum)
 
 
 def _certified(A: Matrix, spectrum: list[tuple[Scalar, int]]) -> list[tuple[Scalar, int, Matrix]] | None:
@@ -437,9 +437,8 @@ def _split_block(R, basis: Matrix | np.ndarray, ctx: NumericContext, radicands) 
     split numerically, at 53 bits only: above them SpectrumNotCertified is
     raised.
     """
-    raw: list[complex] = []
     if isinstance(R, Matrix):
-        spectrum = eigenvalues(R, ctx, radicands, raw)
+        spectrum = eigenvalues(R, ctx, radicands)
         if spectrum is not None:
             return [basis * b for _, _, b in spectrum]
     if ctx.high:
@@ -448,7 +447,7 @@ def _split_block(R, basis: Matrix | np.ndarray, ctx: NumericContext, radicands) 
             "and numeric splitting runs only at 53 bits; try --precision 53"
         )
     R = to_numeric(R)
-    return _split_numeric(R, to_numeric(basis), ctx, raw or [as_complex(e) for e in neig(R, ctx)])
+    return _split_numeric(R, to_numeric(basis), ctx, neig(R))
 
 
 def _split_numeric(R: np.ndarray, basis: np.ndarray, ctx: NumericContext,

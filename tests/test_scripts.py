@@ -46,8 +46,9 @@ def test_random_family_survey_smoke():
     assert proc.stdout == SURVEY_STDOUT
 
 
-# the same arguments at 128 bits, the CLI default, recorded while the second
-# proposal rung was mpmath.eig: two families are refused by name
+# the same arguments at 128 bits, the CLI default, recorded while the
+# characteristic polynomial's roots came from mpmath.eig: two families are
+# refused by name
 SURVEY_128_STDOUT = """\
 surveyed 4 families (seed 0)
 failed families: {'SpectrumNotCertified': 2}

@@ -14,11 +14,12 @@ from conftest import (
     random_scalar,
     random_sform_family,
 )
+import lindyn.spectral as spectral
 from lindyn.errors import NoCommonEigenvector, NotAbelian, SpectrumNotCertified
 from lindyn.groups import GeneratorSet
 from lindyn.invariants import invariant_family
 from lindyn.linalg import Matrix, rank, solve, squarefree_factors
-from lindyn.numeric import NumericContext, as_complex, max_abs, neig, to_numeric
+from lindyn.numeric import NumericContext, as_complex, max_abs, polynomial_roots, to_numeric
 from lindyn.scalars import Scalar, parse_scalar
 from lindyn.spectral import (
     eigenvalues,
@@ -29,6 +30,7 @@ from lindyn.spectral import (
 )
 
 CTX = NumericContext()
+CTX128 = NumericContext(precision=128)
 
 
 def shear3_group():
@@ -67,18 +69,21 @@ LADDER_A0 = [["3", "4", "4", "4"], ["-14", "-118", "-54", "-84"],
              ["-18", "-145", "-66", "-103"], ["31", "262", "119", "186"]]
 
 
-def record_neig_precisions(monkeypatch) -> list[int]:
-    import lindyn.spectral as spectral
+def record_calls(monkeypatch, *names) -> list[tuple]:
+    """Wrap each named function of lindyn.spectral so that every call appends
+    (name, *args) to the returned list, in call order."""
+    calls = []
+    for name in names:
+        def recording(*args, _name=name, _original=getattr(spectral, name)):
+            calls.append((_name, *args))
+            return _original(*args)
 
-    precisions = []
-    original = spectral.neig
+        monkeypatch.setattr(spectral, name, recording)
+    return calls
 
-    def recording(A, ctx):
-        precisions.append(ctx.precision)
-        return original(A, ctx)
 
-    monkeypatch.setattr(spectral, "neig", recording)
-    return precisions
+def exact_factor(a: list) -> list[Scalar]:
+    return [c if isinstance(c, Scalar) else Scalar.from_fraction(c) for c in a]
 
 
 class TestEigenvalues:
@@ -109,10 +114,11 @@ class TestEigenvalues:
             assert mult == 1 and C * basis == basis.scale(v)
         # the entries are rational, so no radicand is tried by default
         assert eigenvalues(C, CTX) is None
-        # under a 128-bit context the 53-bit proposal is already certified
-        precisions = record_neig_precisions(monkeypatch)
-        assert eigenvalues(C, NumericContext(precision=128), {2, 3}) == evs
-        assert precisions == [53]
+        # under a 128-bit context the double-precision proposal is already
+        # certified, so the characteristic polynomial is not factored
+        calls = record_calls(monkeypatch, "squarefree_factors")
+        assert eigenvalues(C, CTX128, {2, 3}) == evs
+        assert calls == []
 
     def test_close_eigenvalues_not_found(self):
         # eigenvalues 1 +- sqrt(2)*10^-10 fall in one cluster around 1, but
@@ -130,13 +136,21 @@ class TestProposalLadder:
     def test_defective_block_is_proposed_again_at_context_precision(self, monkeypatch):
         # a 3x3 Jordan block at 1 beside the eigenvalue 2, conjugated by an
         # integer unimodular matrix with entries up to 262: the double-precision
-        # cluster around 1 has no centre close enough to 1 to be recognised
-        A = Matrix.from_rows([["3", "4", "4", "4"], ["-14", "-118", "-54", "-84"],
-                              ["-18", "-145", "-66", "-103"], ["31", "262", "119", "186"]])
-        precisions = record_neig_precisions(monkeypatch)
-        evs = eigenvalues(A, NumericContext(precision=128))
-        assert precisions == [53, 128]
-        assert eigenvalues(A, CTX) is None
+        # cluster around 1 has no centre close enough to 1 to be recognised, so
+        # the characteristic polynomial (x - 1)^3 (x - 2) proposes, at every
+        # precision (53 bits gave None while it proposed only above them)
+        A = Matrix.from_rows(LADDER_A0)
+        spectra = []
+        for ctx in (CTX, CTX128):
+            calls = record_calls(monkeypatch, "squarefree_factors", "recognize_in_field",
+                                 "polynomial_roots")
+            spectra.append(eigenvalues(A, ctx))
+            # both factors are linear, so their roots are exact: no root is
+            # refined or recognised after the factoring
+            assert calls[-1][0] == "squarefree_factors"
+            monkeypatch.undo()
+        evs = spectra[0]
+        assert evs is not None and spectra[1] == evs
         # oracle: the multiplicities of the Jordan form, and A maps each basis
         # into its span with the single eigenvalue there
         assert [(str(v), m, b.cols) for v, m, b in evs] == [("1", 3, 3), ("2", 1, 1)]
@@ -146,13 +160,14 @@ class TestProposalLadder:
             assert (R - Matrix.identity(m).scale(v)).power(m).is_zero()
 
     def test_defective_block_is_decided_at_53_bits(self, monkeypatch):
-        # the 53-bit eigenvalues of the defective 1 scatter into two clusters
-        # at the smallest separating radius, but a larger one merges them
-        precisions = record_neig_precisions(monkeypatch)
-        evs = eigenvalues(Matrix.from_rows(JORDAN_REAL4_G0), NumericContext(precision=128))
-        assert precisions == [53]
+        # the double-precision eigenvalues of the defective 1 scatter into two
+        # clusters at the smallest separating radius, but a larger one merges
+        # them, so the characteristic polynomial is never factored
+        calls = record_calls(monkeypatch, "squarefree_factors")
+        evs = eigenvalues(Matrix.from_rows(JORDAN_REAL4_G0), CTX128)
+        assert calls == []
         # the triples of the 128-bit proposal alone, as recorded before the
-        # 53-bit rung existed
+        # double-precision proposal existed
         assert [(str(v), m, [[str(x) for x in row] for row in b.entries()]) for v, m, b in evs] == [
             ("-i", 1, [["-2"], ["-2/3"], ["-2/3 - 1/3*i"], ["1"]]),
             ("i", 1, [["-2"], ["-2/3"], ["-2/3 + 1/3*i"], ["1"]]),
@@ -161,75 +176,61 @@ class TestProposalLadder:
         assert eigenvalues(Matrix.from_rows(JORDAN_REAL4_G0), CTX) == evs
 
     def test_each_cluster_is_recognised_once_per_rung(self, monkeypatch):
-        import lindyn.spectral as spectral
-
         # eigenvalues -2, 1 +- sqrt(2)*10^-4 and (7 +- sqrt(5))/2: the pair
         # around 1 is separated at small radii and merged at larger ones, and
         # every radius also separates -2; sqrt(5) is not in the field
         A = Matrix.from_rows([[-2, 0, 0, 0, 0], [0, 0, Fraction(-(10**8 - 2), 10**8), 0, 0],
                               [0, 1, 2, 0, 0], [0, 0, 0, 0, -11], [0, 0, 0, 1, 7]])
-        precisions = record_neig_precisions(monkeypatch)
-        calls = []
-        original = spectral.recognize_in_field
-
-        def recording(z, radicands):
-            calls.append((precisions[-1], z))
-            return original(z, radicands)
-
-        monkeypatch.setattr(spectral, "recognize_in_field", recording)
-        assert eigenvalues(A, NumericContext(precision=128)) is None
-        assert precisions == [53, 128]
-        for rung in precisions:
-            centres = [z for p, z in calls if p == rung]
+        for ctx in (CTX, CTX128):
+            calls = record_calls(monkeypatch, "squarefree_factors", "recognize_in_field")
+            assert eigenvalues(A, ctx) is None
+            factored = [call[0] for call in calls].index("squarefree_factors")
+            centres = [z for _, z, _ in calls[:factored]]
             # -2 and one of the pair at the first radius, then the merged pair
             # and (7 - sqrt(5))/2 (and later the mean of all five): -2 only once
             assert len(centres) >= 4
             assert len(set(centres)) == len(centres), centres
+            # the polynomial is squarefree, and its roots are recognised until
+            # the first that is not in the field
+            assert 1 <= len(calls) - factored - 1 <= 5
+            monkeypatch.undo()
 
     def test_two_clusters_on_one_value_not_certified(self, monkeypatch):
-        import lindyn.spectral as spectral
-
         # eigenvalues 1 and 2; ker(A - 1) alone has the multiplicity's
         # dimension, so only the distinctness check refuses the proposal
         A = Matrix.from_rows([["0", "-2"], ["1", "3"]])
         assert [(str(v), m) for v, m, _ in eigenvalues(A, CTX)] == [("1", 1), ("2", 1)]
         monkeypatch.setattr(spectral, "recognize_in_field", lambda z, radicands: Scalar.one())
         assert eigenvalues(A, CTX) is None
-        assert eigenvalues(A, NumericContext(precision=128)) is None
-
+        assert eigenvalues(A, CTX128) is None
 
     def test_one_value_proposal_runs_no_kernel(self, monkeypatch):
-        import lindyn.spectral as spectral
-
         # a clustering with one cluster is never proposed, since the
         # refinement splits only a block with several eigenvalues: a
         # non-triangular matrix whose one eigenvalue is 2 (a 3x3 Jordan block,
-        # conjugated) gets no spectrum and runs no kernel, at either rung
+        # conjugated) runs no kernel until the characteristic polynomial
+        # (x - 2)^3 proposes 2 with multiplicity 3, which one kernel certifies
         unipotent = Matrix.from_rows([[2, 0, 0], [1, 2, 0], [3, -1, 2]])
         P = Matrix.from_rows([[1, 2, 0], [0, 1, 3], [1, 0, 1]])
         conjugated = P * unipotent * P.inverse()
         assert not conjugated.is_lower_triangular()
         assert not conjugated.transpose().is_lower_triangular()
-        kernels = []
-        original = spectral.kernel
-
-        def counting(M):
-            kernels.append(M)
-            return original(M)
-
-        monkeypatch.setattr(spectral, "kernel", counting)
-        precisions = record_neig_precisions(monkeypatch)
-        assert eigenvalues(conjugated, NumericContext(precision=128)) is None
-        assert precisions == [53, 128] and kernels == []
+        two = [(Scalar.from_int(2), 3, Matrix.identity(3))]
+        for ctx in (CTX, CTX128):
+            calls = record_calls(monkeypatch, "squarefree_factors", "kernel", "polynomial_roots")
+            assert eigenvalues(conjugated, ctx) == two
+            assert [call[0] for call in calls] == ["squarefree_factors", "kernel"]
+            monkeypatch.undo()
         # a triangular matrix reads its one value off the diagonal, and the
         # kernel of (A - 2)^3 = 0 certifies it
-        assert eigenvalues(unipotent, CTX) == [(Scalar.from_int(2), 3, Matrix.identity(3))]
-        assert len(kernels) == 1
+        calls = record_calls(monkeypatch, "squarefree_factors", "kernel")
+        assert eigenvalues(unipotent, CTX) == two
+        assert [call[0] for call in calls] == ["kernel"]
 
 
 class TestCharacteristicPolynomialRung:
-    """Above 53 bits, neig proposes the roots of the squarefree factors of the
-    exact characteristic polynomial, each with its multiplicity."""
+    """The third proposal: the roots of the squarefree factors of the exact
+    characteristic polynomial, each with its multiplicity."""
 
     @staticmethod
     def eig_oracle(A: Matrix, precision: int) -> list:
@@ -243,10 +244,11 @@ class TestCharacteristicPolynomialRung:
         inputs = [random_integer_matrix(rng, n, -9, 9) for n in (2, 3, 4, 5, 6)]
         inputs += [Matrix([[random_scalar(rng, max_num=3) for _ in range(n)] for _ in range(n)])
                    for n in (2, 3, 4)]
-        ctx = NumericContext(precision=128)
         for A in inputs:
-            assert squarefree_factors(A.charpoly()) == [(A.charpoly(), 1)]
-            roots, oracle = neig(A, ctx), self.eig_oracle(A, 128)
+            factors = squarefree_factors(A.charpoly())
+            assert factors == [(A.charpoly(), 1)]
+            roots = [z for a, _ in factors for z in polynomial_roots(exact_factor(a), 128)]
+            oracle = self.eig_oracle(A, 128)
             assert len(roots) == len(oracle) == A.rows
             with mpmath.workprec(128):
                 scale = max(1, max(abs(z) for z in oracle))
@@ -263,25 +265,34 @@ class TestCharacteristicPolynomialRung:
         # rounding of 2^-128 moves a root by 2^-128 / |f'| = 2^-128 / (2.8 *
         # 10^-10), about 2^-96
         A = Matrix.from_rows([["1", "2"], ["1/" + "1" + "0" * 20, "1"]])
+        [(a, k)] = squarefree_factors(A.charpoly())
+        assert k == 1
         with mpmath.workprec(128):
             exact = [1 - mpmath.sqrt(2) / 10**10, 1 + mpmath.sqrt(2) / 10**10]
-            roots = sorted(neig(A, NumericContext(precision=128)), key=lambda z: z.real)
+            roots = sorted(polynomial_roots(exact_factor(a), 128), key=lambda z: z.real)
             for r, z in zip(roots, exact):
                 assert abs(r - z) <= mpmath.ldexp(1, -90)
 
-    def test_repeated_roots_are_exact(self):
-        # (x - 1)^3 (x - 2): one root per factor, repeated, with no scatter
+    def test_repeated_roots_are_exact(self, monkeypatch):
+        # (x - 1)^3 (x - 2): one linear factor per multiplicity, whose root is
+        # taken exactly, with no refinement and no recognition
         A = Matrix.from_rows(LADDER_A0)
-        roots = [as_complex(z) for z in neig(A, NumericContext(precision=128))]
-        assert sorted(roots, key=abs) == [1, 1, 1, 2]
+        assert squarefree_factors(A.charpoly()) == [([1, -2], 1), ([1, -1], 3)]
+        calls = record_calls(monkeypatch, "recognize_in_field", "polynomial_roots")
+        monkeypatch.setattr(spectral, "_separated_clusterings", lambda raw: iter(()))
+        assert [(v, m) for v, m, _ in eigenvalues(A, CTX)] == [(Scalar.one(), 3),
+                                                               (Scalar.from_int(2), 1)]
+        assert calls == []
 
     def test_radical_defective_block(self, monkeypatch):
-        # LADDER_A0 shifted by sqrt(2): Berkowitz and Yun run on Scalars
+        # LADDER_A0 shifted by sqrt(2): Berkowitz and Yun run on Scalars, and
+        # both factors are linear over Q(sqrt 2) (53 bits gave None while the
+        # characteristic polynomial proposed only above them)
         A = Matrix.from_rows(LADDER_A0) + Matrix.identity(4).scale(parse_scalar("sqrt(2)"))
-        assert eigenvalues(A, CTX) is None
-        precisions = record_neig_precisions(monkeypatch)
-        evs = eigenvalues(A, NumericContext(precision=128))
-        assert precisions == [53, 128]
+        calls = record_calls(monkeypatch, "polynomial_roots")
+        evs = eigenvalues(A, CTX)
+        assert evs is not None and eigenvalues(A, CTX128) == evs
+        assert calls == []
         assert [(str(v), m) for v, m, _ in evs] == [("1 + sqrt(2)", 3), ("2 + sqrt(2)", 1)]
 
 
@@ -316,8 +327,6 @@ class TestRefinement:
         assert [c / scale for c in col] == expected
 
     def test_exact_split_goes_through_eigenvalues(self, monkeypatch):
-        import lindyn.spectral as spectral
-
         calls = []
         original = spectral.eigenvalues
 
@@ -573,8 +582,6 @@ class TestHighPrecisionPath:
         # survey-style families (polynomials in one random integer matrix):
         # above 53 bits a family is exact throughout or refused by name, and
         # no numeric split or triangularization runs
-        import lindyn.spectral as spectral
-
         numeric_calls = []
         for name in ("_split_numeric", "_triangularize_numeric"):
             def recording(*args, _name=name, _original=getattr(spectral, name)):
@@ -639,26 +646,21 @@ def jordan_conjugate(rng: random.Random, generator: str | None) -> tuple[Matrix,
 
 
 class TestJordanSweep:
-    # of the 100 matrices below, the spectra certified before the second rung
-    # proposed from the characteristic polynomial (by mpmath.eig at 128
-    # bits), and how many of them only that rung proposed
-    CERTIFIED_BEFORE = 100
-    SECOND_RUNG_BEFORE = 60
+    # the 100 matrices below are all certified at 53 and at 128 bits; before
+    # the characteristic polynomial proposed at every precision, 40 were at
+    # 53 bits
+    CERTIFIED = 100
 
-    def test_certified_spectra_are_the_jordan_values(self, monkeypatch):
-        ctx = NumericContext(precision=128)
-        precisions = record_neig_precisions(monkeypatch)
-        certified = second_rung = 0
-        for name, generator in SWEEP_FIELDS.items():
-            rng = random.Random(f"jordan sweep {name}")
-            for _ in range(25):
-                A, expected = jordan_conjugate(rng, generator)
-                precisions.clear()
-                evs = eigenvalues(A, ctx)
-                if evs is None:
-                    continue
-                certified += 1
-                second_rung += precisions == [53, 128]
-                assert sorted(((v, m) for v, m, _ in evs), key=lambda vm: str(vm[0])) == expected
-        assert certified >= self.CERTIFIED_BEFORE
-        assert second_rung >= self.SECOND_RUNG_BEFORE
+    def test_certified_spectra_are_the_jordan_values(self):
+        for ctx in (CTX, CTX128):
+            certified = 0
+            for name, generator in SWEEP_FIELDS.items():
+                rng = random.Random(f"jordan sweep {name}")
+                for _ in range(25):
+                    A, expected = jordan_conjugate(rng, generator)
+                    evs = eigenvalues(A, ctx)
+                    if evs is None:
+                        continue
+                    certified += 1
+                    assert sorted(((v, m) for v, m, _ in evs), key=lambda vm: str(vm[0])) == expected
+            assert certified == self.CERTIFIED
