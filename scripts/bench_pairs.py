@@ -2,9 +2,10 @@
 """Alternating parent/change runs of the benchmark, summarised per metric.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
-        --workload structure-rational --seeds 1-10 --out pairs.json
+        --workload structure-radical,structure-rational --seeds 1-10 --out pairs.json
 
-Pair k runs seed k in both checkouts, ``python3 benchmark/run.py --workload W
+``--workload`` names one workload or a comma list; the pairs of each run in
+turn.  Pair k runs seed k in both checkouts, ``python3 benchmark/run.py --workload W
 --seed k --seconds S --trace 0`` from the root of each, S the ``run_seconds``
 of the change's ``BENCHMARK.json``; odd seeds run the parent first and even
 seeds the change first, so that neither side always meets the machine in the
@@ -13,7 +14,9 @@ JSON result.  For every end-to-end metric of the change's ``BENCHMARK.json``
 the script prints each side's median [q1, q3] (quartiles by
 ``statistics.quantiles``) and in how many pairs the change was strictly
 better, in the direction that file gives.  ``--out`` saves the runs and that
-summary as JSON; ``--summarize`` prints the summary of a saved file again.
+summary as JSON, both keyed by workload; ``--summarize`` prints the summary
+of a saved file again, and also reads the single-workload layout
+(``{"workload": W, "runs": [...]}``) that earlier versions wrote.
 """
 
 from __future__ import annotations
@@ -125,11 +128,18 @@ def benchmark_spec(checkout: str) -> tuple[float, dict[str, str], dict[str, str]
             {m["name"]: m["unit"] for m in metrics})
 
 
+def saved_runs(saved: dict) -> dict[str, list[dict]]:
+    """The pairs of a file written by --out, keyed by workload."""
+    if "workload" in saved:  # the single-workload layout
+        return {saved["workload"]: saved["runs"]}
+    return saved["runs"]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", help="root of the parent checkout")
     ap.add_argument("--change", default=".", help="root of the changed checkout (default .)")
-    ap.add_argument("--workload", help="benchmark workload name")
+    ap.add_argument("--workload", help="benchmark workload name, or a comma list of them")
     ap.add_argument("--seeds", default="1-10", help="seeds, e.g. 1-10 or 1,3,5 (default 1-10)")
     ap.add_argument("--out", help="write the runs and the summary to this JSON file")
     ap.add_argument("--summarize", metavar="FILE", help="summarise a file written by --out")
@@ -137,18 +147,19 @@ def main(argv=None) -> int:
     seconds, better, units = benchmark_spec(args.change)
     if args.summarize:
         with open(args.summarize) as fh:
-            saved = json.load(fh)
-        workload, pairs = saved["workload"], saved["runs"]
+            runs = saved_runs(json.load(fh))
     else:
         if not (args.parent and args.workload):
             ap.error("--parent and --workload are required unless --summarize is given")
-        workload = args.workload
-        pairs = run_pairs(args.parent, args.change, workload, parse_seeds(args.seeds), seconds)
-    summary = summarize(pairs, better)
+        seeds = parse_seeds(args.seeds)
+        runs = {workload: run_pairs(args.parent, args.change, workload, seeds, seconds)
+                for workload in args.workload.split(",")}
+    summary = {workload: summarize(pairs, better) for workload, pairs in runs.items()}
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump({"workload": workload, "runs": pairs, "summary": summary}, fh, indent=1)
-    print("\n".join(format_summary(workload, summary, units)))
+            json.dump({"runs": runs, "summary": summary}, fh, indent=1)
+    for workload, s in summary.items():
+        print("\n".join(format_summary(workload, s, units)))
     return 0
 
 

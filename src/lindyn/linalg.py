@@ -5,7 +5,7 @@ integer rows: each row times the lcm of its entries' reduced denominators,
 with that lcm.  Rational results are born in this form: ``*``, ``+``, ``-``
 and ``scale`` by a rational, the stacks, ``transpose``, ``submatrix``,
 ``identity`` and ``zeros``, ``kernel`` and ``solve`` on the integer path
-(whose Fraction back-substitution gives the rows directly), and
+(whose back-substitution gives the rows directly), and
 ``restrict``'s read-off of a rational basis.  Such a matrix builds its
 Scalar rows only when an entry is read.  A matrix made from Scalars (the
 input, or a basis built from read vectors) computes its integer form on
@@ -23,15 +23,22 @@ key) through the key product's integer cofactor, again with one Fraction per
 nonzero result term.
 
 Rank, kernel, solve and determinant share one fraction-free (Bareiss)
-forward elimination, which avoids coefficient blow-up.  A rational matrix is
-eliminated on its integer form, which changes neither the pivot columns, the
-kernel nor the solution of an augmented system, and each update divides
-exactly by the previous pivot.  Any other is eliminated on Scalars, and each
-update is multiplied by the previous pivot's inverse, one field inverse per
-pivot step.  Kernels and solves finish with exact back-substitution (in
-Fractions on the integer path, with one inverse per Scalar pivot) so basis
-vectors come out with unit entries at their free coordinates, which keeps
-every derived basis deterministic.
+forward elimination on integers, which avoids coefficient blow-up.  A
+rational matrix is eliminated on its integer form, any other on its term
+form with each entry a ring element: its ints over the basis elements
+sqrt(d) i^e, whose span over Z is closed under products.  Scaling rows
+changes neither the pivot columns, the kernel nor the solution of an
+augmented system.  Each update divides exactly by the previous pivot, as
+Bareiss's method allows in any integral domain: an int with ``//``, a ring
+element by multiplying with the pivot's adjugate (the product of its
+nontrivial conjugates under i -> -i and sqrt(p) -> -sqrt(p)) and dividing
+each int by the norm, pivot times adjugate; one adjugate per pivot step.
+Kernels and solves finish with back-substitution at the scale of the last
+pivot's norm, where by Cramer's rule every coordinate is again an int or a
+ring element.  No Fraction is made there: a rational result's canonical
+integer rows are read off, and each ring entry becomes one Scalar.  Basis
+vectors have unit entries at their free coordinates, which keeps every
+derived basis deterministic.
 
 :meth:`Matrix.charpoly` is Berkowitz's division-free recursion, on the ints
 of a rational matrix at one common scale and on Scalars otherwise, and
@@ -60,7 +67,16 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import NotInvariant
-from .scalars import _RATIONAL_KEY, Key, Scalar, _mul_key, parse_scalar
+from .scalars import (
+    _RATIONAL_KEY,
+    Key,
+    Scalar,
+    _adjugate,
+    _mul_key,
+    _ring_mul,
+    _ring_mul_add,
+    parse_scalar,
+)
 
 Vector = tuple[Scalar, ...]
 # a rational row as ints at one scale, the lcm of its reduced denominators, with it
@@ -70,6 +86,8 @@ TermRow = tuple[list[tuple[tuple[Key, int], ...]], int]
 
 _ZERO = Scalar.zero()
 _ONE = Scalar.one()
+_RING_ZERO: dict[Key, int] = {}
+_RING_ONE: dict[Key, int] = {_RATIONAL_KEY: 1}
 
 
 def _to_scalar(x) -> Scalar:
@@ -409,13 +427,15 @@ class Matrix:
             raise ValueError("determinant of a non-square matrix")
         if self.rows == 0:
             return Scalar.one()
-        ech, pivots, sign = _forward_echelon(*_elimination_rows(self))
+        rows, integer = _elimination_rows(self)
+        ech, pivots, sign, _ = _forward_echelon(rows, integer)
         if len(pivots) < self.rows:
             return _ZERO
-        form = self._integer_form()
-        if form is False:
-            return sign * ech[-1][-1]
-        return _rational(sign * ech[-1][-1], math.prod(lcm for _, lcm in form))
+        last = ech[-1][-1]
+        scales = math.prod(lcm for _, lcm in (self._integer_form() or self._term_form()))
+        if integer:
+            return _rational(sign * last, scales)
+        return _ring_scalar({k: sign * c for k, c in last.items()}, scales)
 
     def charpoly(self) -> list:
         """Coefficients of det(xI - A), highest first: Fractions when A is
@@ -573,28 +593,45 @@ def squarefree_factors(f: list) -> list[tuple[list, int]]:
 
 
 def _elimination_rows(M: Matrix) -> tuple[list[list], bool]:
-    """Fresh rows of M to eliminate, and whether they are its integer form."""
+    """Fresh rows of M to eliminate, and whether they are its integer form;
+    otherwise they are its term form, each entry a ring element."""
     form = M._integer_form()
     if form is False:
-        return [list(r) for r in M.entries()], False
+        return [[dict(entry) for entry in entries] for entries, _ in M._term_form()], False
     return [list(ints) for ints, _ in form], True
 
 
-def _forward_echelon(m: list[list], integer: bool) -> tuple[list[list], list[int], int]:
+def _ring_scalar(x: dict[Key, int], den: int) -> Scalar:
+    """The Scalar x / den of a ring element x and a positive int den."""
+    return Scalar._canonical({k: Fraction(c, den) for k, c in sorted(x.items())})
+
+
+def _ring_combination(x: dict, a: dict, y: dict, b: dict, norm: int) -> dict:
+    """(x a - y b) / norm for ring elements, when norm divides it."""
+    acc: dict[Key, int] = {}
+    _ring_mul_add(acc, x, a, 1)
+    _ring_mul_add(acc, y, b, -1)
+    return {k: v // norm for k, v in acc.items() if v}
+
+
+def _forward_echelon(m: list[list], integer: bool) -> tuple[list[list], list[int], int, list]:
     """Fraction-free (Bareiss) forward elimination of the rows m, in place.
 
-    Returns the echelon rows, the pivot columns and the sign of the row
-    swaps: a square matrix of full rank has determinant ``sign *
-    ech[-1][-1]`` divided by the product of the row scales.  Integer rows
-    divide exactly with ``//``; Scalar rows multiply by the previous pivot's
-    inverse, computed once per pivot step, which over a field is the same
-    Scalar as dividing each entry by it.
+    Returns the echelon rows, the pivot columns, the sign of the row swaps
+    and the adjugates it computed: a square matrix of full rank has
+    determinant ``sign * ech[-1][-1]`` divided by the product of the row
+    scales.  Each update divides exactly by the previous pivot, which every
+    entry's being a minor of m guarantees: ints with ``//``, ring elements
+    by multiplying with the previous pivot's adjugate and dividing each int
+    by its norm.  That (adjugate, norm) is computed once per pivot step and
+    listed, in pivot order, for back-substitution.
     """
     sign = 1
-    zero = 0 if integer else _ZERO
+    zero = 0 if integer else _RING_ZERO
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     pivots: list[int] = []
+    adjugates: list[tuple[dict, int]] = []
     prev = 1
     r = 0
     for c in range(ncols):
@@ -606,62 +643,81 @@ def _forward_echelon(m: list[list], integer: bool) -> tuple[list[list], list[int
             sign = -sign
         prow = m[r]
         p = prow[c]
-        inv = prev.inverse() if r and not integer and r + 1 < nrows else None
+        if not integer and r + 1 < nrows:
+            if r:
+                adjugates.append(_adjugate(prev))
+            adj, norm = adjugates[-1] if r else (_RING_ONE, 1)
+            pa = _ring_mul(adj, p)
         for i in range(r + 1, nrows):
             row = m[i]
             f = row[c]
             if integer:
                 for j in range(c + 1, ncols):
                     row[j] = (row[j] * p - f * prow[j]) // prev
-            elif r:
+            else:
+                fa = _ring_mul(adj, f)
                 for j in range(c + 1, ncols):
-                    row[j] = (row[j] * p - f * prow[j]) * inv
-            else:  # the first step divides by 1
-                for j in range(c + 1, ncols):
-                    row[j] = row[j] * p - f * prow[j]
+                    row[j] = _ring_combination(row[j], pa, prow[j], fa, norm)
             row[c] = zero
         prev = p
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return m, pivots, sign
+    return m, pivots, sign, adjugates
 
 
-def _back_substitute(ech, pivots: list[int], rhs: list[list], xs: list[list]) -> list[list]:
-    """Fill the pivot coordinates of each x in xs from the pivot rows of ``ech``.
+def _back_substitute(ech, pivots: list[int], adjugates: list, rhs: list[list],
+                     units: list[list[bool]], integer: bool) -> tuple[list[list], int]:
+    """Solve the pivot rows of ``ech`` once per right-hand side ``rhs[c]``
+    (its value per pivot row), with 1 at each free coordinate that
+    ``units[c]`` marks and 0 at the others.
 
-    ``rhs[c]`` holds the right-hand side of ``xs[c]`` per pivot row, and each
-    x arrives with its free coordinates set.  Integer rows are divided in
-    Fractions; a Scalar pivot is inverted once, when some x first needs it.
+    Every coordinate is carried times N, the norm of d, the last pivot (|d|
+    for an int; ``adjugates`` holds those of the first pivots, and the rest
+    are computed here, once per pivot).  d is the determinant of the pivot
+    rows and columns, so by Cramer's rule d x is a minor, and N x = adj(d)
+    (d x) is an int or ring element: each pivot divides exactly.  Returns
+    the columns as numerators over N.
     """
-    width = len(xs[0]) if xs else 0
+    width = len(units[0]) if units else 0
+    if integer:
+        norm = abs(ech[len(pivots) - 1][pivots[-1]]) if pivots else 1
+    else:
+        adjugates = adjugates + [_adjugate(ech[ri][pivots[ri]])
+                                 for ri in range(len(adjugates), len(pivots))]
+        norm = adjugates[-1][1] if pivots else 1
+    zero, unit = (0, norm) if integer else (_RING_ZERO, {_RATIONAL_KEY: norm})
+    xs = [[unit if u else zero for u in x] for x in units]
     for ri in range(len(pivots) - 1, -1, -1):
         pc, row = pivots[ri], ech[ri]
         p = row[pc]
         tail = [j for j in range(pc + 1, width) if row[j]]
-        inv = None
+        if integer:
+            for x, b in zip(xs, rhs):
+                acc = b[ri] * norm
+                for j in tail:
+                    if x[j]:
+                        acc -= row[j] * x[j]
+                x[pc] = acc // p
+            continue
+        adj, n = adjugates[ri]
+        unit_adj = _ring_mul(unit, adj)
+        tail = [(j, _ring_mul(adj, row[j])) for j in tail]
         for x, b in zip(xs, rhs):
-            acc = b[ri]
-            for j in tail:
-                if x[j]:
-                    acc = acc - row[j] * x[j]
-            if not acc:
-                x[pc] = 0
-            elif isinstance(p, int):
-                x[pc] = Fraction(acc, p)
-            else:
-                if inv is None:
-                    inv = p.inverse()
-                x[pc] = acc * inv
-    return xs
+            acc: dict[Key, int] = {}
+            _ring_mul_add(acc, b[ri], unit_adj, 1)
+            for j, a in tail:
+                _ring_mul_add(acc, a, x[j], -1)
+            x[pc] = {k: v // n for k, v in acc.items() if v}
+    return xs, norm
 
 
 def rank(M: Matrix) -> int:
     """Exact rank via fraction-free elimination."""
     if M.rows == 0 or M.cols == 0:
         return 0
-    _, pivots, _ = _forward_echelon(*_elimination_rows(M))
+    pivots = _forward_echelon(*_elimination_rows(M))[1]
     return len(pivots)
 
 
@@ -671,13 +727,14 @@ def kernel(M: Matrix) -> "Subspace":
     if M.rows == 0 or n == 0:
         return Subspace(n, Matrix.identity(n))
     rows, integer = _elimination_rows(M)
-    ech, pivots, _ = _forward_echelon(rows, integer)
+    ech, pivots, _, adjugates = _forward_echelon(rows, integer)
     free = [c for c in range(n) if c not in pivots]
     if not free:
         return Subspace(n, Matrix.zeros(n, 0))
-    basis_cols = [[int(c == fc) for c in range(n)] for fc in free]
-    _back_substitute(ech, pivots, [[0] * len(pivots)] * len(free), basis_cols)
-    return Subspace(n, _matrix_of_cols(basis_cols, integer))
+    zero = 0 if integer else _RING_ZERO
+    cols, den = _back_substitute(ech, pivots, adjugates, [[zero] * len(pivots)] * len(free),
+                                 [[c == fc for c in range(n)] for fc in free], integer)
+    return Subspace(n, _matrix_of_cols(cols, den, integer))
 
 
 def rational_kernel(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
@@ -699,28 +756,32 @@ def solve(A: Matrix, B: Matrix) -> Matrix | None:
     n, k = A.rows, A.cols
     fa = A._integer_form()
     fb = fa is not False and B._integer_form()
-    if fb is False:
-        aug = [list(ra + rb) for ra, rb in zip(A.entries(), B.entries())]
-    else:  # each augmented row times the product of its two scales
+    integer = fb is not False
+    # each augmented row times the product of its two scales
+    if integer:
         aug = [[x * lb for x in ra] + [x * la for x in rb] for (ra, la), (rb, lb) in zip(fa, fb)]
-    ech, pivots, _ = _forward_echelon(aug, fb is not False)
+    else:
+        aug = [[{key: x * lb for key, x in e} for e in ea] +
+               [{key: x * la for key, x in e} for e in eb]
+               for (ea, la), (eb, lb) in zip(A._term_form(), B._term_form())]
+    ech, pivots, _, adjugates = _forward_echelon(aug, integer)
     pivots = [p for p in pivots if p < k]
     # a nonzero right-hand side below the coefficient rank is inconsistent
     for i in range(len(pivots), n):
         if any(ech[i][j] for j in range(k, k + B.cols)):
             return None
     rhs = [[row[k + bc] for row in ech] for bc in range(B.cols)]
-    return _matrix_of_cols(_back_substitute(ech, pivots, rhs, [[0] * k for _ in rhs]),
-                           fb is not False)
+    cols, den = _back_substitute(ech, pivots, adjugates, rhs, [[False] * k for _ in rhs], integer)
+    return _matrix_of_cols(cols, den, integer)
 
 
-def _matrix_of_cols(cols: list[list], integer: bool) -> Matrix:
-    """The matrix with these back-substituted columns; on the integer path
-    they hold ints and Fractions, and its canonical integer rows are read
-    off them directly."""
-    if not integer:
-        return Matrix.from_cols(cols)
-    return Matrix._of_ints([_fraction_row(row) for row in zip(*cols)])
+def _matrix_of_cols(cols: list[list], den: int, integer: bool) -> Matrix:
+    """The matrix whose columns are these numerators over the positive int
+    den: ints, whose canonical integer rows are read off directly, or ring
+    elements, each of which becomes one Scalar."""
+    if integer:
+        return Matrix._of_ints([_canonical_row(list(row), den) for row in zip(*cols)])
+    return Matrix([[_ring_scalar(a, den) for a in row] for row in zip(*cols)])
 
 
 # -- subspaces and basis changes ---------------------------------------------

@@ -61,12 +61,60 @@ def smallest_prime_factor(n: int) -> int:
     return n
 
 
+@lru_cache(maxsize=None)
 def _mul_key(k1: Key, k2: Key) -> tuple[Key, int]:
     """Product of two basis elements as (key, integer cofactor)."""
     d1, i1 = k1
     d2, i2 = k2
     g = math.gcd(d1, d2)
     return ((d1 // g) * (d2 // g), i1 != i2), -g if i1 and i2 else g
+
+
+# Elements of the ring spanned over Z by the basis elements sqrt(d) * i^e are
+# dicts {key: nonzero int}; {} is 0.  The span is closed under products, each
+# key product adding only its integer cofactor.
+
+
+def _ring_mul_add(acc: dict[Key, int], a: dict[Key, int], b: dict[Key, int], sign: int) -> None:
+    """acc += sign * a * b, for ring elements a and b; acc may keep zeros."""
+    for k1, c1 in a.items():
+        c1 *= sign
+        for k2, c2 in b.items():
+            key, cofactor = _mul_key(k1, k2)
+            acc[key] = acc.get(key, 0) + c1 * c2 * cofactor
+
+
+def _ring_mul(a: dict[Key, int], b: dict[Key, int]) -> dict[Key, int]:
+    """The product of two ring elements."""
+    if len(a) == 1 and _RATIONAL_KEY in a:
+        c = a[_RATIONAL_KEY]
+        return {k: c * x for k, x in b.items()}
+    out: dict[Key, int] = {}
+    _ring_mul_add(out, a, b, 1)
+    return {k: c for k, c in out.items() if c}
+
+
+def _adjugate(x: dict[Key, int]) -> tuple[dict[Key, int], int]:
+    """A ring element adj and a positive int N with x * adj = N, for x != 0.
+
+    A single term c * sqrt(d) * i^e has adj = +-sqrt(d) * i^e and N = |c| d.
+    Otherwise adj is the product of x's nontrivial conjugates: x is
+    multiplied by its image under i -> -i, then, while a radicand is left,
+    under sqrt(p) -> -sqrt(p) for a prime p of one; each product is fixed by
+    every map taken so far, and the last one is the int N (up to sign).
+    """
+    if len(x) == 1:
+        ((d, imag), c), = x.items()
+        return {(d, imag): -1 if (c < 0) != imag else 1}, abs(c) * d
+    adj, cur = {_RATIONAL_KEY: 1}, x
+    if any(imag for _, imag in x):
+        adj = {k: -c if k[1] else c for k, c in x.items()}
+        cur = _ring_mul(x, adj)
+    while (p := next((smallest_prime_factor(d) for d, _ in cur if d > 1), None)) is not None:
+        flip = {k: -c if k[0] % p == 0 else c for k, c in cur.items()}
+        adj, cur = _ring_mul(adj, flip), _ring_mul(cur, flip)
+    n = cur[_RATIONAL_KEY]
+    return (adj, n) if n > 0 else ({k: -c for k, c in adj.items()}, -n)
 
 
 class Scalar:
@@ -165,10 +213,6 @@ class Scalar:
     def conjugate(self) -> "Scalar":
         return Scalar({k: (-c if k[1] else c) for k, c in self._terms.items()})
 
-    def _flip_prime(self, p: int) -> "Scalar":
-        """Galois conjugation sending sqrt(d) to -sqrt(d) whenever p divides d."""
-        return Scalar({k: (-c if k[0] % p == 0 else c) for k, c in self._terms.items()})
-
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
@@ -251,7 +295,7 @@ class Scalar:
 
         A single term has a closed form: 1/(q*sqrt(d)*i^e) is
         (1/(q*d)) * sqrt(d) * (-i)^e.  Longer sums go through
-        :meth:`_conjugation_inverse`.
+        :meth:`_adjugate_inverse`.
         """
         if self.is_zero():
             raise ZeroDivisionError("scalar division by zero")
@@ -259,28 +303,15 @@ class Scalar:
             ((d, imag), q), = self._terms.items()
             inv = 1 / (q * d)
             return Scalar({(d, imag): -inv if imag else inv})
-        return self._conjugation_inverse()
+        return self._adjugate_inverse()
 
-    def _conjugation_inverse(self) -> "Scalar":
-        """Inverse by repeated conjugation over each extension."""
-        num = Scalar.one()
-        cur = self
-        if not cur.is_real():
-            conj = cur.conjugate()
-            num *= conj
-            cur *= conj
-        while True:
-            prime = None
-            for d, _ in cur._terms:
-                if d > 1:
-                    prime = smallest_prime_factor(d)
-                    break
-            if prime is None:
-                break
-            flipped = cur._flip_prime(prime)
-            num *= flipped
-            cur *= flipped
-        return num * Scalar.from_fraction(1 / cur.as_fraction())
+    def _adjugate_inverse(self) -> "Scalar":
+        """Inverse by the integer adjugate: self is X / L with X a ring
+        element, L the lcm of the denominators, and 1/self = L adj(X) / N."""
+        lcm = math.lcm(*(c.denominator for c in self._terms.values()))
+        adj, norm = _adjugate({k: c.numerator * (lcm // c.denominator)
+                               for k, c in self._terms.items()})
+        return Scalar({k: Fraction(c * lcm, norm) for k, c in adj.items()})
 
     def __truediv__(self, other):
         other = _coerce(other)

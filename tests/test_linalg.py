@@ -320,9 +320,9 @@ def _wide_rational_rows(rng, r, c):
 RADICAL_KEYS = [(d, imag) for d in (1, 2, 3, 6) for imag in (False, True)]
 
 
-def _radical_rows(rng, r, c, wide=False):
-    """Sparse entries over sqrt(2), sqrt(3), sqrt(6) and i; with ``wide``,
-    numerators up to 2^200 and denominators up to 2^60."""
+def _radical_rows(rng, r, c, wide=False, keys=RADICAL_KEYS):
+    """Sparse entries over sqrt(2), sqrt(3), sqrt(6) and i, or the given
+    keys; with ``wide``, numerators up to 2^200 and denominators up to 2^60."""
     def coefficient():
         if wide:
             return Fraction(rng.randint(-2**rng.randint(1, 200), 2**200),
@@ -332,7 +332,7 @@ def _radical_rows(rng, r, c, wide=False):
     def entry():
         if rng.random() < 0.4:
             return Scalar.zero()
-        return Scalar({k: coefficient() for k in rng.sample(RADICAL_KEYS, rng.randint(1, 3))})
+        return Scalar({k: coefficient() for k in rng.sample(keys, rng.randint(1, 3))})
 
     return [[entry() for _ in range(c)] for _ in range(r)]
 
@@ -425,47 +425,99 @@ class TestIntegerProduct:
 
 
 class TestScalarElimination:
-    """Elimination with radical entries runs on Scalars, one inverse per pivot."""
+    """Elimination with radical entries runs on integer term rows, each entry
+    a ring element (ints over the basis keys); each exact division by a
+    pivot multiplies by its adjugate, computed at most once per pivot."""
 
     SHAPES = [(1, 1), (1, 4), (4, 1), (2, 5), (5, 2), (3, 3), (4, 4), (5, 5), (6, 4)]
     ONE = Scalar.one()
+    # Q(sqrt(2), sqrt(5), sqrt(7), i): an adjugate multiplies up to 15 conjugates
+    FOUR_GENERATOR_KEYS = [(d, imag) for d in (1, 2, 5, 7) for imag in (False, True)]
 
-    def _rows(self, rng, r, c):
+    def _rows(self, rng, r, c, **kw):
         """Radical entries, at times of rank below min(r, c) or with a zero row."""
-        rows = _radical_rows(rng, r, c)
+        rows = _radical_rows(rng, r, c, **kw)
         if rng.random() < 0.4:
             k = rng.randint(0, min(r, c) - 1)
             rows = [[Scalar.zero()] * c for _ in range(r)]
             if k:  # a product through k dimensions
-                low = _scalar_product(Matrix.from_rows(_radical_rows(rng, r, k)),
-                                      Matrix.from_rows(_radical_rows(rng, k, c)))
+                low = _scalar_product(Matrix.from_rows(_radical_rows(rng, r, k, **kw)),
+                                      Matrix.from_rows(_radical_rows(rng, k, c, **kw)))
                 rows = [list(row) for row in low.entries()]
         if rng.random() < 0.2:
             rows[rng.randrange(r)] = [Scalar.zero()] * c
         return rows
+
+    def _check(self, rng, rows, **kw):
+        """rank, kernel, det and two solves of the rows against the Scalar
+        Gauss-Jordan oracle; returns (singular, inconsistent solves)."""
+        r, c = len(rows), len(rows[0])
+        M = Matrix.from_rows(rows)
+        _, pivots, det = _gauss_jordan(rows, self.ONE)
+        assert rank(M) == len(pivots)
+        assert kernel(M).basis == _oracle_kernel(rows, c, self.ONE)
+        singular = inconsistent = 0
+        if r == c:
+            assert M.det() == det
+            singular = det.is_zero()
+        consistent = _scalar_product(M, Matrix.from_rows(_radical_rows(rng, c, 2, **kw)))
+        for b_rows in (consistent.entries(), _radical_rows(rng, r, 2, **kw)):
+            expected = _oracle_solve(rows, b_rows, c, self.ONE)
+            got = solve(M, Matrix.from_rows(b_rows))
+            assert (got is None) == (expected is None)
+            inconsistent += got is None
+            if expected is not None:
+                assert got == expected
+        return singular, inconsistent
 
     def test_agrees_with_scalar_oracle(self):
         rng = random.Random(173205)
         singular = inconsistent = 0
         for _ in range(5):
             for r, c in self.SHAPES:
-                rows = self._rows(rng, r, c)
-                M = Matrix.from_rows(rows)
-                _, pivots, det = _gauss_jordan(rows, self.ONE)
-                assert rank(M) == len(pivots)
-                assert kernel(M).basis == _oracle_kernel(rows, c, self.ONE)
-                if r == c:
-                    assert M.det() == det
-                    singular += det.is_zero()
-                consistent = _scalar_product(M, Matrix.from_rows(_radical_rows(rng, c, 2)))
-                for b_rows in (consistent.entries(), _radical_rows(rng, r, 2)):
-                    expected = _oracle_solve(rows, b_rows, c, self.ONE)
-                    got = solve(M, Matrix.from_rows(b_rows))
-                    assert (got is None) == (expected is None)
-                    inconsistent += got is None
-                    if expected is not None:
-                        assert got == expected
+                s, i = self._check(rng, self._rows(rng, r, c))
+                singular += s
+                inconsistent += i
         assert singular and inconsistent
+
+    def test_wide_entries_over_four_generators(self, monkeypatch):
+        # numerators up to 2^200 over sqrt(2), sqrt(5), sqrt(7) and i, where a
+        # multi-term pivot's adjugate is a product of up to 15 conjugates
+        rng = random.Random(264575)
+        multi_term = []
+        original = linalg._adjugate
+
+        def recording(x):
+            if len(x) > 1:
+                multi_term.append(x)
+            return original(x)
+
+        monkeypatch.setattr(linalg, "_adjugate", recording)
+        kw = {"wide": True, "keys": self.FOUR_GENERATOR_KEYS}
+        singular = inconsistent = zero_rows = 0
+        for _ in range(3):
+            for r, c in [(1, 3), (3, 1), (2, 3), (3, 2), (3, 3), (2, 2), (2, 4)]:
+                rows = self._rows(rng, r, c, **kw)
+                zero_rows += any(not any(row) for row in rows)
+                s, i = self._check(rng, rows, **kw)
+                singular += s
+                inconsistent += i
+        assert singular and inconsistent and zero_rows
+        assert len(multi_term) >= 20
+        # some pivot's conjugates reach all four generators
+        assert any({2, 5, 7} <= {p for d, _ in x for p in (2, 5, 7) if d % p == 0}
+                   and any(imag for _, imag in x) for x in multi_term)
+
+    def _count_adjugates(self, monkeypatch):
+        calls = []
+        original = linalg._adjugate
+
+        def counting(x):
+            calls.append(x)
+            return original(x)
+
+        monkeypatch.setattr(linalg, "_adjugate", counting)
+        return calls
 
     def test_one_inverse_per_pivot(self, monkeypatch):
         rng = random.Random(223606)
@@ -473,21 +525,13 @@ class TestScalarElimination:
         while M.det().is_zero():
             M = Matrix.from_rows(_radical_rows(rng, 5, 5))
         expected = _gauss_jordan(M.entries(), self.ONE)[2]
-        calls = []
-        original = Scalar.inverse
-
-        def counting(self):
-            calls.append(self)
-            return original(self)
-
-        monkeypatch.setattr(Scalar, "inverse", counting)
+        calls = self._count_adjugates(monkeypatch)
         assert M._integer_form() is False
         assert M.det() == expected
         assert 0 < len(calls) <= 5
 
-
     def test_back_substitution_inverts_each_pivot_once(self, monkeypatch):
-        # a solve with six right-hand sides takes at most one inverse per
+        # a solve with six right-hand sides takes at most one adjugate per
         # pivot step forward and one per pivot back, not one per column
         rng = random.Random(314159)
         M = Matrix.from_rows(_radical_rows(rng, 4, 4))
@@ -495,14 +539,7 @@ class TestScalarElimination:
             M = Matrix.from_rows(_radical_rows(rng, 4, 4))
         B = Matrix.from_rows(_radical_rows(rng, 4, 6))
         expected = _oracle_solve(M.entries(), B.entries(), 4, self.ONE)
-        calls = []
-        original = Scalar.inverse
-
-        def counting(self):
-            calls.append(self)
-            return original(self)
-
-        monkeypatch.setattr(Scalar, "inverse", counting)
+        calls = self._count_adjugates(monkeypatch)
         assert solve(M, B) == expected
         assert 0 < len(calls) <= 4 + 4
 

@@ -12,6 +12,8 @@ from conftest import integer_relations
 from lindyn.errors import ParseError
 from lindyn.scalars import (
     Scalar,
+    _adjugate,
+    _ring_mul,
     parse_scalar,
     square_free_split,
 )
@@ -126,6 +128,15 @@ monomial_strategy = st.builds(
     st.booleans(),
 )
 
+# nonzero ring elements: integer coefficients over sqrt(d) * i^e, d a
+# squarefree product of 2, 3, 5 and 7, numerators up to 2^64
+ring_strategy = st.dictionaries(
+    st.tuples(st.sampled_from([1, 2, 3, 5, 6, 7, 10, 14, 15, 21, 35, 70, 105, 210]),
+              st.booleans()),
+    st.integers(min_value=-2**64, max_value=2**64).filter(bool),
+    min_size=1, max_size=6,
+)
+
 
 def _random(seed):
     rng = random.Random(seed)
@@ -154,8 +165,16 @@ class TestFieldAxioms:
     def test_monomial_inverse_closed_form(self, a):
         inv = a.inverse()
         assert a * inv == Scalar.one()
-        assert inv == a._conjugation_inverse()
+        assert inv == a._adjugate_inverse()
         assert len(inv.terms) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(ring_strategy)
+    def test_adjugate_times_element_is_a_positive_int(self, x):
+        adj, norm = _adjugate(x)
+        assert all(isinstance(c, int) and c for c in adj.values())
+        assert isinstance(norm, int) and norm > 0
+        assert _ring_mul(x, adj) == {(1, False): norm}
 
     @settings(max_examples=100, deadline=None)
     @given(scalar_strategy, scalar_strategy)

@@ -196,6 +196,29 @@ def test_bench_pairs_summarizes_a_saved_file(tmp_path):
     ]
 
 
+def test_bench_pairs_keys_runs_by_workload(monkeypatch, tmp_path, capsys):
+    def fake_run(checkout, workload, seed, seconds):
+        wall = {"structure-radical": 0.2, "orbit": 1.0}[workload] * (1 if checkout == "P" else 0.9)
+        return {"exit": 0, "metrics": {"wall_s": wall + seed / 1000}}
+
+    monkeypatch.setattr(bench_pairs, "run_side", fake_run)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", "P", "--change", str(ROOT), "--seeds", "1-3",
+                             "--workload", "structure-radical,orbit", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0] == "structure-radical" and "orbit" in printed
+    assert ("  wall_s: 1.002 [1.001, 1.003] -> 0.902 [0.901, 0.903] s "
+            "(change better in 3/3)") in printed
+    saved = json.loads(out.read_text())
+    assert set(saved) == {"runs", "summary"}
+    assert list(saved["runs"]) == list(saved["summary"]) == ["structure-radical", "orbit"]
+    assert [p["seed"] for p in saved["runs"]["orbit"]] == [1, 2, 3]
+    assert saved["summary"]["structure-radical"]["wall_s"]["change_better_pairs"] == 3
+    # the saved file summarises to the same lines
+    assert bench_pairs.main(["--change", str(ROOT), "--summarize", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == printed
+
+
 same_bytes = _load_script("same_bytes")
 
 
