@@ -116,6 +116,7 @@ class TestEnumerate:
         "generic_complex_streamed", "cshear5_plane_K24_streamed",
         "shear3_dense_K300_streamed",  # a real orbit: the float64 window GEMM, d = 1
         "one_generator_streamed",      # the identity as the one outer stage, J = 1
+        "elliptic_plane_streamed",
     ])
     def test_streamed_window_complete(self, name):
         # oracle: the whole box, materialized; every point of it within the
@@ -234,6 +235,8 @@ POINT_DIGESTS = {
     "one_generator_streamed": "7dbb60e46ac955a83d35a97c8fc2277b1ddc3c48196c03eba9eceef891815b90",
     "expanding_clipped_streamed": "856dcc1aa406fa5f500001ddbeb5e0615387b66744d94b4c69295a5080728db9",
     "generic_complex_streamed": "516b265842cbb2c0e4bc4f48368d50aa871f378b036faf7562425da98cd810b9",
+    "hyperbolic_pair_streamed": "a63a565734c4ad3a8a36463134d9c5b7697ad721b304799ebbbae4d3e98ae0b6",
+    "elliptic_plane_streamed": "b919ea2ccda055581d45904dcf00fa3b457eb99a28a6a7f7ab62792946f588a9",
 }
 
 
@@ -265,6 +268,25 @@ def _digest_case(name):
     if name == "one_generator_streamed":
         G = group_from_strings("real", [[["1", "0"], ["1", "1"]]])
         return G, as_vector(["sqrt(2)", "1/3"]), 3000, ClosureConfig(max_store=1000)
+    if name in ("hyperbolic_pair_streamed", "elliptic_plane_streamed"):
+        # P D P^-1 with a fixed third eigenvector, so the hull is a plane in
+        # R^3 (d = 2), and with entries that round in float64.  The
+        # hyperbolic pair's outer powers run from about 3^-100 to 3^100, and
+        # its points to 4e77, below the overflow limit.  Its window hits
+        # cancel terms of up to about 1e57, so their rounding, not the orbit,
+        # decides which points are hits, and the materialized box forms other
+        # points.  The elliptic pair's points lie on an ellipse wider than
+        # the window
+        P = Matrix.from_rows([["1", "2/3", "-1/5"], ["-1/7", "1", "3/4"], ["2/5", "-1/3", "1"]])
+        if name.startswith("hyperbolic"):
+            blocks = [[["3", "0"], ["0", "1/3"]], [["2", "0"], ["0", "1/2"]]]
+            u, K, cfg = as_vector(["1", "1/3", "-2/7"]), 100, ClosureConfig(max_store=10_000)
+        else:
+            blocks = [[["3/5", "-4/5"], ["4/5", "3/5"]], [["5/13", "-12/13"], ["12/13", "5/13"]]]
+            u, K, cfg = as_vector(["4", "-3", "2"]), 150, ClosureConfig(max_store=5000)
+        gens = [P * Matrix.from_rows([[*row, "0"] for row in block] + [["0", "0", "1"]])
+                * P.inverse() for block in blocks]
+        return GeneratorSet("real", 3, gens, ["a", "b"]), u, K, cfg
     G = group_from_strings(
         "real", [[["3", "0"], ["0", "1/3"]], [["2", "0"], ["0", "1/2"]]]
     )
