@@ -6,13 +6,16 @@
 The cases are ``lindyn analyze`` at ``--precision`` 53 and 128 on the four
 fixtures and on every document that ``benchmark/gen.py`` (of the change,
 imported read-only) makes for seeds 1 and 2, duplicates dropped;
-``analyze --classify-points`` on the fixtures at both precisions; and
-``verify-examples``.  The documents are written once to a temporary
-directory, so both sides read the same files.  Each checkout runs every case
-in one interpreter, through ``lindyn.cli.main`` with its own ``src`` first
-on the path, and records the exit code, stdout and stderr; an exception that
-escapes ``main`` is recorded as exit ``"raised"`` with its traceback as
-stderr.  The script prints one line per case that differs and exits 1 when
+``analyze --classify-points`` on the fixtures at both precisions;
+``orbit --point P --dump-points F`` for each point of each fixture, at the
+default ``--max-exponent``; and ``verify-examples``.  The documents are
+written once to a temporary directory, so both sides read the same files,
+and every dump goes to one path in it, so that stdout, which names the path,
+compares equal.  Each checkout runs every case in one interpreter, through
+``lindyn.cli.main`` with its own ``src`` first on the path, and records the
+exit code, stdout, stderr and the dumped CSV, which it then deletes; an
+exception that escapes ``main`` is recorded as exit ``"raised"`` with its
+traceback as stderr.  The script prints one line per case that differs and exits 1 when
 any does, 0 when none does.
 """
 
@@ -76,12 +79,19 @@ def build_cases(fixtures: list[str], generated: list[str]) -> list[list[str]]:
              for p in PRECISIONS]
     cases += [["analyze", path, "--classify-points", "--precision", p] for path in fixtures
               for p in PRECISIONS]
+    for path in fixtures:
+        with open(path) as fh:
+            points = json.load(fh).get("points", {})
+        dump = os.path.join(os.path.dirname(path), "points.csv")
+        cases += [["orbit", path, "--point", ",".join(coords), "--dump-points", dump]
+                  for coords in points.values()]
     cases.append(["verify-examples"])
     return cases
 
 
 def case_id(argv: list[str]) -> str:
-    return " ".join(os.path.basename(a) for a in argv)
+    # a point such as 1/3 is not a path
+    return " ".join(os.path.basename(a) if os.path.isabs(a) else a for a in argv)
 
 
 def run_cases(cases: list[list[str]]) -> list[dict]:
@@ -97,7 +107,15 @@ def run_cases(cases: list[list[str]]) -> list[dict]:
             except Exception:  # a crash is an outcome to compare
                 code = "raised"
                 err.write(traceback.format_exc())
-        results.append({"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()})
+        dump = None
+        if "--dump-points" in argv:
+            path = argv[argv.index("--dump-points") + 1]
+            if os.path.exists(path):
+                with open(path) as fh:
+                    dump = fh.read()
+                os.remove(path)
+        results.append({"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue(),
+                        "dump": dump})
     return results
 
 
@@ -114,10 +132,10 @@ def run_checkout(checkout: str, cases_path: str) -> list[dict]:
 
 
 def differences(cases: list[list[str]], parent: list[dict], change: list[dict]) -> list[str]:
-    """One line per case whose exit code, stdout or stderr differs."""
+    """One line per case whose exit code, stdout, stderr or dumped CSV differs."""
     lines = []
     for argv, a, b in zip(cases, parent, change):
-        parts = [k for k in ("exit", "stdout", "stderr") if a[k] != b[k]]
+        parts = [k for k in ("exit", "stdout", "stderr", "dump") if a[k] != b[k]]
         if parts:
             lines.append(f"DIFFERS {case_id(argv)}: {', '.join(parts)}")
     return lines

@@ -18,11 +18,14 @@ values, not a permutation of its rows, and its minimum separation is the least
 gap between them.  Any other cloud's is the exact nearest pair on a grid of
 cells, which a k-d tree's nearest-neighbour query returns too, bit for
 bit.  Boxes too large to materialize are streamed in chunks: the
-outermost stage is applied through the frame's projector, so a chunk's window
-coordinates cost one real GEMM, which runs one cache-sized tile of outer
-powers at a time together with the window test.  A point is formed in full
-only if it is a window hit or a column whose norm bound cannot clear the exact
-overflow test; the per-column bounds are formed only for a chunk whose largest
+outermost stage is applied through the frame's projector, so a tuple's window
+coordinates are a real product of one projected outer power and one inner
+column.  They are formed only for the tuples that can be window hits: the
+frame coordinates of a chunk's inner columns give each outer power one range
+of the columns sorted by their first frame coordinate, with a margin that
+covers every residual and rounding.  A point is formed in full only if it is
+a window hit or a column whose norm bound cannot clear the exact overflow
+test; the per-column bounds are formed only for a chunk whose largest
 one does not clear it.  A streamed cloud is its window: it stores only the
 deduplicated window hits.  Its points equal the materialized box's window
 points up to rounding, and its verdicts and gaps are the same.  Closure
@@ -55,14 +58,6 @@ COVER_RESOLUTION = 0.25  # grid cell size for hull dimension >= 2
 MIN_DIST_FACTOR = 100.0  # DISCRETE floor = factor * dedup_eps
 FIRST_BOX = 8            # classify_stabilized's first exponent bound
 RECURRENCE_TOL = 1e-3    # final backward error of a recurrent sequence
-# A streamed chunk's window projections are computed for a tile of outer
-# powers at a time, whose float64 projections take about WINDOW_TILE_BYTES,
-# so each tile's passes (offset, abs, max, compare) run in cache.  On a
-# 2-vCPU Haswell-class machine with 2 MiB of L2 per core and one BLAS thread,
-# the stream of the cshear5 dense plane at K=200 (23 MB of projections per
-# chunk untiled) took a median 0.88 s at 512 KiB, 1.0 s at 128 KiB, 1 MiB and
-# 2 MiB, and 1.23 s untiled.
-WINDOW_TILE_BYTES = 2**19
 
 
 @dataclass(frozen=True)
@@ -367,13 +362,14 @@ def _stream_window(gens, un, K, cfg: ClosureConfig, frame, fieldname) -> tuple[n
     A chunk's tuples are the columns j * M + col of the blocks P[j] @ inner,
     with P the outermost power stack and inner (n, M) the chunk's start
     columns taken through the other stages; a single generator has the
-    identity as its one outer stage.  Their window coordinates come from a
-    real GEMM of the projected outer stack on the realified inner columns (the
-    inner columns themselves for a real orbit), one tile of outer powers at a
-    time, and are tested against the window while the tile is in cache.  A
-    point is formed in full only when it is a window hit or a column whose
-    norm bound cannot clear the exact overflow test (every |coordinate| within
-    the limit).
+    identity as its one outer stage.  A tuple's window coordinates are
+    Q[j] @ x - o, with Q[j] the projected outer power in real form and x the
+    realified inner column (the column itself for a real orbit), and it is a
+    hit when their largest modulus is at most 1.5 windows.  _window_filter
+    finds the hits without forming that value for every tuple.  A point is
+    formed in full only when it is a window hit or a column whose norm bound
+    cannot clear the exact overflow test (every |coordinate| within the
+    limit).
     """
     base, V = frame
     W = np.conj(_complex_projector(V, fieldname))  # (n, d)
@@ -387,13 +383,19 @@ def _stream_window(gens, un, K, cfg: ClosureConfig, frame, fieldname) -> tuple[n
         stacks = [_power_stack(A, K) for A in gens[:-1]]
         last = _power_stack(gens[-1], K)
         outer = stacks.pop() if stacks else np.eye(n, dtype=un.dtype)[None]
-        J, d = outer.shape[0], W.shape[1]
+        J = outer.shape[0]
         # Re(W^T P[j] x) = [Re(W^T P[j]), -Im(W^T P[j])] @ [Re x; Im x], which
         # is Re(W^T P[j]) @ x for real P[j] and x
         WP = np.matmul(W.T, outer)  # (J, d, n)
         complex_data = np.iscomplexobj(un)
-        Qr = np.concatenate([WP.real, -WP.imag], axis=2) if complex_data else WP.real
-        Qr = Qr.reshape(J * d, Qr.shape[2])
+        Q = np.concatenate([WP.real, -WP.imag], axis=2) if complex_data else WP.real
+        # the frame in the layout of x: [Re x; Im x], or a real orbit's real rows
+        if fieldname == COMPLEX:
+            b_x, V_x = np.r_[base[0::2], base[1::2]], np.vstack([V[0::2], V[1::2]])
+        else:
+            b_x, V_x = np.r_[base, 0 * base], np.vstack([V, 0 * V])
+        m = Q.shape[2]
+        hits_of = _window_filter(Q, b_x[:m], V_x[:m], offset, 1.5 * cfg.window)
         # |(P[j] x)_i| <= rowsum[j] * max|x|; a factor 2 covers the rounding
         rowsum = np.abs(outer).sum(axis=2).max(axis=1)  # (J,)
         per_start = J * (2 * K + 1) ** len(stacks)
@@ -402,31 +404,150 @@ def _stream_window(gens, un, K, cfg: ClosureConfig, frame, fieldname) -> tuple[n
             hi = min(lo + batch, 2 * K + 1)
             starts = np.stack([last[k] @ un for k in range(lo, hi)], axis=1)  # (n, b)
             inner = _staged_columns(stacks, starts)  # (n, M)
-            M = inner.shape[1]
-            cols = np.vstack([inner.real, inner.imag]) if complex_data else inner
-            hit = np.empty((J, M), dtype=bool)
-            tile = max(1, WINDOW_TILE_BYTES // (8 * max(d, 1) * M))
-            for j0 in range(0, J, tile):
-                j1 = min(j0 + tile, J)
-                proj = (Qr[j0 * d : j1 * d] @ cols).reshape(j1 - j0, d, M)
-                proj -= offset.reshape(-1, 1)
-                # a 0-dimensional frame projects every point to the base point
-                np.less_equal(np.abs(proj, out=proj).max(axis=1, initial=0.0),
-                              1.5 * cfg.window, out=hit[j0:j1])
-            hit = hit.ravel()
-            need = hit
+            hits = hits_of(np.vstack([inner.real, inner.imag]) if complex_data else inner)
+            sel = hits
             if not clipped:
                 colmax = np.abs(inner).max(axis=0)
                 # rounding is monotone, so the largest product bounds every
                 # other one, and only a chunk it does not clear is scanned
                 if not 2.0 * rowsum.max() * colmax.max() <= limit:
-                    need = hit | ~(2.0 * np.outer(rowsum, colmax) <= limit).ravel()
-            sel = np.flatnonzero(need)
+                    need = ~(2.0 * np.outer(rowsum, colmax) <= limit).ravel()
+                    need[hits] = True
+                    sel = np.flatnonzero(need)
             pts = _outer_columns(outer, inner, sel)  # (s, n)
             ok = np.abs(pts).max(axis=1) <= limit
             clipped = clipped or not ok.all()
-            window_chunks.append(pts[hit[sel] & ok])
+            if sel is not hits:
+                ok &= np.isin(sel, hits, assume_unique=True)
+            window_chunks.append(pts[ok])
     return np.vstack(window_chunks), clipped  # a pass has at least one chunk
+
+
+def _window_filter(Q: np.ndarray, b: np.ndarray, V: np.ndarray, offset: np.ndarray, bound: float):
+    """hits_of(cols): the ascending flat indices j * M + col of a chunk's tuples
+    whose window coordinates Q[j] @ cols[:, col] - offset (see _window_values)
+    are all within `bound` in modulus.
+
+    Q is (J, d, m), cols (m, M), and b and V (m, d) are the frame's base point
+    and orthonormal columns in the layout of cols.  Each column x has frame
+    coordinates z = V^T (x - b) and residual r = x - b - V z, which for a
+    point of the hull u + W is rounding.  Then, exactly,
+
+        Q[j] x - o = a_j + R_j z + Q[j] r,  a_j = Q[j] b - o,  R_j = Q[j] V,
+
+    and R_j is the d x d restriction of the outer power to W.  Only columns
+    with |a_j + R_j z|_inf <= B_j can be hits, and among those z_0 lies in an
+    interval [lo_j, hi_j]: so each j takes the columns of one searchsorted
+    range of the chunk's columns sorted by z_0, and the value of only those
+    tuples is formed and compared, with the same formula and comparison.
+    The hits come out in ascending flat order, as a test of every tuple
+    would give them.
+
+    No hit is left out.  Let u = 2^-53, g_k = k u / (1 - k u), c = 4 (m + d +
+    4) u, and let X, Z and rho bound the |entries| of the chunk's finite
+    columns x, of their z and of their computed residuals r~.  A column with
+    a non-finite entry is never a hit: its value is not finite.  A hit has a
+    computed value t = fl(fl(Q[j] x) - o) with |t_i| <= bound, so exactly
+    |(Q[j] x - o)_i| <= bound / (1 - u) + g_m q_j X, q_j = ||Q[j]||_inf,
+    whatever order or fused multiply-adds the product uses.  The computed
+    a_j, R_j and r~ are off by at most g_(m+1) (q_j |b|_inf + |a_j|_inf),
+    g_m q_j ||V||_inf Z per entry of R_j z, and 2 g_(d+2) (X + |b|_inf +
+    ||V||_inf Z), which Q[j] multiplies by at most q_j.  So a hit has
+    |a_j + R_j z|_inf <= B_j, with
+
+        B_j = bound (1 + c) + q_j ((1 + c) rho + c (X + |b|_inf + ||V||_inf Z))
+              + c |a_j|_inf,
+
+    whose factors c also cover the rounding of B_j itself.  Let Y be any
+    d x d matrix (a computed pseudo-inverse of R_j) and F = I - Y R_j.  Then
+    Y (y - a_j) = z - F z for y = a_j + R_j z, so
+    |z_0 - center_j| <= |Y_0|_1 B_j + ||F||_inf Z, with center_j = -Y_0 a_j
+    and Y_0 the first row of Y.  The computed center_j is off by at most
+    g_d |Y_0|_1 |a_j|_inf, the computed ||F||_inf by at most c (1 + ||Y||_inf
+    ||R_j||_inf), and the half-width h_j and the interval's ends are widened
+    by the factor 1 + c and by c |center_j| to cover their own rounding.  A
+    j whose interval is not finite (a non-finite Q[j], a_j, R_j or bound)
+    takes all M columns, and so does every j of a 0-dimensional frame, whose
+    every tuple is a hit.
+    """
+    J, d, m = Q.shape
+    c = 4 * (m + d + 4) * 2.0**-53
+    q = np.abs(Q).sum(axis=2).max(axis=1, initial=0.0)  # (J,)
+    a = Q @ b - offset  # (J, d)
+    R = Q @ V  # (J, d, d)
+    finite_R = np.isfinite(R).all(axis=(1, 2))
+    Y = np.linalg.pinv(np.where(finite_R[:, None, None], R, 0.0))
+    a_norm = np.abs(a).max(axis=1, initial=0.0)
+    y0 = Y[:, :1]  # (J, 1, d), or (J, 0, 0) for d = 0
+    y0_norm = np.abs(y0).sum(axis=(1, 2))
+    center = -(y0 @ a[:, :, None]).sum(axis=(1, 2))
+    F = np.eye(d) - Y @ R
+    f_norm = (np.abs(F).sum(axis=2).max(axis=1, initial=0.0)
+              + c * (1 + np.abs(Y).sum(axis=2).max(axis=1, initial=0.0)
+                     * np.abs(R).sum(axis=2).max(axis=1, initial=0.0)))
+    b_norm = np.abs(b).max(initial=0.0)
+    v_norm = np.abs(V).sum(axis=1).max(initial=0.0)
+
+    def hits_of(cols: np.ndarray) -> np.ndarray:
+        M = cols.shape[1]
+        x = cols - b[:, None]
+        z = V.T @ x  # (d, M)
+        r = x - V @ z
+        finite = slice(None)
+        if not np.isfinite(np.abs(cols).max(initial=0.0)):
+            finite = np.isfinite(cols).all(axis=0)
+        X, Z, rho = (np.abs(t[:, finite]).max(initial=0.0) for t in (cols, z, r))
+        B = bound * (1 + c) + q * ((1 + c) * rho + c * (X + b_norm + v_norm * Z)) + c * a_norm
+        h = (y0_norm * B + f_norm * Z + c * y0_norm * a_norm) * (1 + c) + c * np.abs(center)
+        whole = ~(np.isfinite(center - h) & np.isfinite(center + h)) | (d == 0)
+        key = z[0] if d else np.zeros(M)
+        order = np.argsort(key)  # a non-finite column's NaN key sorts last
+        key = key[order]
+        start = np.where(whole, 0, np.searchsorted(key, center - h))
+        stop = np.where(whole, M, np.searchsorted(key, center + h, side="right"))
+        count = stop - start
+        j = np.repeat(np.arange(J), count)
+        pos = np.arange(j.size) + np.repeat(start - (np.cumsum(count) - count), count)
+        flat = np.sort(j * M + order[pos])
+        hit = np.empty(flat.size, dtype=bool)
+        step = 2**16
+        for lo in range(0, flat.size, step):
+            js, cs = np.divmod(flat[lo : lo + step], M)
+            # a 0-dimensional frame projects every point to the base point
+            np.less_equal(np.abs(_window_values(Q, cols, offset, js, cs)).max(axis=1, initial=0.0),
+                          bound, out=hit[lo : lo + step])
+        return flat[hit]
+
+    return hits_of
+
+
+def _window_values(Q: np.ndarray, cols: np.ndarray, offset: np.ndarray, js: np.ndarray,
+                   cs: np.ndarray) -> np.ndarray:
+    """Window coordinates Q[j] @ cols[:, col] - offset of the tuples (js, cs), one row each.
+
+    js is ascending.  The tuples of a block of consecutive j go through one
+    GEMM of the block's rows of Q on their columns, and each tuple takes its
+    own rows of the product; a block holds about 64 tuples.  In OpenBLAS an
+    element of a GEMM has the same bits in every GEMM of its row and column,
+    whatever the other rows and columns; GEMV, which numpy calls for a single
+    row or column, may round otherwise.  So a single row is multiplied
+    together with a zero row, and a single column twice.
+    """
+    J, d, m = Q.shape
+    out = np.empty((js.size, d))
+    if d:
+        size = max(1, 64 * J // max(js.size, 1))  # j per block
+        rows = np.zeros((J + size, d, m))  # a zero j past the last
+        rows[:J] = Q
+        edges = np.searchsorted(js, np.arange(0, J + size, size))
+        for k in np.flatnonzero(np.diff(edges)):
+            lo, hi, j0 = edges[k], edges[k + 1], k * size
+            x = cols[:, cs[lo:hi] if hi - lo > 1 else np.repeat(cs[lo:hi], 2)]
+            A = rows[j0 : j0 + max(size, 2)].reshape(-1, m)
+            prod = (A @ x).reshape(-1, d, x.shape[1])
+            out[lo:hi] = prod[js[lo:hi] - j0, :, np.arange(hi - lo)]
+    out -= offset
+    return out
 
 
 def _outer_columns(outer: np.ndarray, inner: np.ndarray, flat: np.ndarray) -> np.ndarray:

@@ -20,6 +20,8 @@ from lindyn.dynamics import (
     _realify,
     _same_signature,
     _stream_window,
+    _window_filter,
+    _window_values,
     DENSE_IN_AFFINE,
     DISCRETE,
     INCONCLUSIVE,
@@ -33,6 +35,7 @@ from lindyn.dynamics import (
     enumerate_orbit,
     inverse_recurrence_check,
 )
+from lindyn import dynamics
 from lindyn.errors import NoProgress, NotConvergent, PointNotInU
 from lindyn.groups import GeneratorSet
 from lindyn.invariants import invariant_family
@@ -320,6 +323,80 @@ class TestSameBits:
             assert cloud.clipped and cloud.subsampled == (2 * K + 1 > max_store)
             assert np.isfinite(cloud.points).all()
             assert np.abs(cloud.points).max() <= cfg.overflow_limit
+
+
+def _digest(cloud):
+    return hashlib.sha256(np.ascontiguousarray(cloud.points, dtype=complex).tobytes()).hexdigest()
+
+
+class TestWindowFilter:
+    """The window hits of a streamed chunk, found from the frame coordinates of its columns."""
+
+    @pytest.fixture
+    def evaluated(self, monkeypatch):
+        """The number of tuples whose window coordinates were formed, per call."""
+        counts = []
+
+        def counting(Q, cols, offset, js, cs):
+            counts.append(js.size)
+            return _window_values(Q, cols, offset, js, cs)
+
+        monkeypatch.setattr(dynamics, "_window_values", counting)
+        return counts
+
+    def test_plane_forms_few_tuples(self, evaluated):
+        G, u, K, cfg = _digest_case("cshear5_plane_K24_streamed")
+        cloud = enumerate_orbit(G, u, K, cfg)
+        assert cloud.total_tuples == 117_649
+        assert 0 < sum(evaluated) < 0.05 * cloud.total_tuples
+        assert _digest(cloud) == POINT_DIGESTS["cshear5_plane_K24_streamed"]
+
+    def test_every_tuple_a_hit(self, evaluated):
+        G, u, K, cfg = _digest_case("generic_complex_streamed")
+        cloud = enumerate_orbit(G, u, K, cfg)
+        assert sum(evaluated) == cloud.count == cloud.total_tuples
+        assert _digest(cloud) == POINT_DIGESTS["generic_complex_streamed"]
+
+    def test_fixed_point_forms_every_tuple(self, evaluated):
+        # a 0-dimensional frame gives no interval: every tuple is formed, and is a hit
+        cloud = enumerate_orbit(shear3(), as_vector([0, 0, 1]), 300, ClosureConfig(max_store=1000))
+        assert cloud.subsampled and cloud.points.tolist() == [[0, 0, 1]]
+        assert sum(evaluated) == cloud.total_tuples
+
+    def test_no_hit_left_out(self, evaluated):
+        # oracle: every tuple's window coordinates, formed by the same helper.
+        # The columns lie near an affine d-plane b + V z, off it by residuals
+        # from 1e-14 to 1e2, and Q[j] maps the plane by a random d x d matrix
+        # of scale 1e-3 to 1e3; some trials have non-finite columns or
+        # outer powers
+        rng = np.random.default_rng(32)
+        pruned = hits = 0
+        for trial in range(120):
+            d = trial % 4
+            m, J, M = int(rng.integers(max(d, 1), 7)), int(rng.integers(1, 25)), int(rng.integers(1, 300))
+            V = np.linalg.qr(rng.normal(size=(m, m)))[0][:, :d]
+            b = rng.normal(size=m) * 10.0 ** rng.uniform(-2, 3)
+            A = rng.normal(size=(J, d, d)) * 10.0 ** rng.uniform(-3, 3, size=(J, 1, 1))
+            Q = A @ V.T + rng.normal(size=(J, d, m)) * 10.0 ** rng.uniform(-16, 0)
+            z = rng.normal(size=(d, M)) * 10.0 ** rng.uniform(-1, 2)
+            cols = b[:, None] + V @ z + rng.normal(size=(m, M)) * 10.0 ** rng.choice([-14, -8, -2, 2])
+            offset = Q[0] @ b  # the base point's image under the first power is a hit
+            if trial % 5 == 1:
+                cols[rng.integers(m), rng.integers(M, size=3)] = rng.choice([np.inf, -np.inf, np.nan])
+            if trial % 7 == 2:
+                Q[rng.integers(J), :, rng.integers(m)] = np.inf
+            bound = float(rng.uniform(0.5, 5))
+            # the stream runs the filter where overflow and NaN are expected
+            with np.errstate(over="ignore", invalid="ignore"):
+                evaluated.clear()
+                got = _window_filter(Q, b, V, offset, bound)(cols)
+                js, cs = np.divmod(np.arange(J * M), M)
+                vals = _window_values(Q, cols, offset, js, cs)
+            want = np.flatnonzero(np.abs(vals).max(axis=1, initial=0.0) <= bound)
+            assert got.dtype == want.dtype and got.tolist() == want.tolist(), trial
+            hits += want.size
+            pruned += sum(evaluated) < J * M
+        assert hits > 50_000 and pruned > 60
 
 
 def _real_case(name):

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import os
 import re
 import subprocess
 import sys
@@ -253,3 +254,22 @@ def test_same_bytes_on_one_fixture(tmp_path):
         "DIFFERS analyze shear3.json --classify-points --precision 53: exit, stdout",
         "DIFFERS analyze shear3.json --classify-points --precision 128: stdout",
     ]
+
+
+def test_same_bytes_compares_dumped_points(tmp_path):
+    fixture = tmp_path / "shear3.json"
+    fixture.write_text((ROOT / "fixtures" / "shear3.json").read_text())
+    orbit = [case for case in same_bytes.build_cases([str(fixture)], []) if case[0] == "orbit"]
+    dump = str(tmp_path / "points.csv")
+    assert [case[3] for case in orbit] == ["1,1,0", "1,sqrt(2),0", "0,1,0"]
+    assert all(case[4:] == ["--dump-points", dump] for case in orbit)
+    assert same_bytes.case_id(orbit[0]) == "orbit shear3.json --point 1,1,0 --dump-points points.csv"
+    cases_path = tmp_path / "cases.json"
+    cases_path.write_text(json.dumps(orbit[:1]))
+    here = same_bytes.run_checkout(str(ROOT), str(cases_path))
+    # the CSV is recorded and deleted, so the next case cannot read it
+    assert here[0]["exit"] == 0 and here[0]["dump"].startswith("x0,x1,x2\n")
+    assert not os.path.exists(dump)
+    other = [dict(here[0], dump=here[0]["dump"] + "0,0,0\n")]
+    assert same_bytes.differences(orbit[:1], here, other) == [
+        f"DIFFERS {same_bytes.case_id(orbit[0])}: dump"]
