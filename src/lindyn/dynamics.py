@@ -389,13 +389,10 @@ def _stream_window(gens, un, K, cfg: ClosureConfig, frame, fieldname) -> tuple[n
         WP = np.matmul(W.T, outer)  # (J, d, n)
         complex_data = np.iscomplexobj(un)
         Q = np.concatenate([WP.real, -WP.imag], axis=2) if complex_data else WP.real
-        # the frame in the layout of x: [Re x; Im x], or a real orbit's real rows
-        if fieldname == COMPLEX:
-            b_x, V_x = np.r_[base[0::2], base[1::2]], np.vstack([V[0::2], V[1::2]])
-        else:
-            b_x, V_x = np.r_[base, 0 * base], np.vstack([V, 0 * V])
-        m = Q.shape[2]
-        hits_of = _window_filter(Q, b_x[:m], V_x[:m], offset, 1.5 * cfg.window)
+        # the frame's base point and columns, realified as the columns x are
+        frame_x = _complex_projector(np.column_stack([base, V]), fieldname)  # (n, 1 + d)
+        frame_x = np.vstack([frame_x.real, frame_x.imag]) if complex_data else frame_x.real
+        hits_of = _window_filter(Q, frame_x[:, 0], frame_x[:, 1:], offset, 1.5 * cfg.window)
         # |(P[j] x)_i| <= rowsum[j] * max|x|; a factor 2 covers the rounding
         rowsum = np.abs(outer).sum(axis=2).max(axis=1)  # (J,)
         per_start = J * (2 * K + 1) ** len(stacks)
@@ -508,33 +505,35 @@ def _window_filter(Q: np.ndarray, b: np.ndarray, V: np.ndarray, offset: np.ndarr
         count = stop - start
         j = np.repeat(np.arange(J), count)
         pos = np.arange(j.size) + np.repeat(start - (np.cumsum(count) - count), count)
-        flat = np.sort(j * M + order[pos])
+        flat = j * M + order[pos]  # ascending in j
         hit = np.empty(flat.size, dtype=bool)
         step = 2**16
         for lo in range(0, flat.size, step):
             js, cs = np.divmod(flat[lo : lo + step], M)
             # a 0-dimensional frame projects every point to the base point
-            np.less_equal(np.abs(_window_values(Q, cols, offset, js, cs)).max(axis=1, initial=0.0),
+            np.less_equal(np.abs(_window_values(Q, cols, offset, js, cs)).max(axis=0, initial=0.0),
                           bound, out=hit[lo : lo + step])
-        return flat[hit]
+        return np.sort(flat[hit])
 
     return hits_of
 
 
 def _window_values(Q: np.ndarray, cols: np.ndarray, offset: np.ndarray, js: np.ndarray,
                    cs: np.ndarray) -> np.ndarray:
-    """Window coordinates Q[j] @ cols[:, col] - offset of the tuples (js, cs), one row each.
+    """Window coordinates Q[j] @ cols[:, col] - offset of the tuples (js, cs), one column each.
 
     js is ascending.  The tuples of a block of consecutive j go through one
-    GEMM of the block's rows of Q on their columns, and each tuple takes its
-    own rows of the product; a block holds about 64 tuples.  In OpenBLAS an
-    element of a GEMM has the same bits in every GEMM of its row and column,
-    whatever the other rows and columns; GEMV, which numpy calls for a single
-    row or column, may round otherwise.  So a single row is multiplied
-    together with a zero row, and a single column twice.
+    GEMM of the block's rows of Q on their columns, or on all of cols when
+    they take at least a quarter of them, and each tuple takes its own rows
+    of the product; a block holds about 64 tuples.  In OpenBLAS an element of
+    a GEMM has the same bits in every GEMM of its row and column, whatever
+    the other rows and columns; GEMV, which numpy calls for a single row or
+    column, may round otherwise.  So a single row is multiplied together with
+    a zero row, and a single column twice.
     """
     J, d, m = Q.shape
-    out = np.empty((js.size, d))
+    M = cols.shape[1]
+    out = np.empty((d, js.size))
     if d:
         size = max(1, 64 * J // max(js.size, 1))  # j per block
         rows = np.zeros((J + size, d, m))  # a zero j past the last
@@ -542,11 +541,14 @@ def _window_values(Q: np.ndarray, cols: np.ndarray, offset: np.ndarray, js: np.n
         edges = np.searchsorted(js, np.arange(0, J + size, size))
         for k in np.flatnonzero(np.diff(edges)):
             lo, hi, j0 = edges[k], edges[k + 1], k * size
-            x = cols[:, cs[lo:hi] if hi - lo > 1 else np.repeat(cs[lo:hi], 2)]
             A = rows[j0 : j0 + max(size, 2)].reshape(-1, m)
-            prod = (A @ x).reshape(-1, d, x.shape[1])
-            out[lo:hi] = prod[js[lo:hi] - j0, :, np.arange(hi - lo)]
-    out -= offset
+            if M > 1 and 4 * (hi - lo) >= size * M:  # dense: every column, no gather
+                prod, at = (A @ cols).reshape(-1, d, M), cs[lo:hi]
+            else:
+                x = cols[:, cs[lo:hi] if hi - lo > 1 else np.repeat(cs[lo:hi], 2)]
+                prod, at = (A @ x).reshape(-1, d, x.shape[1]), np.arange(hi - lo)
+            out[:, lo:hi] = prod[js[lo:hi] - j0, :, at].T
+    out -= offset[:, None]
     return out
 
 

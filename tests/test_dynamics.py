@@ -392,11 +392,36 @@ class TestWindowFilter:
                 got = _window_filter(Q, b, V, offset, bound)(cols)
                 js, cs = np.divmod(np.arange(J * M), M)
                 vals = _window_values(Q, cols, offset, js, cs)
-            want = np.flatnonzero(np.abs(vals).max(axis=1, initial=0.0) <= bound)
+                if M > 1:
+                    # numpy's stacked matmul runs one GEMM per j, here of d + 1
+                    # rows: the bits of every tuple, and of a few on their own
+                    padded = np.concatenate([Q, np.zeros((J, 1, m))], axis=1) @ cols
+                    full = padded[:, :d].transpose(1, 0, 2).reshape(d, J * M) - offset[:, None]
+                    few = np.sort(rng.choice(J * M, size=min(J * M, trial % 3 + 1), replace=False))
+                    some = _window_values(Q, cols, offset, js[few], cs[few])
+                    for part, ref in ((vals, full), (some, full[:, few])):
+                        assert np.array_equal(part, ref, equal_nan=True), trial
+            want = np.flatnonzero(np.abs(vals).max(axis=0, initial=0.0) <= bound)
             assert got.dtype == want.dtype and got.tolist() == want.tolist(), trial
             hits += want.size
             pruned += sum(evaluated) < J * M
         assert hits > 50_000 and pruned > 60
+
+
+    def test_residual_widens_the_interval(self):
+        # columns (z, r) off the line b + V z = (z, 0) by r up to 10, and
+        # values Q[j] x with Q[j] = (s_j, t_j): a hit's s_j z is up to
+        # 10 |t_j| away from the window, and still in its interval
+        rng = np.random.default_rng(33)
+        cols = np.vstack([rng.uniform(-20, 20, 400), rng.uniform(-10, 10, 400)])
+        Q = np.array([[[1.0, 1.0]], [[2.0, 1.0]], [[0.5, -1.0]]])
+        b, V, offset = np.zeros(2), np.array([[1.0], [0.0]]), np.zeros(1)
+        got = _window_filter(Q, b, V, offset, 1.5)(cols)
+        js, cs = np.divmod(np.arange(3 * 400), 400)
+        hit = np.abs(_window_values(Q, cols, offset, js, cs)[0]) <= 1.5
+        assert got.tolist() == np.flatnonzero(hit).tolist()
+        # the frame coordinate alone would have left these hits out
+        assert (np.abs(Q[js, 0, 0] * cols[0, cs])[hit] > 3).sum() > 50
 
 
 def _real_case(name):
