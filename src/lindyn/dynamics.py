@@ -467,21 +467,21 @@ def _window_filter(Q: np.ndarray, b: np.ndarray, V: np.ndarray, offset: np.ndarr
     takes all M columns, and so does every j of a 0-dimensional frame, whose
     every tuple is a hit.
     """
+    def norm(A):  # the largest row sum of |A[j]|, for each j
+        return np.abs(A).sum(axis=2).max(axis=1, initial=0.0)
+
     J, d, m = Q.shape
     c = 4 * (m + d + 4) * 2.0**-53
-    q = np.abs(Q).sum(axis=2).max(axis=1, initial=0.0)  # (J,)
+    q = norm(Q)
     a = Q @ b - offset  # (J, d)
     R = Q @ V  # (J, d, d)
     finite_R = np.isfinite(R).all(axis=(1, 2))
     Y = np.linalg.pinv(np.where(finite_R[:, None, None], R, 0.0))
     a_norm = np.abs(a).max(axis=1, initial=0.0)
     y0 = Y[:, :1]  # (J, 1, d), or (J, 0, 0) for d = 0
-    y0_norm = np.abs(y0).sum(axis=(1, 2))
+    y0_norm = norm(y0)
     center = -(y0 @ a[:, :, None]).sum(axis=(1, 2))
-    F = np.eye(d) - Y @ R
-    f_norm = (np.abs(F).sum(axis=2).max(axis=1, initial=0.0)
-              + c * (1 + np.abs(Y).sum(axis=2).max(axis=1, initial=0.0)
-                     * np.abs(R).sum(axis=2).max(axis=1, initial=0.0)))
+    f_norm = norm(np.eye(d) - Y @ R) + c * (1 + norm(Y) * norm(R))
     b_norm = np.abs(b).max(initial=0.0)
     v_norm = np.abs(V).sum(axis=1).max(initial=0.0)
 

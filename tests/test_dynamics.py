@@ -296,6 +296,10 @@ def _digest_case(name):
     return G, as_vector([1, 1]), 250, ClosureConfig(overflow_limit=1e30, max_store=10_000)
 
 
+def _digest(cloud):
+    return hashlib.sha256(np.ascontiguousarray(cloud.points, dtype=complex).tobytes()).hexdigest()
+
+
 class TestSameBits:
     @pytest.mark.parametrize("name", sorted(POINT_DIGESTS))
     def test_points_digest(self, name):
@@ -307,9 +311,7 @@ class TestSameBits:
         # have the bits the digests were recorded from in complex128
         real = G.field == "real"
         assert cloud.points.dtype == (np.float64 if real else np.complex128)
-        points = np.ascontiguousarray(cloud.points, dtype=complex)
-        digest = hashlib.sha256(points.tobytes()).hexdigest()
-        assert digest == POINT_DIGESTS[name]
+        assert _digest(cloud) == POINT_DIGESTS[name]
 
     @pytest.mark.parametrize("max_store", [4_500_000, 200])
     def test_handled_overflow_is_silent(self, max_store):
@@ -323,10 +325,6 @@ class TestSameBits:
             assert cloud.clipped and cloud.subsampled == (2 * K + 1 > max_store)
             assert np.isfinite(cloud.points).all()
             assert np.abs(cloud.points).max() <= cfg.overflow_limit
-
-
-def _digest(cloud):
-    return hashlib.sha256(np.ascontiguousarray(cloud.points, dtype=complex).tobytes()).hexdigest()
 
 
 class TestWindowFilter:
@@ -406,7 +404,6 @@ class TestWindowFilter:
             hits += want.size
             pruned += sum(evaluated) < J * M
         assert hits > 50_000 and pruned > 60
-
 
     def test_residual_widens_the_interval(self):
         # columns (z, r) off the line b + V z = (z, 0) by r up to 10, and
