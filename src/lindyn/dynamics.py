@@ -366,7 +366,9 @@ def _stream_window(gens, un, K, cfg: ClosureConfig, frame, fieldname) -> tuple[n
     Q[j] @ x - o, with Q[j] the projected outer power in real form and x the
     realified inner column (the column itself for a real orbit), and it is a
     hit when their largest modulus is at most 1.5 windows.  _window_filter
-    finds the hits without forming that value for every tuple.  A point is
+    finds the hits without forming that value for every tuple, and leaves
+    none out: its docstring proves that its margin covers ||Q[j]|| ||r|| for
+    each column's residual r off the frame, and every rounding.  A point is
     formed in full only when it is a window hit or a column whose norm bound
     cannot clear the exact overflow test (every |coordinate| within the
     limit).
