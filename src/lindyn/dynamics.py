@@ -8,7 +8,7 @@ that contains every (g_i - I)u, a Krylov closure computed exactly and
 orthonormalized once in float64.  A real orbit (every generator entry and
 start coordinate has zero imaginary part) runs in float64 throughout, any
 other in complex128; the arrays take their dtype from the data, and the two
-differ in code only in the streamed window GEMM and in _dedup's key columns.
+differ in code only in the streamed window test's real form and _dedup's keys.
 A materialized box is deduplicated through the transposed view of its staged
 product, so it is not copied into rows first, and the deduplication consumes
 it: when at least half of its rows survive, they are written into the box's
