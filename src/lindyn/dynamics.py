@@ -9,15 +9,21 @@ orthonormalized once in float64.  A real orbit (every generator entry and
 start coordinate has zero imaginary part) runs in float64 throughout, any
 other in complex128; the arrays take their dtype from the data, and the two
 differ in code only in the streamed window test's real form and _dedup's keys.
-A materialized box is deduplicated through the transposed view of its staged
-product, so it is not copied into rows first, and the deduplication consumes
-it: when at least half of its rows survive, they are written into the box's
-own buffer.  A cloud that moves in one realified coordinate (a last-row shear
-moves only the last coordinate) is deduplicated by sorting that coordinate's
-values, not a permutation of its rows, and its minimum separation is the least
-gap between them.  Any other cloud's is the exact nearest pair on a grid of
-cells, which a k-d tree's nearest-neighbour query returns too, bit for
-bit.  Boxes too large to materialize are streamed in chunks: the
+A materialized box forms only the coordinates it moves: a coordinate that
+every power of the last stage leaves alone, and at which the inner columns
+hold one exactly kept value, has that value at every point, bit for bit (see
+_fixed_coordinates; a last-row shear fixes all but the last coordinate).  The
+cloud stores the fixed values and the formed coordinates' rows, and assembles
+its points only when they are read.  A box is deduplicated through the
+transposed view of its staged product, so it is not copied into rows first,
+and the deduplication consumes it: when at least half of its rows survive,
+they are written into the box's own buffer.  A cloud that moves in one
+realified coordinate is deduplicated by sorting that coordinate's values, not
+a permutation of its rows, and its minimum separation is the least gap between
+them; any other cloud's is the exact nearest pair on a grid of cells, which a
+k-d tree's nearest-neighbour query returns too, bit for bit.  When its frame
+is one axis along that coordinate, it is also projected into the frame from
+that coordinate alone, with no assembled points.  Boxes too large to materialize are streamed in chunks: the
 outermost stage is applied through the frame's projector, so a tuple's window
 coordinates are a real product of one projected outer power and one inner
 column.  They are formed only for the tuples that can be window hits: the
@@ -74,21 +80,47 @@ class ClosureConfig:
 
 @dataclass
 class OrbitCloud:
+    """A deduplicated orbit sample, stored as its formed coordinates.
+
+    Every point holds fixed[i] at each coordinate i in `fixed`, bit for bit,
+    and `formed` holds its other coordinates, in ascending order (see _box);
+    only a materialized box has fixed coordinates.  `points` is the (m, n)
+    array, F-contiguous, assembled when it is read if any coordinate is
+    fixed.
+    """
+
     # float64 for a real orbit (every generator entry and coordinate real),
-    # complex128 otherwise; points may be a column-major array
+    # complex128 otherwise; formed may be a column-major array
     base_point: np.ndarray            # ambient coordinates
     field: str
-    points: np.ndarray                # deduped points (m, n), of base_point's dtype
+    formed: np.ndarray                # deduped points (m, k) in their formed coordinates
     total_tuples: int
     # (realified base point, orthonormal columns spanning W) of the orbit's
     # affine hull; a streamed cloud's window hits were selected in it
     frame: tuple[np.ndarray, np.ndarray]
     subsampled: bool = False
     clipped: bool = False
+    fixed: dict[int, np.generic] = field(default_factory=dict)
 
     @property
     def count(self) -> int:
-        return self.points.shape[0]
+        return self.formed.shape[0]
+
+    @property
+    def formed_at(self) -> list[int]:
+        """The coordinates that `formed` holds, ascending."""
+        return [i for i in range(self.base_point.size) if i not in self.fixed]
+
+    @property
+    def points(self) -> np.ndarray:
+        """The deduped points (m, n), of base_point's dtype; a new array if any is fixed."""
+        if not self.fixed:
+            return self.formed
+        out = np.empty((self.base_point.size, self.count), dtype=self.formed.dtype)
+        out[self.formed_at] = self.formed.T
+        for i, c in self.fixed.items():
+            out[i] = c
+        return out.T
 
 
 @dataclass
@@ -121,20 +153,26 @@ def _power_stack(A: np.ndarray, K: int) -> np.ndarray:
 
 
 def _staged_columns(stacks: list[np.ndarray], u: np.ndarray) -> np.ndarray:
-    """Orbit points as columns (n, #tuples * b) for start columns u (n, b).
+    """Orbit points as columns (r, #tuples * b) for start columns u (n, b).
 
     A stage P maps columns V to the blocks [P[0] @ V, P[1] @ V, ...] side by
     side; batched GEMMs write a few blocks at a time into place, which keeps
-    BLAS call counts low and makes no list of blocks to concatenate.
+    BLAS call counts low and makes no list of blocks to concatenate.  The
+    last stage may hold only r of the n rows of its powers (see _box).  In
+    OpenBLAS an element of a GEMM has the same bits in every GEMM of its row
+    and column; numpy multiplies a single row by GEMV, which may round
+    otherwise, so a lone row is multiplied together with a zero row.
     """
     V = u.reshape(-1, 1) if u.ndim == 1 else u
     for pows in stacks:
-        n, M = V.shape
-        out = np.empty((n, pows.shape[0], M), dtype=np.result_type(pows, V))
-        step = max(1, 2**18 // (n * M))
-        for lo in range(0, pows.shape[0], step):
-            out[:, lo : lo + step] = np.matmul(pows[lo : lo + step], V).transpose(1, 0, 2)
-        V = out.reshape(n, -1)
+        (J, r, n), M = pows.shape, V.shape[1]
+        if r == 1 < n:
+            pows = np.concatenate([pows, np.zeros_like(pows)], axis=1)
+        out = np.empty((r, J, M), dtype=np.result_type(pows, V))
+        step = max(1, 2**18 // (max(pows.shape[1], 1) * M))
+        for lo in range(0, J, step):
+            out[:, lo : lo + step] = np.matmul(pows[lo : lo + step], V)[:, :r].transpose(1, 0, 2)
+        V = out.reshape(r, J * M)
     return V
 
 
@@ -143,7 +181,10 @@ def _dedup(points: np.ndarray, eps: float) -> np.ndarray:
 
     The key columns are the columns of `points`, or their real and imaginary
     parts for complex points, read as strided views: `points` may be the
-    transposed view of an (n, m) product, and it is not copied.  Key columns
+    transposed view of an (n, m) product, and it is not copied.  A
+    materialized box passes only its formed coordinates (see _box): a fixed
+    one holds one value, so it never decides the order or a duplicate, and
+    the rows kept are those of the whole box.  Key columns
     equal on every row never decide the order or a duplicate, so only the
     varying ones are sorted.  When a single key column moves (a last-row shear
     moves one coordinate), only its values are sorted, not a permutation of
@@ -167,7 +208,7 @@ def _dedup(points: np.ndarray, eps: float) -> np.ndarray:
             return points
         cols = _key_columns(points)
         lo, hi = _extremes(cols)
-    moving = _moving_columns(cols)
+    moving = list(_moving_columns(dict(enumerate(cols))))
     if len(moving) == 1:
         j = moving[0]
         vals = np.sort(cols[j])
@@ -238,12 +279,12 @@ def _result_rows(points: np.ndarray, k: int) -> np.ndarray:
     return np.empty((n, k), dtype=points.dtype)
 
 
-def _moving_columns(cols: list[np.ndarray]) -> list[int]:
-    """Indices of the key columns whose values do not all have row 0's bits.
+def _moving_columns(cols: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
+    """The columns of `cols` whose values do not all have row 0's bits.
 
     Bits, not values, are compared, so a column that mixes 0.0 and -0.0 moves.
     """
-    return [j for j, c in enumerate(cols) if (c.view(np.int64) != c.view(np.int64)[0]).any()]
+    return {j: c for j, c in cols.items() if (c.view(np.int64) != c.view(np.int64)[0]).any()}
 
 
 def _key_columns(points: np.ndarray) -> list[np.ndarray]:
@@ -295,12 +336,14 @@ def enumerate_orbit(
     frame = _frame(G, tuple(u))
     total = (2 * K + 1) ** len(gens)
     subsampled = total > cfg.max_store
+    fixed = {}
     if subsampled:
         pts, clipped = _stream_window(gens, un, K, cfg, frame, G.field)
     else:
-        pts, clipped = _box(gens, un, K, cfg)
+        pts, fixed, clipped = _box(gens, un, K, cfg)
     # pts is a temporary, which _dedup may overwrite
-    return OrbitCloud(un, G.field, _dedup(pts, cfg.dedup_eps), total, frame, subsampled, clipped)
+    return OrbitCloud(un, G.field, _dedup(pts, cfg.dedup_eps), total, frame, subsampled, clipped,
+                      fixed)
 
 
 def _frame(G: GeneratorSet, u: Vector) -> tuple[np.ndarray, np.ndarray]:
@@ -329,24 +372,69 @@ def _frame(G: GeneratorSet, u: Vector) -> tuple[np.ndarray, np.ndarray]:
     return base, np.linalg.qr(np.reshape(rows, (-1, base.size)).T)[0]
 
 
-def _box(gens, un, K, cfg: ClosureConfig) -> tuple[np.ndarray, bool]:
-    """Rows g^k u over the whole box [-K, K]^g, and whether any was clipped.
+def _box(gens, un, K, cfg: ClosureConfig) -> tuple[np.ndarray, dict[int, np.generic], bool]:
+    """(rows, fixed, clipped) for the points g^k u of the whole box [-K, K]^g.
 
-    A row with a coordinate above cfg.overflow_limit is clipped, and one that
-    is not finite is dropped too.  The exact scan for them runs only when the
-    norm bound 2 max|u| prod_i max_k rowsum(g_i^k) cannot clear the whole box
-    (the factor 2 covers the rounding).  The rows may be a transposed view.
+    Every point holds fixed[i] at each coordinate i in `fixed` (see
+    _fixed_coordinates), and the rows hold the other coordinates, in
+    ascending order: only those are formed, by the last stage's GEMMs on the
+    inner columns (the staged product of the other stages, or u itself).
+    One inner column goes through GEMV, whose rows may round otherwise in a
+    product of fewer rows, so there every row is formed and the fixed ones
+    are dropped.  A point with a coordinate above cfg.overflow_limit is
+    clipped, and one that is not finite is dropped too.  The exact scan for
+    them runs only when the norm bound 2 max|u| prod_i max_k rowsum(g_i^k)
+    cannot clear the whole box (the factor 2 covers the rounding).  The rows
+    may be a transposed view.
     """
     # overflow is the clipping case handled here, not an error
     with np.errstate(over="ignore", invalid="ignore"):
         stacks = [_power_stack(A, K) for A in gens]
-        pts = _staged_columns(stacks, un).T
+        inner = _staged_columns(stacks[:-1], un)
+        fixed = _fixed_coordinates(stacks[-1], inner)
+        formed = [i for i in range(un.size) if i not in fixed]
+        if inner.shape[1] == 1:
+            pts = _staged_columns(stacks[-1:], inner)[formed].T
+        else:
+            pts = _staged_columns([stacks[-1][:, formed]], inner).T
         bound = 2.0 * np.abs(un).max() * math.prod(np.abs(P).sum(axis=2).max() for P in stacks)
     if bound <= cfg.overflow_limit:
-        return pts, False
-    big = np.abs(pts).max(axis=1)
+        return pts, fixed, False
+    # a point's largest |coordinate|, which is NaN if it holds a NaN; the
+    # fixed values are finite
+    big = np.abs(pts).max(axis=1, initial=np.abs(inner[list(fixed), 0]).max(initial=0.0))
     keep = big <= cfg.overflow_limit
-    return (pts if keep.all() else pts[keep]), bool((big > cfg.overflow_limit).any())
+    return (pts if keep.all() else pts[keep]), fixed, bool((big > cfg.overflow_limit).any())
+
+
+def _fixed_coordinates(last: np.ndarray, inner: np.ndarray) -> dict[int, np.generic]:
+    """{i: c} for the coordinates i at which every point of a box holds c, bit for bit.
+
+    The box's points are the columns last[k] @ inner[:, col].  Coordinate i
+    is fixed when row i of every power in `last` equals e_i^T, and the inner
+    columns are all finite and hold c at row i in every column, bit for bit.
+    Then each realified part of a point's entry i is that part of c plus
+    products of +-0 with finite numbers, which are +-0 (the real part of a
+    complex product subtracts some of them), and, in a GEMM, the +0.0 it
+    starts from.  Adding or subtracting +-0 leaves a nonzero x as it is, so a
+    nonzero part comes out as c's in any order and with or without fused
+    multiply-adds.  A zero part is the sign of a sum of zeros.  A real GEMM
+    only adds, and in round-to-nearest a sum of zeros one of which is +0.0
+    is +0.0: so a real c may be +0.0 but not -0.0.  A complex part subtracts,
+    and OpenBLAS's zgemm does give -0.0 for the real part of 1 (0 + 1i) plus
+    such zeros: so both parts of a complex c must be nonzero.
+    """
+    if not np.isfinite(inner).all():
+        return {}
+    eye = np.eye(last.shape[1])
+    fixed = {}
+    for i, row in enumerate(inner):
+        c = row[0]
+        bits = row.view(np.int64).reshape(row.size, -1)
+        exact = c.real != 0 and c.imag != 0 if np.iscomplexobj(c) else c != 0 or not np.signbit(c)
+        if exact and (bits == bits[0]).all() and (last[:, i] == eye[i]).all():
+            fixed[i] = c
+    return fixed
 
 
 def _complex_projector(V: np.ndarray, fieldname: str) -> np.ndarray:
@@ -577,9 +665,10 @@ def classify_closure(cloud: OrbitCloud, cfg: ClosureConfig | None = None) -> Clo
     cfg = cfg or ClosureConfig()
     if cloud.count == 0:
         return ClosureVerdict(INCONCLUSIVE, 0, notes=["empty cloud"])
-    real = _realify(cloud.points, cloud.field)
     base, V = cloud.frame
     d = V.shape[1]
+    # the fixed coordinates never move, so only the formed ones are read
+    moving = _moving_columns(_realified_columns(cloud))
     notes = []
     if cloud.clipped:
         notes.append("overflow-clipped points were dropped")
@@ -596,7 +685,7 @@ def classify_closure(cloud: OrbitCloud, cfg: ClosureConfig | None = None) -> Clo
     if not cloud.subsampled and cloud.count > cfg.discrete_count_limit:
         notes.append("point count above discrete-check limit")
     elif not cloud.subsampled:
-        min_dist = _nearest_pair(real, _moving_columns(list(real.T)))
+        min_dist = _nearest_pair(moving, base.size)
         # a dense orbit sampled at finite K also clears the 100*eps floor, so
         # a discrete verdict additionally demands separation at the scale the
         # density test operates on (the gap threshold)
@@ -608,8 +697,7 @@ def classify_closure(cloud: OrbitCloud, cfg: ClosureConfig | None = None) -> Clo
         return ClosureVerdict(INCONCLUSIVE, 0, min_distance=min_dist,
                               notes=notes + ["no spread beyond dedup resolution"])
 
-    # not (real - base) @ V, which would form a centered copy of the cloud
-    proj = real @ V - base @ V
+    proj = _frame_coordinates(cloud, moving)
     W = cfg.window
     if d == 1:
         c = proj[:, 0]
@@ -652,13 +740,51 @@ def classify_closure(cloud: OrbitCloud, cfg: ClosureConfig | None = None) -> Clo
     )
 
 
-def _nearest_pair(real: np.ndarray, moving: list[int]) -> float:
-    """Least distance between two rows of `real`: a k-d tree's, bit for bit.
+def _realified_columns(cloud: OrbitCloud) -> dict[int, np.ndarray]:
+    """The formed coordinates' columns of the realified points (see _realify), by index there."""
+    cols = {}
+    for t, i in enumerate(cloud.formed_at):
+        x = cloud.formed[:, t]
+        if cloud.field == COMPLEX:
+            cols[2 * i], cols[2 * i + 1] = x.real, x.imag
+        else:
+            cols[i] = x.real
+    return cols
 
-    cKDTree sums fl(d_j^2) in four lanes (j mod 4) over the full blocks of four
-    columns, adds them as ((a0 + a1) + a2) + a3, then the other columns in
-    order, and takes the monotone, correctly rounded sqrt of that sum s.  The
-    columns outside `moving` add only +0.0, so s is formed over the moving ones.
+
+def _frame_coordinates(cloud: OrbitCloud, moving: dict[int, np.ndarray]) -> np.ndarray:
+    """The cloud's points in its frame, (m, d): realified points @ V - base @ V.
+
+    `moving` holds the realified columns that move (see _realified_columns).
+    When one column j moves and the frame is a single column that is +-0 at
+    every other index, only that column is read: x_j V[j, 0] - base_j V[j, 0].
+    Every other entry of a realified row is finite (the cloud is
+    deduplicated), as is base, so the dot products of the full projection add
+    only +-0 to fl(x_j V[j, 0]) and to fl(base_j V[j, 0]), in any order and
+    with or without fused multiply-adds: the two agree bit for bit but
+    perhaps in the sign of a zero, which no verdict, gap or separation reads.
+    Any other cloud is assembled and projected whole.
+    """
+    base, V = cloud.frame
+    if V.shape[1] == 1 and len(moving) == 1:
+        ((j, x),) = moving.items()
+        if not np.delete(V[:, 0], j).any():
+            v = V[j, 0]
+            return (x * v - base[j] * v)[:, None]
+    # not (real - base) @ V, which would form a centered copy of the cloud
+    return _realify(cloud.points, cloud.field) @ V - base @ V
+
+
+def _nearest_pair(moving: dict[int, np.ndarray], width: int) -> float:
+    """Least distance between two rows of a realified cloud: a k-d tree's, bit for bit.
+
+    `moving` holds the columns of the cloud that move, by their index among
+    its `width` columns; every other column holds one value.  cKDTree sums
+    fl(d_j^2) in four lanes (j mod 4) over the full blocks of four columns,
+    adds them as ((a0 + a1) + a2) + a3, then the other columns in order, and
+    takes the monotone, correctly rounded sqrt of that sum s.  The columns
+    outside `moving` add only +0.0, so s is formed over the moving ones; a
+    cloud with none is at most one distinct row.
 
     The s of the lexsort neighbours bounds the least: ub.  A sum of nonnegative
     terms rounds to at least each term, so a pair with s <= ub has
@@ -673,13 +799,13 @@ def _nearest_pair(real: np.ndarray, moving: list[int]) -> float:
     a column that would overflow the int64 key is left out.  Candidate pairs
     are formed in slices, so rows that share one cell form no O(m^2) array.
     """
-    m = real.shape[0]
+    cols = list(moving.values())
+    m = cols[0].size if cols else 0
     if m < 2:
         return math.inf
-    cols = [real[:, j] for j in moving]
-    full = real.shape[1] - real.shape[1] % 4
-    lanes = [[c for j, c in zip(moving, cols) if j < full and j % 4 == lane] for lane in range(4)]
-    groups = lanes + [[c] for j, c in zip(moving, cols) if j >= full]
+    full = width - width % 4
+    lanes = [[c for j, c in moving.items() if j < full and j % 4 == lane] for lane in range(4)]
+    groups = lanes + [[c] for j, c in moving.items() if j >= full]
 
     def sq(i: np.ndarray, j: np.ndarray) -> np.ndarray:
         # sum() starts from 0, and 0 + x is x for x >= +0.0

@@ -446,14 +446,22 @@ class TestRealPath:
         if cloud.subsampled:
             ref = _dedup(_stream_window(gens, un, K, cfg, cloud.frame, G.field)[0], cfg.dedup_eps)
         else:
-            box, _ = _box(gens, un, K, cfg)
-            real_box, _ = _box([A.real.copy() for A in gens], un.real.copy(), K, cfg)
+            # the whole boxes: a complex coordinate with a zero imaginary
+            # part is formed, where the float64 run fixes it
+            box = _whole_box(gens, un, K, cfg)
+            real_box = _whole_box([A.real.copy() for A in gens], un.real.copy(), K, cfg)
             assert box.dtype == np.complex128 and real_box.dtype == np.float64
             assert not box.imag.any()
             assert _bytes(real_box) == _bytes(box.real)
             ref = _dedup(box, cfg.dedup_eps)
         assert ref.dtype == np.complex128 and not ref.imag.any()
         assert _bytes(cloud.points) == _bytes(ref.real)
+
+
+def _whole_box(gens, un, K, cfg):
+    """The rows of _box with its fixed coordinates filled in, as an (M, n) array."""
+    pts, fixed, _ = _box(gens, un, K, cfg)
+    return OrbitCloud(un, "", pts, 0, (None, None), fixed=fixed).points
 
 
 def _box_svd_directions(G, u, K=8):
@@ -518,6 +526,27 @@ def _dedup_oracle(points, eps):
     ks = keys[order]
     keep = np.concatenate([[True], np.any(ks[1:] != ks[:-1], axis=1)])
     return points[order][keep]
+
+
+def _box_oracle(gens, un, K, cfg):
+    """_box as it was: every coordinate of every point formed, then the overflow scan over all."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        stacks = [dynamics._power_stack(A, K) for A in gens]
+        V = un.reshape(-1, 1)
+        for pows in stacks:
+            n, M = V.shape
+            out = np.empty((n, pows.shape[0], M), dtype=np.result_type(pows, V))
+            step = max(1, 2**18 // (n * M))
+            for lo in range(0, pows.shape[0], step):
+                out[:, lo : lo + step] = np.matmul(pows[lo : lo + step], V).transpose(1, 0, 2)
+            V = out.reshape(n, -1)
+        pts = V.T
+        bound = 2.0 * np.abs(un).max() * math.prod(np.abs(P).sum(axis=2).max() for P in stacks)
+    if bound <= cfg.overflow_limit:
+        return pts, False
+    big = np.abs(pts).max(axis=1)
+    keep = big <= cfg.overflow_limit
+    return (pts if keep.all() else pts[keep]), bool((big > cfg.overflow_limit).any())
 
 
 def _dedup_trials():
@@ -662,6 +691,167 @@ class TestDedup:
                 assert got.flags.f_contiguous and got.shape == want.shape
                 assert _bytes(got) == _bytes(want)
                 assert np.shares_memory(got, box) == (2 * got.shape[0] >= m)
+
+
+def _shear_cases():
+    """Seeded commuting shears of the last one or two rows: (name, G, u, K, rows moved).
+
+    Rational and radical rates, real and complex fields, and g = 1, 2 and 3
+    generators each appear in every combination, twice.
+    """
+    rng = random.Random(41)
+    # rates within 1 in |re| + |im|, on which np.linalg.inv does not pivot
+    rates = {"rational": ["1/3", "-1", "3/7", "-5/8"], "radical": ["sqrt(2)/2", "-sqrt(3)/5", "(sqrt(5)-1)/2"]}
+    imag = {"rational": ["i/3", "1/2-i/2"], "radical": ["i*sqrt(2)/3", "(sqrt(3)+i)/4"]}
+    starts = ["0", "1", "-2/3", "sqrt(2)", "1/3+sqrt(3)"]
+    for trial in range(24):
+        kind = ("rational", "radical")[trial % 4 // 2]
+        field = ("real", "complex")[trial % 2]
+        g = 1 + trial % 3
+        n = rng.randint(2, 5)
+        moved = 2 if n > 2 and trial % 5 == 0 else 1
+        choices = rates[kind] + (imag[kind] if field == "complex" else [])
+        gens = []
+        for _ in range(g):
+            rows = [["1" if i == j else "0" for j in range(n)] for i in range(n)]
+            for i in range(n - moved, n):
+                for j in range(n - moved):
+                    rows[i][j] = rng.choice(choices)
+            gens.append(rows)
+        # a complex coordinate is fixed only when both its parts are nonzero
+        point = ["1+i", "-2/3+i/2", "sqrt(2)-i"] if field == "complex" else starts
+        u = as_vector([rng.choice(point) for _ in range(n)])
+        K = {1: 400, 2: 150, 3: 12}[g]
+        yield f"{trial}:{field},{kind},g={g},n={n}", group_from_strings(field, gens), u, K, moved
+
+
+def _box_points(gens, un, K, cfg=CFG):
+    """(points, fixed, clipped) of _box on numeric generators, deduplicated and assembled,
+    and (points, clipped) of the oracle's whole box, deduplicated."""
+    pts, fixed, clipped = _box(gens, un, K, cfg)
+    assert pts.shape[1] == un.size - len(fixed)
+    field = "complex" if np.iscomplexobj(un) else "real"
+    cloud = OrbitCloud(un, field, _dedup(pts, cfg.dedup_eps), 0, (None, None), False, clipped, fixed)
+    box, want_clipped = _box_oracle(gens, un, K, cfg)
+    return cloud.points, fixed, clipped, _dedup(box, cfg.dedup_eps), want_clipped
+
+
+def _shear_gens(last_row):
+    """A real 3x3 generator that moves only the last coordinate, by last_row."""
+    A = np.eye(3)
+    A[2] = last_row
+    return A
+
+
+class TestFixedCoordinates:
+    """A box forms only the coordinates it moves; its points keep the bits of the whole box."""
+
+    def _same(self, got, want):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.flags.f_contiguous
+        assert _bytes(got) == _bytes(want)
+
+    def test_seeded_shears_against_oracle(self):
+        seen = set()
+        for name, G, u, K, moved in _shear_cases():
+            cloud = enumerate_orbit(G, u, K, CFG)
+            un = cloud.base_point
+            gens = [A if np.iscomplexobj(un) else A.real.copy() for A in _numeric_generators(G)]
+            box, clipped = _box_oracle(gens, un, K, CFG)
+            assert cloud.clipped == clipped, name
+            self._same(cloud.points, _dedup(box, CFG.dedup_eps))
+            n = G.dimension
+            assert set(range(n - moved)) <= set(cloud.fixed), name
+            assert cloud.formed.shape[1] == n - len(cloud.fixed), name
+            seen.add((un.dtype.name, len(G.generators), moved))
+        assert {s[0] for s in seen} == {"float64", "complex128"}
+        assert {s[1] for s in seen} == {1, 2, 3} and {s[2] for s in seen} == {1, 2}
+
+    def test_negative_zero_is_formed(self):
+        # with one generator the inner column is u itself, and a -0.0 there
+        # is formed; a GEMM stage before the last turns it into +0.0, which
+        # is fixed
+        gens = [_shear_gens([1.0, np.sqrt(0.5), 1.0]), _shear_gens([0.5, 1.0, 1.0])]
+        un = np.array([-0.0, 1.0, 0.5])
+        for g, want_fixed in ((1, [1]), (2, [0, 1])):
+            got, fixed, clipped, want, want_clipped = _box_points(gens[:g], un, 20)
+            assert list(fixed) == want_fixed and not clipped and not want_clipped
+            self._same(got, want)
+        # inner columns that hold -0.0, or 0.0 and -0.0, at row 0
+        last = dynamics._power_stack(gens[1], 3)
+        for row in ([-0.0, -0.0, -0.0], [0.0, -0.0, 0.0]):
+            inner = np.array([row, [1.0, 1.0, 1.0], [0.5, 2.0, 3.0]])
+            assert list(dynamics._fixed_coordinates(last, inner)) == [1]
+
+    def test_complex_zero_part_is_formed(self):
+        # zgemm gives the real part of 1 (0 + 1i) plus zeros as -0.0 in some
+        # points of this box: a complex coordinate with a zero part is formed
+        gens = [_shear_gens([-0.625, 3 / 7, 1.0]).astype(complex), _shear_gens([1 / 3, -1.0, 1.0])]
+        for un in (np.array([np.sqrt(2), 1j, 1j]), np.array([1 + 1j, 0j, 0.5])):
+            box, _ = _box_oracle(gens, un, 150, CFG)
+            got, fixed, clipped, want, want_clipped = _box_points(gens, un, 150)
+            assert [i for i in range(3) if un[i].real and un[i].imag] == list(fixed)
+            self._same(got, want)
+            if un[0] == np.sqrt(2):
+                assert np.signbit(box[:, 1].real).any() and not np.signbit(un[1].real)
+        last = dynamics._power_stack(gens[1], 3)
+        for c in (complex(1, -0.0), 1 + 0j, 1j, 0j, -1 + 2j):
+            inner = np.array([[c] * 3, [1 + 1j] * 3, [0.5, 2.0, 3.0]])
+            assert list(dynamics._fixed_coordinates(last, inner)) == [0, 1][(c.real * c.imag == 0):]
+
+    def test_nonfinite_inner_is_formed(self):
+        # the first stage overflows: its powers hold inf and, from 0 * inf,
+        # NaN, and so do the inner columns; every row is formed, and the
+        # points with a non-finite coordinate are dropped as the oracle does
+        blow_up = np.diag([1e200, 1.0, 1.0])
+        gens = [blow_up, _shear_gens([1.0, np.sqrt(2), 1.0])]
+        got, fixed, clipped, want, want_clipped = _box_points(gens, np.array([1.0, 2.0, 0.5]), 6)
+        assert fixed == {} and clipped and want_clipped and got.shape[0] > 1
+        self._same(got, want)
+        # one generator: u itself holds the inf or NaN
+        for bad in (np.inf, np.nan):
+            un = np.array([1.0, bad, 0.5])
+            got, fixed, clipped, want, want_clipped = _box_points(gens[1:], un, 6)
+            assert fixed == {} and clipped == want_clipped
+            self._same(got, want)
+
+    def test_row_of_some_powers_is_formed(self):
+        # row 0 of diag(1, 1e200)^k is e_0 up to k = 2; from k = 3 it is
+        # (1, NaN), from 0 * inf
+        gens = [np.array([[1.0, 0.0], [0.5, 1.0]]), np.diag([1.0, 1e200])]
+        for K, formed in ((2, [1]), (3, [0, 1])):
+            got, fixed, clipped, want, want_clipped = _box_points(gens, np.array([1.0, 2.0]), K)
+            assert [i for i in range(2) if i not in fixed] == formed
+            assert clipped == want_clipped
+            self._same(got, want)
+        # np.linalg.inv pivots on the rate 1e9 and leaves rounding in row 0
+        # of the inverse powers
+        gens = [_shear_gens([1.0, np.sqrt(0.5), 1.0]), _shear_gens([1e9, 1.0, 1.0])]
+        got, fixed, clipped, want, want_clipped = _box_points(gens, np.array([1.0, 2.0, 0.5]), 20)
+        assert 0 not in fixed and not clipped and not want_clipped
+        self._same(got, want)
+
+    def test_fixed_value_above_the_limit(self):
+        gens = [_shear_gens([1.0, np.sqrt(0.5), 1.0]), _shear_gens([0.5, 1.0, 1.0])]
+        # every point holds 1e120 > 1e100 at coordinate 0: all are clipped
+        got, fixed, clipped, want, want_clipped = _box_points(gens, np.array([1e120, 1.0, 0.5]), 20)
+        assert list(fixed) == [0, 1] and clipped and want_clipped and got.shape == (0, 3)
+        self._same(got, want)
+        # fixed values of 1e50 and 1e59 below a limit of 1e60, which the
+        # last coordinate, about (k1 + k2) 1e59, passes at |k1 + k2| > 10
+        cfg = ClosureConfig(overflow_limit=1e60)
+        un = np.array([1e50, 1e59, 0.0])
+        got, fixed, clipped, want, want_clipped = _box_points(gens, un, 20, cfg)
+        assert list(fixed) == [0, 1] and clipped and want_clipped and 0 < got.shape[0] < 41**2
+        self._same(got, want)
+
+    def test_every_coordinate_fixed(self):
+        # identity generators fix every point: no row is formed, and the one
+        # point is the whole box's
+        for g, un in ((1, np.array([1.0, -2.5])), (2, np.array([1 + 2j, 0.5 - 1j]))):
+            got, fixed, clipped, want, _ = _box_points([np.eye(2)] * g, un, 5)
+            assert list(fixed) == [0, 1] and got.shape == (1, 2)
+            self._same(got, want)
 
 
 def _axes_frame(points, field):
@@ -810,6 +1000,86 @@ class TestClassify:
         want = cKDTree(pts).query(pts, k=2)[0][:, 1].min()
         assert float(classify_closure(cloud, CFG).min_distance).hex() == float(want).hex()
 
+    def _one_coordinate_clouds(self):
+        """(name, cloud, cfg): clouds that move in one realified coordinate j, with
+        a one-column frame that is +-0 at every other index."""
+        loose = dataclasses.replace(CFG, discrete_count_limit=0)  # every cloud is projected
+        for name in ("shear3", "shear4", "radical4"):
+            G, points = fixture_by_name(name)
+            for point, u in sorted(points.items()):
+                for K in (8, 64):
+                    cloud = enumerate_orbit(G, u, K, CFG)
+                    for cfg in (CFG, loose, dataclasses.replace(loose, window=2.5)):
+                        yield f"{name}.{point}@{K}", cloud, cfg
+        rng = np.random.default_rng(52)
+        for trial in range(40):
+            m = int(rng.integers(2, 3000))
+            vals = rng.uniform(-3, 3, m) * rng.choice([0.25, 1.0, 4.0])
+            vals[: m // 4] = np.round(vals[: m // 4])  # some exact hits of the base below
+            vals = np.unique(vals)
+            v = rng.choice([1.0, -1.0, 0.7])
+            if trial % 2:  # real: coordinates 0 and 1 fixed
+                formed, fixed, field = vals[:, None], {0: np.float64(1.5), 1: np.float64(-2.0)}, "real"
+                u, j, width = np.array([1.5, -2.0, vals[0]]), 2, 3
+            else:  # complex: coordinate 1 moves in its imaginary part only
+                formed = (3.0 + 1j * vals)[:, None]
+                fixed, field = {0: np.complex128(1 - 2j)}, "complex"
+                u, j, width = np.array([1 - 2j, formed[0, 0]]), 3, 4
+            V = rng.choice([0.0, -0.0], (width, 1))
+            V[j, 0] = v
+            base = rng.uniform(-1, 1, width)
+            base[j] = rng.choice([0.0, -0.0, 1.0, -2.0])
+            cloud = OrbitCloud(u, field, formed, m, (base, V), False, False, fixed)
+            cfg = dataclasses.replace(loose, gap_threshold=float(rng.choice([0.01, 0.05])),
+                                      window=float(rng.choice([0.5, 1.0, 2.0])))
+            yield f"hand-built {trial}", cloud, cfg
+
+    def test_one_coordinate_projection(self, monkeypatch):
+        # the verdicts, gaps and separations of a projection from the moving
+        # coordinate alone are those of the assembled points', bit for bit,
+        # and the cloud is not assembled for it
+        def assembled(cloud, moving):
+            base, V = cloud.frame
+            return _realify(cloud.points, cloud.field) @ V - base @ V
+
+        def signature(v):
+            hexed = [None if x is None else float(x).hex() for x in (v.min_distance, v.gap)]
+            return (v.kind, v.hull_dim, *hexed, v.notes)
+
+        realify = dynamics._realify
+        cases = list(self._one_coordinate_clouds())
+        kinds = set()
+        for name, cloud, cfg in cases:
+            moving = _moving_columns(dynamics._realified_columns(cloud))
+            assert len(moving) == 1 and cloud.frame[1].shape[1] == 1, name
+            assert np.array_equal(dynamics._frame_coordinates(cloud, moving),
+                                  assembled(cloud, moving)), name
+            monkeypatch.setattr(dynamics, "_realify", None)
+            got = signature(classify_closure(cloud, cfg))
+            monkeypatch.setattr(dynamics, "_realify", realify)
+            with monkeypatch.context() as m:
+                m.setattr(dynamics, "_frame_coordinates", assembled)
+                want = signature(classify_closure(cloud, cfg))
+            assert got == want, name
+            kinds.add(got[0])
+        assert kinds == {DISCRETE, DENSE_IN_AFFINE, INCONCLUSIVE}
+
+    def test_dense_line_peaks_below_an_assembled_cloud(self):
+        # only the moving coordinate of the shear4 dense line is formed,
+        # deduplicated and projected: enumeration and classification together
+        # peak below the m n 8 bytes that its assembled points would take
+        G, points = fixture_by_name("shear4")
+        K = 300
+        tracemalloc.start()
+        try:
+            cloud = enumerate_orbit(G, points["dense_line"], K, CFG)
+            verdict = classify_closure(cloud, CFG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.kind == DENSE_IN_AFFINE and cloud.count == (2 * K + 1) ** 2
+        assert peak < cloud.count * G.dimension * 8
+
     @pytest.mark.parametrize("name", ["shear3", "shear4"])
     def test_dense_line_box_is_not_allocated_twice(self, name):
         # a materialized box that moves in one coordinate is deduplicated
@@ -844,7 +1114,7 @@ class TestClassify:
         staged = tuples * G.dimension * cloud.points.dtype.itemsize
         assert cloud.points.dtype == np.complex128 and 2 * cloud.count >= tuples
         assert peak <= 1.6 * staged
-        box = np.ascontiguousarray(_box(_numeric_generators(G), cloud.base_point, K, CFG)[0])
+        box = np.ascontiguousarray(_box_oracle(_numeric_generators(G), cloud.base_point, K, CFG)[0])
         assert _bytes(cloud.points) == _bytes(_dedup_oracle(box, CFG.dedup_eps))
 
     # (kind, hull dimension, final K, min_distance, gap) of every fixture
@@ -873,7 +1143,7 @@ class TestNearestPair:
     """_nearest_pair against the k-d tree's k=2 query, as float.hex."""
 
     def _same(self, pts):
-        got = _nearest_pair(pts, _moving_columns(list(pts.T)))
+        got = _nearest_pair(_moving_columns(dict(enumerate(pts.T))), pts.shape[1])
         want = cKDTree(pts).query(pts, k=2)[0][:, 1].min()
         assert float(got).hex() == float(want).hex()
 
