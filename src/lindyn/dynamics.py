@@ -21,9 +21,10 @@ they are written into the box's own buffer.  A cloud that moves in one
 realified coordinate is deduplicated by sorting that coordinate's values, not
 a permutation of its rows, and its minimum separation is the least gap between
 them; any other cloud's is the exact nearest pair on a grid of cells, which a
-k-d tree's nearest-neighbour query returns too, bit for bit.  When its frame
-is one axis along that coordinate, it is also projected into the frame from
-that coordinate alone, with no assembled points.  Boxes too large to materialize are streamed in chunks: the
+k-d tree's nearest-neighbour query returns too, bit for bit.  When the frame
+of a cloud that moves in one realified coordinate is one axis along it, the
+cloud is projected into the frame from that coordinate alone, with no
+assembled points.  Boxes too large to materialize are streamed in chunks: the
 outermost stage is applied through the frame's projector, so a tuple's window
 coordinates are a real product of one projected outer power and one inner
 column.  They are formed only for the tuples that can be window hits: the
@@ -159,9 +160,10 @@ def _staged_columns(stacks: list[np.ndarray], u: np.ndarray) -> np.ndarray:
     side; batched GEMMs write a few blocks at a time into place, which keeps
     BLAS call counts low and makes no list of blocks to concatenate.  The
     last stage may hold only r of the n rows of its powers (see _box).  In
-    OpenBLAS an element of a GEMM has the same bits in every GEMM of its row
-    and column; numpy multiplies a single row by GEMV, which may round
-    otherwise, so a lone row is multiplied together with a zero row.
+    OpenBLAS an element of a GEMM keeps its bits in a GEMM of fewer rows of
+    the same columns, which the tests check against the whole box; numpy
+    multiplies a single row by GEMV, which may round otherwise, so a lone row
+    is multiplied together with a zero row.
     """
     V = u.reshape(-1, 1) if u.ndim == 1 else u
     for pows in stacks:

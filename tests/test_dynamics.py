@@ -701,7 +701,8 @@ def _shear_cases():
     """
     rng = random.Random(41)
     # rates within 1 in |re| + |im|, on which np.linalg.inv does not pivot
-    rates = {"rational": ["1/3", "-1", "3/7", "-5/8"], "radical": ["sqrt(2)/2", "-sqrt(3)/5", "(sqrt(5)-1)/2"]}
+    rates = {"rational": ["1/3", "-1", "3/7", "-5/8"],
+             "radical": ["sqrt(2)/2", "-sqrt(3)/5", "(sqrt(5)-1)/2"]}
     imag = {"rational": ["i/3", "1/2-i/2"], "radical": ["i*sqrt(2)/3", "(sqrt(3)+i)/4"]}
     starts = ["0", "1", "-2/3", "sqrt(2)", "1/3+sqrt(3)"]
     for trial in range(24):
