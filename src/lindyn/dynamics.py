@@ -53,7 +53,7 @@ import numpy as np
 from .errors import NoProgress, NotConvergent, PointNotInU
 from .groups import COMPLEX, GeneratorSet
 from .invariants import InvariantFamily, membership
-from .linalg import RowEchelon, Vector
+from .linalg import Matrix, Vector, independent_columns, row_space_basis
 from .numeric import NumericContext, vec_to_numeric
 from .scalars import Scalar
 
@@ -160,10 +160,12 @@ def _staged_columns(stacks: list[np.ndarray], u: np.ndarray) -> np.ndarray:
     side; batched GEMMs write a few blocks at a time into place, which keeps
     BLAS call counts low and makes no list of blocks to concatenate.  The
     last stage may hold only r of the n rows of its powers (see _box).  In
-    OpenBLAS an element of a GEMM keeps its bits in a GEMM of fewer rows of
-    the same columns, which the tests check against the whole box; numpy
-    multiplies a single row by GEMV, which may round otherwise, so a lone row
-    is multiplied together with a zero row.
+    OpenBLAS an element of a dgemm keeps its bits in a dgemm of fewer rows of
+    the same columns, which the tests check against the whole box; in a
+    zgemm the sign of a zero part may change with the shape, so
+    _fixed_coordinates fixes a complex value only when both its parts are
+    nonzero.  numpy multiplies a single row by GEMV, which may round
+    otherwise, so a lone row is multiplied together with a zero row.
     """
     V = u.reshape(-1, 1) if u.ndim == 1 else u
     for pows in stacks:
@@ -354,24 +356,29 @@ def _frame(G: GeneratorSet, u: Vector) -> tuple[np.ndarray, np.ndarray]:
     For abelian G, gh u - u = g(hu - u) + (gu - u), so W is the smallest
     G-invariant subspace that contains every (g_i - I)u.  Over R in a complex
     field it is the real span of the realified vectors, closed under the
-    realified g_j.  It is grown exactly: each realified vector that the
-    echelon keeps (at most 2n) pushes its images g_j v.  The reduced echelon
-    basis depends on W alone, and one float64 QR orthonormalizes it.
+    realified g_j.  It is grown exactly, in rounds: each round keeps the
+    candidates whose realified vectors are independent of those kept before
+    (one elimination), and the images g_j v of the kept ones are the next
+    round's candidates, until a round keeps none.  The reduced echelon basis
+    depends on W alone, and one float64 QR orthonormalizes it.
     """
     def realified(v: Vector) -> list[Scalar]:
         if G.field == COMPLEX:
             return [p for c in v for p in (c.real_part(), c.imag_part())]
         return [c.real_part() for c in v]
 
-    ech = RowEchelon()
+    kept: list[list[Scalar]] = []  # realified, a basis of W so far
     todo = [tuple(a - b for a, b in zip(g.matvec(u), u)) for g in G.generators]
-    while todo:
-        v = todo.pop()
-        if ech.insert(realified(v)):
-            todo.extend(g.matvec(v) for g in G.generators)
+    while True:
+        vectors = kept + [realified(v) for v in todo]
+        grown = [j for j in independent_columns(Matrix.from_cols(vectors)) if j >= len(kept)]
+        if not grown:
+            break
+        todo = [g.matvec(todo[j - len(kept)]) for j in grown for g in G.generators]
+        kept += [vectors[j] for j in grown]
     base = np.array([c.to_complex().real for c in realified(u)])
-    rows = [c.to_complex().real for row in ech.basis() for c in row]
-    return base, np.linalg.qr(np.reshape(rows, (-1, base.size)).T)[0]
+    reduced = row_space_basis(Matrix.from_rows(vectors)).to_complex_array().real
+    return base, np.linalg.qr(reduced)[0]
 
 
 def _box(gens, un, K, cfg: ClosureConfig) -> tuple[np.ndarray, dict[int, np.generic], bool]:
@@ -617,11 +624,12 @@ def _window_values(Q: np.ndarray, cols: np.ndarray, offset: np.ndarray, js: np.n
     js is ascending.  The tuples of a block of consecutive j go through one
     GEMM of the block's rows of Q on their columns, or on all of cols when
     they take at least a quarter of them, and each tuple takes its own rows
-    of the product; a block holds about 64 tuples.  In OpenBLAS an element of
-    a GEMM has the same bits in every GEMM of its row and column, whatever
-    the other rows and columns; GEMV, which numpy calls for a single row or
-    column, may round otherwise.  So a single row is multiplied together with
-    a zero row, and a single column twice.
+    of the product; a block holds about 64 tuples.  The GEMMs are real: in
+    OpenBLAS an element of a dgemm has the same bits in every dgemm of its
+    row and column, whatever the other rows and columns (in a zgemm the sign
+    of a zero part may change, see _fixed_coordinates); GEMV, which numpy
+    calls for a single row or column, may round otherwise.  So a single row
+    is multiplied together with a zero row, and a single column twice.
     """
     J, d, m = Q.shape
     M = cols.shape[1]

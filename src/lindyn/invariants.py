@@ -26,9 +26,9 @@ from .groups import COMPLEX, REAL, GeneratorSet
 from .linalg import (
     BasisChange,
     Matrix,
-    RowEchelon,
     Subspace,
     Vector,
+    independent_columns,
     restrict,
 )
 from .numeric import (
@@ -104,10 +104,8 @@ def nilpotent_span(G: GeneratorSet) -> NilpotentSpan:
             if not vec[0].is_zero():
                 raise InvarianceViolation("nilpotent direction has nonzero first coordinate")
             vectors.append((gi, i, vec))
-    ech = RowEchelon()
-    chosen = [idx for idx, (_, _, vec) in enumerate(vectors) if ech.insert(vec)]
-    reduced = ech.basis()
-    span = Subspace(n, Matrix.from_cols(reduced) if reduced else Matrix.zeros(n, 0))
+    chosen = independent_columns(Matrix.from_cols([vec for _, _, vec in vectors]))
+    span = Subspace.span(n, [vectors[idx][2] for idx in chosen])
     return NilpotentSpan(vectors, chosen, len(chosen), span)
 
 

@@ -22,23 +22,26 @@ the lcm over all of the row's terms.  The ints are summed per (row, column,
 key) through the key product's integer cofactor, again with one Fraction per
 nonzero result term.
 
-Rank, kernel, solve and determinant share one fraction-free (Bareiss)
-forward elimination on integers, which avoids coefficient blow-up.  A
-rational matrix is eliminated on its integer form, any other on its term
-form with each entry a ring element: its ints over the basis elements
-sqrt(d) i^e, whose span over Z is closed under products.  Scaling rows
-changes neither the pivot columns, the kernel nor the solution of an
+One fraction-free (Bareiss) forward elimination on integers, which avoids
+coefficient blow-up, serves rank and independence (the pivot columns,
+:func:`independent_columns`), reduced row-echelon bases
+(:func:`row_space_basis`), kernel, solve and determinant; no other module
+eliminates.  A rational matrix is eliminated on its integer form, any other
+on its term form with each entry a ring element: its ints over the basis
+elements sqrt(d) i^e, whose span over Z is closed under products.  Scaling
+rows changes neither the pivot columns, the kernel nor the solution of an
 augmented system.  Each update divides exactly by the previous pivot, as
 Bareiss's method allows in any integral domain: an int with ``//``, a ring
 element by multiplying with the pivot's adjugate (the product of its
 nontrivial conjugates under i -> -i and sqrt(p) -> -sqrt(p)) and dividing
 each int by the norm, pivot times adjugate; one adjugate per pivot step.
-Kernels and solves finish with back-substitution at the scale of the last
-pivot's norm, where by Cramer's rule every coordinate is again an int or a
-ring element.  No Fraction is made there: a rational result's canonical
-integer rows are read off, and each ring entry becomes one Scalar.  Basis
-vectors have unit entries at their free coordinates, which keeps every
-derived basis deterministic.
+Reduced bases, kernels and solves finish with back-substitution at the
+scale of the last pivot's norm, where by Cramer's rule every coordinate is
+again an int or a ring element.  No Fraction is made there: a rational
+result's canonical integer rows are read off, and each ring entry becomes
+one Scalar.  Basis vectors have unit entries at their free coordinates (a
+kernel's) or pivots (a reduced basis's), which keeps every derived basis
+deterministic.
 
 :meth:`Matrix.charpoly` is Berkowitz's division-free recursion, on the ints
 of a rational matrix at one common scale and on Scalars otherwise, and
@@ -713,12 +716,34 @@ def _back_substitute(ech, pivots: list[int], adjugates: list, rhs: list[list],
     return xs, norm
 
 
+def independent_columns(M: Matrix) -> list[int]:
+    """The pivot columns of M's echelon form: the first maximal independent
+    set of M's columns, in order."""
+    if M.rows == 0 or M.cols == 0:
+        return []
+    return _forward_echelon(*_elimination_rows(M))[1]
+
+
 def rank(M: Matrix) -> int:
     """Exact rank via fraction-free elimination."""
-    if M.rows == 0 or M.cols == 0:
-        return 0
-    pivots = _forward_echelon(*_elimination_rows(M))[1]
-    return len(pivots)
+    return len(independent_columns(M))
+
+
+def row_space_basis(M: Matrix) -> Matrix:
+    """The reduced row-echelon basis of M's row space, as the columns of a matrix.
+
+    Row i of the reduced form holds, at each column j, the coefficient of
+    the i-th pivot column in column j: the solution of the pivot rows with
+    column j of the echelon as right-hand side, 0 at every free coordinate.
+    """
+    n = M.cols
+    rows, integer = _elimination_rows(M)
+    ech, pivots, _, adjugates = _forward_echelon(rows, integer)
+    if not pivots:
+        return Matrix.zeros(n, 0)
+    rhs = [[row[j] for row in ech[:len(pivots)]] for j in range(n)]
+    xs, den = _back_substitute(ech, pivots, adjugates, rhs, [[False] * n] * n, integer)
+    return _matrix_of_cols([[x[pc] for x in xs] for pc in pivots], den, integer)
 
 
 def kernel(M: Matrix) -> "Subspace":
@@ -844,13 +869,7 @@ class Subspace:
         """Canonical subspace spanned by the given (column) vectors."""
         if not vectors:
             return Subspace(ambient, Matrix.zeros(ambient, 0))
-        reduced = row_reduce_basis([tuple(v) for v in vectors])
-        if not reduced:
-            return Subspace(ambient, Matrix.zeros(ambient, 0))
-        return Subspace(ambient, Matrix.from_cols(reduced))
-
-    def canonical(self) -> "Subspace":
-        return Subspace.span(self.ambient, self.basis.columns())
+        return Subspace(ambient, row_space_basis(Matrix.from_rows(vectors)))
 
     def contains(self, v: Sequence[Scalar]) -> bool:
         if self.dim == 0:
@@ -861,52 +880,7 @@ class Subspace:
     def __eq__(self, other):
         if not isinstance(other, Subspace) or self.ambient != other.ambient:
             return NotImplemented
-        return self.canonical().basis == other.canonical().basis
-
-
-class RowEchelon:
-    """Reduced row-echelon basis of a span, grown one vector at a time.
-
-    Inserting a vector reduces it against the rows kept so far, so testing a
-    candidate for independence costs one reduction, not a full rank.
-    """
-
-    def __init__(self):
-        self._rows: list[list[Scalar]] = []
-        self._pivots: list[int] = []
-
-    def insert(self, v: Sequence[Scalar]) -> bool:
-        """Add v to the span; False (and nothing kept) when v already lies in it."""
-        row = list(v)
-        for p, prow in zip(self._pivots, self._rows):
-            f = row[p]
-            if f:
-                row = [a - f * b if b else a for a, b in zip(row, prow)]
-        lead = next((j for j, a in enumerate(row) if a), None)
-        if lead is None:
-            return False
-        inv = row[lead].inverse()
-        row = [a * inv for a in row]
-        for idx, other in enumerate(self._rows):
-            f = other[lead]
-            if f:
-                self._rows[idx] = [a - f * b if b else a for a, b in zip(other, row)]
-        self._rows.append(row)
-        self._pivots.append(lead)
-        return True
-
-    def basis(self) -> list[Vector]:
-        """The reduced rows in order of their pivot columns."""
-        order = sorted(range(len(self._rows)), key=self._pivots.__getitem__)
-        return [tuple(self._rows[idx]) for idx in order]
-
-
-def row_reduce_basis(vectors: Sequence[Vector]) -> list[Vector]:
-    """Reduced-echelon basis of the span (vectors treated as rows)."""
-    ech = RowEchelon()
-    for v in vectors:
-        ech.insert(v)
-    return ech.basis()
+        return row_space_basis(self.basis.transpose()) == row_space_basis(other.basis.transpose())
 
 
 def restrict(A: Matrix, basis: Matrix) -> Matrix:

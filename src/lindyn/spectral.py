@@ -47,7 +47,8 @@ from .errors import (
     UnmatchedConjugate,
 )
 from .groups import REAL, GeneratorSet
-from .linalg import Matrix, RowEchelon, Subspace, kernel, restrict, solve, squarefree_factors
+from .linalg import (Matrix, Subspace, independent_columns, kernel, rank, restrict, solve,
+                     squarefree_factors)
 from .numeric import (
     CLUSTER_DELTA,
     NumericContext,
@@ -495,10 +496,7 @@ def _conjugate_maps(a: SpectralBlock, b: SpectralBlock, tol: float) -> bool:
 
 def _conjugate_span(a: SpectralBlock, b: SpectralBlock, ctx: NumericContext) -> bool:
     if a.exact and b.exact:
-        conj_cols = a.subspace.basis.conjugate().columns()
-        return Subspace.span(a.subspace.ambient, conj_cols) == Subspace.span(
-            b.subspace.ambient, b.subspace.basis.columns()
-        )
+        return rank(a.subspace.basis.conjugate().hstack(b.subspace.basis)) == a.dim
     stacked = np.hstack([np.conj(to_numeric(a.subspace.basis)), to_numeric(b.subspace.basis)])
     return nrank(stacked, ctx) == a.dim
 
@@ -621,28 +619,20 @@ def leading_one(col) -> list[Scalar]:
 def _triangularize_exact(restrictions: list[Matrix], mus: list[Scalar]):
     d = restrictions[0].rows  # a group has at least one generator
     nils = [R - Matrix.identity(d).scale(mu) for R, mu in zip(restrictions, mus)]
-    layers: list[list] = []
-    current: list = []  # basis vectors (columns) of the current flag subspace
-    flag = RowEchelon()  # the span of current, for independence tests
-    while len(current) < d:
-        if current:
-            ann = kernel(Matrix(current)).basis.transpose()
-        else:
-            ann = Matrix.identity(d)
+    layers: list[Matrix] = []
+    flag = Matrix.zeros(d, 0)  # the columns of the current flag subspace
+    while flag.cols < d:
+        ann = kernel(flag.transpose()).basis.transpose() if flag.cols else Matrix.identity(d)
         stacked = ann * nils[0]
         for N in nils[1:]:
             stacked = stacked.vstack(ann * N)
-        V = kernel(stacked)
-        new_vecs = [v for v in V.basis.columns() if flag.insert(v)]
-        if not new_vecs:
-            raise NoCommonEigenvector(
-                "joint kernel of the nilpotent parts did not grow"
-            )
-        layers.append(new_vecs)
-        current = current + new_vecs
-    cols: list = []
-    for layer in reversed(layers):
-        cols.extend(layer)
+        V = kernel(stacked).basis
+        grown = [j - flag.cols for j in independent_columns(flag.hstack(V)) if j >= flag.cols]
+        if not grown:
+            raise NoCommonEigenvector("joint kernel of the nilpotent parts did not grow")
+        layers.append(V.submatrix(range(d), grown))
+        flag = flag.hstack(layers[-1])
+    cols = [col for layer in reversed(layers) for col in layer.columns()]
     # leading-one column normalization: keeps the form triangular and the
     # diagonal unchanged, and stops radical factors inflating restrictions
     P = Matrix.from_cols([leading_one(col) for col in cols])

@@ -145,6 +145,41 @@ def random_lastrow_group(rng: random.Random, n: int):
     return G, tuple(base), values
 
 
+class RowEchelonOracle:
+    """Reduced row-echelon basis of a span, grown one vector at a time by a
+    Scalar Gauss-Jordan: the oracle for the pivots and reduced bases of
+    ``linalg``'s fraction-free elimination."""
+
+    def __init__(self):
+        self._rows: list[list[Scalar]] = []
+        self._pivots: list[int] = []
+
+    def insert(self, v: Sequence[Scalar]) -> bool:
+        """Add v to the span; False (and nothing kept) when v already lies in it."""
+        row = list(v)
+        for p, prow in zip(self._pivots, self._rows):
+            f = row[p]
+            if f:
+                row = [a - f * b if b else a for a, b in zip(row, prow)]
+        lead = next((j for j, a in enumerate(row) if a), None)
+        if lead is None:
+            return False
+        inv = row[lead].inverse()
+        row = [a * inv for a in row]
+        for idx, other in enumerate(self._rows):
+            f = other[lead]
+            if f:
+                self._rows[idx] = [a - f * b if b else a for a, b in zip(other, row)]
+        self._rows.append(row)
+        self._pivots.append(lead)
+        return True
+
+    def basis(self) -> list[Vector]:
+        """The reduced rows in order of their pivot columns."""
+        order = sorted(range(len(self._rows)), key=self._pivots.__getitem__)
+        return [tuple(self._rows[idx]) for idx in order]
+
+
 def integer_relations(values: Sequence[Scalar]) -> list[list[int]]:
     """Basis of the integer relations among real scalars; empty iff they are
     rationally independent."""

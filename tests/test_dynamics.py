@@ -10,7 +10,14 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from conftest import fixture_by_name, group_from_strings, integer_relations, random_lastrow_group
+from conftest import (
+    FIXTURE_NAMES,
+    RowEchelonOracle,
+    fixture_by_name,
+    group_from_strings,
+    integer_relations,
+    random_lastrow_group,
+)
 from lindyn.dynamics import (
     _box,
     _dedup,
@@ -510,6 +517,64 @@ class TestFrame:
                 assert sin_max <= 1e-9, name
             dims.add(V.shape[1])
         assert dims == {0, 1, 2, 6}
+
+
+def _frame_oracle(G, u):
+    """_frame by a worklist on the Scalar Gauss-Jordan: each realified vector
+    that the echelon keeps pushes its images g_j v."""
+    def realified(v):
+        if G.field == "complex":
+            return [p for c in v for p in (c.real_part(), c.imag_part())]
+        return [c.real_part() for c in v]
+
+    ech = RowEchelonOracle()
+    todo = [tuple(a - b for a, b in zip(g.matvec(u), u)) for g in G.generators]
+    while todo:
+        v = todo.pop()
+        if ech.insert(realified(v)):
+            todo.extend(g.matvec(v) for g in G.generators)
+    base = np.array([c.to_complex().real for c in realified(u)])
+    rows = [c.to_complex().real for row in ech.basis() for c in row]
+    return base, np.linalg.qr(np.reshape(rows, (-1, base.size)).T)[0]
+
+
+class TestFrameSameBits:
+    """The frame, whose QR feeds every window test and projection, has the
+    bits of the Scalar Gauss-Jordan worklist's."""
+
+    def _same(self, G, u):
+        got, want = dynamics._frame(G, tuple(u)), _frame_oracle(G, tuple(u))
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        return got[1].shape
+
+    def test_fixture_points(self):
+        for name in FIXTURE_NAMES:
+            G, points = fixture_by_name(name)
+            for u in points.values():
+                self._same(G, u)
+
+    def test_seeded_shears(self):
+        fields = set()
+        for name, G, u, _, _ in _shear_cases():
+            self._same(G, u)
+            fields.add(G.field)
+        for _, G, u in _frame_cases():
+            self._same(G, u)
+            fields.add(G.field)
+        assert fields == {"real", "complex"}
+
+    def test_fixed_point(self):
+        # the shear moves the last coordinate by the first, which is 0
+        G = group_from_strings("real", [[["1", "0", "0"], ["0", "1", "0"], ["sqrt(2)", "0", "1"]]])
+        assert self._same(G, as_vector([0, "1/3", 5])) == (3, 0)
+
+    def test_whole_realified_space(self):
+        G = group_from_strings("complex", [[["i", "0"], ["0", "1"]], [["1", "0"], ["0", "i"]]])
+        assert self._same(G, as_vector([1, "2-i"])) == (4, 4)
+        G, u = _rotation_pair()
+        assert self._same(G, u) == (2, 2)
 
 
 def _dedup_oracle(points, eps):

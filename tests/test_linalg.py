@@ -4,17 +4,25 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import FIXTURE_NAMES, fixture_by_name, random_integer_matrix, random_scalar
+from conftest import (
+    FIXTURE_NAMES,
+    RowEchelonOracle,
+    fixture_by_name,
+    random_integer_matrix,
+    random_scalar,
+)
 from lindyn import linalg
 from lindyn.errors import NotInvariant
 from lindyn.linalg import (
     Matrix,
     Subspace,
     as_vector,
+    independent_columns,
     kernel,
     rank,
     rational_kernel,
     restrict,
+    row_space_basis,
     solve,
     squarefree_factors,
 )
@@ -332,7 +340,7 @@ def _radical_rows(rng, r, c, wide=False, keys=RADICAL_KEYS):
     def entry():
         if rng.random() < 0.4:
             return Scalar.zero()
-        return Scalar({k: coefficient() for k in rng.sample(keys, rng.randint(1, 3))})
+        return Scalar({k: coefficient() for k in rng.sample(keys, rng.randint(1, min(3, len(keys))))})
 
     return [[entry() for _ in range(c)] for _ in range(r)]
 
@@ -584,6 +592,104 @@ class TestIndependenceCertificate:
             assert kernel(M).dim == c - rank(M)
             assert Subspace.span(c, M.entries()).dim == rank(M)
             assert Subspace.span(r, M.columns()).dim == rank(M)
+
+
+def _row_echelon_oracle(vectors):
+    """(indices of the vectors that a Scalar Gauss-Jordan keeps, one at a time,
+    and its reduced basis, in order of the pivot columns)."""
+    ech = RowEchelonOracle()
+    chosen = [i for i, v in enumerate(vectors) if ech.insert(v)]
+    return chosen, ech.basis()
+
+
+class TestReducedEchelon:
+    """Pivot columns and reduced bases from the fraction-free elimination
+    equal those of the Scalar Gauss-Jordan, entry by entry."""
+
+    FIELDS = {
+        "Q": [(1, False)],
+        "Q(sqrt2, sqrt5)": [(d, False) for d in (1, 2, 5, 10)],
+        "Q(sqrt2, i)": [(d, imag) for d in (1, 2) for imag in (False, True)],
+    }
+    # (vectors, coordinates): more vectors than coordinates, fewer, as many
+    SHAPES = [(1, 1), (1, 4), (4, 1), (2, 5), (3, 3), (4, 4), (6, 3), (5, 5), (7, 4)]
+
+    def _vectors(self, rng, keys, k, n):
+        """k vectors of length n, at times of low rank, with zero and repeated vectors."""
+        if rng.random() < 0.4:  # a product through fewer dimensions
+            low = _scalar_product(Matrix.from_rows(_radical_rows(rng, k, 2, keys=keys)),
+                                  Matrix.from_rows(_radical_rows(rng, 2, n, keys=keys)))
+            vecs = [list(row) for row in low.entries()]
+        else:
+            vecs = _radical_rows(rng, k, n, keys=keys)
+        if rng.random() < 0.3:
+            vecs[rng.randrange(k)] = [Scalar.zero()] * n
+        if k > 1 and rng.random() < 0.3:
+            i, j = rng.sample(range(k), 2)
+            vecs[j] = list(vecs[i])
+        return vecs
+
+    def _check(self, vecs, n):
+        chosen, basis = _row_echelon_oracle(vecs)
+        assert independent_columns(Matrix.from_cols(vecs)) == chosen
+        assert rank(Matrix.from_cols(vecs)) == len(chosen)
+        want = Matrix.from_cols(basis) if basis else Matrix.zeros(n, 0)
+        for got in (row_space_basis(Matrix.from_rows(vecs)), Subspace.span(n, vecs).basis):
+            assert got.columns() == basis
+            assert [[str(a) for a in col] for col in got.columns()] == \
+                [[str(a) for a in col] for col in basis]
+            assert got._integer_form() == want._integer_form()
+            assert got == want
+        return len(chosen)
+
+    @pytest.mark.parametrize("field, seed", [("Q", 11), ("Q(sqrt2, sqrt5)", 12), ("Q(sqrt2, i)", 13)])
+    def test_agrees_with_scalar_gauss_jordan(self, field, seed):
+        rng = random.Random(seed)
+        keys = self.FIELDS[field]
+        ranks = set()
+        for _ in range(6):
+            for k, n in self.SHAPES:
+                ranks.add((self._check(self._vectors(rng, keys, k, n), n), min(k, n)))
+        assert any(r == full for r, full in ranks) and any(r < full for r, full in ranks)
+
+    def test_rational_result_is_born_in_integer_rows(self):
+        rng = random.Random(1618)
+        for k, n in self.SHAPES:
+            B = row_space_basis(Matrix.from_rows(self._vectors(rng, [(1, False)], k, n)))
+            assert B._rows is None
+
+    def test_degenerate_inputs(self):
+        zero, one = Scalar.zero(), Scalar.one()
+        for vecs, n in (
+            ([[zero] * 3], 3),                         # a zero vector
+            ([[zero] * 3, [zero] * 3], 3),             # zero vectors only
+            ([[one, zero], [one, zero]], 2),           # a repeated vector
+            ([[one, zero, zero], [zero, one, zero], [zero, zero, one]], 3),  # full rank
+            ([[], []], 0),                             # zero width
+        ):
+            self._check(vecs, n)
+        # no vectors, or no coordinates
+        assert independent_columns(Matrix.zeros(4, 0)) == []
+        assert independent_columns(Matrix.zeros(0, 3)) == []
+        assert independent_columns(Matrix([])) == []
+        assert Subspace.span(3, []).basis == Matrix.zeros(3, 0)
+        assert row_space_basis(Matrix.zeros(2, 3)) == Matrix.zeros(3, 0)
+
+    def test_subspace_equality(self):
+        rng = random.Random(4242)
+        for keys in self.FIELDS.values():
+            for k, n in self.SHAPES:
+                vecs = self._vectors(rng, keys, k, n)
+                S = Subspace.span(n, vecs)
+                # the same span from its basis run backwards and rescaled
+                other = [[a * Scalar.from_fraction(-2) for a in col] for col in S.basis.columns()]
+                T = Subspace.span(n, other[::-1])
+                assert S == T
+                if S.dim < n:  # and a span one larger
+                    units = [tuple(Scalar.one() if t == j else Scalar.zero() for t in range(n))
+                             for j in range(n)]
+                    extra = next(e for e in units if not S.contains(e))
+                    assert S != Subspace.span(n, S.basis.columns() + [extra])
 
 
 def _restrict_by_solve(A: Matrix, basis: Matrix) -> Matrix:
