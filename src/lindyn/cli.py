@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import ClosureConfig, _realify, classify_stabilized, enumerate_orbit
+from .dynamics import ClosureConfig, classify_stabilized, enumerate_orbit
 from .errors import ClusterAmbiguity, LindynError, NotAbelian
 from .groups import COMPLEX, GeneratorSet
 from .invariants import invariant_family, invariant_tree, membership
@@ -186,14 +186,13 @@ def cmd_orbit(args) -> int:
 
 def _dump_points_csv(points: np.ndarray, fieldname: str, path: str) -> None:
     """The realified points as CSV: columns re0,im0,re1,... over C, x0,x1,... over R."""
-    n = points.shape[1]
     if fieldname == COMPLEX:
-        header = ",".join(f"re{j},im{j}" for j in range(n))
+        header = ",".join(f"re{j},im{j}" for j in range(points.shape[1] // 2))
     else:
-        header = ",".join(f"x{j}" for j in range(n))
+        header = ",".join(f"x{j}" for j in range(points.shape[1]))
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        np.savetxt(fh, _realify(points, fieldname), fmt="%.17g", delimiter=",")
+        np.savetxt(fh, points, fmt="%.17g", delimiter=",")
 
 
 def cmd_verify_examples(args) -> int:

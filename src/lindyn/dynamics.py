@@ -1,14 +1,15 @@
 """Finite orbit exploration and empirical closure classification.
 
 Orbit clouds are enumerated over exponent boxes [-K, K]^g with vectorized
-power stacks, from exact generators and an exact start point u.  Every cloud
-carries the frame of the orbit's affine hull u + W, found before enumeration
-and without sampling: for abelian G, W is the smallest G-invariant subspace
-that contains every (g_i - I)u, a Krylov closure computed exactly and
-orthonormalized once in float64.  A real orbit (every generator entry and
-start coordinate has zero imaginary part) runs in float64 throughout, any
-other in complex128; the arrays take their dtype from the data, and the two
-differ in code only in the streamed window test's real form and _dedup's keys.
+power stacks, from exact generators and an exact start point u.  Every orbit
+runs in float64 on realified coordinates: over C, each generator becomes its
+real (2n x 2n) matrix on interleaved (Re, Im) coordinates and u its realified
+vector.  Realification is a homeomorphism that carries G to a real abelian
+group, so the orbit closures, hulls and verdicts are those of the realified
+orbit.  Every cloud carries the frame of the orbit's affine hull u + W, found
+before enumeration and without sampling: for abelian G, W is the smallest
+G-invariant subspace that contains every (g_i - I)u, a Krylov closure
+computed exactly and orthonormalized once in float64.
 A materialized box forms only the coordinates it moves: a coordinate that
 every power of the last stage leaves alone, and at which the inner columns
 hold one exactly kept value, has that value at every point, bit for bit (see
@@ -18,15 +19,15 @@ its points only when they are read.  A box is deduplicated through the
 transposed view of its staged product, so it is not copied into rows first,
 and the deduplication consumes it: when at least half of its rows survive,
 they are written into the box's own buffer.  A cloud that moves in one
-realified coordinate is deduplicated by sorting that coordinate's values, not
-a permutation of its rows, and its minimum separation is the least gap between
+coordinate is deduplicated by sorting that coordinate's values, not a
+permutation of its rows, and its minimum separation is the least gap between
 them; any other cloud's is the exact nearest pair on a grid of cells, which a
 k-d tree's nearest-neighbour query returns too, bit for bit.  When the frame
-of a cloud that moves in one realified coordinate is one axis along it, the
-cloud is projected into the frame from that coordinate alone, with no
-assembled points.  Boxes too large to materialize are streamed in chunks: the
+of a cloud that moves in one coordinate is one axis along it, the cloud is
+projected into the frame from that coordinate alone, with no assembled
+points.  Boxes too large to materialize are streamed in chunks: the
 outermost stage is applied through the frame's projector, so a tuple's window
-coordinates are a real product of one projected outer power and one inner
+coordinates are a product of one projected outer power and one inner
 column.  They are formed only for the tuples that can be window hits: the
 frame coordinates of a chunk's inner columns give each outer power one range
 of the columns sorted by their first frame coordinate, with a margin that
@@ -83,18 +84,17 @@ class ClosureConfig:
 class OrbitCloud:
     """A deduplicated orbit sample, stored as its formed coordinates.
 
-    Every point holds fixed[i] at each coordinate i in `fixed`, bit for bit,
-    and `formed` holds its other coordinates, in ascending order (see _box);
-    only a materialized box has fixed coordinates.  `points` is the (m, n)
-    array, F-contiguous, assembled when it is read if any coordinate is
-    fixed.
+    Every array is float64 on realified coordinates: over C, coordinates 2i
+    and 2i + 1 are the real and imaginary parts of z_i.  Every point holds
+    fixed[i] at each coordinate i in `fixed`, bit for bit, and `formed` holds
+    its other coordinates, in ascending order (see _box); only a materialized
+    box has fixed coordinates.  `points` is the (m, n) array, n = 2 dim over
+    C, F-contiguous, assembled when it is read if any coordinate is fixed.
     """
 
-    # float64 for a real orbit (every generator entry and coordinate real),
-    # complex128 otherwise; formed may be a column-major array
-    base_point: np.ndarray            # ambient coordinates
-    field: str
-    formed: np.ndarray                # deduped points (m, k) in their formed coordinates
+    base_point: np.ndarray            # realified u, the frame's base point
+    # deduped points (m, k) in their formed coordinates, maybe column-major
+    formed: np.ndarray
     total_tuples: int
     # (realified base point, orthonormal columns spanning W) of the orbit's
     # affine hull; a streamed cloud's window hits were selected in it
@@ -114,10 +114,10 @@ class OrbitCloud:
 
     @property
     def points(self) -> np.ndarray:
-        """The deduped points (m, n), of base_point's dtype; a new array if any is fixed."""
+        """The deduped points (m, n); a new array if any coordinate is fixed."""
         if not self.fixed:
             return self.formed
-        out = np.empty((self.base_point.size, self.count), dtype=self.formed.dtype)
+        out = np.empty((self.base_point.size, self.count))
         out[self.formed_at] = self.formed.T
         for i, c in self.fixed.items():
             out[i] = c
@@ -137,13 +137,9 @@ class ClosureVerdict:
 # enumeration
 
 
-def _numeric_generators(G: GeneratorSet) -> list[np.ndarray]:
-    return [g.to_complex_array() for g in G.generators]
-
-
 def _power_stack(A: np.ndarray, K: int) -> np.ndarray:
     n = A.shape[0]
-    pows = np.empty((2 * K + 1, n, n), dtype=A.dtype)
+    pows = np.empty((2 * K + 1, n, n))
     pows[K] = np.eye(n)
     for k in range(1, K + 1):
         pows[K + k] = A @ pows[K + k - 1]
@@ -161,18 +157,16 @@ def _staged_columns(stacks: list[np.ndarray], u: np.ndarray) -> np.ndarray:
     BLAS call counts low and makes no list of blocks to concatenate.  The
     last stage may hold only r of the n rows of its powers (see _box).  In
     OpenBLAS an element of a dgemm keeps its bits in a dgemm of fewer rows of
-    the same columns, which the tests check against the whole box; in a
-    zgemm the sign of a zero part may change with the shape, so
-    _fixed_coordinates fixes a complex value only when both its parts are
-    nonzero.  numpy multiplies a single row by GEMV, which may round
-    otherwise, so a lone row is multiplied together with a zero row.
+    the same columns, which the tests check against the whole box.  numpy
+    multiplies a single row by GEMV, which may round otherwise, so a lone row
+    is multiplied together with a zero row.
     """
     V = u.reshape(-1, 1) if u.ndim == 1 else u
     for pows in stacks:
         (J, r, n), M = pows.shape, V.shape[1]
         if r == 1 < n:
             pows = np.concatenate([pows, np.zeros_like(pows)], axis=1)
-        out = np.empty((r, J, M), dtype=np.result_type(pows, V))
+        out = np.empty((r, J, M))
         step = max(1, 2**18 // (max(pows.shape[1], 1) * M))
         for lo in range(0, J, step):
             out[:, lo : lo + step] = np.matmul(pows[lo : lo + step], V)[:, :r].transpose(1, 0, 2)
@@ -183,9 +177,9 @@ def _staged_columns(stacks: list[np.ndarray], u: np.ndarray) -> np.ndarray:
 def _dedup(points: np.ndarray, eps: float) -> np.ndarray:
     """Finite rows of `points`, one per eps-grid key, in lexsort order of the keys.
 
-    The key columns are the columns of `points`, or their real and imaginary
-    parts for complex points, read as strided views: `points` may be the
-    transposed view of an (n, m) product, and it is not copied.  A
+    The key columns are the columns of `points`, read as strided views:
+    `points` may be the transposed view of an (n, m) product, and it is not
+    copied.  A
     materialized box passes only its formed coordinates (see _box): a fixed
     one holds one value, so it never decides the order or a duplicate, and
     the rows kept are those of the whole box.  Key columns
@@ -204,13 +198,13 @@ def _dedup(points: np.ndarray, eps: float) -> np.ndarray:
     """
     if points.shape[0] == 0:
         return points
-    cols = _key_columns(points)
+    cols = list(points.T)
     lo, hi = _extremes(cols)  # NaN or inf in a column shows here
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         points = points[np.logical_and.reduce([np.isfinite(c) for c in cols])]
         if points.shape[0] == 0:
             return points
-        cols = _key_columns(points)
+        cols = list(points.T)
         lo, hi = _extremes(cols)
     moving = list(_moving_columns(dict(enumerate(cols))))
     if len(moving) == 1:
@@ -229,11 +223,7 @@ def _dedup(points: np.ndarray, eps: float) -> np.ndarray:
             first = points[0].reshape(-1, 1).copy()
             out = _result_rows(points, vals.size)
             out[...] = first
-            if np.iscomplexobj(points):
-                row = out[j // 2].imag if j % 2 else out[j // 2].real
-            else:
-                row = out[j]
-            row[...] = vals
+            out[j] = vals
             return out.T
     # rounding x / eps is monotone, so a column's keys are all equal iff the
     # keys of its extremes are
@@ -291,26 +281,24 @@ def _moving_columns(cols: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
     return {j: c for j, c in cols.items() if (c.view(np.int64) != c.view(np.int64)[0]).any()}
 
 
-def _key_columns(points: np.ndarray) -> list[np.ndarray]:
-    """The columns of `points` in the order of its realified row (re, im, re, im, ...)."""
-    cols = [points[:, j] for j in range(points.shape[1])]
-    if np.iscomplexobj(points):
-        return [part for c in cols for part in (c.real, c.imag)]
-    return cols
-
-
 def _extremes(cols: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return np.array([c.min() for c in cols]), np.array([c.max() for c in cols])
 
 
-def _realify(points: np.ndarray, fieldname: str) -> np.ndarray:
-    if fieldname == COMPLEX:
-        m, n = points.shape
-        out = np.empty((m, 2 * n), dtype=float)
-        out[:, 0::2] = points.real
-        out[:, 1::2] = points.imag
-        return out
-    return np.asarray(points.real, dtype=float)
+def _realified(A: np.ndarray, fieldname: str) -> np.ndarray:
+    """A's real matrix on the interleaved (Re, Im) coordinates of _frame; A.real over R.
+
+    Its -Im A entries are formed as 0.0 - Im A, so that a zero is +0.0, as
+    the exact zero of a real matrix converts: a complex group's cloud is, bit
+    for bit, that of the real group of its exactly realified generators.
+    """
+    if fieldname != COMPLEX:
+        return np.ascontiguousarray(A.real)
+    R = np.empty((2 * A.shape[0], 2 * A.shape[1]))
+    R[0::2, 0::2] = R[1::2, 1::2] = A.real
+    R[0::2, 1::2] = 0.0 - A.imag
+    R[1::2, 0::2] = A.imag
+    return R
 
 
 def enumerate_orbit(
@@ -327,27 +315,24 @@ def enumerate_orbit(
     beyond cfg.max_store are streamed, and the returned cloud is then its
     window: every point of the whole box whose coordinates in the frame lie
     within 1.5x the classification window, deduplicated.  The window is
-    exhaustive, so covering verdicts stay sound.
+    exhaustive, so covering verdicts stay sound.  The orbit runs on
+    realified coordinates, from the frame's base point (see OrbitCloud).
     """
     if not G.exact or not all(isinstance(c, Scalar) for c in u):
         raise ValueError("orbit enumeration requires exact generators and an exact point")
     cfg = cfg or ClosureConfig()
-    gens = _numeric_generators(G)
-    un = vec_to_numeric(u)
-    # a real orbit runs in float64: every array below takes its operands' dtype
-    if not any(a.imag.any() for a in [*gens, un]):
-        gens, un = [A.real.copy() for A in gens], un.real.copy()
     frame = _frame(G, tuple(u))
+    un = frame[0]
+    gens = [_realified(g.to_complex_array(), G.field) for g in G.generators]
     total = (2 * K + 1) ** len(gens)
     subsampled = total > cfg.max_store
     fixed = {}
     if subsampled:
-        pts, clipped = _stream_window(gens, un, K, cfg, frame, G.field)
+        pts, clipped = _stream_window(gens, un, K, cfg, frame)
     else:
         pts, fixed, clipped = _box(gens, un, K, cfg)
     # pts is a temporary, which _dedup may overwrite
-    return OrbitCloud(un, G.field, _dedup(pts, cfg.dedup_eps), total, frame, subsampled, clipped,
-                      fixed)
+    return OrbitCloud(un, _dedup(pts, cfg.dedup_eps), total, frame, subsampled, clipped, fixed)
 
 
 def _frame(G: GeneratorSet, u: Vector) -> tuple[np.ndarray, np.ndarray]:
@@ -422,47 +407,31 @@ def _fixed_coordinates(last: np.ndarray, inner: np.ndarray) -> dict[int, np.gene
     The box's points are the columns last[k] @ inner[:, col].  Coordinate i
     is fixed when row i of every power in `last` equals e_i^T, and the inner
     columns are all finite and hold c at row i in every column, bit for bit.
-    Then each realified part of a point's entry i is that part of c plus
-    products of +-0 with finite numbers, which are +-0 (the real part of a
-    complex product subtracts some of them), and, in a GEMM, the +0.0 it
-    starts from.  Adding or subtracting +-0 leaves a nonzero x as it is, so a
-    nonzero part comes out as c's in any order and with or without fused
-    multiply-adds.  A zero part is the sign of a sum of zeros.  A real GEMM
-    only adds, and in round-to-nearest a sum of zeros one of which is +0.0
-    is +0.0: so a real c may be +0.0 but not -0.0.  A complex part subtracts,
-    and OpenBLAS's zgemm does give -0.0 for the real part of 1 (0 + 1i) plus
-    such zeros: so both parts of a complex c must be nonzero.
+    Then a point's entry i is c plus products of +-0 with finite numbers,
+    which are +-0, and, in a GEMM, the +0.0 it starts from.  Adding +-0
+    leaves a nonzero c as it is, in any order and with or without fused
+    multiply-adds.  A zero entry is the sign of a sum of zeros, and in
+    round-to-nearest a sum of zeros one of which is +0.0 is +0.0: so c may be
+    +0.0 but not -0.0.
     """
     if not np.isfinite(inner).all():
         return {}
     eye = np.eye(last.shape[1])
-    fixed = {}
-    for i, row in enumerate(inner):
-        c = row[0]
-        bits = row.view(np.int64).reshape(row.size, -1)
-        exact = c.real != 0 and c.imag != 0 if np.iscomplexobj(c) else c != 0 or not np.signbit(c)
-        if exact and (bits == bits[0]).all() and (last[:, i] == eye[i]).all():
-            fixed[i] = c
-    return fixed
+    moving = _moving_columns(dict(enumerate(inner)))
+    return {i: row[0] for i, row in enumerate(inner) if i not in moving
+            and (row[0] != 0 or not np.signbit(row[0])) and (last[:, i] == eye[i]).all()}
 
 
-def _complex_projector(V: np.ndarray, fieldname: str) -> np.ndarray:
-    """Matrix W with realdot(x_real, V) = Re(x @ conj(W)); V itself for a real field."""
-    if fieldname == COMPLEX:
-        return V[0::2, :] + 1j * V[1::2, :]
-    return V
-
-
-def _stream_window(gens, un, K, cfg: ClosureConfig, frame, fieldname) -> tuple[np.ndarray, bool]:
+def _stream_window(gens, un, K, cfg: ClosureConfig, frame) -> tuple[np.ndarray, bool]:
     """The box's points within 1.5 windows of the frame, and whether any was clipped.
 
     A chunk's tuples are the columns j * M + col of the blocks P[j] @ inner,
     with P the outermost power stack and inner (n, M) the chunk's start
     columns taken through the other stages; a single generator has the
     identity as its one outer stage.  A tuple's window coordinates are
-    Q[j] @ x - o, with Q[j] the projected outer power in real form and x the
-    realified inner column (the column itself for a real orbit), and it is a
-    hit when their largest modulus is at most 1.5 windows.  _window_filter
+    Q[j] @ x - o, with Q[j] = V^T P[j] the projected outer power and x the
+    inner column, and it is a hit when their largest modulus is at most 1.5
+    windows.  _window_filter
     finds the hits without forming that value for every tuple, and leaves
     none out: its docstring proves that its margin covers ||Q[j]|| ||r|| for
     each column's residual r off the frame, and every rounding.  A point is
@@ -471,8 +440,7 @@ def _stream_window(gens, un, K, cfg: ClosureConfig, frame, fieldname) -> tuple[n
     limit).
     """
     base, V = frame
-    W = np.conj(_complex_projector(V, fieldname))  # (n, d)
-    offset = base @ V  # proj_real(x) = Re(x @ W) - offset
+    offset = base @ V  # a point x's frame coordinates are x @ V - offset
     limit = cfg.overflow_limit
     n = len(un)
     window_chunks = []
@@ -481,17 +449,10 @@ def _stream_window(gens, un, K, cfg: ClosureConfig, frame, fieldname) -> tuple[n
     with np.errstate(over="ignore", invalid="ignore"):
         stacks = [_power_stack(A, K) for A in gens[:-1]]
         last = _power_stack(gens[-1], K)
-        outer = stacks.pop() if stacks else np.eye(n, dtype=un.dtype)[None]
+        outer = stacks.pop() if stacks else np.eye(n)[None]
         J = outer.shape[0]
-        # Re(W^T P[j] x) = [Re(W^T P[j]), -Im(W^T P[j])] @ [Re x; Im x], which
-        # is Re(W^T P[j]) @ x for real P[j] and x
-        WP = np.matmul(W.T, outer)  # (J, d, n)
-        complex_data = np.iscomplexobj(un)
-        Q = np.concatenate([WP.real, -WP.imag], axis=2) if complex_data else WP.real
-        # the frame's base point and columns, realified as the columns x are
-        frame_x = _complex_projector(np.column_stack([base, V]), fieldname)  # (n, 1 + d)
-        frame_x = np.vstack([frame_x.real, frame_x.imag]) if complex_data else frame_x.real
-        hits_of = _window_filter(Q, frame_x[:, 0], frame_x[:, 1:], offset, 1.5 * cfg.window)
+        Q = np.matmul(V.T, outer)  # (J, d, n)
+        hits_of = _window_filter(Q, base, V, offset, 1.5 * cfg.window)
         # |(P[j] x)_i| <= rowsum[j] * max|x|; a factor 2 covers the rounding
         rowsum = np.abs(outer).sum(axis=2).max(axis=1)  # (J,)
         per_start = J * (2 * K + 1) ** len(stacks)
@@ -500,7 +461,7 @@ def _stream_window(gens, un, K, cfg: ClosureConfig, frame, fieldname) -> tuple[n
             hi = min(lo + batch, 2 * K + 1)
             starts = np.stack([last[k] @ un for k in range(lo, hi)], axis=1)  # (n, b)
             inner = _staged_columns(stacks, starts)  # (n, M)
-            hits = hits_of(np.vstack([inner.real, inner.imag]) if complex_data else inner)
+            hits = hits_of(inner)
             sel = hits
             if not clipped:
                 colmax = np.abs(inner).max(axis=0)
@@ -624,11 +585,10 @@ def _window_values(Q: np.ndarray, cols: np.ndarray, offset: np.ndarray, js: np.n
     js is ascending.  The tuples of a block of consecutive j go through one
     GEMM of the block's rows of Q on their columns, or on all of cols when
     they take at least a quarter of them, and each tuple takes its own rows
-    of the product; a block holds about 64 tuples.  The GEMMs are real: in
-    OpenBLAS an element of a dgemm has the same bits in every dgemm of its
-    row and column, whatever the other rows and columns (in a zgemm the sign
-    of a zero part may change, see _fixed_coordinates); GEMV, which numpy
-    calls for a single row or column, may round otherwise.  So a single row
+    of the product; a block holds about 64 tuples.  In OpenBLAS an element
+    of a dgemm has the same bits in every dgemm of its row and column,
+    whatever the other rows and columns; GEMV, which numpy calls for a
+    single row or column, may round otherwise.  So a single row
     is multiplied together with a zero row, and a single column twice.
     """
     J, d, m = Q.shape
@@ -658,7 +618,7 @@ def _outer_columns(outer: np.ndarray, inner: np.ndarray, flat: np.ndarray) -> np
     The gathered matrices take about 32 MB per slice.
     """
     js, cols = np.divmod(flat, inner.shape[1])
-    out = np.empty((flat.size, inner.shape[0]), dtype=np.result_type(outer, inner))
+    out = np.empty((flat.size, inner.shape[0]))
     step = max(1, 2**21 // outer[0].size)
     for lo in range(0, flat.size, step):
         x = inner[:, cols[lo : lo + step]].T[:, :, None]
@@ -678,7 +638,7 @@ def classify_closure(cloud: OrbitCloud, cfg: ClosureConfig | None = None) -> Clo
     base, V = cloud.frame
     d = V.shape[1]
     # the fixed coordinates never move, so only the formed ones are read
-    moving = _moving_columns(_realified_columns(cloud))
+    moving = _moving_columns(dict(zip(cloud.formed_at, cloud.formed.T)))
     notes = []
     if cloud.clipped:
         notes.append("overflow-clipped points were dropped")
@@ -750,25 +710,13 @@ def classify_closure(cloud: OrbitCloud, cfg: ClosureConfig | None = None) -> Clo
     )
 
 
-def _realified_columns(cloud: OrbitCloud) -> dict[int, np.ndarray]:
-    """The formed coordinates' columns of the realified points (see _realify), by index there."""
-    cols = {}
-    for t, i in enumerate(cloud.formed_at):
-        x = cloud.formed[:, t]
-        if cloud.field == COMPLEX:
-            cols[2 * i], cols[2 * i + 1] = x.real, x.imag
-        else:
-            cols[i] = x.real
-    return cols
-
-
 def _frame_coordinates(cloud: OrbitCloud, moving: dict[int, np.ndarray]) -> np.ndarray:
-    """The cloud's points in its frame, (m, d): realified points @ V - base @ V.
+    """The cloud's points in its frame, (m, d): points @ V - base @ V.
 
-    `moving` holds the realified columns that move (see _realified_columns).
-    When one column j moves and the frame is a single column that is +-0 at
-    every other index, only that column is read: x_j V[j, 0] - base_j V[j, 0].
-    Every other entry of a realified row is finite (the cloud is
+    `moving` holds the formed columns that move, by coordinate.  When one
+    column j moves and the frame is a single column that is +-0 at every
+    other index, only that column is read: x_j V[j, 0] - base_j V[j, 0].
+    Every other entry of a row is finite (the cloud is
     deduplicated), as is base, so the dot products of the full projection add
     only +-0 to fl(x_j V[j, 0]) and to fl(base_j V[j, 0]), in any order and
     with or without fused multiply-adds: the two agree bit for bit but
@@ -782,11 +730,11 @@ def _frame_coordinates(cloud: OrbitCloud, moving: dict[int, np.ndarray]) -> np.n
             v = V[j, 0]
             return (x * v - base[j] * v)[:, None]
     # not (real - base) @ V, which would form a centered copy of the cloud
-    return _realify(cloud.points, cloud.field) @ V - base @ V
+    return cloud.points @ V - base @ V
 
 
 def _nearest_pair(moving: dict[int, np.ndarray], width: int) -> float:
-    """Least distance between two rows of a realified cloud: a k-d tree's, bit for bit.
+    """Least distance between two rows of a cloud: a k-d tree's, bit for bit.
 
     `moving` holds the columns of the cloud that move, by their index among
     its `width` columns; every other column holds one value.  cKDTree sums

@@ -216,12 +216,10 @@ def invariant_family(G: GeneratorSet, ctx: NumericContext | None = None) -> Inva
         others = [j for j in range(n) if not (offset <= j < offset + width)]
         col_idx = sorted(others + keep)
         if exact_all:
-            basis = P.submatrix(range(n), col_idx) if col_idx else Matrix.zeros(n, 0)
-            sub = Subspace(n, basis)
+            sub = Subspace(n, P.submatrix(range(n), col_idx))
             functionals = P_inv.submatrix(range(offset, offset + omit), range(n))
         else:
-            basis = P[:, col_idx] if col_idx else np.zeros((n, 0), dtype=complex)
-            sub = NumSubspace(n, basis)
+            sub = NumSubspace(n, P[:, col_idx])
             functionals = P_inv[offset : offset + omit, :]
         residual = _invariance_residual(G, sub, functionals, ctx)
         subspaces.append(InvariantSubspace(sub, case, ui, functionals, residual, width))
@@ -431,7 +429,7 @@ def bounded_restriction_witness(
     seq = []
     bound = 0.0
     for word in words:
-        acc = Matrix.identity(gens[0].rows) if gens else Matrix.identity(0)
+        acc = Matrix.identity(gens[0].rows)
         for g, k in zip(gens, word):
             if k:
                 acc = acc * g.power(k)

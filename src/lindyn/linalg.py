@@ -739,11 +739,9 @@ def row_space_basis(M: Matrix) -> Matrix:
     n = M.cols
     rows, integer = _elimination_rows(M)
     ech, pivots, _, adjugates = _forward_echelon(rows, integer)
-    if not pivots:
-        return Matrix.zeros(n, 0)
     rhs = [[row[j] for row in ech[:len(pivots)]] for j in range(n)]
     xs, den = _back_substitute(ech, pivots, adjugates, rhs, [[False] * n] * n, integer)
-    return _matrix_of_cols([[x[pc] for x in xs] for pc in pivots], den, integer)
+    return _matrix_of_cols([[x[pc] for x in xs] for pc in pivots], n, den, integer)
 
 
 def kernel(M: Matrix) -> "Subspace":
@@ -754,12 +752,10 @@ def kernel(M: Matrix) -> "Subspace":
     rows, integer = _elimination_rows(M)
     ech, pivots, _, adjugates = _forward_echelon(rows, integer)
     free = [c for c in range(n) if c not in pivots]
-    if not free:
-        return Subspace(n, Matrix.zeros(n, 0))
     zero = 0 if integer else _RING_ZERO
     cols, den = _back_substitute(ech, pivots, adjugates, [[zero] * len(pivots)] * len(free),
                                  [[c == fc for c in range(n)] for fc in free], integer)
-    return Subspace(n, _matrix_of_cols(cols, den, integer))
+    return Subspace(n, _matrix_of_cols(cols, n, den, integer))
 
 
 def rational_kernel(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
@@ -797,16 +793,18 @@ def solve(A: Matrix, B: Matrix) -> Matrix | None:
             return None
     rhs = [[row[k + bc] for row in ech] for bc in range(B.cols)]
     cols, den = _back_substitute(ech, pivots, adjugates, rhs, [[False] * k for _ in rhs], integer)
-    return _matrix_of_cols(cols, den, integer)
+    return _matrix_of_cols(cols, k, den, integer)
 
 
-def _matrix_of_cols(cols: list[list], den: int, integer: bool) -> Matrix:
-    """The matrix whose columns are these numerators over the positive int
-    den: ints, whose canonical integer rows are read off directly, or ring
-    elements, each of which becomes one Scalar."""
+def _matrix_of_cols(cols: list[list], height: int, den: int, integer: bool) -> Matrix:
+    """The height-row matrix whose columns are these numerators over the
+    positive int den: ints, whose canonical integer rows are read off
+    directly, or ring elements, each of which becomes one Scalar.  With no
+    columns it is height x 0."""
+    rows = [[c[i] for c in cols] for i in range(height)]
     if integer:
-        return Matrix._of_ints([_canonical_row(list(row), den) for row in zip(*cols)])
-    return Matrix([[_ring_scalar(a, den) for a in row] for row in zip(*cols)])
+        return Matrix._of_ints([_canonical_row(row, den) for row in rows])
+    return Matrix([[_ring_scalar(a, den) for a in row] for row in rows])
 
 
 # -- subspaces and basis changes ---------------------------------------------

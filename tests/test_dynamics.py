@@ -23,10 +23,8 @@ from lindyn.dynamics import (
     _dedup,
     _moving_columns,
     _nearest_pair,
-    _numeric_generators,
-    _realify,
+    _realified,
     _same_signature,
-    _stream_window,
     _window_filter,
     _window_values,
     DENSE_IN_AFFINE,
@@ -64,6 +62,18 @@ def shear4():
 
 def radical4():
     return fixture_by_name("radical4")[0]
+
+
+def _realify(points, field):
+    """Numeric (m, n) points as the orbit engine's rows: interleaved (Re, Im)
+    pairs (m, 2n) over C, the real parts over R."""
+    points = np.ascontiguousarray(points, dtype=complex)
+    return points.view(float) if field == "complex" else np.ascontiguousarray(points.real)
+
+
+def _realified_gens(G):
+    """The float64 generators that enumerate_orbit runs G's orbits with."""
+    return [_realified(g.to_complex_array(), G.field) for g in G.generators]
 
 
 def _rotation_pair():
@@ -142,8 +152,7 @@ class TestEnumerate:
         # both come from G and u alone, so the box is classified in the same frame
         assert all(_bytes(a) == _bytes(b) for a, b in zip(streamed.frame, full.frame))
         base, V = streamed.frame
-        kept = _realify(streamed.points, G.field)
-        real = _realify(full.points, G.field)
+        kept, real = streamed.points, full.points
         offset = np.abs((real - base) @ V).max(axis=1)
         inwin = real[offset <= cfg.window]
         assert inwin.shape[0] > 100
@@ -230,13 +239,13 @@ class TestEnumerate:
         assert v.notes == ["large box streamed: stored points are window-complete", "single point"]
 
 
-# sha256 of cloud.points.  The enumeration promises the same verdicts and gaps,
-# and points equal up to rounding; a streamed cloud stores only the box's
-# points within 1.5 windows of its frame.  A streamed point is formed by a
-# product per gathered column, which may round differently from a product over
-# a block of columns (generic_complex_streamed, whose float64 entries round,
-# shows it).  The digests pin the current bits, so any change that moves a
-# point shows here.
+# sha256 of cloud.points as complex128 (see _digest).  The enumeration
+# promises the same verdicts and gaps, and points equal up to rounding; a
+# streamed cloud stores only the box's points within 1.5 windows of its
+# frame.  A streamed point is formed by a product per gathered column, which
+# may round differently from a product over a block of columns
+# (generic_complex_streamed, whose float64 entries round, shows it).  The
+# digests pin the current bits, so any change that moves a point shows here.
 # They hold for numpy's bundled OpenBLAS; another BLAS may round differently.
 POINT_DIGESTS = {
     "shear3_dense_K300": "2c531a1e789a296f836c94c586935573e848d89d77a07f12c5e7ee82864d59d2",
@@ -244,7 +253,7 @@ POINT_DIGESTS = {
     "cshear5_plane_K24_streamed": "5db53bc6ce9092749153150e225e30f7a2ad2c6356b07cc1851293768db8069c",
     "one_generator_streamed": "7dbb60e46ac955a83d35a97c8fc2277b1ddc3c48196c03eba9eceef891815b90",
     "expanding_clipped_streamed": "856dcc1aa406fa5f500001ddbeb5e0615387b66744d94b4c69295a5080728db9",
-    "generic_complex_streamed": "516b265842cbb2c0e4bc4f48368d50aa871f378b036faf7562425da98cd810b9",
+    "generic_complex_streamed": "169c61cacb3f160c4f05c847221cc91352385f43cc39e8fe3d2b6df357f149a5",
     "hyperbolic_pair_streamed": "a63a565734c4ad3a8a36463134d9c5b7697ad721b304799ebbbae4d3e98ae0b6",
     "elliptic_plane_streamed": "b919ea2ccda055581d45904dcf00fa3b457eb99a28a6a7f7ab62792946f588a9",
 }
@@ -303,8 +312,12 @@ def _digest_case(name):
     return G, as_vector([1, 1]), 250, ClosureConfig(overflow_limit=1e30, max_store=10_000)
 
 
-def _digest(cloud):
-    return hashlib.sha256(np.ascontiguousarray(cloud.points, dtype=complex).tobytes()).hexdigest()
+def _digest(cloud, field):
+    """sha256 of the points as complex128: over C each realified pair read as
+    one complex number, over R each coordinate cast with a +0.0 imaginary part."""
+    points = np.ascontiguousarray(cloud.points)
+    points = points.view(complex) if field == "complex" else points.astype(complex)
+    return hashlib.sha256(points.tobytes()).hexdigest()
 
 
 class TestSameBits:
@@ -314,11 +327,10 @@ class TestSameBits:
         cloud = enumerate_orbit(G, u, K, cfg)
         assert cloud.subsampled == name.endswith("_streamed")
         assert cloud.clipped == name.startswith("expanding")
-        # a real orbit is enumerated in float64; its points, cast to complex,
-        # have the bits the digests were recorded from in complex128
-        real = G.field == "real"
-        assert cloud.points.dtype == (np.float64 if real else np.complex128)
-        assert _digest(cloud) == POINT_DIGESTS[name]
+        # every orbit is enumerated in float64, on realified coordinates over C
+        width = (2 if G.field == "complex" else 1) * G.dimension
+        assert cloud.points.dtype == np.float64 and cloud.points.shape[1] == width
+        assert _digest(cloud, G.field) == POINT_DIGESTS[name]
 
     @pytest.mark.parametrize("max_store", [4_500_000, 200])
     def test_handled_overflow_is_silent(self, max_store):
@@ -354,13 +366,13 @@ class TestWindowFilter:
         cloud = enumerate_orbit(G, u, K, cfg)
         assert cloud.total_tuples == 117_649
         assert 0 < sum(evaluated) < 0.05 * cloud.total_tuples
-        assert _digest(cloud) == POINT_DIGESTS["cshear5_plane_K24_streamed"]
+        assert _digest(cloud, G.field) == POINT_DIGESTS["cshear5_plane_K24_streamed"]
 
     def test_every_tuple_a_hit(self, evaluated):
         G, u, K, cfg = _digest_case("generic_complex_streamed")
         cloud = enumerate_orbit(G, u, K, cfg)
         assert sum(evaluated) == cloud.count == cloud.total_tuples
-        assert _digest(cloud) == POINT_DIGESTS["generic_complex_streamed"]
+        assert _digest(cloud, G.field) == POINT_DIGESTS["generic_complex_streamed"]
 
     def test_fixed_point_forms_every_tuple(self, evaluated):
         # a 0-dimensional frame gives no interval: every tuple is formed, and is a hit
@@ -437,38 +449,56 @@ def _real_case(name):
     return _digest_case(name)
 
 
-class TestRealPath:
+def _realified_twin(G, u):
+    """The real group of G's exactly realified generators, and u's realified point.
+
+    Each complex entry a becomes the 2 x 2 block [[Re a, -Im a], [Im a, Re a]]
+    on the interleaved (Re, Im) coordinates."""
+    def block_rows(g):
+        for row in g.entries():
+            yield [x for c in row for x in (c.real_part(), -c.imag_part())]
+            yield [x for c in row for x in (c.imag_part(), c.real_part())]
+
+    gens = [Matrix.from_rows(list(block_rows(g))) for g in G.generators]
+    twin = GeneratorSet("real", 2 * G.dimension, gens, list(G.names))
+    return twin, tuple(p for c in u for p in (c.real_part(), c.imag_part()))
+
+
+def _twin_cases(name):
+    """[(case, G, u, K, cfg)] of complex groups, materialized and streamed."""
+    if name == "cshear5_fixture_points":
+        G, points = fixture_by_name("cshear5")
+        return [(f"cshear5.{p}@{K}", G, u, K, CFG) for p, u in sorted(points.items())
+                for K in (8, 32)]
+    if name == "similarity_pair":
+        G = group_from_strings("complex", [[["51/50*(3+4*i)/5"]], [["49/50*(5+12*i)/13"]]])
+        return [(name, G, as_vector(["1"]), 128, CFG)]
+    if name == "seeded_shears":
+        return [(case, G, u, K, CFG) for case, G, u, K, _ in _shear_cases() if G.field == "complex"]
+    return [(name, *_real_case(name))]
+
+
+class TestRealifiedTwinSameBits:
+    """A complex group's cloud is, bit for bit, that of the real group of its
+    exactly realified generators at the realified start point."""
+
     @pytest.mark.parametrize("name", [
-        "shear3_dense_K300", "shear3_dense_K300_streamed", "one_generator_streamed",
-        "cshear5_real_point_streamed",
+        "cshear5_real_point_streamed", "generic_complex_streamed", "cshear5_plane_K24_streamed",
+        "cshear5_fixture_points", "similarity_pair", "seeded_shears",
     ])
-    def test_float64_matches_complex(self, name):
-        # the same generators and start point, run as complex128 arrays with
-        # zero imaginary parts: the float64 run is their real part, bit for bit
-        G, u, K, cfg = _real_case(name)
-        gens, un = _numeric_generators(G), vec_to_numeric(u)
-        assert un.dtype == np.complex128 and not any(a.imag.any() for a in [*gens, un])
-        cloud = enumerate_orbit(G, u, K, cfg)
-        assert cloud.points.dtype == cloud.base_point.dtype == np.float64
-        if cloud.subsampled:
-            ref = _dedup(_stream_window(gens, un, K, cfg, cloud.frame, G.field)[0], cfg.dedup_eps)
-        else:
-            # the whole boxes: a complex coordinate with a zero imaginary
-            # part is formed, where the float64 run fixes it
-            box = _whole_box(gens, un, K, cfg)
-            real_box = _whole_box([A.real.copy() for A in gens], un.real.copy(), K, cfg)
-            assert box.dtype == np.complex128 and real_box.dtype == np.float64
-            assert not box.imag.any()
-            assert _bytes(real_box) == _bytes(box.real)
-            ref = _dedup(box, cfg.dedup_eps)
-        assert ref.dtype == np.complex128 and not ref.imag.any()
-        assert _bytes(cloud.points) == _bytes(ref.real)
-
-
-def _whole_box(gens, un, K, cfg):
-    """The rows of _box with its fixed coordinates filled in, as an (M, n) array."""
-    pts, fixed, _ = _box(gens, un, K, cfg)
-    return OrbitCloud(un, "", pts, 0, (None, None), fixed=fixed).points
+    def test_cloud_is_the_realified_groups(self, name):
+        for case, G, u, K, cfg in _twin_cases(name):
+            assert G.field == "complex"
+            twin, tu = _realified_twin(G, u)
+            cloud, want = enumerate_orbit(G, u, K, cfg), enumerate_orbit(twin, tu, K, cfg)
+            assert cloud.subsampled == want.subsampled == case.endswith("_streamed"), case
+            assert cloud.points.shape[1] == 2 * G.dimension, case
+            for a, b in zip([*cloud.frame, cloud.points], [*want.frame, want.points]):
+                assert a.dtype == b.dtype == np.float64 and a.shape == b.shape, case
+                assert _bytes(a) == _bytes(b), case
+            assert {i: c.tobytes() for i, c in cloud.fixed.items()} == \
+                {i: c.tobytes() for i, c in want.fixed.items()}, case
+            assert classify_closure(cloud, cfg) == classify_closure(want, cfg), case
 
 
 def _box_svd_directions(G, u, K=8):
@@ -478,8 +508,7 @@ def _box_svd_directions(G, u, K=8):
     times the largest.
     """
     cloud = enumerate_orbit(G, u, K, CFG)
-    base = _realify(cloud.base_point.reshape(1, -1), G.field)[0]
-    _, S, Vt = np.linalg.svd(_realify(cloud.points, G.field) - base, full_matrices=False)
+    _, S, Vt = np.linalg.svd(cloud.points - cloud.base_point, full_matrices=False)
     d = int(np.sum(S > 1e-6 * S[0])) if S[0] > 0 else 0
     return Vt[:d].T
 
@@ -615,7 +644,8 @@ def _box_oracle(gens, un, K, cfg):
 
 
 def _dedup_trials():
-    """60 seeded complex point sets on a grid near dedup_eps, some with constant columns."""
+    """60 seeded complex point sets on a grid near dedup_eps, some with constant
+    columns, realified as the orbit engine forms them."""
     rng = np.random.default_rng(5)
     for trial in range(60):
         m, n = int(rng.integers(1, 400)), int(rng.integers(1, 5))
@@ -625,7 +655,7 @@ def _dedup_trials():
             pts[:, j] = pts[0, j]  # constant columns
         if trial % 3 == 0:
             pts.imag = 0.0
-        yield pts
+        yield _realify(pts, "complex")
 
 
 def _with_nonfinite_rows(pts, rng):
@@ -653,33 +683,33 @@ class TestDedup:
             self._same(pts, eps=2.5e-9)
 
     def test_float64_and_transposed_views(self):
-        # float64 points dedup as their complex cast does, and a transposed
-        # view (how enumerate_orbit passes a materialized box) as its
-        # contiguous copy, on the oracle's trials with and without NaN/inf rows
+        # the real parts of the trials' points dedup as the oracle does, and a
+        # transposed view (how enumerate_orbit passes a materialized box) as
+        # its contiguous copy, on the trials with and without NaN/inf rows
         rng = np.random.default_rng(6)
         for pts in _dedup_trials():
-            for cpts in (pts, _with_nonfinite_rows(pts, rng)):
-                x = np.ascontiguousarray(cpts.real)
+            for rpts in (pts, _with_nonfinite_rows(pts, rng)):
+                x = np.ascontiguousarray(rpts[:, 0::2])
                 for eps in (1e-9, 2.5e-9):
                     got = _dedup(x, eps)
                     assert got.dtype == np.float64
-                    assert _bytes(got) == _bytes(_dedup_oracle(x.astype(complex), eps).real)
-                    for a in (cpts, x):
+                    assert _bytes(got) == _bytes(_dedup_oracle(x, eps))
+                    for a in (rpts, x):
                         view = a.T.copy().T
                         got, want = _dedup(view, eps), _dedup(a, eps)
                         assert got.shape == want.shape and got.dtype == want.dtype
                         assert _bytes(got) == _bytes(want)
 
     def test_edge_cases(self):
-        self._same(np.zeros((0, 3), dtype=complex))
-        self._same(np.full((7, 2), 1 + 2j))  # all rows equal
-        pts = np.array([[1, np.nan], [np.inf, 0], [1, 1], [1, 1], [0, -np.inf]], dtype=complex)
+        self._same(np.zeros((0, 6)))
+        self._same(_realify(np.full((7, 2), 1 + 2j), "complex"))  # all rows equal
+        pts = np.array([[1, np.nan], [np.inf, 0], [1, 1], [1, 1], [0, -np.inf]])
         self._same(pts)  # rows with NaN and inf
-        self._same(np.array([[np.nan, 0], [1, np.inf]], dtype=complex))  # nothing finite
+        self._same(np.array([[np.nan, 0], [1, np.inf]]))  # nothing finite
         # keys that round to -0.0 and to 0.0 compare equal
         tiny = 1e-9 * np.array([-0.2, 0.2, -0.0, 0.0, 0.4, -0.4, 1.0])
-        self._same((tiny + 1j * tiny[::-1]).reshape(-1, 1))
-        self._same(np.stack([tiny, np.ones_like(tiny)], axis=1).astype(complex))
+        self._same(np.stack([tiny, tiny[::-1]], axis=1))
+        self._same(np.stack([tiny, np.ones_like(tiny)], axis=1))
 
     def _one_column_cases(self):
         """(name, points, whether _dedup runs no lexsort) with one key column moving."""
@@ -705,13 +735,13 @@ class TestDedup:
                 yield f"{bad} in column {j}", x, True
         imag = 1.5 + 0.5j + np.zeros((m, 2), dtype=complex)
         imag[:, 1] = 3.0 + 1j * line[:, 2]
-        yield "complex, imaginary part moves", imag, True
+        yield "realified, imaginary part moves", _realify(imag, "complex"), True
         real = imag.copy()
         real[:, 1] = line[:, 2] + 3.0j
-        yield "complex, real part moves", real, True
+        yield "realified, real part moves", _realify(real, "complex"), True
         yield "single row", line[:1].copy(), True
         yield "transposed view", np.ascontiguousarray(line.T).T, True
-        yield "transposed complex view", np.ascontiguousarray(imag.T).T, True
+        yield "transposed realified view", np.ascontiguousarray(_realify(imag, "complex").T).T, True
 
     def test_one_moving_column_against_oracle(self, monkeypatch):
         # the rows a single moving column gives are the oracle's, byte for
@@ -719,10 +749,7 @@ class TestDedup:
         # equal keys with differing bits falls back to it
         cases = []
         for name, pts, no_sort in self._one_column_cases():
-            contiguous = np.ascontiguousarray(pts)
-            want = _dedup_oracle(contiguous.astype(complex), 1e-9)
-            if not np.iscomplexobj(pts):
-                want = want.real
+            want = _dedup_oracle(np.ascontiguousarray(pts), 1e-9)
             got = _dedup(pts, 1e-9)
             assert got.dtype == pts.dtype and got.shape == want.shape, name
             assert _bytes(got) == _bytes(want), name
@@ -746,11 +773,11 @@ class TestDedup:
         # its own buffer, with the bits and layout of a fresh array; a result
         # of fewer than half the rows is its own array
         rng = np.random.default_rng(8)
-        for m, dtype in itertools.product((5, 8, 500), (float, complex)):
+        for m, width in itertools.product((5, 8, 500), (3, 6)):  # 6: a realified 3-space
             for distinct in (True, False):
-                box = np.empty((3, m), dtype=dtype)
-                box[:2] = rng.normal(size=(2, 1))
-                box[2] = (rng.permutation(m) if distinct else np.arange(m) % 2) * 0.25
+                box = np.empty((width, m))
+                box[:-1] = rng.normal(size=(width - 1, 1))
+                box[-1] = (rng.permutation(m) if distinct else np.arange(m) % 2) * 0.25
                 want = _dedup(np.ascontiguousarray(box.T), 1e-9)
                 got = _dedup(box.T, 1e-9)
                 assert got.flags.f_contiguous and got.shape == want.shape
@@ -784,7 +811,8 @@ def _shear_cases():
                 for j in range(n - moved):
                     rows[i][j] = rng.choice(choices)
             gens.append(rows)
-        # a complex coordinate is fixed only when both its parts are nonzero
+        # complex starts with both parts nonzero (test_complex_zero_part_is_formed
+        # has zero parts)
         point = ["1+i", "-2/3+i/2", "sqrt(2)-i"] if field == "complex" else starts
         u = as_vector([rng.choice(point) for _ in range(n)])
         K = {1: 400, 2: 150, 3: 12}[g]
@@ -796,8 +824,7 @@ def _box_points(gens, un, K, cfg=CFG):
     and (points, clipped) of the oracle's whole box, deduplicated."""
     pts, fixed, clipped = _box(gens, un, K, cfg)
     assert pts.shape[1] == un.size - len(fixed)
-    field = "complex" if np.iscomplexobj(un) else "real"
-    cloud = OrbitCloud(un, field, _dedup(pts, cfg.dedup_eps), 0, (None, None), False, clipped, fixed)
+    cloud = OrbitCloud(un, _dedup(pts, cfg.dedup_eps), 0, (None, None), False, clipped, fixed)
     box, want_clipped = _box_oracle(gens, un, K, cfg)
     return cloud.points, fixed, clipped, _dedup(box, cfg.dedup_eps), want_clipped
 
@@ -821,16 +848,15 @@ class TestFixedCoordinates:
         seen = set()
         for name, G, u, K, moved in _shear_cases():
             cloud = enumerate_orbit(G, u, K, CFG)
-            un = cloud.base_point
-            gens = [A if np.iscomplexobj(un) else A.real.copy() for A in _numeric_generators(G)]
-            box, clipped = _box_oracle(gens, un, K, CFG)
+            box, clipped = _box_oracle(_realified_gens(G), cloud.base_point, K, CFG)
             assert cloud.clipped == clipped, name
             self._same(cloud.points, _dedup(box, CFG.dedup_eps))
-            n = G.dimension
-            assert set(range(n - moved)) <= set(cloud.fixed), name
-            assert cloud.formed.shape[1] == n - len(cloud.fixed), name
-            seen.add((un.dtype.name, len(G.generators), moved))
-        assert {s[0] for s in seen} == {"float64", "complex128"}
+            # realified coordinates: two per unmoved coordinate over C
+            w = 2 if G.field == "complex" else 1
+            assert set(range(w * (G.dimension - moved))) <= set(cloud.fixed), name
+            assert cloud.formed.shape[1] == w * G.dimension - len(cloud.fixed), name
+            seen.add((G.field, len(G.generators), moved))
+        assert {s[0] for s in seen} == {"real", "complex"}
         assert {s[1] for s in seen} == {1, 2, 3} and {s[2] for s in seen} == {1, 2}
 
     def test_negative_zero_is_formed(self):
@@ -850,20 +876,25 @@ class TestFixedCoordinates:
             assert list(dynamics._fixed_coordinates(last, inner)) == [1]
 
     def test_complex_zero_part_is_formed(self):
-        # zgemm gives the real part of 1 (0 + 1i) plus zeros as -0.0 in some
-        # points of this box: a complex coordinate with a zero part is formed
-        gens = [_shear_gens([-0.625, 3 / 7, 1.0]).astype(complex), _shear_gens([1 / 3, -1.0, 1.0])]
-        for un in (np.array([np.sqrt(2), 1j, 1j]), np.array([1 + 1j, 0j, 0.5])):
-            box, _ = _box_oracle(gens, un, 150, CFG)
-            got, fixed, clipped, want, want_clipped = _box_points(gens, un, 150)
-            assert [i for i in range(3) if un[i].real and un[i].imag] == list(fixed)
+        # a complex box on realified coordinates: a +0.0 part of a coordinate
+        # the shears leave alone stays +0.0 in every dgemm, so it is fixed
+        # like any other value.  A -0.0 part of u, the inner column of one
+        # generator, is formed
+        gens = [_realified(_shear_gens(row), "complex")
+                for row in ([-0.625, 3 / 7, 1.0], [1 / 3, -1.0, 1.0])]
+        for z, g, want_fixed in (([np.sqrt(2), 1j, 1j], 2, [0, 1, 2, 3]),
+                                 ([1 + 1j, 0j, 0.5], 2, [0, 1, 2, 3]),
+                                 ([complex(-0.0, 1.0), 1j, 1j], 1, [1, 2, 3])):
+            un = _realify(np.array([z]), "complex")[0]
+            got, fixed, clipped, want, want_clipped = _box_points(gens[-g:], un, 150)
+            assert list(fixed) == want_fixed and not clipped and not want_clipped
             self._same(got, want)
-            if un[0] == np.sqrt(2):
-                assert np.signbit(box[:, 1].real).any() and not np.signbit(un[1].real)
+            if g == 2:  # dgemm's sums of zeros start from +0.0: no unmoved part turns -0.0
+                assert not np.signbit(_box_oracle(gens, un, 150, CFG)[0][:, :4]).any()
         last = dynamics._power_stack(gens[1], 3)
-        for c in (complex(1, -0.0), 1 + 0j, 1j, 0j, -1 + 2j):
-            inner = np.array([[c] * 3, [1 + 1j] * 3, [0.5, 2.0, 3.0]])
-            assert list(dynamics._fixed_coordinates(last, inner)) == [0, 1][(c.real * c.imag == 0):]
+        for c, want_fixed in ((-0.0, [1, 3]), (0.0, [0, 1, 3]), (1.0, [0, 1, 3]), (-2.5, [0, 1, 3])):
+            inner = np.array([[c] * 3, [1.0] * 3, [0.5, 2.0, 3.0], [0.0] * 3, [1.5] * 3, [2.0] * 3])
+            assert list(dynamics._fixed_coordinates(last, inner)) == want_fixed
 
     def test_nonfinite_inner_is_formed(self):
         # the first stage overflows: its powers hold inf and, from 0 * inf,
@@ -914,17 +945,17 @@ class TestFixedCoordinates:
     def test_every_coordinate_fixed(self):
         # identity generators fix every point: no row is formed, and the one
         # point is the whole box's
-        for g, un in ((1, np.array([1.0, -2.5])), (2, np.array([1 + 2j, 0.5 - 1j]))):
-            got, fixed, clipped, want, _ = _box_points([np.eye(2)] * g, un, 5)
-            assert list(fixed) == [0, 1] and got.shape == (1, 2)
+        # (1 + 2i, 0.5 - i) is realified
+        for g, un in ((1, np.array([1.0, -2.5])), (2, np.array([1.0, 2.0, 0.5, -1.0]))):
+            got, fixed, clipped, want, _ = _box_points([np.eye(un.size)] * g, un, 5)
+            assert list(fixed) == list(range(un.size)) and got.shape == (1, un.size)
             self._same(got, want)
 
 
-def _axes_frame(points, field):
+def _axes_frame(points):
     """The frame of a hand-built cloud: its first point and the axes along which it moves."""
-    real = _realify(points, field)
-    moving = np.flatnonzero((real != real[0]).any(axis=0))
-    return real[0].copy(), np.eye(real.shape[1])[:, moving]
+    moving = np.flatnonzero((points != points[0]).any(axis=0))
+    return points[0].copy(), np.eye(points.shape[1])[:, moving]
 
 
 class TestClassify:
@@ -973,7 +1004,7 @@ class TestClassify:
             assert vv.hull_dim == base_v.hull_dim
 
     def test_empty_cloud_is_inconclusive(self):
-        cloud = OrbitCloud(np.zeros(2), "real", np.zeros((0, 2)), 0, (np.zeros(2), np.zeros((2, 0))))
+        cloud = OrbitCloud(np.zeros(2), np.zeros((0, 2)), 0, (np.zeros(2), np.zeros((2, 0))))
         v = classify_closure(cloud, CFG)
         assert (v.kind, v.hull_dim, v.notes) == (INCONCLUSIVE, 0, ["empty cloud"])
 
@@ -1000,7 +1031,7 @@ class TestClassify:
         cloud = enumerate_orbit(G, u, K, cfg)
         verdict = classify_closure(cloud, cfg)
         base, V = cloud.frame
-        proj = _realify(cloud.points, G.field) @ V - base @ V
+        proj = cloud.points @ V - base @ V
         cells = int(round(2 * window / 0.25))
         pw = proj[np.all(np.abs(proj) <= window, axis=1)]
         idx = np.clip(((pw + window) / (2 * window) * cells).astype(int), 0, cells - 1)
@@ -1035,19 +1066,17 @@ class TestClassify:
                 pts = np.empty((m, 3))
                 pts[:, :2] = [1.0, np.sqrt(2.0)]
                 pts[:, 2] = vals
-                field = "real"
-            else:
+            else:  # a realified complex cloud
                 pts = np.full((m, 2), 1.0 - 2.0j)
                 if trial % 4:
                     pts[:, 1] += 1j * vals
                 else:
                     pts[:, 0] = vals + pts[:, 0].imag * 1j
-                field = "complex"
-            clouds.append(OrbitCloud(pts[0].copy(), field, pts, m, _axes_frame(pts, field)))
+                pts = _realify(pts, "complex")
+            clouds.append(OrbitCloud(pts[0].copy(), pts, m, _axes_frame(pts)))
         wants = []
         for cloud in clouds:
-            real = _realify(cloud.points, cloud.field)
-            wants.append(cKDTree(real).query(real, k=2)[0][:, 1].min())
+            wants.append(cKDTree(cloud.points).query(cloud.points, k=2)[0][:, 1].min())
 
         def no_tree(data):
             raise AssertionError("k-d tree built")
@@ -1062,7 +1091,7 @@ class TestClassify:
         pts = np.empty((200, 3))
         pts[:, 0] = 1.0
         pts[:, 1:] = rng.uniform(-100, 100, (200, 2))
-        cloud = OrbitCloud(pts[0].copy(), "real", pts, 200, _axes_frame(pts, "real"))
+        cloud = OrbitCloud(pts[0].copy(), pts, 200, _axes_frame(pts))
         want = cKDTree(pts).query(pts, k=2)[0][:, 1].min()
         assert float(classify_closure(cloud, CFG).min_distance).hex() == float(want).hex()
 
@@ -1085,17 +1114,17 @@ class TestClassify:
             vals = np.unique(vals)
             v = rng.choice([1.0, -1.0, 0.7])
             if trial % 2:  # real: coordinates 0 and 1 fixed
-                formed, fixed, field = vals[:, None], {0: np.float64(1.5), 1: np.float64(-2.0)}, "real"
+                formed, fixed = vals[:, None], {0: np.float64(1.5), 1: np.float64(-2.0)}
                 u, j, width = np.array([1.5, -2.0, vals[0]]), 2, 3
-            else:  # complex: coordinate 1 moves in its imaginary part only
-                formed = (3.0 + 1j * vals)[:, None]
-                fixed, field = {0: np.complex128(1 - 2j)}, "complex"
-                u, j, width = np.array([1 - 2j, formed[0, 0]]), 3, 4
+            else:  # realified (1 - 2i, 3 + i v): the formed 3.0 does not move
+                formed = np.column_stack([np.full(vals.size, 3.0), vals])
+                fixed = {0: np.float64(1.0), 1: np.float64(-2.0)}
+                u, j, width = np.array([1.0, -2.0, 3.0, vals[0]]), 3, 4
             V = rng.choice([0.0, -0.0], (width, 1))
             V[j, 0] = v
             base = rng.uniform(-1, 1, width)
             base[j] = rng.choice([0.0, -0.0, 1.0, -2.0])
-            cloud = OrbitCloud(u, field, formed, m, (base, V), False, False, fixed)
+            cloud = OrbitCloud(u, formed, m, (base, V), False, False, fixed)
             cfg = dataclasses.replace(loose, gap_threshold=float(rng.choice([0.01, 0.05])),
                                       window=float(rng.choice([0.5, 1.0, 2.0])))
             yield f"hand-built {trial}", cloud, cfg
@@ -1106,23 +1135,25 @@ class TestClassify:
         # and the cloud is not assembled for it
         def assembled(cloud, moving):
             base, V = cloud.frame
-            return _realify(cloud.points, cloud.field) @ V - base @ V
+            return cloud.points @ V - base @ V
 
         def signature(v):
             hexed = [None if x is None else float(x).hex() for x in (v.min_distance, v.gap)]
             return (v.kind, v.hull_dim, *hexed, v.notes)
 
-        realify = dynamics._realify
+        def not_assembled(cloud):
+            raise AssertionError("points assembled")
+
         cases = list(self._one_coordinate_clouds())
         kinds = set()
         for name, cloud, cfg in cases:
-            moving = _moving_columns(dynamics._realified_columns(cloud))
+            moving = _moving_columns(dict(zip(cloud.formed_at, cloud.formed.T)))
             assert len(moving) == 1 and cloud.frame[1].shape[1] == 1, name
             assert np.array_equal(dynamics._frame_coordinates(cloud, moving),
                                   assembled(cloud, moving)), name
-            monkeypatch.setattr(dynamics, "_realify", None)
-            got = signature(classify_closure(cloud, cfg))
-            monkeypatch.setattr(dynamics, "_realify", realify)
+            with monkeypatch.context() as m:
+                m.setattr(OrbitCloud, "points", property(not_assembled))
+                got = signature(classify_closure(cloud, cfg))
             with monkeypatch.context() as m:
                 m.setattr(dynamics, "_frame_coordinates", assembled)
                 want = signature(classify_closure(cloud, cfg))
@@ -1177,10 +1208,10 @@ class TestClassify:
         finally:
             tracemalloc.stop()
         tuples = (2 * K + 1) ** len(G.generators)
-        staged = tuples * G.dimension * cloud.points.dtype.itemsize
-        assert cloud.points.dtype == np.complex128 and 2 * cloud.count >= tuples
+        staged = tuples * cloud.base_point.size * cloud.points.dtype.itemsize
+        assert cloud.points.dtype == np.float64 and 2 * cloud.count >= tuples
         assert peak <= 1.6 * staged
-        box = np.ascontiguousarray(_box_oracle(_numeric_generators(G), cloud.base_point, K, CFG)[0])
+        box = np.ascontiguousarray(_box_oracle(_realified_gens(G), cloud.base_point, K, CFG)[0])
         assert _bytes(cloud.points) == _bytes(_dedup_oracle(box, CFG.dedup_eps))
 
     # (kind, hull dimension, final K, min_distance, gap) of every fixture

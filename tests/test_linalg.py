@@ -692,6 +692,32 @@ class TestReducedEchelon:
                     assert S != Subspace.span(n, S.basis.columns() + [extra])
 
 
+class TestZeroWidthResults:
+    """A result with no columns keeps its height: x 0 of the coordinates it would have."""
+
+    def test_solve_with_no_right_hand_side(self):
+        for A in (Matrix.identity(2), Matrix.from_rows([["sqrt(2)", "1"], ["0", "1"]]),
+                  Matrix.from_rows([[1, 2, 3], [0, 1, 1]])):
+            X = solve(A, Matrix.zeros(A.rows, 0))
+            assert (X.rows, X.cols) == (A.cols, 0)
+
+    def test_rank_zero_row_space_basis(self, monkeypatch):
+        zero = Matrix.zeros(2, 3)
+        B = row_space_basis(zero)
+        assert (B.rows, B.cols) == (3, 0) and B == Matrix.zeros(3, 0)
+        # a zero matrix is rational, so the ring path of Q(sqrt2) is forced
+        # by hand
+        monkeypatch.setattr(Matrix, "_integer_form", lambda self: False)
+        B = row_space_basis(zero)
+        assert (B.rows, B.cols) == (3, 0) and B._rows == ((),) * 3
+
+    def test_full_rank_kernel(self):
+        for M in (Matrix.identity(3), Matrix.from_rows([["sqrt(2)", "1"], ["1", "sqrt(3)"]]),
+                  Matrix.from_rows([[1, 2], [3, 4], [5, 6]])):
+            K = kernel(M)
+            assert K.dim == 0 and (K.basis.rows, K.basis.cols) == (M.cols, 0)
+
+
 def _restrict_by_solve(A: Matrix, basis: Matrix) -> Matrix:
     """The oracle: restrict by one solve of ``basis X = A basis`` for every
     basis, with restrict's search for the first column that leaves the span."""
