@@ -1,40 +1,35 @@
 """Finite orbit exploration and empirical closure classification.
 
 Orbit clouds are enumerated over exponent boxes [-K, K]^g with vectorized
-power stacks, from exact generators and an exact start point u.  Every orbit
-runs in float64 on realified coordinates: over C, each generator becomes its
-real (2n x 2n) matrix on interleaved (Re, Im) coordinates and u its realified
-vector.  Realification is a homeomorphism that carries G to a real abelian
-group, so the orbit closures, hulls and verdicts are those of the realified
-orbit.  Every cloud carries the frame of the orbit's affine hull u + W, found
-before enumeration and without sampling: for abelian G, W is the smallest
-G-invariant subspace that contains every (g_i - I)u, a Krylov closure
-computed exactly and orthonormalized once in float64.
-A materialized box forms only the coordinates it moves: a coordinate that
-every power of the last stage leaves alone, and at which the inner columns
-hold one exactly kept value, has that value at every point, bit for bit (see
-_fixed_coordinates; a last-row shear fixes all but the last coordinate).  The
-cloud stores the fixed values and the formed coordinates' rows, and assembles
-its points only when they are read.  A box is deduplicated through the
-transposed view of its staged product, so it is not copied into rows first,
-and the deduplication consumes it: when at least half of its rows survive,
-they are written into the box's own buffer.  A cloud that moves in one
-coordinate is deduplicated by sorting that coordinate's values, not a
-permutation of its rows, and its minimum separation is the least gap between
-them; any other cloud's is the exact nearest pair on a grid of cells, which a
-k-d tree's nearest-neighbour query returns too, bit for bit.  When the frame
-of a cloud that moves in one coordinate is one axis along it, the cloud is
-projected into the frame from that coordinate alone, with no assembled
-points.  Boxes too large to materialize are streamed in chunks: the
-outermost stage is applied through the frame's projector, so a tuple's window
-coordinates are a product of one projected outer power and one inner
-column.  They are formed only for the tuples that can be window hits: the
-frame coordinates of a chunk's inner columns give each outer power one range
-of the columns sorted by their first frame coordinate, with a margin that
-covers every residual and rounding.  A point is formed in full only if it is
-a window hit or a column whose norm bound cannot clear the exact overflow
-test; the per-column bounds are formed only for a chunk whose largest
-one does not clear it.  A streamed cloud is its window: it stores only the
+power stacks, from exact generators and an exact start point u, in the
+coordinates of the orbit's affine hull u + W.  For abelian G, W is the
+smallest G-invariant subspace that contains every (g_i - I)u, a Krylov
+closure computed exactly on realified coordinates: over C, coordinates 2i
+and 2i + 1 are the real and imaginary parts of z_i, and each generator acts
+by its real (2n x 2n) matrix.  Realification is a homeomorphism that carries
+G to a real abelian group, so the orbit closures, hulls and verdicts are
+those of the realified orbit.  With B the reduced echelon basis of W, every
+point of the hull is o + B c, where o is the hull's point that is 0 at the
+pivot rows of B and c, the point's hull coordinates, are its own entries at
+those rows.  Each generator acts on c by an affine map c -> R c + t of
+dimension d = dim W, whatever the coordinates of the input, formed exactly
+and rounded to float64 once (see _frame); a box is enumerated, deduplicated
+and classified in hull coordinates, and the points o + B c are formed only
+when a cloud's points are read, or for the overflow scan, which runs only
+when a norm bound cannot clear the box.  Closures are classified in the
+frame coordinates V^T B (c - c_u), V the orthonormal frame of W (one
+float64 QR of B) and c_u the hull coordinates of u.  A box is deduplicated
+through the transposed view of its staged product, so it is not copied into
+rows first, and the deduplication consumes it: when at least half of its
+rows survive, they are written into the box's own buffer.  A cloud on a
+line is deduplicated by sorting its values, and its minimum separation is
+the least gap between them; any other cloud's is the exact nearest pair on a
+grid of cells, which a k-d tree's nearest-neighbour query returns too, bit
+for bit.  Boxes too large to materialize are streamed in chunks: a tuple's
+frame coordinates are those of one outer power applied to one inner column,
+and they are formed only for the tuples that can be window hits, found by
+one search per outer power in the inner columns sorted by their first hull
+coordinate.  A streamed cloud is its window: it stores only the
 deduplicated window hits.  Its points equal the materialized box's window
 points up to rounding, and its verdicts and gaps are the same.  Closure
 verdicts are explicitly heuristic:
@@ -48,13 +43,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .errors import NoProgress, NotConvergent, PointNotInU
 from .groups import COMPLEX, GeneratorSet
 from .invariants import InvariantFamily, membership
-from .linalg import Matrix, Vector, independent_columns, row_space_basis
+from .linalg import Matrix, Vector, independent_columns, restrict, row_space_basis
 from .numeric import NumericContext, vec_to_numeric
 from .scalars import Scalar
 
@@ -81,47 +77,57 @@ class ClosureConfig:
 
 
 @dataclass
-class OrbitCloud:
-    """A deduplicated orbit sample, stored as its formed coordinates.
+class Hull:
+    """The orbit's affine hull u + W, in float64 on realified coordinates (see _frame).
 
-    Every array is float64 on realified coordinates: over C, coordinates 2i
-    and 2i + 1 are the real and imaginary parts of z_i.  Every point holds
-    fixed[i] at each coordinate i in `fixed`, bit for bit, and `formed` holds
-    its other coordinates, in ascending order (see _box); only a materialized
-    box has fixed coordinates.  `points` is the (m, n) array, n = 2 dim over
-    C, F-contiguous, assembled when it is read if any coordinate is fixed.
+    B is the reduced echelon basis of W and o the hull's point whose entries
+    at the pivot rows of B are 0, so every point x of the hull is o + B c
+    with c = x[pivots], its hull coordinates.
     """
 
-    base_point: np.ndarray            # realified u, the frame's base point
-    # deduped points (m, k) in their formed coordinates, maybe column-major
-    formed: np.ndarray
+    base: np.ndarray    # realified u, the frame's origin
+    V: np.ndarray       # (n, d), orthonormal columns spanning W
+    origin: np.ndarray  # o
+    B: np.ndarray       # (n, d)
+    start: np.ndarray   # (d,), u's hull coordinates
+    maps: list          # per generator, the function K -> its power stack
+
+    def frame_coordinates(self, coords: np.ndarray) -> np.ndarray:
+        """V^T (x - u) of the points x with hull coordinates coords: V^T B (c - c_u)."""
+        return _mapped(self.V.T @ self.B, coords - self.start)
+
+
+@dataclass
+class OrbitCloud:
+    """A deduplicated orbit sample, stored as hull coordinates.
+
+    Every array is float64 on realified coordinates, n = 2 dim over C.
+    `coords` holds the hull coordinates c (m, d) of the points o + B c (see
+    Hull), deduplicated at dedup_eps, and `points` forms the (m, n) points
+    when it is read.  At a coordinate where every column of B is 0, as at
+    one that G does not move, every point holds u's value.
+    """
+
+    coords: np.ndarray                # deduped hull coordinates (m, d), maybe column-major
     total_tuples: int
-    # (realified base point, orthonormal columns spanning W) of the orbit's
-    # affine hull; a streamed cloud's window hits were selected in it
-    frame: tuple[np.ndarray, np.ndarray]
+    hull: Hull
     subsampled: bool = False
     clipped: bool = False
-    fixed: dict[int, np.generic] = field(default_factory=dict)
 
     @property
     def count(self) -> int:
-        return self.formed.shape[0]
+        return self.coords.shape[0]
 
     @property
-    def formed_at(self) -> list[int]:
-        """The coordinates that `formed` holds, ascending."""
-        return [i for i in range(self.base_point.size) if i not in self.fixed]
+    def frame(self) -> tuple[np.ndarray, np.ndarray]:
+        """(realified u, orthonormal columns V spanning W): the frame of the orbit's
+        affine hull, in which a streamed cloud's window hits were selected."""
+        return self.hull.base, self.hull.V
 
     @property
     def points(self) -> np.ndarray:
-        """The deduped points (m, n); a new array if any coordinate is fixed."""
-        if not self.fixed:
-            return self.formed
-        out = np.empty((self.base_point.size, self.count))
-        out[self.formed_at] = self.formed.T
-        for i, c in self.fixed.items():
-            out[i] = c
-        return out.T
+        """The deduped points (m, n), o + B c, formed when read."""
+        return self.hull.origin + _mapped(self.hull.B, self.coords)
 
 
 @dataclass
@@ -137,40 +143,62 @@ class ClosureVerdict:
 # enumeration
 
 
-def _power_stack(A: np.ndarray, K: int) -> np.ndarray:
+def _power_stack(A: np.ndarray, A_inv: np.ndarray, K: int) -> np.ndarray:
+    """The powers A^k, k = -K..K, one product by A or by its inverse per step."""
     n = A.shape[0]
     pows = np.empty((2 * K + 1, n, n))
     pows[K] = np.eye(n)
     for k in range(1, K + 1):
         pows[K + k] = A @ pows[K + k - 1]
-    Ainv = np.linalg.inv(A)
-    for k in range(1, K + 1):
-        pows[K - k] = Ainv @ pows[K - k + 1]
+        pows[K - k] = A_inv @ pows[K - k + 1]
     return pows
 
 
-def _staged_columns(stacks: list[np.ndarray], u: np.ndarray) -> np.ndarray:
-    """Orbit points as columns (r, #tuples * b) for start columns u (n, b).
+def _unipotent_stack(nilpotent: list[np.ndarray], n: int, K: int) -> np.ndarray:
+    """The powers (I + N)^k = sum_j C(k, j) N^j, k = -K..K, of a unipotent map.
 
-    A stage P maps columns V to the blocks [P[0] @ V, P[1] @ V, ...] side by
-    side; batched GEMMs write a few blocks at a time into place, which keeps
-    BLAS call counts low and makes no list of blocks to concatenate.  The
-    last stage may hold only r of the n rows of its powers (see _box).  In
-    OpenBLAS an element of a dgemm keeps its bits in a dgemm of fewer rows of
-    the same columns, which the tests check against the whole box.  numpy
-    multiplies a single row by GEMV, which may round otherwise, so a lone row
-    is multiplied together with a zero row.
+    `nilpotent` holds N, N^2, ... up to the last nonzero power.  A
+    translation's powers are I + k N, so their offsets k t are rounded once.
     """
-    V = u.reshape(-1, 1) if u.ndim == 1 else u
+    ks = np.arange(-K, K + 1, dtype=float)
+    pows = np.broadcast_to(np.eye(n), (ks.size, n, n)).copy()
+    binom = np.ones_like(ks)
+    for j, N in enumerate(nilpotent, 1):
+        binom = binom * (ks - (j - 1)) / j
+        pows += binom[:, None, None] * N
+    return pows
+
+
+def _mapped(A: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """coords @ A.T, formed as (A @ coords.T).T: one GEMM along the rows of a transposed cloud."""
+    return (A @ coords.T).T
+
+
+def _homogeneous(V: np.ndarray) -> np.ndarray:
+    """Columns V (d, M) with a row of ones below, the input of an affine map [[R, t], [0, 1]]."""
+    return np.vstack([V, np.ones((1, V.shape[1]))])
+
+
+def _staged_columns(stacks: list[np.ndarray], V: np.ndarray) -> np.ndarray:
+    """Hull coordinates (d, #tuples * b) of the orbit points for start columns V (d, b).
+
+    A stage P, the (d + 1) x (d + 1) powers of one affine map, maps columns V
+    to the blocks [R_0 V + t_0, R_1 V + t_1, ...] side by side, each the
+    product of P[j] with V and a row of ones; batched GEMMs write a few
+    blocks at a time into place, which keeps BLAS call counts low and makes
+    no list of blocks to concatenate.  Every row of P[j] is multiplied, so
+    that a GEMM of at least two rows forms each block (numpy multiplies a
+    single row by GEMV, which may round otherwise), and the homogeneous row
+    of ones is dropped: no stage's output holds one.
+    """
     for pows in stacks:
-        (J, r, n), M = pows.shape, V.shape[1]
-        if r == 1 < n:
-            pows = np.concatenate([pows, np.zeros_like(pows)], axis=1)
-        out = np.empty((r, J, M))
-        step = max(1, 2**18 // (max(pows.shape[1], 1) * M))
+        (J, e, _), M = pows.shape, V.shape[1]
+        W = _homogeneous(V)
+        out = np.empty((e - 1, J, M))
+        step = max(1, 2**18 // (e * M))
         for lo in range(0, J, step):
-            out[:, lo : lo + step] = np.matmul(pows[lo : lo + step], V)[:, :r].transpose(1, 0, 2)
-        V = out.reshape(r, J * M)
+            out[:, lo : lo + step] = np.matmul(pows[lo : lo + step], W)[:, :-1].transpose(1, 0, 2)
+        V = out.reshape(e - 1, J * M)
     return V
 
 
@@ -178,23 +206,20 @@ def _dedup(points: np.ndarray, eps: float) -> np.ndarray:
     """Finite rows of `points`, one per eps-grid key, in lexsort order of the keys.
 
     The key columns are the columns of `points`, read as strided views:
-    `points` may be the transposed view of an (n, m) product, and it is not
-    copied.  A
-    materialized box passes only its formed coordinates (see _box): a fixed
-    one holds one value, so it never decides the order or a duplicate, and
-    the rows kept are those of the whole box.  Key columns
-    equal on every row never decide the order or a duplicate, so only the
-    varying ones are sorted.  When a single key column moves (a last-row shear
-    moves one coordinate), only its values are sorted, not a permutation of
-    the rows.  Rounding x / eps is monotone, so the sorted values are in
-    lexsort order of the keys.  When the values of each key share their bits,
-    the row the lexsort keeps for a key, its first, is row 0 with the moving
-    column set to that value, since every other column has row 0's bits.  A
-    key whose values differ in their bits (0.0 and -0.0, or two values in one
-    eps cell) sends the rows to the lexsort.
+    `points` may be the transposed view of a (d, m) staged product, and it
+    is not copied.  Key columns equal on every row never decide the order or
+    a duplicate, so only the varying ones are sorted.  When a single key
+    column moves (a cloud on a line has one column), only its values are
+    sorted, not a permutation of the rows.  Rounding x / eps is monotone, so
+    the sorted values are in lexsort order of the keys.  When the values of
+    each key share their bits, the row the lexsort keeps for a key, its
+    first, is row 0 with the moving column set to that value, since every
+    other column has row 0's bits.  A key whose values differ in their bits
+    (0.0 and -0.0, or two values in one eps cell) sends the rows to the
+    lexsort.
 
-    `points` is consumed: both paths write their (n, m') result into
-    _result_rows and return it transposed, an F-contiguous (m', n) array.
+    `points` is consumed: both paths write their (d, m') result into
+    _result_rows and return it transposed, an F-contiguous (m', d) array.
     """
     if points.shape[0] == 0:
         return points
@@ -231,7 +256,7 @@ def _dedup(points: np.ndarray, eps: float) -> np.ndarray:
     if not varying.size:
         return points[:1].copy()
     rows = _first_of_each_key([cols[j] for j in varying], eps)
-    # for a materialized box points.T is the staged (n, M) product itself, so
+    # for a materialized box points.T is the staged (d, M) product itself, so
     # this gathers along its rows; taking rows of points would first copy it
     # into rows, and fancy-indexing them is about three times slower.  Row c
     # is gathered whole before it is written to elements [c k, (c + 1) k) of
@@ -285,256 +310,242 @@ def _extremes(cols: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return np.array([c.min() for c in cols]), np.array([c.max() for c in cols])
 
 
-def _realified(A: np.ndarray, fieldname: str) -> np.ndarray:
-    """A's real matrix on the interleaved (Re, Im) coordinates of _frame; A.real over R.
-
-    Its -Im A entries are formed as 0.0 - Im A, so that a zero is +0.0, as
-    the exact zero of a real matrix converts: a complex group's cloud is, bit
-    for bit, that of the real group of its exactly realified generators.
-    """
-    if fieldname != COMPLEX:
-        return np.ascontiguousarray(A.real)
-    R = np.empty((2 * A.shape[0], 2 * A.shape[1]))
-    R[0::2, 0::2] = R[1::2, 1::2] = A.real
-    R[0::2, 1::2] = 0.0 - A.imag
-    R[1::2, 0::2] = A.imag
-    return R
-
-
 def enumerate_orbit(
     G: GeneratorSet,
     u,
     K: int,
     cfg: ClosureConfig | None = None,
 ) -> OrbitCloud:
-    """Orbit sample {g^k u : k in [-K, K]^g}, deduplicated at dedup_eps.
+    """Orbit sample {g^k u : k in [-K, K]^g}, deduplicated at dedup_eps in hull coordinates.
 
     G must be exact and u a vector of Scalars; ValueError otherwise.  The
-    cloud's frame is that of the orbit's affine hull (see _frame), computed
-    from G and u alone, so it does not depend on K or on the box.  Boxes
-    beyond cfg.max_store are streamed, and the returned cloud is then its
-    window: every point of the whole box whose coordinates in the frame lie
-    within 1.5x the classification window, deduplicated.  The window is
-    exhaustive, so covering verdicts stay sound.  The orbit runs on
-    realified coordinates, from the frame's base point (see OrbitCloud).
+    cloud's hull and frame (see _frame) are computed from G and u alone, so
+    they do not depend on K or on the box.  Boxes beyond cfg.max_store are
+    streamed, and the returned cloud is then its window: every point of the
+    whole box whose frame coordinates lie within 1.5x the classification
+    window, deduplicated.  The window is exhaustive, so covering verdicts
+    stay sound.  A point with a coordinate of o + B c above
+    cfg.overflow_limit is clipped, and one that is not finite is dropped.
     """
     if not G.exact or not all(isinstance(c, Scalar) for c in u):
         raise ValueError("orbit enumeration requires exact generators and an exact point")
     cfg = cfg or ClosureConfig()
-    frame = _frame(G, tuple(u))
-    un = frame[0]
-    gens = [_realified(g.to_complex_array(), G.field) for g in G.generators]
-    total = (2 * K + 1) ** len(gens)
+    hull = _frame(G, tuple(u))
+    total = (2 * K + 1) ** len(hull.maps)
     subsampled = total > cfg.max_store
-    fixed = {}
-    if subsampled:
-        pts, clipped = _stream_window(gens, un, K, cfg, frame)
-    else:
-        pts, fixed, clipped = _box(gens, un, K, cfg)
-    # pts is a temporary, which _dedup may overwrite
-    return OrbitCloud(un, _dedup(pts, cfg.dedup_eps), total, frame, subsampled, clipped, fixed)
+    # overflow is the clipping case handled below, not an error
+    with np.errstate(over="ignore", invalid="ignore"):
+        stacks = [powers(K) for powers in hull.maps]
+        if subsampled:
+            coords, clipped = _stream_window(stacks, hull, cfg)
+        else:
+            coords, clipped = _box(stacks, hull, cfg)
+    # coords is a temporary, which _dedup may overwrite
+    return OrbitCloud(_dedup(coords, cfg.dedup_eps), total, hull, subsampled, clipped)
 
 
-def _frame(G: GeneratorSet, u: Vector) -> tuple[np.ndarray, np.ndarray]:
-    """(realified u, V), with V's orthonormal columns spanning W: u + W is the orbit's affine hull.
+def _frame(G: GeneratorSet, u: Vector) -> Hull:
+    """The hull u + W of G's orbit through u: its frame, its basis and G's maps on it.
 
     For abelian G, gh u - u = g(hu - u) + (gu - u), so W is the smallest
-    G-invariant subspace that contains every (g_i - I)u.  Over R in a complex
-    field it is the real span of the realified vectors, closed under the
-    realified g_j.  It is grown exactly, in rounds: each round keeps the
-    candidates whose realified vectors are independent of those kept before
-    (one elimination), and the images g_j v of the kept ones are the next
-    round's candidates, until a round keeps none.  The reduced echelon basis
-    depends on W alone, and one float64 QR orthonormalizes it.
+    G-invariant subspace that contains every (g_i - I)u.  It is grown
+    exactly on realified coordinates, with each generator's real matrix (over
+    C, the 2 x 2 block [[Re a, -Im a], [Im a, Re a]] of each entry a), in
+    rounds: each round keeps the candidates that are independent of those
+    kept before (one elimination), and the images g_j v of the kept ones are
+    the next round's candidates, until a round keeps none.  B, the reduced
+    echelon basis of W, depends on W alone; one float64 QR orthonormalizes
+    it into V.  Every point x of the hull is o + B c with c = x[pivots],
+    and g maps it to o + B (R c + t), with R = restrict(g, B) and t = (g
+    o)[pivots]: g o - o lies in W, so it is B (g o - o)[pivots], and o is 0
+    at the pivot rows.  A = [[R, t], [0, 1]] is formed exactly, and maps
+    holds the function of K that returns its power stack: from the rounded
+    powers of N = A - I when A is unipotent (see _unipotent_stack), else
+    from A and its exact inverse, each rounded once (see _power_stack).
     """
     def realified(v: Vector) -> list[Scalar]:
         if G.field == COMPLEX:
             return [p for c in v for p in (c.real_part(), c.imag_part())]
         return [c.real_part() for c in v]
 
-    kept: list[list[Scalar]] = []  # realified, a basis of W so far
-    todo = [tuple(a - b for a, b in zip(g.matvec(u), u)) for g in G.generators]
+    def real_matrix(g: Matrix) -> Matrix:
+        if G.field != COMPLEX:
+            return g
+        return Matrix.from_rows([row for r in g.entries() for row in (
+            [x for c in r for x in (c.real_part(), -c.imag_part())],
+            [x for c in r for x in (c.imag_part(), c.real_part())])])
+
+    gens = [real_matrix(g) for g in G.generators]
+    ur = realified(u)
+    kept: list[Vector] = []  # a basis of W so far
+    todo = [tuple(a - b for a, b in zip(g.matvec(ur), ur)) for g in gens]
     while True:
-        vectors = kept + [realified(v) for v in todo]
+        vectors = kept + todo
         grown = [j for j in independent_columns(Matrix.from_cols(vectors)) if j >= len(kept)]
         if not grown:
             break
-        todo = [g.matvec(todo[j - len(kept)]) for j in grown for g in G.generators]
+        todo = [g.matvec(vectors[j]) for j in grown for g in gens]
         kept += [vectors[j] for j in grown]
-    base = np.array([c.to_complex().real for c in realified(u)])
-    reduced = row_space_basis(Matrix.from_rows(vectors)).to_complex_array().real
-    return base, np.linalg.qr(reduced)[0]
-
-
-def _box(gens, un, K, cfg: ClosureConfig) -> tuple[np.ndarray, dict[int, np.generic], bool]:
-    """(rows, fixed, clipped) for the points g^k u of the whole box [-K, K]^g.
-
-    Every point holds fixed[i] at each coordinate i in `fixed` (see
-    _fixed_coordinates), and the rows hold the other coordinates, in
-    ascending order: only those are formed, by the last stage's GEMMs on the
-    inner columns (the staged product of the other stages, or u itself).
-    One inner column goes through GEMV, whose rows may round otherwise in a
-    product of fewer rows, so there every row is formed and the fixed ones
-    are dropped.  A point with a coordinate above cfg.overflow_limit is
-    clipped, and one that is not finite is dropped too.  The exact scan for
-    them runs only when the norm bound 2 max|u| prod_i max_k rowsum(g_i^k)
-    cannot clear the whole box (the factor 2 covers the rounding).  The rows
-    may be a transposed view.
-    """
-    # overflow is the clipping case handled here, not an error
-    with np.errstate(over="ignore", invalid="ignore"):
-        stacks = [_power_stack(A, K) for A in gens]
-        inner = _staged_columns(stacks[:-1], un)
-        fixed = _fixed_coordinates(stacks[-1], inner)
-        formed = [i for i in range(un.size) if i not in fixed]
-        if inner.shape[1] == 1:
-            pts = _staged_columns(stacks[-1:], inner)[formed].T
+    basis = row_space_basis(Matrix.from_rows(vectors))
+    d = basis.cols
+    pivots = [next(i for i in range(basis.rows) if basis[i, j]) for j in range(d)]
+    start = [ur[p] for p in pivots]
+    origin = [x - y for x, y in zip(ur, basis.matvec(start))]
+    one = Matrix.identity(d + 1)
+    maps = []
+    for g in gens:
+        R, go = restrict(g, basis).entries(), g.matvec(origin)
+        A = Matrix.from_rows([[*R[i], go[p]] for i, p in enumerate(pivots)] + [one.entries()[d]])
+        nilpotent = [A - one]
+        while not nilpotent[-1].is_zero() and len(nilpotent) <= d:
+            nilpotent.append(nilpotent[-1] * nilpotent[0])
+        if nilpotent[-1].is_zero():
+            maps.append(partial(_unipotent_stack, [_rounded(N) for N in nilpotent[:-1]], d + 1))
         else:
-            pts = _staged_columns([stacks[-1][:, formed]], inner).T
-        bound = 2.0 * np.abs(un).max() * math.prod(np.abs(P).sum(axis=2).max() for P in stacks)
-    if bound <= cfg.overflow_limit:
-        return pts, fixed, False
-    # a point's largest |coordinate|, which is NaN if it holds a NaN; the
-    # fixed values are finite
-    big = np.abs(pts).max(axis=1, initial=np.abs(inner[list(fixed), 0]).max(initial=0.0))
+            maps.append(partial(_power_stack, _rounded(A), _rounded(A.inverse())))
+    B = _rounded(basis)
+    return Hull(_rounded(ur), np.linalg.qr(B)[0], _rounded(origin), B, _rounded(start), maps)
+
+
+def _rounded(A: Matrix | Vector) -> np.ndarray:
+    """A real exact matrix or vector, rounded entrywise to float64."""
+    if isinstance(A, Matrix):
+        return np.array([_rounded(row) for row in A.entries()]).reshape(A.rows, A.cols)
+    return np.array([x.to_complex().real for x in A])
+
+
+def _points_bound(hull: Hull, c_bound):
+    """A bound, with a factor 2 for rounding, on |o + B c|_inf when |c|_inf <= c_bound."""
+    return 2.0 * (np.abs(hull.origin).max() + np.abs(hull.B).sum(axis=1).max(initial=0.0) * c_bound)
+
+
+def _largest_coordinate(hull: Hull, coords: np.ndarray) -> np.ndarray:
+    """max_i |(o + B c)_i| of each row c of coords, NaN for a point that holds a NaN.
+
+    The points are formed as OrbitCloud.points forms them, in slices of
+    about 16 MB.
+    """
+    out = np.empty(coords.shape[0])
+    step = max(1, 2**21 // hull.origin.size)
+    for lo in range(0, coords.shape[0], step):
+        out[lo : lo + step] = np.abs(hull.origin + _mapped(hull.B, coords[lo : lo + step])).max(axis=1)
+    return out
+
+
+def _box(stacks: list[np.ndarray], hull: Hull, cfg: ClosureConfig) -> tuple[np.ndarray, bool]:
+    """(coords, clipped): the hull coordinates of the points of the whole box [-K, K]^g.
+
+    The points are the staged product of every stage from u's coordinates,
+    a transposed view of its (d, M) buffer.  A point with a coordinate of o
+    + B c above cfg.overflow_limit is clipped, and one that is not finite is
+    dropped too.  The exact scan for them runs only when the norm bound on o
+    + B c, from |(c, 1)|_inf <= max(1, |c_u|_inf) prod_i max_k
+    ||P_i[k]||_inf, cannot clear the whole box.
+    """
+    coords = _staged_columns(stacks, hull.start[:, None]).T
+    c_bound = np.abs(hull.start).max(initial=1.0) * math.prod(
+        np.abs(P).sum(axis=2).max() for P in stacks)
+    if _points_bound(hull, c_bound) <= cfg.overflow_limit:
+        return coords, False
+    big = _largest_coordinate(hull, coords)
     keep = big <= cfg.overflow_limit
-    return (pts if keep.all() else pts[keep]), fixed, bool((big > cfg.overflow_limit).any())
+    return (coords if keep.all() else coords[keep]), bool((big > cfg.overflow_limit).any())
 
 
-def _fixed_coordinates(last: np.ndarray, inner: np.ndarray) -> dict[int, np.generic]:
-    """{i: c} for the coordinates i at which every point of a box holds c, bit for bit.
+def _stream_window(stacks: list[np.ndarray], hull: Hull, cfg: ClosureConfig) -> tuple[np.ndarray, bool]:
+    """The box's points within 1.5 windows of the frame, as hull coordinates, and whether any was clipped.
 
-    The box's points are the columns last[k] @ inner[:, col].  Coordinate i
-    is fixed when row i of every power in `last` equals e_i^T, and the inner
-    columns are all finite and hold c at row i in every column, bit for bit.
-    Then a point's entry i is c plus products of +-0 with finite numbers,
-    which are +-0, and, in a GEMM, the +0.0 it starts from.  Adding +-0
-    leaves a nonzero c as it is, in any order and with or without fused
-    multiply-adds.  A zero entry is the sign of a sum of zeros, and in
-    round-to-nearest a sum of zeros one of which is +0.0 is +0.0: so c may be
-    +0.0 but not -0.0.
+    A chunk's tuples are the columns j * M + col of the blocks P[j] (x; 1),
+    with P the outermost power stack and x = inner[:, col] (d, M) the
+    chunk's start columns, powers of the last generator at u, taken through
+    the other stages; a single generator has the identity as its one outer
+    stage.  A tuple's frame coordinates V^T B (c - c_u) are Q[j] (x; 1) -
+    w, with Q[j] = V^T B P[j] and w = V^T B c_u, and it is a hit when
+    their largest modulus is at most 1.5 windows; _window_filter finds the
+    hits without forming that value for every tuple, and leaves none out.
+    A point is formed only when it is a window hit or a column whose norm
+    bound cannot clear the exact overflow test (every |coordinate| of o + B
+    c within the limit).
     """
-    if not np.isfinite(inner).all():
-        return {}
-    eye = np.eye(last.shape[1])
-    moving = _moving_columns(dict(enumerate(inner)))
-    return {i: row[0] for i, row in enumerate(inner) if i not in moving
-            and (row[0] != 0 or not np.signbit(row[0])) and (last[:, i] == eye[i]).all()}
-
-
-def _stream_window(gens, un, K, cfg: ClosureConfig, frame) -> tuple[np.ndarray, bool]:
-    """The box's points within 1.5 windows of the frame, and whether any was clipped.
-
-    A chunk's tuples are the columns j * M + col of the blocks P[j] @ inner,
-    with P the outermost power stack and inner (n, M) the chunk's start
-    columns taken through the other stages; a single generator has the
-    identity as its one outer stage.  A tuple's window coordinates are
-    Q[j] @ x - o, with Q[j] = V^T P[j] the projected outer power and x the
-    inner column, and it is a hit when their largest modulus is at most 1.5
-    windows.  _window_filter
-    finds the hits without forming that value for every tuple, and leaves
-    none out: its docstring proves that its margin covers ||Q[j]|| ||r|| for
-    each column's residual r off the frame, and every rounding.  A point is
-    formed in full only when it is a window hit or a column whose norm bound
-    cannot clear the exact overflow test (every |coordinate| within the
-    limit).
-    """
-    base, V = frame
-    offset = base @ V  # a point x's frame coordinates are x @ V - offset
+    d = hull.B.shape[1]
     limit = cfg.overflow_limit
-    n = len(un)
     window_chunks = []
     clipped = False
-    # overflow is the clipping case handled below, not an error
-    with np.errstate(over="ignore", invalid="ignore"):
-        stacks = [_power_stack(A, K) for A in gens[:-1]]
-        last = _power_stack(gens[-1], K)
-        outer = stacks.pop() if stacks else np.eye(n)[None]
-        J = outer.shape[0]
-        Q = np.matmul(V.T, outer)  # (J, d, n)
-        hits_of = _window_filter(Q, base, V, offset, 1.5 * cfg.window)
-        # |(P[j] x)_i| <= rowsum[j] * max|x|; a factor 2 covers the rounding
-        rowsum = np.abs(outer).sum(axis=2).max(axis=1)  # (J,)
-        per_start = J * (2 * K + 1) ** len(stacks)
-        batch = max(1, min(2 * K + 1, 1_500_000 // per_start))
-        for lo in range(0, 2 * K + 1, batch):
-            hi = min(lo + batch, 2 * K + 1)
-            starts = np.stack([last[k] @ un for k in range(lo, hi)], axis=1)  # (n, b)
-            inner = _staged_columns(stacks, starts)  # (n, M)
-            hits = hits_of(inner)
-            sel = hits
-            if not clipped:
-                colmax = np.abs(inner).max(axis=0)
-                # rounding is monotone, so the largest product bounds every
-                # other one, and only a chunk it does not clear is scanned
-                if not 2.0 * rowsum.max() * colmax.max() <= limit:
-                    need = ~(2.0 * np.outer(rowsum, colmax) <= limit).ravel()
-                    need[hits] = True
-                    sel = np.flatnonzero(need)
-            pts = _outer_columns(outer, inner, sel)  # (s, n)
-            ok = np.abs(pts).max(axis=1) <= limit
-            clipped = clipped or not ok.all()
-            if sel is not hits:
-                ok &= np.isin(sel, hits, assume_unique=True)
-            window_chunks.append(pts[ok])
+    *stacks, last = stacks
+    outer = stacks.pop() if stacks else np.eye(d + 1)[None]
+    M = hull.V.T @ hull.B
+    hits_of = _window_filter(M @ outer[:, :d], M @ hull.start, 1.5 * cfg.window)
+    # |(P[j] (x; 1))_i| <= rowsum[j] max(1, |x|_inf)
+    rowsum = np.abs(outer[:, :d]).sum(axis=2).max(axis=1, initial=0.0)  # (J,)
+    per_start = outer.shape[0] * last.shape[0] ** len(stacks)
+    batch = max(1, min(last.shape[0], 1_500_000 // per_start))
+    for lo in range(0, last.shape[0], batch):
+        starts = _staged_columns([last[lo : lo + batch]], hull.start[:, None])  # (d, b)
+        inner = _homogeneous(_staged_columns(stacks, starts))  # (d + 1, M)
+        hits = hits_of(inner)
+        sel = hits
+        if not clipped:
+            colmax = np.abs(inner).max(axis=0)
+            # rounding is monotone, so the largest bound bounds every other
+            # one, and only a chunk it does not clear is scanned
+            if not _points_bound(hull, rowsum.max() * colmax.max()) <= limit:
+                need = ~(_points_bound(hull, np.outer(rowsum, colmax)) <= limit).ravel()
+                need[hits] = True
+                sel = np.flatnonzero(need)
+        pts = _outer_columns(outer, inner, sel)  # (s, d)
+        ok = _largest_coordinate(hull, pts) <= limit
+        clipped = clipped or not ok.all()
+        if sel is not hits:
+            ok &= np.isin(sel, hits, assume_unique=True)
+        window_chunks.append(pts[ok])
     return np.vstack(window_chunks), clipped  # a pass has at least one chunk
 
 
-def _window_filter(Q: np.ndarray, b: np.ndarray, V: np.ndarray, offset: np.ndarray, bound: float):
+def _window_filter(Q: np.ndarray, offset: np.ndarray, bound: float):
     """hits_of(cols): the ascending flat indices j * M + col of a chunk's tuples
-    whose window coordinates Q[j] @ cols[:, col] - offset (see _window_values)
+    whose frame coordinates Q[j] @ cols[:, col] - offset (see _window_values)
     are all within `bound` in modulus.
 
-    Q is (J, d, m), cols (m, M), and b and V (m, d) are the frame's base point
-    and orthonormal columns in the layout of cols.  Each column x has frame
-    coordinates z = V^T (x - b) and residual r = x - b - V z, which for a
-    point of the hull u + W is rounding.  Then, exactly,
-
-        Q[j] x - o = a_j + R_j z + Q[j] r,  a_j = Q[j] b - o,  R_j = Q[j] V,
-
-    and R_j is the d x d restriction of the outer power to W.  Only columns
-    with |a_j + R_j z|_inf <= B_j can be hits, and among those z_0 lies in an
+    Q is (J, d, d + 1) and cols (d + 1, M), hull coordinates x with a last
+    row of ones.  Exactly, Q[j] (x; 1) - o = R_j x + a_j, with R_j the first
+    d columns of Q[j] and a_j its last column less o.  Only columns with
+    |R_j x + a_j|_inf <= B_j can be hits, and among those x_0 lies in an
     interval [lo_j, hi_j]: so each j takes the columns of one searchsorted
-    range of the chunk's columns sorted by z_0, and the value of only those
+    range of the chunk's columns sorted by x_0, and the value of only those
     tuples is formed and compared, with the same formula and comparison.
     The hits come out in ascending flat order, as a test of every tuple
     would give them.
 
-    No hit is left out.  Let u = 2^-53, g_k = k u / (1 - k u), c = 4 (m + d +
-    4) u, and let X, Z and rho bound the |entries| of the chunk's finite
-    columns x, of their z and of their computed residuals r~.  A column with
-    a non-finite entry is never a hit: its value is not finite.  A hit has a
-    computed value t = fl(fl(Q[j] x) - o) with |t_i| <= bound, so exactly
-    |(Q[j] x - o)_i| <= bound / (1 - u) + g_m q_j X, q_j = ||Q[j]||_inf,
-    whatever order or fused multiply-adds the product uses.  The computed
-    a_j, R_j and r~ are off by at most g_(m+1) (q_j |b|_inf + |a_j|_inf),
-    g_m q_j ||V||_inf Z per entry of R_j z, and 2 g_(d+2) (X + |b|_inf +
-    ||V||_inf Z), which Q[j] multiplies by at most q_j.  So a hit has
-    |a_j + R_j z|_inf <= B_j, with
+    No hit is left out.  Let u = 2^-53, g_k = k u / (1 - k u), c = 4 (d +
+    5) u, q_j = ||Q[j]||_inf, and let X >= 1 bound the |entries| of the
+    chunk's finite columns.  A column with a non-finite entry is never a
+    hit: its value is not finite.  A hit has a computed value t =
+    fl(fl(Q[j] (x; 1)) - o) with |t_i| <= bound, so exactly |R_j x +
+    a_j|_inf <= bound / (1 - u) + g_(d+1) q_j X, whatever order or fused
+    multiply-adds the product uses.  The computed a_j is off by at most u
+    |a_j|_inf.  So a hit has |R_j x + a_j|_inf <= B_j, with
 
-        B_j = bound (1 + c) + q_j ((1 + c) rho + c (X + |b|_inf + ||V||_inf Z))
-              + c |a_j|_inf,
+        B_j = bound (1 + c) + c (q_j X + |a_j|_inf),
 
-    whose factors c also cover the rounding of B_j itself.  Let Y be any
-    d x d matrix (a computed pseudo-inverse of R_j) and F = I - Y R_j.  Then
-    Y (y - a_j) = z - F z for y = a_j + R_j z, so
-    |z_0 - center_j| <= |Y_0|_1 B_j + ||F||_inf Z, with center_j = -Y_0 a_j
-    and Y_0 the first row of Y.  The computed center_j is off by at most
-    g_d |Y_0|_1 |a_j|_inf, the computed ||F||_inf by at most c (1 + ||Y||_inf
+    whose factors c also cover the rounding of B_j itself.  Let Y be any d
+    x d matrix (a computed pseudo-inverse of R_j) and F = I - Y R_j.  Then
+    Y (y - a_j) = x - F x for y = R_j x + a_j, so |x_0 - center_j| <=
+    |Y_0|_1 B_j + ||F||_inf X, with center_j = -Y_0 a_j and Y_0 the first
+    row of Y.  The computed center_j is off by at most g_d |Y_0|_1
+    |a_j|_inf, the computed ||F||_inf by at most c (1 + ||Y||_inf
     ||R_j||_inf), and the half-width h_j and the interval's ends are widened
     by the factor 1 + c and by c |center_j| to cover their own rounding.  A
-    j whose interval is not finite (a non-finite Q[j], a_j, R_j or bound)
-    takes all M columns, and so does every j of a 0-dimensional frame, whose
-    every tuple is a hit.
+    j whose interval is not finite (a non-finite Q[j], a_j or bound) takes
+    all M columns, and so does every j of a 0-dimensional hull, whose every
+    tuple is a hit.
     """
     def norm(A):  # the largest row sum of |A[j]|, for each j
         return np.abs(A).sum(axis=2).max(axis=1, initial=0.0)
 
-    J, d, m = Q.shape
-    c = 4 * (m + d + 4) * 2.0**-53
+    J, d, _ = Q.shape
+    c = 4 * (d + 5) * 2.0**-53
     q = norm(Q)
-    a = Q @ b - offset  # (J, d)
-    R = Q @ V  # (J, d, d)
+    a, R = Q[:, :, d] - offset, Q[:, :, :d]
     finite_R = np.isfinite(R).all(axis=(1, 2))
     Y = np.linalg.pinv(np.where(finite_R[:, None, None], R, 0.0))
     a_norm = np.abs(a).max(axis=1, initial=0.0)
@@ -542,22 +553,17 @@ def _window_filter(Q: np.ndarray, b: np.ndarray, V: np.ndarray, offset: np.ndarr
     y0_norm = norm(y0)
     center = -(y0 @ a[:, :, None]).sum(axis=(1, 2))
     f_norm = norm(np.eye(d) - Y @ R) + c * (1 + norm(Y) * norm(R))
-    b_norm = np.abs(b).max(initial=0.0)
-    v_norm = np.abs(V).sum(axis=1).max(initial=0.0)
 
     def hits_of(cols: np.ndarray) -> np.ndarray:
         M = cols.shape[1]
-        x = cols - b[:, None]
-        z = V.T @ x  # (d, M)
-        r = x - V @ z
         finite = slice(None)
         if not np.isfinite(np.abs(cols).max(initial=0.0)):
             finite = np.isfinite(cols).all(axis=0)
-        X, Z, rho = (np.abs(t[:, finite]).max(initial=0.0) for t in (cols, z, r))
-        B = bound * (1 + c) + q * ((1 + c) * rho + c * (X + b_norm + v_norm * Z)) + c * a_norm
-        h = (y0_norm * B + f_norm * Z + c * y0_norm * a_norm) * (1 + c) + c * np.abs(center)
+        X = np.abs(cols[:, finite]).max(initial=1.0)
+        B = bound * (1 + c) + c * (q * X + a_norm)
+        h = (y0_norm * B + f_norm * X + c * y0_norm * a_norm) * (1 + c) + c * np.abs(center)
         whole = ~(np.isfinite(center - h) & np.isfinite(center + h)) | (d == 0)
-        key = z[0] if d else np.zeros(M)
+        key = cols[0] if d else np.zeros(M)
         order = np.argsort(key)  # a non-finite column's NaN key sorts last
         key = key[order]
         start = np.where(whole, 0, np.searchsorted(key, center - h))
@@ -570,7 +576,7 @@ def _window_filter(Q: np.ndarray, b: np.ndarray, V: np.ndarray, offset: np.ndarr
         step = 2**16
         for lo in range(0, flat.size, step):
             js, cs = np.divmod(flat[lo : lo + step], M)
-            # a 0-dimensional frame projects every point to the base point
+            # a 0-dimensional hull maps every point to the base point
             np.less_equal(np.abs(_window_values(Q, cols, offset, js, cs)).max(axis=0, initial=0.0),
                           bound, out=hit[lo : lo + step])
         return np.sort(flat[hit])
@@ -580,7 +586,7 @@ def _window_filter(Q: np.ndarray, b: np.ndarray, V: np.ndarray, offset: np.ndarr
 
 def _window_values(Q: np.ndarray, cols: np.ndarray, offset: np.ndarray, js: np.ndarray,
                    cs: np.ndarray) -> np.ndarray:
-    """Window coordinates Q[j] @ cols[:, col] - offset of the tuples (js, cs), one column each.
+    """Frame coordinates Q[j] @ cols[:, col] - offset of the tuples (js, cs), one column each.
 
     js is ascending.  The tuples of a block of consecutive j go through one
     GEMM of the block's rows of Q on their columns, or on all of cols when
@@ -613,16 +619,17 @@ def _window_values(Q: np.ndarray, cols: np.ndarray, offset: np.ndarray, js: np.n
 
 
 def _outer_columns(outer: np.ndarray, inner: np.ndarray, flat: np.ndarray) -> np.ndarray:
-    """Rows outer[j] @ inner[:, col] for the flat indices j * M + col.
+    """Hull coordinates (s, d), the first d rows of outer[j] @ inner[:, col], for the flat indices j * M + col.
 
     The gathered matrices take about 32 MB per slice.
     """
     js, cols = np.divmod(flat, inner.shape[1])
-    out = np.empty((flat.size, inner.shape[0]))
+    d = inner.shape[0] - 1
+    out = np.empty((flat.size, d))
     step = max(1, 2**21 // outer[0].size)
     for lo in range(0, flat.size, step):
         x = inner[:, cols[lo : lo + step]].T[:, :, None]
-        out[lo : lo + step] = np.matmul(outer[js[lo : lo + step]], x)[:, :, 0]
+        out[lo : lo + step] = np.matmul(outer[js[lo : lo + step]], x)[:, :d, 0]
     return out
 
 
@@ -635,10 +642,8 @@ def classify_closure(cloud: OrbitCloud, cfg: ClosureConfig | None = None) -> Clo
     cfg = cfg or ClosureConfig()
     if cloud.count == 0:
         return ClosureVerdict(INCONCLUSIVE, 0, notes=["empty cloud"])
-    base, V = cloud.frame
-    d = V.shape[1]
-    # the fixed coordinates never move, so only the formed ones are read
-    moving = _moving_columns(dict(zip(cloud.formed_at, cloud.formed.T)))
+    hull = cloud.hull
+    d = hull.V.shape[1]
     notes = []
     if cloud.clipped:
         notes.append("overflow-clipped points were dropped")
@@ -655,7 +660,9 @@ def classify_closure(cloud: OrbitCloud, cfg: ClosureConfig | None = None) -> Clo
     if not cloud.subsampled and cloud.count > cfg.discrete_count_limit:
         notes.append("point count above discrete-check limit")
     elif not cloud.subsampled:
-        min_dist = _nearest_pair(moving, base.size)
+        # distances in the frame are the points', and do not depend on its
+        # origin: they are measured on V^T B c
+        min_dist = _nearest_pair(dict(enumerate(_mapped(hull.V.T @ hull.B, cloud.coords).T)), d)
         # a dense orbit sampled at finite K also clears the 100*eps floor, so
         # a discrete verdict additionally demands separation at the scale the
         # density test operates on (the gap threshold)
@@ -667,7 +674,7 @@ def classify_closure(cloud: OrbitCloud, cfg: ClosureConfig | None = None) -> Clo
         return ClosureVerdict(INCONCLUSIVE, 0, min_distance=min_dist,
                               notes=notes + ["no spread beyond dedup resolution"])
 
-    proj = _frame_coordinates(cloud, moving)
+    proj = hull.frame_coordinates(cloud.coords)
     W = cfg.window
     if d == 1:
         c = proj[:, 0]
@@ -708,29 +715,6 @@ def classify_closure(cloud: OrbitCloud, cfg: ClosureConfig | None = None) -> Clo
         INCONCLUSIVE, d, gap=None, min_distance=min_dist,
         notes=notes + [f"{empty}/{total_cells} window cells empty at resolution {res}"],
     )
-
-
-def _frame_coordinates(cloud: OrbitCloud, moving: dict[int, np.ndarray]) -> np.ndarray:
-    """The cloud's points in its frame, (m, d): points @ V - base @ V.
-
-    `moving` holds the formed columns that move, by coordinate.  When one
-    column j moves and the frame is a single column that is +-0 at every
-    other index, only that column is read: x_j V[j, 0] - base_j V[j, 0].
-    Every other entry of a row is finite (the cloud is
-    deduplicated), as is base, so the dot products of the full projection add
-    only +-0 to fl(x_j V[j, 0]) and to fl(base_j V[j, 0]), in any order and
-    with or without fused multiply-adds: the two agree bit for bit but
-    perhaps in the sign of a zero, which no verdict, gap or separation reads.
-    Any other cloud is assembled and projected whole.
-    """
-    base, V = cloud.frame
-    if V.shape[1] == 1 and len(moving) == 1:
-        ((j, x),) = moving.items()
-        if not np.delete(V[:, 0], j).any():
-            v = V[j, 0]
-            return (x * v - base[j] * v)[:, None]
-    # not (real - base) @ V, which would form a centered copy of the cloud
-    return cloud.points @ V - base @ V
 
 
 def _nearest_pair(moving: dict[int, np.ndarray], width: int) -> float:
