@@ -15,8 +15,10 @@ compares equal.  Each checkout runs every case in one interpreter, through
 ``lindyn.cli.main`` with its own ``src`` first on the path, and records the
 exit code, stdout, stderr and the dumped CSV, which it then deletes; an
 exception that escapes ``main`` is recorded as exit ``"raised"`` with its
-traceback as stderr.  The script prints one line per case that differs and exits 1 when
-any does, 0 when none does.
+traceback as stderr.  The script prints one line per case that differs, each
+followed by the first differing line of each differing stream (stdout,
+stderr or dump) on both sides, and exits 1 when any case differs, 0 when none
+does.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import traceback
 FIXTURE_NAMES = ("shear3", "shear4", "cshear5", "radical4")
 PRECISIONS = ("53", "128")
 SEEDS = (1, 2)
+WIDTH = 160  # characters of each side's differing line that are printed
 
 
 def load_gen(change: str):
@@ -141,6 +144,30 @@ def differences(cases: list[list[str]], parent: list[dict], change: list[dict]) 
     return lines
 
 
+def first_differences(a: dict, b: dict) -> list[str]:
+    """For each of stdout, stderr and the dump that differs between two
+    results, two indented lines: the number of the first line where they
+    differ, and each side's text of it as a Python literal cut to ``WIDTH``
+    characters; a side with no such line (or no dump at all) reads ``<none>``."""
+    lines = []
+    for stream in ("stdout", "stderr", "dump"):
+        if a[stream] == b[stream]:
+            continue
+        a_lines = (a[stream] or "").splitlines(keepends=True)
+        b_lines = (b[stream] or "").splitlines(keepends=True)
+        k = 0
+        while k < min(len(a_lines), len(b_lines)) and a_lines[k] == b_lines[k]:
+            k += 1
+        for side, side_lines in (("parent", a_lines), ("change", b_lines)):
+            if k < len(side_lines):
+                text = side_lines[k]
+                shown = repr(text[:WIDTH]) + ("..." if len(text) > WIDTH else "")
+            else:
+                shown = "<none>"
+            lines.append(f"    {stream} line {k + 1}: {side} {shown}")
+    return lines
+
+
 def worker(cases_path: str) -> int:
     import lindyn
 
@@ -174,8 +201,12 @@ def main(argv=None) -> int:
         parent = run_checkout(args.parent, cases_path)
         change = run_checkout(args.change, cases_path)
     diff = differences(cases, parent, change)
-    for line in diff:
+    # a result holds exactly the four fields differences compares
+    differing = [(a, b) for a, b in zip(parent, change) if a != b]
+    for line, (a, b) in zip(diff, differing):
         print(line)
+        for detail in first_differences(a, b):
+            print(detail)
     nonzero = sum(a["exit"] != 0 and b["exit"] != 0 for a, b in zip(parent, change))
     print(f"{len(cases)} cases, {nonzero} exit nonzero on both sides, {len(diff)} differ")
     return 1 if diff else 0

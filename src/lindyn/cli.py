@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import ClosureConfig, classify_stabilized, enumerate_orbit
+from .dynamics import FIRST_BOX, ClosureConfig, classify_stabilized, enumerate_orbit
 from .errors import ClusterAmbiguity, LindynError, NotAbelian
 from .groups import COMPLEX, GeneratorSet
 from .invariants import invariant_family, invariant_tree, membership
@@ -106,6 +106,10 @@ def _check_point(what: str, coords, n: int) -> None:
 def _contexts(args) -> tuple[NumericContext, ClosureConfig]:
     if args.precision < 53:
         raise LindynError(f"precision {args.precision} is below 53 bits")
+    # verify-examples has no --max-exponent
+    max_exponent = getattr(args, "max_exponent", FIRST_BOX)
+    if max_exponent < FIRST_BOX:
+        raise LindynError(f"max exponent {max_exponent} is below the first box {FIRST_BOX}")
     for flag, value in (("--tol", args.tol), ("--gap-threshold", args.gap_threshold)):
         if not value > 0:
             raise LindynError(f"{flag} must be positive, got {value:g}")
@@ -120,8 +124,8 @@ def _contexts(args) -> tuple[NumericContext, ClosureConfig]:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--precision", type=int, default=128,
                    help="precision in bits of the characteristic-polynomial roots "
-                   "proposed as exact eigenvalues and of the commutator residual, "
-                   "at least 53 (default 128); numeric splitting runs only at 53")
+                   "proposed as exact eigenvalues, at least 53 (default 128); "
+                   "numeric splitting runs only at 53")
     p.add_argument("--tol", type=float, default=1e-9,
                    help="relative tolerance for tolerant comparisons (default 1e-9)")
     p.add_argument("--gap-threshold", type=float, default=0.01,

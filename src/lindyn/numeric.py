@@ -32,10 +32,6 @@ class NumericContext:
     precision: int = 53
     eps: float = 1e-9
 
-    @property
-    def high(self) -> bool:
-        return self.precision > 53
-
 
 def as_complex(x) -> complex:
     if isinstance(x, mpmath.mpc):

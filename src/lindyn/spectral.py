@@ -442,7 +442,7 @@ def _split_block(R, basis: Matrix | np.ndarray, ctx: NumericContext, radicands) 
         spectrum = eigenvalues(R, ctx, radicands)
         if spectrum is not None:
             return [basis * b for _, _, b in spectrum]
-    if ctx.high:
+    if ctx.precision > 53:
         raise SpectrumNotCertified(
             f"no exact spectrum of a block is certified at precision {ctx.precision}, "
             "and numeric splitting runs only at 53 bits; try --precision 53"

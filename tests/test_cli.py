@@ -28,7 +28,10 @@ def fixture_files():
 # algebra is carried out must not change a report byte.  Re-recorded when the
 # invariant tree became a list of distinct nodes and config.seed was dropped,
 # after checking that every other byte was unchanged and that expanding the
-# node list from node 0 gave the old chain-by-chain tree exactly.
+# node list from node 0 gave the old chain-by-chain tree exactly.  jordan-real4-1,
+# sform8 and sform8-p53 were re-recorded when the commutator residual became
+# exact, after checking that each changed only in its max_residual line, which
+# had been rounding noise (1.13686837722e-13 and 1.7763568394e-15) and is now 0.
 GOLDEN_REPORT_SHA256 = {
     "shear3": "2b8165dc468512fe0b7f2a60beb6a402e0b61ffaf8ec5e419a169d68eb31cdb3",
     "shear4": "d84ba3e3639b1686a3e6fdcbd2fb414949b67f09b1db97f387739f1453a4f43f",
@@ -39,12 +42,12 @@ GOLDEN_REPORT_SHA256 = {
     "numpair3": "9ba3789873e339f689f804b9a5aceb9c9ea9112736754efdf652d5568437e3e7",
     "sqrt2sqrt3": "14a60f38ee282dcc1ce01e91b6e1f520c845537ac35e1009d14adc0aa79ad1e9",
     "pairsqrt2": "2e9c2b13a7d495b88f54699a4442372019ce7430f021a5848f1f47cc83053f40",
-    "sform8": "cc2c5fe018ecc5474441053d008422c9d02d917f60fb0d3627b33a839cc22074",
-    "sform8-p53": "5837c43cc6d7a6a34a4d7e5ea5a8f2ae4a09853f19675f63c1282aa948906a51",
+    "sform8": "67331941751f562e6e9237b7e581a3fb77bccd16a9e1e103313280b1f1fad49d",
+    "sform8-p53": "38b55fb79937d9265aa0c97b1ad2f507e93e04438efa3dc7ffedbd793794763b",
     "diag6": "85a93bb4d74916f666803a5c53d5a1392fc6ee5ce2974031fb8c0fe24ff7362e",
     "diag6-p53": "f361899897b76cfb02454abfd996898ca576ec4c6d5d69cec323520c59f0488b",
     "jordan-real4-0": "257b96d5de589c4e215eee1f4e6d11d6997ee7147714bbd927ea17ca61ad61ec",
-    "jordan-real4-1": "12df06169141d1f78931d4c30600fc6dddec6fa7505788c1cf011dc4edc9f199",
+    "jordan-real4-1": "f80dd26cdc48588a03e9fbea0b0d5fe969068d9b0bcf9de6a10896724ba8657d",
     "bench1-sform8": "90b6b4445564f1a39392f441359aeb0d07f863585f5ac96a4bfe1568119f200d",
     "bench1-sform8-p53": "dd0a90e58865e351d01345ead6490fba69e09f8266370f5d4b53894bc97c0ba0",
     "bench1-diag5": "9168978abbf346a596d8be0122dd5bc9804d548084478e302b7c782d6596ba42",
@@ -174,6 +177,16 @@ for _name, _gens in BENCH_RATIONAL.items():
     INLINE_DOCUMENTS[f"{_name}-p53"] = (_gens, ["--precision", "53"])
 
 
+def _document_args(fixture_files, tmp_path, name) -> list[str]:
+    """The analyze arguments of a fixture, or of an inline document written to tmp_path."""
+    if name not in INLINE_DOCUMENTS:
+        return [fixture_files[name]]
+    gens, extra = INLINE_DOCUMENTS[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"field": "real", "dimension": len(gens[0]), "generators": gens}))
+    return [str(path), *extra]
+
+
 def run_cli(args, cwd=None):
     proc = subprocess.run(
         [sys.executable, "-m", "lindyn.cli", *args], capture_output=True, text=True,
@@ -209,17 +222,28 @@ class TestAnalyze:
     @pytest.mark.parametrize("name", sorted(GOLDEN_REPORT_SHA256))
     def test_golden_report_digest(self, fixture_files, tmp_path, name):
         out = tmp_path / "report.json"
-        if name in INLINE_DOCUMENTS:
-            gens, extra = INLINE_DOCUMENTS[name]
-            path = tmp_path / f"{name}.json"
-            path.write_text(json.dumps(
-                {"field": "real", "dimension": len(gens[0]), "generators": gens}
-            ))
-            args = [str(path), *extra]
-        else:
-            args = [fixture_files[name]]
-        assert main(["analyze", *args, "--output", str(out)]) == 0
+        assert main(["analyze", *_document_args(fixture_files, tmp_path, name),
+                     "--output", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_REPORT_SHA256[name]
+
+    # every fixture, and every inline document run at the 128-bit default
+    @pytest.mark.parametrize("name", sorted(FIXTURE_NAMES) + sorted(
+        name for name, (_, extra) in INLINE_DOCUMENTS.items() if not extra))
+    def test_exact_report_independent_of_precision(self, fixture_files, tmp_path, name):
+        # a report whose blocks are all exact reads the same at 53 and 128
+        # bits apart from config.precision; the commutator residual of
+        # jordan-real4-1 used to be rounding noise that differed between them
+        reports = []
+        for precision in ("53", "128"):
+            out = tmp_path / f"report-{precision}.json"
+            assert main(["analyze", *_document_args(fixture_files, tmp_path, name),
+                         "--precision", precision, "--output", str(out)]) == 0
+            report = json.loads(out.read_text())
+            assert all(block["exact"] for block in report["spectral_blocks"])
+            assert report["config"].pop("precision") == int(precision)
+            reports.append(report)
+        assert reports[0] == reports[1]
+        assert reports[0]["commutativity"] == {"abelian": True, "max_residual": "0"}
 
     def test_report_round_trip(self, fixture_files, tmp_path):
         out = tmp_path / "r.json"
@@ -351,6 +375,9 @@ class TestAnalyze:
         # to be echoed into the report, and a tolerance of 0 was accepted
         for args, err in [
             (["--classify-points", "--max-exponent", "4"], "error: max exponent 4"),
+            # without --classify-points the bound used to go unchecked into
+            # the report's config
+            (["--max-exponent", "-5"], "error: max exponent -5 is below the first box 8\n"),
             (["--precision", "0"], "error: precision 0 is below 53 bits\n"),
             (["--tol", "0"], "error: --tol must be positive, got 0\n"),
             (["--gap-threshold", "-0.5"], "error: --gap-threshold must be positive, got -0.5\n"),
@@ -573,6 +600,18 @@ class TestOrbit:
                                       *args])
             assert code == 1 and out == ""
             assert got.startswith(err) and "Traceback" not in got
+
+    @pytest.mark.parametrize("command", [["analyze"], ["orbit", "--point", "1,sqrt(2),0"]])
+    def test_max_exponent_checked_before_any_family(self, fixture_files, capsys, monkeypatch,
+                                                    command):
+        def no_family(*args, **kwargs):
+            raise AssertionError("an invariant family was computed")
+
+        monkeypatch.setattr("lindyn.cli.invariant_family", no_family)
+        monkeypatch.setattr("lindyn.cli.invariant_tree", no_family)
+        code = main([command[0], fixture_files["shear3"], *command[1:], "--max-exponent", "7"])
+        assert code == 1
+        assert capsys.readouterr() == ("", "error: max exponent 7 is below the first box 8\n")
 
     def test_dump_points(self, fixture_files, tmp_path, capsys):
         dump = tmp_path / "cloud.csv"

@@ -1,7 +1,7 @@
+import itertools
 import math
 import random
 
-import numpy as np
 import pytest
 
 from conftest import (
@@ -14,7 +14,13 @@ from conftest import (
     random_sform_family,
 )
 from lindyn import invariants, spectral
-from lindyn.errors import FirstCoordinateZero, InvarianceViolation, NotConvergent, NotInvariant
+from lindyn.errors import (
+    FirstCoordinateZero,
+    InvarianceViolation,
+    NotAbelian,
+    NotConvergent,
+    NotInvariant,
+)
 from lindyn.groups import GeneratorSet
 from lindyn.invariants import (
     bounded_restriction_witness,
@@ -26,7 +32,7 @@ from lindyn.invariants import (
     s_form_diagonal,
 )
 from lindyn.linalg import Matrix, Subspace, as_vector, restrict, solve
-from lindyn.numeric import NumericContext, NumSubspace, as_complex, max_abs, nsolve_cols, to_numeric
+from lindyn.numeric import NumericContext, NumSubspace, max_abs, nsolve_cols, to_numeric
 from lindyn.report import render_tree
 from lindyn.scalars import Scalar
 
@@ -493,26 +499,33 @@ class TestStructureProperties:
 
 
 class TestCommutatorResidual:
-    def test_sparse_products_keep_the_dense_bits(self):
-        # exact generators skip their zero products above 53 bits; the result
-        # is the matmul's of mpmath object arrays, bit for bit, on commuting
-        # families and on sparse radical matrices whose commutators do not
-        # vanish
+    def test_exact_commutators(self):
+        # the residual is read off the exact commutators: 0.0 at every
+        # precision on commuting families, and on sparse radical matrices whose
+        # commutators do not vanish the largest max_abs() among them, the value
+        # that check_abelian reports in NotAbelian for that pair
         rng = random.Random(31)
-        groups = [random_commuting_family(rng, rng.randint(2, 5), 3) for _ in range(4)]
+        for _ in range(4):
+            G = random_commuting_family(rng, rng.randint(2, 5), 3)
+            for precision in (53, 64, 128, 256):
+                assert G.commutator_residual(NumericContext(precision=precision)) == 0.0
+        nonzero = 0
         for _ in range(8):
             n = rng.randint(1, 6)
             gens = [Matrix([[random_scalar(rng) if rng.random() < 0.4 else Scalar.zero()
                              for _ in range(n)] for _ in range(n)]) for _ in range(3)]
-            groups.append(GeneratorSet("complex", n, gens))
-        nonzero = 0
-        for G in groups:
-            for precision in (64, 128, 256):
-                ctx = NumericContext(precision=precision)
-                mats = [np.array([[e.evaluate(precision) for e in row] for row in g.entries()],
-                                 dtype=object) for g in G.generators]
-                want = max(abs(as_complex(x)) for i, a in enumerate(mats) for b in mats[i + 1:]
-                           for x in (a @ b - b @ a).ravel())
-                assert float(G.commutator_residual(ctx)).hex() == float(want).hex()
-                nonzero += want != 0
-        assert nonzero >= 12
+            residuals = []
+            for a, b in itertools.combinations(gens, 2):
+                comm = a * b - b * a
+                residuals.append(comm.max_abs())
+                if not comm.is_zero():
+                    with pytest.raises(NotAbelian) as raised:
+                        GeneratorSet("complex", n, [a, b]).check_abelian(CTX)
+                    assert raised.value.residual == residuals[-1]
+                else:
+                    GeneratorSet("complex", n, [a, b]).check_abelian(CTX)
+            G = GeneratorSet("complex", n, gens)
+            for precision in (53, 64, 128, 256):
+                assert G.commutator_residual(NumericContext(precision=precision)) == max(residuals)
+            nonzero += max(residuals) != 0
+        assert nonzero >= 6

@@ -273,3 +273,51 @@ def test_same_bytes_compares_dumped_points(tmp_path):
     other = [dict(here[0], dump=here[0]["dump"] + "0,0,0\n")]
     assert same_bytes.differences(orbit[:1], here, other) == [
         f"DIFFERS {same_bytes.case_id(orbit[0])}: dump"]
+
+
+def test_same_bytes_shows_the_first_differing_line(monkeypatch, capsys):
+    # canned results of two checkouts: a report whose residual line changed,
+    # an error line and a dump that only one side writes, a changed line
+    # longer than the printed width, and a case whose exit code alone differs
+    report = '{\n  "commutativity": {\n    "max_residual": "%s"\n  },\n  "x": 1\n}\n'
+    width = same_bytes.WIDTH
+    same = {"exit": 0, "stdout": "ok\n", "stderr": "", "dump": None}
+    pairs = [
+        (dict(same, stdout=report % "1.13686837722e-13"), dict(same, stdout=report % "0")),
+        (same, dict(same, exit=1, stderr="error: no\n", dump="x0,x1\n1,0\n")),
+        (dict(same, stdout="head\n" + "a" * 200 + "\n"),
+         dict(same, stdout="head\n" + "b" + "a" * 199 + "\n")),
+        (same, dict(same, exit=1)),
+    ]
+    want = [
+        ["""    stdout line 3: parent '    "max_residual": "1.13686837722e-13"\\n'""",
+         """    stdout line 3: change '    "max_residual": "0"\\n'"""],
+        ["    stderr line 1: parent <none>",
+         "    stderr line 1: change 'error: no\\n'",
+         "    dump line 1: parent <none>",
+         "    dump line 1: change 'x0,x1\\n'"],
+        [f"    stdout line 2: parent {'a' * width!r}...",
+         f"    stdout line 2: change {'b' + 'a' * (width - 1)!r}..."],
+        [],
+    ]
+    assert [same_bytes.first_differences(a, b) for a, b in pairs] == want
+
+    # main prints each DIFFERS line followed by its first differing lines;
+    # the canned results take the place of cases 0, 5, 6 and the last one
+    def run_checkout(checkout, cases_path):
+        with open(cases_path) as fh:
+            results = [same] * len(json.load(fh))
+        for index, pair in zip((0, 5, 6, -1), pairs):
+            results[index] = pair[checkout != "parent"]
+        return results
+
+    monkeypatch.setattr(same_bytes, "run_checkout", run_checkout)
+    assert same_bytes.main(["--parent", "parent", "--change", str(ROOT)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    differs = [line for line in out if line.startswith("DIFFERS")]
+    assert differs[-1] == "DIFFERS verify-examples: exit"
+    assert differs[0].endswith("--precision 53: stdout")
+    detail = [line for line in out if not line.startswith("DIFFERS")][:-1]
+    assert detail == [line for lines in want for line in lines]
+    assert [out.index(line) for line in differs] == [0, 3, 8, 11]
+    assert out[-1].endswith(", 4 differ")
