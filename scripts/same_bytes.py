@@ -17,8 +17,9 @@ exit code, stdout, stderr and the dumped CSV, which it then deletes; an
 exception that escapes ``main`` is recorded as exit ``"raised"`` with its
 traceback as stderr.  The script prints one line per case that differs, each
 followed by the first differing line of each differing stream (stdout,
-stderr or dump) on both sides, and exits 1 when any case differs, 0 when none
-does.
+stderr or dump) on both sides and, when the two stdouts are JSON objects,
+the top-level keys whose values differ; it exits 1 when any case differs, 0
+when none does.
 """
 
 from __future__ import annotations
@@ -168,6 +169,24 @@ def first_differences(a: dict, b: dict) -> list[str]:
     return lines
 
 
+def differing_keys(a: dict, b: dict) -> list[str]:
+    """When the two stdouts differ and each parses as a JSON object, one
+    indented line naming the top-level keys whose values differ (a key on
+    one side only among them), in the parent's order and then the change's."""
+    if a["stdout"] == b["stdout"]:
+        return []
+    try:
+        docs = json.loads(a["stdout"]), json.loads(b["stdout"])
+    except ValueError:
+        return []
+    if not all(isinstance(doc, dict) for doc in docs):
+        return []
+    keys = list(docs[0]) + [k for k in docs[1] if k not in docs[0]]
+    missing = object()
+    differ = [k for k in keys if docs[0].get(k, missing) != docs[1].get(k, missing)]
+    return [f"    stdout keys: {', '.join(differ) or '<none>'}"]
+
+
 def worker(cases_path: str) -> int:
     import lindyn
 
@@ -205,7 +224,7 @@ def main(argv=None) -> int:
     differing = [(a, b) for a, b in zip(parent, change) if a != b]
     for line, (a, b) in zip(diff, differing):
         print(line)
-        for detail in first_differences(a, b):
+        for detail in first_differences(a, b) + differing_keys(a, b):
             print(detail)
     nonzero = sum(a["exit"] != 0 and b["exit"] != 0 for a, b in zip(parent, change))
     print(f"{len(cases)} cases, {nonzero} exit nonzero on both sides, {len(diff)} differ")

@@ -25,6 +25,7 @@ from .numeric import NumericContext
 from .report import (
     analysis_report,
     dumps_report,
+    json_key,
     membership_dict,
     verdict_dict,
 )
@@ -64,6 +65,16 @@ def load_input(path: str) -> tuple[GeneratorSet, dict]:
         for row in rows:
             _check_scalars(f"a row of generator {names[-1]}", row, "entries")
         gens.append(Matrix.from_rows(rows))
+    keys: dict[str, object] = {}  # each name is written as a report key
+    for name in names:
+        try:
+            first = keys.setdefault(json_key(name), name)
+        except TypeError:
+            raise LindynError(f"generator name {json.dumps(name)} is not a string, "
+                              "a number, a boolean or null") from None
+        if first is not name and first != name:  # equal names are GeneratorSet's duplicate
+            raise LindynError(f"generator names {json.dumps(first)} and {json.dumps(name)} "
+                              f"are both written as the key {json.dumps(json_key(name))}")
     G = GeneratorSet(fieldname, n, gens, names)
     points = doc.get("points", {})
     if isinstance(points, list):
@@ -111,8 +122,9 @@ def _contexts(args) -> tuple[NumericContext, ClosureConfig]:
     if max_exponent < FIRST_BOX:
         raise LindynError(f"max exponent {max_exponent} is below the first box {FIRST_BOX}")
     for flag, value in (("--tol", args.tol), ("--gap-threshold", args.gap_threshold)):
-        if not value > 0:
-            raise LindynError(f"{flag} must be positive, got {value:g}")
+        if not 0 < value < math.inf:
+            problem = "finite" if value > 0 else "positive"
+            raise LindynError(f"{flag} must be {problem}, got {value:g}")
     ctx = NumericContext(precision=args.precision, eps=args.tol)
     cfg = ClosureConfig(
         gap_threshold=args.gap_threshold,
@@ -127,9 +139,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    "proposed as exact eigenvalues, at least 53 (default 128); "
                    "numeric splitting runs only at 53")
     p.add_argument("--tol", type=float, default=1e-9,
-                   help="relative tolerance for tolerant comparisons (default 1e-9)")
+                   help="relative tolerance, positive and finite (default 1e-9)")
     p.add_argument("--gap-threshold", type=float, default=0.01,
-                   help="max window gap for a dense verdict (default 0.01)")
+                   help="max window gap for a dense verdict, positive and finite (default 0.01)")
 
 
 def cmd_analyze(args) -> int:

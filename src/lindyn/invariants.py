@@ -6,13 +6,15 @@ invariant hull that drive the bounded-restriction recursion, and the
 invariant tree certifying that chains of invariant subspaces have length at
 most n.  The tree is read off the family's triangular basis P: every
 generator is lower triangular on each unit of P's columns, so a node is the
-tuple of its units' remaining widths and no family below the root is
-computed.
+tuple of its units' remaining widths, made only when read, and no family
+below the root is computed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -198,8 +200,8 @@ def invariant_family(G: GeneratorSet, ctx: NumericContext | None = None) -> Inva
 
     exact_all = all(isinstance(tb, Matrix) for _, _, tb in units)
     if exact_all:
-        Q = _hstack_exact([pb for _, pb, _ in units])
-        P = _hstack_exact([tb for _, _, tb in units])
+        Q = reduce(Matrix.hstack, [pb for _, pb, _ in units])
+        P = reduce(Matrix.hstack, [tb for _, _, tb in units])
         P_inv = BasisChange.of(P).inverse
     else:
         Q = np.hstack([to_numeric(pb) for _, pb, _ in units])
@@ -235,13 +237,6 @@ def invariant_family(G: GeneratorSet, ctx: NumericContext | None = None) -> Inva
                 f"invariant subspace has dimension {s.dim}, expected {n-1} or {n-2}"
             )
     return InvariantFamily(G.field, n, subspaces, Q, P, blocks, forms)
-
-
-def _hstack_exact(mats: list[Matrix]) -> Matrix:
-    out = mats[0]
-    for m in mats[1:]:
-        out = out.hstack(m)
-    return out
 
 
 def _check_conditioning(P: np.ndarray, P_inv: np.ndarray, ctx: NumericContext) -> None:
@@ -325,18 +320,33 @@ def membership(family: InvariantFamily, x: Vector, ctx: NumericContext | None = 
 # the invariant tree
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True)
 class InvariantTreeNode:
-    """One invariant subspace of K^n; nodes are compared by identity.
+    """One invariant subspace of K^n, as a value: the remaining width of each
+    unit of the root's basis P, with each unit's (case, codim).  Each child
+    drops the leading codim columns of one unit that still has columns."""
 
-    ``children[i]`` drops a unit of case ``cases[i]``.  A subspace reached
-    along several chains is one node object with several parents.
-    """
+    widths: tuple[int, ...]
+    units: tuple[tuple[str, int], ...]
 
-    dimension: int
-    family_size: int
-    children: list["InvariantTreeNode"]
-    cases: list[str]
+    @property
+    def dimension(self) -> int:
+        return sum(self.widths)
+
+    @property
+    def family_size(self) -> int:
+        return sum(1 for w in self.widths if w)
+
+    @property
+    def children(self) -> list["InvariantTreeNode"]:
+        w = self.widths
+        return [InvariantTreeNode(w[:i] + (w[i] - codim,) + w[i + 1:], self.units)
+                for i, (_, codim) in enumerate(self.units) if w[i]]
+
+    @property
+    def node_count(self) -> int:
+        """The nodes reached from this one, itself included: prod(w_i / codim_i + 1)."""
+        return math.prod(w // codim + 1 for (_, codim), w in zip(self.units, self.widths))
 
 
 @dataclass
@@ -356,26 +366,15 @@ def invariant_tree(G: GeneratorSet, ctx: NumericContext | None = None) -> Invari
     therefore leaves an invariant subspace whose group has one family member
     per non-empty unit, with that unit's case.  A node is the tuple w of
     remaining unit widths: it has dimension sum(w), family size the number of
-    non-zero w_i, and a child w - codim_i e_i for each w_i > 0.  There is one
-    node per tuple, and depth is sum(w_i / codim_i) <= n.
+    non-zero w_i, and a child w - codim_i e_i for each w_i > 0.  So the root is
+    the tree, of prod(w_i / codim_i + 1) nodes and depth sum(w_i / codim_i) <= n.
     """
     ctx = ctx or NumericContext()
     family = invariant_family(G, ctx)
-    units = [(s.case, G.dimension - s.dim) for s in family.subspaces]
-    nodes: dict[tuple[int, ...], InvariantTreeNode] = {}
-
-    def node(widths: tuple[int, ...]) -> InvariantTreeNode:
-        if widths not in nodes:
-            edges = [(case, widths[:i] + (w - codim,) + widths[i + 1:])
-                     for i, ((case, codim), w) in enumerate(zip(units, widths)) if w]
-            nodes[widths] = InvariantTreeNode(sum(widths), sum(1 for w in widths if w),
-                                              [node(child) for _, child in edges],
-                                              [case for case, _ in edges])
-        return nodes[widths]
-
+    units = tuple((s.case, G.dimension - s.dim) for s in family.subspaces)
     widths = tuple(s.width for s in family.subspaces)
     depth = sum(w // codim for (_, codim), w in zip(units, widths))
-    return InvariantTree(node(widths), depth, family)
+    return InvariantTree(InvariantTreeNode(widths, units), depth, family)
 
 
 # ---------------------------------------------------------------------------

@@ -64,35 +64,19 @@ def render_matrix(M) -> list[list[dict[str, Any]]]:
     return [[render_value(arr[i, j]) for j in range(arr.shape[1])] for i in range(arr.shape[0])]
 
 
-def render_tree(root: InvariantTreeNode) -> list[dict[str, Any]]:
-    """The distinct nodes breadth-first from the root; a child is named by its index."""
-    order, index = [root], {root: 0}
-    for node in order:
-        for child in node.children:
-            if child not in index:
-                index[child] = len(order)
-                order.append(child)
-    return [{"dimension": node.dimension, "family_size": node.family_size,
-             "children": [{"node": index[c], "case": case}
-                          for c, case in zip(node.children, node.cases)]}
-            for node in order]
-
-
 def membership_dict(m: Membership) -> dict[str, Any]:
     return {"in_U": m.in_U, "containing": m.containing}
 
 
-def verdict_dict(v: ClosureVerdict, K: int | None = None) -> dict[str, Any]:
-    out = {
+def verdict_dict(v: ClosureVerdict, K: int) -> dict[str, Any]:
+    return {
         "kind": v.kind,
         "hull_dim": v.hull_dim,
         "gap": None if v.gap is None else f"{v.gap:.12g}",
         "min_distance": None if v.min_distance is None else f"{v.min_distance:.12g}",
         "notes": list(v.notes),
+        "exponent_bound": K,
     }
-    if K is not None:
-        out["exponent_bound"] = K
-    return out
 
 
 def analysis_report(
@@ -107,6 +91,9 @@ def analysis_report(
     point_sections: list[dict[str, Any]],
     commutator_residual: float,
 ) -> dict[str, Any]:
+    """The report as nested dicts for ``dumps_report``; the invariant tree is
+    rendered from its root's units, one per family subspace, and node_count,
+    prod(width / codim + 1), counts its nodes without listing them."""
     blocks = [
         {
             "dimension": b.dim,
@@ -169,7 +156,10 @@ def analysis_report(
             "Q": render_matrix(family.block_change),
             "P": render_matrix(family.triangular_change),
         },
-        "invariant_tree": {"depth": tree_depth, "nodes": render_tree(tree_root)},
+        "invariant_tree": {"depth": tree_depth, "units": [
+            {"subspace": k, "case": case, "width": w, "codim": codim}
+            for k, ((case, codim), w) in enumerate(zip(tree_root.units, tree_root.widths))
+        ], "node_count": tree_root.node_count},
         "points": point_sections,
     }
 
@@ -215,7 +205,7 @@ def _write_json(o, newline: str, out: list[str]) -> None:
         sep = "{" + inner
         for key, value in o.items():
             out.append(sep)
-            out.append(_encode_str(key) if isinstance(key, str) else _encode_key(key))
+            out.append(_encode_str(json_key(key)))
             out.append(": ")
             _write_json(value, inner, out)
             sep = "," + inner
@@ -224,13 +214,12 @@ def _write_json(o, newline: str, out: list[str]) -> None:
         out.append(json.dumps(o))
 
 
-def _encode_key(key) -> str:
-    """A dict key that is not a str, converted as json converts it.
-
-    Generator names come from the input unchecked, so a name may be a
-    number, a bool or null; json writes such a key as the string of its
-    JSON text and refuses any other type.
-    """
+def json_key(key) -> str:
+    """The string json writes for a dict key: a str itself, and the JSON text
+    of a number, a bool or null, which generator names from the input may
+    be.  ``cli.load_input`` rejects names that this maps to one key."""
+    if isinstance(key, str):
+        return key
     if key is None or isinstance(key, (int, float)):
-        return _encode_str(json.dumps(key))
+        return json.dumps(key)
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")

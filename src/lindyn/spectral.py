@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 import mpmath
 import numpy as np
@@ -420,9 +421,7 @@ def simultaneous_refinement(G: GeneratorSet, ctx: NumericContext | None = None) 
 
 def _validate_direct_sum(bases: list[Matrix | np.ndarray], ctx: NumericContext) -> None:
     if all(isinstance(b, Matrix) for b in bases):
-        stacked = bases[0]
-        for b in bases[1:]:
-            stacked = stacked.hstack(b)
+        stacked = reduce(Matrix.hstack, bases)
         if stacked.rows == stacked.cols and stacked.det().is_zero():
             raise ClusterAmbiguity("exact block bases do not form a direct sum")
         return

@@ -32,26 +32,29 @@ def fixture_files():
 # sform8 and sform8-p53 were re-recorded when the commutator residual became
 # exact, after checking that each changed only in its max_residual line, which
 # had been rounding noise (1.13686837722e-13 and 1.7763568394e-15) and is now 0.
+# All were re-recorded when the invariant tree became its root's units, after
+# checking that every byte outside the invariant_tree section was unchanged,
+# that depth was equal and that node_count equalled the old list's length.
 GOLDEN_REPORT_SHA256 = {
-    "shear3": "2b8165dc468512fe0b7f2a60beb6a402e0b61ffaf8ec5e419a169d68eb31cdb3",
-    "shear4": "d84ba3e3639b1686a3e6fdcbd2fb414949b67f09b1db97f387739f1453a4f43f",
-    "cshear5": "f0f0effb7bf6bfdf88b5db22daec2100bd6f31ec075c0897b40ea900c996056e",
-    "radical4": "242243aa07b47e788c741f14d86c81d670e84e82bea5ab30addf272c7845034d",
-    "diag3": "123b85793fad34650b10c593a32faf2f99ab81593ad94b85e46c76393fd3e18f",
-    "rotation3": "1cd1bcf447c90ba396b1a7cc26072fc8df068b694b0357b6cdf6953f209471a5",
-    "numpair3": "9ba3789873e339f689f804b9a5aceb9c9ea9112736754efdf652d5568437e3e7",
-    "sqrt2sqrt3": "14a60f38ee282dcc1ce01e91b6e1f520c845537ac35e1009d14adc0aa79ad1e9",
-    "pairsqrt2": "2e9c2b13a7d495b88f54699a4442372019ce7430f021a5848f1f47cc83053f40",
-    "sform8": "67331941751f562e6e9237b7e581a3fb77bccd16a9e1e103313280b1f1fad49d",
-    "sform8-p53": "38b55fb79937d9265aa0c97b1ad2f507e93e04438efa3dc7ffedbd793794763b",
-    "diag6": "85a93bb4d74916f666803a5c53d5a1392fc6ee5ce2974031fb8c0fe24ff7362e",
-    "diag6-p53": "f361899897b76cfb02454abfd996898ca576ec4c6d5d69cec323520c59f0488b",
-    "jordan-real4-0": "257b96d5de589c4e215eee1f4e6d11d6997ee7147714bbd927ea17ca61ad61ec",
-    "jordan-real4-1": "f80dd26cdc48588a03e9fbea0b0d5fe969068d9b0bcf9de6a10896724ba8657d",
-    "bench1-sform8": "90b6b4445564f1a39392f441359aeb0d07f863585f5ac96a4bfe1568119f200d",
-    "bench1-sform8-p53": "dd0a90e58865e351d01345ead6490fba69e09f8266370f5d4b53894bc97c0ba0",
-    "bench1-diag5": "9168978abbf346a596d8be0122dd5bc9804d548084478e302b7c782d6596ba42",
-    "bench1-diag5-p53": "b61dcea4ed347dc82f471c7106f1ba1f7dcbe615f7f16e6bb9af29d13b70cfd5",
+    "shear3": "d021704917e1c59782d0c036d04e2e396e0e2a651b7d6f1cbfe4cc01ab178cf0",
+    "shear4": "f9ee016200413b1043d926e4e36cc9d5e4f7f9f34dd1aeb1a16be98863daace3",
+    "cshear5": "13784eba2847aac86a59058e2df4fd0a56e08810f06afec1bf55c0131673d436",
+    "radical4": "00cd67b7cf8bf65c1a2221f7a25440bd46701b88898a245c35fedcb2247c042c",
+    "diag3": "dceaa8347faa398535c9d84127d4b657e5472feb917a3f816bf6fc2787e831f8",
+    "rotation3": "786051996279f73494f50ce496aef44282412d72c34bb6c3fb507f7a36880c7c",
+    "numpair3": "0a25ea8202ec2869cbf428feaa2772cfd6310894f45bebcc96518c395019a55e",
+    "sqrt2sqrt3": "dd06ea1765b125ae01e19f12195d6ee81e43f753fedbffd8d207a8d8573c8b52",
+    "pairsqrt2": "0f069c08a06ad141b93657d9a7c1dc2aa72f0393343fe6e660357560e4c8b4df",
+    "sform8": "e63689a605b567326bd07e93a2280d5c7cd3c27498039fee2c037f46087cab05",
+    "sform8-p53": "092a82e3f71985bca050620d3a809963c37be322668f7254dc3cc7c5411c45d0",
+    "diag6": "6ad2a51a4ce89f0856941a9f7746d1f9832037c8113cea47167390b10fe58b32",
+    "diag6-p53": "7e9d98b2a929a5b8ec0c383b3a6028604990b832634f1bccd5dfb90515941307",
+    "jordan-real4-0": "b3c7ba995ce0b33ddb5257d116d400553eef2e9c9af9458c464e9b38a2ddedf7",
+    "jordan-real4-1": "7219e79ad01a71e1d8a3eac7b4593bac1cad44926db9a9f78cdcb830f4109054",
+    "bench1-sform8": "04e6c73ebfdb0c96c43eeed8e5a15cc862a11ddadc57f0c5600b417faea9d648",
+    "bench1-sform8-p53": "ef4ea56d4f048014c5630ce37738e07c9e9d5956b189d168ae0f48afe8a010f1",
+    "bench1-diag5": "079cb78ecf140246b60f1e8f8783b2314152c5f33bd13c71e04a852ae536aeba",
+    "bench1-diag5-p53": "68bac5704713e6297f3d4ed673925645c83bfd8aec35916eb74d5c957e9e0750",
 }
 
 # Inline real documents (a list of generators) and their extra CLI arguments;
@@ -270,7 +273,8 @@ class TestAnalyze:
     def test_non_string_generator_names(self, tmp_path):
         # names are taken from the input unchecked and key the eigenvalue and
         # diagonal sections; json writes such keys as "1", "null", "1.5",
-        # "false".  Digest recorded with json.dumps(report, indent=2).
+        # "false".  Digest recorded with json.dumps(report, indent=2), and
+        # re-recorded, with the golden digests, when the tree became units.
         names = [1, None, 1.5, False]
         rows = [[["1", "1"], ["0", "1"]], [["2", "0"], ["0", "2"]]]
         doc = {"field": "real", "dimension": 2,
@@ -280,7 +284,7 @@ class TestAnalyze:
         code, out, _ = run_cli(["analyze", str(path)])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "5488906d1313754e2741f70664c3b78983826718bbdf629afa54c201e463c2e5"
+            "8d931f2971e6dac315726c50dc6a480396d4cdfe65165204fd65771eaf577f93"
         )
 
     def test_all_fixture_reports_fast(self, fixture_files, tmp_path):
@@ -386,6 +390,44 @@ class TestAnalyze:
             out, got = capsys.readouterr()
             assert out == "" and got.startswith(err)
 
+    def test_non_finite_tolerances(self, fixture_files, capsys):
+        # an infinite tolerance or gap threshold is an error line: --tol inf
+        # used to be written into the report's config as "inf", and
+        # --gap-threshold inf called the closed orbit of (1, 1, 0)
+        # DENSE_IN_AFFINE; NaN was already refused as not positive
+        commands = [["analyze", fixture_files["shear3"]],
+                    ["orbit", fixture_files["shear3"], "--point", "1,1,0"],
+                    ["verify-examples"]]
+        for command in commands:
+            for flag in ("--tol", "--gap-threshold"):
+                for value, err in [("inf", f"error: {flag} must be finite, got inf\n"),
+                                   ("nan", f"error: {flag} must be positive, got nan\n")]:
+                    assert main([*command, flag, value]) == 1
+                    assert capsys.readouterr() == ("", err)
+
+    def test_unusable_generator_names(self, tmp_path, capsys):
+        # a name must key the report's eigenvalue and diagonal sections: an
+        # array ended analyze in a TypeError traceback, and two names that
+        # json writes as one key wrote that key twice, so a JSON reader kept
+        # only one of the two generators' values
+        rows = [["1", "1"], ["0", "1"]], [["2", "0"], ["0", "2"]]
+        for names, err in [
+            ([[1], "B"], "generator name [1] is not a string, a number, a boolean or null"),
+            (["A", {"a": 1}],
+             'generator name {"a": 1} is not a string, a number, a boolean or null'),
+            ([1, "1"], 'generator names 1 and "1" are both written as the key "1"'),
+            (["null", None], 'generator names "null" and null are both written as the key "null"'),
+            ([1.5, "1.5"], 'generator names 1.5 and "1.5" are both written as the key "1.5"'),
+            ([False, "false"],
+             'generator names false and "false" are both written as the key "false"'),
+        ]:
+            doc = {"field": "real", "dimension": 2,
+                   "generators": [{"name": nm, "rows": r} for nm, r in zip(names, rows)]}
+            p = tmp_path / "names.json"
+            p.write_text(json.dumps(doc))
+            assert main(["analyze", str(p)]) == 1
+            assert capsys.readouterr() == ("", f"error: {err}\n")
+
     def test_malformed_document_rejected(self, tmp_path, capsys):
         # each used to end in a traceback or a wrong message: dimension 0 in an
         # AttributeError from the report, a top-level array in a TypeError,
@@ -462,7 +504,7 @@ class TestAnalyze:
         assert outputs[0] == outputs[1] and outputs[0].out
 
     def test_diagonal_ten_lattice(self, tmp_path):
-        # one node per invariant subspace, 2^10 of them; rendered chain by
+        # 2^10 invariant subspaces, counted from the units; rendered chain by
         # chain the tree had 109,601 nodes in 33 MB at n=8
         n = 10
         gens = [[[str(i + 2) if i == j else "0" for j in range(n)] for i in range(n)],
@@ -472,7 +514,23 @@ class TestAnalyze:
         assert main(["analyze", str(p), "--output", str(out)]) == 0
         assert out.stat().st_size < 2**20
         tree = json.loads(out.read_text())["invariant_tree"]
-        assert tree["depth"] == n and len(tree["nodes"]) == 2**n
+        assert tree["depth"] == n and tree["node_count"] == 2**n
+
+    @pytest.mark.parametrize("n, bound", [(14, 2**20), (24, 2**21)])
+    def test_diagonal_lattice_scales(self, tmp_path, n, bound):
+        # the tree is written as its n units, not its 2^n nodes: listed node
+        # by node, it made the n=14 report 12.2 MB, and the n=24 command was
+        # killed for its memory
+        gens = [[[str(i + 2) if i == j else "0" for j in range(n)] for i in range(n)],
+                [[str(i % 2 + 1) if i == j else "0" for j in range(n)] for i in range(n)]]
+        p, out = tmp_path / "diag.json", tmp_path / "report.json"
+        p.write_text(json.dumps({"field": "real", "dimension": n, "generators": gens}))
+        assert main(["analyze", str(p), "--output", str(out)]) == 0
+        assert out.stat().st_size < bound
+        tree = json.loads(out.read_text())["invariant_tree"]
+        assert tree["depth"] == n and tree["node_count"] == 2**n
+        assert tree["units"] == [{"subspace": k, "case": "real-hyperplane", "width": 1,
+                                  "codim": 1} for k in range(n)]
 
     def test_n1_report(self, tmp_path):
         doc = {"field": "real", "dimension": 1, "generators": [{"name": "A", "rows": [["2"]]}]}

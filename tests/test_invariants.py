@@ -20,6 +20,7 @@ from lindyn.errors import (
     NotAbelian,
     NotConvergent,
     NotInvariant,
+    SpectrumNotCertified,
 )
 from lindyn.groups import GeneratorSet
 from lindyn.invariants import (
@@ -33,7 +34,6 @@ from lindyn.invariants import (
 )
 from lindyn.linalg import Matrix, Subspace, as_vector, restrict, solve
 from lindyn.numeric import NumericContext, NumSubspace, max_abs, nsolve_cols, to_numeric
-from lindyn.report import render_tree
 from lindyn.scalars import Scalar
 
 CTX = NumericContext()
@@ -68,11 +68,16 @@ def chain_node(dimension, case, family_size, children):
             "children": children}
 
 
-def expand_chains(nodes, index=0, case=None):
-    """Every chain of a rendered lattice, from node ``index`` down."""
-    node = nodes[index]
-    children = [expand_chains(nodes, c["node"], c["case"]) for c in node["children"]]
-    return chain_node(node["dimension"], case, node["family_size"], children)
+def dropped_case(node, child):
+    """The case of the one unit that is narrower in child than in node."""
+    [case] = [case for (case, _), w, v in zip(node.units, node.widths, child.widths) if v != w]
+    return case
+
+
+def expand_chains(node, case=None):
+    """Every chain of the tree from ``node`` down, read off its children."""
+    children = [expand_chains(child, dropped_case(node, child)) for child in node.children]
+    return chain_node(node.dimension, case, node.family_size, children)
 
 
 def chain_height(node):
@@ -82,7 +87,7 @@ def chain_height(node):
 def assert_tree_matches_naive(G, ctx=CTX):
     tree = invariant_tree(G, ctx)
     expected = naive_tree(G, ctx, G.dimension)
-    assert expand_chains(render_tree(tree.root)) == expected
+    assert expand_chains(tree.root) == expected
     assert tree.depth == chain_height(expected)
     return tree
 
@@ -375,22 +380,22 @@ class TestInvariantTree:
         assert all(s.exact != numeric for s in tree.family.subspaces)
 
     def test_diagonal_ten(self):
-        # one node object per subset of the ten eigenlines, C(10, k) of
+        # one node value per subset of the ten eigenlines, C(10, k) of
         # dimension k, and one edge per eigenline in each nonzero subset
         tree = invariant_tree(diagonal_group(10), CTX)
         assert tree.depth == 10
-        reached, edges, stack = {id(tree.root): tree.root}, 0, [tree.root]
+        reached, edges, stack = {tree.root}, 0, [tree.root]
         while stack:
             node = stack.pop()
-            assert len(node.cases) == len(node.children)
+            assert len(node.children) == node.family_size
             edges += len(node.children)
             for child in node.children:
-                if id(child) not in reached:
-                    reached[id(child)] = child
+                if child not in reached:
+                    reached.add(child)
                     stack.append(child)
-        assert len(reached) == 2**10
+        assert len(reached) == tree.root.node_count == 2**10
         assert edges == 10 * 2**9
-        dims = [node.dimension for node in reached.values()]
+        dims = [node.dimension for node in reached]
         assert [dims.count(k) for k in range(11)] == [math.comb(10, k) for k in range(11)]
 
     def test_restrictions_computed_once(self, monkeypatch):
@@ -420,6 +425,54 @@ class TestInvariantTree:
             assert block_calls and len(block_calls) == len(set(block_calls))
             assert all(a in roots and basis.rows == G.dimension for a, basis in block_calls)
             assert not family_calls
+
+    def test_theorem_at_128_bits(self):
+        # the structure theorem on seeded random groups at the CLI's default
+        # precision: at most n exact invariant subspaces of codim 1 or 2, the
+        # tree's node count and depth read off its units, and membership
+        # decided by the functionals, of a random integer point and of a
+        # point of H_0.  A refusal is an uncertified spectrum.
+        ctx = NumericContext(precision=128)
+        rng = random.Random(5)
+        groups = [(kind, draw(rng, rng.randint(2, 6)))
+                  for kind, draw in (("commuting", random_commuting_family),
+                                     ("sform", random_sform_family))
+                  for _ in range(40)]
+        passed, pairs = {"commuting": 0, "sform": 0}, 0
+        for kind, G in groups:
+            n = G.dimension
+            try:
+                tree = invariant_tree(G, ctx)
+            except SpectrumNotCertified:
+                continue
+            passed[kind] += 1
+            family = tree.family
+            assert family.count <= n
+            assert all(s.dim in (n - 1, n - 2) for s in family.subspaces)
+            assert all(s.exact and s.invariance_residual == 0.0 for s in family.subspaces)
+            pairs += any(s.case == invariants.CASE_CONJUGATE_PAIR for s in family.subspaces)
+
+            height = {}
+
+            def longest(node):
+                # the longest chain below node, checking each child's dimension
+                if node not in height:
+                    codims = [codim for (_, codim), w in zip(node.units, node.widths) if w]
+                    for child, codim in zip(node.children, codims, strict=True):
+                        assert child.dimension == node.dimension - codim
+                    height[node] = max((1 + longest(c) for c in node.children), default=0)
+                return height[node]
+
+            assert tree.root.dimension == n
+            assert longest(tree.root) == tree.depth <= n
+            assert tree.root.node_count == len(height)
+            H0 = family.subspaces[0].subspace.basis
+            for x in (as_vector([rng.randint(-3, 3) for _ in range(n)]),
+                      H0.matvec(as_vector([rng.randint(-3, 3) for _ in range(H0.cols)]))):
+                zeros = [k for k, s in enumerate(family.subspaces)
+                         if all(v.is_zero() for v in s.functionals.matvec(x))]
+                assert membership(family, x, ctx).containing == zeros
+        assert passed["commuting"] >= 10 and pairs >= 1, (passed, pairs)
 
     def test_tree_carries_root_family(self):
         tree = invariant_tree(radical4(), CTX)

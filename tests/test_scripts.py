@@ -317,7 +317,52 @@ def test_same_bytes_shows_the_first_differing_line(monkeypatch, capsys):
     differs = [line for line in out if line.startswith("DIFFERS")]
     assert differs[-1] == "DIFFERS verify-examples: exit"
     assert differs[0].endswith("--precision 53: stdout")
+    # the residual pair's stdouts are JSON objects, so their differing
+    # top-level key follows its first differing line
+    want[0].append("    stdout keys: commutativity")
     detail = [line for line in out if not line.startswith("DIFFERS")][:-1]
     assert detail == [line for lines in want for line in lines]
-    assert [out.index(line) for line in differs] == [0, 3, 8, 11]
+    assert [out.index(line) for line in differs] == [0, 4, 9, 12]
     assert out[-1].endswith(", 4 differ")
+
+
+def test_same_bytes_names_the_differing_report_keys(monkeypatch, capsys):
+    # canned reports of two checkouts: one whose tree section changed, one
+    # with a key on each side only, a reordered object that differs in bytes
+    # alone, and stdouts that are not both JSON objects
+    parent = {"config": {"eps": "1e-09"}, "invariant_tree": {"depth": 2, "nodes": []},
+              "points": []}
+    change = dict(parent, invariant_tree={"depth": 2, "units": [], "node_count": 4})
+    result = {"exit": 0, "stderr": "", "dump": None}
+
+    def dumped(doc):
+        return dict(result, stdout=json.dumps(doc, indent=2) + "\n")
+
+    pairs = [
+        (dumped(parent), dumped(change)),
+        (dumped({"a": 1, "b": 2}), dumped({"a": 1, "c": 2})),
+        (dumped({"a": 1, "b": 2}), dumped({"b": 2, "a": 1})),
+        (dumped([1]), dumped([2])),
+        (dumped(parent), dict(result, stdout="error\n")),
+        (dumped(parent), dumped(parent)),
+    ]
+    assert [same_bytes.differing_keys(a, b) for a, b in pairs] == [
+        ["    stdout keys: invariant_tree"],
+        ["    stdout keys: b, c"],
+        ["    stdout keys: <none>"],
+        [], [], [],
+    ]
+
+    def run_checkout(checkout, cases_path):
+        with open(cases_path) as fh:
+            results = [pairs[-1][0]] * len(json.load(fh))
+        results[0] = pairs[0][checkout != "parent"]
+        return results
+
+    monkeypatch.setattr(same_bytes, "run_checkout", run_checkout)
+    assert same_bytes.main(["--parent", "parent", "--change", str(ROOT)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("DIFFERS ") and out[0].endswith(": stdout")
+    assert out[1:] == same_bytes.first_differences(*pairs[0]) + [
+        "    stdout keys: invariant_tree", out[-1]]
+    assert out[-1].endswith(", 1 differ")
