@@ -22,14 +22,16 @@ float64 QR of B) and c_u the hull coordinates of u.  A box is deduplicated
 through the transposed view of its staged product, so it is not copied into
 rows first, and the deduplication consumes it: when at least half of its
 rows survive, they are written into the box's own buffer.  A cloud on a
-line is deduplicated by sorting its values, and its minimum separation is
-the least gap between them; any other cloud's is the exact nearest pair on a
-grid of cells, which a k-d tree's nearest-neighbour query returns too, bit
-for bit.  Boxes too large to materialize are streamed in chunks: a tuple's
-frame coordinates are those of one outer power applied to one inner column,
-and they are formed only for the tuples that can be window hits, found by
-one search per outer power in the inner columns sorted by their first hull
-coordinate.  A streamed cloud is its window: it stores only the
+line is deduplicated by sorting its values, so its rows ascend, and its
+frame coordinate is monotone along them: its minimum separation is the least
+gap between consecutive rows, and its window is one run of rows, found by
+binary search.  Any other cloud's minimum separation is the exact nearest
+pair on a grid of cells, which a k-d tree's nearest-neighbour query returns
+too, bit for bit.  Boxes too large to materialize are streamed in chunks: a
+tuple's frame coordinates are those of one outer power applied to one inner
+column, and they are formed only for the tuples that can be window hits,
+found by one search per outer power in the inner columns sorted by their
+first hull coordinate.  A streamed cloud is its window: it stores only the
 deduplicated window hits.  Its points equal the materialized box's window
 points up to rounding, and its verdicts and gaps are the same.  Closure
 verdicts are explicitly heuristic:
@@ -40,6 +42,7 @@ everything else is INCONCLUSIVE.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -106,6 +109,11 @@ class OrbitCloud:
     Hull), deduplicated at dedup_eps, and `points` forms the (m, n) points
     when it is read.  At a coordinate where every column of B is 0, as at
     one that G does not move, every point holds u's value.
+
+    When d = 1 the rows ascend, and classify_closure relies on it.  Every
+    one-column output of _dedup ascends, strictly: the one-column path sorts
+    the values, and the lexsort path returns the rows in ascending key order,
+    in which the values ascend too, since rounding x / eps is monotone.
     """
 
     coords: np.ndarray                # deduped hull coordinates (m, d), maybe column-major
@@ -216,10 +224,14 @@ def _dedup(points: np.ndarray, eps: float) -> np.ndarray:
     first, is row 0 with the moving column set to that value, since every
     other column has row 0's bits.  A key whose values differ in their bits
     (0.0 and -0.0, or two values in one eps cell) sends the rows to the
-    lexsort.
+    lexsort.  Beside the box, that path keeps one array of the box's size,
+    the sorted copy of the values: it is compacted only when two values
+    share their bits, and the keys are checked in slices.  The copy stays,
+    since the lexsort reads the unsorted column.
 
     `points` is consumed: both paths write their (d, m') result into
     _result_rows and return it transposed, an F-contiguous (m', d) array.
+    Either way a one-column result ascends strictly in value.
     """
     if points.shape[0] == 0:
         return points
@@ -240,15 +252,18 @@ def _dedup(points: np.ndarray, eps: float) -> np.ndarray:
         np.not_equal(vals[1:].view(np.int64), vals[:-1].view(np.int64), out=new[1:])
         # one value per bit pattern.  No other array is kept by name, so the
         # output below is formed in the points' buffer or next to it.
-        vals = vals[new]
-        keys = vals / eps
-        np.round(keys, out=keys)
-        # the keys of distinct values rise strictly unless two share a key
-        if (keys[1:] > keys[:-1]).all():
-            first = points[0].reshape(-1, 1).copy()
+        if not new.all():
+            vals = vals[new]
+        del new
+        # the keys of distinct values rise strictly unless two share a key;
+        # each slice overlaps the next by one value
+        step = 2**16
+        if all((k[1:] > k[:-1]).all() for k in (
+                np.round(vals[lo : lo + step + 1] / eps) for lo in range(0, vals.size, step))):
+            first = points[0].copy()
             out = _result_rows(points, vals.size)
-            out[...] = first
-            out[j] = vals
+            for c, row in enumerate(out):
+                row[...] = vals if c == j else first[c]
             return out.T
     # rounding x / eps is monotone, so a column's keys are all equal iff the
     # keys of its extremes are
@@ -315,22 +330,27 @@ def enumerate_orbit(
     u,
     K: int,
     cfg: ClosureConfig | None = None,
+    *,
+    hull: Hull | None = None,
 ) -> OrbitCloud:
     """Orbit sample {g^k u : k in [-K, K]^g}, deduplicated at dedup_eps in hull coordinates.
 
     G must be exact and u a vector of Scalars; ValueError otherwise.  The
     cloud's hull and frame (see _frame) are computed from G and u alone, so
-    they do not depend on K or on the box.  Boxes beyond cfg.max_store are
-    streamed, and the returned cloud is then its window: every point of the
-    whole box whose frame coordinates lie within 1.5x the classification
-    window, deduplicated.  The window is exhaustive, so covering verdicts
+    they do not depend on K or on the box.  `hull`, when given, must be
+    _frame(G, u), such as an earlier cloud's hull for the same G and u: it
+    saves computing the hull again and selects no behaviour, so the cloud is
+    the same.  Boxes beyond cfg.max_store are streamed, and the returned
+    cloud is then its window: every point of the whole box whose frame
+    coordinates lie within 1.5x the classification window, deduplicated.  The window is exhaustive, so covering verdicts
     stay sound.  A point with a coordinate of o + B c above
     cfg.overflow_limit is clipped, and one that is not finite is dropped.
     """
     if not G.exact or not all(isinstance(c, Scalar) for c in u):
         raise ValueError("orbit enumeration requires exact generators and an exact point")
     cfg = cfg or ClosureConfig()
-    hull = _frame(G, tuple(u))
+    if hull is None:
+        hull = _frame(G, tuple(u))
     total = (2 * K + 1) ** len(hull.maps)
     subsampled = total > cfg.max_store
     # overflow is the clipping case handled below, not an error
@@ -638,7 +658,20 @@ def _outer_columns(outer: np.ndarray, inner: np.ndarray, flat: np.ndarray) -> np
 
 
 def classify_closure(cloud: OrbitCloud, cfg: ClosureConfig | None = None) -> ClosureVerdict:
-    """Heuristic closure verdict for a sampled orbit."""
+    """Heuristic closure verdict for a sampled orbit.
+
+    A cloud on a line (d = 1) is classified from its ascending rows (see
+    OrbitCloud), and not projected whole.  Its frame coordinate f(c) =
+    fl(a fl(c - c_u)), with a = V^T B != 0, is monotone in c: non-decreasing
+    when a > 0 and non-increasing when a < 0.  So the extremes of f are at
+    the first and last rows, the rows within the window are one run, found by
+    binary search on f at single rows, and only that run is sorted.  Likewise
+    fl(a c), on which separations are measured, is monotone, so a nearest
+    pair is a pair of consecutive rows.  f is formed by frame_coordinates on
+    the rows it needs: a 1 x 1 product is one rounded multiply whatever the
+    batch shape, and only the sign of a zero may differ, which no comparison,
+    difference or square sees.
+    """
     cfg = cfg or ClosureConfig()
     if cloud.count == 0:
         return ClosureVerdict(INCONCLUSIVE, 0, notes=["empty cloud"])
@@ -662,7 +695,11 @@ def classify_closure(cloud: OrbitCloud, cfg: ClosureConfig | None = None) -> Clo
     elif not cloud.subsampled:
         # distances in the frame are the points', and do not depend on its
         # origin: they are measured on V^T B c
-        min_dist = _nearest_pair(dict(enumerate(_mapped(hull.V.T @ hull.B, cloud.coords).T)), d)
+        frame = _mapped(hull.V.T @ hull.B, cloud.coords)
+        if d == 1:
+            min_dist = math.sqrt(np.square(np.diff(frame[:, 0])).min(initial=math.inf))
+        else:
+            min_dist = _nearest_pair(dict(enumerate(frame.T)), d)
         # a dense orbit sampled at finite K also clears the 100*eps floor, so
         # a discrete verdict additionally demands separation at the scale the
         # density test operates on (the gap threshold)
@@ -674,16 +711,24 @@ def classify_closure(cloud: OrbitCloud, cfg: ClosureConfig | None = None) -> Clo
         return ClosureVerdict(INCONCLUSIVE, 0, min_distance=min_dist,
                               notes=notes + ["no spread beyond dedup resolution"])
 
-    proj = hull.frame_coordinates(cloud.coords)
     W = cfg.window
     if d == 1:
-        c = proj[:, 0]
-        inside = np.sort(c[(c >= -W) & (c <= W)])
-        if c.min() > -W or c.max() < W or inside.size < 2:
+        # sign * f is non-decreasing along the rows, and lies in the window
+        # [-W, W] exactly when f does
+        sign = math.copysign(1.0, (hull.V.T @ hull.B)[0, 0])
+
+        def rising(i: int) -> float:
+            return sign * hull.frame_coordinates(cloud.coords[i : i + 1])[0, 0]
+
+        rows = range(cloud.count)
+        start = bisect.bisect_left(rows, -W, key=rising)
+        stop = bisect.bisect_right(rows, W, key=rising)
+        if not (rising(rows[0]) <= -W and rising(rows[-1]) >= W) or stop - start < 2:
             return ClosureVerdict(
                 INCONCLUSIVE, d, min_distance=min_dist,
                 notes=notes + ["sampled range does not cover the window"],
             )
+        inside = np.sort(hull.frame_coordinates(cloud.coords[start:stop])[:, 0])
         seq = np.concatenate([[-W], inside, [W]])
         gap = float(np.diff(seq).max())
         if gap <= cfg.gap_threshold:
@@ -693,6 +738,7 @@ def classify_closure(cloud: OrbitCloud, cfg: ClosureConfig | None = None) -> Clo
             notes=notes + [f"max window gap {gap:.4g} above threshold"],
         )
 
+    proj = hull.frame_coordinates(cloud.coords)
     res = COVER_RESOLUTION
     cells_per_axis = max(1, int(round(2 * W / res)))
     inwin = np.all(np.abs(proj) <= W, axis=1)
@@ -755,8 +801,6 @@ def _nearest_pair(moving: dict[int, np.ndarray], width: int) -> float:
 
     order = np.lexsort(cols)
     best = sq(order[:-1], order[1:]).min()
-    if len(cols) == 1:
-        return math.sqrt(best)  # on a line, a nearest row is a sorted neighbour
     lo, hi = _extremes(cols)
     h = math.sqrt(best) * (1 + 2**-20) + float((hi - lo).max()) * 2**-48 + 2**-500
     key = np.zeros(m, dtype=np.int64)
@@ -799,15 +843,22 @@ def classify_stabilized(
     cfg: ClosureConfig | None = None,
     max_exponent: int = 256,
 ) -> tuple[ClosureVerdict, int]:
-    """Grow the exponent box K = FIRST_BOX, 2 FIRST_BOX, ... until the verdict repeats twice."""
+    """Grow the exponent box K = FIRST_BOX, 2 FIRST_BOX, ... until the verdict repeats twice.
+
+    The hull depends on G and u alone: the first box computes it, and every
+    later box takes it from there.  Each box is still enumerated through the
+    module's enumerate_orbit.
+    """
     if max_exponent < FIRST_BOX:
         raise ValueError(f"max exponent {max_exponent} is below the first box {FIRST_BOX}")
     cfg = cfg or ClosureConfig()
     prev = None
+    hull = None
     streak = 0
     K = FIRST_BOX
     while K <= max_exponent:
-        cloud = enumerate_orbit(G, u, K, cfg)
+        cloud = enumerate_orbit(G, u, K, cfg, hull=hull)
+        hull = cloud.hull
         verdict = classify_closure(cloud, cfg)
         # INCONCLUSIVE never stabilizes: evidence may still accumulate
         if verdict.kind != INCONCLUSIVE and prev is not None and _same_signature(prev, verdict):

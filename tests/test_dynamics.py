@@ -974,8 +974,11 @@ class TestUnmovedCoordinates:
 def _axes_cloud(points):
     """A hand-built cloud of `points` (m, n): its hull is spanned by the axes along which
     they move, with its origin, and u, at 0 there, so its hull coordinates and frame
-    coordinates are the points' moving columns."""
+    coordinates are the points' moving columns.  A cloud on a line takes its rows in
+    ascending order, as OrbitCloud requires."""
     moving = np.flatnonzero((points != points[0]).any(axis=0))
+    if moving.size == 1:
+        points = points[np.argsort(points[:, moving[0]], kind="stable")]
     axes = np.eye(points.shape[1])[:, moving]
     origin = points[0].copy()
     origin[moving] = 0.0
@@ -1078,9 +1081,10 @@ class TestClassify:
         assert verdict.kind == DENSE_IN_AFFINE and verdict.hull_dim == 2
 
     def test_one_coordinate_min_distance_is_the_trees(self, monkeypatch):
-        # unsorted, duplicated and two-row clouds spanning 1e-8 to 1e3 that
-        # move in one realified coordinate: the sorted gaps give the k-d
-        # tree's answer bit for bit, and no tree is built for them
+        # duplicated and two-row clouds spanning 1e-8 to 1e3 that move in one
+        # realified coordinate, drawn in any order and stored ascending: the
+        # gaps between consecutive rows give the k-d tree's answer bit for
+        # bit, and no tree is built for them
         rng = np.random.default_rng(11)
         clouds = []
         for trial in range(24):
@@ -1234,6 +1238,136 @@ class TestClassify:
         v, K = classify_stabilized(G, points[point], CFG)
         hexed = [None if x is None else float(x).hex() for x in (v.min_distance, v.gap)]
         assert (v.kind, v.hull_dim, K, *hexed) == self.FIXTURE_VERDICTS[name, point]
+
+
+def _line_oracle(cloud, cfg):
+    """A line's verdict from its whole cloud: every row projected, then masked to the
+    window and sorted, and the nearest pair from a lexsort of the rows."""
+    hull = cloud.hull
+    notes = []
+    if cloud.clipped:
+        notes.append("overflow-clipped points were dropped")
+    if cloud.subsampled:
+        notes.append("large box streamed: stored points are window-complete")
+    min_dist = None
+    if not cloud.subsampled and cloud.count > cfg.discrete_count_limit:
+        notes.append("point count above discrete-check limit")
+    elif not cloud.subsampled:
+        g = ((hull.V.T @ hull.B) @ cloud.coords.T).T[:, 0]
+        order = np.lexsort([g])
+        min_dist = math.sqrt(np.square(g[order][1:] - g[order][:-1]).min()) if g.size > 1 else math.inf
+        if min_dist >= max(dynamics.MIN_DIST_FACTOR * cfg.dedup_eps, cfg.gap_threshold):
+            return ClosureVerdict(DISCRETE, 1, min_distance=min_dist, notes=notes)
+    W = cfg.window
+    c = hull.frame_coordinates(cloud.coords)[:, 0]
+    inside = np.sort(c[(c >= -W) & (c <= W)])
+    if c.min() > -W or c.max() < W or inside.size < 2:
+        return ClosureVerdict(INCONCLUSIVE, 1, min_distance=min_dist,
+                              notes=notes + ["sampled range does not cover the window"])
+    gap = float(np.diff(np.concatenate([[-W], inside, [W]])).max())
+    if gap <= cfg.gap_threshold:
+        return ClosureVerdict(DENSE_IN_AFFINE, 1, gap=gap, min_distance=min_dist, notes=notes)
+    return ClosureVerdict(INCONCLUSIVE, 1, gap=gap, min_distance=min_dist,
+                          notes=notes + [f"max window gap {gap:.4g} above threshold"])
+
+
+class TestLineOracle:
+    """classify_closure on a line, which reads its ascending rows, against _line_oracle."""
+
+    LIMIT = 40  # a small discrete_count_limit
+
+    def _same(self, cloud, cfg):
+        got, want = classify_closure(cloud, cfg), _line_oracle(cloud, cfg)
+        assert (got.kind, got.hull_dim, got.notes) == (want.kind, want.hull_dim, want.notes)
+        for x, y in ((got.gap, want.gap), (got.min_distance, want.min_distance)):
+            assert (x is None) == (y is None) and (x is None or float(x).hex() == float(y).hex())
+        return got.kind
+
+    def _hull(self, rng, sign, unit):
+        """A seeded line hull whose a = V^T B has the given sign; a = +-1 when unit,
+        so a cloud on the grid of eighths meets +-W exactly."""
+        n = int(rng.integers(1, 4))
+        B = np.eye(n)[:, :1] if unit else rng.normal(size=(n, 1))
+        V = sign * B / np.linalg.norm(B)
+        start = np.zeros(1) if unit else rng.normal(size=1)
+        return Hull(rng.normal(size=n), V, rng.normal(size=n), B, start, [])
+
+    def _coords(self, rng, m, unit):
+        """m ascending hull coordinates: distinct eighths, with 0.0 and -0.0 side by
+        side, or sorted normal draws."""
+        if unit:
+            vals = np.sort(rng.choice(np.arange(-24, 25), m, replace=m > 49)) / 8.0
+            vals[vals == 0.0] = rng.choice([0.0, -0.0], int((vals == 0.0).sum()))
+        else:
+            vals = np.sort(rng.normal(scale=rng.choice([0.5, 2.0]), size=m))
+        return vals[:, None]
+
+    def test_hand_built_lines(self):
+        rng = np.random.default_rng(31)
+        kinds = set()
+        for trial in range(400):
+            sign = (1.0, -1.0)[trial % 2]
+            unit = trial % 4 < 2
+            m = int(rng.choice([1, 2, 3, self.LIMIT - 1, self.LIMIT, self.LIMIT + 1, 120]))
+            cloud = OrbitCloud(self._coords(rng, m, unit), m, self._hull(rng, sign, unit),
+                               subsampled=trial % 5 == 4, clipped=trial % 7 == 6)
+            # windows at the cloud's ends and past them, and grid values inside
+            window = float(rng.choice([0.125, 0.5, 1.0, 2.0, 2.875, 3.0, 3.125, 10.0]))
+            cfg = ClosureConfig(window=window, gap_threshold=float(rng.choice([0.01, 0.2, 0.5, 2.0])),
+                                discrete_count_limit=self.LIMIT)
+            kinds.add(self._same(cloud, cfg))
+        assert kinds == {DISCRETE, DENSE_IN_AFFINE, INCONCLUSIVE}
+
+    def test_enumerated_lines(self):
+        # fixture lines, whose frames have a < 0, and a streamed dense line
+        cases = [(shear3(), as_vector([1, 1, 0]), 40), (shear3(), as_vector(["1", "sqrt(2)", "0"]), 30),
+                 (radical4(), fixture_by_name("radical4")[1]["base"], 64)]
+        clouds = [(enumerate_orbit(G, u, K, CFG), CFG) for G, u, K in cases]
+        G, u, K, cfg = _digest_case("shear3_dense_K300_streamed")
+        clouds.append((enumerate_orbit(G, u, K, cfg), cfg))
+        assert clouds[-1][0].subsampled
+        for cloud, cfg in clouds:
+            assert cloud.coords.shape[1] == 1
+            assert (np.diff(cloud.coords[:, 0]) > 0).all()
+            for window, limit in itertools.product((0.5, 1.0, 3.0, 40.0), (10, 10**6)):
+                self._same(cloud, dataclasses.replace(cfg, window=window, discrete_count_limit=limit))
+
+
+class TestOneHullPerSearch:
+    """classify_stabilized computes the hull once and hands it to every later box."""
+
+    def test_stabilized_computes_one_hull(self, monkeypatch):
+        frames, boxes = [], []
+        frame, enumerate_ = dynamics._frame, dynamics.enumerate_orbit
+
+        def counted_frame(G, u):
+            frames.append(1)
+            return frame(G, u)
+
+        def counted_enumerate(*args, **kwargs):
+            boxes.append(args[2])
+            return enumerate_(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "_frame", counted_frame)
+        # every box goes through the module attribute, where a tracer sees it
+        monkeypatch.setattr(dynamics, "enumerate_orbit", counted_enumerate)
+        for name, point in (("shear3", "closed"), ("cshear5", "dense_plane")):
+            G, points = fixture_by_name(name)
+            frames.clear()
+            boxes.clear()
+            verdict, K = classify_stabilized(G, points[point], CFG)
+            assert frames == [1] and len(boxes) >= 3 and boxes[-1] == K, name
+
+    @pytest.mark.parametrize("name", ["shear3_dense_K300", "shear3_dense_K300_streamed",
+                                      "cshear5_plane_K24_streamed"])
+    def test_given_hull_gives_the_same_cloud(self, name):
+        G, u, K, cfg = _digest_case(name)
+        for cfg in (cfg, dataclasses.replace(cfg, max_store=10**7)):  # streamed and materialized
+            want = enumerate_orbit(G, u, K, cfg)
+            got = enumerate_orbit(G, u, K, cfg, hull=dynamics._frame(G, tuple(u)))
+            assert _bytes(got.coords) == _bytes(want.coords)
+            assert (got.count, got.total_tuples, got.clipped, got.subsampled) == \
+                (want.count, want.total_tuples, want.clipped, want.subsampled)
 
 
 class TestNearestPair:
