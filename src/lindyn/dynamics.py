@@ -25,16 +25,17 @@ rows survive, they are written into the box's own buffer.  A cloud on a
 line is deduplicated by sorting its values, so its rows ascend, and its
 frame coordinate is monotone along them: its minimum separation is the least
 gap between consecutive rows, and its window is one run of rows, found by
-binary search.  Any other cloud's minimum separation is the exact nearest
-pair on a grid of cells, which a k-d tree's nearest-neighbour query returns
-too, bit for bit.  Boxes too large to materialize are streamed in chunks: a
-tuple's frame coordinates are those of one outer power applied to one inner
-column, and they are formed only for the tuples that can be window hits,
-found by one search per outer power in the inner columns sorted by their
-first hull coordinate.  A streamed cloud is its window: it stores only the
-deduplicated window hits.  Its points equal the materialized box's window
-points up to rounding, and its verdicts and gaps are the same.  Closure
-verdicts are explicitly heuristic:
+binary search.  Any other cloud is deduplicated by a lexsort of all its
+columns, and its minimum separation is the exact nearest pair on a grid of
+cells, which a k-d tree's nearest-neighbour query returns too, bit for bit.
+Boxes too large to materialize are streamed in chunks: a tuple's frame
+coordinates are those of one outer power applied to one inner column, and
+they are formed, by the gather-multiply that forms the stored hits, only for
+the tuples that can be window hits, found by one search per outer power in
+the inner columns sorted by their first hull coordinate.  A streamed cloud
+is its window: it stores only the deduplicated window hits.  Its points
+equal the materialized box's window points up to rounding, and its verdicts
+and gaps are the same.  Closure verdicts are explicitly heuristic:
 DISCRETE needs a minimum pairwise separation over a fully stored box,
 DENSE_IN_AFFINE(d) needs the sampled window covered at COVER_RESOLUTION,
 everything else is INCONCLUSIVE.
@@ -127,12 +128,6 @@ class OrbitCloud:
         return self.coords.shape[0]
 
     @property
-    def frame(self) -> tuple[np.ndarray, np.ndarray]:
-        """(realified u, orthonormal columns V spanning W): the frame of the orbit's
-        affine hull, in which a streamed cloud's window hits were selected."""
-        return self.hull.base, self.hull.V
-
-    @property
     def points(self) -> np.ndarray:
         """The deduped points (m, n), o + B c, formed when read."""
         return self.hull.origin + _mapped(self.hull.B, self.coords)
@@ -215,19 +210,17 @@ def _dedup(points: np.ndarray, eps: float) -> np.ndarray:
 
     The key columns are the columns of `points`, read as strided views:
     `points` may be the transposed view of a (d, m) staged product, and it
-    is not copied.  Key columns equal on every row never decide the order or
-    a duplicate, so only the varying ones are sorted.  When a single key
-    column moves (a cloud on a line has one column), only its values are
-    sorted, not a permutation of the rows.  Rounding x / eps is monotone, so
-    the sorted values are in lexsort order of the keys.  When the values of
-    each key share their bits, the row the lexsort keeps for a key, its
-    first, is row 0 with the moving column set to that value, since every
-    other column has row 0's bits.  A key whose values differ in their bits
-    (0.0 and -0.0, or two values in one eps cell) sends the rows to the
-    lexsort.  Beside the box, that path keeps one array of the box's size,
-    the sorted copy of the values: it is compacted only when two values
-    share their bits, and the keys are checked in slices.  The copy stays,
-    since the lexsort reads the unsorted column.
+    is not copied.  A cloud on a line (d = 1) sorts its values alone, not a
+    permutation of the rows.  Rounding x / eps is monotone, so the sorted
+    values are in lexsort order of the keys, and when the values of each key
+    share their bits, each is the row the lexsort keeps for its key.  A key
+    whose values differ in their bits (0.0 and -0.0, or two values in one
+    eps cell) sends the line to the lexsort of its columns, the path of
+    every cloud of d >= 2; a 0-column cloud keeps its first row.  Beside the
+    box, a line keeps one array of the box's size, the sorted copy of the
+    values: it is compacted only when two values share their bits, and the
+    keys are checked in slices.  The copy stays, since the lexsort reads the
+    unsorted column.
 
     `points` is consumed: both paths write their (d, m') result into
     _result_rows and return it transposed, an F-contiguous (m', d) array.
@@ -242,11 +235,10 @@ def _dedup(points: np.ndarray, eps: float) -> np.ndarray:
         if points.shape[0] == 0:
             return points
         cols = list(points.T)
-        lo, hi = _extremes(cols)
-    moving = list(_moving_columns(dict(enumerate(cols))))
-    if len(moving) == 1:
-        j = moving[0]
-        vals = np.sort(cols[j])
+    if not cols:
+        return points[:1].copy()
+    if len(cols) == 1:
+        vals = np.sort(cols[0])
         new = np.empty(vals.size, dtype=bool)
         new[0] = True
         np.not_equal(vals[1:].view(np.int64), vals[:-1].view(np.int64), out=new[1:])
@@ -260,17 +252,10 @@ def _dedup(points: np.ndarray, eps: float) -> np.ndarray:
         step = 2**16
         if all((k[1:] > k[:-1]).all() for k in (
                 np.round(vals[lo : lo + step + 1] / eps) for lo in range(0, vals.size, step))):
-            first = points[0].copy()
             out = _result_rows(points, vals.size)
-            for c, row in enumerate(out):
-                row[...] = vals if c == j else first[c]
+            out[0] = vals
             return out.T
-    # rounding x / eps is monotone, so a column's keys are all equal iff the
-    # keys of its extremes are
-    varying = np.flatnonzero(np.round(lo / eps) != np.round(hi / eps))
-    if not varying.size:
-        return points[:1].copy()
-    rows = _first_of_each_key([cols[j] for j in varying], eps)
+    rows = _first_of_each_key(cols, eps)
     # for a materialized box points.T is the staged (d, M) product itself, so
     # this gathers along its rows; taking rows of points would first copy it
     # into rows, and fancy-indexing them is about three times slower.  Row c
@@ -311,14 +296,6 @@ def _result_rows(points: np.ndarray, k: int) -> np.ndarray:
     if points.T.flags.c_contiguous and 2 * k >= points.shape[0]:
         return points.T.reshape(-1)[: n * k].reshape(n, k)
     return np.empty((n, k), dtype=points.dtype)
-
-
-def _moving_columns(cols: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
-    """The columns of `cols` whose values do not all have row 0's bits.
-
-    Bits, not values, are compared, so a column that mixes 0.0 and -0.0 moves.
-    """
-    return {j: c for j, c in cols.items() if (c.view(np.int64) != c.view(np.int64)[0]).any()}
 
 
 def _extremes(cols: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -523,8 +500,8 @@ def _stream_window(stacks: list[np.ndarray], hull: Hull, cfg: ClosureConfig) -> 
 
 def _window_filter(Q: np.ndarray, offset: np.ndarray, bound: float):
     """hits_of(cols): the ascending flat indices j * M + col of a chunk's tuples
-    whose frame coordinates Q[j] @ cols[:, col] - offset (see _window_values)
-    are all within `bound` in modulus.
+    whose frame coordinates Q[j] @ cols[:, col] - offset, formed by
+    _outer_columns, are all within `bound` in modulus.
 
     Q is (J, d, d + 1) and cols (d + 1, M), hull coordinates x with a last
     row of ones.  Exactly, Q[j] (x; 1) - o = R_j x + a_j, with R_j the first
@@ -532,9 +509,10 @@ def _window_filter(Q: np.ndarray, offset: np.ndarray, bound: float):
     |R_j x + a_j|_inf <= B_j can be hits, and among those x_0 lies in an
     interval [lo_j, hi_j]: so each j takes the columns of one searchsorted
     range of the chunk's columns sorted by x_0, and the value of only those
-    tuples is formed and compared, with the same formula and comparison.
-    The hits come out in ascending flat order, as a test of every tuple
-    would give them.
+    tuples is formed and compared.  _outer_columns gives a tuple the same
+    bits whichever tuples it is formed with, so these are the hits a test of
+    every tuple would find, and they come out in the same ascending flat
+    order.
 
     No hit is left out.  Let u = 2^-53, g_k = k u / (1 - k u), c = 4 (d +
     5) u, q_j = ||Q[j]||_inf, and let X >= 1 bound the |entries| of the
@@ -595,58 +573,27 @@ def _window_filter(Q: np.ndarray, offset: np.ndarray, bound: float):
         hit = np.empty(flat.size, dtype=bool)
         step = 2**16
         for lo in range(0, flat.size, step):
-            js, cs = np.divmod(flat[lo : lo + step], M)
             # a 0-dimensional hull maps every point to the base point
-            np.less_equal(np.abs(_window_values(Q, cols, offset, js, cs)).max(axis=0, initial=0.0),
-                          bound, out=hit[lo : lo + step])
+            vals = _outer_columns(Q, cols, flat[lo : lo + step]) - offset
+            np.less_equal(np.abs(vals).max(axis=1, initial=0.0), bound, out=hit[lo : lo + step])
         return np.sort(flat[hit])
 
     return hits_of
 
 
-def _window_values(Q: np.ndarray, cols: np.ndarray, offset: np.ndarray, js: np.ndarray,
-                   cs: np.ndarray) -> np.ndarray:
-    """Frame coordinates Q[j] @ cols[:, col] - offset of the tuples (js, cs), one column each.
-
-    js is ascending.  The tuples of a block of consecutive j go through one
-    GEMM of the block's rows of Q on their columns, or on all of cols when
-    they take at least a quarter of them, and each tuple takes its own rows
-    of the product; a block holds about 64 tuples.  In OpenBLAS an element
-    of a dgemm has the same bits in every dgemm of its row and column,
-    whatever the other rows and columns; GEMV, which numpy calls for a
-    single row or column, may round otherwise.  So a single row
-    is multiplied together with a zero row, and a single column twice.
-    """
-    J, d, m = Q.shape
-    M = cols.shape[1]
-    out = np.empty((d, js.size))
-    if d:
-        size = max(1, 64 * J // max(js.size, 1))  # j per block
-        rows = np.zeros((J + size, d, m))  # a zero j past the last
-        rows[:J] = Q
-        edges = np.searchsorted(js, np.arange(0, J + size, size))
-        for k in np.flatnonzero(np.diff(edges)):
-            lo, hi, j0 = edges[k], edges[k + 1], k * size
-            A = rows[j0 : j0 + max(size, 2)].reshape(-1, m)
-            if M > 1 and 4 * (hi - lo) >= size * M:  # dense: every column, no gather
-                prod, at = (A @ cols).reshape(-1, d, M), cs[lo:hi]
-            else:
-                x = cols[:, cs[lo:hi] if hi - lo > 1 else np.repeat(cs[lo:hi], 2)]
-                prod, at = (A @ x).reshape(-1, d, x.shape[1]), np.arange(hi - lo)
-            out[:, lo:hi] = prod[js[lo:hi] - j0, :, at].T
-    out -= offset[:, None]
-    return out
-
-
 def _outer_columns(outer: np.ndarray, inner: np.ndarray, flat: np.ndarray) -> np.ndarray:
-    """Hull coordinates (s, d), the first d rows of outer[j] @ inner[:, col], for the flat indices j * M + col.
+    """The first d rows (s, d) of outer[j] @ inner[:, col], for the flat indices j * M + col.
 
-    The gathered matrices take about 32 MB per slice.
+    inner is (d + 1, M), and outer (J, d + 1, d + 1) power stacks or (J, d,
+    d + 1) frame maps.  Each tuple is its own matrix-vector product in one
+    stacked matmul, so its bits do not depend on which other tuples are
+    formed with it, or on the slice that holds it.  The gathered matrices
+    take about 32 MB per slice.
     """
     js, cols = np.divmod(flat, inner.shape[1])
     d = inner.shape[0] - 1
     out = np.empty((flat.size, d))
-    step = max(1, 2**21 // outer[0].size)
+    step = max(1, 2**21 // max(1, outer[0].size))  # outer[0] is empty when d = 0
     for lo in range(0, flat.size, step):
         x = inner[:, cols[lo : lo + step]].T[:, :, None]
         out[lo : lo + step] = np.matmul(outer[js[lo : lo + step]], x)[:, :d, 0]
@@ -699,7 +646,7 @@ def classify_closure(cloud: OrbitCloud, cfg: ClosureConfig | None = None) -> Clo
         if d == 1:
             min_dist = math.sqrt(np.square(np.diff(frame[:, 0])).min(initial=math.inf))
         else:
-            min_dist = _nearest_pair(dict(enumerate(frame.T)), d)
+            min_dist = _nearest_pair(list(frame.T))
         # a dense orbit sampled at finite K also clears the 100*eps floor, so
         # a discrete verdict additionally demands separation at the scale the
         # density test operates on (the gap threshold)
@@ -763,21 +710,17 @@ def classify_closure(cloud: OrbitCloud, cfg: ClosureConfig | None = None) -> Clo
     )
 
 
-def _nearest_pair(moving: dict[int, np.ndarray], width: int) -> float:
-    """Least distance between two rows of a cloud: a k-d tree's, bit for bit.
+def _nearest_pair(cols: list[np.ndarray]) -> float:
+    """Least distance between two rows of a cloud, given as its columns: a k-d tree's, bit for bit.
 
-    `moving` holds the columns of the cloud that move, by their index among
-    its `width` columns; every other column holds one value.  cKDTree sums
-    fl(d_j^2) in four lanes (j mod 4) over the full blocks of four columns,
-    adds them as ((a0 + a1) + a2) + a3, then the other columns in order, and
-    takes the monotone, correctly rounded sqrt of that sum s.  The columns
-    outside `moving` add only +0.0, so s is formed over the moving ones; a
-    cloud with none is at most one distinct row.
+    cKDTree sums fl(d_j^2) in four lanes (j mod 4) over the full blocks of
+    four columns, adds them as ((a0 + a1) + a2) + a3, then the other columns
+    in order, and takes the monotone, correctly rounded sqrt of that sum s.
 
     The s of the lexsort neighbours bounds the least: ub.  A sum of nonnegative
     terms rounds to at least each term, so a pair with s <= ub has
     fl(d_c^2) <= ub and |x_c - y_c| <= sqrt(ub) (1 - u)^-1.5 (u = 2^-53) in
-    every column c.  The rows are binned on the (at most) three widest moving
+    every column c.  The rows are binned on the (at most) three widest
     columns into cells of side h = sqrt(ub) (1 + 2^-20) + 2^-48 E + 2^-500, E
     the widest extent: the margin covers the error of fl(fl(x - lo) / h), at
     most 2.01 u E / h, the rounding of h and underflow, so such a pair's cells
@@ -787,13 +730,11 @@ def _nearest_pair(moving: dict[int, np.ndarray], width: int) -> float:
     a column that would overflow the int64 key is left out.  Candidate pairs
     are formed in slices, so rows that share one cell form no O(m^2) array.
     """
-    cols = list(moving.values())
     m = cols[0].size if cols else 0
     if m < 2:
         return math.inf
-    full = width - width % 4
-    lanes = [[c for j, c in moving.items() if j < full and j % 4 == lane] for lane in range(4)]
-    groups = lanes + [[c] for j, c in moving.items() if j >= full]
+    full = len(cols) - len(cols) % 4
+    groups = [cols[lane:full:4] for lane in range(4)] + [[c] for c in cols[full:]]
 
     def sq(i: np.ndarray, j: np.ndarray) -> np.ndarray:
         # sum() starts from 0, and 0 + x is x for x >= +0.0

@@ -24,7 +24,7 @@ from .errors import (
     InvarianceViolation,
     NotConvergent,
 )
-from .groups import COMPLEX, REAL, GeneratorSet
+from .groups import COMPLEX, GeneratorSet
 from .linalg import (
     BasisChange,
     Matrix,
@@ -111,9 +111,9 @@ def nilpotent_span(G: GeneratorSet) -> NilpotentSpan:
     return NilpotentSpan(vectors, chosen, len(chosen), span)
 
 
-def invariant_hull(G: GeneratorSet, u, fam: NilpotentSpan | None = None) -> Subspace:
+def invariant_hull(G: GeneratorSet, u) -> Subspace:
     """Smallest computed invariant subspace containing u: span{u, v_1..v_r}."""
-    fam = fam or nilpotent_span(G)
+    fam = nilpotent_span(G)
     n = G.dimension
     u = tuple(u)
     vecs = [list(u)] + [list(v) for v in fam.chosen_vectors()]
@@ -169,14 +169,6 @@ def invariant_family(G: GeneratorSet, ctx: NumericContext | None = None) -> Inva
     """The invariant subspaces H_1..H_r (codim 1 or 2) with complement U."""
     ctx = ctx or NumericContext()
     n = G.dimension
-    if n == 1:
-        zero_sub = Subspace(1, Matrix.zeros(1, 0))
-        functionals = Matrix.identity(1)
-        case = CASE_REAL_HYPERPLANE if G.field == REAL else CASE_COMPLEX_HYPERPLANE
-        sub = InvariantSubspace(zero_sub, case, 0, functionals, 0.0, 1)
-        eye = Matrix.identity(1)
-        return InvariantFamily(G.field, 1, [sub], eye, eye)
-
     blocks = simultaneous_refinement(G, ctx)
 
     units: list[tuple[str, object, object]] = []  # (case, pre-basis, triangular-basis)

@@ -186,10 +186,10 @@ def _dense_plane_claim(name: str, G: GeneratorSet, points, ctx: NumericContext,
     )
 
 
-def _approach_words(G: GeneratorSet, points, bound: int = 10**4):
+def _approach_words(G: GeneratorSet, points):
     """Exponent tuples driving the base point of radical4 toward its limit."""
     values = _increments(G, points["base"])
-    return approximate_target(values, points["limit"][-1], bound), values
+    return approximate_target(values, points["limit"][-1]), values
 
 
 def _closure_minus_orbit_claim(name: str, G: GeneratorSet, points, ctx: NumericContext,

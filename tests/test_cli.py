@@ -533,14 +533,28 @@ class TestAnalyze:
                                   "codim": 1} for k in range(n)]
 
     def test_n1_report(self, tmp_path):
-        doc = {"field": "real", "dimension": 1, "generators": [{"name": "A", "rows": [["2"]]}]}
-        p = tmp_path / "one.json"
-        p.write_text(json.dumps(doc))
-        code, out, _ = run_cli(["analyze", str(p)])
-        assert code == 0
-        rep = json.loads(out)
-        assert rep["invariant_family"]["subspaces"][0]["dimension"] == 0
-        assert rep["invariant_tree"]["depth"] == 1
+        # the one subspace of an n = 1 group, the origin, names block 0: the
+        # report lists that block and its triangular form
+        for field, entry, shown, case in (("real", "2", "2", "real-hyperplane"),
+                                          ("real", "-sqrt(2)", "-sqrt(2)", "real-hyperplane"),
+                                          ("complex", "1+i", "1 + i", "complex-hyperplane")):
+            doc = {"field": field, "dimension": 1,
+                   "generators": [{"name": "A", "rows": [[entry]]}], "points": [["0"], ["1"]]}
+            p = tmp_path / "one.json"
+            p.write_text(json.dumps(doc))
+            code, out, _ = run_cli(["analyze", str(p)])
+            assert code == 0
+            rep = json.loads(out)
+            assert rep["invariant_tree"]["depth"] == 1
+            (block,) = rep["spectral_blocks"]
+            assert block["dimension"] == 1 and block["exact"] is True
+            assert block["eigenvalues"]["A"]["exact"] == shown
+            (form,) = rep["triangular_forms"]
+            assert form["diagonal"]["A"]["exact"] == shown
+            assert [[e["exact"] for e in row] for row in form["triangular"][0]] == [[shown]]
+            (sub,) = rep["invariant_family"]["subspaces"]
+            assert (sub["case"], sub["dimension"], sub["block"]) == (case, 0, 0)
+            assert [pt["membership"]["containing"] for pt in rep["points"]] == [[0], []]
 
 
 def _near_midpoint(c: int, e: int) -> Fraction:

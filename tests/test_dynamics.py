@@ -20,11 +20,10 @@ from conftest import (
 )
 from lindyn.dynamics import (
     _dedup,
-    _moving_columns,
     _nearest_pair,
+    _outer_columns,
     _same_signature,
     _window_filter,
-    _window_values,
     DENSE_IN_AFFINE,
     DISCRETE,
     INCONCLUSIVE,
@@ -144,8 +143,9 @@ class TestEnumerate:
         full = enumerate_orbit(G, u, K, dataclasses.replace(cfg, max_store=10**7))
         assert streamed.subsampled and not full.subsampled
         # both come from G and u alone, so the box is classified in the same frame
-        assert all(_bytes(a) == _bytes(b) for a, b in zip(streamed.frame, full.frame))
-        base, V = streamed.frame
+        assert _bytes(streamed.hull.base) == _bytes(full.hull.base)
+        assert _bytes(streamed.hull.V) == _bytes(full.hull.V)
+        base, V = streamed.hull.base, streamed.hull.V
         kept, real = streamed.points, full.points
         offset = np.abs((real - base) @ V).max(axis=1)
         inwin = real[offset <= cfg.window]
@@ -162,7 +162,7 @@ class TestEnumerate:
         a = enumerate_orbit(G, u, K, dataclasses.replace(cfg, max_store=10_000))
         b = enumerate_orbit(G, u, K, dataclasses.replace(cfg, max_store=50_000))
         assert a.subsampled and b.subsampled
-        for x, y in zip([*a.frame, a.points], [*b.frame, b.points]):
+        for x, y in zip([a.hull.base, a.hull.V, a.points], [b.hull.base, b.hull.V, b.points]):
             assert x.dtype == y.dtype and x.shape == y.shape and _bytes(x) == _bytes(y)
 
     def test_streamed_verdict_matches_materialized(self):
@@ -264,7 +264,7 @@ POINT_DIGESTS = {
     "one_generator_streamed": "7dbb60e46ac955a83d35a97c8fc2277b1ddc3c48196c03eba9eceef891815b90",
     "expanding_clipped_streamed": "856dcc1aa406fa5f500001ddbeb5e0615387b66744d94b4c69295a5080728db9",
     "generic_complex_streamed": "2e1b32a27c2357e4994b9db53db8a4cee1426b334f3cb20779f45d9cc5485af8",
-    "hyperbolic_pair_streamed": "61c47e394b9a7eba269263a3281cf7c9ba9d0d4d1c779c4d2d90e37d145a900f",
+    "hyperbolic_pair_streamed": "282ad116ccce1ad01b8e32d44ce4353ed888fd5617bcef1106ec70d34a242377",
     "elliptic_plane_streamed": "a45092a1850eb4430e16cb03f2c99a367382a02cf25f72cc98ed80c87972f788",
 }
 
@@ -361,14 +361,19 @@ class TestWindowFilter:
 
     @pytest.fixture
     def evaluated(self, monkeypatch):
-        """The number of tuples whose window coordinates were formed, per call."""
+        """The number of tuples whose window coordinates were formed, per call.
+
+        Window coordinates are formed by _outer_columns on the frame maps Q,
+        of d rows; the stored hits by _outer_columns on the power stack, of
+        d + 1 rows, which is not counted."""
         counts = []
 
-        def counting(Q, cols, offset, js, cs):
-            counts.append(js.size)
-            return _window_values(Q, cols, offset, js, cs)
+        def counting(outer, inner, flat):
+            if outer.shape[1] < inner.shape[0]:
+                counts.append(flat.size)
+            return _outer_columns(outer, inner, flat)
 
-        monkeypatch.setattr(dynamics, "_window_values", counting)
+        monkeypatch.setattr(dynamics, "_outer_columns", counting)
         return counts
 
     def test_plane_forms_few_tuples(self, evaluated):
@@ -419,18 +424,15 @@ class TestWindowFilter:
             with np.errstate(over="ignore", invalid="ignore"):
                 evaluated.clear()
                 got = _window_filter(Q, offset, bound)(cols)
-                js, cs = np.divmod(np.arange(J * M), M)
-                vals = _window_values(Q, cols, offset, js, cs)
-                if M > 1:
-                    # numpy's stacked matmul runs one GEMM per j, here of d + 1
-                    # rows: the bits of every tuple, and of a few on their own
-                    padded = np.concatenate([Q, np.zeros((J, 1, d + 1))], axis=1) @ cols
-                    full = padded[:, :d].transpose(1, 0, 2).reshape(d, J * M) - offset[:, None]
-                    few = np.sort(rng.choice(J * M, size=min(J * M, trial % 3 + 1), replace=False))
-                    some = _window_values(Q, cols, offset, js[few], cs[few])
-                    for part, ref in ((vals, full), (some, full[:, few])):
-                        assert np.array_equal(part, ref, equal_nan=True), trial
-            want = np.flatnonzero(np.abs(vals).max(axis=0, initial=0.0) <= bound)
+                vals = _outer_columns(Q, cols, np.arange(J * M)) - offset
+                # a tuple has the same bits whichever tuples it is formed
+                # with: a few on their own, and the rest in reverse order
+                few = rng.choice(J * M, size=min(J * M, trial % 3 + 1), replace=False)
+                rest = np.setdiff1d(np.arange(J * M), few)[::-1]
+                for part in (few, *few[:, None], rest):
+                    assert np.array_equal(_outer_columns(Q, cols, part) - offset, vals[part],
+                                          equal_nan=True), trial
+            want = np.flatnonzero(np.abs(vals).max(axis=1, initial=0.0) <= bound)
             assert got.dtype == want.dtype and got.tolist() == want.tolist(), trial
             hits += want.size
             pruned += sum(evaluated) < J * M
@@ -448,7 +450,7 @@ class TestWindowFilter:
         offset = np.zeros(2)
         got = _window_filter(Q, offset, 1.5)(cols)
         js, cs = np.divmod(np.arange(3 * 400), 400)
-        hit = np.abs(_window_values(Q, cols, offset, js, cs)).max(axis=0) <= 1.5
+        hit = np.abs(_outer_columns(Q, cols, np.arange(3 * 400)) - offset).max(axis=1) <= 1.5
         assert got.tolist() == np.flatnonzero(hit).tolist()
         # the first coordinate alone would have left these hits out
         assert (np.abs(Q[js, 0, 0] * cols[0, cs])[hit] > 3).sum() > 50
@@ -549,7 +551,8 @@ class TestFrame:
         # dimension, and a largest principal angle of at most 1e-9
         dims = set()
         for name, G, u in _frame_cases():
-            base, V = enumerate_orbit(G, u, 0, CFG).frame
+            hull = enumerate_orbit(G, u, 0, CFG).hull
+            base, V = hull.base, hull.V
             assert _bytes(base) == _bytes(_realify(vec_to_numeric(u).reshape(1, -1), G.field)[0])
             assert np.allclose(V.T @ V, np.eye(V.shape[1]), rtol=0, atol=1e-12), name
             oracle = _box_svd_directions(G, u)
@@ -704,57 +707,71 @@ class TestDedup:
         self._same(np.stack([tiny, np.ones_like(tiny)], axis=1))
 
     def _one_column_cases(self):
-        """(name, points, whether _dedup runs no lexsort) with one key column moving."""
+        """(name, points, whether _dedup runs no lexsort) with one key column moving.
+
+        Each case on a line of R^3 comes also as its moving column alone:
+        only a one-column cloud sorts its values alone, and any other is
+        lexsorted."""
         rng = np.random.default_rng(7)
         m = 500
         line = np.empty((m, 3))
         line[:, 0], line[:, 1] = 1.5, -2.0
         line[:, 2] = rng.integers(-50, 50, m) * 0.25  # exact duplicates
-        yield "duplicates", line, True
         near = line[:8].copy()
         near[:, 2] = [0.25, np.nextafter(0.25, 1), 0.5, 0.25, -3.0, 0.5, 7.0, -3.0]
-        yield "one key, two bit patterns", near, False
         signed = line[:6].copy()
         signed[:, 2] = [0.0, -0.0, 1.0, 0.0, -0.0, 2.0]
-        yield "+-0.0 mix", signed, False
         zeros = line[:4].copy()
         zeros[:, 2] = [0.0, -0.0, 0.0, -0.0]  # moves in its bits only
-        yield "+-0.0 only", zeros, True
+        cases = [("duplicates", line, True), ("one key, two bit patterns", near, False),
+                 ("+-0.0 mix", signed, False), ("+-0.0 only", zeros, False),
+                 ("single row", line[:1].copy(), True)]
         for bad in (np.nan, np.inf):
-            for j in (0, 2):
-                x = line.copy()
-                x[::7, j] = bad
-                yield f"{bad} in column {j}", x, True
+            x = line.copy()
+            x[::7, 2] = bad
+            cases.append((f"{bad} in the moving column", x, True))
+        for name, pts, no_sort in cases:
+            yield name, pts, False
+            yield f"{name}, one column", np.ascontiguousarray(pts[:, 2:]), no_sort
+        yield "one column, strided", line[:, 2:], True
+        yield "one column, transposed view", np.ascontiguousarray(line[:, 2:].T).T, True
+        for bad in (np.nan, np.inf):
+            x = line.copy()
+            x[::7, 0] = bad
+            yield f"{bad} in a fixed column", x, False
         imag = 1.5 + 0.5j + np.zeros((m, 2), dtype=complex)
         imag[:, 1] = 3.0 + 1j * line[:, 2]
-        yield "realified, imaginary part moves", _realify(imag, "complex"), True
+        yield "realified, imaginary part moves", _realify(imag, "complex"), False
         real = imag.copy()
         real[:, 1] = line[:, 2] + 3.0j
-        yield "realified, real part moves", _realify(real, "complex"), True
-        yield "single row", line[:1].copy(), True
-        yield "transposed view", np.ascontiguousarray(line.T).T, True
-        yield "transposed realified view", np.ascontiguousarray(_realify(imag, "complex").T).T, True
+        yield "realified, real part moves", _realify(real, "complex"), False
+        yield "transposed view", np.ascontiguousarray(line.T).T, False
+        yield "transposed realified view", np.ascontiguousarray(_realify(imag, "complex").T).T, False
 
     def test_one_moving_column_against_oracle(self, monkeypatch):
         # the rows a single moving column gives are the oracle's, byte for
-        # byte; the path that sorts values alone runs no lexsort, and a run of
-        # equal keys with differing bits falls back to it
-        cases = []
+        # byte; a one-column cloud sorts its values alone and runs no
+        # lexsort, unless a run of equal keys with differing bits sends it
+        # there, and a cloud of two or more columns is lexsorted.  _dedup
+        # may write its result into a one-column cloud's buffer, so the
+        # second pass takes fresh cases
+        results = {}
         for name, pts, no_sort in self._one_column_cases():
             want = _dedup_oracle(np.ascontiguousarray(pts), 1e-9)
             got = _dedup(pts, 1e-9)
             assert got.dtype == pts.dtype and got.shape == want.shape, name
             assert _bytes(got) == _bytes(want), name
             assert got.flags.f_contiguous, name  # the gather path's layout
-            cases.append((name, pts, no_sort, got))
+            assert pts.shape[1] == 1 or not no_sort, name
+            results[name] = got
 
         def no_lexsort(keys):
             raise AssertionError("lexsort called")
 
         monkeypatch.setattr(np, "lexsort", no_lexsort)
-        for name, pts, no_sort, got in cases:
+        for name, pts, no_sort in self._one_column_cases():
             if no_sort:
-                assert _bytes(_dedup(pts, 1e-9)) == _bytes(got), name
+                assert _bytes(_dedup(pts, 1e-9)) == _bytes(results[name]), name
             else:
                 with pytest.raises(AssertionError, match="lexsort called"):
                     _dedup(pts, 1e-9)
@@ -877,7 +894,7 @@ class TestExactOracle:
         assert cKDTree(kept).query(got)[0].max(initial=0.0) <= tol, name
         want = kept
         if cloud.subsampled:
-            base, V = cloud.frame
+            base, V = cloud.hull.base, cloud.hull.V
             window = np.abs((kept - base) @ V).max(axis=1, initial=0.0)
             want = kept[window <= 1.5 * cfg.window - tol]
             assert cKDTree(kept[window <= 1.5 * cfg.window + tol]).query(got)[0].max(initial=0.0) <= tol
@@ -896,7 +913,7 @@ class TestExactOracle:
             cloud = self._check(name, G, u, K, cfg)
             # one hull coordinate per direction of W: every shear moves at most two
             # (realified: four) coordinates
-            assert cloud.coords.shape[1] == cloud.frame[1].shape[1], name
+            assert cloud.coords.shape[1] == cloud.hull.V.shape[1], name
             seen.add((G.field, len(G.generators), cloud.subsampled))
         assert {s[0] for s in seen} == {"real", "complex"}
         assert {s[1] for s in seen} == {1, 2, 3} and {s[2] for s in seen} == {False, True}
@@ -1059,7 +1076,7 @@ class TestClassify:
         cfg = dataclasses.replace(cfg, max_store=10**7, discrete_count_limit=0, window=window)
         cloud = enumerate_orbit(G, u, K, cfg)
         verdict = classify_closure(cloud, cfg)
-        base, V = cloud.frame
+        base, V = cloud.hull.base, cloud.hull.V
         proj = cloud.points @ V - base @ V
         cells = int(round(2 * window / 0.25))
         pw = proj[np.all(np.abs(proj) <= window, axis=1)]
@@ -1374,7 +1391,7 @@ class TestNearestPair:
     """_nearest_pair against the k-d tree's k=2 query, as float.hex."""
 
     def _same(self, pts):
-        got = _nearest_pair(_moving_columns(dict(enumerate(pts.T))), pts.shape[1])
+        got = _nearest_pair(list(pts.T))
         want = cKDTree(pts).query(pts, k=2)[0][:, 1].min()
         assert float(got).hex() == float(want).hex()
 

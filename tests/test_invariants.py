@@ -311,6 +311,25 @@ class TestMembership:
         zero = membership(fam, as_vector([0, 0]), CTX)
         assert zero.containing == [0, 1]
 
+    def test_numeric_functionals(self):
+        # at 53 bits the rotation-like block's conjugate pair is numeric, so
+        # the whole family is: H_0 is the eigenline e_3, cut out by two
+        # rows, and H_1 the plane of e_1 and e_2.  A functional counts as
+        # zero within eps of the point's scale
+        G = group_from_strings("real", [[["0", "-3", "0"], ["1", "1", "0"], ["0", "0", "2"]]])
+        fam = invariant_family(G, CTX)
+        assert [(s.case, s.dim, s.exact) for s in fam.subspaces] == \
+            [("real-conjugate-pair", 1, False), ("real-hyperplane", 2, False)]
+        tiny, small = "1/1000000000000", "1/1000000"
+        points = {
+            (0, 0, 1): [0], (1, 0, 0): [1], (0, 1, 0): [1], ("sqrt(2)", 0, 0): [1],
+            (1, 0, 1): [], (0, 0, 0): [0, 1], (tiny, 0, 1): [0], (small, 0, 1): [],
+            (0, tiny, tiny): [0, 1], (5, "-7/3", small): [],
+        }
+        for x, containing in points.items():
+            m = membership(fam, as_vector(list(x)), CTX)
+            assert (m.containing, m.in_U) == (containing, not containing), x
+
 
 class TestInvariantTree:
     def test_shear3_depth(self):
