@@ -951,13 +951,6 @@ def approximate_target(
 def _best_in_box(vals, tgt, pivot, others, B):
     """Improving (tuple, residual) candidates for one exponent box, best first."""
     g = len(vals)
-    if not others:
-        k = int(np.clip(round(tgt / vals[pivot]), -B, B))
-        cands = []
-        for kk in {max(-B, min(B, k + d)) for d in (-1, 0, 1)}:
-            cands.append(((kk,), abs(kk * vals[pivot] - tgt)))
-        cands.sort(key=lambda t: t[1])
-        return cands
     grids = np.meshgrid(*[np.arange(-B, B + 1)] * len(others), indexing="ij")
     rest = sum(grids[i] * vals[o] for i, o in enumerate(others))
     kp = np.round((tgt - rest) / vals[pivot])

@@ -28,6 +28,12 @@ precision, and only under a 53-bit context.  Above 53 bits it raises
 :class:`SpectrumNotCertified` instead: the numeric kernels are no more
 accurate than double precision, so a wider context would not make their
 answer better founded.  Every numeric block has the noise floor NOISE.
+
+A numeric block's triangular flag is built on :func:`nkernel` alone: with
+the flag kept as orthonormal columns F, the next layer is the joint kernel of
+the nilpotent parts projected off the flag, ``(I - F F^H) N``, less its part
+in span F.  A stack at most d NOISE times the restrictions' scale (as in
+:func:`_single_eigenvalue`) is noise read as zero, so the whole space joins.
 """
 
 from __future__ import annotations
@@ -649,70 +655,28 @@ def _triangularize_exact(restrictions: list[Matrix], mus: list[Scalar]):
 
 
 def _triangularize_numeric(restrictions, mus, ctx: NumericContext):
-    d = restrictions[0].shape[0] if restrictions else 0
+    d = restrictions[0].shape[0]  # a group has at least one generator
     nils = [R - mu * np.eye(d, dtype=complex) for R, mu in zip(restrictions, mus)]
     tol = max(ctx.eps, NOISE)
-    layers = []
-    current: np.ndarray | None = None
-    dim_cur = 0
-    while dim_cur < d:
-        if current is not None and dim_cur:
-            ann = np.conj(nkernel(current.T, ctx).T)
-        else:
-            ann = np.eye(d, dtype=complex)
-        stacked = [ann @ N for N in nils]
-        stacked = np.vstack(stacked) if stacked else np.zeros((0, d), dtype=complex)
-        V = nkernel(stacked, ctx) if stacked.shape[0] else np.eye(d, dtype=complex)
-        new_cols = _extend_numeric(current, V, tol)
-        if new_cols is None or new_cols.shape[1] == 0:
-            raise NoCommonEigenvector(
-                "joint numeric kernel of the nilpotent parts did not grow"
-            )
-        layers.append(new_cols)
-        current = new_cols if current is None else np.hstack([current, new_cols])
-        dim_cur = current.shape[1]
-    P = np.hstack(list(reversed(layers)))
+    # the noise floor of the nilpotent parts, as in _single_eigenvalue
+    floor = d * NOISE * max(1.0, max(max_abs(R) for R in restrictions))
+    F = np.zeros((d, 0), dtype=complex)  # orthonormal columns of the flag subspace
+    while F.shape[1] < d:
+        # the vectors that every N maps into the flag: the joint kernel of
+        # the N followed by the projection off the flag
+        stacked = np.vstack([N - F @ (F.conj().T @ N) for N in nils])
+        V = nkernel(stacked, ctx) if max_abs(stacked) > floor else np.eye(d, dtype=complex)
+        new_cols = V @ nkernel(F.conj().T @ V, ctx)  # the part of V orthogonal to F
+        if new_cols.shape[1] == 0:
+            raise NoCommonEigenvector("joint numeric kernel of the nilpotent parts did not grow")
+        F = np.hstack([F, new_cols])
+    P = F[:, ::-1]  # the common eigenvectors last
     tri = []
     for R in restrictions:
         T, resid = nsolve_cols(P, R @ P)
-        scale = max(1.0, max_abs(R))
-        if resid > 1e3 * tol * scale:
+        if resid > 1e3 * tol * max(1.0, max_abs(R)):
             raise NoCommonEigenvector("numeric triangular solve residual too large")
-        tri.append(T)
-    for T in tri:
-        if _tri_defect(T) > 1e3 * tol * max(1.0, max_abs(T)):
+        if max_abs(np.triu(T, 1)) > 1e3 * tol * max(1.0, max_abs(T)):
             raise NoCommonEigenvector("numeric triangularization defect too large")
+        tri.append(T)
     return P, tri
-
-
-def _tri_defect(T: np.ndarray) -> float:
-    worst = 0.0
-    d = T.shape[0]
-    for i in range(d):
-        for j in range(i + 1, d):
-            worst = max(worst, abs(as_complex(T[i, j])))
-    return worst
-
-
-def _extend_numeric(current: np.ndarray | None, candidates: np.ndarray, tol: float):
-    """Greedy column extension keeping numerically independent candidates."""
-    cols = []
-    if current is not None and current.shape[1]:
-        Q, _ = np.linalg.qr(np.asarray(current, dtype=complex))
-    else:
-        Q = None
-    taken = []
-    for j in range(candidates.shape[1]):
-        c = np.asarray(candidates[:, j], dtype=complex)
-        r = c.copy()
-        if Q is not None:
-            r = r - Q @ (Q.conj().T @ r)
-        for t in taken:
-            r = r - t * (t.conj() @ r)
-        nr = float(np.linalg.norm(r))
-        if nr > max(tol, 1e-10) * max(1.0, float(np.linalg.norm(c))):
-            taken.append(r / nr)
-            cols.append(candidates[:, j : j + 1])
-    if not cols:
-        return np.zeros((candidates.shape[0], 0), dtype=complex)
-    return np.hstack(cols)

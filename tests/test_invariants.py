@@ -297,6 +297,76 @@ class TestConjugatePairFamilies:
         assert assert_tree_matches_naive(G).depth <= 3
 
 
+# the companion matrix of x^3 - x - 1, whose roots (one real, a conjugate
+# pair) lie outside the field of its entries: at 53 bits every block it
+# touches is split and triangularized numerically
+CUBIC = [[0, 1, 1], [1, 0, 0], [0, 1, 0]]
+IDENTITY3 = [[int(i == j) for j in range(3)] for i in range(3)]
+
+
+def block_rows(blocks, below=0):
+    """Rows of the block-diagonal matrix of the 3 x 3 blocks, with ``below``
+    times the identity under each diagonal block but the first."""
+    n = 3 * len(blocks)
+    rows = [[0] * n for _ in range(n)]
+    for b, block in enumerate(blocks):
+        for i in range(3):
+            rows[3 * b + i][3 * b:3 * b + 3] = block[i]
+            if b:
+                rows[3 * b + i][3 * (b - 1) + i] = below
+    return rows
+
+
+# families (seed, index) of scripts/random_family_survey.py, drawn by its
+# random_family, with their family's subspace dimensions and tree depth
+SURVEY_FAMILIES = {
+    (0, 29): ([[[2, 3, 3, 3, -3], [-2, 3, 0, -2, 2], [6, -6, -1, 2, 4], [-1, -3, -5, -6, 3],
+                [-1, 3, 4, 5, 1]],
+               [[int(i == j) for j in range(5)] for i in range(5)]], [4, 4, 4, 4], 5),
+    (2, 41): ([[[3, 2, 2, 2], [-2, 1, -2, 2], [-1, -1, 2, -5], [-3, -1, -1, 2]],
+               [[7, 2, 2, 2], [-2, 1, -2, 2], [-3, 1, 4, -3], [-1, 1, 1, 4]]], [2, 3], 3),
+    (3, 30): ([[[-6, -2, 10, -3], [1, 0, -6, 2], [5, -1, -7, 4], [-4, -1, 4, -2]],
+               [[11, 5, -4, -3], [5, 11, 6, 1], [1, 4, 9, -1], [1, 1, 2, 13]]], [3, 3, 3], 4),
+    (7, 31): ([[[2, 0, 0, 0], [4, 1, 1, 1], [6, 3, -7, -3], [4, -1, -2, 3]],
+               [[2, 0, 0, 0], [-2, 1, -1, 1], [-2, -1, 7, 1], [-6, -3, 0, 5]]], [3, 3, 3], 4),
+    (8, 43): ([[[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]],
+               [[-12, -4, 14, 4], [-6, -6, 6, 0], [6, 0, -14, -6], [6, 8, 0, 4]]], [3, 3, 3], 4),
+}
+
+
+class TestNumericFlag:
+    """53-bit families whose numeric flag once stopped short.  On a block
+    where every generator is scalar up to rounding, the nilpotent parts are
+    noise that no kernel threshold relative to them reads as zero; and a
+    complex flag was annihilated by its conjugate.  Above 53 bits each of
+    these families is refused with SpectrumNotCertified, as its blocks are
+    not decided exactly."""
+
+    @pytest.mark.parametrize("generators, dims, depth", [
+        pytest.param([block_rows([CUBIC, CUBIC])], [4, 5], 4, id="C+C"),
+        pytest.param([block_rows([CUBIC, CUBIC]), block_rows([IDENTITY3, IDENTITY3], below=1)],
+                     [4, 5], 4, id="C+C-with-unipotent"),
+        *(pytest.param(*case, id=f"survey-{seed}-{index}")
+          for (seed, index), case in SURVEY_FAMILIES.items()),
+    ])
+    def test_tree_matches_naive(self, generators, dims, depth):
+        tree = assert_tree_matches_naive(group_from_strings("real", generators))
+        assert sorted(s.dim for s in tree.family.subspaces) == dims
+        assert tree.depth == depth
+
+    @pytest.mark.parametrize("k, dims, depth", [(3, [7, 8], 6), (4, [10, 11], 8)])
+    def test_real_jordan_chain(self, k, dims, depth):
+        # C's real Jordan chain of k blocks, [[C, 0, 0], [I, C, 0], [0, I, C]]
+        # for k = 3.  The naive tree restricts numerically at every level and
+        # splits the defective clusters of its deeper nodes, so only the
+        # family and the depth are checked
+        G = group_from_strings("real", [block_rows([CUBIC] * k, below=1)])
+        tree = invariant_tree(G, CTX)
+        assert sorted(s.dim for s in tree.family.subspaces) == dims
+        assert all(not s.exact and s.invariance_residual <= 1e-12 for s in tree.family.subspaces)
+        assert tree.depth == depth
+
+
 class TestMembership:
     def test_points(self):
         fam = invariant_family(shear3(), CTX)

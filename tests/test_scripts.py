@@ -73,14 +73,15 @@ def test_random_family_survey_at_128_bits():
 
 
 def test_random_family_survey_outlives_a_failing_family():
-    # these arguments draw a family the 53-bit numeric path cannot
-    # decompose; the survey tallies it and goes on.  Which families fail is
-    # the numeric path's business, not pinned here.
+    # at 128 bits these arguments draw families whose spectrum is not
+    # certified exactly; the survey tallies them and goes on.  How many fail
+    # is the spectral core's business, not pinned here.
     proc = run_script("random_family_survey.py", "--families", "30", "--max-dim", "6",
-                      "--seed", "0")
+                      "--seed", "0", "--precision", "128")
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr + proc.stdout
     assert proc.stdout.startswith("surveyed 30 families")
+    assert "failed families: {'SpectrumNotCertified': " in proc.stdout
 
 
 def test_analyze_examples_smoke(tmp_path):

@@ -516,6 +516,38 @@ class TestTriangularize:
             assert len(evs) == 1 and evs[0][1] == 4
 
 
+class TestNumericFlag:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_conjugated_commuting_nilpotents(self, d, field):
+        # mu_i I + U N_i U^-1, with the N_i polynomials without constant
+        # term in one random nilpotent and U a random unitary (orthogonal
+        # for real): the flag is orthonormal, so P is unitary, and every T
+        # is lower triangular with mu_i on its diagonal.  A sparse nilpotent
+        # gives Jordan types from one block down to zero, where every
+        # generator is scalar up to the rounding of the conjugation
+        rng = np.random.default_rng([d, field == "complex"])
+        cplx = field == "complex"
+        for trial in range(20):
+            N = np.tril(rng.integers(-2, 3, (d, d)), -1) * (rng.random((d, d)) < trial % 5 / 4)
+            Z = rng.normal(size=(d, d)) + 1j * cplx * rng.normal(size=(d, d))
+            U = np.linalg.qr(Z)[0]
+            restrictions, true_mus = [], []
+            for _ in range(rng.integers(1, 4)):
+                c1, c2 = rng.integers(-2, 3, 2)
+                mu = rng.uniform(-3, 3) + 1j * cplx * rng.uniform(-3, 3)
+                restrictions.append(U @ (mu * np.eye(d) + c1 * N + c2 * (N @ N)) @ U.conj().T)
+                true_mus.append(mu)
+            mus = [spectral._trace_mean(R) for R in restrictions]
+            P, tri = spectral._triangularize_numeric(restrictions, mus, CTX)
+            assert np.allclose(P.conj().T @ P, np.eye(d), atol=1e-12), trial
+            for R, T, mu in zip(restrictions, tri, true_mus):
+                scale = max(1.0, max_abs(R))
+                assert max_abs(P @ T - R @ P) <= 1e-12 * scale, trial
+                assert max_abs(np.triu(T, 1)) <= 1e-12 * scale, trial
+                assert max_abs(np.diag(T) - mu) <= 1e-12 * scale, trial
+
+
 class TestErrorPaths:
     def test_cluster_ambiguity_raised(self):
         # double-precision input whose spectrum is split by ~1e-6, right at
