@@ -22,12 +22,15 @@ float64 QR of B) and c_u the hull coordinates of u.  A box is deduplicated
 through the transposed view of its staged product, so it is not copied into
 rows first, and the deduplication consumes it: when at least half of its
 rows survive, they are written into the box's own buffer.  A cloud on a
-line is deduplicated by sorting its values, so its rows ascend, and its
-frame coordinate is monotone along them: its minimum separation is the least
-gap between consecutive rows, and its window is one run of rows, found by
-binary search.  Any other cloud is deduplicated by a lexsort of all its
-columns, and its minimum separation is the exact nearest pair on a grid of
-cells, which a k-d tree's nearest-neighbour query returns too, bit for bit.
+line is deduplicated by sorting its values in the box's own buffer, so its
+rows ascend, and its frame coordinate is monotone along them: its minimum
+separation is the least gap between consecutive rows, and its window is one
+run of rows, found by binary search.  Only when one key holds two bit
+patterns does the line need its first order, and its box is then formed
+again, which gives the same bits, for the lexsort.  Any other cloud is
+deduplicated by a lexsort of all its columns, and its minimum separation is
+the exact nearest pair on a grid of cells, which a k-d tree's
+nearest-neighbour query returns too, bit for bit.
 Boxes too large to materialize are streamed in chunks: a tuple's frame
 coordinates are those of one outer power applied to one inner column, and
 they are formed, by the gather-multiply that forms the stored hits, only for
@@ -46,6 +49,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -113,8 +117,9 @@ class OrbitCloud:
 
     When d = 1 the rows ascend, and classify_closure relies on it.  Every
     one-column output of _dedup ascends, strictly: the one-column path sorts
-    the values, and the lexsort path returns the rows in ascending key order,
-    in which the values ascend too, since rounding x / eps is monotone.
+    the values in the box's buffer, and the lexsort path returns the rows in
+    ascending key order, in which the values ascend too, since rounding
+    x / eps is monotone.
     """
 
     coords: np.ndarray                # deduped hull coordinates (m, d), maybe column-major
@@ -205,57 +210,58 @@ def _staged_columns(stacks: list[np.ndarray], V: np.ndarray) -> np.ndarray:
     return V
 
 
-def _dedup(points: np.ndarray, eps: float) -> np.ndarray:
+def _dedup(points: np.ndarray, eps: float, reform: Callable[[], np.ndarray]) -> np.ndarray:
     """Finite rows of `points`, one per eps-grid key, in lexsort order of the keys.
 
     The key columns are the columns of `points`, read as strided views:
     `points` may be the transposed view of a (d, m) staged product, and it
-    is not copied.  A cloud on a line (d = 1) sorts its values alone, not a
-    permutation of the rows.  Rounding x / eps is monotone, so the sorted
-    values are in lexsort order of the keys, and when the values of each key
-    share their bits, each is the row the lexsort keeps for its key.  A key
-    whose values differ in their bits (0.0 and -0.0, or two values in one
-    eps cell) sends the line to the lexsort of its columns, the path of
-    every cloud of d >= 2; a 0-column cloud keeps its first row.  Beside the
-    box, a line keeps one array of the box's size, the sorted copy of the
-    values: it is compacted only when two values share their bits, and the
-    keys are checked in slices.  The copy stays, since the lexsort reads the
-    unsorted column.
+    is not copied.  A cloud on a line (d = 1) sorts its values in place, in
+    the buffer of `points`, not a permutation of the rows.  Rounding x / eps
+    is monotone, so the sorted values are in lexsort order of the keys, and
+    when the values of each key share their bits, each is the row the
+    lexsort keeps for its key.  A key whose values differ in their bits (0.0
+    and -0.0, or two values in one eps cell) sends the line to the lexsort
+    of its columns, the path of every cloud of d >= 2, which needs the rows
+    in their first order: reform() returns `points` again as it was given
+    (enumerate_orbit forms the box again, or hands back a copy of a streamed
+    window).  A 0-column cloud keeps its first row.  A line allocates no
+    array of the box's size besides the box: the bits of neighbours and the
+    keys are compared in slices, and the values are compacted only when two
+    share their bits.
 
-    `points` is consumed: both paths write their (d, m') result into
-    _result_rows and return it transposed, an F-contiguous (m', d) array.
-    Either way a one-column result ascends strictly in value.
+    `points` is consumed: a line is sorted in it, and both paths write
+    their (d, m') result into _result_rows and return it transposed, an
+    F-contiguous (m', d) array.  Either way a one-column result ascends
+    strictly in value.
     """
+    points = _finite_rows(points)
     if points.shape[0] == 0:
         return points
     cols = list(points.T)
-    lo, hi = _extremes(cols)  # NaN or inf in a column shows here
-    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-        points = points[np.logical_and.reduce([np.isfinite(c) for c in cols])]
-        if points.shape[0] == 0:
-            return points
-        cols = list(points.T)
     if not cols:
         return points[:1].copy()
     if len(cols) == 1:
-        vals = np.sort(cols[0])
-        new = np.empty(vals.size, dtype=bool)
-        new[0] = True
-        np.not_equal(vals[1:].view(np.int64), vals[:-1].view(np.int64), out=new[1:])
-        # one value per bit pattern.  No other array is kept by name, so the
-        # output below is formed in the points' buffer or next to it.
-        if not new.all():
-            vals = vals[new]
-        del new
+        line = cols[0]
+        line.sort()
+        vals = line[: _distinct_bits(line)]
         # the keys of distinct values rise strictly unless two share a key;
         # each slice overlaps the next by one value
         step = 2**16
         if all((k[1:] > k[:-1]).all() for k in (
                 np.round(vals[lo : lo + step + 1] / eps) for lo in range(0, vals.size, step))):
             out = _result_rows(points, vals.size)
-            out[0] = vals
+            out[0] = vals  # a no-op when out is the sorted buffer itself
             return out.T
-    rows = _first_of_each_key(cols, eps)
+        points = _finite_rows(reform())
+        cols = list(points.T)
+        # the sorted line, which the caller may still hold, is read no more:
+        # its buffer takes the keys of the line formed again, which has as
+        # many finite rows
+        keys = [line]
+    else:
+        keys = [np.empty(points.shape[0]) for _ in cols]
+    rows = _first_of_each_key(cols, eps, keys)
+    del keys  # freed before the gather
     # for a materialized box points.T is the staged (d, M) product itself, so
     # this gathers along its rows; taking rows of points would first copy it
     # into rows, and fancy-indexing them is about three times slower.  Row c
@@ -267,14 +273,48 @@ def _dedup(points: np.ndarray, eps: float) -> np.ndarray:
     return out.T
 
 
-def _first_of_each_key(cols: list[np.ndarray], eps: float) -> np.ndarray:
+def _finite_rows(points: np.ndarray) -> np.ndarray:
+    """`points` itself when every value is finite, else its finite rows."""
+    if points.shape[0] == 0:
+        return points
+    cols = list(points.T)
+    lo, hi = _extremes(cols)  # NaN or inf in a column shows here
+    if np.isfinite(lo).all() and np.isfinite(hi).all():
+        return points
+    return points[np.logical_and.reduce([np.isfinite(c) for c in cols])]
+
+
+def _distinct_bits(vals: np.ndarray) -> int:
+    """Compact sorted float64 `vals` in place to one value per bit pattern; return how many.
+
+    Neighbours are compared in slices of 2^16 values, each overlapping the
+    next by one, and the values move only when two share their bits.  Each
+    slice is compared with the values one before it before its kept values
+    are written, at or below its start; the value before a slice was written
+    over only when nothing before it was dropped, and then by itself.
+    """
+    bits = vals.view(np.int64)
+    step = 2**16
+    if not any((b[1:] == b[:-1]).any() for b in (
+            bits[lo : lo + step + 1] for lo in range(0, bits.size, step))):
+        return bits.size
+    k = 1
+    for lo in range(1, bits.size, step):
+        s = bits[lo : lo + step]
+        kept = s[s != bits[lo - 1 : lo - 1 + s.size]]
+        bits[k : k + kept.size] = kept
+        k += kept.size
+    return k
+
+
+def _first_of_each_key(cols: list[np.ndarray], eps: float, keys: list[np.ndarray]) -> np.ndarray:
     """Indices of the first row of each distinct eps-grid key, in lexsort order of the keys.
 
-    The keys and the sort order are freed on return, before _dedup gathers.
+    The keys are written into `keys`, one float64 array per column, of its
+    length.  The sort order is freed on return.
     """
-    keys = [c / eps for c in cols]
-    for k in keys:
-        np.round(k, out=k)
+    for c, k in zip(cols, keys):
+        np.round(np.divide(c, eps, out=k), out=k)
     order = np.lexsort(keys)
     keep = np.zeros(order.size, dtype=bool)
     keep[0] = True
@@ -335,10 +375,15 @@ def enumerate_orbit(
         stacks = [powers(K) for powers in hull.maps]
         if subsampled:
             coords, clipped = _stream_window(stacks, hull, cfg)
+            window = coords.copy()
+            reform = lambda: window
         else:
             coords, clipped = _box(stacks, hull, cfg)
-    # coords is a temporary, which _dedup may overwrite
-    return OrbitCloud(_dedup(coords, cfg.dedup_eps), total, hull, subsampled, clipped)
+            # the staged product is deterministic: formed again, it has the same bits
+            reform = lambda: _box(stacks, hull, cfg)[0]
+        # coords is a temporary, which _dedup sorts or overwrites
+        coords = _dedup(coords, cfg.dedup_eps, reform)
+    return OrbitCloud(coords, total, hull, subsampled, clipped)
 
 
 def _frame(G: GeneratorSet, u: Vector) -> Hull:

@@ -666,9 +666,17 @@ def _bytes(a):
     return np.ascontiguousarray(a).tobytes()
 
 
+def _dedup_of(pts, eps):
+    """_dedup(pts, eps), which consumes pts: a line that falls back to the
+    lexsort reads it again from a copy taken first."""
+    first = pts.copy()
+    return _dedup(pts, eps, lambda: first)
+
+
 class TestDedup:
     def _same(self, pts, eps=1e-9):
-        got, want = _dedup(pts, eps), _dedup_oracle(pts, eps)
+        want = _dedup_oracle(pts, eps)
+        got = _dedup_of(pts, eps)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
 
@@ -686,12 +694,13 @@ class TestDedup:
             for rpts in (pts, _with_nonfinite_rows(pts, rng)):
                 x = np.ascontiguousarray(rpts[:, 0::2])
                 for eps in (1e-9, 2.5e-9):
-                    got = _dedup(x, eps)
+                    want = _dedup_oracle(x, eps)
+                    got = _dedup_of(x.copy(), eps)
                     assert got.dtype == np.float64
-                    assert _bytes(got) == _bytes(_dedup_oracle(x, eps))
+                    assert _bytes(got) == _bytes(want)
                     for a in (rpts, x):
                         view = a.T.copy().T
-                        got, want = _dedup(view, eps), _dedup(a, eps)
+                        got, want = _dedup_of(view, eps), _dedup_of(a.copy(), eps)
                         assert got.shape == want.shape and got.dtype == want.dtype
                         assert _bytes(got) == _bytes(want)
 
@@ -733,7 +742,7 @@ class TestDedup:
         for name, pts, no_sort in cases:
             yield name, pts, False
             yield f"{name}, one column", np.ascontiguousarray(pts[:, 2:]), no_sort
-        yield "one column, strided", line[:, 2:], True
+        yield "one column, strided", line.copy()[:, 2:], True
         yield "one column, transposed view", np.ascontiguousarray(line[:, 2:].T).T, True
         for bad in (np.nan, np.inf):
             x = line.copy()
@@ -758,7 +767,7 @@ class TestDedup:
         results = {}
         for name, pts, no_sort in self._one_column_cases():
             want = _dedup_oracle(np.ascontiguousarray(pts), 1e-9)
-            got = _dedup(pts, 1e-9)
+            got = _dedup_of(pts, 1e-9)
             assert got.dtype == pts.dtype and got.shape == want.shape, name
             assert _bytes(got) == _bytes(want), name
             assert got.flags.f_contiguous, name  # the gather path's layout
@@ -771,11 +780,31 @@ class TestDedup:
         monkeypatch.setattr(np, "lexsort", no_lexsort)
         for name, pts, no_sort in self._one_column_cases():
             if no_sort:
-                assert _bytes(_dedup(pts, 1e-9)) == _bytes(results[name]), name
+                assert _bytes(_dedup_of(pts, 1e-9)) == _bytes(results[name]), name
             else:
                 with pytest.raises(AssertionError, match="lexsort called"):
-                    _dedup(pts, 1e-9)
+                    _dedup_of(pts, 1e-9)
 
+    def test_long_line_compacts_in_slices(self, monkeypatch):
+        # a line of several slices of 2^16 values, whose sorted values repeat
+        # across a slice boundary, next to one, and at random, is compacted in
+        # its own buffer to the oracle's rows and runs no lexsort; the first
+        # case repeats one value alone, at positions 2^16 - 1 and 2^16
+        rng = np.random.default_rng(9)
+        step = 2**16
+        base = np.arange(3 * step + 5) * 0.25
+        lexsort = np.lexsort
+
+        def no_lexsort(keys):
+            raise AssertionError("lexsort called")
+
+        for repeated in ([step - 1], [step - 1, step, 2 * step + 3], rng.integers(0, base.size, 5000)):
+            x = rng.permutation(np.concatenate([base, base[repeated]]))[:, None]
+            want = _dedup_oracle(x, 1e-9)
+            monkeypatch.setattr(np, "lexsort", no_lexsort)
+            got = _dedup_of(x, 1e-9)
+            monkeypatch.setattr(np, "lexsort", lexsort)
+            assert _bytes(got) == _bytes(want) and np.shares_memory(got, x)
 
     def test_result_reuses_a_transposed_box(self):
         # a transposed view whose rows mostly survive receives the result in
@@ -787,11 +816,92 @@ class TestDedup:
                 box = np.empty((width, m))
                 box[:-1] = rng.normal(size=(width - 1, 1))
                 box[-1] = (rng.permutation(m) if distinct else np.arange(m) % 2) * 0.25
-                want = _dedup(np.ascontiguousarray(box.T), 1e-9)
-                got = _dedup(box.T, 1e-9)
+                want = _dedup_of(np.ascontiguousarray(box.T), 1e-9)
+                got = _dedup_of(box.T, 1e-9)
                 assert got.flags.f_contiguous and got.shape == want.shape
                 assert _bytes(got) == _bytes(want)
                 assert np.shares_memory(got, box) == (2 * got.shape[0] >= m)
+
+
+class TestReformedLine:
+    """A line with a key of two bit patterns is deduplicated from its rows in
+    enumeration order, formed again after the in-place sort: its rows are the
+    all-column oracle's, byte for byte, and only such a line forms its box
+    twice."""
+
+    @staticmethod
+    def _record(monkeypatch, name, signed_zeros=False):
+        """Copies of every coords array dynamics.<name> returns; with
+        signed_zeros, every other 0.0 of the first column is made -0.0 first,
+        the same ones in each formation."""
+        formed = []
+        inner = getattr(dynamics, name)
+
+        def recorded(*args):
+            coords, clipped = inner(*args)
+            if signed_zeros:
+                col = coords[:, 0]
+                col[np.flatnonzero(col == 0)[::2]] = -0.0
+            formed.append(coords.copy())
+            return coords, clipped
+
+        monkeypatch.setattr(dynamics, name, recorded)
+        return formed
+
+    def _check(self, cloud, formed, times):
+        assert len(formed) == times and cloud.coords.shape[1] == 1
+        assert all(_bytes(f) == _bytes(formed[0]) for f in formed)
+        assert _bytes(cloud.coords) == _bytes(_dedup_oracle(formed[0], CFG.dedup_eps))
+
+    @pytest.mark.parametrize("K", [8, 16, 32])
+    def test_two_values_in_one_cell(self, monkeypatch, K):
+        # shear4's closed point has two values within one dedup_eps cell
+        G, points = fixture_by_name("shear4")
+        formed = self._record(monkeypatch, "_box")
+        self._check(enumerate_orbit(G, points["closed"], K, CFG), formed, 2)
+
+    def test_signed_zeros(self, monkeypatch):
+        # a staged product whose zeros come with both signs, as BLAS may give
+        # them, has one key with the bits of 0.0 and of -0.0
+        G, points = fixture_by_name("shear3")
+        formed = self._record(monkeypatch, "_box", signed_zeros=True)
+        cloud = enumerate_orbit(G, points["closed"], 8, CFG)
+        self._check(cloud, formed, 2)
+        signs = np.signbit(formed[0][formed[0] == 0])
+        assert signs.any() and not signs.all()
+
+    @pytest.mark.parametrize("name, point", [("shear3", "closed"), ("shear4", "dense_line")])
+    def test_distinct_keys_form_the_box_once(self, monkeypatch, name, point):
+        G, points = fixture_by_name(name)
+        formed = self._record(monkeypatch, "_box")
+        self._check(enumerate_orbit(G, points[point], 32, CFG), formed, 1)
+
+    def test_keys_take_the_sorted_buffer(self):
+        # the sorted values, which enumerate_orbit still holds, take the keys
+        # of the box formed again: the traced peak is the two boxes, the
+        # lexsort's order and one gathered key column, within 4.5 boxes
+        G, points = fixture_by_name("shear4")
+        K = 300
+        tracemalloc.start()
+        try:
+            cloud = enumerate_orbit(G, points["closed"], K, CFG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cloud.count == 4 * K + 1
+        assert peak <= 4.5 * (2 * K + 1) ** 2 * 8
+
+    def test_streamed_window(self, monkeypatch):
+        # a streamed line reads its window again from a copy taken before the
+        # sort, and streams it once
+        G, points = fixture_by_name("shear4")
+        formed = self._record(monkeypatch, "_stream_window")
+        lexsorts = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: lexsorts.append(1) or lexsort(keys))
+        cloud = enumerate_orbit(G, points["closed"], 8, dataclasses.replace(CFG, max_store=16))
+        assert cloud.subsampled and lexsorts == [1]
+        self._check(cloud, formed, 1)
 
 
 def _shear_cases():
@@ -1203,6 +1313,22 @@ class TestClassify:
         tuples = (2 * K + 1) ** len(G.generators)
         assert cloud.count == tuples and cloud.points.dtype == np.float64
         assert peak <= (G.dimension + 3) * tuples * 8
+
+    def test_dense_line_sorts_inside_its_box(self):
+        # at the documented K = 1000 the line's box is 32 MB, and its values
+        # are sorted and deduplicated in that buffer: the traced peak of
+        # enumeration stays within 1.2 times the box's bytes
+        G, points = fixture_by_name("shear4")
+        K = 1000
+        tracemalloc.start()
+        try:
+            cloud = enumerate_orbit(G, points["dense_line"], K, CFG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tuples = (2 * K + 1) ** len(G.generators)
+        assert cloud.count == tuples and cloud.coords.shape[1] == 1
+        assert peak <= 1.2 * tuples * 8
 
     def test_dense_plane_box_is_not_allocated_twice(self):
         # a box in several hull coordinates goes through the lexsort, whose
