@@ -27,18 +27,20 @@ rows ascend, and its frame coordinate is monotone along them: its minimum
 separation is the least gap between consecutive rows, and its window is one
 run of rows, found by binary search.  Only when one key holds two bit
 patterns does the line need its first order, and its box is then formed
-again, which gives the same bits, for the lexsort.  Any other cloud is
-deduplicated by a lexsort of all its columns, and its minimum separation is
-the exact nearest pair on a grid of cells, which a k-d tree's
-nearest-neighbour query returns too, bit for bit.
+again, which gives the same bits, and read once for the first value of each
+such key.  Any other cloud is deduplicated by a lexsort of all its columns,
+and its minimum separation is the exact nearest pair on a grid of cells,
+which a k-d tree's nearest-neighbour query returns too, bit for bit.
 Boxes too large to materialize are streamed in chunks: a tuple's frame
 coordinates are those of one outer power applied to one inner column, and
 they are formed, by the gather-multiply that forms the stored hits, only for
-the tuples that can be window hits, found by one search per outer power in
-the inner columns sorted by their first hull coordinate.  A streamed cloud
-is its window: it stores only the deduplicated window hits.  Its points
-equal the materialized box's window points up to rounding, and its verdicts
-and gaps are the same.  Closure verdicts are explicitly heuristic:
+the tuples that can be window hits: each outer power bounds every hull
+coordinate of a hit by an interval, takes the inner columns of one search in
+their order by the first hull coordinate, and keeps those whose other
+coordinates lie in their intervals.  A streamed cloud is its window: it
+stores only the deduplicated window hits.  Its points equal the
+materialized box's window points up to rounding, and its verdicts and gaps
+are the same.  Closure verdicts are explicitly heuristic:
 DISCRETE needs a minimum pairwise separation over a fully stored box,
 DENSE_IN_AFFINE(d) needs the sampled window covered at COVER_RESOLUTION,
 everything else is INCONCLUSIVE.
@@ -220,14 +222,15 @@ def _dedup(points: np.ndarray, eps: float, reform: Callable[[], np.ndarray]) -> 
     is monotone, so the sorted values are in lexsort order of the keys, and
     when the values of each key share their bits, each is the row the
     lexsort keeps for its key.  A key whose values differ in their bits (0.0
-    and -0.0, or two values in one eps cell) sends the line to the lexsort
-    of its columns, the path of every cloud of d >= 2, which needs the rows
-    in their first order: reform() returns `points` again as it was given
-    (enumerate_orbit forms the box again, or hands back a copy of a streamed
-    window).  A 0-column cloud keeps its first row.  A line allocates no
-    array of the box's size besides the box: the bits of neighbours and the
-    keys are compared in slices, and the values are compacted only when two
-    share their bits.
+    and -0.0, or two values in one eps cell) must keep its first value in
+    enumeration order, which reform() gives back: it returns `points` again
+    as it was given (enumerate_orbit forms the box again, or hands back a
+    copy of a streamed window), and _first_of_shared_keys reads it once.
+    Every cloud of d >= 2 takes the lexsort of its columns.  A 0-column
+    cloud keeps its first row.  A line whose keys each hold one bit pattern
+    allocates no array of the box's size besides the box: the bits of
+    neighbours and the keys are compared in slices, and the values are
+    compacted only when two share their bits.
 
     `points` is consumed: a line is sorted in it, and both paths write
     their (d, m') result into _result_rows and return it transposed, an
@@ -247,19 +250,13 @@ def _dedup(points: np.ndarray, eps: float, reform: Callable[[], np.ndarray]) -> 
         # the keys of distinct values rise strictly unless two share a key;
         # each slice overlaps the next by one value
         step = 2**16
-        if all((k[1:] > k[:-1]).all() for k in (
+        if not all((k[1:] > k[:-1]).all() for k in (
                 np.round(vals[lo : lo + step + 1] / eps) for lo in range(0, vals.size, step))):
-            out = _result_rows(points, vals.size)
-            out[0] = vals  # a no-op when out is the sorted buffer itself
-            return out.T
-        points = _finite_rows(reform())
-        cols = list(points.T)
-        # the sorted line, which the caller may still hold, is read no more:
-        # its buffer takes the keys of the line formed again, which has as
-        # many finite rows
-        keys = [line]
-    else:
-        keys = [np.empty(points.shape[0]) for _ in cols]
+            vals = _first_of_shared_keys(vals, eps, _finite_rows(reform())[:, 0])
+        out = _result_rows(points, vals.size)
+        out[0] = vals  # a no-op when out is the sorted buffer itself
+        return out.T
+    keys = [np.empty(points.shape[0]) for _ in cols]
     rows = _first_of_each_key(cols, eps, keys)
     del keys  # freed before the gather
     # for a materialized box points.T is the staged (d, M) product itself, so
@@ -271,6 +268,39 @@ def _dedup(points: np.ndarray, eps: float, reform: Callable[[], np.ndarray]) -> 
     for c, row in enumerate(points.T):
         out[c] = row[rows]
     return out.T
+
+
+def _first_of_shared_keys(vals: np.ndarray, eps: float, line: np.ndarray) -> np.ndarray:
+    """One value per eps-grid key of `vals`, the sorted distinct bit patterns of `line`.
+
+    `line` holds the values in enumeration order.  A key holds two bit
+    patterns exactly where two neighbours of `vals` share it, and every
+    other key's one value is the row the lexsort of `line` keeps for it.
+    One pass over `line`, in slices of 2^16 values, takes the values of each
+    shared key from the first slice that holds one, and the lexsort of those
+    alone keeps the first of each in enumeration order.  The result is a new
+    array, ascending strictly, so the buffer of `vals` may take it.
+    """
+    keys = np.round(vals / eps)
+    first = np.ones(vals.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    shared = np.unique(keys[1:][~first[1:]])
+    at = np.searchsorted(keys[first], shared)
+    out = vals[first]
+    del keys, first
+    seen = np.zeros(shared.size, dtype=bool)
+    taken = []
+    step = 2**16
+    for lo in range(0, line.size, step):
+        x = line[lo : lo + step]
+        k = np.round(x / eps)
+        i = np.searchsorted(shared, k).clip(max=shared.size - 1)
+        new = (shared[i] == k) & ~seen[i]
+        taken.append(x[new])
+        seen[i[new]] = True
+    taken = np.concatenate(taken)
+    out[at] = taken[_first_of_each_key([taken], eps, [np.empty(taken.size)])]
+    return out
 
 
 def _finite_rows(points: np.ndarray) -> np.ndarray:
@@ -504,7 +534,11 @@ def _stream_window(stacks: list[np.ndarray], hull: Hull, cfg: ClosureConfig) -> 
     stage.  A tuple's frame coordinates V^T B (c - c_u) are Q[j] (x; 1) -
     w, with Q[j] = V^T B P[j] and w = V^T B c_u, and it is a hit when
     their largest modulus is at most 1.5 windows; _window_filter finds the
-    hits without forming that value for every tuple, and leaves none out.
+    hits without forming that value for every tuple, and leaves none out:
+    each outer power bounds every hull coordinate of a hit by an interval,
+    and only the tuples whose inner column lies in all of them, found from
+    the columns' first hull coordinate by one search per outer power and
+    exact reads of the others, are formed.
     A point is formed only when it is a window hit or a column whose norm
     bound cannot clear the exact overflow test (every |coordinate| of o + B
     c within the limit).
@@ -551,13 +585,14 @@ def _window_filter(Q: np.ndarray, offset: np.ndarray, bound: float):
     Q is (J, d, d + 1) and cols (d + 1, M), hull coordinates x with a last
     row of ones.  Exactly, Q[j] (x; 1) - o = R_j x + a_j, with R_j the first
     d columns of Q[j] and a_j its last column less o.  Only columns with
-    |R_j x + a_j|_inf <= B_j can be hits, and among those x_0 lies in an
-    interval [lo_j, hi_j]: so each j takes the columns of one searchsorted
-    range of the chunk's columns sorted by x_0, and the value of only those
-    tuples is formed and compared.  _outer_columns gives a tuple the same
-    bits whichever tuples it is formed with, so these are the hits a test of
-    every tuple would find, and they come out in the same ascending flat
-    order.
+    |R_j x + a_j|_inf <= B_j can be hits, and each coordinate x_k of those
+    lies in an interval [lo_jk, hi_jk].  So each j takes the columns of one
+    searchsorted range of the chunk's columns sorted by x_0, drops those
+    whose x_1, ..., x_(d-1), read exactly from cols, lie outside their
+    intervals, and forms and compares the value of only the rest.
+    _outer_columns gives a tuple the same bits whichever tuples it is formed
+    with, so these are the hits a test of every tuple would find, and they
+    come out in the same ascending flat order.
 
     No hit is left out.  Let u = 2^-53, g_k = k u / (1 - k u), c = 4 (d +
     5) u, q_j = ||Q[j]||_inf, and let X >= 1 bound the |entries| of the
@@ -572,56 +607,73 @@ def _window_filter(Q: np.ndarray, offset: np.ndarray, bound: float):
 
     whose factors c also cover the rounding of B_j itself.  Let Y be any d
     x d matrix (a computed pseudo-inverse of R_j) and F = I - Y R_j.  Then
-    Y (y - a_j) = x - F x for y = R_j x + a_j, so |x_0 - center_j| <=
-    |Y_0|_1 B_j + ||F||_inf X, with center_j = -Y_0 a_j and Y_0 the first
-    row of Y.  The computed center_j is off by at most g_d |Y_0|_1
-    |a_j|_inf, the computed ||F||_inf by at most c (1 + ||Y||_inf
-    ||R_j||_inf), and the half-width h_j and the interval's ends are widened
-    by the factor 1 + c and by c |center_j| to cover their own rounding.  A
-    j whose interval is not finite (a non-finite Q[j], a_j or bound) takes
-    all M columns, and so does every j of a 0-dimensional hull, whose every
-    tuple is a hit.
+    Y (y - a_j) = x - F x for y = R_j x + a_j, so each row Y_k of Y gives
+    |x_k - center_jk| <= |Y_k|_1 B_j + ||F||_inf X, with center_jk = -Y_k
+    a_j.  The computed center_jk is off by at most g_d |Y_k|_1 |a_j|_inf,
+    the computed ||F||_inf by at most c (1 + ||Y||_inf ||R_j||_inf), and the
+    half-width h_jk and the interval's ends are widened by the factor 1 + c
+    and by c |center_jk| to cover their own rounding.  A hit's x_k, read
+    exactly, therefore lies in [lo_jk, hi_jk], and the x_0 range holds its
+    column.  An interval that is not finite (a non-finite Q[j], a_j or
+    bound) keeps every tuple: its x_0 range is all M columns, and it becomes
+    [-inf, inf] for x_1, ..., x_(d-1), which drops a tuple only when x_k <
+    lo_jk or x_k > hi_jk, so no x_k, not even NaN, is outside it.  An
+    interval of x_k, k >= 1, that holds every finite x_k of the chunk is not
+    tested: it could drop only a column with a non-finite entry.  Every j
+    of a 0-dimensional hull, whose every tuple is a hit, takes all M columns.
     """
     def norm(A):  # the largest row sum of |A[j]|, for each j
         return np.abs(A).sum(axis=2).max(axis=1, initial=0.0)
 
     J, d, _ = Q.shape
     c = 4 * (d + 5) * 2.0**-53
-    q = norm(Q)
+    q = norm(Q)[:, None]
     a, R = Q[:, :, d] - offset, Q[:, :, :d]
     finite_R = np.isfinite(R).all(axis=(1, 2))
     Y = np.linalg.pinv(np.where(finite_R[:, None, None], R, 0.0))
-    a_norm = np.abs(a).max(axis=1, initial=0.0)
-    y0 = Y[:, :1]  # (J, 1, d), or (J, 0, 0) for d = 0
-    y0_norm = norm(y0)
-    center = -(y0 @ a[:, :, None]).sum(axis=(1, 2))
-    f_norm = norm(np.eye(d) - Y @ R) + c * (1 + norm(Y) * norm(R))
+    a_norm = np.abs(a).max(axis=1, initial=0.0)[:, None]
+    y_norm = np.abs(Y).sum(axis=2)  # (J, d): |Y_k|_1 of each row k
+    center = -(Y @ a[:, :, None])[:, :, 0]  # (J, d)
+    f_norm = (norm(np.eye(d) - Y @ R) + c * (1 + norm(Y) * norm(R)))[:, None]
 
     def hits_of(cols: np.ndarray) -> np.ndarray:
         M = cols.shape[1]
         finite = slice(None)
         if not np.isfinite(np.abs(cols).max(initial=0.0)):
             finite = np.isfinite(cols).all(axis=0)
-        X = np.abs(cols[:, finite]).max(initial=1.0)
+        fin = cols[:d, finite]
+        X = np.abs(fin).max(initial=1.0)
         B = bound * (1 + c) + c * (q * X + a_norm)
-        h = (y0_norm * B + f_norm * X + c * y0_norm * a_norm) * (1 + c) + c * np.abs(center)
-        whole = ~(np.isfinite(center - h) & np.isfinite(center + h)) | (d == 0)
-        key = cols[0] if d else np.zeros(M)
-        order = np.argsort(key)  # a non-finite column's NaN key sorts last
-        key = key[order]
-        start = np.where(whole, 0, np.searchsorted(key, center - h))
-        stop = np.where(whole, M, np.searchsorted(key, center + h, side="right"))
+        h = (y_norm * B + f_norm * X + c * y_norm * a_norm) * (1 + c) + c * np.abs(center)
+        lo, hi = center - h, center + h
+        whole = ~(np.isfinite(lo) & np.isfinite(hi))
+        lo[whole], hi[whole] = -np.inf, np.inf
+        narrow = (lo > fin.min(axis=1, initial=np.inf)) | (hi < fin.max(axis=1, initial=-np.inf))
+        if d:
+            order = np.argsort(cols[0])  # a non-finite column's NaN key sorts last
+            key = cols[0, order]
+            start = np.searchsorted(key, lo[:, 0])
+            stop = np.where(whole[:, 0], M, np.searchsorted(key, hi[:, 0], side="right"))
+        else:
+            order, start, stop = np.arange(M), np.zeros(J, dtype=int), np.full(J, M)
         count = stop - start
-        j = np.repeat(np.arange(J), count)
-        pos = np.arange(j.size) + np.repeat(start - (np.cumsum(count) - count), count)
-        flat = j * M + order[pos]  # ascending in j
-        hit = np.empty(flat.size, dtype=bool)
+        j = np.repeat(np.arange(J), count)  # ascending
+        col = order[np.arange(j.size) + np.repeat(start - (np.cumsum(count) - count), count)]
+        kept = [np.empty(0, dtype=j.dtype)]
         step = 2**16
-        for lo in range(0, flat.size, step):
+        for s in range(0, j.size, step):
+            js, cs = j[s : s + step], col[s : s + step]
+            out = np.zeros(js.size, dtype=bool)
+            for k in range(1, d):
+                if not narrow[js[0] : js[-1] + 1, k].any():
+                    continue
+                x = cols[k, cs]
+                out |= (x < lo[js, k]) | (x > hi[js, k])
+            flat = (js * M + cs)[~out]
             # a 0-dimensional hull maps every point to the base point
-            vals = _outer_columns(Q, cols, flat[lo : lo + step]) - offset
-            np.less_equal(np.abs(vals).max(axis=1, initial=0.0), bound, out=hit[lo : lo + step])
-        return np.sort(flat[hit])
+            vals = _outer_columns(Q, cols, flat) - offset
+            kept.append(flat[np.abs(vals).max(axis=1, initial=0.0) <= bound])
+        return np.sort(np.concatenate(kept))
 
     return hits_of
 

@@ -380,7 +380,7 @@ class TestWindowFilter:
         G, u, K, cfg = _digest_case("cshear5_plane_K24_streamed")
         cloud = enumerate_orbit(G, u, K, cfg)
         assert cloud.total_tuples == 117_649
-        assert 0 < sum(evaluated) < 0.05 * cloud.total_tuples
+        assert 0 < sum(evaluated) <= 2 * cloud.count
         assert _digest(cloud, G.field) == POINT_DIGESTS["cshear5_plane_K24_streamed"]
 
     def test_every_tuple_a_hit(self, evaluated):
@@ -394,6 +394,27 @@ class TestWindowFilter:
         cloud = enumerate_orbit(shear3(), as_vector([0, 0, 1]), 300, ClosureConfig(max_store=1000))
         assert cloud.subsampled and cloud.points.tolist() == [[0, 0, 1]]
         assert sum(evaluated) == cloud.total_tuples
+
+    @staticmethod
+    def _against_every_tuple(Q, offset, bound, cols, evaluated, rng, trial):
+        """The filter's hits, checked against a test of every tuple, and how many tuples it formed."""
+        J, M = Q.shape[0], cols.shape[1]
+        # the stream runs the filter where overflow and NaN are expected
+        with np.errstate(over="ignore", invalid="ignore"):
+            evaluated.clear()
+            got = _window_filter(Q, offset, bound)(cols)
+            formed = sum(evaluated)
+            vals = _outer_columns(Q, cols, np.arange(J * M)) - offset
+            # a tuple has the same bits whichever tuples it is formed
+            # with: a few on their own, and the rest in reverse order
+            few = rng.choice(J * M, size=min(J * M, trial % 3 + 1), replace=False)
+            rest = np.setdiff1d(np.arange(J * M), few)[::-1]
+            for part in (few, *few[:, None], rest):
+                assert np.array_equal(_outer_columns(Q, cols, part) - offset, vals[part],
+                                      equal_nan=True), trial
+        want = np.flatnonzero(np.abs(vals).max(axis=1, initial=0.0) <= bound)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist(), trial
+        return want.size, formed
 
     def test_no_hit_left_out(self, evaluated):
         # oracle: every tuple's frame coordinates, formed by the same helper.
@@ -419,24 +440,48 @@ class TestWindowFilter:
                 cols[rng.integers(max(d, 1)), rng.integers(M, size=3)] = rng.choice([np.inf, -np.inf, np.nan])
             if trial % 7 == 2:
                 Q[rng.integers(J), :, rng.integers(d + 1)] = np.inf
-            bound = float(rng.uniform(0.5, 5))
-            # the stream runs the filter where overflow and NaN are expected
-            with np.errstate(over="ignore", invalid="ignore"):
-                evaluated.clear()
-                got = _window_filter(Q, offset, bound)(cols)
-                vals = _outer_columns(Q, cols, np.arange(J * M)) - offset
-                # a tuple has the same bits whichever tuples it is formed
-                # with: a few on their own, and the rest in reverse order
-                few = rng.choice(J * M, size=min(J * M, trial % 3 + 1), replace=False)
-                rest = np.setdiff1d(np.arange(J * M), few)[::-1]
-                for part in (few, *few[:, None], rest):
-                    assert np.array_equal(_outer_columns(Q, cols, part) - offset, vals[part],
-                                          equal_nan=True), trial
-            want = np.flatnonzero(np.abs(vals).max(axis=1, initial=0.0) <= bound)
-            assert got.dtype == want.dtype and got.tolist() == want.tolist(), trial
-            hits += want.size
-            pruned += sum(evaluated) < J * M
+            found, formed = self._against_every_tuple(
+                Q, offset, float(rng.uniform(0.5, 5)), cols, evaluated, rng, trial)
+            hits += found
+            pruned += formed < J * M
         assert hits > 50_000 and pruned > 60, (hits, pruned)
+
+        # every column has the same x_0, and column 0, x0 itself, is a hit
+        # for every j: so the x_0 range of each j holds every column, and
+        # only x_1, ..., x_(d-1) can rule tuples out.  Some trials make a
+        # column k >= 1 of Q[j], or one entry of it, non-finite, which must
+        # keep every tuple of that j, or put NaN or inf at x_k of some
+        # columns; some have an infinite bound, under which every tuple
+        # whose value is not NaN is a hit
+        pruned = hits = 0
+        for trial in range(90):
+            d = 2 + trial % 3
+            J, M = int(rng.integers(1, 25)), int(rng.integers(2, 300))
+            x0 = rng.normal(size=(d, 1)) * 10.0 ** rng.uniform(-2, 3)
+            cols = np.vstack([x0 + rng.normal(size=(d, M)) * 10.0 ** rng.uniform(-1, 2),
+                              np.ones((1, M))])
+            cols[0], cols[:d, 0] = x0[0, 0], x0[:, 0]
+            A = rng.normal(size=(J, d, d)) * 10.0 ** rng.uniform(-1, 3, size=(J, 1, 1))
+            if trial % 6 == 3:
+                A[:, :, -1:] = A[:, :, 1:2]  # singular in x_1, ..., x_(d-1)
+            offset = rng.normal(size=d)
+            t = offset - (A @ x0)[:, :, 0] + rng.normal(size=(J, d)) * 1e-3
+            Q = np.concatenate([A, t[:, :, None]], axis=2)
+            bound = np.inf if trial % 10 == 9 else float(rng.uniform(0.5, 5))
+            kind = trial % 5
+            if kind == 1:  # a whole column k >= 1 of one Q[j]
+                Q[rng.integers(J), :, rng.integers(1, d)] = rng.choice([np.inf, -np.inf, np.nan])
+            elif kind == 2:  # one entry of such a column
+                Q[rng.integers(J), rng.integers(d), rng.integers(1, d)] = rng.choice([np.inf, np.nan])
+            elif kind == 3:  # x_k of some columns other than x0
+                cols[rng.integers(1, d), rng.integers(1, M, size=3)] = rng.choice([np.inf, -np.inf, np.nan])
+            found, formed = self._against_every_tuple(Q, offset, bound, cols, evaluated, rng, trial)
+            hits += found
+            if kind in (1, 2):
+                assert formed >= M, trial  # the non-finite Q[j] keeps all its tuples
+            elif kind == 0 and bound < np.inf:
+                pruned += formed < J * M
+        assert hits > 20_000 and pruned > 5, (hits, pruned)
 
     def test_residual_widens_the_interval(self):
         # hull coordinates (x0, x1) and values Q[j] (x; 1) = (s_j x0 + t_j x1,
@@ -454,6 +499,28 @@ class TestWindowFilter:
         assert got.tolist() == np.flatnonzero(hit).tolist()
         # the first coordinate alone would have left these hits out
         assert (np.abs(Q[js, 0, 0] * cols[0, cs])[hit] > 3).sum() > 50
+
+    def test_residual_widens_a_later_interval(self):
+        # hull coordinates (x0, x1, x2) and values Q[j] (x; 1) = (x0 - 1, s_j
+        # x1 + t_j x2, 0): R_j is singular, its pseudo-inverse's row for x1
+        # is (0, s_j, 0) / (s_j^2 + t_j^2), and a hit's s_j x1 is up to 20
+        # |t_j| away from the window: only x1's interval widened by the
+        # residual F x keeps it
+        rng = np.random.default_rng(34)
+        M = 400
+        cols = np.vstack([rng.uniform(-4, 6, M), rng.uniform(-20, 20, M),
+                          rng.uniform(-10, 10, M), np.ones(M)])
+        Q = np.zeros((3, 3, 4))
+        Q[:, 0, 0], Q[:, 0, 3] = 1.0, -1.0
+        Q[:, 1, 1:3] = [[1.0, 1.0], [2.0, -1.0], [0.5, 2.0]]
+        offset = np.zeros(3)
+        got = _window_filter(Q, offset, 1.5)(cols)
+        js, cs = np.divmod(np.arange(3 * M), M)
+        hit = np.abs(_outer_columns(Q, cols, np.arange(3 * M)) - offset).max(axis=1) <= 1.5
+        assert got.tolist() == np.flatnonzero(hit).tolist()
+        # x1's interval without the residual, |s_j x1| <= 1.5 s_j^2 / (s_j^2 +
+        # t_j^2) up to rounding, would have left these hits out
+        assert (np.abs(Q[js, 1, 1] * cols[1, cs])[hit] > 3).sum() > 20
 
 
 def _real_case(name):
@@ -805,6 +872,23 @@ class TestDedup:
             got = _dedup_of(x, 1e-9)
             monkeypatch.setattr(np, "lexsort", lexsort)
             assert _bytes(got) == _bytes(want) and np.shares_memory(got, x)
+
+    def test_long_line_with_shared_keys(self):
+        # a line of several slices of 2^16 values whose keys hold two bit
+        # patterns (a value and the float after it, 0.0 and -0.0), each of
+        # them in more than one slice, keeps the first value of each key in
+        # the order of the rows, as the oracle does
+        rng = np.random.default_rng(10)
+        step = 2**16
+        base = np.arange(-step, 2 * step + 5) * 0.25
+        for shared in (rng.integers(0, base.size, 3), rng.integers(0, base.size, 5000)):
+            twins = np.nextafter(base[shared], np.inf)
+            x = rng.permutation(np.concatenate([base, base[shared], twins, twins, [-0.0] * 3]))[:, None]
+            want = _dedup_oracle(x, 1e-9)
+            got = _dedup_of(x, 1e-9)
+            assert _bytes(got) == _bytes(want)
+        # the first in the order of the rows is the twin for some keys
+        assert np.isin(got, twins).any() and np.isin(got, base[shared]).any()
 
     def test_result_reuses_a_transposed_box(self):
         # a transposed view whose rows mostly survive receives the result in
