@@ -276,10 +276,10 @@ def _first_of_shared_keys(vals: np.ndarray, eps: float, line: np.ndarray) -> np.
     `line` holds the values in enumeration order.  A key holds two bit
     patterns exactly where two neighbours of `vals` share it, and every
     other key's one value is the row the lexsort of `line` keeps for it.
-    One pass over `line`, in slices of 2^16 values, takes the values of each
-    shared key from the first slice that holds one, and the lexsort of those
-    alone keeps the first of each in enumeration order.  The result is a new
-    array, ascending strictly, so the buffer of `vals` may take it.
+    One pass over `line`, in slices of 2^16 values, lexsorts each slice
+    alone: a shared key takes the first value of the first slice that holds
+    it, and the pass ends once every shared key is taken.  The result is a
+    new array, ascending strictly, so the buffer of `vals` may take it.
     """
     keys = np.round(vals / eps)
     first = np.ones(vals.size, dtype=bool)
@@ -288,18 +288,20 @@ def _first_of_shared_keys(vals: np.ndarray, eps: float, line: np.ndarray) -> np.
     at = np.searchsorted(keys[first], shared)
     out = vals[first]
     del keys, first
-    seen = np.zeros(shared.size, dtype=bool)
-    taken = []
+    todo = np.ones(shared.size, dtype=bool)
     step = 2**16
+    buf = np.empty(min(step, line.size))
     for lo in range(0, line.size, step):
         x = line[lo : lo + step]
-        k = np.round(x / eps)
-        i = np.searchsorted(shared, k).clip(max=shared.size - 1)
-        new = (shared[i] == k) & ~seen[i]
-        taken.append(x[new])
-        seen[i[new]] = True
-    taken = np.concatenate(taken)
-    out[at] = taken[_first_of_each_key([taken], eps, [np.empty(taken.size)])]
+        k = buf[: x.size]
+        rows = _first_of_each_key([x], eps, [k])  # the slice's keys, written into k
+        k = k[rows]
+        i = np.searchsorted(k, shared).clip(max=k.size - 1)
+        take = todo & (k[i] == shared)
+        out[at[take]] = x[rows[i[take]]]
+        todo &= ~take
+        if not todo.any():
+            break
     return out
 
 
