@@ -637,20 +637,23 @@ def _window_filter(Q: np.ndarray, offset: np.ndarray, bound: float):
     y_norm = np.abs(Y).sum(axis=2)  # (J, d): |Y_k|_1 of each row k
     center = -(Y @ a[:, :, None])[:, :, 0]  # (J, d)
     f_norm = (norm(np.eye(d) - Y @ R) + c * (1 + norm(Y) * norm(R)))[:, None]
+    center_error, center_rounding = c * y_norm * a_norm, c * np.abs(center)
 
     def hits_of(cols: np.ndarray) -> np.ndarray:
         M = cols.shape[1]
-        finite = slice(None)
-        if not np.isfinite(np.abs(cols).max(initial=0.0)):
-            finite = np.isfinite(cols).all(axis=0)
-        fin = cols[:d, finite]
-        X = np.abs(fin).max(initial=1.0)
+        # the extremes of each coordinate over the finite columns; a NaN
+        # anywhere makes the first extremes NaN
+        x_lo, x_hi = cols[:d].min(axis=1, initial=np.inf), cols[:d].max(axis=1, initial=-np.inf)
+        if not (np.isfinite(x_lo).all() and np.isfinite(x_hi).all()):
+            fin = cols[:d, np.isfinite(cols).all(axis=0)]
+            x_lo, x_hi = fin.min(axis=1, initial=np.inf), fin.max(axis=1, initial=-np.inf)
+        X = max(1.0, -x_lo.min(initial=0.0), x_hi.max(initial=0.0))
         B = bound * (1 + c) + c * (q * X + a_norm)
-        h = (y_norm * B + f_norm * X + c * y_norm * a_norm) * (1 + c) + c * np.abs(center)
+        h = (y_norm * B + f_norm * X + center_error) * (1 + c) + center_rounding
         lo, hi = center - h, center + h
         whole = ~(np.isfinite(lo) & np.isfinite(hi))
         lo[whole], hi[whole] = -np.inf, np.inf
-        narrow = (lo > fin.min(axis=1, initial=np.inf)) | (hi < fin.max(axis=1, initial=-np.inf))
+        narrow = (lo > x_lo) | (hi < x_hi)
         if d:
             order = np.argsort(cols[0])  # a non-finite column's NaN key sorts last
             key = cols[0, order]
@@ -667,10 +670,9 @@ def _window_filter(Q: np.ndarray, offset: np.ndarray, bound: float):
             js, cs = j[s : s + step], col[s : s + step]
             out = np.zeros(js.size, dtype=bool)
             for k in range(1, d):
-                if not narrow[js[0] : js[-1] + 1, k].any():
-                    continue
-                x = cols[k, cs]
-                out |= (x < lo[js, k]) | (x > hi[js, k])
+                if narrow[js[0] : js[-1] + 1, k].any():
+                    x = cols[k, cs]
+                    out |= (x < lo[:, k][js]) | (x > hi[:, k][js])
             flat = (js * M + cs)[~out]
             # a 0-dimensional hull maps every point to the base point
             vals = _outer_columns(Q, cols, flat) - offset
