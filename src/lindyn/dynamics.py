@@ -284,10 +284,12 @@ def _first_of_shared_keys(vals: np.ndarray, eps: float, line: np.ndarray) -> np.
     keys = np.round(vals / eps)
     first = np.ones(vals.size, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    shared = np.unique(keys[1:][~first[1:]])
-    at = np.searchsorted(keys[first], shared)
-    out = vals[first]
-    del keys, first
+    # a key is shared when the value after its first value has it too
+    lead = first.copy()
+    lead[:-1] &= ~first[1:]
+    lead[-1] = False
+    shared, at, out = keys[lead], np.flatnonzero(lead[first]), vals[first]
+    del keys, first, lead
     todo = np.ones(shared.size, dtype=bool)
     step = 2**16
     buf = np.empty(min(step, line.size))
