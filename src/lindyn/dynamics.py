@@ -639,19 +639,19 @@ def _window_filter(Q: np.ndarray, offset: np.ndarray, bound: float):
     y_norm = np.abs(Y).sum(axis=2)  # (J, d): |Y_k|_1 of each row k
     center = -(Y @ a[:, :, None])[:, :, 0]  # (J, d)
     f_norm = (norm(np.eye(d) - Y @ R) + c * (1 + norm(Y) * norm(R)))[:, None]
-    center_error, center_rounding = c * y_norm * a_norm, c * np.abs(center)
+    center_slack, end_slack = c * y_norm * a_norm, c * np.abs(center)
 
     def hits_of(cols: np.ndarray) -> np.ndarray:
         M = cols.shape[1]
-        # the extremes of each coordinate over the finite columns; a NaN
-        # anywhere makes the first extremes NaN
+        # the extremes of each coordinate over the finite columns: a NaN or
+        # an infinity shows in the extremes over all of them
         x_lo, x_hi = cols[:d].min(axis=1, initial=np.inf), cols[:d].max(axis=1, initial=-np.inf)
         if not (np.isfinite(x_lo).all() and np.isfinite(x_hi).all()):
             fin = cols[:d, np.isfinite(cols).all(axis=0)]
             x_lo, x_hi = fin.min(axis=1, initial=np.inf), fin.max(axis=1, initial=-np.inf)
         X = max(1.0, -x_lo.min(initial=0.0), x_hi.max(initial=0.0))
         B = bound * (1 + c) + c * (q * X + a_norm)
-        h = (y_norm * B + f_norm * X + center_error) * (1 + c) + center_rounding
+        h = (y_norm * B + f_norm * X + center_slack) * (1 + c) + end_slack
         lo, hi = center - h, center + h
         whole = ~(np.isfinite(lo) & np.isfinite(hi))
         lo[whole], hi[whole] = -np.inf, np.inf
