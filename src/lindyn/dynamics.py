@@ -22,15 +22,14 @@ float64 QR of B) and c_u the hull coordinates of u.  A box is deduplicated
 through the transposed view of its staged product, so it is not copied into
 rows first, and the deduplication consumes it: when at least half of its
 rows survive, they are written into the box's own buffer.  A cloud on a
-line is deduplicated by sorting its values in the box's own buffer, so its
-rows ascend, and its frame coordinate is monotone along them: its minimum
-separation is the least gap between consecutive rows, and its window is one
-run of rows, found by binary search.  Only when one key holds two bit
-patterns does the line need its first order, and its box is then formed
-again, which gives the same bits, and read once for the first value of each
-such key.  Any other cloud is deduplicated by a lexsort of all its columns,
-and its minimum separation is the exact nearest pair on a grid of cells,
-which a k-d tree's nearest-neighbour query returns too, bit for bit.
+line is deduplicated by sorting its values in the box's own buffer and
+keeping the least value of each key, a zero as +0.0, so its rows ascend,
+and its frame coordinate is monotone along them: its minimum separation is
+the least gap between consecutive rows, and its window is one run of rows,
+found by binary search.  Any other cloud is deduplicated by a lexsort of all
+its columns, which keeps each key's first row in enumeration order, and its
+minimum separation is the exact nearest pair on a grid of cells, which a
+k-d tree's nearest-neighbour query returns too, bit for bit.
 Boxes too large to materialize are streamed in chunks: a tuple's frame
 coordinates are those of one outer power applied to one inner column, and
 they are formed, by the gather-multiply that forms the stored hits, only for
@@ -51,7 +50,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -117,11 +115,10 @@ class OrbitCloud:
     when it is read.  At a coordinate where every column of B is 0, as at
     one that G does not move, every point holds u's value.
 
-    When d = 1 the rows ascend, and classify_closure relies on it.  Every
-    one-column output of _dedup ascends, strictly: the one-column path sorts
-    the values in the box's buffer, and the lexsort path returns the rows in
-    ascending key order, in which the values ascend too, since rounding
-    x / eps is monotone.
+    When d = 1 the rows ascend, and classify_closure relies on it: _dedup
+    sorts a line's values in the box's buffer and keeps the least value of
+    each key, a zero as +0.0, so they ascend strictly.  A cloud of d >= 2
+    keeps each key's first row in enumeration order.
     """
 
     coords: np.ndarray                # deduped hull coordinates (m, d), maybe column-major
@@ -212,25 +209,19 @@ def _staged_columns(stacks: list[np.ndarray], V: np.ndarray) -> np.ndarray:
     return V
 
 
-def _dedup(points: np.ndarray, eps: float, reform: Callable[[], np.ndarray]) -> np.ndarray:
+def _dedup(points: np.ndarray, eps: float) -> np.ndarray:
     """Finite rows of `points`, one per eps-grid key, in lexsort order of the keys.
 
     The key columns are the columns of `points`, read as strided views:
     `points` may be the transposed view of a (d, m) staged product, and it
     is not copied.  A cloud on a line (d = 1) sorts its values in place, in
-    the buffer of `points`, not a permutation of the rows.  Rounding x / eps
-    is monotone, so the sorted values are in lexsort order of the keys, and
-    when the values of each key share their bits, each is the row the
-    lexsort keeps for its key.  A key whose values differ in their bits (0.0
-    and -0.0, or two values in one eps cell) must keep its first value in
-    enumeration order, which reform() gives back: it returns `points` again
-    as it was given (enumerate_orbit forms the box again, or hands back a
-    copy of a streamed window), and _first_of_shared_keys reads it once.
-    Every cloud of d >= 2 takes the lexsort of its columns.  A 0-column
-    cloud keeps its first row.  A line whose keys each hold one bit pattern
-    allocates no array of the box's size besides the box: the bits of
-    neighbours and the keys are compared in slices, and the values are
-    compacted only when two share their bits.
+    the buffer of `points`, not a permutation of the rows, and keeps the
+    least value of each key (see _least_of_each_key), a zero as +0.0: the
+    result depends only on the multiset of its values.  Every cloud of d >=
+    2 takes the lexsort of its columns and keeps each key's first row in
+    enumeration order.  A 0-column cloud keeps its first row.  A line
+    allocates no array of the box's size besides the box: its keys are
+    formed in slices, and its values are compacted only once a key repeats.
 
     `points` is consumed: a line is sorted in it, and both paths write
     their (d, m') result into _result_rows and return it transposed, an
@@ -246,19 +237,11 @@ def _dedup(points: np.ndarray, eps: float, reform: Callable[[], np.ndarray]) -> 
     if len(cols) == 1:
         line = cols[0]
         line.sort()
-        vals = line[: _distinct_bits(line)]
-        # the keys of distinct values rise strictly unless two share a key;
-        # each slice overlaps the next by one value
-        step = 2**16
-        if not all((k[1:] > k[:-1]).all() for k in (
-                np.round(vals[lo : lo + step + 1] / eps) for lo in range(0, vals.size, step))):
-            vals = _first_of_shared_keys(vals, eps, _finite_rows(reform())[:, 0])
+        vals = line[: _least_of_each_key(line, eps)]
         out = _result_rows(points, vals.size)
         out[0] = vals  # a no-op when out is the sorted buffer itself
         return out.T
-    keys = [np.empty(points.shape[0]) for _ in cols]
-    rows = _first_of_each_key(cols, eps, keys)
-    del keys  # freed before the gather
+    rows = _first_of_each_key(cols, eps)
     # for a materialized box points.T is the staged (d, M) product itself, so
     # this gathers along its rows; taking rows of points would first copy it
     # into rows, and fancy-indexing them is about three times slower.  Row c
@@ -270,41 +253,35 @@ def _dedup(points: np.ndarray, eps: float, reform: Callable[[], np.ndarray]) -> 
     return out.T
 
 
-def _first_of_shared_keys(vals: np.ndarray, eps: float, line: np.ndarray) -> np.ndarray:
-    """One value per eps-grid key of `vals`, the sorted distinct bit patterns of `line`.
+def _least_of_each_key(line: np.ndarray, eps: float) -> int:
+    """Compact sorted float64 `line` in place to the least value of each eps-grid key; return how many.
 
-    `line` holds the values in enumeration order.  A key holds two bit
-    patterns exactly where two neighbours of `vals` share it, and every
-    other key's one value is the row the lexsort of `line` keeps for it.
-    One pass over `line`, in slices of 2^16 values, lexsorts each slice
-    alone: a shared key takes the first value of the first slice that holds
-    it, and the pass ends once every shared key is taken.  The result is a
-    new array, ascending strictly, so the buffer of `vals` may take it.
+    Rounding x / eps is monotone, so the keys of the sorted values do not
+    decrease, and a key's least value is its first.  0.0 and -0.0 compare
+    equal and sort in either order, so a kept zero is written as +0.0.  The
+    keys are formed in slices of 2^16 values, each overlapping the next by
+    one, and the values move only once a key repeats.  Each slice is
+    compared with the value before it before its kept values are written,
+    at or below its start; the value before a slice was written over only
+    when nothing before it was dropped, and then by itself.
     """
-    keys = np.round(vals / eps)
-    first = np.ones(vals.size, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    # a key is shared when the value after its first value has it too
-    lead = first.copy()
-    lead[:-1] &= ~first[1:]
-    lead[-1] = False
-    shared, at, out = keys[lead], np.flatnonzero(lead[first]), vals[first]
-    del keys, first, lead
-    todo = np.ones(shared.size, dtype=bool)
     step = 2**16
-    buf = np.empty(min(step, line.size))
-    for lo in range(0, line.size, step):
-        x = line[lo : lo + step]
-        k = buf[: x.size]
-        rows = _first_of_each_key([x], eps, [k])  # the slice's keys, written into k
-        k = k[rows]
-        i = np.searchsorted(k, shared).clip(max=k.size - 1)
-        take = todo & (k[i] == shared)
-        out[at[take]] = x[rows[i[take]]]
-        todo &= ~take
-        if not todo.any():
-            break
-    return out
+    k = 1
+    for lo in range(1, line.size, step):
+        s = line[lo : lo + step]
+        keys = np.round(line[lo - 1 : lo + step] / eps)
+        new = keys[1:] != keys[:-1]
+        if k == lo and new.all():
+            k += s.size  # nothing dropped so far: the slice stays where it is
+            continue
+        kept = s[new]
+        line[k : k + kept.size] = kept
+        k += kept.size
+    # every key holds one value now, so at most one zero is left
+    zero = np.searchsorted(line[:k], 0.0)
+    if zero < k and line[zero] == 0.0:
+        line[zero] = 0.0
+    return k
 
 
 def _finite_rows(points: np.ndarray) -> np.ndarray:
@@ -318,37 +295,13 @@ def _finite_rows(points: np.ndarray) -> np.ndarray:
     return points[np.logical_and.reduce([np.isfinite(c) for c in cols])]
 
 
-def _distinct_bits(vals: np.ndarray) -> int:
-    """Compact sorted float64 `vals` in place to one value per bit pattern; return how many.
-
-    Neighbours are compared in slices of 2^16 values, each overlapping the
-    next by one, and the values move only when two share their bits.  Each
-    slice is compared with the values one before it before its kept values
-    are written, at or below its start; the value before a slice was written
-    over only when nothing before it was dropped, and then by itself.
-    """
-    bits = vals.view(np.int64)
-    step = 2**16
-    if not any((b[1:] == b[:-1]).any() for b in (
-            bits[lo : lo + step + 1] for lo in range(0, bits.size, step))):
-        return bits.size
-    k = 1
-    for lo in range(1, bits.size, step):
-        s = bits[lo : lo + step]
-        kept = s[s != bits[lo - 1 : lo - 1 + s.size]]
-        bits[k : k + kept.size] = kept
-        k += kept.size
-    return k
-
-
-def _first_of_each_key(cols: list[np.ndarray], eps: float, keys: list[np.ndarray]) -> np.ndarray:
+def _first_of_each_key(cols: list[np.ndarray], eps: float) -> np.ndarray:
     """Indices of the first row of each distinct eps-grid key, in lexsort order of the keys.
 
-    The keys are written into `keys`, one float64 array per column, of its
-    length.  The sort order is freed on return.
+    The keys, one float64 array per column, and the sort order are freed on
+    return.
     """
-    for c, k in zip(cols, keys):
-        np.round(np.divide(c, eps, out=k), out=k)
+    keys = [np.round(k, out=k) for k in (c / eps for c in cols)]
     order = np.lexsort(keys)
     keep = np.zeros(order.size, dtype=bool)
     keep[0] = True
@@ -393,9 +346,12 @@ def enumerate_orbit(
     saves computing the hull again and selects no behaviour, so the cloud is
     the same.  Boxes beyond cfg.max_store are streamed, and the returned
     cloud is then its window: every point of the whole box whose frame
-    coordinates lie within 1.5x the classification window, deduplicated.  The window is exhaustive, so covering verdicts
-    stay sound.  A point with a coordinate of o + B c above
-    cfg.overflow_limit is clipped, and one that is not finite is dropped.
+    coordinates lie within 1.5x the classification window, deduplicated.
+    The window is exhaustive, so covering verdicts stay sound.  A point with
+    a coordinate of o + B c above cfg.overflow_limit is clipped, and one that
+    is not finite is dropped.  Deduplication keeps a line's least value of
+    each key, a zero as +0.0, and any other cloud's first row of each key in
+    enumeration order (see _dedup).
     """
     if not G.exact or not all(isinstance(c, Scalar) for c in u):
         raise ValueError("orbit enumeration requires exact generators and an exact point")
@@ -407,16 +363,9 @@ def enumerate_orbit(
     # overflow is the clipping case handled below, not an error
     with np.errstate(over="ignore", invalid="ignore"):
         stacks = [powers(K) for powers in hull.maps]
-        if subsampled:
-            coords, clipped = _stream_window(stacks, hull, cfg)
-            window = coords.copy()
-            reform = lambda: window
-        else:
-            coords, clipped = _box(stacks, hull, cfg)
-            # the staged product is deterministic: formed again, it has the same bits
-            reform = lambda: _box(stacks, hull, cfg)[0]
+        coords, clipped = (_stream_window if subsampled else _box)(stacks, hull, cfg)
         # coords is a temporary, which _dedup sorts or overwrites
-        coords = _dedup(coords, cfg.dedup_eps, reform)
+        coords = _dedup(coords, cfg.dedup_eps)
     return OrbitCloud(coords, total, hull, subsampled, clipped)
 
 

@@ -705,6 +705,21 @@ def _dedup_oracle(points, eps):
     return points[order][keep]
 
 
+def _line_dedup_oracle(points, eps):
+    """_dedup of a one-column cloud: its finite values sorted, the first value
+    of each key kept, and a kept zero written as +0.0."""
+    x = np.sort(points[np.isfinite(points[:, 0]), 0])
+    keys = np.round(x / eps)
+    out = x[np.concatenate([[True], keys[1:] != keys[:-1]])[: x.size]]
+    out[out == 0.0] = 0.0
+    return out[:, None]
+
+
+def _oracle(points, eps):
+    """The oracle of _dedup for `points`, by its number of columns."""
+    return (_line_dedup_oracle if points.shape[1] == 1 else _dedup_oracle)(points, eps)
+
+
 def _dedup_trials():
     """60 seeded complex point sets on a grid near dedup_eps, some with constant
     columns, realified as the orbit engine forms them."""
@@ -733,17 +748,10 @@ def _bytes(a):
     return np.ascontiguousarray(a).tobytes()
 
 
-def _dedup_of(pts, eps):
-    """_dedup(pts, eps), which consumes pts: a line that falls back to the
-    lexsort reads it again from a copy taken first."""
-    first = pts.copy()
-    return _dedup(pts, eps, lambda: first)
-
-
 class TestDedup:
     def _same(self, pts, eps=1e-9):
         want = _dedup_oracle(pts, eps)
-        got = _dedup_of(pts, eps)
+        got = _dedup(pts, eps)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
 
@@ -761,13 +769,13 @@ class TestDedup:
             for rpts in (pts, _with_nonfinite_rows(pts, rng)):
                 x = np.ascontiguousarray(rpts[:, 0::2])
                 for eps in (1e-9, 2.5e-9):
-                    want = _dedup_oracle(x, eps)
-                    got = _dedup_of(x.copy(), eps)
+                    want = _oracle(x, eps)
+                    got = _dedup(x.copy(), eps)
                     assert got.dtype == np.float64
                     assert _bytes(got) == _bytes(want)
                     for a in (rpts, x):
                         view = a.T.copy().T
-                        got, want = _dedup_of(view, eps), _dedup_of(a.copy(), eps)
+                        got, want = _dedup(view, eps), _dedup(a.copy(), eps)
                         assert got.shape == want.shape and got.dtype == want.dtype
                         assert _bytes(got) == _bytes(want)
 
@@ -783,7 +791,7 @@ class TestDedup:
         self._same(np.stack([tiny, np.ones_like(tiny)], axis=1))
 
     def _one_column_cases(self):
-        """(name, points, whether _dedup runs no lexsort) with one key column moving.
+        """(name, points) with one key column moving.
 
         Each case on a line of R^3 comes also as its moving column alone:
         only a one-column cloud sorts its values alone, and any other is
@@ -799,58 +807,56 @@ class TestDedup:
         signed[:, 2] = [0.0, -0.0, 1.0, 0.0, -0.0, 2.0]
         zeros = line[:4].copy()
         zeros[:, 2] = [0.0, -0.0, 0.0, -0.0]  # moves in its bits only
-        cases = [("duplicates", line, True), ("one key, two bit patterns", near, False),
-                 ("+-0.0 mix", signed, False), ("+-0.0 only", zeros, False),
-                 ("single row", line[:1].copy(), True)]
+        cases = [("duplicates", line), ("one key, two bit patterns", near),
+                 ("+-0.0 mix", signed), ("+-0.0 only", zeros), ("single row", line[:1].copy())]
         for bad in (np.nan, np.inf):
             x = line.copy()
             x[::7, 2] = bad
-            cases.append((f"{bad} in the moving column", x, True))
-        for name, pts, no_sort in cases:
-            yield name, pts, False
-            yield f"{name}, one column", np.ascontiguousarray(pts[:, 2:]), no_sort
-        yield "one column, strided", line.copy()[:, 2:], True
-        yield "one column, transposed view", np.ascontiguousarray(line[:, 2:].T).T, True
+            cases.append((f"{bad} in the moving column", x))
+        for name, pts in cases:
+            yield name, pts
+            yield f"{name}, one column", np.ascontiguousarray(pts[:, 2:])
+        yield "one column, strided", line.copy()[:, 2:]
+        yield "one column, transposed view", np.ascontiguousarray(line[:, 2:].T).T
         for bad in (np.nan, np.inf):
             x = line.copy()
             x[::7, 0] = bad
-            yield f"{bad} in a fixed column", x, False
+            yield f"{bad} in a fixed column", x
         imag = 1.5 + 0.5j + np.zeros((m, 2), dtype=complex)
         imag[:, 1] = 3.0 + 1j * line[:, 2]
-        yield "realified, imaginary part moves", _realify(imag, "complex"), False
+        yield "realified, imaginary part moves", _realify(imag, "complex")
         real = imag.copy()
         real[:, 1] = line[:, 2] + 3.0j
-        yield "realified, real part moves", _realify(real, "complex"), False
-        yield "transposed view", np.ascontiguousarray(line.T).T, False
-        yield "transposed realified view", np.ascontiguousarray(_realify(imag, "complex").T).T, False
+        yield "realified, real part moves", _realify(real, "complex")
+        yield "transposed view", np.ascontiguousarray(line.T).T
+        yield "transposed realified view", np.ascontiguousarray(_realify(imag, "complex").T).T
 
     def test_one_moving_column_against_oracle(self, monkeypatch):
         # the rows a single moving column gives are the oracle's, byte for
-        # byte; a one-column cloud sorts its values alone and runs no
-        # lexsort, unless a run of equal keys with differing bits sends it
-        # there, and a cloud of two or more columns is lexsorted.  _dedup
-        # may write its result into a one-column cloud's buffer, so the
-        # second pass takes fresh cases
+        # byte: a one-column cloud's least value of each key, any other
+        # cloud's first row of each key.  A one-column cloud sorts its values
+        # alone and runs no lexsort, and a cloud of two or more columns is
+        # lexsorted.  _dedup may write its result into a one-column cloud's
+        # buffer, so the second pass takes fresh cases
         results = {}
-        for name, pts, no_sort in self._one_column_cases():
-            want = _dedup_oracle(np.ascontiguousarray(pts), 1e-9)
-            got = _dedup_of(pts, 1e-9)
+        for name, pts in self._one_column_cases():
+            want = _oracle(np.ascontiguousarray(pts), 1e-9)
+            got = _dedup(pts, 1e-9)
             assert got.dtype == pts.dtype and got.shape == want.shape, name
             assert _bytes(got) == _bytes(want), name
             assert got.flags.f_contiguous, name  # the gather path's layout
-            assert pts.shape[1] == 1 or not no_sort, name
             results[name] = got
 
         def no_lexsort(keys):
             raise AssertionError("lexsort called")
 
         monkeypatch.setattr(np, "lexsort", no_lexsort)
-        for name, pts, no_sort in self._one_column_cases():
-            if no_sort:
-                assert _bytes(_dedup_of(pts, 1e-9)) == _bytes(results[name]), name
+        for name, pts in self._one_column_cases():
+            if pts.shape[1] == 1:
+                assert _bytes(_dedup(pts, 1e-9)) == _bytes(results[name]), name
             else:
                 with pytest.raises(AssertionError, match="lexsort called"):
-                    _dedup_of(pts, 1e-9)
+                    _dedup(pts, 1e-9)
 
     def test_long_line_compacts_in_slices(self, monkeypatch):
         # a line of several slices of 2^16 values, whose sorted values repeat
@@ -867,28 +873,29 @@ class TestDedup:
 
         for repeated in ([step - 1], [step - 1, step, 2 * step + 3], rng.integers(0, base.size, 5000)):
             x = rng.permutation(np.concatenate([base, base[repeated]]))[:, None]
-            want = _dedup_oracle(x, 1e-9)
+            want = _line_dedup_oracle(x, 1e-9)
             monkeypatch.setattr(np, "lexsort", no_lexsort)
-            got = _dedup_of(x, 1e-9)
+            got = _dedup(x, 1e-9)
             monkeypatch.setattr(np, "lexsort", lexsort)
             assert _bytes(got) == _bytes(want) and np.shares_memory(got, x)
 
     def test_long_line_with_shared_keys(self):
         # a line of several slices of 2^16 values whose keys hold two bit
         # patterns (a value and the float after it, 0.0 and -0.0), each of
-        # them in more than one slice, keeps the first value of each key in
-        # the order of the rows, as the oracle does
+        # them in more than one slice, keeps the least value of each key and
+        # a zero as +0.0, as the oracle does
         rng = np.random.default_rng(10)
         step = 2**16
         base = np.arange(-step, 2 * step + 5) * 0.25
         for shared in (rng.integers(0, base.size, 3), rng.integers(0, base.size, 5000)):
             twins = np.nextafter(base[shared], np.inf)
             x = rng.permutation(np.concatenate([base, base[shared], twins, twins, [-0.0] * 3]))[:, None]
-            want = _dedup_oracle(x, 1e-9)
-            got = _dedup_of(x, 1e-9)
+            want = _line_dedup_oracle(x, 1e-9)
+            got = _dedup(x, 1e-9)
             assert _bytes(got) == _bytes(want)
-        # the first in the order of the rows is the twin for some keys
-        assert np.isin(got, twins).any() and np.isin(got, base[shared]).any()
+            # no twin is the least of its key, and the one zero is +0.0
+            assert not np.isin(got, twins).any() and np.isin(base[shared], got).all()
+            assert not np.signbit(got[got == 0.0]).any() and (got == 0.0).sum() == 1
 
     def test_result_reuses_a_transposed_box(self):
         # a transposed view whose rows mostly survive receives the result in
@@ -900,24 +907,22 @@ class TestDedup:
                 box = np.empty((width, m))
                 box[:-1] = rng.normal(size=(width - 1, 1))
                 box[-1] = (rng.permutation(m) if distinct else np.arange(m) % 2) * 0.25
-                want = _dedup_of(np.ascontiguousarray(box.T), 1e-9)
-                got = _dedup_of(box.T, 1e-9)
+                want = _dedup(np.ascontiguousarray(box.T), 1e-9)
+                got = _dedup(box.T, 1e-9)
                 assert got.flags.f_contiguous and got.shape == want.shape
                 assert _bytes(got) == _bytes(want)
                 assert np.shares_memory(got, box) == (2 * got.shape[0] >= m)
 
 
-class TestReformedLine:
-    """A line with a key of two bit patterns is deduplicated from its rows in
-    enumeration order, formed again after the in-place sort: its rows are the
-    all-column oracle's, byte for byte, and only such a line forms its box
-    twice."""
+class TestLeastOfEachKey:
+    """A line keeps the least value of each key, a zero as +0.0, read from its
+    sorted values alone: its rows are the one-column oracle's, byte for byte,
+    and its box is formed once."""
 
     @staticmethod
     def _record(monkeypatch, name, signed_zeros=False):
         """Copies of every coords array dynamics.<name> returns; with
-        signed_zeros, every other 0.0 of the first column is made -0.0 first,
-        the same ones in each formation."""
+        signed_zeros, every other 0.0 of the first column is made -0.0 first."""
         formed = []
         inner = getattr(dynamics, name)
 
@@ -932,40 +937,49 @@ class TestReformedLine:
         monkeypatch.setattr(dynamics, name, recorded)
         return formed
 
-    def _check(self, cloud, formed, times):
-        assert len(formed) == times and cloud.coords.shape[1] == 1
-        assert all(_bytes(f) == _bytes(formed[0]) for f in formed)
-        assert _bytes(cloud.coords) == _bytes(_dedup_oracle(formed[0], CFG.dedup_eps))
+    def _check(self, cloud, formed):
+        assert len(formed) == 1 and cloud.coords.shape[1] == 1
+        assert _bytes(cloud.coords) == _bytes(_line_dedup_oracle(formed[0], CFG.dedup_eps))
 
     @pytest.mark.parametrize("K", [8, 16, 32])
     def test_two_values_in_one_cell(self, monkeypatch, K):
         # shear4's closed point has two values within one dedup_eps cell
         G, points = fixture_by_name("shear4")
         formed = self._record(monkeypatch, "_box")
-        self._check(enumerate_orbit(G, points["closed"], K, CFG), formed, 2)
-
-    def test_signed_zeros(self, monkeypatch):
-        # a staged product whose zeros come with both signs, as BLAS may give
-        # them, has one key with the bits of 0.0 and of -0.0
-        G, points = fixture_by_name("shear3")
-        formed = self._record(monkeypatch, "_box", signed_zeros=True)
-        cloud = enumerate_orbit(G, points["closed"], 8, CFG)
-        self._check(cloud, formed, 2)
-        signs = np.signbit(formed[0][formed[0] == 0])
-        assert signs.any() and not signs.all()
+        self._check(enumerate_orbit(G, points["closed"], K, CFG), formed)
 
     @pytest.mark.parametrize("name, point", [("shear3", "closed"), ("shear4", "dense_line")])
     def test_distinct_keys_form_the_box_once(self, monkeypatch, name, point):
         G, points = fixture_by_name(name)
         formed = self._record(monkeypatch, "_box")
-        self._check(enumerate_orbit(G, points[point], 32, CFG), formed, 1)
+        self._check(enumerate_orbit(G, points[point], 32, CFG), formed)
 
-    def test_keys_take_the_sorted_buffer(self):
-        # the sorted values, which enumerate_orbit still holds, take the keys
-        # of the box formed again: the traced peak is the two boxes, the
-        # lexsort's order and one gathered key column, within 4.5 boxes
+    def test_signed_zeros(self, monkeypatch):
+        # a line whose zero key holds 0.0, -0.0 and a positive value gives
+        # the same bytes in every order of its rows, with +0.0 kept
+        rng = np.random.default_rng(12)
+        x = np.array([0.0, -0.0, 4e-10, 1.0, 0.0, -0.0, 2.0, -0.0, 1.0 + 2**-52])
+        want = _line_dedup_oracle(x[:, None], 1e-9)
+        assert _bytes(want) == _bytes(np.array([0.0, 1.0, 2.0]))
+        for _ in range(300):
+            assert _bytes(_dedup(rng.permutation(x)[:, None], 1e-9)) == _bytes(want)
+        # so does a staged product whose zeros come with both signs, as BLAS
+        # may give them
+        G, points = fixture_by_name("shear3")
+        formed = self._record(monkeypatch, "_box", signed_zeros=True)
+        cloud = enumerate_orbit(G, points["closed"], 8, CFG)
+        self._check(cloud, formed)
+        signs = np.signbit(formed[0][formed[0] == 0])
+        assert signs.any() and not signs.all()
+        zero = cloud.coords[cloud.coords == 0]
+        assert zero.size == 1 and not np.signbit(zero).any()
+
+    def test_line_sorts_inside_its_box(self):
+        # the values are sorted and compacted in the box's own buffer: at K =
+        # 1000, where the staged product's 2 MB matmul slices are small
+        # beside the 32 MB box, the traced peak stays within 1.2 boxes
         G, points = fixture_by_name("shear4")
-        K = 300
+        K = 1000
         tracemalloc.start()
         try:
             cloud = enumerate_orbit(G, points["closed"], K, CFG)
@@ -973,19 +987,35 @@ class TestReformedLine:
         finally:
             tracemalloc.stop()
         assert cloud.count == 4 * K + 1
-        assert peak <= 4.5 * (2 * K + 1) ** 2 * 8
+        assert peak <= 1.2 * (2 * K + 1) ** 2 * 8
 
     def test_streamed_window(self, monkeypatch):
-        # a streamed line reads its window again from a copy taken before the
-        # sort, and streams it once
+        # a streamed line is deduplicated in its window's buffer: no copy of
+        # the window is taken, and no lexsort runs
+        class Watched(np.ndarray):
+            copies = 0
+
+            def copy(self, *args, **kwargs):
+                Watched.copies += 1
+                return super().copy(*args, **kwargs)
+
         G, points = fixture_by_name("shear4")
-        formed = self._record(monkeypatch, "_stream_window")
-        lexsorts = []
-        lexsort = np.lexsort
-        monkeypatch.setattr(np, "lexsort", lambda keys: lexsorts.append(1) or lexsort(keys))
+        formed = []
+        stream = dynamics._stream_window
+
+        def watched(*args):
+            coords, clipped = stream(*args)
+            formed.append(coords.copy())
+            return coords.view(Watched), clipped
+
+        def no_lexsort(keys):
+            raise AssertionError("lexsort called")
+
+        monkeypatch.setattr(dynamics, "_stream_window", watched)
+        monkeypatch.setattr(np, "lexsort", no_lexsort)
         cloud = enumerate_orbit(G, points["closed"], 8, dataclasses.replace(CFG, max_store=16))
-        assert cloud.subsampled and lexsorts == [1]
-        self._check(cloud, formed, 1)
+        assert cloud.subsampled and Watched.copies == 0
+        self._check(cloud, formed)
 
 
 def _shear_cases():
