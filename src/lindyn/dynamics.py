@@ -972,8 +972,8 @@ def approximate_target(
             raise ValueError("approximation values must be real")
     if not target.is_real():
         raise ValueError("target must be real")
-    vals = np.array([float(s.evaluate(64).real) for s in values])
-    tgt = float(target.evaluate(64).real)
+    vals = np.array([s.evaluate_complex(64).real for s in values])
+    tgt = target.evaluate_complex(64).real
     if np.all(vals == 0.0):
         raise ValueError("all values are zero")
 

@@ -18,7 +18,7 @@ from .dynamics import ClosureConfig, ClosureVerdict
 from .groups import GeneratorSet
 from .invariants import InvariantFamily, InvariantTreeNode, Membership
 from .linalg import Matrix
-from .numeric import CLUSTER_DELTA, NumericContext, as_complex
+from .numeric import CLUSTER_DELTA, NumericContext
 from .scalars import Scalar
 
 
@@ -31,30 +31,31 @@ def _fmt_complex(z: complex) -> str:
 
 
 def _scalar_approx(x: Scalar) -> complex:
-    """``complex(x.evaluate(64))``, which a rational q = a/b with
+    """``x.evaluate_complex(64)``, which a rational q = a/b with
     bitlen(b) <= bitlen(a) + 24 takes from the correctly rounded ``float(q)``.
 
-    ``evaluate(64)`` rounds q to P = 80 + bitlen(a) bits and ``complex()``
-    rounds that to 53, to nearest.  That differs from ``float(q)`` only if
-    the P-bit value is a midpoint m between two doubles and m != q, so
-    |q - m| <= 2^(e-P-1), half a P-bit ulp, where 2^(e-1) <= |q| < 2^e.  As
-    m is a multiple of 2^(e-54), |q - m| >= 1/(b 2^(54-e)), which is larger
-    whenever b < 2^(P-53), so the condition has 3 bits to spare (for e > 54,
+    ``evaluate(64)`` rounds q to P = 80 + bitlen(a) bits and
+    ``evaluate_complex`` rounds that to 53, each to nearest with ties to
+    even.  That differs from ``float(q)`` only if the P-bit value is a
+    midpoint m between two doubles and m != q, so |q - m| <= 2^(e-P-1),
+    half a P-bit ulp, where 2^(e-1) <= |q| < 2^e.  As m is a multiple of
+    2^(e-54), |q - m| >= 1/(b 2^(54-e)), which is larger whenever
+    b < 2^(P-53), so the condition has 3 bits to spare (for e > 54,
     |q - m| >= 1/b and a >= b 2^(e-1) gives b < 2^(P+1-e)).  It also keeps
     q far from subnormals; past 2^1000, where ``float`` may overflow, q
-    keeps ``evaluate``.
+    keeps ``evaluate_complex``, which reads an overflow as +-inf.
     """
     q = x.rational_value()
     if q is not None and -24 <= q.numerator.bit_length() - q.denominator.bit_length() <= 1000:
         return complex(float(q))
-    return complex(x.evaluate(64))
+    return x.evaluate_complex(64)
 
 
 def render_value(x) -> dict[str, Any]:
     """{"exact": expression-or-null, "approx": decimal string}."""
     if isinstance(x, Scalar):
         return {"exact": str(x), "approx": _fmt_complex(_scalar_approx(x))}
-    return {"exact": None, "approx": _fmt_complex(as_complex(x))}
+    return {"exact": None, "approx": _fmt_complex(complex(x))}
 
 
 def render_matrix(M) -> list[list[dict[str, Any]]]:

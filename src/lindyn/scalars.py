@@ -4,8 +4,8 @@ A :class:`Scalar` is a finite sum of terms ``q * sqrt(d) * i^e`` with rational
 ``q``, squarefree radicand ``d >= 1`` (``d == 1`` is the rational part) and
 ``e in {0, 1}``.  The representation is canonical, so equality is dictionary
 equality and rational-independence questions reduce to exact linear algebra
-over the coefficient vectors.  Numeric evaluation goes through mpmath at a
-configurable precision; a fast ``complex`` path exists for bulk sampling.
+over the coefficient vectors.  Numeric evaluation rounds integer mantissas
+at a configurable precision; a fast ``complex`` path exists for bulk sampling.
 
 Canonical means the terms are keyed by ``(d, e)``, sorted by key, with no
 zero coefficient.  Most arithmetic in the exact kernel is on zero or on
@@ -20,8 +20,6 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
-
-import mpmath
 
 from .errors import ParseError
 
@@ -346,23 +344,37 @@ class Scalar:
 
     # -- evaluation ---------------------------------------------------
 
-    def evaluate(self, prec: int = 128) -> mpmath.mpc:
-        """Numeric value accurate to within 2**(1-prec) of the true value."""
-        guard = 16 + max(
+    def evaluate(self, prec: int = 128) -> tuple[Fraction, Fraction]:
+        """The real and imaginary parts, dyadic rationals each within
+        2**(1-prec) of the true value.
+
+        Each part is summed at P = prec + 16 + the bit length of the
+        largest numerator, the bits that hold every numerator exactly: per
+        term, num/den, then its product by sqrt(d) (:func:`_cached_sqrt`),
+        then each partial sum, every step rounded to P bits, to nearest with
+        ties to even, as a correctly rounded binary float arithmetic of that
+        precision (mpmath's, for one) rounds them.
+        """
+        bits = prec + 16 + max(
             (abs(c.numerator).bit_length() for c in self._terms.values()), default=0
         )
-        with mpmath.workprec(prec + guard):
-            re = mpmath.mpf(0)
-            im = mpmath.mpf(0)
-            for (d, imag), c in self._terms.items():
-                v = mpmath.mpf(c.numerator) / c.denominator
-                if d > 1:
-                    v *= _cached_sqrt(d, prec + guard)
-                if imag:
-                    im += v
-                else:
-                    re += v
-            return mpmath.mpc(re, im)
+        parts = [(0, 0), (0, 0)]  # (m, e) with value m * 2**e
+        for (d, imag), c in self._terms.items():
+            m, e = _round(c.numerator, c.denominator, 0, bits)
+            if d > 1:
+                sm, se = _cached_sqrt(d, bits)
+                m, e = _round(m * sm, 1, e + se, bits)
+            am, ae = parts[imag]
+            if am:
+                low = min(ae, e)
+                m, e = _round((am << ae - low) + (m << e - low), 1, low, bits)
+            parts[imag] = m, e
+        return tuple(Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e) for m, e in parts)
+
+    def evaluate_complex(self, prec: int = 128) -> complex:
+        """The doubles nearest the parts of ``evaluate(prec)``, each +-inf
+        past the largest double."""
+        return complex(*map(_nearest_float, self.evaluate(prec)))
 
     def to_complex(self) -> complex:
         """Fast double-precision value for bulk numeric work."""
@@ -411,10 +423,44 @@ def _coerce(value) -> "Scalar":
     return NotImplemented
 
 
+def _round(n: int, d: int, e: int, prec: int) -> tuple[int, int]:
+    """(n/d) * 2**e, for d > 0, rounded to prec bits, to nearest with ties to
+    even, as (m, e') with the value m * 2**e'."""
+    if not n:
+        return 0, 0
+    a = abs(n)
+    # num / den = a * 2**shift / d lies in [2**(prec-1), 2**(prec+1)), and
+    # in [2**(prec-1), 2**prec) after the halving
+    shift = prec - a.bit_length() + d.bit_length()
+    num, den = (a << shift, d) if shift >= 0 else (a, d << -shift)
+    if num >= den << prec:
+        den <<= 1
+        shift -= 1
+    q, r = divmod(num, den)
+    if 2 * r > den or (2 * r == den and q & 1):
+        q += 1
+    return (-q if n < 0 else q), e - shift
+
+
 @lru_cache(maxsize=None)
-def _cached_sqrt(d: int, prec: int):
-    with mpmath.workprec(prec):
-        return mpmath.sqrt(d)
+def _cached_sqrt(d: int, prec: int) -> tuple[int, int]:
+    """sqrt(d), for d >= 2 not a square, rounded to prec bits, to nearest,
+    as (m, e) with the value m * 2**e.
+
+    s = isqrt(d * 4**(prec+2)) has at least prec + 2 bits, so sqrt(d) *
+    2**(prec+2) and s + 1/2 both lie in (s, s + 1), which holds no rounding
+    boundary of prec bits: they round alike.
+    """
+    s = math.isqrt(d << 2 * (prec + 2))
+    return _round(2 * s + 1, 2, -(prec + 2), prec)
+
+
+def _nearest_float(q: Fraction) -> float:
+    """The double nearest q, +-inf past the largest double."""
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf if q > 0 else -math.inf
 
 
 # -- parsing ----------------------------------------------------------

@@ -43,7 +43,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
-import mpmath
 import numpy as np
 
 from .errors import (
@@ -60,7 +59,6 @@ from .numeric import (
     CLUSTER_DELTA,
     NumericContext,
     NumSubspace,
-    as_complex,
     max_abs,
     neig,
     nkernel,
@@ -69,6 +67,7 @@ from .numeric import (
     nrestrict,
     nsolve_cols,
     polynomial_roots,
+    pslq,
     to_numeric,
 )
 from .scalars import Scalar
@@ -233,7 +232,7 @@ def _separated_clusterings(raw: list[complex]):
 
 
 def _exact_sort_key(v: Scalar) -> tuple[float, float]:
-    z = complex(v.evaluate(64))
+    z = v.evaluate_complex(64)
     return (round(z.real, 12), round(z.imag, 12))
 
 
@@ -247,9 +246,8 @@ def _triangular_spectrum(A: Matrix) -> list[tuple[Scalar, int]] | None:
     return list(seen.items())
 
 
-def recognize_in_field(z, radicands) -> Scalar | None:
+def recognize_in_field(z: complex, radicands) -> Scalar | None:
     """Try to express a numeric value exactly over [1, sqrt(d)...] and i."""
-    z = as_complex(z) if not isinstance(z, complex) else z
     rads = sorted(set(radicands))
     parts = []
     for x in (z.real, z.imag):
@@ -257,13 +255,13 @@ def recognize_in_field(z, radicands) -> Scalar | None:
             parts.append(Scalar.zero())
             continue
         basis = [Scalar.one()] + [Scalar.sqrt_int(d) for d in rads]
-        vals = [mpmath.mpf(x)] + [v.evaluate(64).real for v in basis]
+        vals = [x] + [v.evaluate_complex(64).real for v in basis]
         try:
             # desk-scale height cap: genuine eigenvalue coordinates of small
             # matrices have tiny height, while junk relations matching an
             # arbitrary double need far larger coefficients
-            rel = mpmath.pslq(vals, tol=mpmath.mpf(1e-11), maxcoeff=10**3, maxsteps=10**4)
-        except Exception:
+            rel = pslq(vals, tol=1e-11, maxcoeff=10**3, maxsteps=10**4)
+        except (ArithmeticError, ValueError):  # a value that is not finite
             rel = None
         if not rel or rel[0] == 0:
             return None
@@ -272,7 +270,7 @@ def recognize_in_field(z, radicands) -> Scalar | None:
             cand = cand + b * Scalar.from_fraction(Fraction(-coeff, rel[0]))
         # genuine matches agree to near machine precision; pslq artifacts
         # only reach the pslq tolerance (~1e-11) and are rejected here
-        if abs(complex(cand.evaluate(64)) - x) > 2e-13 * max(1.0, abs(x)):
+        if abs(cand.evaluate_complex(64).real - x) > 2e-13 * max(1.0, abs(x)):
             return None
         parts.append(cand)
     return parts[0] + Scalar.i() * parts[1]
@@ -338,7 +336,7 @@ def eigenvalues(
             spectrum.append((-a[1], k))
             continue
         for z in polynomial_roots(a, ctx.precision):
-            if (value := recognize_in_field(z, radicands)) is None:
+            if (value := recognize_in_field(complex(*z), radicands)) is None:
                 return None
             spectrum.append((value, k))
     return _certified(A, spectrum)
@@ -407,10 +405,10 @@ def simultaneous_refinement(G: GeneratorSet, ctx: NumericContext | None = None) 
         for gi, mu in enumerate(mus):
             if isinstance(mu, Scalar):
                 eig_exact[gi] = mu
-                eig_num[gi] = complex(mu.evaluate(ctx.precision))
+                eig_num[gi] = mu.evaluate_complex(ctx.precision)
             else:
                 eig_exact[gi] = None
-                eig_num[gi] = as_complex(mu)
+                eig_num[gi] = complex(mu)
         sub = Subspace(n, basis) if isinstance(basis, Matrix) else NumSubspace(n, basis)
         blocks.append(SpectralBlock(sub, eig_num, eig_exact, restrictions=restrictions))
 

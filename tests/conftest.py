@@ -8,6 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -25,6 +26,32 @@ def lindyn_env() -> dict[str, str]:
     src = str(Path(__file__).resolve().parents[1] / "src")
     return {**os.environ,
             "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
+def mp_evaluate(x: Scalar, prec: int) -> mpmath.mpc:
+    """``Scalar.evaluate`` as written on mpmath 1.3.0: the oracle of the
+    integer evaluation, whose parts must equal this one's at every bit."""
+    guard = 16 + max((abs(c.numerator).bit_length() for c in x.terms.values()), default=0)
+    with mpmath.workprec(prec + guard):
+        re = mpmath.mpf(0)
+        im = mpmath.mpf(0)
+        for (d, imag), c in x.terms.items():
+            v = mpmath.mpf(c.numerator) / c.denominator
+            if d > 1:
+                v *= mpmath.sqrt(d)
+            if imag:
+                im += v
+            else:
+                re += v
+        return mpmath.mpc(re, im)
+
+
+def mp_value(parts: tuple[Fraction, Fraction]) -> mpmath.mpc:
+    """Dyadic real and imaginary parts, as ``Scalar.evaluate`` and
+    ``polynomial_roots`` return them, as an mpc of the same value."""
+    bits = max(53, *(q.numerator.bit_length() for q in parts))
+    with mpmath.workprec(bits):
+        return mpmath.mpc(*(mpmath.mpf(q.numerator) / q.denominator for q in parts))
 
 
 # the committed fixtures/*.json, the files users run

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURE_NAMES, fixture_by_name, lindyn_env, random_commuting_family
+from conftest import FIXTURE_NAMES, fixture_by_name, lindyn_env, mp_evaluate, random_commuting_family
 from lindyn.cli import FIXTURES, main
 from lindyn.dynamics import ClosureConfig
 from lindyn.linalg import as_vector
@@ -312,7 +312,7 @@ class TestAnalyze:
 
     def test_numeric_failure_is_an_error_line(self, tmp_path, capsys):
         # first random.Random(2) family: its 128-bit refinement used to end in
-        # an uncaught ZeroDivisionError from mpmath.qr_solve
+        # an uncaught ZeroDivisionError from the numeric least-squares solve
         rng = random.Random(2)
         G = random_commuting_family(rng, rng.randint(3, 6))
         doc = {
@@ -567,12 +567,12 @@ def _near_midpoint(c: int, e: int) -> Fraction:
 
 class TestRenderValue:
     """A rational prints from float only where the double is provably the
-    one ``evaluate(64)`` gives."""
+    one ``evaluate(64)`` gives, which the mpmath oracle of it gives too."""
 
     @staticmethod
     def assert_as_evaluate(q: Fraction):
         x = Scalar.from_fraction(q)
-        expected = complex(x.evaluate(64))
+        expected = complex(mp_evaluate(x, 64))
         assert repr(_scalar_approx(x)) == repr(expected), q
         assert render_value(x) == {"exact": str(x), "approx": _fmt_complex(expected)}
 
@@ -614,7 +614,7 @@ class TestRenderValue:
         for c in range(2**53 + 1, 2**53 + 41, 2):
             q = _near_midpoint(c, -40)
             assert q.denominator.bit_length() > q.numerator.bit_length() + 24
-            differs += complex(float(q)) != complex(Scalar.from_fraction(q).evaluate(64))
+            differs += complex(float(q)) != complex(mp_evaluate(Scalar.from_fraction(q), 64))
             self.assert_as_evaluate(q)
         assert differs > 5
 
@@ -736,17 +736,22 @@ PASS radical4.inverse-recurrence: tail max of ||B^-1 v - u|| is 5.53e-05
 
 
 class TestWithoutScipy:
-    # numpy and mpmath are the only runtime dependencies: with scipy made
+    # numpy is the only runtime dependency: with scipy and mpmath made
     # unimportable, the cshear5 closed orbit (whose separation comes from
-    # two moving coordinates) and verify-examples print what they print here
+    # two moving coordinates), verify-examples and the analysis of every
+    # fixture at 53 and 128 bits print what they print here
     SCRIPT = ("import sys\n"
               "sys.modules['scipy'] = None  # an import of scipy raises ImportError\n"
+              "sys.modules['mpmath'] = None\n"
               "from lindyn.cli import main\n"
               "sys.exit(main(sys.argv[1:]))\n")
 
     @pytest.mark.parametrize("args", [
         ["orbit", str(FIXTURES / "cshear5.json"), "--point", "1+i,2+i,1+2*i,0,0"],
         ["verify-examples"],
+        ["analyze", str(FIXTURES / "cshear5.json"), "--classify-points"],
+        *(["analyze", str(FIXTURES / f"{name}.json"), "--precision", precision]
+          for name in FIXTURE_NAMES for precision in ("53", "128")),
     ])
     def test_same_stdout_without_scipy(self, args, capsys):
         proc = subprocess.run([sys.executable, "-c", self.SCRIPT, *args],
@@ -754,6 +759,17 @@ class TestWithoutScipy:
         assert proc.returncode == 0, proc.stderr
         assert main(args) == 0
         assert proc.stdout == capsys.readouterr().out
+
+    def test_benchmark_modules_import_no_mpmath(self):
+        # the modules the benchmark's workload process imports
+        script = ("import sys\n"
+                  "import lindyn, lindyn.cli, lindyn.density, lindyn.dynamics, lindyn.groups\n"
+                  "import lindyn.invariants, lindyn.linalg, lindyn.numeric, lindyn.report\n"
+                  "import lindyn.scalars, lindyn.spectral\n"
+                  "sys.exit('mpmath' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=lindyn_env())
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestVerifyExamples:

@@ -181,7 +181,7 @@ class TestDeterminantCriterion:
 class TestSamplingAgreement:
     def _gap_statistic(self, sp: IntegerSpan, box: int = 1000) -> float:
         # numeric window statistic for d = 1 spans
-        vals = np.array([float(v[0].evaluate(64).real) for v in sp.vectors])
+        vals = np.array([v[0].evaluate_complex(64).real for v in sp.vectors])
         r = np.arange(-box, box + 1)
         if len(vals) == 1:
             pts = r * vals[0]
@@ -211,7 +211,7 @@ class TestSamplingAgreement:
                 assert verdict.kind == CLOSED
                 # discrete spans keep a fixed positive spacing
                 vals = sorted(
-                    {abs(float(v[0].evaluate(64).real)) for v in sp.vectors}
+                    {abs(v[0].evaluate_complex(64).real) for v in sp.vectors}
                 )
                 assert gap > 0 or math.isinf(gap)
             cases += 1

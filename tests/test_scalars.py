@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import integer_relations
+from conftest import integer_relations, mp_evaluate, mp_value
 from lindyn.errors import ParseError
 from lindyn.scalars import (
     Scalar,
@@ -68,8 +68,8 @@ class TestArithmetic:
         # oracle: numeric evaluation at 128 bits of both sides agrees to 1e-30
         lhs = S("(sqrt(3)+i*sqrt(2))*(sqrt(3)-i*sqrt(2))")
         assert lhs == Scalar.from_int(5)
-        a = S("sqrt(3)+i*sqrt(2)").evaluate(128)
-        b = S("sqrt(3)-i*sqrt(2)").evaluate(128)
+        a = mp_value(S("sqrt(3)+i*sqrt(2)").evaluate(128))
+        b = mp_value(S("sqrt(3)-i*sqrt(2)").evaluate(128))
         assert abs(a * b - mpmath.mpc(5)) < mpmath.mpf("1e-30")
 
     def test_square_free_split(self):
@@ -101,7 +101,7 @@ class TestIndependence:
         assert integer_relations(vals) == []
         # oracle: exhaustive small-coefficient search up to |q| <= 100 finds
         # no vanishing combination (inner coefficient solved by rounding)
-        v = np.array([float(x.evaluate(64).real) for x in vals])
+        v = np.array([x.evaluate_complex(64).real for x in vals])
         r = np.arange(-100, 101)
         q2, q3, q4 = np.meshgrid(r, r, r, indexing="ij")
         rest = q2 * v[1] + q3 * v[2] + q4 * v[3]
@@ -179,9 +179,9 @@ class TestFieldAxioms:
     @settings(max_examples=100, deadline=None)
     @given(scalar_strategy, scalar_strategy)
     def test_evaluate_is_homomorphism(self, a, b):
-        pa, pb = a.evaluate(96), b.evaluate(96)
-        prod = (a * b).evaluate(96)
-        tot = (a + b).evaluate(96)
+        pa, pb = mp_value(a.evaluate(96)), mp_value(b.evaluate(96))
+        prod = mp_value((a * b).evaluate(96))
+        tot = mp_value((a + b).evaluate(96))
         scale = max(1.0, abs(complex(pa)), abs(complex(pb))) ** 2
         assert abs(complex(prod) - complex(pa * pb)) < 1e-24 * scale
         assert abs(complex(tot) - complex(pa + pb)) < 1e-24 * scale
@@ -249,12 +249,37 @@ class TestFastPath:
 class TestNumeric:
     def test_evaluate_precision(self):
         x = S("sqrt(2)")
-        lo = x.evaluate(64)
-        hi = x.evaluate(256)
+        lo = mp_value(x.evaluate(64))
+        hi = mp_value(x.evaluate(256))
         assert abs(lo - hi) < mpmath.mpf(2) ** (1 - 64)
+
+    def test_evaluate_matches_mpmath_bit_for_bit(self):
+        # the integer evaluation rounds each step as mpmath's correctly
+        # rounded arithmetic does at the same precision: the same P-bit parts,
+        # so the same doubles
+        rng = random.Random(20260)
+        radicands = [1, 1, 2, 3, 5, 6, 7, 10, 11, 15, 30, 105]
+        for _ in range(2000):
+            terms = {}
+            for _ in range(rng.randint(1, 4)):
+                num = rng.choice([-1, 1]) * rng.randint(1, 2 ** rng.randint(1, 200))
+                den = rng.randint(1, 2 ** rng.randint(0, 200))
+                terms[(rng.choice(radicands), rng.random() < 0.5)] = Fraction(num, den)
+            x = Scalar(terms)
+            for prec in (53, 64, 96, 128, 256):
+                want = mp_evaluate(x, prec)
+                got = x.evaluate(prec)
+                assert mp_value(got) == want, (x, prec)
+                assert repr(x.evaluate_complex(prec)) == repr(complex(want)), (x, prec)
+
+    def test_evaluate_complex_overflows_to_inf(self):
+        # as mpmath's float() reads a value past the largest double
+        for q in (Fraction(2**1100, 7), Fraction(-(2**1100), 7), Fraction(2**1024 - 2**970)):
+            x = Scalar.from_fraction(q) * S("1 + i")
+            assert repr(x.evaluate_complex(64)) == repr(complex(mp_evaluate(x, 64)))
 
     def test_to_complex_agrees(self):
         x = S("1/3 + sqrt(5) - 2*i")
         z = x.to_complex()
-        ref = complex(x.evaluate(64))
+        ref = x.evaluate_complex(64)
         assert abs(z - ref) < 1e-12

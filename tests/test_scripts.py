@@ -48,8 +48,8 @@ def test_random_family_survey_smoke():
 
 
 # the same arguments at 128 bits, the CLI default, recorded while the
-# characteristic polynomial's roots came from mpmath.eig: two families are
-# refused by name
+# characteristic polynomial's roots came from mpmath.eig and unchanged since
+# they are refined on fixed-point integers: two families are refused by name
 SURVEY_128_STDOUT = """\
 surveyed 4 families (seed 0)
 failed families: {'SpectrumNotCertified': 2}

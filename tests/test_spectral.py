@@ -13,13 +13,15 @@ from conftest import (
     random_integer_matrix,
     random_scalar,
     random_sform_family,
+    mp_evaluate,
+    mp_value,
 )
 import lindyn.spectral as spectral
 from lindyn.errors import NoCommonEigenvector, NotAbelian, SpectrumNotCertified
 from lindyn.groups import GeneratorSet
 from lindyn.invariants import invariant_family
 from lindyn.linalg import Matrix, rank, solve, squarefree_factors
-from lindyn.numeric import NumericContext, as_complex, max_abs, polynomial_roots, to_numeric
+from lindyn.numeric import NumericContext, _isqrt_fast, max_abs, polynomial_roots, pslq, to_numeric
 from lindyn.scalars import Scalar, parse_scalar
 from lindyn.spectral import (
     eigenvalues,
@@ -132,6 +134,62 @@ class TestEigenvalues:
         assert recognize_in_field(complex(math.pi, 0.0), {2, 3}) is None
 
 
+class TestPslqPort:
+    """``numeric.pslq`` against ``mpmath.pslq``, called as the recognition
+    called it: on [x, 1, sqrt(d)...], each sqrt(d) the double of its 64-bit
+    evaluation, at mpmath's default 53 bits."""
+
+    @staticmethod
+    def mp_pslq(x: float, rads: list[int]):
+        vals = [mpmath.mpf(x)] + [mp_evaluate(Scalar.sqrt_int(d), 64).real for d in [1] + rads]
+        try:
+            return mpmath.pslq(vals, tol=mpmath.mpf(1e-11), maxcoeff=10**3, maxsteps=10**4)
+        except Exception:
+            return None
+
+    @staticmethod
+    def port_pslq(x: float, rads: list[int]):
+        vals = [x] + [Scalar.sqrt_int(d).evaluate_complex(64).real for d in [1] + rads]
+        try:
+            return pslq(vals, tol=1e-11, maxcoeff=10**3, maxsteps=10**4)
+        except (ArithmeticError, ValueError):
+            return None
+
+    def test_same_relation_as_mpmath(self):
+        rng = random.Random(1999)
+        found = [0, 0]  # relations found on the exact and the random values
+        for case in range(2000):
+            rads = sorted(rng.sample([2, 3, 5, 6, 7], rng.randint(0, 3)))
+            if case % 2:
+                # a random double, from far below the tolerance to past 2^287,
+                # where the square roots take their Newton branch
+                x = rng.choice([-1, 1]) * rng.uniform(1, 2) * 2.0 ** rng.randint(-40, 400)
+            else:
+                # an exact combination of small height
+                value = Scalar.from_fraction(Fraction(rng.randint(-40, 40), rng.randint(1, 12)))
+                for d in rads:
+                    value += Scalar.sqrt_int(d) * Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                x = value.evaluate_complex(64).real
+            want = self.mp_pslq(x, rads)
+            assert self.port_pslq(x, rads) == want, (x, rads)
+            found[case % 2] += want is not None
+        # random doubles end both ways: mostly None, and a spurious relation
+        # with a zero first coefficient once x is past the precision
+        assert found[0] > 950 and 100 < found[1] < 900
+
+    def test_non_finite_values_raise(self):
+        for x in (math.inf, -math.inf, math.nan):
+            with pytest.raises((ArithmeticError, ValueError)):
+                pslq([x, 1.0], tol=1e-11, maxcoeff=10**3, maxsteps=10**4)
+
+    def test_square_roots_match_mpmath_backend(self):
+        isqrt_fast = mpmath.libmp.libintmath.isqrt_fast_python
+        rng = random.Random(5)
+        for _ in range(3000):
+            x = rng.getrandbits(rng.randint(1, 2400))
+            assert _isqrt_fast(x) == isqrt_fast(x), x
+
+
 class TestProposalLadder:
     def test_defective_block_is_proposed_again_at_context_precision(self, monkeypatch):
         # a 3x3 Jordan block at 1 beside the eigenvalue 2, conjugated by an
@@ -236,7 +294,7 @@ class TestCharacteristicPolynomialRung:
     def eig_oracle(A: Matrix, precision: int) -> list:
         # mpmath's Hessenberg QR at the precision, on the entries evaluated there
         with mpmath.workprec(precision):
-            M = mpmath.matrix([[e.evaluate(precision) for e in row] for row in A.entries()])
+            M = mpmath.matrix([[mp_value(e.evaluate(precision)) for e in row] for row in A.entries()])
             return list(mpmath.eig(M, left=False, right=False))
 
     def test_roots_agree_with_eig_on_squarefree_inputs(self):
@@ -247,7 +305,7 @@ class TestCharacteristicPolynomialRung:
         for A in inputs:
             factors = squarefree_factors(A.charpoly())
             assert factors == [(A.charpoly(), 1)]
-            roots = [z for a, _ in factors for z in polynomial_roots(exact_factor(a), 128)]
+            roots = [mp_value(z) for a, _ in factors for z in polynomial_roots(exact_factor(a), 128)]
             oracle = self.eig_oracle(A, 128)
             assert len(roots) == len(oracle) == A.rows
             with mpmath.workprec(128):
@@ -269,7 +327,7 @@ class TestCharacteristicPolynomialRung:
         assert k == 1
         with mpmath.workprec(128):
             exact = [1 - mpmath.sqrt(2) / 10**10, 1 + mpmath.sqrt(2) / 10**10]
-            roots = sorted(polynomial_roots(exact_factor(a), 128), key=lambda z: z.real)
+            roots = sorted(map(mp_value, polynomial_roots(exact_factor(a), 128)), key=lambda z: z.real)
             for r, z in zip(roots, exact):
                 assert abs(r - z) <= mpmath.ldexp(1, -90)
 
