@@ -14,7 +14,6 @@ that checks them lives in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .linalg import Matrix, kernel, rank as exact_rank, rational_kernel
@@ -25,20 +24,20 @@ DENSE = "DENSE"
 DENSE_IN_PROPER_SUBGROUP = "DENSE_IN_PROPER_SUBGROUP"
 
 
-@dataclass(frozen=True)
 class IntegerSpan:
     """Generators v_1..v_k of a subgroup of R^d, entries real radical scalars."""
 
-    vectors: tuple[tuple[Scalar, ...], ...]
-    dim: int
+    __slots__ = ("vectors", "dim")
 
-    def __post_init__(self):
-        for v in self.vectors:
-            if len(v) != self.dim:
+    def __init__(self, vectors: tuple[tuple[Scalar, ...], ...], dim: int):
+        for v in vectors:
+            if len(v) != dim:
                 raise ValueError("vector length does not match ambient dimension")
             for c in v:
                 if not c.is_real():
                     raise ValueError(f"integer-span entries must be real, got {c}")
+        self.vectors = vectors
+        self.dim = dim
 
     @staticmethod
     def of(vectors, dim: int | None = None) -> "IntegerSpan":
@@ -97,14 +96,18 @@ def character_basis(span: IntegerSpan) -> list[list[int]]:
     return [integerize(v) for v in rational_kernel(rows)]
 
 
-@dataclass
 class DensityVerdict:
-    kind: str
-    free_rank: int
-    span_dim: int
-    relations: list[list[int]] = field(default_factory=list)
-    character: list[int] | None = None
-    notes: list[str] = field(default_factory=list)
+    __slots__ = ("kind", "free_rank", "span_dim", "relations", "character", "notes")
+
+    def __init__(self, kind: str, free_rank: int, span_dim: int,
+                 relations: list[list[int]] | None = None, character: list[int] | None = None,
+                 notes: list[str] | None = None):
+        self.kind = kind
+        self.free_rank = free_rank
+        self.span_dim = span_dim
+        self.relations = [] if relations is None else relations
+        self.character = character
+        self.notes = [] if notes is None else notes
 
 
 def dense_in(span: IntegerSpan) -> DensityVerdict:

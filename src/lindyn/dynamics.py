@@ -50,8 +50,8 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass, field
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,8 +72,7 @@ FIRST_BOX = 8            # classify_stabilized's first exponent bound
 RECURRENCE_TOL = 1e-3    # final backward error of a recurrent sequence
 
 
-@dataclass(frozen=True)
-class ClosureConfig:
+class ClosureConfig(NamedTuple):
     """Heuristic thresholds; configuration, not ground truth."""
 
     window: float = 1.0
@@ -84,7 +83,6 @@ class ClosureConfig:
     discrete_count_limit: int = 200_000
 
 
-@dataclass
 class Hull:
     """The orbit's affine hull u + W, in float64 on realified coordinates (see _frame).
 
@@ -93,19 +91,22 @@ class Hull:
     with c = x[pivots], its hull coordinates.
     """
 
-    base: np.ndarray    # realified u, the frame's origin
-    V: np.ndarray       # (n, d), orthonormal columns spanning W
-    origin: np.ndarray  # o
-    B: np.ndarray       # (n, d)
-    start: np.ndarray   # (d,), u's hull coordinates
-    maps: list          # per generator, the function K -> its power stack
+    __slots__ = ("base", "V", "origin", "B", "start", "maps")
+
+    def __init__(self, base: np.ndarray, V: np.ndarray, origin: np.ndarray, B: np.ndarray,
+                 start: np.ndarray, maps: list):
+        self.base = base      # realified u, the frame's origin
+        self.V = V            # (n, d), orthonormal columns spanning W
+        self.origin = origin  # o
+        self.B = B            # (n, d)
+        self.start = start    # (d,), u's hull coordinates
+        self.maps = maps      # per generator, the function K -> its power stack
 
     def frame_coordinates(self, coords: np.ndarray) -> np.ndarray:
         """V^T (x - u) of the points x with hull coordinates coords: V^T B (c - c_u)."""
         return _mapped(self.V.T @ self.B, coords - self.start)
 
 
-@dataclass
 class OrbitCloud:
     """A deduplicated orbit sample, stored as hull coordinates.
 
@@ -121,11 +122,15 @@ class OrbitCloud:
     keeps each key's first row in enumeration order.
     """
 
-    coords: np.ndarray                # deduped hull coordinates (m, d), maybe column-major
-    total_tuples: int
-    hull: Hull
-    subsampled: bool = False
-    clipped: bool = False
+    __slots__ = ("coords", "total_tuples", "hull", "subsampled", "clipped")
+
+    def __init__(self, coords: np.ndarray, total_tuples: int, hull: Hull,
+                 subsampled: bool = False, clipped: bool = False):
+        self.coords = coords  # deduped hull coordinates (m, d), maybe column-major
+        self.total_tuples = total_tuples
+        self.hull = hull
+        self.subsampled = subsampled
+        self.clipped = clipped
 
     @property
     def count(self) -> int:
@@ -137,13 +142,22 @@ class OrbitCloud:
         return self.hull.origin + _mapped(self.hull.B, self.coords)
 
 
-@dataclass
 class ClosureVerdict:
-    kind: str
-    hull_dim: int
-    gap: float | None = None
-    min_distance: float | None = None
-    notes: list[str] = field(default_factory=list)
+    __slots__ = ("kind", "hull_dim", "gap", "min_distance", "notes")
+
+    def __init__(self, kind: str, hull_dim: int, gap: float | None = None,
+                 min_distance: float | None = None, notes: list[str] | None = None):
+        self.kind = kind
+        self.hull_dim = hull_dim
+        self.gap = gap
+        self.min_distance = min_distance
+        self.notes = [] if notes is None else notes
+
+    def __eq__(self, other):
+        if not isinstance(other, ClosureVerdict):
+            return NotImplemented
+        return ((self.kind, self.hull_dim, self.gap, self.min_distance, self.notes)
+                == (other.kind, other.hull_dim, other.gap, other.min_distance, other.notes))
 
 
 # ---------------------------------------------------------------------------
@@ -888,13 +902,16 @@ def _same_signature(a: ClosureVerdict, b: ClosureVerdict) -> bool:
 # inverse recurrence (the dynamical symmetry check on U)
 
 
-@dataclass
 class InverseRecurrenceReport:
-    forward_errors: list[float]   # ||B_m u - v||
-    backward_errors: list[float]  # ||B_m^-1 v - u||
-    tail_max: float               # max backward error over the last quarter
-    final_error: float
-    tends_to_zero: bool           # tail decreasing and final error below RECURRENCE_TOL
+    __slots__ = ("forward_errors", "backward_errors", "tail_max", "final_error", "tends_to_zero")
+
+    def __init__(self, forward_errors: list[float], backward_errors: list[float],
+                 tail_max: float, final_error: float, tends_to_zero: bool):
+        self.forward_errors = forward_errors    # ||B_m u - v||
+        self.backward_errors = backward_errors  # ||B_m^-1 v - u||
+        self.tail_max = tail_max                # max backward error over the last quarter
+        self.final_error = final_error
+        self.tends_to_zero = tends_to_zero      # tail decreasing and final error below RECURRENCE_TOL
 
 
 def inverse_recurrence_check(
@@ -945,11 +962,13 @@ def inverse_recurrence_check(
 # integer approximation of a target by the value span
 
 
-@dataclass
 class ApproximationSequence:
-    tuples: list[tuple[int, ...]]
-    residuals: list[float]
-    achieved: float
+    __slots__ = ("tuples", "residuals", "achieved")
+
+    def __init__(self, tuples: list[tuple[int, ...]], residuals: list[float], achieved: float):
+        self.tuples = tuples
+        self.residuals = residuals
+        self.achieved = achieved
 
 
 def approximate_target(

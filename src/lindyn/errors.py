@@ -29,6 +29,10 @@ class NotInvariant(LindynError):
         )
 
 
+class DoubleOverflow(LindynError, OverflowError):
+    """An exact value lies past the double range where a double is needed."""
+
+
 class InvarianceViolation(LindynError):
     """A subspace that must be invariant by construction is not."""
 

@@ -12,7 +12,6 @@ for every group that ``validate`` accepts.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import NotAbelian
@@ -23,7 +22,6 @@ REAL = "real"
 COMPLEX = "complex"
 
 
-@dataclass
 class GeneratorSet:
     """A finite generating family, verified abelian.
 
@@ -31,28 +29,29 @@ class GeneratorSet:
     refinement alone (see the module docstring).
     """
 
-    field: str
-    dimension: int
-    generators: list
-    names: list[str] = field(default_factory=list)
+    __slots__ = ("field", "dimension", "generators", "names")
 
-    def __post_init__(self):
-        if self.field not in (REAL, COMPLEX):
-            raise ValueError(f"field must be 'real' or 'complex', got {self.field!r}")
-        if not self.generators:
+    def __init__(self, field: str, dimension: int, generators: list,
+                 names: list[str] | None = None):
+        if field not in (REAL, COMPLEX):
+            raise ValueError(f"field must be 'real' or 'complex', got {field!r}")
+        if not generators:
             raise ValueError("a group needs at least one generator")
-        if not self.names:
-            self.names = [f"g{k}" for k in range(len(self.generators))]
-        for i, name in enumerate(self.names):
-            if name in self.names[:i]:
+        if not names:
+            names = [f"g{k}" for k in range(len(generators))]
+        for i, name in enumerate(names):
+            if name in names[:i]:
                 raise ValueError(f"duplicate generator name {name!r}")
-        n = self.dimension
-        if n < 1:
-            raise ValueError(f"dimension must be at least 1, got {n}")
-        for g in self.generators:
+        if dimension < 1:
+            raise ValueError(f"dimension must be at least 1, got {dimension}")
+        for g in generators:
             shape = (g.rows, g.cols) if isinstance(g, Matrix) else g.shape
-            if shape != (n, n):
-                raise ValueError(f"generator has shape {shape}, expected {(n, n)}")
+            if shape != (dimension, dimension):
+                raise ValueError(f"generator has shape {shape}, expected {(dimension, dimension)}")
+        self.field = field
+        self.dimension = dimension
+        self.generators = generators
+        self.names = names
 
     @property
     def exact(self) -> bool:

@@ -13,7 +13,6 @@ below the root is computed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
@@ -74,14 +73,17 @@ def s_form_diagonal(g: Matrix) -> Scalar:
     return mu
 
 
-@dataclass
 class NilpotentSpan:
     """Spanning family {(B - mu_B I) e_i} of the nilpotent directions."""
 
-    vectors: list[tuple[int, int, Vector]]  # (generator idx, column idx, vector)
-    chosen: list[int]                       # indices of a maximal independent subset
-    rank: int
-    span: Subspace
+    __slots__ = ("vectors", "chosen", "rank", "span")
+
+    def __init__(self, vectors: list[tuple[int, int, Vector]], chosen: list[int], rank: int,
+                 span: Subspace):
+        self.vectors = vectors  # (generator idx, column idx, vector)
+        self.chosen = chosen    # indices of a maximal independent subset
+        self.rank = rank
+        self.span = span
 
     def chosen_vectors(self) -> list[Vector]:
         return [self.vectors[i][2] for i in self.chosen]
@@ -132,14 +134,17 @@ def invariant_hull(G: GeneratorSet, u) -> Subspace:
 # the invariant family
 
 
-@dataclass
 class InvariantSubspace:
-    subspace: Subspace | NumSubspace
-    case: str
-    block_index: int
-    functionals: Matrix | np.ndarray     # rows; H = joint kernel of these
-    invariance_residual: float
-    width: int                           # columns of its unit in P; it drops the leading codim
+    __slots__ = ("subspace", "case", "block_index", "functionals", "invariance_residual", "width")
+
+    def __init__(self, subspace: Subspace | NumSubspace, case: str, block_index: int,
+                 functionals: Matrix | np.ndarray, invariance_residual: float, width: int):
+        self.subspace = subspace
+        self.case = case
+        self.block_index = block_index
+        self.functionals = functionals  # rows; H = joint kernel of these
+        self.invariance_residual = invariance_residual
+        self.width = width              # columns of its unit in P; it drops the leading codim
 
     @property
     def dim(self) -> int:
@@ -150,15 +155,21 @@ class InvariantSubspace:
         return isinstance(self.subspace, Subspace)
 
 
-@dataclass
 class InvariantFamily:
-    field: str
-    dimension: int
-    subspaces: list[InvariantSubspace]
-    block_change: Matrix | np.ndarray        # Q: stacked block bases
-    triangular_change: Matrix | np.ndarray   # P: triangularized composite basis
-    blocks: list[SpectralBlock] = field(default_factory=list)
-    forms: list[TriangularForm] = field(default_factory=list)
+    __slots__ = ("field", "dimension", "subspaces", "block_change", "triangular_change",
+                 "blocks", "forms")
+
+    def __init__(self, field: str, dimension: int, subspaces: list[InvariantSubspace],
+                 block_change: Matrix | np.ndarray, triangular_change: Matrix | np.ndarray,
+                 blocks: list[SpectralBlock] | None = None,
+                 forms: list[TriangularForm] | None = None):
+        self.field = field
+        self.dimension = dimension
+        self.subspaces = subspaces
+        self.block_change = block_change            # Q: stacked block bases
+        self.triangular_change = triangular_change  # P: triangularized composite basis
+        self.blocks = [] if blocks is None else blocks
+        self.forms = [] if forms is None else forms
 
     @property
     def count(self) -> int:
@@ -210,7 +221,8 @@ def invariant_family(G: GeneratorSet, ctx: NumericContext | None = None) -> Inva
         others = [j for j in range(n) if not (offset <= j < offset + width)]
         col_idx = sorted(others + keep)
         if exact_all:
-            sub = Subspace(n, P.submatrix(range(n), col_idx))
+            # P's inverse is verified, so these columns of P are independent
+            sub = Subspace._of_independent(n, P.submatrix(range(n), col_idx))
             functionals = P_inv.submatrix(range(offset, offset + omit), range(n))
         else:
             sub = NumSubspace(n, P[:, col_idx])
@@ -283,10 +295,12 @@ def _invariance_residual(G: GeneratorSet, sub: Subspace | NumSubspace,
 # membership
 
 
-@dataclass
 class Membership:
-    in_U: bool
-    containing: list[int]
+    __slots__ = ("in_U", "containing")
+
+    def __init__(self, in_U: bool, containing: list[int]):
+        self.in_U = in_U
+        self.containing = containing
 
 
 def membership(family: InvariantFamily, x: Vector, ctx: NumericContext | None = None) -> Membership:
@@ -312,14 +326,24 @@ def membership(family: InvariantFamily, x: Vector, ctx: NumericContext | None = 
 # the invariant tree
 
 
-@dataclass(frozen=True)
 class InvariantTreeNode:
     """One invariant subspace of K^n, as a value: the remaining width of each
     unit of the root's basis P, with each unit's (case, codim).  Each child
     drops the leading codim columns of one unit that still has columns."""
 
-    widths: tuple[int, ...]
-    units: tuple[tuple[str, int], ...]
+    __slots__ = ("widths", "units")
+
+    def __init__(self, widths: tuple[int, ...], units: tuple[tuple[str, int], ...]):
+        self.widths = widths
+        self.units = units
+
+    def __eq__(self, other):
+        if not isinstance(other, InvariantTreeNode):
+            return NotImplemented
+        return self.widths == other.widths and self.units == other.units
+
+    def __hash__(self):
+        return hash((self.widths, self.units))
 
     @property
     def dimension(self) -> int:
@@ -341,11 +365,13 @@ class InvariantTreeNode:
         return math.prod(w // codim + 1 for (_, codim), w in zip(self.units, self.widths))
 
 
-@dataclass
 class InvariantTree:
-    root: InvariantTreeNode
-    depth: int
-    family: InvariantFamily   # the root's
+    __slots__ = ("root", "depth", "family")
+
+    def __init__(self, root: InvariantTreeNode, depth: int, family: InvariantFamily):
+        self.root = root
+        self.depth = depth
+        self.family = family  # the root's
 
 
 def invariant_tree(G: GeneratorSet, ctx: NumericContext | None = None) -> InvariantTree:
@@ -373,14 +399,18 @@ def invariant_tree(G: GeneratorSet, ctx: NumericContext | None = None) -> Invari
 # bounded restriction witness (the case-split recursion)
 
 
-@dataclass
 class BoundedRestrictionWitness:
-    subspace: Subspace                 # in original coordinates, contains u
-    basis: Matrix                      # ambient columns, first column is u
-    restricted_generators: list[Matrix]
-    restricted_sequence: list[Matrix]
-    bound: float                       # sup of max-entry norms over the sequence
-    case_trace: list[str]
+    __slots__ = ("subspace", "basis", "restricted_generators", "restricted_sequence", "bound",
+                 "case_trace")
+
+    def __init__(self, subspace: Subspace, basis: Matrix, restricted_generators: list[Matrix],
+                 restricted_sequence: list[Matrix], bound: float, case_trace: list[str]):
+        self.subspace = subspace  # in original coordinates, contains u
+        self.basis = basis        # ambient columns, first column is u
+        self.restricted_generators = restricted_generators
+        self.restricted_sequence = restricted_sequence
+        self.bound = bound        # sup of max-entry norms over the sequence
+        self.case_trace = case_trace
 
 
 def bounded_restriction_witness(

@@ -63,7 +63,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -810,16 +809,16 @@ def _matrix_of_cols(cols: list[list], height: int, den: int, integer: bool) -> M
 # -- subspaces and basis changes ---------------------------------------------
 
 
-@dataclass(frozen=True)
 class BasisChange:
     """An invertible matrix with its inverse computed once and verified."""
 
-    matrix: Matrix
-    inverse: Matrix
+    __slots__ = ("matrix", "inverse")
 
-    def __post_init__(self):
-        if not (self.matrix * self.inverse) == Matrix.identity(self.matrix.rows):
+    def __init__(self, matrix: Matrix, inverse: Matrix):
+        if not (matrix * inverse) == Matrix.identity(matrix.rows):
             raise ValueError("inverse does not verify against the matrix")
+        self.matrix = matrix
+        self.inverse = inverse
 
     @staticmethod
     def of(P: Matrix) -> "BasisChange":
@@ -844,19 +843,28 @@ def _private_rows(M: Matrix) -> list[int] | None:
     return [found[j] for j in range(M.cols)] if len(found) == M.cols else None
 
 
-@dataclass(frozen=True)
 class Subspace:
     """Span of the columns of ``basis`` inside an ambient exact space."""
 
-    ambient: int
-    basis: Matrix
+    __slots__ = ("ambient", "basis")
 
-    def __post_init__(self):
-        if self.basis.cols and self.basis.rows != self.ambient:
+    def __init__(self, ambient: int, basis: Matrix):
+        cols = basis.cols
+        if cols and basis.rows != ambient:
             raise ValueError("basis vectors have wrong length")
-        cols = self.basis.cols
-        if cols and _private_rows(self.basis) is None and rank(self.basis) != cols:
+        if cols and _private_rows(basis) is None and rank(basis) != cols:
             raise ValueError("basis vectors are linearly dependent")
+        self.ambient = ambient
+        self.basis = basis
+
+    @staticmethod
+    def _of_independent(ambient: int, basis: Matrix) -> "Subspace":
+        """The span of columns already known to be independent, of length
+        ambient (columns of a verified basis change), with no check."""
+        sub = object.__new__(Subspace)
+        sub.ambient = ambient
+        sub.basis = basis
+        return sub
 
     @property
     def dim(self) -> int:

@@ -13,9 +13,8 @@ tolerance.  The eigenvalue clustering radius is the constant CLUSTER_DELTA.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,8 +26,7 @@ ROOT_SWEEPS = 32  # cap on the sweeps that refine the roots of one factor
 ROOT_GUARD = 32  # fixed-point bits beyond the precision in root refinement
 
 
-@dataclass(frozen=True)
-class NumericContext:
+class NumericContext(NamedTuple):
     """Precision and tolerance for every tolerant computation."""
 
     precision: int = 53
@@ -302,12 +300,14 @@ def npower(A: np.ndarray, k: int) -> np.ndarray:
     return result
 
 
-@dataclass(frozen=True)
 class NumSubspace:
     """Span of the columns of a numeric basis matrix."""
 
-    ambient: int
-    basis: np.ndarray
+    __slots__ = ("ambient", "basis")
+
+    def __init__(self, ambient: int, basis: np.ndarray):
+        self.ambient = ambient
+        self.basis = basis
 
     @property
     def dim(self) -> int:

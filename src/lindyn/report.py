@@ -51,16 +51,25 @@ def _scalar_approx(x: Scalar) -> complex:
     return x.evaluate_complex(64)
 
 
-def render_value(x) -> dict[str, Any]:
-    """{"exact": expression-or-null, "approx": decimal string}."""
+def render_value(x, rendered: dict[Scalar, tuple[str, str]] | None = None) -> dict[str, Any]:
+    """{"exact": expression-or-null, "approx": decimal string}.
+
+    ``rendered`` maps each Scalar already rendered to its two strings, so a
+    value repeated across a report is rendered once; each call returns a
+    fresh dict."""
     if isinstance(x, Scalar):
-        return {"exact": str(x), "approx": _fmt_complex(_scalar_approx(x))}
+        if rendered is None:
+            return {"exact": str(x), "approx": _fmt_complex(_scalar_approx(x))}
+        pair = rendered.get(x)
+        if pair is None:
+            pair = rendered[x] = (str(x), _fmt_complex(_scalar_approx(x)))
+        return {"exact": pair[0], "approx": pair[1]}
     return {"exact": None, "approx": _fmt_complex(complex(x))}
 
 
-def render_matrix(M) -> list[list[dict[str, Any]]]:
+def render_matrix(M, rendered: dict[Scalar, tuple[str, str]]) -> list[list[dict[str, Any]]]:
     if isinstance(M, Matrix):
-        return [[render_value(e) for e in row] for row in M.entries()]
+        return [[render_value(e, rendered) for e in row] for row in M.entries()]
     arr = np.asarray(M)
     return [[render_value(arr[i, j]) for j in range(arr.shape[1])] for i in range(arr.shape[0])]
 
@@ -94,14 +103,16 @@ def analysis_report(
 ) -> dict[str, Any]:
     """The report as nested dicts for ``dumps_report``; the invariant tree is
     rendered from its root's units, one per family subspace, and node_count,
-    prod(width / codim + 1), counts its nodes without listing them."""
+    prod(width / codim + 1), counts its nodes without listing them.  Each
+    distinct Scalar is rendered once per report (see ``render_value``)."""
+    rendered: dict[Scalar, tuple[str, str]] = {}
     blocks = [
         {
             "dimension": b.dim,
             "exact": b.exact,
             "eigenvalues": {
                 name: render_value(b.eigen_numeric[gi] if b.eigen_exact.get(gi) is None
-                                   else b.eigen_exact[gi])
+                                   else b.eigen_exact[gi], rendered)
                 for gi, name in enumerate(G.names)
             },
             "conjugate_partner": b.conj_partner,
@@ -113,16 +124,17 @@ def analysis_report(
             "case": s.case,
             "dimension": s.dim,
             "block": s.block_index,
-            "functionals": render_matrix(s.functionals),
-            "basis": render_matrix(s.subspace.basis),
+            "functionals": render_matrix(s.functionals, rendered),
+            "basis": render_matrix(s.subspace.basis, rendered),
             "invariance_residual": f"{s.invariance_residual:.12g}",
         }
         for s in family.subspaces
     ]
     triangular_forms = [
         {
-            "diagonal": {name: render_value(mu) for name, mu in zip(G.names, tf.diagonal)},
-            "triangular": [render_matrix(T) for T in tf.triangular],
+            "diagonal": {name: render_value(mu, rendered)
+                         for name, mu in zip(G.names, tf.diagonal)},
+            "triangular": [render_matrix(T, rendered) for T in tf.triangular],
         }
         for tf in family.forms
     ]
@@ -154,8 +166,8 @@ def analysis_report(
             "complement": "U = complement of the union of the subspaces above",
         },
         "basis_change": {
-            "Q": render_matrix(family.block_change),
-            "P": render_matrix(family.triangular_change),
+            "Q": render_matrix(family.block_change, rendered),
+            "P": render_matrix(family.triangular_change, rendered),
         },
         "invariant_tree": {"depth": tree_depth, "units": [
             {"subspace": k, "case": case, "width": w, "codim": codim}

@@ -17,11 +17,12 @@ directly; only longer sums run the general term loop and sort its keys.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import ParseError
+from .errors import DoubleOverflow, ParseError
 
 Key = tuple[int, bool]  # (squarefree radicand, imaginary flag)
 
@@ -377,17 +378,23 @@ class Scalar:
         return complex(*map(_nearest_float, self.evaluate(prec)))
 
     def to_complex(self) -> complex:
-        """Fast double-precision value for bulk numeric work."""
+        """Fast double-precision value for bulk numeric work; DoubleOverflow
+        when a part lies past the double range."""
         re = 0.0
         im = 0.0
-        for (d, imag), c in self._terms.items():
-            v = c.numerator / c.denominator
-            if d > 1:
-                v *= math.sqrt(d)
-            if imag:
-                im += v
-            else:
-                re += v
+        try:
+            for (d, imag), c in self._terms.items():
+                v = c.numerator / c.denominator
+                if d > 1:
+                    v *= math.sqrt(d)
+                if imag:
+                    im += v
+                else:
+                    re += v
+        except OverflowError:  # a quotient past the double range
+            re = math.inf
+        if math.isinf(re) or math.isinf(im):
+            raise DoubleOverflow(f"{self} lies past the double range")
         return complex(re, im)
 
     # -- rendering ----------------------------------------------------
@@ -564,8 +571,20 @@ class _Parser:
         raise ParseError(f"unexpected token {tok!r}")
 
 
+_INT_LITERAL = re.compile(r"-?[0-9]+")
+
+
 def parse_scalar(text: str) -> Scalar:
-    """Parse an expression built from integers, + - * /, sqrt(k) and i."""
+    """Parse an expression built from integers, + - * /, sqrt(k) and i.
+
+    An integer literal (``-?[0-9]+``), most entries of an input, skips the
+    tokenizer and parser, which read it to the same value."""
+    if _INT_LITERAL.fullmatch(text):
+        return Scalar.from_int(int(text))
+    return _parse_expression(text)
+
+
+def _parse_expression(text: str) -> Scalar:
     parser = _Parser(_tokenize(text))
     value = parser.parse_expr()
     if parser.peek() is not None:

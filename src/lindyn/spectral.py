@@ -39,7 +39,6 @@ in span F.  A stack at most d NOISE times the restrictions' scale (as in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
@@ -78,16 +77,19 @@ NOISE = 64 * 2.0**-52  # relative noise floor of every numeric (double-precision
 # blocks
 
 
-@dataclass
 class SpectralBlock:
     """Joint generalized eigenspace: one eigenvalue per generator on it."""
 
-    subspace: Subspace | NumSubspace
-    eigen_numeric: dict[int, complex]
-    eigen_exact: dict[int, Scalar | None]
-    conj_partner: int | None = None
-    # per-generator restrictions to subspace.basis
-    restrictions: list | None = None
+    __slots__ = ("subspace", "eigen_numeric", "eigen_exact", "conj_partner", "restrictions")
+
+    def __init__(self, subspace: Subspace | NumSubspace, eigen_numeric: dict[int, complex],
+                 eigen_exact: dict[int, Scalar | None], conj_partner: int | None = None,
+                 restrictions: list | None = None):
+        self.subspace = subspace
+        self.eigen_numeric = eigen_numeric
+        self.eigen_exact = eigen_exact
+        self.conj_partner = conj_partner
+        self.restrictions = restrictions  # per-generator restrictions to subspace.basis
 
     @property
     def dim(self) -> int:
@@ -101,24 +103,29 @@ class SpectralBlock:
         return self.subspace.basis
 
 
-@dataclass
 class TriangularForm:
     """Common basis in which every generator is lower triangular."""
 
-    basis: Matrix | np.ndarray          # ambient columns, triangular order
-    triangular: list                    # per-generator restricted matrices
-    diagonal: list                      # per-generator repeated value mu
+    __slots__ = ("basis", "triangular", "diagonal")
+
+    def __init__(self, basis: Matrix | np.ndarray, triangular: list, diagonal: list):
+        self.basis = basis            # ambient columns, triangular order
+        self.triangular = triangular  # per-generator restricted matrices
+        self.diagonal = diagonal      # per-generator repeated value mu
 
 
-@dataclass
 class RealBlockGroup:
     """A real-invariant unit: a single real block or a conjugate pair."""
 
-    kind: str                  # "real" | "pair"
-    members: tuple[int, ...]
-    leader: int
-    real_basis: Matrix | np.ndarray
-    block: SpectralBlock | None = None  # a real singleton's block on real_basis
+    __slots__ = ("kind", "members", "leader", "real_basis", "block")
+
+    def __init__(self, kind: str, members: tuple[int, ...], leader: int,
+                 real_basis: Matrix | np.ndarray, block: SpectralBlock | None = None):
+        self.kind = kind              # "real" | "pair"
+        self.members = members
+        self.leader = leader
+        self.real_basis = real_basis
+        self.block = block            # a real singleton's block on real_basis
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ fixture's group and its named points (vectors).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .density import CLOSED, DENSE, IntegerSpan, dense_in, relation_basis
 from .dynamics import (
@@ -36,12 +35,14 @@ from .numeric import NumericContext
 from .scalars import Scalar
 
 
-@dataclass
 class ClaimResult:
-    fixture: str
-    claim: str
-    ok: bool
-    detail: str
+    __slots__ = ("fixture", "claim", "ok", "detail")
+
+    def __init__(self, fixture: str, claim: str, ok: bool, detail: str):
+        self.fixture = fixture
+        self.claim = claim
+        self.ok = ok
+        self.detail = detail
 
     def line(self) -> str:
         return f"{'PASS' if self.ok else 'FAIL'} {self.fixture}.{self.claim}: {self.detail}"

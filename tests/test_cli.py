@@ -492,6 +492,24 @@ class TestAnalyze:
             assert main(["analyze", str(p)]) == 1
             assert capsys.readouterr() == ("", f"error: {err}\n")
 
+    def test_entry_past_the_double_range(self, tmp_path):
+        # 3*2^1100 ended in an OverflowError traceback from Scalar.to_complex:
+        # the entry in the double-precision eigenvalue proposal, the
+        # coordinate in the orbit's float64 frame.  10^308 sqrt(5) has a
+        # rational part below the largest double and was read as inf: the
+        # entry ended in numpy's "Array must not contain infs or NaNs", and
+        # the point's orbit in an empty cloud
+        for big in (str(3 * 2**1100), f"{10**308}*sqrt(5)"):
+            for doc, args in [
+                ({"field": "real", "dimension": 2, "generators": [[["0", big], ["1", "0"]]]}, []),
+                ({"field": "real", "dimension": 2, "generators": [[["1", "0"], ["1", "1"]]],
+                  "points": {"p": ["1", big]}}, ["--classify-points"]),
+            ]:
+                p = tmp_path / "big.json"
+                p.write_text(json.dumps(doc))
+                code, out, err = run_cli(["analyze", str(p), *args])
+                assert (code, out, err) == (1, "", f"error: {big} lies past the double range\n")
+
     def test_dimension_as_a_string(self, tmp_path, capsys):
         # a decimal integer string is read as that integer
         shear3 = json.loads((FIXTURES / "shear3.json").read_text())
@@ -760,16 +778,25 @@ class TestWithoutScipy:
         assert main(args) == 0
         assert proc.stdout == capsys.readouterr().out
 
-    def test_benchmark_modules_import_no_mpmath(self):
-        # the modules the benchmark's workload process imports
-        script = ("import sys\n"
-                  "import lindyn, lindyn.cli, lindyn.density, lindyn.dynamics, lindyn.groups\n"
-                  "import lindyn.invariants, lindyn.linalg, lindyn.numeric, lindyn.report\n"
-                  "import lindyn.scalars, lindyn.spectral\n"
-                  "sys.exit('mpmath' in sys.modules)\n")
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env=lindyn_env())
+    # imports the modules the benchmark's workload process imports, then
+    # exits 1 if the module named by argv[1] was imported on the way
+    BENCHMARK_IMPORTS = ("import sys\n"
+                         "import lindyn, lindyn.cli, lindyn.density, lindyn.dynamics, lindyn.groups\n"
+                         "import lindyn.invariants, lindyn.linalg, lindyn.numeric, lindyn.report\n"
+                         "import lindyn.scalars, lindyn.spectral\n"
+                         "sys.exit(sys.argv[1] in sys.modules)\n")
+
+    def _benchmark_imports_leave_out(self, module: str) -> None:
+        proc = subprocess.run([sys.executable, "-c", self.BENCHMARK_IMPORTS, module],
+                              capture_output=True, text=True, env=lindyn_env())
         assert proc.returncode == 0, proc.stderr
+
+    def test_benchmark_modules_import_no_mpmath(self):
+        self._benchmark_imports_leave_out("mpmath")
+
+    def test_benchmark_modules_import_no_dataclasses(self):
+        # lindyn's records are plain classes, so importing it generates no code
+        self._benchmark_imports_leave_out("dataclasses")
 
 
 class TestVerifyExamples:

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import math
@@ -138,9 +137,9 @@ class TestEnumerate:
         G, u, K, cfg = _digest_case(name)
         if name == "one_generator_streamed":
             # its points lie sqrt(2) apart on a line: this window holds 283
-            cfg = dataclasses.replace(cfg, window=200.0)
+            cfg = cfg._replace(window=200.0)
         streamed = enumerate_orbit(G, u, K, cfg)
-        full = enumerate_orbit(G, u, K, dataclasses.replace(cfg, max_store=10**7))
+        full = enumerate_orbit(G, u, K, cfg._replace(max_store=10**7))
         assert streamed.subsampled and not full.subsampled
         # both come from G and u alone, so the box is classified in the same frame
         assert _bytes(streamed.hull.base) == _bytes(full.hull.base)
@@ -159,8 +158,8 @@ class TestEnumerate:
         # max_store only decides whether a box is streamed; the frame comes
         # from G and u, and the stream's chunks from K alone
         G, u, K, cfg = _digest_case("cshear5_plane_K24_streamed")
-        a = enumerate_orbit(G, u, K, dataclasses.replace(cfg, max_store=10_000))
-        b = enumerate_orbit(G, u, K, dataclasses.replace(cfg, max_store=50_000))
+        a = enumerate_orbit(G, u, K, cfg._replace(max_store=10_000))
+        b = enumerate_orbit(G, u, K, cfg._replace(max_store=50_000))
         assert a.subsampled and b.subsampled
         for x, y in zip([a.hull.base, a.hull.V, a.points], [b.hull.base, b.hull.V, b.points]):
             assert x.dtype == y.dtype and x.shape == y.shape and _bytes(x) == _bytes(y)
@@ -172,7 +171,7 @@ class TestEnumerate:
         # compare the covering verdicts
         G, u, K, cfg = _digest_case("cshear5_plane_K24_streamed")
         streamed = enumerate_orbit(G, u, K, cfg)
-        full_cfg = dataclasses.replace(cfg, max_store=10**7, discrete_count_limit=0)
+        full_cfg = cfg._replace(max_store=10**7, discrete_count_limit=0)
         full = enumerate_orbit(G, u, K, full_cfg)
         assert streamed.subsampled and not full.subsampled
         v_stream, v_full = classify_closure(streamed, cfg), classify_closure(full, full_cfg)
@@ -209,7 +208,7 @@ class TestEnumerate:
         G = group_from_strings("real", [[["1", "0"], ["1", "1"]], [["1", "0"], ["1000", "1"]]])
         cfg = ClosureConfig(max_store=10_000, overflow_limit=400_400.25)
         streamed = enumerate_orbit(G, as_vector(["1", "1/2"]), 400, cfg)
-        full = enumerate_orbit(G, as_vector(["1", "1/2"]), 400, dataclasses.replace(cfg, max_store=10**6))
+        full = enumerate_orbit(G, as_vector(["1", "1/2"]), 400, cfg._replace(max_store=10**6))
         assert streamed.subsampled and not full.subsampled
         assert streamed.clipped and full.clipped
         assert full.count == 801**2 - 1
@@ -1013,7 +1012,7 @@ class TestLeastOfEachKey:
 
         monkeypatch.setattr(dynamics, "_stream_window", watched)
         monkeypatch.setattr(np, "lexsort", no_lexsort)
-        cloud = enumerate_orbit(G, points["closed"], 8, dataclasses.replace(CFG, max_store=16))
+        cloud = enumerate_orbit(G, points["closed"], 8, CFG._replace(max_store=16))
         assert cloud.subsampled and Watched.copies == 0
         self._check(cloud, formed)
 
@@ -1090,7 +1089,7 @@ def _oracle_cases():
         K = 4 if len(G.generators) == 3 else 8
         yield name + "@materialized", G, u, K, cfg
         # fewer tuples than the box holds: the box is streamed
-        yield name + "@streamed", G, u, K, dataclasses.replace(cfg, max_store=(2 * K + 1) ** 2 - 1)
+        yield name + "@streamed", G, u, K, cfg._replace(max_store=(2 * K + 1) ** 2 - 1)
 
 
 class TestExactOracle:
@@ -1150,7 +1149,7 @@ class TestExactOracle:
             [["1" + "0" * 200, "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
             [["1", "0", "0"], ["0", "1", "0"], ["1", "sqrt(2)", "1"]]])
         for u in (as_vector(["1", "2", "1/2"]), as_vector(["0", "2", "1/2"])):
-            for cfg in (CFG, dataclasses.replace(CFG, max_store=100)):
+            for cfg in (CFG, CFG._replace(max_store=100)):
                 cloud = self._check("blow-up", G, u, 6, cfg)
                 assert cloud.clipped == (not u[0].is_zero())
                 assert cloud.count > (0 if cloud.subsampled else 1)
@@ -1205,7 +1204,7 @@ class TestUnmovedCoordinates:
 
     def test_points_hold_u_where_the_shear_does_not_move(self):
         for name, G, u, K, unmoved in self._cases():
-            for cfg in (CFG, dataclasses.replace(CFG, max_store=100)):
+            for cfg in (CFG, CFG._replace(max_store=100)):
                 cloud = enumerate_orbit(G, u, K, cfg)
                 want = np.array([c.to_complex().real for c in u[:unmoved]])
                 assert cloud.count > (0 if cloud.subsampled else 1), name
@@ -1297,7 +1296,7 @@ class TestClassify:
         # the materialized cshear5 dense plane at K=24, past the separation
         # check; the wider windows leave some of their cells empty
         G, u, K, cfg = _digest_case("cshear5_plane_K24_streamed")
-        cfg = dataclasses.replace(cfg, max_store=10**7, discrete_count_limit=0, window=window)
+        cfg = cfg._replace(max_store=10**7, discrete_count_limit=0, window=window)
         cloud = enumerate_orbit(G, u, K, cfg)
         verdict = classify_closure(cloud, cfg)
         base, V = cloud.hull.base, cloud.hull.V
@@ -1376,12 +1375,12 @@ class TestClassify:
         def not_assembled(cloud):
             raise AssertionError("points assembled")
 
-        loose = dataclasses.replace(CFG, discrete_count_limit=0)  # every cloud is projected
+        loose = CFG._replace(discrete_count_limit=0)  # every cloud is projected
         kinds = set()
         for name in ("shear3", "shear4", "radical4", "cshear5"):
             G, points = fixture_by_name(name)
             for point, u in sorted(points.items()):
-                for K, cfg in itertools.product((8, 64), (CFG, loose, dataclasses.replace(loose, window=2.5))):
+                for K, cfg in itertools.product((8, 64), (CFG, loose, loose._replace(window=2.5))):
                     cloud = enumerate_orbit(G, u, K, cfg)
                     with monkeypatch.context() as m:
                         m.setattr(OrbitCloud, "points", property(not_assembled))
@@ -1587,7 +1586,7 @@ class TestLineOracle:
             assert cloud.coords.shape[1] == 1
             assert (np.diff(cloud.coords[:, 0]) > 0).all()
             for window, limit in itertools.product((0.5, 1.0, 3.0, 40.0), (10, 10**6)):
-                self._same(cloud, dataclasses.replace(cfg, window=window, discrete_count_limit=limit))
+                self._same(cloud, cfg._replace(window=window, discrete_count_limit=limit))
 
 
 class TestOneHullPerSearch:
@@ -1619,7 +1618,7 @@ class TestOneHullPerSearch:
                                       "cshear5_plane_K24_streamed"])
     def test_given_hull_gives_the_same_cloud(self, name):
         G, u, K, cfg = _digest_case(name)
-        for cfg in (cfg, dataclasses.replace(cfg, max_store=10**7)):  # streamed and materialized
+        for cfg in (cfg, cfg._replace(max_store=10**7)):  # streamed and materialized
             want = enumerate_orbit(G, u, K, cfg)
             got = enumerate_orbit(G, u, K, cfg, hull=dynamics._frame(G, tuple(u)))
             assert _bytes(got.coords) == _bytes(want.coords)

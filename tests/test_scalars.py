@@ -13,6 +13,7 @@ from lindyn.errors import ParseError
 from lindyn.scalars import (
     Scalar,
     _adjugate,
+    _parse_expression,
     _ring_mul,
     parse_scalar,
     square_free_split,
@@ -21,6 +22,14 @@ from lindyn.scalars import (
 
 def S(text):
     return parse_scalar(text)
+
+
+def _outcome(parse, text):
+    """parse(text), or the type of the exception it raises."""
+    try:
+        return parse(text)
+    except Exception as exc:
+        return type(exc)
 
 
 class TestParse:
@@ -55,6 +64,26 @@ class TestParse:
     def test_division_and_parens(self):
         assert S("(1+i)*(1-i)") == Scalar.from_int(2)
         assert S("1/2 + 1/2") == Scalar.one()
+
+    # pieces of integer literals and of near misses that int() accepts and
+    # the parser refuses ("+3", "3_000") or reads its own way (" 3", "٣")
+    PIECES = list("0123456789-+ /_i)") + ["sqrt(", "\u0663"]
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(st.from_regex(r"-?[0-9]+", fullmatch=True),
+                     st.lists(st.sampled_from(PIECES), max_size=8).map("".join)))
+    def test_integer_literals_read_as_the_parser_reads_them(self, text):
+        assert _outcome(parse_scalar, text) == _outcome(_parse_expression, text), text
+
+    def test_near_literals_read_as_the_parser_reads_them(self):
+        for text in ("+3", "3_000", " 3", "3 ", "\u0663", "-0", "007", "--3", "-", ""):
+            assert _outcome(parse_scalar, text) == _outcome(_parse_expression, text), text
+        assert S("-0") == Scalar.zero() and S("007") == Scalar.from_int(7)
+        assert S(" 3") == S("\u0663") == Scalar.from_int(3)
+        with pytest.raises(ParseError):
+            S("+3")
+        with pytest.raises(ParseError):
+            S("3_000")
 
 
 class TestArithmetic:

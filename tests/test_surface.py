@@ -1,7 +1,8 @@
 """Every public module-level function and class in lindyn has a caller,
 every field of NumericContext and ClosureConfig has a caller that sets it,
-no module of the package or the scripts imports a name it never uses, and
-no function of the package imports anything.
+no module of the package or the scripts imports a name it never uses, no
+function of the package imports anything, and no module of the package
+imports dataclasses.
 
 A name counts as used when some module of the package, a script or the
 benchmark mentions it other than at its own definition: as a name, an
@@ -12,7 +13,6 @@ test seam.
 """
 
 import ast
-import dataclasses
 from pathlib import Path
 
 from lindyn.dynamics import ClosureConfig
@@ -63,12 +63,13 @@ TEST_SEAMS = {
     "ClosureConfig.discrete_count_limit": "switches the separation check off to compare "
     "the covering verdicts of a streamed and a materialized box",
 }
-SETTINGS_CALLS = {"NumericContext", "ClosureConfig", "replace"}
+SETTINGS_CALLS = {"NumericContext", "ClosureConfig", "_replace"}
 
 
 def keywords_set_by_callers() -> set[str]:
     """Keyword names passed to NumericContext(...), ClosureConfig(...) and
-    dataclasses.replace(...) anywhere in the program, scripts or benchmark."""
+    a settings record's ._replace(...) anywhere in the program, scripts or
+    benchmark."""
     names = set()
     for directory in USERS:
         for path in sorted(directory.glob("*.py")):
@@ -85,10 +86,10 @@ def keywords_set_by_callers() -> set[str]:
 def test_no_setting_is_only_for_the_suite():
     set_by_callers = keywords_set_by_callers()
     unset = sorted(
-        f"{cls.__name__}.{f.name}"
+        f"{cls.__name__}.{name}"
         for cls in (NumericContext, ClosureConfig)
-        for f in dataclasses.fields(cls)
-        if f.name not in set_by_callers and f"{cls.__name__}.{f.name}" not in TEST_SEAMS
+        for name in cls._fields
+        if name not in set_by_callers and f"{cls.__name__}.{name}" not in TEST_SEAMS
     )
     assert unset == [], f"settings no program caller sets; make them constants: {unset}"
     assert all(reason for reason in TEST_SEAMS.values())
@@ -135,3 +136,16 @@ def test_no_function_of_the_package_imports():
     # imports live at the top of each module, where the unused-import check sees them
     local = [where for path in sorted(PACKAGE.glob("*.py")) for where in function_local_imports(path)]
     assert local == [], f"function-local imports: {local}"
+
+
+def test_no_module_of_the_package_imports_dataclasses():
+    # a @dataclass writes and compiles its methods when its module is
+    # imported; lindyn's records are plain classes and NamedTuples instead
+    found = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "dataclasses" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses"
+    ]
+    assert found == [], f"dataclasses imported: {found}"
