@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -326,24 +327,13 @@ def membership(family: InvariantFamily, x: Vector, ctx: NumericContext | None = 
 # the invariant tree
 
 
-class InvariantTreeNode:
+class InvariantTreeNode(NamedTuple):
     """One invariant subspace of K^n, as a value: the remaining width of each
     unit of the root's basis P, with each unit's (case, codim).  Each child
     drops the leading codim columns of one unit that still has columns."""
 
-    __slots__ = ("widths", "units")
-
-    def __init__(self, widths: tuple[int, ...], units: tuple[tuple[str, int], ...]):
-        self.widths = widths
-        self.units = units
-
-    def __eq__(self, other):
-        if not isinstance(other, InvariantTreeNode):
-            return NotImplemented
-        return self.widths == other.widths and self.units == other.units
-
-    def __hash__(self):
-        return hash((self.widths, self.units))
+    widths: tuple[int, ...]
+    units: tuple[tuple[str, int], ...]
 
     @property
     def dimension(self) -> int:

@@ -59,7 +59,7 @@ def render_value(x, rendered: dict[Scalar, tuple[str, str]] | None = None) -> di
     fresh dict."""
     if isinstance(x, Scalar):
         if rendered is None:
-            return {"exact": str(x), "approx": _fmt_complex(_scalar_approx(x))}
+            rendered = {}
         pair = rendered.get(x)
         if pair is None:
             pair = rendered[x] = (str(x), _fmt_complex(_scalar_approx(x)))

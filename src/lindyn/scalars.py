@@ -379,23 +379,30 @@ class Scalar:
 
     def to_complex(self) -> complex:
         """Fast double-precision value for bulk numeric work; DoubleOverflow
-        when a part lies past the double range."""
-        re = 0.0
-        im = 0.0
+        when a part lies past the double range.
+
+        A term past the double range makes its part's sum inf or nan (inf
+        minus inf), though the part itself may fit, so a sum that is not
+        finite is taken from ``evaluate_complex(53)`` instead."""
+        real = 0.0
+        imag = 0.0
         try:
-            for (d, imag), c in self._terms.items():
+            for (d, is_imag), c in self._terms.items():
                 v = c.numerator / c.denominator
                 if d > 1:
                     v *= math.sqrt(d)
-                if imag:
-                    im += v
+                if is_imag:
+                    imag += v
                 else:
-                    re += v
+                    real += v
         except OverflowError:  # a quotient past the double range
-            re = math.inf
-        if math.isinf(re) or math.isinf(im):
+            real = math.inf
+        if math.isfinite(real) and math.isfinite(imag):
+            return complex(real, imag)
+        z = self.evaluate_complex(53)
+        if math.isinf(z.real) or math.isinf(z.imag):
             raise DoubleOverflow(f"{self} lies past the double range")
-        return complex(re, im)
+        return z
 
     # -- rendering ----------------------------------------------------
 

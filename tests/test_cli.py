@@ -510,6 +510,28 @@ class TestAnalyze:
                 code, out, err = run_cli(["analyze", str(p), *args])
                 assert (code, out, err) == (1, "", f"error: {big} lies past the double range\n")
 
+    def test_entry_whose_terms_pass_the_double_range(self, tmp_path):
+        # about 5.04e307 and 4.1e307: each term has no double, the value has
+        # one, and was refused as past the double range or read as nan.  The
+        # entry's eigenvalues are not certified at 128 bits; the point's
+        # orbit lies above the cloud's overflow limit
+        e = 10**308
+        for big in (f"{e}*sqrt(5) - {e}*sqrt(3)", f"{e}*sqrt(7) - {e}*sqrt(5)"):
+            for doc, args, expected in [
+                ({"field": "real", "dimension": 2, "generators": [[["0", big], ["1", "0"]]]}, [],
+                 (1, "error: no exact spectrum of a block is certified at precision 128, and "
+                     "numeric splitting runs only at 53 bits; try --precision 53\n")),
+                ({"field": "real", "dimension": 2, "generators": [[["1", "0"], ["1", "1"]]],
+                  "points": {"p": ["1", big]}}, ["--classify-points"], (0, "")),
+            ]:
+                p = tmp_path / "big.json"
+                p.write_text(json.dumps(doc))
+                code, out, err = run_cli(["analyze", str(p), *args])
+                assert (code, err) == expected, big
+                if code == 0:
+                    [section] = json.loads(out)["points"]
+                    assert section["closure"]["kind"] == "INCONCLUSIVE"
+
     def test_dimension_as_a_string(self, tmp_path, capsys):
         # a decimal integer string is read as that integer
         shear3 = json.loads((FIXTURES / "shear3.json").read_text())

@@ -312,3 +312,17 @@ class TestNumeric:
         z = x.to_complex()
         ref = x.evaluate_complex(64)
         assert abs(z - ref) < 1e-12
+
+    def test_to_complex_of_terms_past_the_double_range(self):
+        # each term overflows a double, but the value does not: the double
+        # sums read 10^308 sqrt(5) - 10^308 sqrt(3) as inf and
+        # 10^308 sqrt(7) - 10^308 sqrt(5) as inf - inf = nan
+        e = 10**308
+        for text in (f"{e}*sqrt(5) - {e}*sqrt(3)", f"{e}*sqrt(7) - {e}*sqrt(5)",
+                     f"1 + {e}*sqrt(7)*i - {e}*sqrt(5)*i"):
+            x = S(text)
+            z = x.to_complex()
+            assert math.isfinite(z.real) and math.isfinite(z.imag), text
+            assert repr(z) == repr(x.evaluate_complex(53)), text
+        with pytest.raises(OverflowError, match="lies past the double range"):
+            S(f"{e}*sqrt(7) + {e}*sqrt(5)").to_complex()
