@@ -13,15 +13,19 @@ same state.  Each run's last line of output is its
 JSON result.  For every end-to-end metric of the change's ``BENCHMARK.json``
 the script prints each side's median [q1, q3] (quartiles by
 ``statistics.quantiles``) and in how many pairs the change was strictly
-better, in the direction that file gives.  ``--out`` saves the runs and that
-summary as JSON, both keyed by workload; ``--summarize`` prints the summary
-of a saved file again, and also reads the single-workload layout
-(``{"workload": W, "runs": [...]}``) that earlier versions wrote.
+better, in the direction that file gives, and then each checkout's count of
+``src/lindyn`` lines, as ``cat src/lindyn/*.py | wc -l`` prints it.
+``--out`` saves the runs and that summary as JSON, both keyed by workload,
+and the line counts keyed by side; ``--summarize`` prints the summary of a
+saved file again, and also reads files without line counts and the
+single-workload layout (``{"workload": W, "runs": [...]}``) that earlier
+versions wrote.
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import statistics
@@ -109,6 +113,15 @@ def format_summary(workload: str, summary: dict[str, dict], units: dict[str, str
     return lines
 
 
+def line_count(checkout: str) -> int:
+    """The newlines of the checkout's src/lindyn/*.py, as ``cat src/lindyn/*.py | wc -l`` counts them."""
+    total = 0
+    for path in glob.glob(os.path.join(checkout, "src", "lindyn", "*.py")):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
+
+
 def parse_seeds(text: str) -> list[int]:
     """'1-10' or '1,3,5' or a mix: '1-4,9'."""
     seeds = []
@@ -147,19 +160,23 @@ def main(argv=None) -> int:
     seconds, better, units = benchmark_spec(args.change)
     if args.summarize:
         with open(args.summarize) as fh:
-            runs = saved_runs(json.load(fh))
+            saved = json.load(fh)
+        runs, lines = saved_runs(saved), saved.get("lines")
     else:
         if not (args.parent and args.workload):
             ap.error("--parent and --workload are required unless --summarize is given")
         seeds = parse_seeds(args.seeds)
         runs = {workload: run_pairs(args.parent, args.change, workload, seeds, seconds)
                 for workload in args.workload.split(",")}
+        lines = {"parent": line_count(args.parent), "change": line_count(args.change)}
     summary = {workload: summarize(pairs, better) for workload, pairs in runs.items()}
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump({"runs": runs, "summary": summary}, fh, indent=1)
+            json.dump({"runs": runs, "summary": summary, "lines": lines}, fh, indent=1)
     for workload, s in summary.items():
         print("\n".join(format_summary(workload, s, units)))
+    if lines:
+        print(f"src/lindyn lines: {lines['parent']} -> {lines['change']}")
     return 0
 
 

@@ -69,10 +69,8 @@ def _coefficient_rows(vectors) -> list[list[Fraction]]:
 
 def relation_basis(span: IntegerSpan) -> list[list[int]]:
     """Basis of the integer relations {s : sum s_i v_i = 0}."""
-    if span.count == 0:
-        return []
     rows = _coefficient_rows(span.vectors)
-    return [integerize(v) for v in rational_kernel(rows)]
+    return [integerize(v) for v in rational_kernel(rows, span.count)]
 
 
 def character_basis(span: IntegerSpan) -> list[list[int]]:
@@ -82,8 +80,6 @@ def character_basis(span: IntegerSpan) -> list[list[int]]:
     i.e. a character of the closure; a nonzero one obstructs density.
     """
     k = span.count
-    if k == 0:
-        return []
     M = span.matrix()
     ker = kernel(M)  # right kernel: x with sum x_j v_j = 0 coordinatewise
     if ker.dim == 0:
@@ -93,7 +89,7 @@ def character_basis(span: IntegerSpan) -> list[list[int]]:
     # each x_i over the radical basis turns this into rational rows acting on
     # s, one per (kernel vector, key), read off the kernel basis's k rows
     rows = _coefficient_rows(ker.basis.entries())
-    return [integerize(v) for v in rational_kernel(rows)]
+    return [integerize(v) for v in rational_kernel(rows, k)]
 
 
 class DensityVerdict:
@@ -119,7 +115,7 @@ def dense_in(span: IntegerSpan) -> DensityVerdict:
     """
     rels = relation_basis(span)
     free_rank = span.count - len(rels)
-    span_dim = exact_rank(span.matrix()) if span.count else 0
+    span_dim = exact_rank(span.matrix())
     if free_rank == span_dim:
         return DensityVerdict(
             CLOSED,

@@ -91,16 +91,21 @@ class Hull:
     with c = x[pivots], its hull coordinates.
     """
 
-    __slots__ = ("base", "V", "origin", "B", "start", "maps")
+    __slots__ = ("base", "V", "origin", "B", "start", "maps", "pivots", "translations")
 
     def __init__(self, base: np.ndarray, V: np.ndarray, origin: np.ndarray, B: np.ndarray,
-                 start: np.ndarray, maps: list):
+                 start: np.ndarray, maps: list, pivots: list[int] | None = None,
+                 translations: list | None = None):
         self.base = base      # realified u, the frame's origin
         self.V = V            # (n, d), orthonormal columns spanning W
         self.origin = origin  # o
         self.B = B            # (n, d)
         self.start = start    # (d,), u's hull coordinates
         self.maps = maps      # per generator, the function K -> its power stack
+        self.pivots = pivots  # the pivot rows of B
+        # each generator's exact t, as Scalars, when every one maps c to c + t,
+        # else None; the orbit of u is then c_u + sum Z t_i
+        self.translations = translations
 
     def frame_coordinates(self, coords: np.ndarray) -> np.ndarray:
         """V^T (x - u) of the points x with hull coordinates coords: V^T B (c - c_u)."""
@@ -401,6 +406,7 @@ def _frame(G: GeneratorSet, u: Vector) -> Hull:
     holds the function of K that returns its power stack: from the rounded
     powers of N = A - I when A is unipotent (see _unipotent_stack), else
     from A and its exact inverse, each rounded once (see _power_stack).
+    When every R is the identity, the exact t are kept as the translations.
     """
     def realified(v: Vector) -> list[Scalar]:
         if G.field == COMPLEX:
@@ -431,10 +437,12 @@ def _frame(G: GeneratorSet, u: Vector) -> Hull:
     start = [ur[p] for p in pivots]
     origin = [x - y for x, y in zip(ur, basis.matvec(start))]
     one = Matrix.identity(d + 1)
-    maps = []
+    maps, translations = [], []
     for g in gens:
-        R, go = restrict(g, basis).entries(), g.matvec(origin)
-        A = Matrix.from_rows([[*R[i], go[p]] for i, p in enumerate(pivots)] + [one.entries()[d]])
+        R, go = restrict(g, basis), g.matvec(origin)
+        t = tuple(go[p] for p in pivots)
+        translations.append(t if R == Matrix.identity(d) else None)
+        A = Matrix.from_rows([[*r, x] for r, x in zip(R.entries(), t)] + [one.entries()[d]])
         nilpotent = [A - one]
         while not nilpotent[-1].is_zero() and len(nilpotent) <= d:
             nilpotent.append(nilpotent[-1] * nilpotent[0])
@@ -443,7 +451,8 @@ def _frame(G: GeneratorSet, u: Vector) -> Hull:
         else:
             maps.append(partial(_power_stack, _rounded(A), _rounded(A.inverse())))
     B = _rounded(basis)
-    return Hull(_rounded(ur), np.linalg.qr(B)[0], _rounded(origin), B, _rounded(start), maps)
+    return Hull(_rounded(ur), np.linalg.qr(B)[0], _rounded(origin), B, _rounded(start), maps,
+                pivots, None if None in translations else translations)
 
 
 def _rounded(A: Matrix | Vector) -> np.ndarray:

@@ -757,13 +757,13 @@ def kernel(M: Matrix) -> "Subspace":
     return Subspace(n, _matrix_of_cols(cols, n, den, integer))
 
 
-def rational_kernel(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """The :func:`kernel` basis of a matrix of Fractions, as Fraction vectors.
+def rational_kernel(rows: Sequence[Sequence[Fraction]], width: int) -> list[list[Fraction]]:
+    """The :func:`kernel` basis of a width-column matrix of Fractions, as Fraction vectors.
 
-    A matrix given by no rows has no known width and gives no vectors.
+    A matrix given by no rows gives the unit vectors of Q^width.
     """
     if not rows:
-        return []
+        return [[Fraction(int(i == j)) for i in range(width)] for j in range(width)]
     basis = kernel(Matrix.from_rows(rows)).basis
     return [[c.rational_value() for c in col] for col in basis.columns()]
 

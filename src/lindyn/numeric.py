@@ -289,14 +289,15 @@ def nrestrict(A, basis):
 
 
 def npower(A: np.ndarray, k: int) -> np.ndarray:
-    """A**k for k >= 0."""
+    """A**k for k >= 0; a power past the double range holds inf or nan, unwarned."""
     result = np.eye(A.shape[0], dtype=complex)
     base = A
-    while k:
-        if k & 1:
-            result = result @ base
-        base = base @ base
-        k >>= 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while k:
+            if k & 1:
+                result = result @ base
+            base = base @ base
+            k >>= 1
     return result
 
 

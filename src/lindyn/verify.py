@@ -16,6 +16,8 @@ from .dynamics import (
     DENSE_IN_AFFINE,
     DISCRETE,
     ClosureConfig,
+    Hull,
+    _frame,
     approximate_target,
     classify_closure,
     classify_stabilized,
@@ -32,7 +34,6 @@ from .invariants import (
 from .groups import GeneratorSet
 from .linalg import as_vector
 from .numeric import NumericContext
-from .scalars import Scalar
 
 
 class ClaimResult:
@@ -66,53 +67,40 @@ def _structure_claim(name: str, G: GeneratorSet, points, ctx: NumericContext,
     return ClaimResult(name, "structure", ok, detail)
 
 
-def _increments(G: GeneratorSet, point) -> list[Scalar]:
-    """Per-generator last-coordinate increments of a shear orbit at the point:
-    the last row of g - I applied to it."""
-    n = G.dimension
-    increments = []
-    for g in G.generators:
-        inc = Scalar.zero()
-        for j in range(n - 1):
-            inc = inc + g[n - 1, j] * point[j]
-        increments.append(inc)
-    return increments
-
-
-def _first_coords_subgroup(G: GeneratorSet, point) -> IntegerSpan:
-    """The coefficient subgroup driving the last coordinate of a shear orbit."""
-    coeffs = _increments(G, point)
-    if G.field == "complex":
-        return IntegerSpan.of([(c.real_part(), c.imag_part()) for c in coeffs], 2)
-    return IntegerSpan.of([(c,) for c in coeffs], 1)
+def _translation_lattice(G: GeneratorSet, point) -> tuple[Hull, IntegerSpan | None, str]:
+    """The hull of G's orbit through the point, the lattice sum Z t_i of the
+    translations by which G moves its hull coordinates (see dynamics._frame),
+    and the lattice's dense_in kind; no lattice when some generator does not
+    act on them by a translation."""
+    hull = _frame(G, tuple(point))
+    if hull.translations is None:
+        return hull, None, "not a translation group"
+    span = IntegerSpan.of(hull.translations, len(hull.pivots))
+    return hull, span, dense_in(span).kind
 
 
 def _closed_orbit_claim(name: str, G: GeneratorSet, points, ctx: NumericContext,
                         cfg: ClosureConfig, dense_K: int | None) -> ClaimResult:
     key = "closed"
     point = points[key]
-    span = _first_coords_subgroup(G, point)
-    rational = all(
-        c.is_rational() for v in span.vectors for c in v
-    )
-    if not rational:
+    _, span, exact = _translation_lattice(G, point)
+    if span is None or not all(c.is_rational() for v in span.vectors for c in v):
         return ClaimResult(
             name, f"closed-orbit[{key}]", False,
-            "precondition violated: increments are not rational, the closed "
-            "verdict certificate does not apply",
+            "precondition violated: the hull translations are not rational, "
+            "the closed verdict certificate does not apply",
         )
-    verdict_exact = dense_in(span)
     verdict_cloud, K = classify_stabilized(G, point, cfg, max_exponent=64)
     fam = invariant_family(G, ctx)
     ok = (
-        verdict_exact.kind == CLOSED
+        exact == CLOSED
         and verdict_cloud is not None
         and verdict_cloud.kind == DISCRETE
         and membership(fam, point, ctx).in_U
     )
     return ClaimResult(
         name, f"closed-orbit[{key}]", ok,
-        f"exact {verdict_exact.kind}, sampled {verdict_cloud.kind} at K={K}",
+        f"exact {exact}, sampled {verdict_cloud.kind} at K={K}",
     )
 
 
@@ -121,15 +109,14 @@ def _dense_line_claim(name: str, G: GeneratorSet, points, ctx: NumericContext,
     key = "dense_line"
     K = 1000 if dense_K is None else dense_K
     point = points[key]
-    span = _first_coords_subgroup(G, point)
-    verdict_exact = dense_in(span)
-    if verdict_exact.kind != DENSE:
+    hull, _, exact = _translation_lattice(G, point)
+    if exact != DENSE:
         return ClaimResult(
             name, f"dense-line[{key}]", False,
-            f"precondition violated: coefficient subgroup is {verdict_exact.kind}, "
+            f"precondition violated: the translation lattice is {exact}, "
             "the density certificate does not apply",
         )
-    cloud = enumerate_orbit(G, point, K, cfg)
+    cloud = enumerate_orbit(G, point, K, cfg, hull=hull)
     verdict = classify_closure(cloud, cfg)
     ok = verdict.kind == DENSE_IN_AFFINE and verdict.hull_dim == 1 and (
         verdict.gap is not None and verdict.gap < cfg.gap_threshold + 1e-12
@@ -156,13 +143,12 @@ def _closed_complex_claim(name: str, G: GeneratorSet, points, ctx: NumericContex
             "precondition violated: leading coordinates are not nonzero "
             "rational complex numbers, the closed verdict certificate does not apply",
         )
-    span = _first_coords_subgroup(G, point)
-    verdict_exact = dense_in(span)
+    exact = _translation_lattice(G, point)[2]
     verdict_cloud, K = classify_stabilized(G, point, cfg, max_exponent=64)
-    ok = verdict_exact.kind == CLOSED and verdict_cloud.kind == DISCRETE
+    ok = exact == CLOSED and verdict_cloud.kind == DISCRETE
     return ClaimResult(
         name, f"closed-orbit[{key}]", ok,
-        f"exact {verdict_exact.kind}, sampled {verdict_cloud.kind} at K={K}",
+        f"exact {exact}, sampled {verdict_cloud.kind} at K={K}",
     )
 
 
@@ -171,14 +157,13 @@ def _dense_plane_claim(name: str, G: GeneratorSet, points, ctx: NumericContext,
     key = "dense_plane"
     K = 200 if dense_K is None else dense_K
     point = points[key]
-    span = _first_coords_subgroup(G, point)
-    verdict_exact = dense_in(span)
-    if verdict_exact.kind != DENSE:
+    hull, _, exact = _translation_lattice(G, point)
+    if exact != DENSE:
         return ClaimResult(
             name, f"dense-plane[{key}]", False,
-            f"precondition violated: exact verdict is {verdict_exact.kind}",
+            f"precondition violated: exact verdict is {exact}",
         )
-    cloud = enumerate_orbit(G, point, K, cfg)
+    cloud = enumerate_orbit(G, point, K, cfg, hull=hull)
     verdict = classify_closure(cloud, cfg)
     ok = verdict.kind == DENSE_IN_AFFINE and verdict.hull_dim == 2
     return ClaimResult(
@@ -188,16 +173,23 @@ def _dense_plane_claim(name: str, G: GeneratorSet, points, ctx: NumericContext,
 
 
 def _approach_words(G: GeneratorSet, points):
-    """Exponent tuples driving the base point of radical4 toward its limit."""
-    values = _increments(G, points["base"])
-    return approximate_target(values, points["limit"][-1]), values
+    """Exponent tuples driving the base point of radical4 toward its limit,
+    with the values and the target they approach: the translations of the
+    base's hull line, and the limit's hull coordinate less the base's.  The
+    group is real, so the realified coordinates are the points' own."""
+    base, limit = points["base"], points["limit"]
+    hull = _frame(G, tuple(base))
+    if hull.translations is None or len(hull.pivots) != 1:
+        raise ValueError("the group does not translate the base point's hull line")
+    (p,) = hull.pivots
+    values = [t for (t,) in hull.translations]
+    target = limit[p] - base[p]
+    return approximate_target(values, target), values, target
 
 
 def _closure_minus_orbit_claim(name: str, G: GeneratorSet, points, ctx: NumericContext,
                                cfg: ClosureConfig, dense_K: int | None) -> ClaimResult:
-    target = points["limit"][-1]
-    approx, values = _approach_words(G, points)
-    reach = approx.achieved < 1e-4
+    approx, values, target = _approach_words(G, points)
     relations = relation_basis(IntegerSpan.of([(v,) for v in values + [target]], 1))
     if relations:
         return ClaimResult(
@@ -206,9 +198,8 @@ def _closure_minus_orbit_claim(name: str, G: GeneratorSet, points, ctx: NumericC
             f"integer relation {relations[0]} with the increments, so the "
             "non-membership certificate fails",
         )
-    ok = reach
     return ClaimResult(
-        name, "closure-minus-orbit", ok,
+        name, "closure-minus-orbit", approx.achieved < 1e-4,
         f"residual {approx.achieved:.2e} after {len(approx.tuples)} improvements; "
         f"limit is rationally independent of the increments, so it is not attained",
     )
@@ -216,7 +207,7 @@ def _closure_minus_orbit_claim(name: str, G: GeneratorSet, points, ctx: NumericC
 
 def _unbounded_sequence_claim(name: str, G: GeneratorSet, points, ctx: NumericContext,
                               cfg: ClosureConfig, dense_K: int | None) -> ClaimResult:
-    approx, _ = _approach_words(G, points)
+    approx, _, _ = _approach_words(G, points)
     norms = [G.word(w).max_abs() for w in approx.tuples]
     ok = max(norms) > 1e3
     return ClaimResult(
@@ -228,7 +219,7 @@ def _unbounded_sequence_claim(name: str, G: GeneratorSet, points, ctx: NumericCo
 def _bounded_restriction_claim(name: str, G: GeneratorSet, points, ctx: NumericContext,
                                cfg: ClosureConfig, dense_K: int | None) -> ClaimResult:
     base = points["base"]
-    approx, _ = _approach_words(G, points)
+    approx, _, _ = _approach_words(G, points)
     hull = invariant_hull(G, base)
     witness = bounded_restriction_witness(G, base, approx.tuples)
     bound_limit = 1 + math.sqrt(3) + 1e-3
@@ -243,7 +234,7 @@ def _bounded_restriction_claim(name: str, G: GeneratorSet, points, ctx: NumericC
 def _recurrence_claim(name: str, G: GeneratorSet, points, ctx: NumericContext,
                       cfg: ClosureConfig, dense_K: int | None) -> ClaimResult:
     base, limit = points["base"], points["limit"]
-    approx, _ = _approach_words(G, points)
+    approx, _, _ = _approach_words(G, points)
     fam = invariant_family(G, ctx)
     rep = inverse_recurrence_check(G, fam, base, limit, approx.tuples, ctx)
     return ClaimResult(

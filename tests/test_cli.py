@@ -532,6 +532,17 @@ class TestAnalyze:
                     [section] = json.loads(out)["points"]
                     assert section["closure"]["kind"] == "INCONCLUSIVE"
 
+    def test_entry_whose_powers_pass_the_double_range(self, tmp_path, capsys):
+        # at 53 bits the nilpotency test squares the block past the double
+        # range; numpy's overflow warnings came before the error line
+        big = f"{10**308}*sqrt(2)"
+        p = tmp_path / "big.json"
+        p.write_text(json.dumps(
+            {"field": "real", "dimension": 2, "generators": [[["0", big], ["1", "0"]]]}))
+        assert main(["analyze", "--precision", "53", str(p)]) == 3
+        assert capsys.readouterr() == (
+            "", "error: numeric eigenvalue clusters cannot be certified\n")
+
     def test_dimension_as_a_string(self, tmp_path, capsys):
         # a decimal integer string is read as that integer
         shear3 = json.loads((FIXTURES / "shear3.json").read_text())

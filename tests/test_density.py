@@ -66,6 +66,10 @@ class TestDenseIn:
     def test_integers_closed(self):
         v = dense_in(IntegerSpan.of([(ONE,), (ONE,)], 1))
         assert v.kind == CLOSED
+        # vectors of R^0, a fixed point's translations, satisfy every relation
+        v = dense_in(IntegerSpan.of([(), ()], 0))
+        assert (v.kind, v.free_rank, v.span_dim) == (CLOSED, 0, 0)
+        assert v.relations == [[1, 0], [0, 1]]
 
     def test_radical_rows_dense(self):
         v = dense_in(radical_span())

@@ -38,6 +38,7 @@ from lindyn.dynamics import (
     inverse_recurrence_check,
 )
 from lindyn import dynamics
+from lindyn.density import CLOSED, DENSE, IntegerSpan, dense_in
 from lindyn.errors import NoProgress, NotConvergent, PointNotInU
 from lindyn.groups import GeneratorSet
 from lindyn.invariants import invariant_family
@@ -686,6 +687,77 @@ class TestFrameSameBits:
         assert self._same(G, as_vector([1, "2-i"])) == (4, 4)
         G, u = _rotation_pair()
         assert self._same(G, u) == (2, 2)
+
+
+def _lastrow_increments(G, u):
+    """The last row of g - I applied to u, per generator and realified: the
+    translations of a last-row shear's orbit, by the formula that holds only
+    in the shear's own basis."""
+    n = G.dimension
+    incs = [sum((g[n - 1, j] * u[j] for j in range(n - 1)), Scalar.zero()) for g in G.generators]
+    if G.field == "complex":
+        return [(c.real_part(), c.imag_part()) for c in incs]
+    return [(c,) for c in incs]
+
+
+def _unimodular(rng, n):
+    """A seeded integer matrix of determinant 1: a lower times an upper unitriangular one."""
+    L = [[rng.randint(-2, 2) if i > j else int(i == j) for j in range(n)] for i in range(n)]
+    U = [[rng.randint(-2, 2) if i < j else int(i == j) for j in range(n)] for i in range(n)]
+    return Matrix.from_rows(L) * Matrix.from_rows(U)
+
+
+def _translation_kind(hull):
+    return dense_in(IntegerSpan.of(hull.translations, len(hull.pivots))).kind
+
+
+class TestHullTranslations:
+    """A group that acts on its orbit's hull coordinates by translations
+    keeps them exactly, and their lattice decides the orbit closure."""
+
+    def test_fixture_points(self):
+        dims = []
+        for name in FIXTURE_NAMES:
+            G, points = fixture_by_name(name)
+            for u in points.values():
+                hull = dynamics._frame(G, tuple(u))
+                assert hull.translations == _lastrow_increments(G, u), name
+                dims.append(len(hull.pivots))
+        assert sorted(dims) == [1] * 7 + [2] * 2
+
+    def test_random_lastrow_groups_and_their_conjugates(self):
+        # the frame reads the increments in the shear's basis, and the same
+        # verdict in a basis P where the last-row formula no longer applies
+        rng = random.Random(47)
+        kinds = set()
+        for _ in range(20):
+            n = rng.randint(3, 5)
+            G, base, _ = random_lastrow_group(rng, n)
+            P = _unimodular(rng, n)
+            P_inv = P.inverse()
+            H = GeneratorSet("real", n, [P * g * P_inv for g in G.generators], G.names)
+            point = as_vector([rng.choice([0, 0, 1, -2, "1/3"]) for _ in range(n)])
+            for u in (base, point):
+                want = _lastrow_increments(G, u)
+                hull = dynamics._frame(G, tuple(u))
+                if any(t != (Scalar.zero(),) for t in want):
+                    assert hull.translations == want
+                kind = dense_in(IntegerSpan.of(want, 1)).kind
+                assert _translation_kind(hull) == kind
+                assert _translation_kind(dynamics._frame(H, P.matvec(u))) == kind
+                kinds.add(kind)
+        assert kinds == {CLOSED, DENSE}
+
+    def test_not_a_translation(self):
+        # the Jordan block moves e3's hull coordinates by a shear, R != I
+        G = group_from_strings("real", [[["1", "1", "0"], ["0", "1", "1"], ["0", "0", "1"]]])
+        hull = dynamics._frame(G, as_vector([0, 0, 1]))
+        assert len(hull.pivots) == 2 and hull.translations is None
+
+    def test_fixed_point_is_closed(self):
+        hull = dynamics._frame(shear3(), as_vector([0, 0, 5]))
+        assert hull.pivots == [] and hull.translations == [(), ()]
+        assert _translation_kind(hull) == CLOSED
 
 
 def _dedup_oracle(points, eps):

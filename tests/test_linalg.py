@@ -263,13 +263,15 @@ class TestIntegerElimination:
                 M = Matrix.from_rows(rows)
                 if r == 0:  # a matrix with no rows also has no columns
                     assert rank(M) == 0
-                    assert rational_kernel(rows) == []
+                    # but the kernel of no equations on c unknowns is all of Q^c
+                    assert rational_kernel(rows, c) == [
+                        [Fraction(int(i == j)) for i in range(c)] for j in range(c)]
                     continue
                 assert M._integer_form() is not False
                 _, pivots, det = _gauss_jordan(rows)
                 assert rank(M) == len(pivots)
                 assert kernel(M).basis == _oracle_kernel(rows, c)
-                assert rational_kernel(rows) == [
+                assert rational_kernel(rows, c) == [
                     [x.rational_value() for x in col]
                     for col in _oracle_kernel(rows, c).columns()
                 ]

@@ -198,6 +198,28 @@ def test_bench_pairs_summarizes_a_saved_file(tmp_path):
     ]
 
 
+def test_bench_pairs_records_line_counts(monkeypatch, tmp_path, capsys):
+    # each checkout's src/lindyn/*.py newlines, as cat | wc -l counts them:
+    # a last line without a newline is not counted
+    for side, texts in (("P", ["a\nb\n", "c\n"]), ("C", ["a\n", "b\nc"])):
+        package = tmp_path / side / "src" / "lindyn"
+        package.mkdir(parents=True)
+        for k, text in enumerate(texts):
+            (package / f"m{k}.py").write_text(text)
+        (package / "notes.txt").write_text("x\n" * 9)
+    monkeypatch.setattr(bench_pairs, "run_side",
+                        lambda checkout, workload, seed, seconds: {"exit": 0, "metrics": {}})
+    monkeypatch.setattr(bench_pairs, "benchmark_spec", lambda checkout: (40, {}, {}))
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "P"), "--change", str(tmp_path / "C"),
+                             "--workload", "orbit", "--seeds", "1", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed == ["orbit", "src/lindyn lines: 3 -> 2"]
+    assert json.loads(out.read_text())["lines"] == {"parent": 3, "change": 2}
+    assert bench_pairs.main(["--summarize", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == printed
+
+
 def test_bench_pairs_keys_runs_by_workload(monkeypatch, tmp_path, capsys):
     def fake_run(checkout, workload, seed, seconds):
         wall = {"structure-radical": 0.2, "orbit": 1.0}[workload] * (1 if checkout == "P" else 0.9)
@@ -212,7 +234,7 @@ def test_bench_pairs_keys_runs_by_workload(monkeypatch, tmp_path, capsys):
     assert ("  wall_s: 1.002 [1.001, 1.003] -> 0.902 [0.901, 0.903] s "
             "(change better in 3/3)") in printed
     saved = json.loads(out.read_text())
-    assert set(saved) == {"runs", "summary"}
+    assert set(saved) == {"runs", "summary", "lines"}
     assert list(saved["runs"]) == list(saved["summary"]) == ["structure-radical", "orbit"]
     assert [p["seed"] for p in saved["runs"]["orbit"]] == [1, 2, 3]
     assert saved["summary"]["structure-radical"]["wall_s"]["change_better_pairs"] == 3
