@@ -14,7 +14,7 @@ import re
 import sys
 from pathlib import Path
 
-import numpy as np
+from ._numpy import np
 
 from .dynamics import FIRST_BOX, ClosureConfig, classify_stabilized, enumerate_orbit
 from .errors import ClusterAmbiguity, LindynError, NotAbelian

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import Matrix, kernel, rank as exact_rank, rational_kernel
+from .linalg import Matrix, Subspace, kernel, rank as exact_rank, rational_kernel
 from .scalars import Scalar, integerize
 
 CLOSED = "CLOSED"
@@ -80,8 +80,9 @@ def character_basis(span: IntegerSpan) -> list[list[int]]:
     i.e. a character of the closure; a nonzero one obstructs density.
     """
     k = span.count
-    M = span.matrix()
-    ker = kernel(M)  # right kernel: x with sum x_j v_j = 0 coordinatewise
+    # right kernel: x with sum x_j v_j = 0 coordinatewise; a matrix of no
+    # rows has no width, so a span in R^0 gets its kernel, all of R^k, here
+    ker = kernel(span.matrix()) if span.dim else Subspace(k, Matrix.identity(k))
     if ker.dim == 0:
         # row space is all of R^k: every integer vector qualifies
         return [[1 if i == j else 0 for i in range(k)] for j in range(k)]

@@ -53,7 +53,7 @@ import math
 from functools import partial
 from typing import NamedTuple
 
-import numpy as np
+from ._numpy import np
 
 from .errors import NoProgress, NotConvergent, PointNotInU
 from .groups import COMPLEX, GeneratorSet

@@ -16,7 +16,7 @@ import math
 from functools import reduce
 from typing import NamedTuple
 
-import numpy as np
+from ._numpy import np
 
 from .errors import (
     ClusterAmbiguity,

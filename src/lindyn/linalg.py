@@ -66,7 +66,7 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-import numpy as np
+from ._numpy import np
 
 from .errors import NotInvariant
 from .scalars import (

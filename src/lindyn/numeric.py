@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-import numpy as np
+from ._numpy import np
 
 from .linalg import Matrix
 from .scalars import Scalar

@@ -11,7 +11,7 @@ import json
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any
 
-import numpy as np
+from ._numpy import np
 
 from . import __version__
 from .dynamics import ClosureConfig, ClosureVerdict

@@ -42,7 +42,7 @@ import math
 from fractions import Fraction
 from functools import reduce
 
-import numpy as np
+from ._numpy import np
 
 from .errors import (
     ClusterAmbiguity,

@@ -4,7 +4,10 @@ Every documented behaviour of a fixture becomes one checkable claim with its
 preconditions validated first, so an edited fixture whose certificate no
 longer applies is reported as a mismatch instead of silently passing.  A
 claim is called as ``claim(name, G, points, ctx, cfg, dense_K)`` on the
-fixture's group and its named points (vectors).
+fixture's group and its named points (vectors).  The claims of
+``APPROACH_CLAIMS`` take one more argument, the approach of radical4's base
+point to its limit, which ``verify_fixture`` forms once for all of them; a
+claim not given it forms it from the points.
 """
 
 from __future__ import annotations
@@ -188,8 +191,9 @@ def _approach_words(G: GeneratorSet, points):
 
 
 def _closure_minus_orbit_claim(name: str, G: GeneratorSet, points, ctx: NumericContext,
-                               cfg: ClosureConfig, dense_K: int | None) -> ClaimResult:
-    approx, values, target = _approach_words(G, points)
+                               cfg: ClosureConfig, dense_K: int | None,
+                               approach=None) -> ClaimResult:
+    approx, values, target = approach or _approach_words(G, points)
     relations = relation_basis(IntegerSpan.of([(v,) for v in values + [target]], 1))
     if relations:
         return ClaimResult(
@@ -206,8 +210,9 @@ def _closure_minus_orbit_claim(name: str, G: GeneratorSet, points, ctx: NumericC
 
 
 def _unbounded_sequence_claim(name: str, G: GeneratorSet, points, ctx: NumericContext,
-                              cfg: ClosureConfig, dense_K: int | None) -> ClaimResult:
-    approx, _, _ = _approach_words(G, points)
+                              cfg: ClosureConfig, dense_K: int | None,
+                              approach=None) -> ClaimResult:
+    approx, _, _ = approach or _approach_words(G, points)
     norms = [G.word(w).max_abs() for w in approx.tuples]
     ok = max(norms) > 1e3
     return ClaimResult(
@@ -217,9 +222,10 @@ def _unbounded_sequence_claim(name: str, G: GeneratorSet, points, ctx: NumericCo
 
 
 def _bounded_restriction_claim(name: str, G: GeneratorSet, points, ctx: NumericContext,
-                               cfg: ClosureConfig, dense_K: int | None) -> ClaimResult:
+                               cfg: ClosureConfig, dense_K: int | None,
+                               approach=None) -> ClaimResult:
     base = points["base"]
-    approx, _, _ = _approach_words(G, points)
+    approx, _, _ = approach or _approach_words(G, points)
     hull = invariant_hull(G, base)
     witness = bounded_restriction_witness(G, base, approx.tuples)
     bound_limit = 1 + math.sqrt(3) + 1e-3
@@ -232,9 +238,10 @@ def _bounded_restriction_claim(name: str, G: GeneratorSet, points, ctx: NumericC
 
 
 def _recurrence_claim(name: str, G: GeneratorSet, points, ctx: NumericContext,
-                      cfg: ClosureConfig, dense_K: int | None) -> ClaimResult:
+                      cfg: ClosureConfig, dense_K: int | None,
+                      approach=None) -> ClaimResult:
     base, limit = points["base"], points["limit"]
-    approx, _, _ = _approach_words(G, points)
+    approx, _, _ = approach or _approach_words(G, points)
     fam = invariant_family(G, ctx)
     rep = inverse_recurrence_check(G, fam, base, limit, approx.tuples, ctx)
     return ClaimResult(
@@ -243,13 +250,16 @@ def _recurrence_claim(name: str, G: GeneratorSet, points, ctx: NumericContext,
     )
 
 
+# The claims that read the approach of radical4's base point to its limit.
+APPROACH_CLAIMS = (_closure_minus_orbit_claim, _unbounded_sequence_claim,
+                   _bounded_restriction_claim, _recurrence_claim)
+
 # The claims of each fixture, in the order verify-examples runs them.
 CLAIMS = {
     "shear3": (_structure_claim, _closed_orbit_claim, _dense_line_claim),
     "shear4": (_structure_claim, _closed_orbit_claim, _dense_line_claim),
     "cshear5": (_structure_claim, _closed_complex_claim, _dense_plane_claim),
-    "radical4": (_structure_claim, _closure_minus_orbit_claim, _unbounded_sequence_claim,
-                 _bounded_restriction_claim, _recurrence_claim),
+    "radical4": (_structure_claim, *APPROACH_CLAIMS),
 }
 
 
@@ -264,4 +274,8 @@ def verify_fixture(
     """Run the claims of fixture ``name`` on its group and its points, given
     as coordinate lists; ``dense_K`` overrides the dense claims' exponent bound."""
     vectors = {key: as_vector(coords) for key, coords in points.items()}
-    return [claim(name, G, vectors, ctx, cfg, dense_K) for claim in CLAIMS[name]]
+    claims = CLAIMS[name]
+    # formed once, and handed to each claim that reads it
+    approach = _approach_words(G, vectors) if set(claims) & set(APPROACH_CLAIMS) else None
+    return [claim(name, G, vectors, ctx, cfg, dense_K, approach) if claim in APPROACH_CLAIMS
+            else claim(name, G, vectors, ctx, cfg, dense_K) for claim in claims]

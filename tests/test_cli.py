@@ -832,6 +832,51 @@ class TestWithoutScipy:
         self._benchmark_imports_leave_out("dataclasses")
 
 
+class TestLazyNumpy:
+    # lindyn binds numpy lazily (lindyn._numpy): a run that reads no numpy
+    # attribute never executes numpy's import.  This script runs cli.main on
+    # argv[1:] and then writes to stderr whether numpy was executed
+    SCRIPT = ("import sys\n"
+              "from lindyn.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "sys.stderr.write(f\"{'numpy._core' in sys.modules}\\n\")\n"
+              "sys.exit(code)\n")
+
+    def _run(self, script: str, *args: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, "-c", script, *args],
+                              capture_output=True, text=True, env=lindyn_env())
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_exact_analyze_never_loads_numpy(self, name, capsys):
+        proc = self._run(self.SCRIPT, "analyze", str(FIXTURES / f"{name}.json"))
+        assert (proc.returncode, proc.stderr) == (0, "False\n")
+        assert main(["analyze", str(FIXTURES / f"{name}.json")]) == 0
+        assert proc.stdout == capsys.readouterr().out
+
+    def test_orbit_loads_numpy(self):
+        proc = self._run(self.SCRIPT, "orbit", str(FIXTURES / "shear3.json"),
+                         "--point", "1,sqrt(2),0")
+        assert (proc.returncode, proc.stderr) == (0, "True\n")
+        # the stdout of the same command when every module imported numpy at once
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+            "f30b9c84c97162a3863b53e5378abaf01eb50b699ec9d9ea0bf2899cc6a988ef")
+
+    def test_unimportable_numpy_fails_the_import(self):
+        proc = self._run("import sys\n"
+                         "sys.modules['numpy'] = None  # an import of numpy raises ImportError\n"
+                         "import lindyn\n")
+        assert proc.returncode == 1
+        error = proc.stderr.splitlines()[-1]
+        assert error.startswith("ModuleNotFoundError: ") and "numpy" in error, proc.stderr
+
+    def test_numpy_imported_first_is_the_one_used(self):
+        proc = self._run("import sys\n"
+                         "import numpy\n"
+                         "import lindyn.numeric\n"
+                         "sys.exit(lindyn.numeric.np is not numpy)\n")
+        assert proc.returncode == 0, proc.stderr
+
+
 class TestVerifyExamples:
     def test_all_claims_pass_fast_config(self, tmp_path):
         # lighter exponent bound; the full-strength run lives in acceptance.

@@ -70,6 +70,8 @@ class TestDenseIn:
         v = dense_in(IntegerSpan.of([(), ()], 0))
         assert (v.kind, v.free_rank, v.span_dim) == (CLOSED, 0, 0)
         assert v.relations == [[1, 0], [0, 1]]
+        # only s = 0 comes from a functional on R^0
+        assert character_basis(IntegerSpan.of([(), ()], 0)) == []
 
     def test_radical_rows_dense(self):
         v = dense_in(radical_span())

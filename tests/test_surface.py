@@ -149,3 +149,17 @@ def test_no_module_of_the_package_imports_dataclasses():
         or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses"
     ]
     assert found == [], f"dataclasses imported: {found}"
+
+
+def test_only_the_lazy_binding_imports_numpy():
+    # lindyn._numpy binds numpy lazily; on CPython 3.11 any `import numpy`
+    # statement reads the module's __spec__, which executes numpy at once
+    found = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "_numpy.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "numpy" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"
+    ]
+    assert found == [], f"numpy imported outside lindyn._numpy: {found}"
