@@ -276,6 +276,6 @@ def verify_fixture(
     vectors = {key: as_vector(coords) for key, coords in points.items()}
     claims = CLAIMS[name]
     # formed once, and handed to each claim that reads it
-    approach = _approach_words(G, vectors) if set(claims) & set(APPROACH_CLAIMS) else None
+    approach = _approach_words(G, vectors) if any(c in APPROACH_CLAIMS for c in claims) else None
     return [claim(name, G, vectors, ctx, cfg, dense_K, approach) if claim in APPROACH_CLAIMS
             else claim(name, G, vectors, ctx, cfg, dense_K) for claim in claims]
