@@ -1,10 +1,10 @@
 """numpy, bound as ``np`` and executed on its first attribute read.
 
-The exact path (the structure theorem over the input's field) reads no numpy
-attribute, so a process that takes only that path never executes numpy's
-import.  Every other module of the package takes ``np`` from here and holds
-no ``import numpy`` statement: on CPython 3.11 such a statement reads the
-module's ``__spec__``, which would run the load at once.
+A run that needs no float code, such as an analyze of rational input whose
+structure is decided exactly, reads no numpy attribute, so it never executes
+numpy's import.  Every other module of the package takes ``np`` from here
+and holds no ``import numpy`` statement: on CPython 3.11 such a statement
+reads the module's ``__spec__``, which would run the load at once.
 
 This is the "Implementing lazy imports" recipe of the ``importlib`` docs.
 The module object placed in ``sys.modules`` is the one that any later
