@@ -9,8 +9,12 @@ reads the module's ``__spec__``, which would run the load at once.
 This is the "Implementing lazy imports" recipe of the ``importlib`` docs.
 The module object placed in ``sys.modules`` is the one that any later
 ``import numpy`` returns, and a numpy that a host imported first is used as
-it is.  ``LazyLoader``'s first load is not thread-safe on 3.11; lindyn runs
-single-threaded.
+it is.  ``LazyLoader``'s first load is not thread-safe before CPython
+3.12.3 (so on 3.10 and 3.11): two threads that read a first numpy attribute
+at once can both execute numpy's ``__init__``.  lindyn itself runs
+single-threaded; a threaded host on those versions must import numpy before
+it imports lindyn, and then this module binds that numpy and installs no
+lazy module.
 """
 
 import importlib.util

@@ -211,8 +211,8 @@ def _closure_minus_orbit_claim(name: str, G: GeneratorSet, points, ctx: NumericC
 
 def _unbounded_sequence_claim(name: str, G: GeneratorSet, points, ctx: NumericContext,
                               cfg: ClosureConfig, dense_K: int | None,
-                              approach=None) -> ClaimResult:
-    approx, _, _ = approach or _approach_words(G, points)
+                              approach) -> ClaimResult:
+    approx, _, _ = approach
     norms = [G.word(w).max_abs() for w in approx.tuples]
     ok = max(norms) > 1e3
     return ClaimResult(
@@ -223,9 +223,9 @@ def _unbounded_sequence_claim(name: str, G: GeneratorSet, points, ctx: NumericCo
 
 def _bounded_restriction_claim(name: str, G: GeneratorSet, points, ctx: NumericContext,
                                cfg: ClosureConfig, dense_K: int | None,
-                               approach=None) -> ClaimResult:
+                               approach) -> ClaimResult:
     base = points["base"]
-    approx, _, _ = approach or _approach_words(G, points)
+    approx, _, _ = approach
     hull = invariant_hull(G, base)
     witness = bounded_restriction_witness(G, base, approx.tuples)
     bound_limit = 1 + math.sqrt(3) + 1e-3
@@ -239,9 +239,9 @@ def _bounded_restriction_claim(name: str, G: GeneratorSet, points, ctx: NumericC
 
 def _recurrence_claim(name: str, G: GeneratorSet, points, ctx: NumericContext,
                       cfg: ClosureConfig, dense_K: int | None,
-                      approach=None) -> ClaimResult:
+                      approach) -> ClaimResult:
     base, limit = points["base"], points["limit"]
-    approx, _, _ = approach or _approach_words(G, points)
+    approx, _, _ = approach
     fam = invariant_family(G, ctx)
     rep = inverse_recurrence_check(G, fam, base, limit, approx.tuples, ctx)
     return ClaimResult(

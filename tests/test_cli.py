@@ -835,11 +835,12 @@ class TestWithoutScipy:
 class TestLazyNumpy:
     # lindyn binds numpy lazily (lindyn._numpy): a run that reads no numpy
     # attribute never executes numpy's import.  This script runs cli.main on
-    # argv[1:] and then writes to stderr whether numpy was executed
+    # argv[1:] and then writes to stderr whether numpy was executed, which
+    # imports its submodules (numpy._core on numpy 2, numpy.core on 1.x)
     SCRIPT = ("import sys\n"
               "from lindyn.cli import main\n"
               "code = main(sys.argv[1:])\n"
-              "sys.stderr.write(f\"{'numpy._core' in sys.modules}\\n\")\n"
+              "sys.stderr.write(f\"{any(k.startswith('numpy.') for k in sys.modules)}\\n\")\n"
               "sys.exit(code)\n")
 
     def _run(self, script: str, *args: str) -> subprocess.CompletedProcess:
