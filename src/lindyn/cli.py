@@ -42,7 +42,10 @@ FIXTURES = Path(__file__).resolve().parents[2] / "fixtures"
 
 
 def load_input(path: str) -> tuple[GeneratorSet, dict]:
-    doc = json.loads(Path(path).read_text())
+    try:
+        doc = json.loads(Path(path).read_text())
+    except RecursionError:
+        raise LindynError("input is nested too deeply to read as JSON") from None
     if not isinstance(doc, dict):
         raise LindynError("input is not a JSON object")
     fieldname = doc["field"]

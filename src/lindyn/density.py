@@ -96,15 +96,14 @@ def character_basis(span: IntegerSpan) -> list[list[int]]:
 class DensityVerdict:
     __slots__ = ("kind", "free_rank", "span_dim", "relations", "character", "notes")
 
-    def __init__(self, kind: str, free_rank: int, span_dim: int,
-                 relations: list[list[int]] | None = None, character: list[int] | None = None,
-                 notes: list[str] | None = None):
+    def __init__(self, kind: str, free_rank: int, span_dim: int, relations: list[list[int]],
+                 notes: list[str], character: list[int] | None = None):
         self.kind = kind
         self.free_rank = free_rank
         self.span_dim = span_dim
-        self.relations = [] if relations is None else relations
+        self.relations = relations
+        self.notes = notes
         self.character = character
-        self.notes = [] if notes is None else notes
 
 
 def dense_in(span: IntegerSpan) -> DensityVerdict:

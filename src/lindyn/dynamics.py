@@ -352,7 +352,7 @@ def enumerate_orbit(
     G: GeneratorSet,
     u,
     K: int,
-    cfg: ClosureConfig | None = None,
+    cfg: ClosureConfig,
     *,
     hull: Hull | None = None,
 ) -> OrbitCloud:
@@ -374,7 +374,6 @@ def enumerate_orbit(
     """
     if not G.exact or not all(isinstance(c, Scalar) for c in u):
         raise ValueError("orbit enumeration requires exact generators and an exact point")
-    cfg = cfg or ClosureConfig()
     if hull is None:
         hull = _frame(G, tuple(u))
     total = (2 * K + 1) ** len(hull.maps)
@@ -679,7 +678,7 @@ def _outer_columns(outer: np.ndarray, inner: np.ndarray, flat: np.ndarray) -> np
 # classification
 
 
-def classify_closure(cloud: OrbitCloud, cfg: ClosureConfig | None = None) -> ClosureVerdict:
+def classify_closure(cloud: OrbitCloud, cfg: ClosureConfig) -> ClosureVerdict:
     """Heuristic closure verdict for a sampled orbit.
 
     A cloud on a line (d = 1) is classified from its ascending rows (see
@@ -694,7 +693,6 @@ def classify_closure(cloud: OrbitCloud, cfg: ClosureConfig | None = None) -> Clo
     batch shape, and only the sign of a zero may differ, which no comparison,
     difference or square sees.
     """
-    cfg = cfg or ClosureConfig()
     if cloud.count == 0:
         return ClosureVerdict(INCONCLUSIVE, 0, notes=["empty cloud"])
     hull = cloud.hull
@@ -856,7 +854,7 @@ def _nearest_pair(cols: list[np.ndarray]) -> float:
 def classify_stabilized(
     G: GeneratorSet,
     u,
-    cfg: ClosureConfig | None = None,
+    cfg: ClosureConfig,
     max_exponent: int = 256,
 ) -> tuple[ClosureVerdict, int]:
     """Grow the exponent box K = FIRST_BOX, 2 FIRST_BOX, ... until the verdict repeats twice.
@@ -867,7 +865,6 @@ def classify_stabilized(
     """
     if max_exponent < FIRST_BOX:
         raise ValueError(f"max exponent {max_exponent} is below the first box {FIRST_BOX}")
-    cfg = cfg or ClosureConfig()
     prev = None
     hull = None
     streak = 0
@@ -912,11 +909,10 @@ def _same_signature(a: ClosureVerdict, b: ClosureVerdict) -> bool:
 
 
 class InverseRecurrenceReport:
-    __slots__ = ("forward_errors", "backward_errors", "tail_max", "final_error", "tends_to_zero")
+    __slots__ = ("backward_errors", "tail_max", "final_error", "tends_to_zero")
 
-    def __init__(self, forward_errors: list[float], backward_errors: list[float],
-                 tail_max: float, final_error: float, tends_to_zero: bool):
-        self.forward_errors = forward_errors    # ||B_m u - v||
+    def __init__(self, backward_errors: list[float], tail_max: float, final_error: float,
+                 tends_to_zero: bool):
         self.backward_errors = backward_errors  # ||B_m^-1 v - u||
         self.tail_max = tail_max                # max backward error over the last quarter
         self.final_error = final_error
@@ -929,14 +925,13 @@ def inverse_recurrence_check(
     u,
     v,
     words: list[tuple[int, ...]],
-    ctx: NumericContext | None = None,
+    ctx: NumericContext,
 ) -> InverseRecurrenceReport:
     """If B_m u -> v with u, v in U, the inverses must bring v back to u.
 
     Refuses points outside U (the symmetry is vacuous there) and requires the
     forward errors to be decreasing along the tail.
     """
-    ctx = ctx or NumericContext()
     mu = membership(family, u, ctx)
     mv = membership(family, v, ctx)
     if not mu.in_U:
@@ -962,9 +957,7 @@ def inverse_recurrence_check(
     decreasing = all(
         b <= a * 1.2 + 1e-12 for a, b in zip(bwd[-tail:], bwd[-tail + 1 :])
     )
-    return InverseRecurrenceReport(
-        fwd, bwd, tail_max, final, decreasing and final <= RECURRENCE_TOL
-    )
+    return InverseRecurrenceReport(bwd, tail_max, final, decreasing and final <= RECURRENCE_TOL)
 
 
 # ---------------------------------------------------------------------------

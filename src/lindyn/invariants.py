@@ -162,45 +162,38 @@ class InvariantFamily:
 
     def __init__(self, field: str, dimension: int, subspaces: list[InvariantSubspace],
                  block_change: Matrix | np.ndarray, triangular_change: Matrix | np.ndarray,
-                 blocks: list[SpectralBlock] | None = None,
-                 forms: list[TriangularForm] | None = None):
+                 blocks: list[SpectralBlock], forms: list[TriangularForm]):
         self.field = field
         self.dimension = dimension
         self.subspaces = subspaces
         self.block_change = block_change            # Q: stacked block bases
         self.triangular_change = triangular_change  # P: triangularized composite basis
-        self.blocks = [] if blocks is None else blocks
-        self.forms = [] if forms is None else forms
+        self.blocks = blocks
+        self.forms = forms
 
     @property
     def count(self) -> int:
         return len(self.subspaces)
 
 
-def invariant_family(G: GeneratorSet, ctx: NumericContext | None = None) -> InvariantFamily:
+def invariant_family(G: GeneratorSet, ctx: NumericContext) -> InvariantFamily:
     """The invariant subspaces H_1..H_r (codim 1 or 2) with complement U."""
-    ctx = ctx or NumericContext()
     n = G.dimension
     blocks = simultaneous_refinement(G, ctx)
 
     units: list[tuple[str, object, object]] = []  # (case, pre-basis, triangular-basis)
     forms: list[TriangularForm] = []
     if G.field == COMPLEX:
-        for bi, blk in enumerate(blocks):
-            tf = triangularize(G, blk, ctx)
-            units.append((CASE_COMPLEX_HYPERPLANE, blk.basis(), tf.basis))
-            forms.append(tf)
+        paired, case = [(blk, False) for blk in blocks], CASE_COMPLEX_HYPERPLANE
     else:
-        for grp in pair_conjugates(blocks, G, ctx):
-            if grp.kind == "real":
-                tf = triangularize(G, grp.block, ctx)
-                units.append((CASE_REAL_HYPERPLANE, grp.real_basis, tf.basis))
-            else:
-                leader = blocks[grp.leader]
-                tf = triangularize(G, leader, ctx)
-                real_tri = re_im_columns(tf.basis)
-                units.append((CASE_CONJUGATE_PAIR, grp.real_basis, real_tri))
-            forms.append(tf)
+        paired, case = pair_conjugates(blocks, G, ctx), CASE_REAL_HYPERPLANE
+    for blk, is_pair in paired:
+        tf = triangularize(G, blk, ctx)
+        if is_pair:  # the leader's Re/Im columns span the pair's real subspace
+            units.append((CASE_CONJUGATE_PAIR, re_im_columns(blk.basis()), re_im_columns(tf.basis)))
+        else:
+            units.append((case, blk.basis(), tf.basis))
+        forms.append(tf)
 
     exact_all = all(isinstance(tb, Matrix) for _, _, tb in units)
     if exact_all:
@@ -304,9 +297,8 @@ class Membership:
         self.containing = containing
 
 
-def membership(family: InvariantFamily, x: Vector, ctx: NumericContext | None = None) -> Membership:
+def membership(family: InvariantFamily, x: Vector, ctx: NumericContext) -> Membership:
     """Which H_k contain x, a vector of Scalars; x lies in U exactly when the list is empty."""
-    ctx = ctx or NumericContext()
     containing = []
     for k, sub in enumerate(family.subspaces):
         if isinstance(sub.functionals, Matrix):
@@ -364,7 +356,7 @@ class InvariantTree:
         self.family = family  # the root's
 
 
-def invariant_tree(G: GeneratorSet, ctx: NumericContext | None = None) -> InvariantTree:
+def invariant_tree(G: GeneratorSet, ctx: NumericContext) -> InvariantTree:
     """Invariant subspaces along every chain K^n ⊃ H ⊃ ... ⊃ {0}.
 
     Only the root's family is computed.  Its basis P lays out one unit of
@@ -377,7 +369,6 @@ def invariant_tree(G: GeneratorSet, ctx: NumericContext | None = None) -> Invari
     non-zero w_i, and a child w - codim_i e_i for each w_i > 0.  So the root is
     the tree, of prod(w_i / codim_i + 1) nodes and depth sum(w_i / codim_i) <= n.
     """
-    ctx = ctx or NumericContext()
     family = invariant_family(G, ctx)
     units = tuple((s.case, G.dimension - s.dim) for s in family.subspaces)
     widths = tuple(s.width for s in family.subspaces)
@@ -390,15 +381,11 @@ def invariant_tree(G: GeneratorSet, ctx: NumericContext | None = None) -> Invari
 
 
 class BoundedRestrictionWitness:
-    __slots__ = ("subspace", "basis", "restricted_generators", "restricted_sequence", "bound",
-                 "case_trace")
+    __slots__ = ("subspace", "basis", "bound", "case_trace")
 
-    def __init__(self, subspace: Subspace, basis: Matrix, restricted_generators: list[Matrix],
-                 restricted_sequence: list[Matrix], bound: float, case_trace: list[str]):
+    def __init__(self, subspace: Subspace, basis: Matrix, bound: float, case_trace: list[str]):
         self.subspace = subspace  # in original coordinates, contains u
         self.basis = basis        # ambient columns, first column is u
-        self.restricted_generators = restricted_generators
-        self.restricted_sequence = restricted_sequence
         self.bound = bound        # sup of max-entry norms over the sequence
         self.case_trace = case_trace
 
@@ -437,17 +424,14 @@ def bounded_restriction_witness(
 
     trace: list[str] = []
     embed, gens = _witness_recurse(G, u, trace)
-    seq = []
     bound = 0.0
     for word in words:
         acc = Matrix.identity(gens[0].rows)
         for g, k in zip(gens, word):
             if k:
                 acc = acc * g.power(k)
-        seq.append(acc)
         bound = max(bound, acc.max_abs())
-    sub = Subspace(G.dimension, embed)
-    return BoundedRestrictionWitness(sub, embed, gens, seq, bound, trace)
+    return BoundedRestrictionWitness(Subspace(G.dimension, embed), embed, bound, trace)
 
 
 def _witness_recurse(G: GeneratorSet, u: Vector, trace: list[str]) -> tuple[Matrix, list[Matrix]]:

@@ -593,7 +593,10 @@ def parse_scalar(text: str) -> Scalar:
 
 def _parse_expression(text: str) -> Scalar:
     parser = _Parser(_tokenize(text))
-    value = parser.parse_expr()
+    try:
+        value = parser.parse_expr()
+    except RecursionError:  # the parser recurses once per parenthesis or unary minus
+        raise ParseError(f"expression {text!r} is nested too deeply") from None
     if parser.peek() is not None:
         raise ParseError(f"trailing input at token {parser.peek()!r}")
     return value

@@ -114,20 +114,6 @@ class TriangularForm:
         self.diagonal = diagonal      # per-generator repeated value mu
 
 
-class RealBlockGroup:
-    """A real-invariant unit: a single real block or a conjugate pair."""
-
-    __slots__ = ("kind", "members", "leader", "real_basis", "block")
-
-    def __init__(self, kind: str, members: tuple[int, ...], leader: int,
-                 real_basis: Matrix | np.ndarray, block: SpectralBlock | None = None):
-        self.kind = kind              # "real" | "pair"
-        self.members = members
-        self.leader = leader
-        self.real_basis = real_basis
-        self.block = block            # a real singleton's block on real_basis
-
-
 # ---------------------------------------------------------------------------
 # restriction helpers
 
@@ -285,7 +271,7 @@ def recognize_in_field(z: complex, radicands) -> Scalar | None:
 
 def eigenvalues(
     A: Matrix,
-    ctx: NumericContext | None = None,
+    ctx: NumericContext,
     radicands: set[int] | None = None,
 ) -> list[tuple[Scalar, int, Matrix]] | None:
     """Exact spectrum of A as (value, multiplicity, generalized eigenspace basis).
@@ -311,7 +297,6 @@ def eigenvalues(
     """
     if A.rows != A.cols:
         raise ValueError("eigenvalues of a non-square matrix")
-    ctx = ctx or NumericContext()
     spectrum = _triangular_spectrum(A)
     if spectrum is not None:
         return _certified(A, spectrum)
@@ -377,9 +362,8 @@ def _certified(A: Matrix, spectrum: list[tuple[Scalar, int]]) -> list[tuple[Scal
 # simultaneous refinement
 
 
-def simultaneous_refinement(G: GeneratorSet, ctx: NumericContext | None = None) -> list[SpectralBlock]:
+def simultaneous_refinement(G: GeneratorSet, ctx: NumericContext) -> list[SpectralBlock]:
     """Finest decomposition with one eigenvalue per generator per block."""
-    ctx = ctx or NumericContext()
     G.check_abelian(ctx)
     n = G.dimension
     radicands = G.radicands()
@@ -535,22 +519,25 @@ def _realify_numeric_basis(basis: np.ndarray, ctx: NumericContext) -> np.ndarray
 
 
 def pair_conjugates(
-    blocks: list[SpectralBlock], G: GeneratorSet, ctx: NumericContext | None = None
-) -> list[RealBlockGroup]:
-    """Group blocks of a real family into real singletons and conjugate pairs."""
-    ctx = ctx or NumericContext()
+    blocks: list[SpectralBlock], G: GeneratorSet, ctx: NumericContext
+) -> list[tuple[SpectralBlock, bool]]:
+    """The real-invariant units of a real family's blocks, as (block, is_pair).
+
+    A block with real eigenvalues is returned on a real basis of its span; a
+    conjugate pair by its leader, whose Re/Im columns span the pair's real
+    subspace.  The partners of a pair are cross-linked by conj_partner.
+    """
     if G.field != REAL:
         raise ValueError("conjugate pairing applies to real generator sets")
     tol = math.sqrt(max(ctx.eps, 1e-15))
-    groups: list[RealBlockGroup] = []
+    units: list[tuple[SpectralBlock, bool]] = []
     used: set[int] = set()
     for i, blk in enumerate(blocks):
         if i in used:
             continue
         if _eigen_is_real(blk, tol):
             used.add(i)
-            real = _real_block(blk, ctx)
-            groups.append(RealBlockGroup("real", (i,), i, real.basis(), real))
+            units.append((_real_block(blk, ctx), False))
             continue
         partner = None
         for j in range(len(blocks)):
@@ -568,9 +555,8 @@ def pair_conjugates(
         leader = i if _leader_orientation(blk) else partner
         blocks[i].conj_partner = partner
         blocks[partner].conj_partner = i
-        rb = re_im_columns(blocks[leader].subspace.basis)
-        groups.append(RealBlockGroup("pair", (i, partner), leader, rb))
-    return groups
+        units.append((blocks[leader], True))
+    return units
 
 
 def _leader_orientation(blk: SpectralBlock) -> bool:
@@ -596,10 +582,9 @@ def re_im_columns(basis: Matrix | np.ndarray) -> Matrix | np.ndarray:
 def triangularize(
     G: GeneratorSet,
     block: SpectralBlock,
-    ctx: NumericContext | None = None,
+    ctx: NumericContext,
 ) -> TriangularForm:
     """Common basis making every generator lower triangular on the block."""
-    ctx = ctx or NumericContext()
     basis = block.subspace.basis
     restrictions = block.restrictions
     if restrictions is None:

@@ -3,11 +3,10 @@
 Every documented behaviour of a fixture becomes one checkable claim with its
 preconditions validated first, so an edited fixture whose certificate no
 longer applies is reported as a mismatch instead of silently passing.  A
-claim is called as ``claim(name, G, points, ctx, cfg, dense_K)`` on the
-fixture's group and its named points (vectors).  The claims of
-``APPROACH_CLAIMS`` take one more argument, the approach of radical4's base
-point to its limit, which ``verify_fixture`` forms once for all of them; a
-claim not given it forms it from the points.
+claim is called as ``claim(fx)`` on a :class:`Fixture`: the fixture's group,
+its named points (vectors) and the settings.  The values that several claims
+read, the invariant tree and radical4's approach of its base point to its
+limit, are formed once per fixture, when first read.
 """
 
 from __future__ import annotations
@@ -28,8 +27,8 @@ from .dynamics import (
     inverse_recurrence_check,
 )
 from .invariants import (
+    InvariantTree,
     bounded_restriction_witness,
-    invariant_family,
     invariant_hull,
     invariant_tree,
     membership,
@@ -52,10 +51,39 @@ class ClaimResult:
         return f"{'PASS' if self.ok else 'FAIL'} {self.fixture}.{self.claim}: {self.detail}"
 
 
-def _structure_claim(name: str, G: GeneratorSet, points, ctx: NumericContext,
-                     cfg: ClosureConfig, dense_K: int | None) -> ClaimResult:
-    n = G.dimension
-    tree = invariant_tree(G, ctx)
+class Fixture:
+    """A fixture's group, its named points as vectors and the settings, with
+    the values that several claims read, each formed when first read."""
+
+    __slots__ = ("name", "G", "points", "ctx", "cfg", "dense_K", "_tree", "_approach")
+
+    def __init__(self, name: str, G: GeneratorSet, points: dict, ctx: NumericContext,
+                 cfg: ClosureConfig, dense_K: int | None):
+        self.name = name
+        self.G = G
+        self.points = points
+        self.ctx = ctx
+        self.cfg = cfg
+        self.dense_K = dense_K  # overrides the dense claims' exponent bound
+        self._tree = None
+        self._approach = None
+
+    @property
+    def tree(self) -> InvariantTree:
+        if self._tree is None:
+            self._tree = invariant_tree(self.G, self.ctx)
+        return self._tree
+
+    @property
+    def approach(self):
+        if self._approach is None:
+            self._approach = _approach_words(self.G, self.points)
+        return self._approach
+
+
+def _structure_claim(fx: Fixture) -> ClaimResult:
+    n = fx.G.dimension
+    tree = fx.tree
     fam = tree.family
     ok = (
         fam.count <= n
@@ -67,7 +95,7 @@ def _structure_claim(name: str, G: GeneratorSet, points, ctx: NumericContext,
         f"{fam.count} invariant subspace(s), dims "
         f"{[s.dim for s in fam.subspaces]}, tree depth {tree.depth}"
     )
-    return ClaimResult(name, "structure", ok, detail)
+    return ClaimResult(fx.name, "structure", ok, detail)
 
 
 def _translation_lattice(G: GeneratorSet, point) -> tuple[Hull, IntegerSpan | None, str]:
@@ -82,95 +110,67 @@ def _translation_lattice(G: GeneratorSet, point) -> tuple[Hull, IntegerSpan | No
     return hull, span, dense_in(span).kind
 
 
-def _closed_orbit_claim(name: str, G: GeneratorSet, points, ctx: NumericContext,
-                        cfg: ClosureConfig, dense_K: int | None) -> ClaimResult:
+def _closed_orbit_claim(fx: Fixture) -> ClaimResult:
     key = "closed"
-    point = points[key]
-    _, span, exact = _translation_lattice(G, point)
+    point = fx.points[key]
+    _, span, exact = _translation_lattice(fx.G, point)
     if span is None or not all(c.is_rational() for v in span.vectors for c in v):
         return ClaimResult(
-            name, f"closed-orbit[{key}]", False,
+            fx.name, f"closed-orbit[{key}]", False,
             "precondition violated: the hull translations are not rational, "
             "the closed verdict certificate does not apply",
         )
-    verdict_cloud, K = classify_stabilized(G, point, cfg, max_exponent=64)
-    fam = invariant_family(G, ctx)
+    verdict_cloud, K = classify_stabilized(fx.G, point, fx.cfg, max_exponent=64)
     ok = (
         exact == CLOSED
         and verdict_cloud is not None
         and verdict_cloud.kind == DISCRETE
-        and membership(fam, point, ctx).in_U
+        and membership(fx.tree.family, point, fx.ctx).in_U
     )
     return ClaimResult(
-        name, f"closed-orbit[{key}]", ok,
+        fx.name, f"closed-orbit[{key}]", ok,
         f"exact {exact}, sampled {verdict_cloud.kind} at K={K}",
     )
 
 
-def _dense_line_claim(name: str, G: GeneratorSet, points, ctx: NumericContext,
-                      cfg: ClosureConfig, dense_K: int | None) -> ClaimResult:
+def _dense_line_claim(fx: Fixture) -> ClaimResult:
     key = "dense_line"
-    K = 1000 if dense_K is None else dense_K
-    point = points[key]
-    hull, _, exact = _translation_lattice(G, point)
+    K = 1000 if fx.dense_K is None else fx.dense_K
+    point = fx.points[key]
+    hull, _, exact = _translation_lattice(fx.G, point)
     if exact != DENSE:
         return ClaimResult(
-            name, f"dense-line[{key}]", False,
+            fx.name, f"dense-line[{key}]", False,
             f"precondition violated: the translation lattice is {exact}, "
             "the density certificate does not apply",
         )
-    cloud = enumerate_orbit(G, point, K, cfg, hull=hull)
-    verdict = classify_closure(cloud, cfg)
+    cloud = enumerate_orbit(fx.G, point, K, fx.cfg, hull=hull)
+    verdict = classify_closure(cloud, fx.cfg)
     ok = verdict.kind == DENSE_IN_AFFINE and verdict.hull_dim == 1 and (
-        verdict.gap is not None and verdict.gap < cfg.gap_threshold + 1e-12
+        verdict.gap is not None and verdict.gap < fx.cfg.gap_threshold + 1e-12
     )
     return ClaimResult(
-        name, f"dense-line[{key}]", ok,
+        fx.name, f"dense-line[{key}]", ok,
         f"exact DENSE; sampled {verdict.kind}({verdict.hull_dim}) at K={K}, "
         f"max gap {verdict.gap:.3g}" if verdict.gap is not None else f"sampled {verdict.kind}",
     )
 
 
-def _closed_complex_claim(name: str, G: GeneratorSet, points, ctx: NumericContext,
-                          cfg: ClosureConfig, dense_K: int | None) -> ClaimResult:
-    key = "closed"
-    point = points[key]
-    precondition = True
-    for c in point[:3]:
-        re, im = c.real_part(), c.imag_part()
-        if not (re.is_rational() and im.is_rational()) or re.is_zero() or im.is_zero():
-            precondition = False
-    if not precondition:
-        return ClaimResult(
-            name, f"closed-orbit[{key}]", False,
-            "precondition violated: leading coordinates are not nonzero "
-            "rational complex numbers, the closed verdict certificate does not apply",
-        )
-    exact = _translation_lattice(G, point)[2]
-    verdict_cloud, K = classify_stabilized(G, point, cfg, max_exponent=64)
-    ok = exact == CLOSED and verdict_cloud.kind == DISCRETE
-    return ClaimResult(
-        name, f"closed-orbit[{key}]", ok,
-        f"exact {exact}, sampled {verdict_cloud.kind} at K={K}",
-    )
-
-
-def _dense_plane_claim(name: str, G: GeneratorSet, points, ctx: NumericContext,
-                       cfg: ClosureConfig, dense_K: int | None) -> ClaimResult:
+def _dense_plane_claim(fx: Fixture) -> ClaimResult:
     key = "dense_plane"
-    K = 200 if dense_K is None else dense_K
-    point = points[key]
-    hull, _, exact = _translation_lattice(G, point)
+    K = 200 if fx.dense_K is None else fx.dense_K
+    point = fx.points[key]
+    hull, _, exact = _translation_lattice(fx.G, point)
     if exact != DENSE:
         return ClaimResult(
-            name, f"dense-plane[{key}]", False,
+            fx.name, f"dense-plane[{key}]", False,
             f"precondition violated: exact verdict is {exact}",
         )
-    cloud = enumerate_orbit(G, point, K, cfg, hull=hull)
-    verdict = classify_closure(cloud, cfg)
+    cloud = enumerate_orbit(fx.G, point, K, fx.cfg, hull=hull)
+    verdict = classify_closure(cloud, fx.cfg)
     ok = verdict.kind == DENSE_IN_AFFINE and verdict.hull_dim == 2
     return ClaimResult(
-        name, f"dense-plane[{key}]", ok,
+        fx.name, f"dense-plane[{key}]", ok,
         f"exact DENSE, sampled {verdict.kind}({verdict.hull_dim}) at K={K}",
     )
 
@@ -190,76 +190,64 @@ def _approach_words(G: GeneratorSet, points):
     return approximate_target(values, target), values, target
 
 
-def _closure_minus_orbit_claim(name: str, G: GeneratorSet, points, ctx: NumericContext,
-                               cfg: ClosureConfig, dense_K: int | None,
-                               approach=None) -> ClaimResult:
-    approx, values, target = approach or _approach_words(G, points)
+def _closure_minus_orbit_claim(fx: Fixture) -> ClaimResult:
+    approx, values, target = fx.approach
     relations = relation_basis(IntegerSpan.of([(v,) for v in values + [target]], 1))
     if relations:
         return ClaimResult(
-            name, "closure-minus-orbit", False,
+            fx.name, "closure-minus-orbit", False,
             f"altered expected verdict: the limit coordinate satisfies the "
             f"integer relation {relations[0]} with the increments, so the "
             "non-membership certificate fails",
         )
     return ClaimResult(
-        name, "closure-minus-orbit", approx.achieved < 1e-4,
+        fx.name, "closure-minus-orbit", approx.achieved < 1e-4,
         f"residual {approx.achieved:.2e} after {len(approx.tuples)} improvements; "
         f"limit is rationally independent of the increments, so it is not attained",
     )
 
 
-def _unbounded_sequence_claim(name: str, G: GeneratorSet, points, ctx: NumericContext,
-                              cfg: ClosureConfig, dense_K: int | None,
-                              approach) -> ClaimResult:
-    approx, _, _ = approach
-    norms = [G.word(w).max_abs() for w in approx.tuples]
+def _unbounded_sequence_claim(fx: Fixture) -> ClaimResult:
+    approx, _, _ = fx.approach
+    norms = [fx.G.word(w).max_abs() for w in approx.tuples]
     ok = max(norms) > 1e3
     return ClaimResult(
-        name, "unbounded-sequence", ok,
+        fx.name, "unbounded-sequence", ok,
         f"max entry along the sequence {max(norms):.4g}",
     )
 
 
-def _bounded_restriction_claim(name: str, G: GeneratorSet, points, ctx: NumericContext,
-                               cfg: ClosureConfig, dense_K: int | None,
-                               approach) -> ClaimResult:
-    base = points["base"]
-    approx, _, _ = approach
-    hull = invariant_hull(G, base)
-    witness = bounded_restriction_witness(G, base, approx.tuples)
+def _bounded_restriction_claim(fx: Fixture) -> ClaimResult:
+    base = fx.points["base"]
+    approx, _, _ = fx.approach
+    hull = invariant_hull(fx.G, base)
+    witness = bounded_restriction_witness(fx.G, base, approx.tuples)
     bound_limit = 1 + math.sqrt(3) + 1e-3
     ok = hull.dim == 2 and witness.bound <= bound_limit
     return ClaimResult(
-        name, "bounded-restriction", ok,
+        fx.name, "bounded-restriction", ok,
         f"hull dim {hull.dim}, restricted sup max-entry {witness.bound:.6f} "
         f"<= {bound_limit:.6f}",
     )
 
 
-def _recurrence_claim(name: str, G: GeneratorSet, points, ctx: NumericContext,
-                      cfg: ClosureConfig, dense_K: int | None,
-                      approach) -> ClaimResult:
-    base, limit = points["base"], points["limit"]
-    approx, _, _ = approach
-    fam = invariant_family(G, ctx)
-    rep = inverse_recurrence_check(G, fam, base, limit, approx.tuples, ctx)
+def _recurrence_claim(fx: Fixture) -> ClaimResult:
+    base, limit = fx.points["base"], fx.points["limit"]
+    approx, _, _ = fx.approach
+    rep = inverse_recurrence_check(fx.G, fx.tree.family, base, limit, approx.tuples, fx.ctx)
     return ClaimResult(
-        name, "inverse-recurrence", rep.tends_to_zero,
+        fx.name, "inverse-recurrence", rep.tends_to_zero,
         f"tail max of ||B^-1 v - u|| is {rep.tail_max:.2e}",
     )
 
-
-# The claims that read the approach of radical4's base point to its limit.
-APPROACH_CLAIMS = (_closure_minus_orbit_claim, _unbounded_sequence_claim,
-                   _bounded_restriction_claim, _recurrence_claim)
 
 # The claims of each fixture, in the order verify-examples runs them.
 CLAIMS = {
     "shear3": (_structure_claim, _closed_orbit_claim, _dense_line_claim),
     "shear4": (_structure_claim, _closed_orbit_claim, _dense_line_claim),
-    "cshear5": (_structure_claim, _closed_complex_claim, _dense_plane_claim),
-    "radical4": (_structure_claim, *APPROACH_CLAIMS),
+    "cshear5": (_structure_claim, _closed_orbit_claim, _dense_plane_claim),
+    "radical4": (_structure_claim, _closure_minus_orbit_claim, _unbounded_sequence_claim,
+                 _bounded_restriction_claim, _recurrence_claim),
 }
 
 
@@ -269,13 +257,10 @@ def verify_fixture(
     points: dict,
     ctx: NumericContext,
     cfg: ClosureConfig,
-    dense_K: int | None = None,
+    dense_K: int | None,
 ) -> list[ClaimResult]:
     """Run the claims of fixture ``name`` on its group and its points, given
     as coordinate lists; ``dense_K`` overrides the dense claims' exponent bound."""
     vectors = {key: as_vector(coords) for key, coords in points.items()}
-    claims = CLAIMS[name]
-    # formed once, and handed to each claim that reads it
-    approach = _approach_words(G, vectors) if any(c in APPROACH_CLAIMS for c in claims) else None
-    return [claim(name, G, vectors, ctx, cfg, dense_K, approach) if claim in APPROACH_CLAIMS
-            else claim(name, G, vectors, ctx, cfg, dense_K) for claim in claims]
+    fx = Fixture(name, G, vectors, ctx, cfg, dense_K)
+    return [claim(fx) for claim in CLAIMS[name]]

@@ -9,13 +9,13 @@ from pathlib import Path
 import pytest
 
 from conftest import FIXTURE_NAMES, fixture_by_name, lindyn_env, mp_evaluate, random_commuting_family
-from lindyn.cli import FIXTURES, main
+from lindyn.cli import FIXTURES, load_input, main
 from lindyn.dynamics import ClosureConfig
 from lindyn.linalg import as_vector
 from lindyn.numeric import NumericContext
 from lindyn.report import _fmt_complex, _scalar_approx, dumps_report, render_value
 from lindyn.scalars import Scalar
-from lindyn.verify import _closed_complex_claim, _closure_minus_orbit_claim
+from lindyn.verify import Fixture, _closed_orbit_claim, _closure_minus_orbit_claim
 
 
 @pytest.fixture
@@ -444,6 +444,9 @@ class TestAnalyze:
         diag = [{"name": "A", "rows": [["2", "0"], ["0", "3"]]},
                 {"name": "A", "rows": [["5", "0"], ["0", "7"]]}]
         real2 = {"field": "real", "dimension": 2}
+        # nested past the recursion limit, each of these ended in a RecursionError
+        deep = "(" * 3000 + "1" + ")" * 3000
+        minuses = "-" * 3000 + "1"
         for doc, err in [
             ({"field": "real", "dimension": 0, "generators": [[]]},
              "dimension must be at least 1, got 0"),
@@ -486,6 +489,14 @@ class TestAnalyze:
              "a row of generator g0 has true among its entries"),
             ({"field": "real", "dimension": 1, "generators": [[["1"]]], "points": [[False]]},
              "point p0 has false among its coordinates"),
+            ({"field": "real", "dimension": 1, "generators": [[[deep]]]},
+             f"expression {deep!r} is nested too deeply"),
+            ({"field": "real", "dimension": 1, "generators": [[[minuses]]]},
+             f"expression {minuses!r} is nested too deeply"),
+            ({"field": "real", "dimension": 1, "generators": [[["1"]]], "points": [[deep]]},
+             f"expression {deep!r} is nested too deeply"),
+            ('{"field": "real", "dimension": 1, "generators": ' + "[" * 100000 + "]" * 100000 + "}",
+             "input is nested too deeply to read as JSON"),
         ]:
             p = tmp_path / "bad.json"
             p.write_text(doc if isinstance(doc, str) else json.dumps(doc))
@@ -898,20 +909,51 @@ class TestVerifyExamples:
             assert main(["verify-examples", *args]) == 1
             assert capsys.readouterr() == ("", err)
 
+    def test_radical_fixture_forms_shared_values_once(self, monkeypatch):
+        # the structure and recurrence claims read one invariant family, and
+        # the four approach claims one approach; each family is formed from
+        # one simultaneous refinement
+        from lindyn import invariants, verify
+
+        calls = {"family": 0, "approach": 0}
+        refine, approach = invariants.simultaneous_refinement, verify._approach_words
+
+        def counting_refine(G, ctx):
+            calls["family"] += 1
+            return refine(G, ctx)
+
+        def counting_approach(G, points):
+            calls["approach"] += 1
+            return approach(G, points)
+
+        monkeypatch.setattr(invariants, "simultaneous_refinement", counting_refine)
+        monkeypatch.setattr(verify, "_approach_words", counting_approach)
+        G, points = load_input(str(FIXTURES / "radical4.json"))
+        results = verify.verify_fixture("radical4", G, points, NumericContext(precision=128),
+                                        ClosureConfig(), None)
+        assert [r.ok for r in results] == [True] * 5
+        assert calls == {"family": 1, "approach": 1}
+
     def test_altered_radical_fixture_detected(self):
         # replacing the radical limit by a rational breaks the independence
         # certificate; the harness must flag it rather than pass silently
         G, points = fixture_by_name("radical4")
         altered = {**points, "limit": as_vector(["1", "1", "0", "3/2"])}
-        res = _closure_minus_orbit_claim("radical4", G, altered, NumericContext(),
-                                         ClosureConfig(), None)
+        res = _closure_minus_orbit_claim(
+            Fixture("radical4", G, altered, NumericContext(), ClosureConfig(), None))
         assert not res.ok
         assert "altered expected verdict" in res.detail
 
     def test_altered_complex_fixture_detected(self):
-        # making the first coordinate real voids the closed-orbit certificate
+        # an irrational coordinate makes a hull translation irrational, which
+        # voids the closed-orbit certificate
         G, points = fixture_by_name("cshear5")
-        altered = {**points, "closed": as_vector(["1", "2+i", "1+2*i", "0", "0"])}
-        res = _closed_complex_claim("cshear5", G, altered, NumericContext(), ClosureConfig(), None)
+        altered = {**points, "closed": as_vector(["1+i", "sqrt(2)+i", "1+2*i", "0", "0"])}
+        res = _closed_orbit_claim(Fixture("cshear5", G, altered, NumericContext(), ClosureConfig(), None))
         assert not res.ok
-        assert "precondition violated" in res.detail
+        assert "precondition violated: the hull translations are not rational" in res.detail
+        # a real first coordinate keeps the translations (1, 0), (2, 1) and
+        # (1, 2) rational, and the orbit closed; it used to be refused
+        closed = {**points, "closed": as_vector(["1", "2+i", "1+2*i", "0", "0"])}
+        res = _closed_orbit_claim(Fixture("cshear5", G, closed, NumericContext(), ClosureConfig(), None))
+        assert res.ok, res.detail

@@ -27,6 +27,7 @@ from lindyn.spectral import (
     SpectralBlock,
     eigenvalues,
     pair_conjugates,
+    re_im_columns,
     recognize_in_field,
     simultaneous_refinement,
     triangularize,
@@ -443,32 +444,33 @@ class TestPairing:
         R = Matrix.from_rows([["1/2", "-1/2*sqrt(3)"], ["1/2*sqrt(3)", "1/2"]])
         G = GeneratorSet("real", 2, [R], ["R"])
         blocks = simultaneous_refinement(G, CTX)
-        groups = pair_conjugates(blocks, G, CTX)
-        assert len(groups) == 1 and groups[0].kind == "pair"
-        rb = groups[0].real_basis
+        units = pair_conjugates(blocks, G, CTX)
+        assert len(units) == 1 and units[0][1]
+        rb = re_im_columns(units[0][0].basis())
         assert rb.cols == 2 and rb.is_real()
 
     def test_diag_real_singletons(self):
         G = group_from_strings("real", [[["2", "0"], ["0", "3"]]])
         blocks = simultaneous_refinement(G, CTX)
-        groups = pair_conjugates(blocks, G, CTX)
-        assert [g.kind for g in groups] == ["real", "real"]
-        # a real exact basis keeps its block, and the restrictions it carries
-        for g in groups:
-            assert g.block is blocks[g.leader]
-            assert g.real_basis is g.block.basis()
+        units = pair_conjugates(blocks, G, CTX)
+        assert [is_pair for _, is_pair in units] == [False, False]
+        # a real exact block is returned itself, with the restrictions it carries
+        for (blk, _), block in zip(units, blocks):
+            assert blk is block and blk.restrictions is not None
 
     def test_rot_block_pairs(self):
         G = rot_block_group()
         blocks = simultaneous_refinement(G, CTX)
-        groups = pair_conjugates(blocks, G, CTX)
-        assert [g.kind for g in groups] == ["pair", "pair"]
-        for g in groups:
-            assert g.real_basis.cols == 2 and g.real_basis.is_real()
+        units = pair_conjugates(blocks, G, CTX)
+        assert [is_pair for _, is_pair in units] == [True, True]
+        for leader, _ in units:
+            rb = re_im_columns(leader.basis())
+            assert rb.cols == 2 and rb.is_real()
         # partners are cross-linked
-        for g in groups:
-            i, j = g.members
-            assert blocks[i].conj_partner == j and blocks[j].conj_partner == i
+        for leader, _ in units:
+            i = next(k for k, b in enumerate(blocks) if b is leader)
+            j = leader.conj_partner
+            assert j != i and blocks[j].conj_partner == i
 
 
 class TestTriangularize:

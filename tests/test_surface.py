@@ -1,8 +1,10 @@
 """Every public module-level function and class in lindyn has a caller,
 every field of NumericContext and ClosureConfig has a caller that sets it,
 no module of the package or the scripts imports a name it never uses, no
-function of the package imports anything, and no module of the package
-imports dataclasses.
+function of the package imports anything, no module of the package imports
+dataclasses, no function of the package has a parameter that it never reads
+or a settings parameter that may be None, and every field of a package
+record is read somewhere.
 
 A name counts as used when some module of the package, a script or the
 benchmark mentions it other than at its own definition: as a name, an
@@ -163,3 +165,68 @@ def test_only_the_lazy_binding_imports_numpy():
         or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"
     ]
     assert found == [], f"numpy imported outside lindyn._numpy: {found}"
+
+
+def functions(tree: ast.Module, prefix: str):
+    """(qualified name, node) of every function in a module, nested ones included."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = f"{prefix}.{node.name}"
+            if not isinstance(node, ast.ClassDef):
+                yield name, node
+            yield from functions(node, name)
+
+
+def parameters(func: ast.FunctionDef) -> list[ast.arg]:
+    a = func.args
+    return a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+
+
+# Parameters no body reads, each kept for a caller that passes it positionally.
+FROZEN_PARAMETERS = {
+    "groups.GeneratorSet.commutator_residual(ctx)": "benchmark/work.py passes it",
+    "report.analysis_report(seed)": "benchmark/work.py passes it",
+}
+
+
+def test_no_function_has_a_parameter_it_never_reads():
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, func in functions(ast.parse(path.read_text()), path.stem):
+            read = {n.id for stmt in func.body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            unread += [f"{name}({p.arg})" for p in parameters(func)
+                       if p.arg not in read | {"self", "cls"} and f"{name}({p.arg})" not in FROZEN_PARAMETERS]
+    assert unread == [], f"parameters never read: {unread}"
+    assert all(reason for reason in FROZEN_PARAMETERS.values())
+
+
+def test_no_settings_parameter_may_be_none():
+    # the library has no default context: a caller passes the CLI's, or its own
+    optional = [
+        f"{name}({p.arg})"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name, func in functions(ast.parse(path.read_text()), path.stem)
+        for p in parameters(func)
+        if p.annotation is not None
+        and "None" in (parts := {t.strip() for t in ast.unparse(p.annotation).split("|")})
+        and parts & {"NumericContext", "ClosureConfig"}
+    ]
+    assert optional == [], f"settings parameters that may be None: {optional}"
+
+
+def test_every_record_field_is_read():
+    read = set()
+    for directory in USERS + [ROOT / "tests"]:
+        for path in sorted(directory.glob("*.py")):
+            read.update(node.attr for node in ast.walk(ast.parse(path.read_text()))
+                        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for stmt in cls.body:
+                if isinstance(stmt, ast.Assign) and [ast.unparse(t) for t in stmt.targets] == ["__slots__"]:
+                    unread += [f"{path.stem}.{cls.name}.{field}"
+                               for field in ast.literal_eval(stmt.value) if field not in read]
+    assert unread == [], f"record fields no module reads: {unread}"
