@@ -123,7 +123,6 @@ def _closed_orbit_claim(fx: Fixture) -> ClaimResult:
     verdict_cloud, K = classify_stabilized(fx.G, point, fx.cfg, max_exponent=64)
     ok = (
         exact == CLOSED
-        and verdict_cloud is not None
         and verdict_cloud.kind == DISCRETE
         and membership(fx.tree.family, point, fx.ctx).in_U
     )
