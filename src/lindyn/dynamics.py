@@ -28,8 +28,8 @@ and its frame coordinate is monotone along them: its minimum separation is
 the least gap between consecutive rows, and its window is one run of rows,
 found by binary search.  Any other cloud is deduplicated by a lexsort of all
 its columns, which keeps each key's first row in enumeration order, and its
-minimum separation is the exact nearest pair on a grid of cells, which a
-k-d tree's nearest-neighbour query returns too, bit for bit.
+minimum separation, searched for only up to the DISCRETE floor, is there
+the exact nearest pair on a grid of cells, a k-d tree's minimum bit for bit.
 Boxes too large to materialize are streamed in chunks: a tuple's frame
 coordinates are those of one outer power applied to one inner column, and
 they are formed, by the gather-multiply that forms the stored hits, only for
@@ -40,9 +40,9 @@ coordinates lie in their intervals.  A streamed cloud is its window: it
 stores only the deduplicated window hits.  Its points equal the
 materialized box's window points up to rounding, and its verdicts and gaps
 are the same.  Closure verdicts are explicitly heuristic:
-DISCRETE needs a minimum pairwise separation over a fully stored box,
-DENSE_IN_AFFINE(d) needs the sampled window covered at COVER_RESOLUTION,
-everything else is INCONCLUSIVE.
+DISCRETE needs a minimum pairwise separation over a fully stored box, the
+only verdict that carries one, DENSE_IN_AFFINE(d) needs the sampled window
+covered at COVER_RESOLUTION, everything else is INCONCLUSIVE.
 """
 
 from __future__ import annotations
@@ -148,6 +148,8 @@ class OrbitCloud:
 
 
 class ClosureVerdict:
+    """A sampled closure verdict; `min_distance` is set on DISCRETE verdicts only."""
+
     __slots__ = ("kind", "hull_dim", "gap", "min_distance", "notes")
 
     def __init__(self, kind: str, hull_dim: int, gap: float | None = None,
@@ -681,6 +683,8 @@ def _outer_columns(outer: np.ndarray, inner: np.ndarray, flat: np.ndarray) -> np
 def classify_closure(cloud: OrbitCloud, cfg: ClosureConfig) -> ClosureVerdict:
     """Heuristic closure verdict for a sampled orbit.
 
+    Only DISCRETE carries `min_distance`: a stored box's least separation, at
+    least max(MIN_DIST_FACTOR * dedup_eps, gap_threshold), or inf for a point.
     A cloud on a line (d = 1) is classified from its ascending rows (see
     OrbitCloud), and not projected whole.  Its frame coordinate f(c) =
     fl(a fl(c - c_u)), with a = V^T B != 0, is monotone in c: non-decreasing
@@ -703,7 +707,6 @@ def classify_closure(cloud: OrbitCloud, cfg: ClosureConfig) -> ClosureVerdict:
     if cloud.subsampled:
         notes.append("large box streamed: stored points are window-complete")
 
-    min_dist = None
     # a streamed cloud's one window hit can lie on a hull of higher dimension
     if cloud.count == 1 and d == 0:
         return ClosureVerdict(DISCRETE, 0, min_distance=math.inf,
@@ -713,23 +716,19 @@ def classify_closure(cloud: OrbitCloud, cfg: ClosureConfig) -> ClosureVerdict:
     if not cloud.subsampled and cloud.count > cfg.discrete_count_limit:
         notes.append("point count above discrete-check limit")
     elif not cloud.subsampled:
+        # a dense orbit sampled at finite K also clears the 100*eps floor, so
+        # a discrete verdict additionally demands separation at the scale the
+        # density test operates on (the gap threshold)
+        floor = max(MIN_DIST_FACTOR * cfg.dedup_eps, cfg.gap_threshold)
         # distances in the frame are the points', and do not depend on its
         # origin: they are measured on V^T B c
         frame = _mapped(hull.V.T @ hull.B, cloud.coords)
         if d == 1:
             min_dist = math.sqrt(np.square(np.diff(frame[:, 0])).min(initial=math.inf))
         else:
-            min_dist = _nearest_pair(list(frame.T))
-        # a dense orbit sampled at finite K also clears the 100*eps floor, so
-        # a discrete verdict additionally demands separation at the scale the
-        # density test operates on (the gap threshold)
-        floor = max(MIN_DIST_FACTOR * cfg.dedup_eps, cfg.gap_threshold)
+            min_dist = _nearest_pair(list(frame.T), floor)
         if min_dist >= floor:
             return ClosureVerdict(DISCRETE, d, min_distance=min_dist, notes=notes)
-
-    if d == 0:
-        return ClosureVerdict(INCONCLUSIVE, 0, min_distance=min_dist,
-                              notes=notes + ["no spread beyond dedup resolution"])
 
     W = cfg.window
     if d == 1:
@@ -745,17 +744,15 @@ def classify_closure(cloud: OrbitCloud, cfg: ClosureConfig) -> ClosureVerdict:
         stop = bisect.bisect_right(rows, W, key=rising)
         if not (rising(rows[0]) <= -W and rising(rows[-1]) >= W) or stop - start < 2:
             return ClosureVerdict(
-                INCONCLUSIVE, d, min_distance=min_dist,
-                notes=notes + ["sampled range does not cover the window"],
+                INCONCLUSIVE, d, notes=notes + ["sampled range does not cover the window"],
             )
         inside = np.sort(hull.frame_coordinates(cloud.coords[start:stop])[:, 0])
         seq = np.concatenate([[-W], inside, [W]])
         gap = float(np.diff(seq).max())
         if gap <= cfg.gap_threshold:
-            return ClosureVerdict(DENSE_IN_AFFINE, 1, gap=gap, min_distance=min_dist, notes=notes)
+            return ClosureVerdict(DENSE_IN_AFFINE, 1, gap=gap, notes=notes)
         return ClosureVerdict(
-            INCONCLUSIVE, d, gap=gap, min_distance=min_dist,
-            notes=notes + [f"max window gap {gap:.4g} above threshold"],
+            INCONCLUSIVE, d, gap=gap, notes=notes + [f"max window gap {gap:.4g} above threshold"],
         )
 
     proj = hull.frame_coordinates(cloud.coords)
@@ -764,8 +761,7 @@ def classify_closure(cloud: OrbitCloud, cfg: ClosureConfig) -> ClosureVerdict:
     inwin = np.all(np.abs(proj) <= W, axis=1)
     pw = proj[inwin]
     if pw.shape[0] == 0:
-        return ClosureVerdict(INCONCLUSIVE, d, min_distance=min_dist,
-                              notes=notes + ["no points inside the window"])
+        return ClosureVerdict(INCONCLUSIVE, d, notes=notes + ["no points inside the window"])
     cell_idx = np.clip(((pw + W) / (2 * W) * cells_per_axis).astype(int), 0, cells_per_axis - 1)
     total_cells = cells_per_axis**d
     if total_cells <= np.iinfo(np.int64).max:
@@ -775,15 +771,15 @@ def classify_closure(cloud: OrbitCloud, cfg: ClosureConfig) -> ClosureVerdict:
     empty = total_cells - filled
     gap = res * math.sqrt(d)
     if empty == 0:
-        return ClosureVerdict(DENSE_IN_AFFINE, d, gap=gap, min_distance=min_dist,
+        return ClosureVerdict(DENSE_IN_AFFINE, d, gap=gap,
                               notes=notes + [f"window covered at resolution {res}"])
     return ClosureVerdict(
-        INCONCLUSIVE, d, gap=None, min_distance=min_dist,
+        INCONCLUSIVE, d,
         notes=notes + [f"{empty}/{total_cells} window cells empty at resolution {res}"],
     )
 
 
-def _nearest_pair(cols: list[np.ndarray]) -> float:
+def _nearest_pair(cols: list[np.ndarray], floor: float = 0.0) -> float:
     """Least distance between two rows of a cloud, given as its columns: a k-d tree's, bit for bit.
 
     cKDTree sums fl(d_j^2) in four lanes (j mod 4) over the full blocks of
@@ -802,6 +798,9 @@ def _nearest_pair(cols: list[np.ndarray]) -> float:
     adjacent ones adjacent (and may make others so, adding only candidates);
     a column that would overflow the int64 key is left out.  Candidate pairs
     are formed in slices, so rows that share one cell form no O(m^2) array.
+
+    The search stops below `floor`: when sqrt(ub) < floor, it returns
+    sqrt(ub), an upper bound of the least, which then lies below `floor` too.
     """
     m = cols[0].size if cols else 0
     if m < 2:
@@ -815,6 +814,8 @@ def _nearest_pair(cols: list[np.ndarray]) -> float:
 
     order = np.lexsort(cols)
     best = sq(order[:-1], order[1:]).min()
+    if math.sqrt(best) < floor:
+        return math.sqrt(best)
     lo, hi = _extremes(cols)
     h = math.sqrt(best) * (1 + 2**-20) + float((hi - lo).max()) * 2**-48 + 2**-500
     key = np.zeros(m, dtype=np.int64)
@@ -896,8 +897,6 @@ def _same_signature(a: ClosureVerdict, b: ClosureVerdict) -> bool:
         return False
     if a.kind == DISCRETE:
         da, db = a.min_distance, b.min_distance
-        if da is None or db is None:
-            return da == db
         if math.isinf(da) or math.isinf(db):
             return math.isinf(da) and math.isinf(db)
         return abs(da - db) <= 0.01 * max(da, db)

@@ -190,10 +190,15 @@ def _document_args(fixture_files, tmp_path, name) -> list[str]:
     return [str(path), *extra]
 
 
+# seconds a command run as a subprocess may take: a stalled command fails its
+# test, instead of holding the whole run
+TIMEOUT = 120
+
+
 def run_cli(args, cwd=None):
     proc = subprocess.run(
         [sys.executable, "-m", "lindyn.cli", *args], capture_output=True, text=True,
-        cwd=cwd, env=lindyn_env(),
+        cwd=cwd, env=lindyn_env(), timeout=TIMEOUT,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -775,6 +780,54 @@ class TestOrbit:
         assert hashlib.sha256(dump.read_bytes()).hexdigest() == digest
 
 
+class TestStalledOrbits:
+    """Orbits whose search for an exact nearest pair below the DISCRETE floor once
+    stalled: each now finishes, with the sampled verdict below and no separation.
+    None of these verdicts contradicts the exact closure."""
+
+    def _closures(self, tmp_path, gens, args, points=None, field="real"):
+        doc = {"field": field, "dimension": len(gens[0]), "generators": gens}
+        if points is not None:
+            doc["points"] = points
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli([args[0], str(path), *args[1:]])
+        assert code == 0, err
+        rep = json.loads(out)
+        closures = [p["closure"] for p in rep["points"]] if "points" in rep else [rep["closure"]]
+        return [(c["kind"], c["hull_dim"], c["min_distance"]) for c in closures]
+
+    def test_unit_times_unipotent(self, tmp_path):
+        # A = 2(I + N), B = (I + sqrt(2) N)/2 with N = E_21: the orbit of (1, 0)
+        # is closed in U, a lattice in the coordinates (log2 x, y/x)
+        gens = [[["2", "0"], ["2", "2"]], [["1/2", "0"], ["sqrt(2)/2", "1/2"]]]
+        got = self._closures(tmp_path, gens, ["orbit", "--point", "1,0"])
+        assert got == [("INCONCLUSIVE", 2, None)]
+
+    @pytest.mark.parametrize("bound", [["--max-exponent", "64"], []])
+    def test_hyperbolic_pair(self, tmp_path, bound):
+        # the closure of the orbit of (1, 1) is the branch xy = 1, x > 0; the
+        # DISCRETE read at --max-exponent 32 is a known defect, and not pinned
+        gens = [[["2", "0"], ["0", "1/2"]], [["3", "0"], ["0", "1/3"]]]
+        got = self._closures(tmp_path, gens, ["orbit", "--point", "1,1", *bound])
+        assert got == [("INCONCLUSIVE", 2, None)]
+
+    def test_three_diagonal_generators(self, tmp_path):
+        gens = [[["3 + 2*sqrt(2)", "0"], ["0", "1/2 + sqrt(2)"]], [["5", "0"], ["0", "3"]],
+                [["3", "0"], ["0", "1"]]]
+        points = {"axis": ["sqrt(2)", "0"], "open": ["sqrt(3)", "3"]}
+        args = ["analyze", "--classify-points", "--max-exponent", "32"]
+        got = self._closures(tmp_path, gens, args, points)
+        assert got == [("INCONCLUSIVE", 1, None), ("INCONCLUSIVE", 2, None)]
+
+    def test_rotation_scaling_and_halving(self, tmp_path):
+        # z -> 2(3 + 4i)/5 z and z -> z/2: the closure of the orbit of 1 is every
+        # circle of radius 2^k, k in Z, and the origin
+        gens = [[["2*(3 + 4*i)/5"]], [["1/2"]]]
+        got = self._closures(tmp_path, gens, ["orbit", "--point", "1"], field="complex")
+        assert got == [("INCONCLUSIVE", 2, None)]
+
+
 # the whole stdout of `verify-examples --dense-exponent 256`, one line per
 # claim in the order it runs them
 VERIFY_EXAMPLES_256 = """\
@@ -816,8 +869,8 @@ class TestWithoutScipy:
           for name in FIXTURE_NAMES for precision in ("53", "128")),
     ])
     def test_same_stdout_without_scipy(self, args, capsys):
-        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, *args],
-                              capture_output=True, text=True, env=lindyn_env())
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, *args], capture_output=True,
+                              text=True, env=lindyn_env(), timeout=TIMEOUT)
         assert proc.returncode == 0, proc.stderr
         assert main(args) == 0
         assert proc.stdout == capsys.readouterr().out
@@ -832,7 +885,8 @@ class TestWithoutScipy:
 
     def _benchmark_imports_leave_out(self, module: str) -> None:
         proc = subprocess.run([sys.executable, "-c", self.BENCHMARK_IMPORTS, module],
-                              capture_output=True, text=True, env=lindyn_env())
+                              capture_output=True, text=True, env=lindyn_env(),
+                              timeout=TIMEOUT)
         assert proc.returncode == 0, proc.stderr
 
     def test_benchmark_modules_import_no_mpmath(self):
@@ -855,8 +909,8 @@ class TestLazyNumpy:
               "sys.exit(code)\n")
 
     def _run(self, script: str, *args: str) -> subprocess.CompletedProcess:
-        return subprocess.run([sys.executable, "-c", script, *args],
-                              capture_output=True, text=True, env=lindyn_env())
+        return subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
+                              text=True, env=lindyn_env(), timeout=TIMEOUT)
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_exact_analyze_never_loads_numpy(self, name, capsys):

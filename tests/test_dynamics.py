@@ -1353,9 +1353,8 @@ class TestClassify:
         def discrete(dist):
             return ClosureVerdict(DISCRETE, 0, min_distance=dist)
 
-        assert _same_signature(discrete(None), discrete(None))
         assert _same_signature(discrete(math.inf), discrete(math.inf))
-        for a, b in [(None, 1.0), (1.0, None), (math.inf, 1.0), (1.0, math.inf), (None, math.inf)]:
+        for a, b in [(math.inf, 1.0), (1.0, math.inf)]:
             assert not _same_signature(discrete(a), discrete(b)), (a, b)
 
     def test_stabilized_early_stop(self):
@@ -1396,7 +1395,10 @@ class TestClassify:
         # duplicated and two-row clouds spanning 1e-8 to 1e3 that move in one
         # realified coordinate, drawn in any order and stored ascending: the
         # gaps between consecutive rows give the k-d tree's answer bit for
-        # bit, and no tree is built for them
+        # bit, and no tree is built for them.  A floor below every nonzero
+        # separation makes each cloud without duplicates DISCRETE; a cloud
+        # with duplicates, whose tree minimum is 0, is not, and so carries none
+        cfg = CFG._replace(gap_threshold=1e-300, dedup_eps=1e-303)
         rng = np.random.default_rng(11)
         clouds = []
         for trial in range(24):
@@ -1425,8 +1427,8 @@ class TestClassify:
 
         monkeypatch.setattr("scipy.spatial.cKDTree", no_tree)
         for cloud, want in zip(clouds, wants):
-            got = classify_closure(cloud, CFG).min_distance
-            assert float(got).hex() == float(want).hex()
+            got = classify_closure(cloud, cfg).min_distance
+            assert got is None if want == 0 else float(got).hex() == float(want).hex()
 
     def test_two_coordinate_min_distance_is_the_trees(self):
         rng = np.random.default_rng(12)
@@ -1570,14 +1572,14 @@ class TestClassify:
 
 def _line_oracle(cloud, cfg):
     """A line's verdict from its whole cloud: every row projected, then masked to the
-    window and sorted, and the nearest pair from a lexsort of the rows."""
+    window and sorted, and the nearest pair from a lexsort of the rows; only DISCRETE
+    carries it."""
     hull = cloud.hull
     notes = []
     if cloud.clipped:
         notes.append("overflow-clipped points were dropped")
     if cloud.subsampled:
         notes.append("large box streamed: stored points are window-complete")
-    min_dist = None
     if not cloud.subsampled and cloud.count > cfg.discrete_count_limit:
         notes.append("point count above discrete-check limit")
     elif not cloud.subsampled:
@@ -1590,12 +1592,12 @@ def _line_oracle(cloud, cfg):
     c = hull.frame_coordinates(cloud.coords)[:, 0]
     inside = np.sort(c[(c >= -W) & (c <= W)])
     if c.min() > -W or c.max() < W or inside.size < 2:
-        return ClosureVerdict(INCONCLUSIVE, 1, min_distance=min_dist,
+        return ClosureVerdict(INCONCLUSIVE, 1,
                               notes=notes + ["sampled range does not cover the window"])
     gap = float(np.diff(np.concatenate([[-W], inside, [W]])).max())
     if gap <= cfg.gap_threshold:
-        return ClosureVerdict(DENSE_IN_AFFINE, 1, gap=gap, min_distance=min_dist, notes=notes)
-    return ClosureVerdict(INCONCLUSIVE, 1, gap=gap, min_distance=min_dist,
+        return ClosureVerdict(DENSE_IN_AFFINE, 1, gap=gap, notes=notes)
+    return ClosureVerdict(INCONCLUSIVE, 1, gap=gap,
                           notes=notes + [f"max window gap {gap:.4g} above threshold"])
 
 
