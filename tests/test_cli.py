@@ -813,6 +813,7 @@ class TestStalledOrbits:
         assert got == [("INCONCLUSIVE", 2, None)]
 
     def test_three_diagonal_generators(self, tmp_path):
+        # (sqrt(2), 0) lies on an invariant axis, and (sqrt(3), 3) in U
         gens = [[["3 + 2*sqrt(2)", "0"], ["0", "1/2 + sqrt(2)"]], [["5", "0"], ["0", "3"]],
                 [["3", "0"], ["0", "1"]]]
         points = {"axis": ["sqrt(2)", "0"], "open": ["sqrt(3)", "3"]}
