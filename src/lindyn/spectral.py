@@ -52,8 +52,7 @@ from .errors import (
     UnmatchedConjugate,
 )
 from .groups import REAL, GeneratorSet
-from .linalg import (Matrix, Subspace, independent_columns, kernel, rank, restrict, solve,
-                     squarefree_factors)
+from .linalg import Matrix, Subspace, kernel, rank, restrict, solve, squarefree_factors
 from .numeric import (
     CLUSTER_DELTA,
     NumericContext,
@@ -156,13 +155,19 @@ def _nilpotency_value(N: np.ndarray) -> tuple[float, float]:
 def _single_eigenvalue(R):
     """Return the single eigenvalue of R, or None when R has several.
 
-    Exact restrictions are decided exactly; numeric ones use the banded
+    Exact restrictions are decided exactly: a triangular one by its
+    diagonal, which is its spectrum, and any other by whether R - mu I is
+    nilpotent, mu the trace mean.  Numeric ones use the banded
     spectral-radius test and raise ClusterAmbiguity inside the gray zone.
     """
-    mu = _trace_mean(R)
     if isinstance(R, Matrix):
+        spectrum = _triangular_spectrum(R)
+        if spectrum is not None:
+            return spectrum[0][0] if len(spectrum) == 1 else None
+        mu = _trace_mean(R)
         N = R - Matrix.identity(R.rows).scale(mu)
         return mu if N.power(R.rows).is_zero() else None
+    mu = _trace_mean(R)
     d = R.shape[0]
     if d == 1:
         return mu
@@ -611,22 +616,53 @@ def leading_one(col) -> list[Scalar]:
     return [x * inv for x in col]
 
 
+def _last_nonzero(col) -> int:
+    return max(i for i, x in enumerate(col) if x)
+
+
 def _triangularize_exact(restrictions: list[Matrix], mus: list[Scalar]):
+    """Common basis P of the restrictions' flag, and each restriction's
+    lower triangular form on it.
+
+    F_0 = 0, and F_(j+1) is the v with N v in F_j for every nilpotent part
+    N = R - mu I; its :func:`kernel` basis V is one kernel per layer.
+    Column t of V is 1 at its free coordinate f_t and 0 at the others, and 0
+    below f_t, since back-substitution from the last pivot gives 0 at every
+    pivot after f_t; so f_t is its last nonzero row.  With ``free`` those
+    rows of V and ``piv`` the others, v lies in F_(j+1) iff v[piv] =
+    V[piv] v[free]: the next layer is the kernel of the stacked
+    N[piv] - V[piv] N[free].
+
+    The layer's new flag columns are the columns of V whose f_t is not in
+    free_j, the free coordinates of F_j.  The last nonzero rows of F_j's
+    vectors are exactly free_j: a combination of V's columns ends at the
+    f_t of its last nonzero coefficient.  F_j in F_(j+1) gives free_j in
+    free_(j+1).  Column t is independent of F_j and of V's earlier columns
+    iff no vector of F_j ends at f_t, iff f_t is not in free_j: when f_t is
+    in free_j, F_j holds a vector w ending at f_t with w[f_t] = 1, and
+    column t less w is a combination of V's earlier columns; when it is
+    not, column t less any combination of V's earlier columns ends at f_t,
+    so lies outside F_j.  A layer with no new free coordinate adds nothing,
+    and raises NoCommonEigenvector.
+    """
     d = restrictions[0].rows  # a group has at least one generator
     nils = [R - Matrix.identity(d).scale(mu) for R, mu in zip(restrictions, mus)]
     layers: list[Matrix] = []
-    flag = Matrix.zeros(d, 0)  # the columns of the current flag subspace
-    while flag.cols < d:
-        ann = kernel(flag.transpose()).basis.transpose() if flag.cols else Matrix.identity(d)
-        stacked = ann * nils[0]
-        for N in nils[1:]:
-            stacked = stacked.vstack(ann * N)
+    free: list[int] = []  # the free coordinates of F_j, one per flag column
+    stacked = reduce(Matrix.vstack, nils)  # F_1 is the joint kernel of the N
+    while len(free) < d:
         V = kernel(stacked).basis
-        grown = [j - flag.cols for j in independent_columns(flag.hstack(V)) if j >= flag.cols]
+        ends = [_last_nonzero(col) for col in V.columns()]
+        grown = [t for t, f in enumerate(ends) if f not in free]
         if not grown:
             raise NoCommonEigenvector("joint kernel of the nilpotent parts did not grow")
         layers.append(V.submatrix(range(d), grown))
-        flag = flag.hstack(layers[-1])
+        free = ends
+        piv = [i for i in range(d) if i not in free]
+        if piv:
+            W = V.submatrix(piv, range(V.cols))
+            stacked = reduce(Matrix.vstack, [
+                N.submatrix(piv, range(d)) - W * N.submatrix(free, range(d)) for N in nils])
     cols = [col for layer in reversed(layers) for col in layer.columns()]
     # leading-one column normalization: keeps the form triangular and the
     # diagonal unchanged, and stops radical factors inflating restrictions
