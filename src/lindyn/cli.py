@@ -16,7 +16,7 @@ from pathlib import Path
 
 from ._numpy import np
 
-from .dynamics import FIRST_BOX, ClosureConfig, classify_stabilized, enumerate_orbit
+from .dynamics import FIRST_BOX, ClosureConfig, _stabilized_search, classify_stabilized
 from .errors import ClusterAmbiguity, LindynError, NotAbelian
 from .groups import COMPLEX, GeneratorSet
 from .invariants import invariant_family, invariant_tree, membership
@@ -189,14 +189,13 @@ def cmd_orbit(args) -> int:
     vec = as_vector(coords)
     family = invariant_family(G, ctx)
     mem = membership(family, vec, ctx)
-    verdict, K = classify_stabilized(G, vec, cfg, max_exponent=args.max_exponent)
+    verdict, K, cloud = _stabilized_search(G, vec, cfg, args.max_exponent)
     out = {
         "point": [str(c) for c in vec],
         "membership": membership_dict(mem),
         "closure": verdict_dict(verdict, K),
     }
     if args.dump_points:
-        cloud = enumerate_orbit(G, vec, K, cfg)
         _dump_points_csv(cloud.points, G.field, args.dump_points)
         out["dump"] = {"path": args.dump_points, "points": int(cloud.count)}
     sys.stdout.write(json.dumps(out, indent=2) + "\n")

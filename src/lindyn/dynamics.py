@@ -864,6 +864,17 @@ def classify_stabilized(
     later box takes it from there.  Each box is still enumerated through the
     module's enumerate_orbit.
     """
+    verdict, K, _ = _stabilized_search(G, u, cfg, max_exponent)
+    return verdict, K
+
+
+def _stabilized_search(
+    G: GeneratorSet,
+    u,
+    cfg: ClosureConfig,
+    max_exponent: int,
+) -> tuple[ClosureVerdict, int, OrbitCloud]:
+    """:func:`classify_stabilized`'s verdict and box K, with the cloud of box K."""
     if max_exponent < FIRST_BOX:
         raise ValueError(f"max exponent {max_exponent} is below the first box {FIRST_BOX}")
     prev = None
@@ -878,12 +889,12 @@ def classify_stabilized(
         if verdict.kind != INCONCLUSIVE and prev is not None and _same_signature(prev, verdict):
             streak += 1
             if streak >= 2:
-                return verdict, K
+                return verdict, K, cloud
         else:
             streak = 0
         prev = verdict
         K *= 2
-    return verdict, K // 2
+    return verdict, K // 2, cloud
 
 
 def _same_signature(a: ClosureVerdict, b: ClosureVerdict) -> bool:

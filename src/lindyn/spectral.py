@@ -29,6 +29,14 @@ precision, and only under a 53-bit context.  Above 53 bits it raises
 accurate than double precision, so a wider context would not make their
 answer better founded.  Every numeric block has the noise floor NOISE.
 
+An exact block's triangular flag takes one :func:`kernel` per layer.  F_(j+1)
+is the v with N v in F_j for every nilpotent part N, and the kernel basis V
+of F_j, a unit at each free coordinate, states F_j's equations with no
+elimination: v[piv] = V[piv] v[free].  So the next layer is the kernel of
+the stacked N[piv] - V[piv] N[free], and its new flag columns are those of
+its basis whose free coordinate is new (:func:`_triangularize_exact`).  A
+triangular exact restriction's single eigenvalue is read off its diagonal.
+
 A numeric block's triangular flag is built on :func:`nkernel` alone: with
 the flag kept as orthonormal columns F, the next layer is the joint kernel of
 the nilpotent parts projected off the flag, ``(I - F F^H) N``, less its part

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import FIXTURE_NAMES, fixture_by_name, lindyn_env, mp_evaluate, random_commuting_family
 from lindyn.cli import FIXTURES, load_input, main
-from lindyn.dynamics import ClosureConfig
+from lindyn.dynamics import FIRST_BOX, ClosureConfig
 from lindyn.linalg import as_vector
 from lindyn.numeric import NumericContext
 from lindyn.report import _fmt_complex, _scalar_approx, dumps_report, render_value
@@ -778,6 +778,35 @@ class TestOrbit:
         assert code == 0
         capsys.readouterr()
         assert hashlib.sha256(dump.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("point, max_exponent", [
+        ("1,1,0", "64"),  # DISCRETE, stable at K = 32
+        ("1,sqrt(2),0", "16"),  # not stable by the last box
+    ])
+    def test_dump_points_enumerates_each_box_once(self, fixture_files, tmp_path, capsys,
+                                                  monkeypatch, point, max_exponent):
+        # the dump is the search's last cloud, not the last box enumerated again
+        import lindyn.cli
+        import lindyn.dynamics
+
+        boxes = []
+        original = lindyn.dynamics.enumerate_orbit
+
+        def counting(G, u, K, *args, **kwargs):
+            boxes.append(K)
+            return original(G, u, K, *args, **kwargs)
+
+        for module in (lindyn.cli, lindyn.dynamics):
+            if getattr(module, "enumerate_orbit", None) is original:
+                monkeypatch.setattr(module, "enumerate_orbit", counting)
+        dump = tmp_path / "cloud.csv"
+        code = main(["orbit", fixture_files["shear3"], "--point", point,
+                     "--max-exponent", max_exponent, "--dump-points", str(dump)])
+        assert code == 0
+        out = json.loads(capsys.readouterr().out)
+        K = out["closure"]["exponent_bound"]
+        assert boxes == [FIRST_BOX << j for j in range((K // FIRST_BOX).bit_length())]
+        assert len(dump.read_text().splitlines()) - 1 == out["dump"]["points"]
 
 
 class TestStalledOrbits:

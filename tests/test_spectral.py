@@ -2,6 +2,7 @@ import math
 import operator
 import random
 from fractions import Fraction
+from functools import reduce
 
 import mpmath
 import numpy as np
@@ -20,7 +21,7 @@ import lindyn.spectral as spectral
 from lindyn.errors import NoCommonEigenvector, NotAbelian, SpectrumNotCertified
 from lindyn.groups import GeneratorSet
 from lindyn.invariants import invariant_family
-from lindyn.linalg import Matrix, rank, solve, squarefree_factors
+from lindyn.linalg import Matrix, independent_columns, kernel, rank, solve, squarefree_factors
 from lindyn.numeric import NumericContext, _isqrt_fast, max_abs, polynomial_roots, pslq, to_numeric
 from lindyn.scalars import Scalar, parse_scalar
 from lindyn.spectral import (
@@ -757,3 +758,117 @@ class TestJordanSweep:
                     certified += 1
                     assert sorted(((v, m) for v, m, _ in evs), key=lambda vm: str(vm[0])) == expected
             assert certified == self.CERTIFIED
+
+
+def jordan_sum_family(rng: random.Random, generator: str | None) -> tuple[list[Matrix], list[Scalar]]:
+    """1-3 commuting matrices mu I + p(N) over Q(generator) with their values
+    mu, conjugated by one random unimodular integer matrix.  N runs over a
+    direct sum of 1-3 nilpotent Jordan blocks of sizes 1-3, and p takes each
+    block's N_b and N_b^2 with its own coefficients, so that flag layers
+    wider than one column occur."""
+    w = parse_scalar(generator) if generator else Scalar.zero()
+
+    def value() -> Scalar:
+        return (Scalar.from_fraction(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+                + Scalar.from_int(rng.randint(-2, 2)) * w)
+
+    sizes = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+    n = sum(sizes)
+    block_nils, start = [], 0
+    for size in sizes:
+        block_nils.append(Matrix.from_rows([[int(start < i < start + size and j == i - 1)
+                                             for j in range(n)] for i in range(n)]))
+        start += size
+    L, U = (Matrix.from_rows([[int(i == j) or (rng.randint(-2, 2) if below(i, j) else 0)
+                               for j in range(n)] for i in range(n)])
+            for below in (operator.gt, operator.lt))
+    P = L * U
+    P_inv = P.inverse()
+    restrictions, mus = [], []
+    for _ in range(rng.randint(1, 3)):
+        mu = value()
+        R = Matrix.identity(n).scale(mu)
+        for Nb in block_nils:
+            R = R + Nb.scale(value()) + (Nb * Nb).scale(value())
+        restrictions.append(P * R * P_inv)
+        mus.append(mu)
+    return restrictions, mus
+
+
+def _flag_oracle(restrictions: list[Matrix], mus: list[Scalar]):
+    """The exact flag built as it once was, three eliminations a layer: the
+    flag's annihilator from ``kernel(flag.transpose())``, the layer's kernel,
+    and its new columns by ``independent_columns(flag.hstack(V))``.  Returns
+    P, each restriction's triangular form solved on it, and the layers."""
+    d = restrictions[0].rows
+    nils = [R - Matrix.identity(d).scale(mu) for R, mu in zip(restrictions, mus)]
+    layers: list[Matrix] = []
+    flag = Matrix.zeros(d, 0)
+    while flag.cols < d:
+        ann = kernel(flag.transpose()).basis.transpose() if flag.cols else Matrix.identity(d)
+        V = kernel(reduce(Matrix.vstack, [ann * N for N in nils])).basis
+        grown = [j - flag.cols for j in independent_columns(flag.hstack(V)) if j >= flag.cols]
+        if not grown:
+            raise NoCommonEigenvector("joint kernel of the nilpotent parts did not grow")
+        layers.append(V.submatrix(range(d), grown))
+        flag = flag.hstack(layers[-1])
+    P = Matrix.from_cols([spectral.leading_one(col) for layer in reversed(layers)
+                          for col in layer.columns()])
+    return P, [solve(P, R * P) for R in restrictions], layers
+
+
+class TestExactFlag:
+    FAMILIES = 75  # per field, 300 in all
+
+    @pytest.mark.parametrize("field", list(SWEEP_FIELDS))
+    def test_one_kernel_per_layer_matches_oracle(self, monkeypatch, field):
+        calls = []
+
+        def counting(M):
+            calls.append(M)
+            return kernel(M)
+
+        monkeypatch.setattr(spectral, "kernel", counting)
+        rng = random.Random(f"exact flag {field}")
+        widest = 0
+        for trial in range(self.FAMILIES):
+            restrictions, mus = jordan_sum_family(rng, SWEEP_FIELDS[field])
+            P_oracle, tri_oracle, layers = _flag_oracle(restrictions, mus)
+            calls.clear()
+            P, tri = spectral._triangularize_exact(restrictions, mus)
+            assert len(calls) == len(layers), trial
+            assert P == P_oracle and tri == tri_oracle, trial
+            widest = max(widest, max(layer.cols for layer in layers))
+            # a value that is not the first generator's eigenvalue leaves no
+            # common eigenvector
+            wrong = [mus[0] + Scalar.one()] + mus[1:]
+            for build in (_flag_oracle, spectral._triangularize_exact):
+                with pytest.raises(NoCommonEigenvector):
+                    build(restrictions, wrong)
+        assert widest > 1
+
+
+class TestTriangularEigenvalue:
+    @pytest.mark.parametrize("upper", [False, True])
+    def test_diagonal_matches_power_criterion(self, monkeypatch, upper):
+        # the oracle: mu = trace / n is the one eigenvalue iff (R - mu I)^n = 0
+        def no_power(self, k):
+            raise AssertionError("a triangular restriction took a matrix power")
+
+        rng = random.Random(f"triangular eigenvalue {upper}")
+        single = 0
+        for n in range(1, 7):
+            for trial in range(12):
+                radicands = () if trial % 2 else (2, 3)
+                entry = lambda: random_scalar(rng, radicands, allow_imag=bool(radicands))
+                diagonal = [entry()] * n if trial % 4 < 2 else [entry() for _ in range(n)]
+                R = Matrix([[diagonal[i] if i == j else entry() if (i < j) == upper else Scalar.zero()
+                             for j in range(n)] for i in range(n)])
+                mu = spectral._trace_mean(R)
+                expected = mu if (R - Matrix.identity(n).scale(mu)).power(n).is_zero() else None
+                with monkeypatch.context() as m:
+                    m.setattr(Matrix, "power", no_power)
+                    got = spectral._single_eigenvalue(R)
+                assert (got is None) == (expected is None) and got == expected, (n, trial)
+                single += expected is not None
+        assert 0 < single < 6 * 12
