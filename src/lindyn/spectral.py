@@ -168,14 +168,13 @@ def _single_eigenvalue(R):
     nilpotent, mu the trace mean.  Numeric ones use the banded
     spectral-radius test and raise ClusterAmbiguity inside the gray zone.
     """
+    mu = _trace_mean(R)
     if isinstance(R, Matrix):
         spectrum = _triangular_spectrum(R)
         if spectrum is not None:
-            return spectrum[0][0] if len(spectrum) == 1 else None
-        mu = _trace_mean(R)
+            return mu if len(spectrum) == 1 else None
         N = R - Matrix.identity(R.rows).scale(mu)
         return mu if N.power(R.rows).is_zero() else None
-    mu = _trace_mean(R)
     d = R.shape[0]
     if d == 1:
         return mu
@@ -624,10 +623,6 @@ def leading_one(col) -> list[Scalar]:
     return [x * inv for x in col]
 
 
-def _last_nonzero(col) -> int:
-    return max(i for i, x in enumerate(col) if x)
-
-
 def _triangularize_exact(restrictions: list[Matrix], mus: list[Scalar]):
     """Common basis P of the restrictions' flag, and each restriction's
     lower triangular form on it.
@@ -660,7 +655,7 @@ def _triangularize_exact(restrictions: list[Matrix], mus: list[Scalar]):
     stacked = reduce(Matrix.vstack, nils)  # F_1 is the joint kernel of the N
     while len(free) < d:
         V = kernel(stacked).basis
-        ends = [_last_nonzero(col) for col in V.columns()]
+        ends = [max(i for i in range(d) if V[i, t]) for t in range(V.cols)]
         grown = [t for t, f in enumerate(ends) if f not in free]
         if not grown:
             raise NoCommonEigenvector("joint kernel of the nilpotent parts did not grow")
