@@ -168,13 +168,14 @@ def _single_eigenvalue(R):
     nilpotent, mu the trace mean.  Numeric ones use the banded
     spectral-radius test and raise ClusterAmbiguity inside the gray zone.
     """
-    mu = _trace_mean(R)
     if isinstance(R, Matrix):
         spectrum = _triangular_spectrum(R)
         if spectrum is not None:
-            return mu if len(spectrum) == 1 else None
+            return spectrum[0][0] if len(spectrum) == 1 else None
+        mu = _trace_mean(R)
         N = R - Matrix.identity(R.rows).scale(mu)
         return mu if N.power(R.rows).is_zero() else None
+    mu = _trace_mean(R)
     d = R.shape[0]
     if d == 1:
         return mu
@@ -655,7 +656,7 @@ def _triangularize_exact(restrictions: list[Matrix], mus: list[Scalar]):
     stacked = reduce(Matrix.vstack, nils)  # F_1 is the joint kernel of the N
     while len(free) < d:
         V = kernel(stacked).basis
-        ends = [max(i for i in range(d) if V[i, t]) for t in range(V.cols)]
+        ends = [next(i for i in reversed(range(d)) if V[i, t]) for t in range(V.cols)]
         grown = [t for t, f in enumerate(ends) if f not in free]
         if not grown:
             raise NoCommonEigenvector("joint kernel of the nilpotent parts did not grow")
